@@ -4,25 +4,22 @@
 //!
 //! Runs the standard scenario ladder of `magma_serve::report` — stationary
 //! Poisson multi-tenant traffic, a repeated-tenant trace, and (full mode)
-//! bursty and tenant-drift traffic — through the virtual-clock simulator in
-//! **both serving modes** (overlap: search slices interleaved with
-//! accelerator execution through the steppable session API; legacy: the
-//! serial baseline), prints a latency/throughput/cache profile per scenario
-//! plus the overlap-vs-legacy comparison, and writes the schema-stable
-//! `BENCH_serve.json` (schema `magma-serve/v3`, self-checked via
-//! `ServeReport::validate`).
+//! bursty and tenant-drift traffic — through the virtual-clock simulator
+//! (each group's search hidden behind the previous group's execution),
+//! prints a latency/throughput/cache profile per scenario, and writes the
+//! schema-stable `BENCH_serve.json` (schema `magma-serve/v4`, self-checked
+//! via `ServeReport::validate`).
 //!
 //! With `--scenario <file>` the builtin ladder is replaced by a scenario
 //! from the registry (`magma-registry`): the file's platform / tenant-mix /
-//! traffic definitions are validated, resolved and run in both serving
-//! modes, and the report embeds the resolved scenario descriptor.
+//! traffic definitions are validated, resolved and run, and the report
+//! embeds the resolved scenario descriptor.
 //!
 //! The builtin run doubles as an acceptance check and panics on regression
-//! (so CI can never silently lose either win): on the repeated-tenant
-//! scenario the cache-hit dispatches must reach ≥ 90% of the cold-search
-//! throughput while spending ≤ 10% of the cold sample budget, and overlap
-//! mode must report a strictly lower mean end-to-end latency than legacy
-//! mode. Registry scenarios skip the ladder-specific acceptance gate.
+//! (so CI can never silently lose the win): on the repeated-tenant scenario
+//! the cache-hit dispatches must reach ≥ 90% of the cold-search throughput
+//! while spending ≤ 10% of the cold sample budget. Registry scenarios skip
+//! the ladder-specific acceptance gate.
 //!
 //! # Knobs
 //!
@@ -40,8 +37,6 @@
 //! | `MAGMA_SERVE_LOAD` | offered load vs calibrated service rate |
 //! | `MAGMA_SERVE_SLA_X` | SLA tolerance factor |
 //! | `MAGMA_SERVE_OVERHEAD_US` | virtual mapper cost per sample (µs) |
-//! | `MAGMA_SERVE_OVERLAP` | `0` makes legacy the primary ladder (both are always simulated) |
-//! | `MAGMA_SERVE_SLICE` | samples per search slice in overlap mode (result-invariant) |
 //! | `MAGMA_SERVE_SEED` | trace/search seed |
 //! | `--scenario <file>` | run a registry scenario file instead of the builtin ladder |
 //! | `MAGMA_SCENARIO_DIR` | registry root the scenario's references resolve against (default `scenarios/`) |
@@ -62,7 +57,7 @@ fn main() {
     println!("serve_sim — online multi-tenant serving (magma-serve)");
     println!(
         "mode {}, {} requests/scenario, groups of {}, budgets {}/{} (cold/refine), \
-         cache {} entries (epsilon {}), slice {}, seed {}",
+         cache {} entries (epsilon {}), seed {}",
         if smoke { "smoke" } else { "full" },
         knobs.requests,
         knobs.group_target,
@@ -70,13 +65,7 @@ fn main() {
         knobs.refine_budget,
         knobs.cache_capacity,
         knobs.cache_epsilon,
-        knobs.search_slice,
         knobs.seed
-    );
-    println!(
-        "primary serving mode: {} (MAGMA_SERVE_OVERLAP={})",
-        if knobs.overlap { "overlap" } else { "legacy" },
-        knobs.overlap as u8
     );
     println!("==============================================================");
 
@@ -98,10 +87,10 @@ fn main() {
         None => run_standard_scenarios(&knobs, smoke),
     };
     if let Err(violation) = report.validate() {
-        eprintln!("magma-serve/v3 schema self-check failed: {violation}");
+        eprintln!("magma-serve/v4 schema self-check failed: {violation}");
         std::process::exit(1);
     }
-    print_report(&report);
+    report.scenarios.iter().for_each(print_scenario);
     if scenario.is_none() {
         check_acceptance(&report);
     }
@@ -129,10 +118,9 @@ fn latency_row(label: &str, s: &LatencyStats) {
 fn print_scenario(s: &ScenarioResult) {
     let m = &s.metrics;
     println!(
-        "\n[{}] {} ({}) — {} jobs in {:.1} ms of virtual time ({:.0} jobs/s, {:.1} GFLOP/s)",
+        "\n[{}] {} — {} jobs in {:.1} ms of virtual time ({:.0} jobs/s, {:.1} GFLOP/s)",
         s.name,
         s.scenario,
-        if s.overlap { "overlap" } else { "legacy" },
         m.jobs,
         m.duration_sec * 1e3,
         m.jobs_per_sec,
@@ -180,73 +168,30 @@ fn print_scenario(s: &ScenarioResult) {
     }
 }
 
-fn print_report(report: &ServeReport) {
-    for s in &report.scenarios {
-        print_scenario(s);
-    }
-    println!("\n--- baseline ({}) ---", if report.primary_overlap { "legacy" } else { "overlap" });
-    for s in &report.baseline_scenarios {
-        print_scenario(s);
-    }
-    println!("\noverlap vs legacy (end-to-end, µs of virtual time):");
-    println!(
-        "  {:<22} {:>12} {:>12} {:>12} {:>12} {:>9}",
-        "scenario", "ovl mean", "leg mean", "ovl p95", "leg p95", "speedup"
-    );
-    for c in &report.comparison {
-        println!(
-            "  {:<22} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>8.2}x",
-            c.name,
-            c.overlap_mean_e2e_us,
-            c.legacy_mean_e2e_us,
-            c.overlap_p95_e2e_us,
-            c.legacy_p95_e2e_us,
-            c.mean_speedup
-        );
-    }
-}
-
 /// The acceptance criteria on the repeated-tenant scenario. Panics on
 /// regression so CI fails loudly.
 fn check_acceptance(report: &ServeReport) {
-    let repeat = |ladder: &[ScenarioResult]| -> ScenarioResult {
-        ladder
-            .iter()
-            .find(|s| s.name == "repeated_tenant")
-            .expect("the standard ladder always contains the repeated-tenant scenario")
-            .clone()
-    };
-    // Cache economics hold in both serving modes.
-    for ladder in [report.overlap_scenarios(), report.legacy_scenarios()] {
-        let d = repeat(ladder).metrics.dispatch;
-        assert!(d.hits > 0, "repeated-tenant traffic produced no cache hits");
-        assert!(
-            d.hit_cold_throughput_ratio >= 0.9,
-            "cache-hit dispatch reached only {:.1}% of cold-search throughput (acceptance: ≥ 90%)",
-            d.hit_cold_throughput_ratio * 100.0
-        );
-        assert!(
-            d.hit_sample_fraction <= 0.101,
-            "cache hits spent {:.1}% of the cold sample budget (acceptance: ≤ 10%)",
-            d.hit_sample_fraction * 100.0
-        );
-    }
-    // Overlap must strictly beat legacy end-to-end on the repeated trace.
-    let overlap = repeat(report.overlap_scenarios());
-    let legacy = repeat(report.legacy_scenarios());
+    let d = report
+        .scenarios
+        .iter()
+        .find(|s| s.name == "repeated_tenant")
+        .expect("the standard ladder always contains the repeated-tenant scenario")
+        .metrics
+        .dispatch;
+    assert!(d.hits > 0, "repeated-tenant traffic produced no cache hits");
     assert!(
-        overlap.metrics.end_to_end.mean_sec < legacy.metrics.end_to_end.mean_sec,
-        "overlap mean e2e {:.1} µs is not below legacy {:.1} µs",
-        overlap.metrics.end_to_end.mean_sec * 1e6,
-        legacy.metrics.end_to_end.mean_sec * 1e6
+        d.hit_cold_throughput_ratio >= 0.9,
+        "cache-hit dispatch reached only {:.1}% of cold-search throughput (acceptance: ≥ 90%)",
+        d.hit_cold_throughput_ratio * 100.0
     );
-    let d = overlap.metrics.dispatch;
+    assert!(
+        d.hit_sample_fraction <= 0.101,
+        "cache hits spent {:.1}% of the cold sample budget (acceptance: ≤ 10%)",
+        d.hit_sample_fraction * 100.0
+    );
     println!(
-        "\nacceptance: hit/cold throughput ratio {:.3} (≥ 0.9) at {:.1}% of the cold budget \
-         (≤ 10%); overlap e2e mean {:.1} µs < legacy {:.1} µs",
+        "\nacceptance: hit/cold throughput ratio {:.3} (≥ 0.9) at {:.1}% of the cold budget (≤ 10%)",
         d.hit_cold_throughput_ratio,
-        d.hit_sample_fraction * 100.0,
-        overlap.metrics.end_to_end.mean_sec * 1e6,
-        legacy.metrics.end_to_end.mean_sec * 1e6
+        d.hit_sample_fraction * 100.0
     );
 }

@@ -102,10 +102,9 @@ pub fn flag_or(raw: Option<&str>, default: bool) -> bool {
 /// | `MAGMA_SERVE_LOAD` | `offered_load` | offered load relative to the calibrated (unoptimized) service rate |
 /// | `MAGMA_SERVE_SLA_X` | `sla_x` | per-job SLA bound, in multiples of one batch window + calibrated service time |
 /// | `MAGMA_SERVE_OVERHEAD_US` | `overhead_us_per_sample` | virtual mapper cost charged per search sample, in µs |
-/// | `MAGMA_SERVE_OVERLAP` | `overlap` | `0`/`off`/`false` disables overlap mode (search slices interleaved with execution); default on |
-/// | `MAGMA_SERVE_SLICE` | `search_slice` | samples per search slice in overlap mode |
+/// | `MAGMA_SERVE_SLICE` | `search_slice` | samples per scheduler slice under the Uniform fleet/engine policy |
 /// | `MAGMA_SERVE_CACHE_EPSILON` | `cache_epsilon` | nearest-key cache probe threshold (mean signature distance); `0` = exact-key only |
-/// | `MAGMA_SERVE_CACHE_PATH` | `cache_path` | mapping-cache persistence file: loaded (if present) before a run, saved after — warm restarts; empty/unset disables |
+/// | `MAGMA_SERVE_CACHE_PATH` | `cache_path` | mapping-cache persistence base path: every driver loads `<path>.shard<i>` (if present) before a run and saves it after — warm restarts; empty/unset disables |
 /// | `MAGMA_SERVE_SEED` | `seed` | trace/search seed |
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeKnobs {
@@ -129,14 +128,11 @@ pub struct ServeKnobs {
     pub sla_x: f64,
     /// Virtual mapper cost charged per search sample, in microseconds.
     pub overhead_us_per_sample: f64,
-    /// Whether the simulator overlaps search with accelerator execution
-    /// (default on): a group's search advances in budget slices while the
-    /// previous group executes, instead of serializing search and execution
-    /// on one timeline.
-    pub overlap: bool,
-    /// Samples per search slice in overlap mode. Slicing never changes any
-    /// search result (the session-stepping invariant); it is purely the
-    /// granularity at which the virtual mapper clock advances.
+    /// Samples per scheduler slice under [`FleetPolicy::Uniform`] (the
+    /// fleet's and the engine's `base_slice`). Slicing never changes a
+    /// search's result (the session-stepping invariant), only how live
+    /// sessions interleave on a shard's mapper; the single-queue simulator
+    /// holds one session at a time and ignores it.
     pub search_slice: usize,
     /// Nearest-key cache probe threshold: on an exact-key miss, a stored
     /// solution whose signatures are within this mean `JobSignature`
@@ -144,11 +140,11 @@ pub struct ServeKnobs {
     /// disables the probe (exact-key only — the pre-calibration default,
     /// one `MAGMA_SERVE_CACHE_EPSILON=0` away).
     pub cache_epsilon: f64,
-    /// Mapping-cache persistence file: when set, the simulator loads the
-    /// cache from this path before the run (if the file exists) and saves
-    /// it back afterwards, so a restart starts warm. `None` (the default)
-    /// keeps the cache in-memory only. The fleet simulator derives one file
-    /// per shard by appending `.shard<i>`.
+    /// Mapping-cache persistence base path: when set, every driver (the
+    /// simulators and the engine) loads shard `i`'s cache from
+    /// `<path>.shard<i>` before the run (if the file exists) and saves it
+    /// back afterwards, so a restart starts warm. `None` (the default)
+    /// keeps the caches in-memory only.
     pub cache_path: Option<String>,
     /// Trace/search seed.
     pub seed: u64,
@@ -173,7 +169,6 @@ impl ServeKnobs {
             offered_load: 0.7,
             sla_x: 3.0,
             overhead_us_per_sample: 1.0,
-            overlap: true,
             search_slice: 32,
             // Calibrated by the `cache_sweep` frontier (the committed
             // `BENCH_cache.json`): the largest probe threshold whose
@@ -224,7 +219,6 @@ impl ServeKnobs {
             sla_x: env_parse("MAGMA_SERVE_SLA_X", d.sla_x).max(0.0),
             overhead_us_per_sample: env_parse("MAGMA_SERVE_OVERHEAD_US", d.overhead_us_per_sample)
                 .max(0.0),
-            overlap: env_flag("MAGMA_SERVE_OVERLAP", d.overlap),
             search_slice: env_parse("MAGMA_SERVE_SLICE", d.search_slice).max(1),
             cache_epsilon: env_parse("MAGMA_SERVE_CACHE_EPSILON", d.cache_epsilon).max(0.0),
             cache_path: std::env::var("MAGMA_SERVE_CACHE_PATH")
@@ -241,8 +235,7 @@ impl ServeKnobs {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum FleetPolicy {
     /// Round-robin over live sessions with a fixed slice
-    /// (`MAGMA_SERVE_SLICE`) — the single-queue simulator's quantum,
-    /// generalized to many sessions. No preemption.
+    /// (`MAGMA_SERVE_SLICE`). No preemption.
     Uniform,
     /// Earliest-deadline-first session selection with deadline-aware slice
     /// sizing (urgent sessions get big slices, relaxed ones small), plus
@@ -803,11 +796,9 @@ mod tests {
         // The refinement budget is the "≤ 10% of cold" acceptance lever.
         assert!(full.refine_budget * 10 <= full.cold_budget);
         assert!(smoke.refine_budget * 10 <= smoke.cold_budget);
-        // Overlap mode defaults on; since the cache_sweep calibration the
-        // nearest-key probe defaults on too (BENCH_cache.json documents the
-        // frontier), with exact-key-only one `MAGMA_SERVE_CACHE_EPSILON=0`
-        // away. Persistence stays opt-in.
-        assert!(full.overlap && smoke.overlap);
+        // Since the cache_sweep calibration the nearest-key probe defaults
+        // on (BENCH_cache.json documents the frontier), with exact-key-only
+        // one `MAGMA_SERVE_CACHE_EPSILON=0` away. Persistence stays opt-in.
         assert!(full.search_slice >= 1);
         assert!(full.cache_epsilon > 0.0 && smoke.cache_epsilon > 0.0);
         assert_eq!(full.cache_path, None);

@@ -24,6 +24,8 @@ use magma_m3e::{LruOrder, StoredSolution};
 use magma_model::{JobSignature, LayerClass, TaskType};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::Write;
 use std::path::Path;
 
 /// One job signature, quantized to log-scale magnitude buckets.
@@ -288,10 +290,23 @@ impl MappingCache {
     /// `MAGMA_SERVE_CACHE_PATH`). Entries are emitted least recently used
     /// first, so LRU order — and with it every future eviction and near-hit
     /// tie-break — survives the round trip exactly, as do the counters.
+    ///
+    /// Crash-safe: the bytes go to `<path>.tmp`, are synced, and only then
+    /// renamed over `path`, so a kill mid-save leaves the previous file (or
+    /// none) in place — never a truncated one. [`MappingCache::load`] never
+    /// reads the `.tmp`.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         let json = serde_json::to_string_pretty(self)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        std::fs::write(path, json + "\n")
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let mut file = File::create(&tmp)?;
+        file.write_all((json + "\n").as_bytes())?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        // The rename itself is durable once the directory entry is.
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+        File::open(dir)?.sync_all()
     }
 
     /// Loads a cache previously written by [`MappingCache::save`].

@@ -19,8 +19,8 @@
 //!
 //! Since the session redesign the service is **steppable**: a dispatch is
 //! [`plan`](MappingService::plan_group)ned (cache probe + seed adaptation),
-//! its search opened as a resumable [`SearchSession`]
-//! ([`MappingService::start_search`]) that the caller advances in budget
+//! its search opened as a detached [`SessionState`]
+//! ([`MappingService::open_search`]) that the caller advances in budget
 //! slices, and [`complete`](MappingService::complete_group)d into the cache.
 //! [`MappingService::map_group`] remains the one-call composition of the
 //! three — and, by the session-stepping invariant, any slicing of the same
@@ -28,7 +28,8 @@
 
 use crate::cache::{quantize_signatures, CacheStats, MappingCache, SharedCache, SignatureKey};
 use magma_m3e::{M3e, Mapping, MappingProblem, Schedule, StoredSolution};
-use magma_optim::{Magma, Optimizer, SearchOutcome, SearchSession, SessionState};
+use magma_optim::{Magma, Optimizer, SearchOutcome, SessionState};
+use magma_platform::settings::ServeKnobs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -94,6 +95,18 @@ impl DispatchConfig {
             cache_capacity,
             cache_epsilon: 0.0,
         }
+    }
+
+    /// The budgets and cache geometry of the `MAGMA_SERVE_*` knob family,
+    /// nearest-key probe included.
+    pub fn from_knobs(knobs: &ServeKnobs) -> Self {
+        DispatchConfig::new(
+            knobs.cold_budget,
+            knobs.refine_budget,
+            knobs.quant_step,
+            knobs.cache_capacity,
+        )
+        .with_cache_epsilon(knobs.cache_epsilon)
     }
 
     /// Enables the nearest-key cache probe at threshold `epsilon` (mean
@@ -173,10 +186,10 @@ impl MappingService {
     /// Plans how a dispatch group will be searched: probes the cache (exact
     /// key, then the nearest-key fallback when `cache_epsilon > 0`) and, on
     /// a hit, adapts the stored solution into a seed population. The plan
-    /// carries everything [`MappingService::start_search`] needs; nothing is
+    /// carries everything [`MappingService::open_search`] needs; nothing is
     /// evaluated yet.
     ///
-    /// `rng` must be the same RNG later handed to `start_search` — the seed
+    /// `rng` must be the same RNG later handed to `open_search` — the seed
     /// population draws from it, exactly as the pre-session one-call path
     /// did.
     pub fn plan_group(&mut self, problem: &M3e, rng: &mut StdRng) -> SearchPlan {
@@ -202,20 +215,14 @@ impl MappingService {
         // Sized by Magma itself so the seeds fill exactly one initial
         // population (pure in the problem and budget; no RNG draw).
         let pop = magma.population_size_for(problem, budget);
-        if let Some(stored) = self.cache.lookup_near(&key, sigs, self.config.cache_epsilon) {
+        let epsilon = self.config.cache_epsilon;
+        let stored = self
+            .cache
+            .lookup_near(&key, sigs, epsilon)
+            .or_else(|| shared.and_then(|tier| tier.lookup_near(&key, sigs, epsilon)));
+        if let Some(stored) = stored {
             let seeds = stored.seed_population(rng, sigs, num_accels, pop);
             return SearchPlan { kind: DispatchKind::CacheHit, budget, key, seeds: Some(seeds) };
-        }
-        if let Some(tier) = shared {
-            if let Some(stored) = tier.lookup_near(&key, sigs, self.config.cache_epsilon) {
-                let seeds = stored.seed_population(rng, sigs, num_accels, pop);
-                return SearchPlan {
-                    kind: DispatchKind::CacheHit,
-                    budget,
-                    key,
-                    seeds: Some(seeds),
-                };
-            }
         }
         SearchPlan {
             kind: DispatchKind::ColdSearch,
@@ -225,29 +232,12 @@ impl MappingService {
         }
     }
 
-    /// Opens the (resumable) search session a plan describes: a seeded
-    /// refinement session on a cache hit, a cold MAGMA session on a miss.
-    /// The caller owns the stepping — spend [`SearchPlan::budget`] samples
-    /// in whatever slices fit its schedule (the serving simulator's overlap
-    /// mode interleaves them with accelerator execution), then pass the
-    /// finished outcome to [`MappingService::complete_group`].
-    pub fn start_search<'a>(
-        &self,
-        plan: &SearchPlan,
-        problem: &'a M3e,
-        rng: &'a mut StdRng,
-    ) -> Box<dyn SearchSession + 'a> {
-        let magma = Magma::default();
-        match &plan.seeds {
-            Some(seeds) => magma.refine_session(problem, seeds.clone(), rng),
-            None => magma.start(problem, rng),
-        }
-    }
-
-    /// The owned counterpart of [`MappingService::start_search`]: returns a
-    /// detached [`SessionState`] so a scheduler can hold many live searches
-    /// at once and lend each its problem and RNG per step. Bit-identical to
-    /// `start_search` driven at the same slices.
+    /// Opens the search a plan describes — a seeded refinement on a cache
+    /// hit, a cold MAGMA search on a miss — as a detached [`SessionState`],
+    /// so a scheduler can hold many live searches at once and lend each its
+    /// problem and RNG per step. The caller owns the stepping: spend
+    /// [`SearchPlan::budget`] samples in whatever slices fit its schedule,
+    /// then pass the finished outcome to [`MappingService::complete_group`].
     pub fn open_search(
         &self,
         plan: &SearchPlan,
@@ -284,27 +274,21 @@ impl MappingService {
         }
     }
 
-    /// Maps one dispatch group in one call: plan, open the session, step it
+    /// Maps one dispatch group in one call: plan, open the search, step it
     /// to the plan's budget, complete. `seed` drives the (deterministic)
-    /// search RNG; the simulator derives it from the trace seed and dispatch
-    /// index. This is the legacy-mode path — overlap mode drives the same
-    /// plan/start/complete primitives itself, slice by slice.
+    /// search RNG. The serving loops drive the same plan/open/complete
+    /// primitives themselves, slice by slice ([`crate::scheduler`]).
     pub fn map_group(&mut self, problem: &M3e, seed: u64) -> DispatchOutcome {
         let mut rng = StdRng::seed_from_u64(seed);
         let plan = self.plan_group(problem, &mut rng);
-        let budget = plan.budget;
-        let mut session = self.start_search(&plan, problem, &mut rng);
+        let mut state = self.open_search(&plan, problem, &mut rng);
         loop {
-            let remaining = budget - session.spent();
-            if remaining == 0 {
-                break;
-            }
-            if session.step(remaining).spent == 0 {
+            let remaining = plan.budget - state.spent();
+            if remaining == 0 || state.step(problem, &mut rng, remaining).spent == 0 {
                 break;
             }
         }
-        let outcome = session.finish();
-        self.complete_group(problem, plan, outcome)
+        self.complete_group(problem, plan, state.finish())
     }
 }
 
@@ -429,18 +413,14 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let plan = sliced.plan_group(&p, &mut rng);
             let budget = plan.budget();
-            let mut session = sliced.start_search(&plan, &p, &mut rng);
+            let mut state = sliced.open_search(&plan, &p, &mut rng);
             loop {
-                let remaining = budget - session.spent();
-                if remaining == 0 {
-                    break;
-                }
-                if session.step(remaining.min(3)).spent == 0 {
+                let remaining = budget - state.spent();
+                if remaining == 0 || state.step(&p, &mut rng, remaining.min(3)).spent == 0 {
                     break;
                 }
             }
-            let outcome = session.finish();
-            sliced.complete_group(&p, plan, outcome)
+            sliced.complete_group(&p, plan, state.finish())
         };
         let cold_b = drive(1);
         let hit_b = drive(2);

@@ -1,16 +1,15 @@
-//! The wall-clock serving engine: the fleet's routing/scheduling/dispatch
-//! machinery driven by real time instead of the virtual event loop.
+//! The wall-clock serving engine: the shard core driven by real time
+//! instead of the virtual event loop.
 //!
-//! The simulators ([`crate::sim`], [`crate::fleet`]) own their clock: they
-//! synthesize a trace up front and process arrival/cut/step events in
-//! virtual-time order. A *server* cannot — requests arrive over a socket
-//! whenever clients send them. [`ServeEngine`] is the piece in between: the
-//! same components ([`AdmissionBatcher`] → [`ShardRouter`] →
-//! [`SessionScheduler`] per shard, [`MappingService`] caches with the
-//! optional [`SharedCache`] tier behind them), but every entry point takes
-//! the caller's `now_sec`. The daemon (`magma-server`) feeds it
-//! `Instant`-derived seconds; tests feed it synthetic time, which keeps the
-//! engine deterministic and clock-free to test.
+//! The simulator ([`crate::fleet`]) owns its clock: it synthesizes a trace
+//! up front and processes arrival/cut/step events in virtual-time order. A
+//! *server* cannot — requests arrive over a socket whenever clients send
+//! them. [`ServeEngine`] is the piece in between: the same shard core (an
+//! [`AdmissionBatcher`] feeding the router, per-shard schedulers and
+//! caches, and the optional shared tier the simulator runs on), but every
+//! entry point takes the caller's `now_sec`. The daemon (`magma-server`)
+//! feeds it `Instant`-derived seconds; tests feed it synthetic time, which
+//! keeps the engine deterministic and clock-free to test.
 //!
 //! ```text
 //!  submit(now, …) ─▶ AdmissionBatcher ─┐
@@ -21,7 +20,7 @@
 //!                                      └──▶ Vec<JobCompletion> (token-tagged)
 //! ```
 //!
-//! Three server-specific behaviours sit on top of the fleet machinery:
+//! Three server-specific behaviours sit on top of the shard core:
 //!
 //! * **Admission control** — [`ServeEngine::submit`] rejects with
 //!   [`Admission::Busy`] (and a retry-after hint) when the projected mapper
@@ -43,30 +42,23 @@
 //! [`ServeEngine::drain`] closes the lifecycle: admissions stop, every
 //! queued group is force-cut and every live session run to completion, and
 //! the per-shard mapping caches are persisted to `<cache_path>.shard<i>`
-//! (the same files the fleet simulator and the PR 8 warm-restart path use),
-//! so a drained server restarts warm.
+//! (the same files the simulators use), so a drained server restarts warm.
 //!
 //! Determinism: given the same sequence of `submit`/`cancel`/`poll`/`drain`
 //! calls (same arguments, same `now_sec` values), the engine's completions
-//! and stats are bit-identical — searches are seeded per admission with the
-//! same golden-ratio stride as the simulators.
+//! and stats are bit-identical — searches are seeded per admission, and
+//! every internal iteration runs in session-id order, never hash order.
 
 use crate::batcher::{AdmissionBatcher, BatchPolicy};
-use crate::cache::{quantize_signatures, CacheStats, MappingCache, SharedCache};
-use crate::dispatch::{DispatchConfig, DispatchKind, MappingService};
-use crate::fleet::{dominant_tenant, group_value};
-use crate::router::ShardRouter;
-use crate::scheduler::{LiveSession, SchedStep, SchedulerConfig, SessionScheduler};
-use crate::sim::{dispatch_seed, group_problem};
+use crate::dispatch::{DispatchConfig, DispatchKind};
+use crate::scheduler::{LiveSession, SchedulerConfig};
+use crate::shards::ShardSet;
 use crate::trace::Arrival;
-use magma_m3e::StoredSolution;
-use magma_model::{Job, JobSignature, TenantMix};
+use magma_model::{Job, TenantMix};
 use magma_platform::settings::{FleetPolicy, ServerKnobs};
-use magma_platform::{AcceleratorPlatform, PlatformSpec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use magma_platform::PlatformSpec;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 
 /// The full parameter set of a wall-clock engine, derived from the
@@ -129,13 +121,7 @@ impl EngineConfig {
             group_target: serve.group_target,
             max_wait_sec: serve.max_wait_x * serve.group_target as f64 / knobs.rate,
             overhead_sec_per_sample: serve.overhead_us_per_sample * 1e-6,
-            dispatch: DispatchConfig::new(
-                serve.cold_budget,
-                serve.refine_budget,
-                serve.quant_step,
-                serve.cache_capacity,
-            )
-            .with_cache_epsilon(serve.cache_epsilon),
+            dispatch: DispatchConfig::from_knobs(serve),
             shared_cache_capacity: fleet.shared_cache_capacity,
             shared_tenant_quota: fleet.shared_tenant_quota,
             cache_path: serve.cache_path.as_ref().map(PathBuf::from),
@@ -253,18 +239,15 @@ struct SessionTags {
 pub struct ServeEngine {
     config: EngineConfig,
     mix: TenantMix,
-    platforms: Vec<AcceleratorPlatform>,
     batcher: AdmissionBatcher,
     /// Token tags parallel to the batcher's FIFO queue: `take_group` removes
     /// the oldest `n` arrivals, so the first `n` tags here are theirs.
     pending_tags: VecDeque<JobTag>,
-    router: ShardRouter,
-    services: Vec<MappingService>,
-    shared: Option<SharedCache>,
-    scheds: Vec<SessionScheduler>,
-    /// Per-shard virtual accelerator timeline (wall-clock seconds).
-    accel_free: Vec<f64>,
-    session_tags: HashMap<u64, SessionTags>,
+    /// The shards; their accelerator timelines run in wall-clock seconds.
+    shards: ShardSet,
+    /// Live sessions' tags by session id — ordered, so every walk over the
+    /// live set is in admission order whatever the hasher says.
+    session_tags: BTreeMap<u64, SessionTags>,
     /// Remaining job count per open token.
     open_tokens: HashMap<u64, usize>,
     cancelled: HashSet<u64>,
@@ -272,14 +255,9 @@ pub struct ServeEngine {
     out: Vec<JobCompletion>,
     /// Monotonic clamp over caller-supplied time.
     last_now: f64,
-    admitted: u64,
     draining: bool,
-    accepted: u64,
-    rejected: u64,
-    cancel_acks: u64,
-    completed_jobs: u64,
-    timed_out_jobs: u64,
-    cancelled_jobs: u64,
+    /// The engine's own counters; [`ServeEngine::stats`] fills in the rest.
+    counters: EngineStats,
 }
 
 impl ServeEngine {
@@ -292,68 +270,46 @@ impl ServeEngine {
     /// Panics on a degenerate config (no shards, zero group target, a
     /// non-positive timeout or backlog knob).
     pub fn new(config: EngineConfig, mix: TenantMix) -> Self {
-        let shards = config.shards();
-        assert!(shards > 0, "an engine needs at least one shard");
+        assert!(config.shards() > 0, "an engine needs at least one shard");
         assert!(config.group_target > 0, "the group target must be non-zero");
         assert!(config.timeout_sec > 0.0, "the session timeout must be positive");
         assert!(config.max_backlog_sec > 0.0, "the backlog knob must be positive");
         assert!(config.pending_per_shard > 0, "the admission queue needs capacity");
-        let platforms: Vec<_> = config.shard_settings.iter().map(|s| s.build()).collect();
-        let mut services: Vec<_> =
-            (0..shards).map(|_| MappingService::new(config.dispatch)).collect();
-        if let Some(base) = &config.cache_path {
-            for (i, service) in services.iter_mut().enumerate() {
-                let file = shard_cache_file(base, i);
-                if file.exists() {
-                    match MappingCache::load(&file) {
-                        Ok(cache) => service.install_cache(cache),
-                        Err(e) => {
-                            eprintln!("warning: ignoring mapping cache at {}: {e}", file.display())
-                        }
-                    }
-                }
-            }
-        }
-        let shared = (config.shared_cache_capacity > 0)
-            .then(|| SharedCache::new(config.shared_cache_capacity, config.shared_tenant_quota));
-        let sched_config = SchedulerConfig {
-            policy: config.policy,
-            max_live: config.max_live,
-            base_slice: config.base_slice,
-            min_slice: config.min_slice,
-            // Admission control replaces value preemption on the server
-            // path: overload is shed at the socket (`Busy`), not by
-            // evicting work that was already accepted.
-            preempt_margin: 0.0,
-            overhead_sec_per_sample: config.overhead_sec_per_sample,
-        };
+        let shards = ShardSet::new(
+            config.shard_settings.iter().map(|s| s.build()).collect(),
+            config.dispatch,
+            config.shared_cache_capacity,
+            config.shared_tenant_quota,
+            config.cache_path.clone(),
+            SchedulerConfig {
+                policy: config.policy,
+                max_live: config.max_live,
+                base_slice: config.base_slice,
+                min_slice: config.min_slice,
+                // Admission control replaces value preemption on the server
+                // path: overload is shed at the socket (`Busy`), not by
+                // evicting work that was already accepted.
+                preempt_margin: 0.0,
+                overhead_sec_per_sample: config.overhead_sec_per_sample,
+            },
+            config.seed,
+        );
         let batcher = AdmissionBatcher::new(BatchPolicy::new(
             config.group_target,
             config.max_wait_sec.max(0.0),
         ));
         ServeEngine {
             mix,
-            platforms,
             batcher,
             pending_tags: VecDeque::new(),
-            router: ShardRouter::new(shards),
-            services,
-            shared,
-            scheds: (0..shards).map(|_| SessionScheduler::new(sched_config)).collect(),
-            accel_free: vec![0.0; shards],
-            session_tags: HashMap::new(),
+            shards,
+            session_tags: BTreeMap::new(),
             open_tokens: HashMap::new(),
             cancelled: HashSet::new(),
             out: Vec::new(),
             last_now: 0.0,
-            admitted: 0,
             draining: false,
-            accepted: 0,
-            rejected: 0,
-            cancel_acks: 0,
-            completed_jobs: 0,
-            timed_out_jobs: 0,
-            cancelled_jobs: 0,
+            counters: EngineStats::default(),
             config,
         }
     }
@@ -376,20 +332,14 @@ impl ServeEngine {
     /// `max_backlog_sec`.
     pub fn projected_backlog_sec(&self, now_sec: f64) -> f64 {
         let now = now_sec.max(self.last_now);
-        let min_load =
-            (0..self.scheds.len()).map(|s| self.shard_load(s, now)).fold(f64::INFINITY, f64::min);
+        let shards = self.shards.len();
+        let min_load = (0..shards).map(|s| self.shards.load(s, now)).fold(f64::INFINITY, f64::min);
         let queued_groups = self.batcher.pending() as f64 / self.config.group_target as f64;
         let queued_cost = queued_groups
             * self.config.dispatch.cold_budget as f64
             * self.config.overhead_sec_per_sample
-            / self.scheds.len() as f64;
+            / shards as f64;
         min_load + queued_cost
-    }
-
-    /// One shard's congestion in seconds — the router's load measure.
-    fn shard_load(&self, shard: usize, now_sec: f64) -> f64 {
-        self.scheds[shard].backlog() * self.config.overhead_sec_per_sample
-            + (self.accel_free[shard] - now_sec).max(0.0)
     }
 
     /// Submits one group of jobs under `token` (the transport's correlation
@@ -416,15 +366,16 @@ impl ServeEngine {
         if self.open_tokens.contains_key(&token) {
             return Admission::Invalid { reason: format!("token {token} is already open") };
         }
+        // Backpressure: the bounded queue is full, or the projected backlog
+        // is over the knob. The hint is how long the backlog is projected to
+        // need to fall back under it, floored at 1 ms.
         let queue_cap =
-            self.config.pending_per_shard * self.scheds.len() * self.config.group_target;
-        if self.batcher.pending() + jobs.len() > queue_cap {
-            self.rejected += 1;
-            return Admission::Busy { retry_after_sec: self.retry_after(now) };
-        }
+            self.config.pending_per_shard * self.shards.len() * self.config.group_target;
         let projected = self.projected_backlog_sec(now);
-        if projected > self.config.max_backlog_sec {
-            self.rejected += 1;
+        if self.batcher.pending() + jobs.len() > queue_cap
+            || projected > self.config.max_backlog_sec
+        {
+            self.counters.rejected += 1;
             return Admission::Busy {
                 retry_after_sec: (projected - self.config.max_backlog_sec).max(1e-3),
             };
@@ -435,14 +386,8 @@ impl ServeEngine {
             self.pending_tags.push_back(JobTag { token, job_index });
         }
         self.open_tokens.insert(token, n);
-        self.accepted += 1;
+        self.counters.accepted += 1;
         Admission::Accepted
-    }
-
-    /// The retry-after hint of a queue-full rejection: how long the backlog
-    /// is projected to need to fall back under the knob, floored at 1 ms.
-    fn retry_after(&self, now_sec: f64) -> f64 {
-        (self.projected_backlog_sec(now_sec) - self.config.max_backlog_sec).max(1e-3)
     }
 
     /// Cancels an open token. Returns `false` when the token is unknown,
@@ -457,17 +402,18 @@ impl ServeEngine {
         if !self.open_tokens.contains_key(&token) || !self.cancelled.insert(token) {
             return false;
         }
-        self.cancel_acks += 1;
-        // Early-finish every live session wholly made of cancelled tokens.
-        let doomed: Vec<u64> = self
+        self.counters.cancelled += 1;
+        // Early-finish every live session wholly made of cancelled tokens,
+        // in ascending session id: the completion order feeds the shard's
+        // accelerator timeline and the cache's insertion order.
+        let doomed: Vec<(u64, usize)> = self
             .session_tags
             .iter()
             .filter(|(_, st)| st.tags.iter().all(|t| self.cancelled.contains(&t.token)))
-            .map(|(&id, _)| id)
+            .map(|(&id, st)| (id, st.shard))
             .collect();
-        for id in doomed {
-            let shard = self.session_tags[&id].shard;
-            let Some(session) = self.scheds[shard].remove_by_id(id) else { continue };
+        for (id, shard) in doomed {
+            let Some(session) = self.shards.sched(shard).remove_by_id(id) else { continue };
             if session.spent() > 0 {
                 self.complete(session, shard, now, false);
             } else {
@@ -475,8 +421,7 @@ impl ServeEngine {
                 // and synthesize cancelled completions directly.
                 let tags = self.session_tags.remove(&id).expect("tags tracked per session");
                 let kind = session.plan.kind();
-                for (k, a) in session.group.arrivals.iter().enumerate() {
-                    let tag = tags.tags[k];
+                for (a, tag) in session.group.arrivals.iter().zip(tags.tags) {
                     self.push_completion(JobCompletion {
                         token: tag.token,
                         job_index: tag.job_index,
@@ -500,23 +445,10 @@ impl ServeEngine {
     /// since the last call.
     pub fn poll(&mut self, now_sec: f64) -> Vec<JobCompletion> {
         let now = self.clamp_now(now_sec);
-        while self.batcher.earliest_ready().is_some_and(|r| r <= now)
-            && self.scheds.iter().any(|s| s.has_room())
-        {
+        while self.batcher.earliest_ready().is_some_and(|r| r <= now) && self.shards.has_room() {
             self.cut_group(now);
         }
-        for shard in 0..self.scheds.len() {
-            if self.scheds[shard].live() == 0 {
-                continue;
-            }
-            match self.scheds[shard].step(now) {
-                SchedStep::Idle => unreachable!("only shards with live sessions step"),
-                SchedStep::Progress { .. } => {}
-                SchedStep::Finished { session, spent: _, preempted } => {
-                    self.complete(*session, shard, now, preempted);
-                }
-            }
-        }
+        self.step_shards(now);
         std::mem::take(&mut self.out)
     }
 
@@ -534,64 +466,36 @@ impl ServeEngine {
             // path by cutting at the group's own ready time when it lies
             // beyond `now`.
             while let Some(ready) = self.batcher.earliest_ready() {
-                if !self.scheds.iter().any(|s| s.has_room()) {
+                if !self.shards.has_room() {
                     break;
                 }
                 self.cut_group(now.max(ready));
             }
-            if self.scheds.iter().all(|s| s.live() == 0) {
-                if self.batcher.pending() == 0 {
-                    break;
-                }
-                // Room is guaranteed empty ⇒ the cut loop above will make
-                // progress on the next iteration.
-                continue;
+            if self.shards.live_total() == 0 {
+                // With nothing live every shard has room, so the cut loop
+                // above emptied the queue.
+                break;
             }
-            for shard in 0..self.scheds.len() {
-                if self.scheds[shard].live() == 0 {
-                    continue;
-                }
-                match self.scheds[shard].step(now) {
-                    SchedStep::Idle => unreachable!("only shards with live sessions step"),
-                    SchedStep::Progress { .. } => {}
-                    SchedStep::Finished { session, spent: _, preempted } => {
-                        self.complete(*session, shard, now, preempted);
-                    }
-                }
-            }
+            self.step_shards(now);
         }
-        self.persist_caches();
+        self.shards.persist();
         std::mem::take(&mut self.out)
     }
 
     /// A counter snapshot (the `Stats` RPC payload).
     pub fn stats(&self) -> EngineStats {
-        let mut cache = CacheStats::default();
-        for service in &self.services {
-            let s = service.cache_stats();
-            cache.hits += s.hits;
-            cache.misses += s.misses;
-            cache.near_hits += s.near_hits;
-        }
-        let sched =
-            self.scheds.iter().map(|s| s.stats()).fold((0u64, 0u64, 0u64), |(a, c, p), st| {
-                (a + st.admitted, c + st.completed, p + st.preemptions())
-            });
+        let cache = self.shards.cache_report();
+        let sched = self.shards.sched_totals();
         EngineStats {
-            accepted: self.accepted,
-            rejected: self.rejected,
-            cancelled: self.cancel_acks,
-            completed_jobs: self.completed_jobs,
-            timed_out_jobs: self.timed_out_jobs,
-            cancelled_jobs: self.cancelled_jobs,
             queued_jobs: self.batcher.pending() as u64,
-            live_sessions: self.scheds.iter().map(|s| s.live() as u64).sum(),
-            admitted_sessions: sched.0,
-            completed_sessions: sched.1,
-            preempted_sessions: sched.2,
+            live_sessions: self.shards.live_total() as u64,
+            admitted_sessions: sched.admitted,
+            completed_sessions: sched.completed,
+            preempted_sessions: sched.preemptions(),
             cache_hits: cache.hits,
             cache_near_hits: cache.near_hits,
             cache_misses: cache.misses,
+            ..self.counters
         }
     }
 
@@ -602,26 +506,11 @@ impl ServeEngine {
         self.last_now
     }
 
-    /// Cuts the next group at `t`, routes it and opens its search session.
-    /// Callers verified readiness and room.
+    /// Cuts the next group at `t` and admits it to a shard. Callers verified
+    /// readiness and room.
     fn cut_group(&mut self, t: f64) {
         let group = self.batcher.take_group(t).expect("readiness verified");
         let tags: Vec<JobTag> = self.pending_tags.drain(..group.arrivals.len()).collect();
-        let sigs: Vec<JobSignature> = group.arrivals.iter().map(|a| a.job.signature()).collect();
-        let key = quantize_signatures(&sigs, self.config.dispatch.quant_step);
-        let admissible: Vec<bool> = self.scheds.iter().map(|s| s.has_room()).collect();
-        let loads: Vec<f64> = (0..self.scheds.len()).map(|s| self.shard_load(s, t)).collect();
-        let shard = if self.shared.as_ref().is_some_and(|tier| tier.contains(&key)) {
-            self.router.place_balanced(&loads, &admissible)
-        } else {
-            self.router.place(&key, &loads, &admissible)
-        };
-        let problem = group_problem(&self.platforms[shard], &group);
-        let mut rng =
-            StdRng::seed_from_u64(dispatch_seed(self.config.seed, self.admitted as usize));
-        let plan = self.services[shard].plan_group_shared(&problem, &mut rng, self.shared.as_mut());
-        let budget = plan.budget();
-        let state = self.services[shard].open_search(&plan, &problem, &mut rng);
         // The server deadline is the session timeout, not an SLA bound: the
         // earliest arrival's admission time plus the knob.
         let deadline_sec = group
@@ -629,57 +518,39 @@ impl ServeEngine {
             .iter()
             .map(|a| a.time_sec + self.config.timeout_sec)
             .fold(f64::INFINITY, f64::min);
-        let value = group_value(group.arrivals.iter(), &self.mix);
-        let session = LiveSession {
-            id: self.admitted,
-            group,
-            plan,
-            problem,
-            rng,
-            state,
-            budget,
-            deadline_sec,
-            value,
-        };
-        self.session_tags.insert(self.admitted, SessionTags { shard, tags });
-        self.scheds[shard].admit(session, t);
-        self.admitted += 1;
+        let (id, shard) = self.shards.admit(group, t, deadline_sec, &self.mix);
+        self.session_tags.insert(id, SessionTags { shard, tags });
     }
 
-    /// Completes a departed session: stores the mapping, publishes it to
-    /// the shared tier, schedules execution on the shard's accelerator
-    /// timeline and emits one tagged completion per job.
+    /// Runs one scheduler step on every shard with live sessions — this is
+    /// where search compute actually burns CPU — completing what finishes.
+    fn step_shards(&mut self, now: f64) {
+        for shard in 0..self.shards.len() {
+            if let (_, Some((session, preempted))) = self.shards.step(shard, now) {
+                self.complete(session, shard, now, preempted);
+            }
+        }
+    }
+
+    /// Completes a departed session on its shard (cache, shared tier,
+    /// accelerator timeline) and emits one tagged completion per job.
     fn complete(&mut self, session: LiveSession, shard: usize, now_sec: f64, timed_out: bool) {
         let tags = self.session_tags.remove(&session.id).expect("tags tracked per session");
         debug_assert_eq!(tags.shard, shard, "a session completes on its own shard");
-        let LiveSession { group, plan, problem, state, .. } = session;
-        let key = plan.key().clone();
-        let outcome = self.services[shard].complete_group(&problem, plan, state.finish());
-        if let Some(tier) = self.shared.as_mut() {
-            tier.publish(
-                key,
-                StoredSolution::new(outcome.mapping.clone(), Some(problem.signatures().to_vec())),
-                dominant_tenant(&group.arrivals),
-            );
-        }
-        let exec_start = now_sec.max(self.accel_free[shard]);
-        self.accel_free[shard] = exec_start + outcome.schedule.makespan_sec();
-        let mut end_by_job = vec![0.0f64; group.arrivals.len()];
-        for seg in outcome.schedule.segments() {
-            end_by_job[seg.job.0] = seg.end_sec;
-        }
-        for (k, a) in group.arrivals.iter().enumerate() {
-            let tag = tags.tags[k];
+        let done = self.shards.complete(session, shard, now_sec);
+        for ((a, tag), &completed_sec) in
+            done.group.arrivals.iter().zip(tags.tags).zip(&done.end_sec)
+        {
             let cancelled = self.cancelled.contains(&tag.token);
             self.push_completion(JobCompletion {
                 token: tag.token,
                 job_index: tag.job_index,
                 tenant: a.tenant,
                 shard,
-                kind: outcome.kind,
+                kind: done.outcome.kind,
                 timed_out: timed_out && !cancelled,
                 cancelled,
-                completed_sec: exec_start + end_by_job[k],
+                completed_sec,
             });
         }
     }
@@ -687,11 +558,11 @@ impl ServeEngine {
     /// Books one completion: counters, open-token bookkeeping, out buffer.
     fn push_completion(&mut self, completion: JobCompletion) {
         if completion.cancelled {
-            self.cancelled_jobs += 1;
+            self.counters.cancelled_jobs += 1;
         } else {
-            self.completed_jobs += 1;
+            self.counters.completed_jobs += 1;
             if completion.timed_out {
-                self.timed_out_jobs += 1;
+                self.counters.timed_out_jobs += 1;
             }
         }
         if let Some(remaining) = self.open_tokens.get_mut(&completion.token) {
@@ -702,32 +573,12 @@ impl ServeEngine {
         }
         self.out.push(completion);
     }
-
-    /// Persists each shard's mapping cache to `<cache_path>.shard<i>`.
-    fn persist_caches(&self) {
-        if let Some(base) = &self.config.cache_path {
-            for (i, service) in self.services.iter().enumerate() {
-                let file = shard_cache_file(base, i);
-                if let Err(e) = service.cache().save(&file) {
-                    eprintln!(
-                        "warning: could not persist mapping cache to {}: {e}",
-                        file.display()
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The per-shard persistence file a base path expands to — the same layout
-/// as the fleet simulator's.
-pub fn shard_cache_file(base: &std::path::Path, shard: usize) -> PathBuf {
-    PathBuf::from(format!("{}.shard{shard}", base.display()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shards::shard_cache_file;
     use magma_model::{JobId, LayerShape, TaskType};
 
     fn tiny_knobs() -> ServerKnobs {
@@ -805,6 +656,36 @@ mod tests {
             (completions, engine.stats())
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn cancelling_a_token_spanning_several_live_sessions_is_deterministic() {
+        // One 16-job token at a group target of 4 becomes four live
+        // sessions on one shard; cancelling it early-finishes all four, and
+        // the order they finish in decides the shard's accelerator timeline
+        // (`completed_sec`) and the cache's insertion order.
+        let run = || {
+            let mut knobs = tiny_knobs();
+            knobs.fleet.shards = 1;
+            knobs.fleet.max_live = 4;
+            // Round-robin, so the four polls below start all four searches.
+            knobs.fleet.policy = FleetPolicy::Uniform;
+            let mut engine = ServeEngine::new(EngineConfig::from_knobs(&knobs), mix(4));
+            assert_eq!(engine.submit(0.0, 7, 0, (0..16).map(job).collect()), Admission::Accepted);
+            let mut completions = Vec::new();
+            for k in 1..=4 {
+                completions.extend(engine.poll(k as f64 * 0.001));
+            }
+            assert_eq!(engine.stats().live_sessions, 4, "every session is mid-search");
+            assert!(engine.cancel(0.005, 7));
+            completions.extend(engine.poll(0.006));
+            assert_eq!(completions.len(), 16);
+            (completions, engine.stats())
+        };
+        let first = run();
+        for _ in 0..8 {
+            assert_eq!(run(), first);
+        }
     }
 
     #[test]
@@ -906,6 +787,19 @@ mod tests {
             assert!(file.exists(), "every shard persists its cache on drain");
             let _ = std::fs::remove_file(file);
         }
+    }
+
+    #[test]
+    fn corrupt_shard_cache_files_come_up_cold() {
+        crate::shards::tests::corrupt_cache_files_come_up_cold("engine", |cache_path| {
+            let mut knobs = tiny_knobs();
+            knobs.fleet.serve.cache_path = cache_path.map(|p| p.display().to_string());
+            let mut engine = ServeEngine::new(EngineConfig::from_knobs(&knobs), mix(4));
+            for t in 0..8 {
+                assert_eq!(engine.submit(0.0, t, 0, vec![job(t as usize)]), Admission::Accepted);
+            }
+            (engine.drain(0.01), engine.stats())
+        });
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! each multiplexing many live searches through a concurrent session
 //! scheduler.
 //!
-//! The single-queue simulator ([`crate::sim`]) models one mapper and one
-//! accelerator. A fleet is `MAGMA_FLEET_SHARDS` independent **shards** —
-//! each a full platform with its own mapper clock, accelerator timeline,
-//! mapping cache and [`SessionScheduler`] — fed from one global admission
-//! batcher:
+//! A fleet is `MAGMA_FLEET_SHARDS` independent **shards** — each a full
+//! platform with its own mapper clock, accelerator timeline, mapping cache
+//! and [`SessionScheduler`](crate::scheduler::SessionScheduler) — fed from
+//! one global admission batcher:
 //!
 //! ```text
 //!  trace ─▶ AdmissionBatcher ─▶ ShardRouter ──▶ shard 0: scheduler ⇄ cache ⇄ accel
@@ -37,32 +36,42 @@
 //! `<path>.shard<i>` at the end of the run and reloads it at the next
 //! start, so fleet restarts begin warm.
 //!
-//! With one shard, the Uniform policy, no preemption margin and a slice at
-//! least the search budget, the loop degenerates exactly — same floating
-//! point, same RNG streams — to the single-queue overlap simulator, which
-//! `tests/integration_fleet.rs` pins down.
+//! This is the one virtual-clock serving loop: the single-queue simulator
+//! ([`crate::sim::simulate`]) is this loop at one shard, the Uniform
+//! policy, one live session and one step per search. The shard machinery
+//! itself — route, plan, step, complete, publish, persist — is the
+//! crate-private shard core the wall-clock [`crate::engine`] runs on too;
+//! this module adds only the event order, the admission gate and the
+//! per-shard mapper clocks.
 //!
-//! Offered load is calibrated against the **reference shard** (shard 0), so
+//! # Calibration
+//!
+//! Arrival rates are specified as an *offered load* relative to the
+//! **reference shard**'s (shard 0) unoptimized service rate: a calibration
+//! group (the first `group_target` jobs of the mix, round-robin across
+//! tenants) is scheduled under a seeded random mapping, and its per-job
+//! makespan share becomes the unit the mean inter-arrival gap is derived
+//! from. This keeps one knob meaningful across platforms from S1 to S6, and
 //! `MAGMA_FLEET_LOAD=2.5` means "2.5× what one shard sustains": the
 //! one-shard rung of the [`FleetReport`] ladder drowns and the ladder's
 //! throughput climbs with the shard count — the scaling headline
-//! `BENCH_fleet.json` exists to track.
+//! `BENCH_fleet.json` exists to track. The per-job SLA bound is `sla_x ×
+//! (batch window + calibrated group service time + cold mapper overhead)` —
+//! the latency a job would see in a healthy, uncongested system, times a
+//! tolerance factor.
 
 use crate::batcher::{AdmissionBatcher, BatchPolicy};
-use crate::cache::{quantize_signatures, CacheStats, MappingCache, SharedCache};
 use crate::descriptor::{CustomScenario, ScenarioDescriptor};
-use crate::dispatch::{DispatchConfig, DispatchOutcome, MappingService};
-use crate::metrics::{CacheReport, LatencyStats, ServeMetrics};
-use crate::router::{RouterStats, ShardRouter};
-use crate::scheduler::{LiveSession, SchedStats, SchedStep, SchedulerConfig, SessionScheduler};
-use crate::sim::{
-    assemble_metrics, calibrate, dispatch_seed, group_problem, record_group, JobRecord,
-};
+use crate::dispatch::{DispatchConfig, DispatchOutcome};
+use crate::metrics::{CacheReport, JobRecord, LatencyStats, ServeMetrics};
+use crate::router::RouterStats;
+use crate::scheduler::{SchedStats, SchedulerConfig};
+use crate::shards::{group_value, Completed, ShardSet};
 use crate::trace::{generate_trace, Arrival, Scenario, TraceParams};
-use magma_m3e::StoredSolution;
-use magma_model::{JobSignature, TenantMix};
+use magma_m3e::{M3e, Mapping, Objective};
+use magma_model::{Group, JobId, TenantMix};
 use magma_platform::settings::{FleetKnobs, FleetPolicy};
-use magma_platform::PlatformSpec;
+use magma_platform::{AcceleratorPlatform, PlatformSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize, Value};
@@ -87,7 +96,7 @@ pub struct FleetConfig {
     pub mini_batch: usize,
     /// Offered load relative to the reference shard's calibrated rate.
     pub offered_load: f64,
-    /// SLA tolerance factor (see [`crate::sim`]).
+    /// SLA tolerance factor (see the module docs' calibration section).
     pub sla_x: f64,
     /// Virtual mapper cost per evaluated sample, in seconds.
     pub overhead_sec_per_sample: f64,
@@ -143,13 +152,7 @@ impl FleetConfig {
             offered_load: knobs.offered_load,
             sla_x: knobs.serve.sla_x,
             overhead_sec_per_sample: knobs.serve.overhead_us_per_sample * 1e-6,
-            dispatch: DispatchConfig::new(
-                knobs.serve.cold_budget,
-                knobs.serve.refine_budget,
-                knobs.serve.quant_step,
-                knobs.serve.cache_capacity,
-            )
-            .with_cache_epsilon(knobs.serve.cache_epsilon),
+            dispatch: DispatchConfig::from_knobs(&knobs.serve),
             shared_cache_capacity: knobs.shared_cache_capacity,
             shared_tenant_quota: knobs.shared_tenant_quota,
             cache_path: knobs.serve.cache_path.as_ref().map(PathBuf::from),
@@ -191,6 +194,36 @@ pub struct FleetResult {
     pub per_shard_jobs: Vec<usize>,
 }
 
+/// The load calibration of the reference shard (see the module docs):
+/// everything the trace synthesis and the SLA bound derive from the
+/// unoptimized service rate.
+struct Calibration {
+    mean_interarrival_sec: f64,
+    batch_window_sec: f64,
+    sla_sec: f64,
+}
+
+/// Calibrates arrival rate and SLA bound against `platform`'s unoptimized
+/// service time: the calibration group (the first `group_target` jobs of
+/// the mix, round-robin across tenants, re-identified 0..target) scheduled
+/// under a seeded random mapping.
+fn calibrate(platform: &AcceleratorPlatform, config: &FleetConfig, mix: &TenantMix) -> Calibration {
+    let mut streams: Vec<_> =
+        mix.tenants().iter().map(|t| t.job_stream(config.mini_batch)).collect();
+    let tenants = streams.len();
+    let calib_n = config.group_target;
+    let jobs = (0..calib_n).map(|k| streams[k % tenants].next_job(JobId(k))).collect();
+    let calib_problem = M3e::new(platform.clone(), Group::new(jobs), Objective::Throughput);
+    let mut calib_rng = StdRng::seed_from_u64(config.seed);
+    let calib_mapping = Mapping::random(&mut calib_rng, calib_n, platform.num_sub_accels());
+    let calib_makespan = calib_problem.schedule(&calib_mapping).makespan_sec();
+    let mean_interarrival_sec = calib_makespan / calib_n as f64 / config.offered_load;
+    let batch_window_sec = config.group_target as f64 * mean_interarrival_sec;
+    let cold_overhead_sec = config.dispatch.cold_budget as f64 * config.overhead_sec_per_sample;
+    let sla_sec = config.sla_x * (batch_window_sec + calib_makespan + cold_overhead_sec);
+    Calibration { mean_interarrival_sec, batch_window_sec, sla_sec }
+}
+
 /// Earliest per-job SLA expiry across a group's arrivals.
 fn group_deadline(arrivals: &[Arrival], mix: &TenantMix, sla_sec: f64) -> f64 {
     arrivals
@@ -199,88 +232,23 @@ fn group_deadline(arrivals: &[Arrival], mix: &TenantMix, sla_sec: f64) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// A group's preemption value: Σ `1 / sla_multiplier` over its arrivals —
-/// tighter contracts are worth more, bigger groups are worth more.
-pub(crate) fn group_value<'a>(arrivals: impl Iterator<Item = &'a Arrival>, mix: &TenantMix) -> f64 {
-    arrivals.map(|a| 1.0 / mix.tenants()[a.tenant].sla_multiplier().unwrap_or(1.0)).sum()
-}
-
 /// Whether the next group could be taken right now: a free slot somewhere,
 /// or a value-preemptable victim the prospective group out-values by the
 /// margin.
 fn gate_is_open(
-    scheds: &[SessionScheduler],
+    shards: &ShardSet,
     batcher: &AdmissionBatcher,
     margin: f64,
     mix: &TenantMix,
 ) -> bool {
-    if scheds.iter().any(|s| s.has_room()) {
+    if shards.has_room() {
         return true;
     }
     if margin <= 0.0 || batcher.pending() == 0 {
         return false;
     }
     let incoming = group_value(batcher.peek_next_group(), mix);
-    match scheds
-        .iter()
-        .filter_map(|s| s.preemptable_value())
-        .fold(None, |m: Option<f64>, v| Some(m.map_or(v, |m| m.min(v))))
-    {
-        Some(cheapest) => incoming >= margin * cheapest,
-        None => false,
-    }
-}
-
-/// A group's dominant tenant: the most frequent tenant among its arrivals,
-/// smallest index on ties — the tenant the shared tier charges the
-/// published entry to.
-pub(crate) fn dominant_tenant(arrivals: &[Arrival]) -> usize {
-    let mut counts: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-    for a in arrivals {
-        *counts.entry(a.tenant).or_insert(0) += 1;
-    }
-    counts
-        .into_iter()
-        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-        .map(|(tenant, _)| tenant)
-        .unwrap_or(0)
-}
-
-/// Completes a finished (or preempted) session on its shard: stores the
-/// best mapping in the shard's cache, publishes it to the shared tier (when
-/// one exists) under the group's dominant tenant, schedules the group at
-/// `max(search end, accelerator free)` and appends the job records.
-#[allow(clippy::too_many_arguments)]
-fn complete_session(
-    session: LiveSession,
-    search_end_sec: f64,
-    service: &mut MappingService,
-    shared: Option<&mut SharedCache>,
-    accel_free: &mut f64,
-    records: &mut Vec<JobRecord>,
-    outcomes: &mut Vec<DispatchOutcome>,
-    shard_jobs: &mut usize,
-) {
-    let LiveSession { group, plan, problem, state, .. } = session;
-    let key = plan.key().clone();
-    let outcome = service.complete_group(&problem, plan, state.finish());
-    if let Some(tier) = shared {
-        tier.publish(
-            key,
-            StoredSolution::new(outcome.mapping.clone(), Some(problem.signatures().to_vec())),
-            dominant_tenant(&group.arrivals),
-        );
-    }
-    let exec_start = search_end_sec.max(*accel_free);
-    record_group(records, &group, &outcome, group.formed_at_sec, exec_start);
-    *accel_free = exec_start + outcome.schedule.makespan_sec();
-    *shard_jobs += group.arrivals.len();
-    outcomes.push(outcome);
-}
-
-/// The per-shard persistence file a fleet base path expands to.
-fn shard_cache_file(base: &std::path::Path, shard: usize) -> PathBuf {
-    PathBuf::from(format!("{}.shard{shard}", base.display()))
+    shards.cheapest_victim().is_some_and(|(_, cheapest)| incoming >= margin * cheapest)
 }
 
 /// Runs one fleet scenario to completion. See the module docs for the event
@@ -299,17 +267,7 @@ pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
     // Load and SLA are calibrated against the reference shard (shard 0), so
     // the offered load means "multiples of one shard's unoptimized rate" at
     // every rung of a scaling ladder.
-    let calib = calibrate(
-        &platforms[0],
-        mix,
-        config.group_target,
-        config.mini_batch,
-        config.offered_load,
-        config.sla_x,
-        config.dispatch.cold_budget,
-        config.overhead_sec_per_sample,
-        config.seed,
-    );
+    let calib = calibrate(&platforms[0], config, mix);
     let sla_sec = calib.sla_sec;
     // Stress scenarios re-derive the per-sample mapper cost so that one
     // cold search costs `mapper_pressure × shards` batch windows — the
@@ -336,43 +294,43 @@ pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
         config.group_target,
         config.max_wait_x * calib.batch_window_sec,
     ));
-    let mut router = ShardRouter::new(shards);
-    let mut services: Vec<_> = (0..shards).map(|_| MappingService::new(config.dispatch)).collect();
-    // Warm restart: each shard reloads its own persisted cache file. A
-    // missing file is the normal first run; an unreadable one is reported
-    // and that shard comes up cold.
-    if let Some(base) = &config.cache_path {
-        for (i, service) in services.iter_mut().enumerate() {
-            let file = shard_cache_file(base, i);
-            if file.exists() {
-                match MappingCache::load(&file) {
-                    Ok(cache) => service.install_cache(cache),
-                    Err(e) => {
-                        eprintln!("warning: ignoring mapping cache at {}: {e}", file.display())
-                    }
-                }
-            }
-        }
-    }
-    let mut shared = (config.shared_cache_capacity > 0)
-        .then(|| SharedCache::new(config.shared_cache_capacity, config.shared_tenant_quota));
-    let sched_config = SchedulerConfig {
-        policy: config.policy,
-        max_live: config.max_live,
-        base_slice: config.base_slice,
-        min_slice: config.min_slice,
-        preempt_margin: config.preempt_margin,
-        overhead_sec_per_sample: overhead_sec,
-    };
-    let mut scheds: Vec<_> = (0..shards).map(|_| SessionScheduler::new(sched_config)).collect();
+    let mut set = ShardSet::new(
+        platforms,
+        config.dispatch,
+        config.shared_cache_capacity,
+        config.shared_tenant_quota,
+        config.cache_path.clone(),
+        SchedulerConfig {
+            policy: config.policy,
+            max_live: config.max_live,
+            base_slice: config.base_slice,
+            min_slice: config.min_slice,
+            preempt_margin: config.preempt_margin,
+            overhead_sec_per_sample: overhead_sec,
+        },
+        config.seed,
+    );
     let mut mapper_now = vec![0.0f64; shards];
-    let mut accel_free = vec![0.0f64; shards];
-    let mut per_shard_jobs = vec![0usize; shards];
-
     let mut records: Vec<JobRecord> = Vec::with_capacity(trace.len());
     let mut outcomes: Vec<DispatchOutcome> = Vec::new();
+    let mut per_shard_jobs = vec![0usize; shards];
+    // Books a group `shard` completed: one record per job, dispatched at the
+    // group's cut time.
+    let mut book = |shard: usize, done: Completed| {
+        let Completed { group, outcome, end_sec } = done;
+        for (a, &completed_sec) in group.arrivals.iter().zip(&end_sec) {
+            records.push(JobRecord {
+                tenant: a.tenant,
+                arrival_sec: a.time_sec,
+                dispatched_sec: group.formed_at_sec,
+                completed_sec,
+                flops: a.job.flops(),
+            });
+        }
+        per_shard_jobs[shard] += group.arrivals.len();
+        outcomes.push(outcome);
+    };
     let mut next = 0usize;
-    let mut admitted = 0u64;
     // The admission gate: open while some shard can take the next group.
     // `gate_since` is the instant the current open stretch began — a cut
     // can never predate the capacity it needs.
@@ -383,7 +341,7 @@ pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
         let ta = trace.get(next).map(|a| a.time_sec);
         let tc = if gate_open { batcher.earliest_ready().map(|r| r.max(gate_since)) } else { None };
         let ts = (0..shards)
-            .filter(|&s| scheds[s].live() > 0)
+            .filter(|&s| set.sched(s).live() > 0)
             .map(|s| (mapper_now[s], s))
             .min_by(|a, b| a.0.partial_cmp(&b.0).expect("clocks are finite").then(a.1.cmp(&b.1)));
 
@@ -393,7 +351,7 @@ pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
         let gate_time;
         match (ta, tc, ts) {
             // Arrivals admit first on ties so they can join the group being
-            // cut — the same discipline as the single-queue loop.
+            // cut.
             (Some(t), _, _) if t <= t_cut && t <= t_step => {
                 batcher.push(trace[next].clone());
                 next += 1;
@@ -401,97 +359,30 @@ pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
             }
             (_, Some(t), _) if t <= t_step => {
                 let group = batcher.take_group(t).expect("readiness verified");
-                let sigs: Vec<JobSignature> =
-                    group.arrivals.iter().map(|a| a.job.signature()).collect();
-                let key = quantize_signatures(&sigs, config.dispatch.quant_step);
-                let mut admissible: Vec<bool> = scheds.iter().map(|s| s.has_room()).collect();
-                if !admissible.iter().any(|&b| b) {
+                if !set.has_room() {
                     // The gate only opened through value preemption: evict
                     // the fleet's cheapest started session (ties to the
                     // lowest shard) and finish it with what it has.
-                    let (vs, _) = (0..shards)
-                        .filter_map(|s| scheds[s].preemptable_value().map(|v| (s, v)))
-                        .min_by(|a, b| {
-                            a.1.partial_cmp(&b.1).expect("values are finite").then(a.0.cmp(&b.0))
-                        })
-                        .expect("the gate verified a victim exists");
-                    let victim = scheds[vs].preempt_lowest_value();
-                    let end = mapper_now[vs].max(t);
-                    complete_session(
-                        victim,
-                        end,
-                        &mut services[vs],
-                        shared.as_mut(),
-                        &mut accel_free[vs],
-                        &mut records,
-                        &mut outcomes,
-                        &mut per_shard_jobs[vs],
-                    );
-                    admissible[vs] = true;
+                    let (vs, _) = set.cheapest_victim().expect("the gate verified a victim exists");
+                    let victim = set.sched(vs).preempt_lowest_value();
+                    book(vs, set.complete(victim, vs, mapper_now[vs].max(t)));
                 }
-                // A shard's congestion in seconds: queued mapper work plus
-                // how far its accelerator timeline runs past now — search is
-                // usually cheap, so the accelerator queue is what actually
-                // differentiates shards under load.
-                let loads: Vec<f64> = (0..shards)
-                    .map(|s| scheds[s].backlog() * overhead_sec + (accel_free[s] - t).max(0.0))
-                    .collect();
-                // A key the shared tier holds is served warm from any
-                // shard, so affinity buys nothing: place purely by load.
-                let shard = if shared.as_ref().is_some_and(|t| t.contains(&key)) {
-                    router.place_balanced(&loads, &admissible)
-                } else {
-                    router.place(&key, &loads, &admissible)
-                };
-                let problem = group_problem(&platforms[shard], &group);
-                let mut rng = StdRng::seed_from_u64(dispatch_seed(config.seed, admitted as usize));
-                let plan = services[shard].plan_group_shared(&problem, &mut rng, shared.as_mut());
-                let budget = plan.budget();
-                let state = services[shard].open_search(&plan, &problem, &mut rng);
                 let deadline_sec = group_deadline(&group.arrivals, mix, sla_sec);
-                let value = group_value(group.arrivals.iter(), mix);
-                let session = LiveSession {
-                    id: admitted,
-                    group,
-                    plan,
-                    problem,
-                    rng,
-                    state,
-                    budget,
-                    deadline_sec,
-                    value,
-                };
-                admitted += 1;
-                scheds[shard].admit(session, t);
+                let (_, shard) = set.admit(group, t, deadline_sec, mix);
                 // An idle mapper starts at the admission; a busy one keeps
                 // its clock (the new session waits for a slice).
                 mapper_now[shard] = mapper_now[shard].max(t);
                 gate_time = t;
             }
             (_, _, Some((t, shard))) => {
-                match scheds[shard].step(t) {
-                    SchedStep::Idle => unreachable!("only shards with live sessions step"),
-                    SchedStep::Progress { spent } => {
-                        mapper_now[shard] += spent as f64 * overhead_sec;
-                    }
-                    SchedStep::Finished { session, spent, preempted } => {
-                        debug_assert!(
-                            !preempted || config.policy == FleetPolicy::Deadline,
-                            "only the Deadline policy preempts on step"
-                        );
-                        mapper_now[shard] += spent as f64 * overhead_sec;
-                        let end = mapper_now[shard];
-                        complete_session(
-                            *session,
-                            end,
-                            &mut services[shard],
-                            shared.as_mut(),
-                            &mut accel_free[shard],
-                            &mut records,
-                            &mut outcomes,
-                            &mut per_shard_jobs[shard],
-                        );
-                    }
+                let (spent, finished) = set.step(shard, t);
+                mapper_now[shard] += spent as f64 * overhead_sec;
+                if let Some((session, preempted)) = finished {
+                    debug_assert!(
+                        !preempted || config.policy == FleetPolicy::Deadline,
+                        "only the Deadline policy preempts on step"
+                    );
+                    book(shard, set.complete(session, shard, mapper_now[shard]));
                 }
                 // Room freed (or spent advanced) when the mapper's slice
                 // ended, not at the step's start.
@@ -503,7 +394,7 @@ pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
             _ => unreachable!("the time guards cover every live event"),
         }
 
-        let open = gate_is_open(&scheds, &batcher, config.preempt_margin, mix);
+        let open = gate_is_open(&set, &batcher, config.preempt_margin, mix);
         if open && !gate_open {
             gate_since = gate_time;
         }
@@ -511,65 +402,15 @@ pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
     }
     debug_assert_eq!(records.len(), config.requests, "every arrival completes exactly once");
 
-    if let Some(base) = &config.cache_path {
-        for (i, service) in services.iter().enumerate() {
-            let file = shard_cache_file(base, i);
-            if let Err(e) = service.cache().save(&file) {
-                eprintln!("warning: could not persist mapping cache to {}: {e}", file.display());
-            }
-        }
-    }
+    set.persist();
 
-    let mut cache = CacheStats::default();
-    let mut entries = 0usize;
-    for service in &services {
-        let s = service.cache_stats();
-        cache.hits += s.hits;
-        cache.misses += s.misses;
-        cache.near_hits += s.near_hits;
-        cache.insertions += s.insertions;
-        cache.evictions += s.evictions;
-        entries += service.cache_len();
-    }
-    let cache_block = CacheReport {
-        hits: cache.hits,
-        misses: cache.misses,
-        near_hits: cache.near_hits,
-        evictions: cache.evictions,
-        hit_rate: cache.hit_rate(),
-        entries,
-    };
-    let sched = scheds.iter().fold(SchedStats::default(), |mut acc, s| {
-        let st = s.stats();
-        acc.admitted += st.admitted;
-        acc.completed += st.completed;
-        acc.preempted_deadline += st.preempted_deadline;
-        acc.preempted_value += st.preempted_value;
-        acc.late_admissions += st.late_admissions;
-        acc.min_slice_clamps += st.min_slice_clamps;
-        acc
-    });
-    let shared_block = match &shared {
-        Some(tier) => {
-            let s = tier.stats();
-            CacheReport {
-                hits: s.hits,
-                misses: s.misses,
-                near_hits: s.near_hits,
-                evictions: s.evictions,
-                hit_rate: s.hit_rate(),
-                entries: tier.len(),
-            }
-        }
-        None => CacheReport::default(),
-    };
     FleetResult {
-        metrics: assemble_metrics(&records, &outcomes, cache_block, mix, sla_sec),
+        metrics: ServeMetrics::from_records(&records, &outcomes, set.cache_report(), mix, sla_sec),
         mean_interarrival_sec: calib.mean_interarrival_sec,
         sla_sec,
-        sched,
-        shared: shared_block,
-        router: router.stats(),
+        sched: set.sched_totals(),
+        shared: set.shared_report(),
+        router: set.router_stats(),
         per_shard_jobs,
     }
 }
@@ -1009,6 +850,7 @@ pub fn write_fleet_json(report: &FleetReport) -> std::io::Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shards::shard_cache_file;
 
     fn tiny_knobs() -> FleetKnobs {
         FleetKnobs {
@@ -1168,6 +1010,16 @@ mod tests {
             cold.metrics.cache.hit_rate
         );
         assert_eq!(warm.metrics.jobs, cold.metrics.jobs);
+    }
+
+    #[test]
+    fn corrupt_shard_cache_files_come_up_cold() {
+        let knobs = tiny_knobs();
+        let mix = TenantMix::synthetic(knobs.tenants, 0);
+        crate::shards::tests::corrupt_cache_files_come_up_cold("fleet", |cache_path| {
+            let config = FleetConfig::from_knobs(&knobs, 2, Scenario::Poisson);
+            fleet_simulate(&FleetConfig { cache_path, ..config }, &mix)
+        });
     }
 
     #[test]

@@ -32,16 +32,15 @@
 //! * [`dispatch`] — cold search vs adapt-then-refine as *steppable plans*
 //!   (plan → session → complete), both through the parallel batch evaluator
 //!   (`magma_optim::parallel`).
-//! * [`sim`] — the deterministic event-driven virtual-clock loop, in two
-//!   modes: **overlap** (default; a group's search advances in budget
-//!   slices through `magma_optim`'s [`SearchSession`](magma_optim::SearchSession)
-//!   API while the previous group executes, with mapper cost charged from
-//!   measured per-step samples) and **legacy** (the serial baseline).
+//! * [`sim`] — the single-queue simulator: one mapper, one accelerator, a
+//!   group's search (a `magma_optim` [`SessionState`](magma_optim::SessionState),
+//!   mapper cost charged from measured per-step samples) hidden behind the
+//!   previous group's execution. A thin driver over the 1-shard [`fleet`].
 //! * [`metrics`] — the latency/throughput/SLA pipeline, with per-tenant SLA
 //!   contracts.
 //! * [`report`] — the schema-stable `BENCH_serve.json` contract
-//!   (`magma-serve/v3`: both serving modes plus their end-to-end
-//!   comparison and the embedded scenario descriptor, self-checked by
+//!   (`magma-serve/v4`: the scenario ladder and the embedded scenario
+//!   descriptor, self-checked by
 //!   [`ServeReport::validate`](report::ServeReport::validate)).
 //! * [`sweep`] — the epsilon × refine-budget × quantization calibration
 //!   sweep behind `BENCH_cache.json` (`magma-cache/v2`), whose frontier
@@ -53,20 +52,24 @@
 //!
 //! # Fleet serving
 //!
-//! Above the single-queue loop sits the **fleet** layer — N platform
-//! shards behind a signature-affine router, each time-sharing its mapper
-//! across many live searches:
+//! The general machine is the **fleet** — N platform shards behind a
+//! signature-affine router, each time-sharing its mapper across many live
+//! searches. One crate-private shard core (route → plan → step → complete →
+//! publish → persist) runs under both drivers, the virtual-clock [`fleet`]
+//! loop and the wall-clock [`engine`]:
 //!
 //! * [`router`] — sticky signature-affinity placement with
 //!   least-loaded/lowest-index fallback.
 //! * [`scheduler`] — the per-shard concurrent session scheduler: uniform
 //!   round-robin or deadline-aware (EDF + urgency-sized slices), with
 //!   deadline and value **preemption** (early `finish()` of live sessions).
-//! * [`fleet`] — the global event loop gluing trace → batcher → router →
-//!   shards (with an optional shared cache tier and per-shard cache
-//!   persistence), plus the schema-stable `BENCH_fleet.json`
+//! * [`fleet`] — the one virtual-clock event loop gluing trace → batcher →
+//!   router → shards (with an optional shared cache tier and per-shard
+//!   cache persistence), plus the schema-stable `BENCH_fleet.json`
 //!   scaling-ladder report (`magma-fleet/v3`, self-checked by
 //!   [`FleetReport::validate`](fleet::FleetReport::validate)).
+//! * [`engine`] — the same shards behind a wall-clock API (tokens,
+//!   admission control, timeouts, cancel, drain) for `magma-server`.
 //!
 //! # Paper cross-references
 //!
@@ -110,6 +113,7 @@ pub mod metrics;
 pub mod report;
 pub mod router;
 pub mod scheduler;
+mod shards;
 pub mod sim;
 pub mod sweep;
 pub mod trace;
@@ -127,7 +131,8 @@ pub use metrics::{LatencyStats, ServeMetrics};
 pub use report::{run_custom_scenario, run_standard_scenarios, ServeReport, SCHEMA};
 pub use router::{RouterStats, ShardRouter};
 pub use scheduler::{SchedStats, SchedulerConfig, SessionScheduler};
-pub use sim::{simulate, SimConfig, SimResult};
+pub use shards::shard_cache_file;
+pub use sim::{simulate, SimConfig};
 pub use sweep::{
     run_cache_sweep, run_cache_sweep_custom, write_cache_json, CacheSweepReport, CACHE_SCHEMA,
 };

@@ -7,8 +7,9 @@
 //! statistics are computed with deterministic, order-stable arithmetic so
 //! the emitted report is bit-identical across runs and thread counts.
 
+use crate::cache::CacheStats;
 use crate::dispatch::{DispatchKind, DispatchOutcome};
-use magma_model::TaskType;
+use magma_model::{TaskType, TenantMix};
 use serde::{Deserialize, Serialize};
 
 /// Nearest-rank percentile of an ascending-sorted sample vector.
@@ -104,6 +105,20 @@ pub struct CacheReport {
     pub hit_rate: f64,
     /// Live entries at the end of the run.
     pub entries: usize,
+}
+
+impl CacheReport {
+    /// The reported block of a cache's (or a sum of caches') counters.
+    pub fn new(stats: CacheStats, entries: usize) -> Self {
+        CacheReport {
+            hits: stats.hits,
+            misses: stats.misses,
+            near_hits: stats.near_hits,
+            evictions: stats.evictions,
+            hit_rate: stats.hit_rate(),
+            entries,
+        }
+    }
 }
 
 /// Mapping-quality and budget summary over all dispatches.
@@ -202,6 +217,91 @@ pub struct ServeMetrics {
     pub cache: CacheReport,
     /// Dispatch/budget/quality summary.
     pub dispatch: DispatchSummary,
+}
+
+/// One completed job's bookkeeping, as the simulator records it.
+pub(crate) struct JobRecord {
+    pub(crate) tenant: usize,
+    pub(crate) arrival_sec: f64,
+    pub(crate) dispatched_sec: f64,
+    pub(crate) completed_sec: f64,
+    pub(crate) flops: u64,
+}
+
+impl ServeMetrics {
+    /// Folds a run's job records and dispatch outcomes into the metrics
+    /// block. `cache` is the (summed-over-shards) cache block; `sla_sec` the
+    /// uniform per-job bound each tenant's contract scales.
+    pub(crate) fn from_records(
+        records: &[JobRecord],
+        outcomes: &[DispatchOutcome],
+        cache: CacheReport,
+        mix: &TenantMix,
+        sla_sec: f64,
+    ) -> Self {
+        let duration_sec = records.iter().map(|r| r.completed_sec).fold(0.0f64, f64::max);
+        let total_flops: u64 = records.iter().map(|r| r.flops).sum();
+        let (jobs_per_sec, throughput_gflops) = if duration_sec > 0.0 {
+            (records.len() as f64 / duration_sec, total_flops as f64 / duration_sec / 1e9)
+        } else {
+            (0.0, 0.0)
+        };
+
+        let queueing = LatencyStats::from_samples(
+            records.iter().map(|r| r.dispatched_sec - r.arrival_sec).collect(),
+        );
+        let service = LatencyStats::from_samples(
+            records.iter().map(|r| r.completed_sec - r.dispatched_sec).collect(),
+        );
+        let end_to_end = LatencyStats::from_samples(
+            records.iter().map(|r| r.completed_sec - r.arrival_sec).collect(),
+        );
+
+        let tenants = mix
+            .tenants()
+            .iter()
+            .enumerate()
+            .map(|(i, tenant)| {
+                let latencies: Vec<f64> = records
+                    .iter()
+                    .filter(|r| r.tenant == i)
+                    .map(|r| r.completed_sec - r.arrival_sec)
+                    .collect();
+                let jobs = latencies.len();
+                // Per-tenant SLA contract: the baseline bound scaled by the
+                // tenant's multiplier (uniform bound without a contract).
+                let tenant_sla_sec = tenant.effective_sla_sec(sla_sec);
+                let sla_violations = latencies.iter().filter(|&&l| l > tenant_sla_sec).count();
+                TenantReport {
+                    tenant: tenant.name().to_string(),
+                    task: tenant.task(),
+                    jobs,
+                    latency: LatencyStats::from_samples(latencies),
+                    sla_sec: tenant_sla_sec,
+                    sla_multiplier: tenant.sla_multiplier().unwrap_or(1.0),
+                    sla_violations,
+                    sla_violation_rate: if jobs == 0 {
+                        0.0
+                    } else {
+                        sla_violations as f64 / jobs as f64
+                    },
+                }
+            })
+            .collect();
+
+        ServeMetrics {
+            jobs: records.len(),
+            duration_sec,
+            jobs_per_sec,
+            throughput_gflops,
+            queueing,
+            service,
+            end_to_end,
+            tenants,
+            cache,
+            dispatch: DispatchSummary::from_outcomes(outcomes),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,16 +1,13 @@
 //! The concurrent session scheduler: many live searches time-sharing one
 //! shard's mapper.
 //!
-//! The single-queue simulator ([`crate::sim`]) holds at most one search at a
-//! time; a fleet shard holds up to `max_live` detached
-//! [`magma_optim::SessionState`]s and multiplexes its mapper
-//! across them in slices. Two policies ([`FleetPolicy`], knob
-//! `MAGMA_FLEET_POLICY`):
+//! A shard holds up to `max_live` detached [`magma_optim::SessionState`]s
+//! and multiplexes its mapper across them in slices. Two policies
+//! ([`FleetPolicy`], knob `MAGMA_FLEET_POLICY`):
 //!
 //! * **Uniform** — round-robin selection, a fixed slice per step, no
-//!   preemption. With one shard and `max_live = 1` this is exactly the
-//!   single-queue overlap loop, which is what the fleet-vs-sim equivalence
-//!   test pins down.
+//!   preemption. With one shard and `max_live = 1` this is the single-queue
+//!   simulator ([`crate::sim`]).
 //! * **Deadline** (default) — earliest-deadline-first selection with
 //!   *deadline-aware slice sizing*: a session's slice grows with its
 //!   urgency — the fraction of its remaining headroom its remaining search
@@ -122,8 +119,7 @@ impl LiveSession {
     }
 }
 
-/// What one scheduler step did (the fleet loop matches on this to advance
-/// its clocks and complete finished groups).
+/// What one scheduler step did.
 pub(crate) enum SchedStep {
     /// No live session to step.
     Idle,

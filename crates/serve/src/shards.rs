@@ -1,0 +1,350 @@
+//! The shard core both serving drivers run on.
+//!
+//! A [`ShardSet`] is N platform shards — each a platform, a
+//! [`MappingService`] (warm-restarted from its persisted cache file), a
+//! [`SessionScheduler`] and a virtual accelerator timeline — behind one
+//! [`ShardRouter`], with the optional fleet-wide [`SharedCache`] tier behind
+//! the per-shard caches. It owns every serving step that does not depend on
+//! whose clock is running — admit, step, complete, persist, the counter
+//! totals — so the drivers keep only their clock:
+//! [`crate::fleet::fleet_simulate`] its virtual-time event order, admission
+//! gate and per-shard mapper clocks, [`crate::engine::ServeEngine`] its
+//! wall-clock API (tokens, admission control, timeouts, cancel, drain).
+
+use crate::batcher::DispatchGroup;
+use crate::cache::{quantize_signatures, CacheStats, MappingCache, SharedCache};
+use crate::dispatch::{DispatchConfig, DispatchOutcome, MappingService};
+use crate::metrics::CacheReport;
+use crate::router::{RouterStats, ShardRouter};
+use crate::scheduler::{LiveSession, SchedStats, SchedStep, SchedulerConfig, SessionScheduler};
+use crate::trace::Arrival;
+use magma_m3e::{M3e, Objective, StoredSolution};
+use magma_model::{Group, JobId, JobSignature, TenantMix};
+use magma_platform::AcceleratorPlatform;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::path::{Path, PathBuf};
+
+/// Seed stride decorrelating per-admission search RNG streams (the 64-bit
+/// golden ratio, as used by splitmix-style generators).
+const K_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The per-shard persistence file a `MAGMA_SERVE_CACHE_PATH` base path
+/// expands to: `<base>.shard<i>`, for every driver.
+pub fn shard_cache_file(base: &Path, shard: usize) -> PathBuf {
+    PathBuf::from(format!("{}.shard{shard}", base.display()))
+}
+
+/// A group's preemption value: Σ `1 / sla_multiplier` over its arrivals —
+/// tighter contracts are worth more, bigger groups are worth more.
+pub(crate) fn group_value<'a>(arrivals: impl Iterator<Item = &'a Arrival>, mix: &TenantMix) -> f64 {
+    arrivals.map(|a| 1.0 / mix.tenants()[a.tenant].sla_multiplier().unwrap_or(1.0)).sum()
+}
+
+/// A group's dominant tenant: the most frequent tenant among its arrivals,
+/// smallest index on ties — the tenant the shared tier charges the
+/// published entry to.
+fn dominant_tenant(arrivals: &[Arrival]) -> usize {
+    let mut counts: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
+    for a in arrivals {
+        *counts.entry(a.tenant).or_insert(0) += 1;
+    }
+    counts
+        .into_iter()
+        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+        .map(|(tenant, _)| tenant)
+        .unwrap_or(0)
+}
+
+/// A completed group, as [`ShardSet::complete`] hands it back to the driver.
+pub(crate) struct Completed {
+    /// The group's arrivals and cut time.
+    pub(crate) group: DispatchGroup,
+    /// The dispatch outcome (kind, samples, mapping, schedule).
+    pub(crate) outcome: DispatchOutcome,
+    /// Each job's execution end on the shard's accelerator timeline, in
+    /// arrival order and in the driver's time domain.
+    pub(crate) end_sec: Vec<f64>,
+}
+
+/// N shards behind one router. See the module docs.
+pub(crate) struct ShardSet {
+    platforms: Vec<AcceleratorPlatform>,
+    services: Vec<MappingService>,
+    shared: Option<SharedCache>,
+    scheds: Vec<SessionScheduler>,
+    router: ShardRouter,
+    /// Per-shard accelerator timeline: when the last scheduled group ends.
+    accel_free: Vec<f64>,
+    /// Sessions admitted so far — the next session's id and seed index.
+    admitted: u64,
+    quant_step: f64,
+    overhead_sec_per_sample: f64,
+    cache_path: Option<PathBuf>,
+    seed: u64,
+}
+
+impl ShardSet {
+    /// Builds one shard per platform. With a `cache_path`, each shard
+    /// warm-restarts from `<cache_path>.shard<i>`: a missing file is the
+    /// normal first run; an unreadable one (truncated, not JSON) is reported
+    /// and that shard comes up cold — a serving fleet must come up cold
+    /// rather than not at all.
+    pub(crate) fn new(
+        platforms: Vec<AcceleratorPlatform>,
+        dispatch: DispatchConfig,
+        shared_cache_capacity: usize,
+        shared_tenant_quota: usize,
+        cache_path: Option<PathBuf>,
+        sched: SchedulerConfig,
+        seed: u64,
+    ) -> Self {
+        let shards = platforms.len();
+        let mut services: Vec<_> = (0..shards).map(|_| MappingService::new(dispatch)).collect();
+        if let Some(base) = &cache_path {
+            for (i, service) in services.iter_mut().enumerate() {
+                let file = shard_cache_file(base, i);
+                if file.exists() {
+                    match MappingCache::load(&file) {
+                        Ok(cache) => service.install_cache(cache),
+                        Err(e) => {
+                            eprintln!("warning: ignoring mapping cache at {}: {e}", file.display())
+                        }
+                    }
+                }
+            }
+        }
+        ShardSet {
+            platforms,
+            services,
+            shared: (shared_cache_capacity > 0)
+                .then(|| SharedCache::new(shared_cache_capacity, shared_tenant_quota)),
+            scheds: (0..shards).map(|_| SessionScheduler::new(sched)).collect(),
+            router: ShardRouter::new(shards),
+            accel_free: vec![0.0; shards],
+            admitted: 0,
+            quant_step: dispatch.quant_step,
+            overhead_sec_per_sample: sched.overhead_sec_per_sample,
+            cache_path,
+            seed,
+        }
+    }
+
+    /// Number of shards.
+    pub(crate) fn len(&self) -> usize {
+        self.scheds.len()
+    }
+
+    /// Whether some shard can take a session without preempting.
+    pub(crate) fn has_room(&self) -> bool {
+        self.scheds.iter().any(|s| s.has_room())
+    }
+
+    /// One shard's scheduler.
+    pub(crate) fn sched(&mut self, shard: usize) -> &mut SessionScheduler {
+        &mut self.scheds[shard]
+    }
+
+    /// Live sessions across all shards.
+    pub(crate) fn live_total(&self) -> usize {
+        self.scheds.iter().map(|s| s.live()).sum()
+    }
+
+    /// A shard's congestion in seconds — the router's load measure: queued
+    /// mapper work plus how far its accelerator timeline runs past now.
+    /// Search is usually cheap, so the accelerator queue is what actually
+    /// differentiates shards under load.
+    pub(crate) fn load(&self, shard: usize, now_sec: f64) -> f64 {
+        self.scheds[shard].backlog() * self.overhead_sec_per_sample
+            + (self.accel_free[shard] - now_sec).max(0.0)
+    }
+
+    /// The fleet's cheapest value-preemptable session as `(shard, value)`,
+    /// ties to the lowest shard.
+    pub(crate) fn cheapest_victim(&self) -> Option<(usize, f64)> {
+        (0..self.len())
+            .filter_map(|s| self.scheds[s].preemptable_value().map(|v| (s, v)))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("values are finite").then(a.0.cmp(&b.0)))
+    }
+
+    /// Admits a freshly cut group at `t`: routes it, plans it, opens its
+    /// search and hands the session to the chosen shard's scheduler. Returns
+    /// `(session id, shard)`. Some shard must have room.
+    pub(crate) fn admit(
+        &mut self,
+        group: DispatchGroup,
+        t: f64,
+        deadline_sec: f64,
+        mix: &TenantMix,
+    ) -> (u64, usize) {
+        let sigs: Vec<JobSignature> = group.arrivals.iter().map(|a| a.job.signature()).collect();
+        let key = quantize_signatures(&sigs, self.quant_step);
+        let admissible: Vec<bool> = self.scheds.iter().map(|s| s.has_room()).collect();
+        let loads: Vec<f64> = (0..self.len()).map(|s| self.load(s, t)).collect();
+        // A key the shared tier holds is served warm from any shard, so
+        // affinity buys nothing: place purely by load.
+        let shard = if self.shared.as_ref().is_some_and(|tier| tier.contains(&key)) {
+            self.router.place_balanced(&loads, &admissible)
+        } else {
+            self.router.place(&key, &loads, &admissible)
+        };
+        let jobs: Vec<_> = group
+            .arrivals
+            .iter()
+            .enumerate()
+            .map(|(k, a)| a.job.clone().with_id(JobId(k)))
+            .collect();
+        let problem =
+            M3e::new(self.platforms[shard].clone(), Group::new(jobs), Objective::Throughput);
+        let id = self.admitted;
+        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(id.wrapping_mul(K_SEED_STRIDE)));
+        let plan = self.services[shard].plan_group_shared(&problem, &mut rng, self.shared.as_mut());
+        let budget = plan.budget();
+        let state = self.services[shard].open_search(&plan, &problem, &mut rng);
+        let value = group_value(group.arrivals.iter(), mix);
+        let session =
+            LiveSession { id, group, plan, problem, rng, state, budget, deadline_sec, value };
+        self.scheds[shard].admit(session, t);
+        self.admitted += 1;
+        (id, shard)
+    }
+
+    /// Runs one scheduler decision on `shard` at `now_sec`. Returns the
+    /// samples the step evaluated — the mapper time the caller owes — and,
+    /// when the selected session left the scheduler (budget done, search
+    /// exhausted or deadline-preempted), the session and whether it was
+    /// preempted; the caller completes it.
+    pub(crate) fn step(
+        &mut self,
+        shard: usize,
+        now_sec: f64,
+    ) -> (usize, Option<(LiveSession, bool)>) {
+        match self.scheds[shard].step(now_sec) {
+            SchedStep::Idle => (0, None),
+            SchedStep::Progress { spent } => (spent, None),
+            SchedStep::Finished { session, spent, preempted } => {
+                (spent, Some((*session, preempted)))
+            }
+        }
+    }
+
+    /// Completes a session that left `shard`'s scheduler (finished,
+    /// preempted or cancelled mid-search) whose search ended at
+    /// `search_end_sec`: stores the best mapping in the shard's cache,
+    /// publishes it to the shared tier under the group's dominant tenant and
+    /// schedules the group at `max(search end, accelerator free)`.
+    pub(crate) fn complete(
+        &mut self,
+        session: LiveSession,
+        shard: usize,
+        search_end_sec: f64,
+    ) -> Completed {
+        let LiveSession { group, plan, problem, state, .. } = session;
+        let key = plan.key().clone();
+        let outcome = self.services[shard].complete_group(&problem, plan, state.finish());
+        if let Some(tier) = self.shared.as_mut() {
+            tier.publish(
+                key,
+                StoredSolution::new(outcome.mapping.clone(), Some(problem.signatures().to_vec())),
+                dominant_tenant(&group.arrivals),
+            );
+        }
+        let exec_start = search_end_sec.max(self.accel_free[shard]);
+        self.accel_free[shard] = exec_start + outcome.schedule.makespan_sec();
+        let mut end_sec = vec![exec_start; group.arrivals.len()];
+        for seg in outcome.schedule.segments() {
+            end_sec[seg.job.0] = exec_start + seg.end_sec;
+        }
+        Completed { group, outcome, end_sec }
+    }
+
+    /// Persists each shard's mapping cache to `<cache_path>.shard<i>`
+    /// (crash-safe: see [`MappingCache::save`]). A failed write is reported,
+    /// never fatal.
+    pub(crate) fn persist(&self) {
+        if let Some(base) = &self.cache_path {
+            for (i, service) in self.services.iter().enumerate() {
+                let file = shard_cache_file(base, i);
+                if let Err(e) = service.cache().save(&file) {
+                    eprintln!(
+                        "warning: could not persist mapping cache to {}: {e}",
+                        file.display()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The shard caches' counters and live entries, summed over shards.
+    pub(crate) fn cache_report(&self) -> CacheReport {
+        let mut total = CacheStats::default();
+        let mut entries = 0;
+        for service in &self.services {
+            let s = service.cache_stats();
+            total.hits += s.hits;
+            total.misses += s.misses;
+            total.near_hits += s.near_hits;
+            total.insertions += s.insertions;
+            total.evictions += s.evictions;
+            entries += service.cache_len();
+        }
+        CacheReport::new(total, entries)
+    }
+
+    /// Scheduler lifecycle counters summed over shards.
+    pub(crate) fn sched_totals(&self) -> SchedStats {
+        let mut total = SchedStats::default();
+        for st in self.scheds.iter().map(|s| s.stats()) {
+            total.admitted += st.admitted;
+            total.completed += st.completed;
+            total.preempted_deadline += st.preempted_deadline;
+            total.preempted_value += st.preempted_value;
+            total.late_admissions += st.late_admissions;
+            total.min_slice_clamps += st.min_slice_clamps;
+        }
+        total
+    }
+
+    /// The shared tier's counters (all zero when the tier is disabled).
+    pub(crate) fn shared_report(&self) -> CacheReport {
+        self.shared
+            .as_ref()
+            .map_or_else(CacheReport::default, |t| CacheReport::new(t.stats(), t.len()))
+    }
+
+    /// Router placement counters.
+    pub(crate) fn router_stats(&self) -> RouterStats {
+        self.router.stats()
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// The corrupt-cache-file contract, checked against either driver:
+    /// `serve(cache_path)` runs a fixed two-shard workload to the end.
+    pub(crate) fn corrupt_cache_files_come_up_cold<R: PartialEq + std::fmt::Debug>(
+        tag: &str,
+        serve: impl Fn(Option<PathBuf>) -> R,
+    ) {
+        let base = std::env::temp_dir().join(format!("magma_{tag}_corrupt_{}", std::process::id()));
+        let cold = serve(None);
+        serve(Some(base.clone())); // persists both shards' caches
+        let warm = std::fs::read(shard_cache_file(&base, 0)).expect("shard 0 persisted");
+        // A truncated file (what a save killed mid-write used to leave), a
+        // file that never was JSON, and a stale `.tmp` holding a valid warm
+        // cache that must not be picked up.
+        std::fs::write(shard_cache_file(&base, 0), &warm[..warm.len() / 2]).unwrap();
+        std::fs::write(shard_cache_file(&base, 1), "not a cache").unwrap();
+        let stale = PathBuf::from(format!("{}.tmp", shard_cache_file(&base, 0).display()));
+        std::fs::write(&stale, &warm).unwrap();
+        assert_eq!(serve(Some(base.clone())), cold, "unreadable files mean a cold start");
+        for i in 0..2 {
+            let file = shard_cache_file(&base, i);
+            MappingCache::load(&file).expect("the run replaced the corrupt file");
+            let _ = std::fs::remove_file(file);
+        }
+        assert!(!stale.exists(), "a save consumes its temp file");
+    }
+}

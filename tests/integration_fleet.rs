@@ -1,8 +1,8 @@
 //! Fleet determinism and preemption suite: the multi-shard serving layer
 //! must emit bit-identical `BENCH_fleet.json` reports at a fixed seed
-//! (whatever the worker-thread count and however often it is re-run), a
-//! 1-shard fleet must degenerate *exactly* to the single-queue overlap
-//! simulator, preemption must actually fire under deadline pressure, and
+//! (whatever the worker-thread count and however often it is re-run), the
+//! single-queue simulator must be *exactly* the 1-shard fleet it says it
+//! is, preemption must actually fire under deadline pressure, and
 //! the router's placement invariants must hold for arbitrary placement
 //! sequences (proptest).
 //!
@@ -87,10 +87,12 @@ fn different_seeds_produce_different_fleet_reports() {
     assert_ne!(a, b, "the seed must actually drive the trace and searches");
 }
 
-/// The degenerate-fleet contract: one shard, the Uniform policy, one live
-/// session, no value preemption and a slice at least the search budget is
-/// — floating point for floating point, RNG draw for RNG draw — the
-/// single-queue overlap simulator. Bit-identical metrics, not approximate.
+/// The degenerate-fleet contract: `sim::simulate` is a driver over the fleet
+/// loop, and the fleet it derives is the one a caller would write down by
+/// hand — one shard, the Uniform policy, one live session, no value
+/// preemption, no shared tier and a slice at least the search budget.
+/// Bit-identical metrics, not approximate. `MAGMA_SERVE_SLICE` is the
+/// fleet's `base_slice`; on the single-queue side it is not an input.
 #[test]
 fn one_shard_uniform_fleet_matches_the_single_queue_simulator_exactly() {
     let serve = ServeKnobs {
@@ -100,14 +102,12 @@ fn one_shard_uniform_fleet_matches_the_single_queue_simulator_exactly() {
         refine_budget: 4,
         cache_capacity: 12,
         offered_load: 12.0,
-        overlap: true,
         search_slice: 1 << 14, // ≥ every budget: one step per search
         seed: 7,
         ..ServeKnobs::smoke()
     };
     let mix = TenantMix::synthetic(10, 3);
     for scenario in [Scenario::Poisson, Scenario::Bursty] {
-        let sim = simulate(&SimConfig::from_knobs(&serve, scenario), &mix);
         let fleet_knobs = FleetKnobs {
             serve: serve.clone(),
             shards: 1,
@@ -119,19 +119,18 @@ fn one_shard_uniform_fleet_matches_the_single_queue_simulator_exactly() {
             policy: FleetPolicy::Uniform,
             min_slice: 4,
             preempt_margin: 0.0,
-            // The shared tier and the single-queue simulator are different
-            // machines: the degenerate-fleet equivalence only holds with
-            // the tier off.
             shared_cache_capacity: 0,
             shared_tenant_quota: 0,
         };
         let fleet = fleet_simulate(&FleetConfig::from_knobs(&fleet_knobs, 1, scenario), &mix);
-        assert_eq!(
-            fleet.metrics, sim.metrics,
-            "{scenario:?}: a 1-shard Uniform fleet must equal the single-queue simulator"
-        );
-        assert_eq!(fleet.mean_interarrival_sec, sim.mean_interarrival_sec);
-        assert_eq!(fleet.sla_sec, sim.sla_sec);
+        for search_slice in [serve.search_slice, 3] {
+            let knobs = ServeKnobs { search_slice, ..serve.clone() };
+            let sim = simulate(&SimConfig::from_knobs(&knobs, scenario), &mix);
+            assert_eq!(
+                sim, fleet,
+                "{scenario:?}: the single-queue simulator must equal a 1-shard Uniform fleet"
+            );
+        }
         assert_eq!(fleet.sched.preemptions(), 0);
         assert_eq!(fleet.per_shard_jobs, vec![serve.requests]);
     }
@@ -215,9 +214,7 @@ fn a_persisted_fleet_cache_restart_is_warm_and_thread_invariant() {
     let shards = 2;
     let dir = std::env::temp_dir();
     let tag = format!("magma_fleet_it_{}", std::process::id());
-    let shard_file = |base: &std::path::Path, i: usize| {
-        std::path::PathBuf::from(format!("{}.shard{i}", base.display()))
-    };
+    let shard_file = magma_serve::shard_cache_file;
     let seed_base = dir.join(format!("{tag}_seed"));
     for i in 0..shards {
         let _ = std::fs::remove_file(shard_file(&seed_base, i));

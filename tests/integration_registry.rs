@@ -124,7 +124,7 @@ fn registry_mixes_generate_bit_identical_trace_streams() {
 /// The headline equivalence: running the registry's committed scenario
 /// files produces bit-identical `BENCH` scenario blocks to the hardcoded
 /// ladder at the same knobs — for all four ladder entries, covering all
-/// three arrival scenarios, in both serving modes.
+/// three arrival scenarios.
 #[test]
 fn registry_scenarios_reproduce_the_hardcoded_bench_output() {
     let registry = committed_registry();
@@ -135,23 +135,19 @@ fn registry_scenarios_reproduce_the_hardcoded_bench_output() {
         let resolved = registry.resolve(name).unwrap_or_else(|e| panic!("{name}: {e}"));
         let custom_report = run_custom_scenario(&knobs, false, &resolved.custom());
         assert_eq!(custom_report.scenario_descriptor.source, "registry");
-        for (ladder, custom_ladder, mode) in [
-            (&builtin_report.scenarios, &custom_report.scenarios, "primary"),
-            (&builtin_report.baseline_scenarios, &custom_report.baseline_scenarios, "baseline"),
-        ] {
-            let builtin_block = ladder
-                .iter()
-                .find(|s| s.name == name)
-                .unwrap_or_else(|| panic!("builtin ladder misses {name}"));
-            assert_eq!(custom_ladder.len(), 1, "{name}: one scenario per registry report");
-            // Bit-identical serialized scenario block — metrics, latency
-            // percentiles, cache counters, everything.
-            assert_eq!(
-                serde_json::to_string(&custom_ladder[0]).unwrap(),
-                serde_json::to_string(builtin_block).unwrap(),
-                "{name} ({mode} mode) BENCH block drifted from the hardcoded ladder"
-            );
-        }
+        let builtin_block = builtin_report
+            .scenarios
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("builtin ladder misses {name}"));
+        assert_eq!(custom_report.scenarios.len(), 1, "{name}: one scenario per registry report");
+        // Bit-identical serialized scenario block — metrics, latency
+        // percentiles, cache counters, everything.
+        assert_eq!(
+            serde_json::to_string(&custom_report.scenarios[0]).unwrap(),
+            serde_json::to_string(builtin_block).unwrap(),
+            "{name} BENCH block drifted from the hardcoded ladder"
+        );
     }
 }
 

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use magma_model::{Job, JobId, LayerShape, TaskType, TenantMix};
 use magma_platform::settings::ServerKnobs;
-use magma_serve::engine::shard_cache_file;
+use magma_serve::shard_cache_file;
 use magma_serve::trace::{generate_trace, Scenario, TraceParams};
 use magma_serve::{EngineConfig, ScenarioDescriptor};
 use magma_server::client::{Client, Event};

@@ -7,16 +7,16 @@
 //! parallel batch oracle, and every RNG is seeded — so the *entire
 //! serialized report* must be byte-equal across `MAGMA_THREADS` ∈ {1, 4}
 //! (pinned per-thread via `magma_optim::parallel::with_threads`, exactly as
-//! the optimizer determinism suite does) and across repeated runs. Since the
-//! `magma-serve/v3` schema the report carries **both** serving modes —
-//! overlap (search slices interleaved with execution, the default) and the
-//! legacy serial baseline — and the suite locks the acceptance criteria of
-//! both: the repeated-tenant cache economics (hits ≥ 90% of cold throughput
-//! at ≤ 10% of the cold budget) and the overlap end-to-end latency win.
+//! the optimizer determinism suite does) and across repeated runs. The suite
+//! also locks the acceptance criterion — the repeated-tenant cache economics
+//! (hits ≥ 90% of cold throughput at ≤ 10% of the cold budget) — and pins
+//! the full-scale numbers: the shipped knobs must regenerate the committed
+//! `BENCH_serve.json` and `BENCH_cache.json` exactly.
 
 use magma_optim::parallel::with_threads;
 use magma_platform::settings::ServeKnobs;
-use magma_serve::report::{run_standard_scenarios, ScenarioResult, ServeReport};
+use magma_serve::report::{run_standard_scenarios, ServeReport};
+use magma_serve::sweep::{run_cache_sweep, CacheSweepReport};
 
 /// Miniature but non-trivial knobs: several dispatch groups per scenario,
 /// cold/refine budgets in the acceptance ratio, a real (bounded) cache.
@@ -39,13 +39,6 @@ fn report_json(threads: usize) -> String {
     })
 }
 
-fn repeated_tenant(ladder: &[ScenarioResult]) -> &ScenarioResult {
-    ladder
-        .iter()
-        .find(|s| s.name == "repeated_tenant")
-        .expect("the standard ladder always contains the repeated-tenant scenario")
-}
-
 #[test]
 fn report_is_bit_identical_across_thread_counts() {
     let serial = report_json(1);
@@ -66,8 +59,7 @@ fn report_survives_a_serde_round_trip_under_parallel_evaluation() {
     let report: ServeReport = serde_json::from_str(&json).expect("report deserializes");
     assert_eq!(report.schema, magma_serve::SCHEMA);
     assert_eq!(report.scenarios.len(), 2);
-    assert_eq!(report.baseline_scenarios.len(), 2);
-    report.validate().expect("the v2 schema self-check holds after a round trip");
+    report.validate().expect("the schema self-check holds after a round trip");
     assert_eq!(serde_json::to_string_pretty(&report).unwrap(), json);
 }
 
@@ -84,72 +76,90 @@ fn different_seeds_produce_different_reports() {
 #[test]
 fn acceptance_criterion_holds_on_the_repeated_tenant_trace() {
     let report = with_threads(4, || run_standard_scenarios(&test_knobs(), true));
-    // The cache economics hold in both serving modes.
-    for ladder in [report.overlap_scenarios(), report.legacy_scenarios()] {
-        let repeat = repeated_tenant(ladder);
-        let d = &repeat.metrics.dispatch;
-        assert!(d.hits > 0, "repeated-tenant windows must recur in the cache: {d:?}");
-        assert!(
-            d.hit_cold_throughput_ratio >= 0.9,
-            "hit dispatches reached only {:.3} of cold throughput",
-            d.hit_cold_throughput_ratio
-        );
-        assert!(
-            d.hit_sample_fraction <= 0.101,
-            "hits spent {:.3} of the cold budget",
-            d.hit_sample_fraction
-        );
-        // The cache never exceeds its bound.
-        assert!(repeat.metrics.cache.entries <= test_knobs().cache_capacity);
-    }
+    let repeat = report
+        .scenarios
+        .iter()
+        .find(|s| s.name == "repeated_tenant")
+        .expect("the standard ladder always contains the repeated-tenant scenario");
+    let d = &repeat.metrics.dispatch;
+    assert!(d.hits > 0, "repeated-tenant windows must recur in the cache: {d:?}");
+    assert!(
+        d.hit_cold_throughput_ratio >= 0.9,
+        "hit dispatches reached only {:.3} of cold throughput",
+        d.hit_cold_throughput_ratio
+    );
+    assert!(
+        d.hit_sample_fraction <= 0.101,
+        "hits spent {:.3} of the cold budget",
+        d.hit_sample_fraction
+    );
+    // The cache never exceeds its bound.
+    assert!(repeat.metrics.cache.entries <= test_knobs().cache_capacity);
 }
 
+/// The committed serving profile is what the shipped knobs produce today: a
+/// refactor of the serving stack cannot bend `BENCH_serve.json` unnoticed.
 #[test]
-fn overlap_mode_beats_legacy_end_to_end_on_the_repeated_tenant_trace() {
-    let report = with_threads(2, || run_standard_scenarios(&test_knobs(), true));
-    let overlap = repeated_tenant(report.overlap_scenarios());
-    let legacy = repeated_tenant(report.legacy_scenarios());
+fn full_scale_ladder_regenerates_the_committed_bench_serve_json() {
+    let report = run_standard_scenarios(&ServeKnobs::full(), false);
+    let json = serde_json::to_string_pretty(&report).expect("report serializes") + "\n";
+    let committed = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json"));
+    assert!(json == committed, "BENCH_serve.json is stale: regenerate it with `serve_sim`");
+}
+
+/// The same for the cache-calibration sweep. The committed file's
+/// `profile_ab` block comes from toggling `MAGMA_SIGNATURE_PROFILE` in the
+/// process environment, which only the `cache_sweep` binary may do (CI
+/// `cmp`s its full output); everything else is compared here.
+#[test]
+fn full_scale_sweep_regenerates_the_committed_bench_cache_json() {
+    let report = run_cache_sweep(&ServeKnobs::full(), false, false);
+    let mut committed: CacheSweepReport = serde_json::from_str(include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_cache.json"
+    )))
+    .expect("the committed sweep deserializes");
+    committed.profile_ab = None;
     assert!(
-        overlap.metrics.end_to_end.mean_sec < legacy.metrics.end_to_end.mean_sec,
-        "overlap mean e2e {} must be strictly below legacy {}",
-        overlap.metrics.end_to_end.mean_sec,
-        legacy.metrics.end_to_end.mean_sec
+        serde_json::to_string_pretty(&report).unwrap()
+            == serde_json::to_string_pretty(&committed).unwrap(),
+        "BENCH_cache.json is stale: regenerate it with `cache_sweep`"
     );
-    // The comparison block mirrors the ladders.
-    let cmp = report
-        .comparison
-        .iter()
-        .find(|c| c.name == "repeated_tenant")
-        .expect("one comparison entry per scenario");
-    assert!(cmp.mean_speedup > 1.0, "speedup {} must exceed 1", cmp.mean_speedup);
-    report.validate().expect("self-check");
 }
 
 /// The warm-restart contract of `MAGMA_SERVE_CACHE_PATH`: a run persists
-/// its mapping cache, a restart loads it and serves strictly more hits than
-/// the cold run did — and two restarts from the same persisted file are
-/// bit-identical whatever `MAGMA_THREADS` says.
+/// its mapping cache (to `<path>.shard0`, like every driver), a restart
+/// loads it and serves strictly more hits than the cold run did — and two
+/// restarts from the same persisted file are bit-identical whatever
+/// `MAGMA_THREADS` says.
 #[test]
 fn a_persisted_cache_restart_is_warm_and_thread_invariant() {
     use magma_model::TenantMix;
+    use magma_serve::shard_cache_file;
     use magma_serve::sim::{simulate, SimConfig};
     use magma_serve::trace::Scenario;
 
     let knobs = test_knobs();
     let mix = TenantMix::synthetic(8, knobs.seed);
     let dir = std::env::temp_dir();
-    let seed_file = dir.join(format!("magma_serve_cache_seed_{}.json", std::process::id()));
+    let seed_path = dir.join(format!("magma_serve_cache_seed_{}", std::process::id()));
+    let seed_file = shard_cache_file(&seed_path, 0);
     let _ = std::fs::remove_file(&seed_file);
     let base = SimConfig::from_knobs(&knobs, Scenario::Poisson);
     // First run: starts cold, persists its cache on exit.
-    let cold = with_threads(2, || simulate(&base.clone().with_cache_path(&seed_file), &mix));
+    let cold = with_threads(2, || {
+        simulate(&SimConfig { cache_path: Some(seed_path.clone()), ..base.clone() }, &mix)
+    });
     // Every restart loads its own copy of the persisted file — a run
     // overwrites its cache file on exit, so copies keep the restarts
     // independent and comparable.
     let warm_run = |tag: &str, threads: usize| {
-        let copy = dir.join(format!("magma_serve_cache_{tag}_{}.json", std::process::id()));
+        let path = dir.join(format!("magma_serve_cache_{tag}_{}", std::process::id()));
+        let copy = shard_cache_file(&path, 0);
         std::fs::copy(&seed_file, &copy).expect("the persisted cache copies");
-        let result = with_threads(threads, || simulate(&base.clone().with_cache_path(&copy), &mix));
+        let result = with_threads(threads, || {
+            simulate(&SimConfig { cache_path: Some(path.clone()), ..base.clone() }, &mix)
+        });
         let _ = std::fs::remove_file(copy);
         result
     };
@@ -172,7 +182,7 @@ fn a_persisted_cache_restart_is_warm_and_thread_invariant() {
 #[test]
 fn every_scenario_completes_all_requests_with_sane_profiles() {
     let report = with_threads(2, || run_standard_scenarios(&test_knobs(), true));
-    for s in report.scenarios.iter().chain(&report.baseline_scenarios) {
+    for s in &report.scenarios {
         let m = &s.metrics;
         assert_eq!(m.jobs, 64, "{}", s.name);
         assert_eq!(m.tenants.iter().map(|t| t.jobs).sum::<usize>(), m.jobs, "{}", s.name);
