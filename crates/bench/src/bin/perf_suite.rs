@@ -10,8 +10,8 @@
 //! evaluations/sec.
 //!
 //! Knobs: `MAGMA_PERF_MODE` (`full` (default) = figure-scale batches on the
-//! Fig. 8/9 instances; `smoke` = tiny batches, homogeneous instance only —
-//! what CI runs), `MAGMA_THREADS` (top of the measured thread ladder,
+//! Fig. 8/9 instances; `smoke` = the homogeneous instance only, one warm-up
+//! batch — what CI runs), `MAGMA_THREADS` (top of the measured thread ladder,
 //! default: available parallelism; the ladder always includes 1, 2 and 4
 //! plus an oversubscription rung), `MAGMA_PERF_LADDER` (comma-separated
 //! explicit thread counts, e.g. `1,2,4` — replaces the computed ladder; CI
@@ -54,7 +54,7 @@ fn main() {
     let scale = Scale::from_env();
     let mode = std::env::var("MAGMA_PERF_MODE").unwrap_or_else(|_| "full".into());
     let mut params = match mode.as_str() {
-        "smoke" => PerfParams::smoke(scale.threads, scale.group_size.min(8), scale.seed),
+        "smoke" => PerfParams::smoke(scale.threads, scale.group_size, scale.seed),
         "full" => PerfParams::full(scale.threads, scale.group_size, scale.seed),
         other => {
             eprintln!("warning: unknown MAGMA_PERF_MODE '{other}' (expected 'smoke' or 'full'); using full");

@@ -155,13 +155,17 @@ pub struct PerfParams {
 }
 
 impl PerfParams {
-    /// CI-friendly smoke parameters: tiny batch, homogeneous instance only.
+    /// CI-friendly smoke parameters: homogeneous instance only, one warm-up.
+    /// The batches are as large as full mode's because the 2-thread gate
+    /// judges this rung: one fitness evaluation of a 30-job group costs about
+    /// 1.5 µs, so anything much smaller than 256 × 4 leaves a serial timed
+    /// region under a millisecond and the gate measuring a pool wake-up.
     pub fn smoke(max_threads: usize, group_size: usize, seed: u64) -> Self {
         PerfParams {
             mode: "smoke".into(),
             group_size,
-            batch_size: 64,
-            batches: 2,
+            batch_size: 256,
+            batches: 4,
             thread_counts: thread_ladder(max_threads),
             warmup_batches: 1,
             seed,
@@ -245,9 +249,8 @@ pub fn measure_workload(
         .map(|_| Mapping::random(&mut rng, params.group_size, num_accels))
         .collect();
 
-    // Serial reference: warms the caches (including the launch-cost memo,
-    // so every rung measures the same warm-evaluator regime) and anchors
-    // the determinism check.
+    // Serial reference: warms the caches (including this thread's kernel
+    // scratch) and anchors the determinism check.
     let reference = evaluate_batch_with(&problem, &batch, 1);
 
     let mut measurements = Vec::with_capacity(params.thread_counts.len());

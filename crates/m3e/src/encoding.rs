@@ -82,18 +82,27 @@ impl Mapping {
     ///
     /// Ties in priority are broken by job id so decoding is deterministic.
     pub fn decode(&self) -> DecodedMapping {
+        let mut order = Vec::new();
+        self.execution_order_into(&mut order);
         let mut queues: Vec<Vec<JobId>> = vec![Vec::new(); self.num_accels];
-        let mut order: Vec<usize> = (0..self.num_jobs()).collect();
-        order.sort_by(|&a, &b| {
-            self.priority[a]
-                .partial_cmp(&self.priority[b])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        for job in order {
+        for (_, job) in order {
             queues[self.accel_sel[job]].push(JobId(job));
         }
         DecodedMapping { queues }
+    }
+
+    /// Overwrites `order` with the `(priority, job id)` pairs in ascending
+    /// order — the order jobs sharing a core execute in. For the in-range
+    /// priorities [`Mapping::new`] accepts this is a total order with no equal
+    /// elements, so the unstable sort (which needs no merge buffer) yields the
+    /// one possible result. The keys travel with the indices so comparisons
+    /// read the slice being sorted, not the genome behind it.
+    fn execution_order_into(&self, order: &mut Vec<(f64, usize)>) {
+        order.clear();
+        order.extend(self.priority.iter().copied().zip(0..));
+        order.sort_unstable_by(|a, b| {
+            a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
+        });
     }
 
     /// Flattens the mapping into a continuous vector in `[0, 1]^(2n)` — the
@@ -114,7 +123,8 @@ impl Mapping {
     }
 
     /// Reconstructs a mapping from a continuous vector (the inverse of
-    /// [`Mapping::to_vector`], with values clamped into range).
+    /// [`Mapping::to_vector`], with values clamped into range and NaN — which
+    /// a diverging continuous optimizer can emit — read as 0).
     ///
     /// # Panics
     ///
@@ -125,11 +135,11 @@ impl Mapping {
         let accel_sel = v[..n]
             .iter()
             .map(|&x| {
-                let x = x.clamp(0.0, 1.0 - f64::EPSILON);
+                let x = unit(x, 1.0 - f64::EPSILON);
                 ((x * num_accels as f64) as usize).min(num_accels - 1)
             })
             .collect();
-        let priority = v[n..].iter().map(|&x| x.clamp(0.0, 1.0)).collect();
+        let priority = v[n..].iter().map(|&x| unit(x, 1.0)).collect();
         Mapping { accel_sel, priority, num_accels }
     }
 
@@ -166,6 +176,17 @@ impl Mapping {
     }
 }
 
+/// Clamps one coordinate of a continuous vector into `[0, hi]`, reading NaN
+/// as 0: `f64::clamp` passes NaN through, and a NaN priority makes the decode
+/// comparator a non-total order, on which the standard sorts panic.
+fn unit(x: f64, hi: f64) -> f64 {
+    if x.is_nan() {
+        0.0
+    } else {
+        x.clamp(0.0, hi)
+    }
+}
+
 /// A decoded mapping: for each sub-accelerator, the ordered queue of jobs it
 /// will execute.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -192,6 +213,76 @@ impl DecodedMapping {
     /// Total number of jobs across all queues.
     pub fn num_jobs(&self) -> usize {
         self.queues.iter().map(|q| q.len()).sum()
+    }
+}
+
+/// Per-core job queues in one flat CSR layout — core `a` executes
+/// `jobs[starts[a]..starts[a + 1]]` in order — plus the buffers decoding
+/// into it needs. Refilling a warm instance allocates nothing, which is what
+/// lets the fitness kernel decode every candidate into per-thread scratch.
+#[derive(Debug)]
+pub(crate) struct FlatQueues {
+    starts: Vec<usize>,
+    jobs: Vec<JobId>,
+    order: Vec<(f64, usize)>,
+    cursor: Vec<usize>,
+}
+
+impl FlatQueues {
+    /// Empty queues over zero cores.
+    pub(crate) const fn new() -> Self {
+        FlatQueues { starts: Vec::new(), jobs: Vec::new(), order: Vec::new(), cursor: Vec::new() }
+    }
+
+    /// Number of sub-accelerators.
+    pub(crate) fn num_accels(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// The half-open range of [`FlatQueues::jobs`] holding `accel`'s queue.
+    pub(crate) fn span(&self, accel: usize) -> (usize, usize) {
+        (self.starts[accel], self.starts[accel + 1])
+    }
+
+    /// Every queue back to back, in core order.
+    pub(crate) fn jobs(&self) -> &[JobId] {
+        &self.jobs
+    }
+
+    /// Decodes `mapping`'s genomes into the queues [`Mapping::decode`]
+    /// builds: an index sort by `(priority, job id)`, then a counting
+    /// placement by selected core.
+    pub(crate) fn decode(&mut self, mapping: &Mapping) {
+        let accels = mapping.num_accels;
+        mapping.execution_order_into(&mut self.order);
+        self.starts.clear();
+        self.starts.resize(accels + 1, 0);
+        for &a in &mapping.accel_sel {
+            self.starts[a + 1] += 1;
+        }
+        for a in 0..accels {
+            self.starts[a + 1] += self.starts[a];
+        }
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.starts[..accels]);
+        self.jobs.clear();
+        self.jobs.resize(mapping.num_jobs(), JobId(0));
+        for &(_, job) in &self.order {
+            let slot = &mut self.cursor[mapping.accel_sel[job]];
+            self.jobs[*slot] = JobId(job);
+            *slot += 1;
+        }
+    }
+
+    /// Copies already decoded queues.
+    pub(crate) fn copy_from(&mut self, decoded: &DecodedMapping) {
+        self.starts.clear();
+        self.jobs.clear();
+        self.starts.push(0);
+        for queue in &decoded.queues {
+            self.jobs.extend_from_slice(queue);
+            self.starts.push(self.jobs.len());
+        }
     }
 }
 

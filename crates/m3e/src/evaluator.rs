@@ -1,13 +1,21 @@
 //! Objectives and the fitness function (Section IV-C).
+//!
+//! [`FitnessEvaluator::fitness`] is the kernel every search sample runs
+//! once: it decodes the two genomes into per-thread scratch, replays them
+//! through Algorithm 1 (the one event loop of [`crate::bw_alloc`], recording
+//! nothing) against a launch-cost table filled at construction, and turns
+//! the makespan and energy into the objective. After a thread's first
+//! evaluation of a problem it allocates nothing.
+//! [`FitnessEvaluator::schedule`] runs the same loop with the recorder that
+//! builds the full [`Schedule`].
 
 use crate::analyzer::JobAnalysisTable;
-use crate::bw_alloc::BwAllocator;
+use crate::bw_alloc;
 use crate::encoding::Mapping;
-use crate::schedule::Schedule;
+use crate::schedule::{self, Schedule};
 use magma_model::JobId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// The optimization objective. The paper uses throughput; the alternatives
 /// are provided because M3E accepts the objective as an input (Fig. 3).
@@ -27,13 +35,22 @@ pub enum Objective {
 impl Objective {
     /// Extracts the fitness value (higher is always better) from a schedule.
     pub fn fitness_of(&self, schedule: &Schedule) -> f64 {
+        self.fitness_from(
+            schedule.makespan_sec(),
+            schedule.total_energy_nj(),
+            schedule.total_flops(),
+        )
+    }
+
+    /// The fitness of a replay that took `makespan_sec` and `total_energy_nj`
+    /// to execute `total_flops` — the single copy of the objective, shared
+    /// by the schedule-free kernel and [`Objective::fitness_of`].
+    fn fitness_from(&self, makespan_sec: f64, total_energy_nj: f64, total_flops: u64) -> f64 {
         match self {
-            Objective::Throughput => schedule.throughput_gflops(),
-            Objective::Latency => -schedule.makespan_sec(),
-            Objective::Energy => -schedule.total_energy_nj(),
-            Objective::EnergyDelayProduct => {
-                -(schedule.total_energy_nj() * schedule.makespan_sec())
-            }
+            Objective::Throughput => schedule::throughput_gflops(total_flops, makespan_sec),
+            Objective::Latency => -makespan_sec,
+            Objective::Energy => -total_energy_nj,
+            Objective::EnergyDelayProduct => -(total_energy_nj * makespan_sec),
         }
     }
 }
@@ -47,7 +64,7 @@ impl fmt::Display for Objective {
 /// The per-(job, core) quantities the bandwidth-allocator replay needs at
 /// job launch: the bytes of DRAM traffic the job streams, its no-stall
 /// bandwidth requirement, and the energy it charges at completion. Derived
-/// from the [`JobAnalysisTable`] — [`CostMemo`] caches exactly these.
+/// from the [`JobAnalysisTable`] — [`CostMemo`] holds exactly these.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaunchCost {
     /// Total DRAM traffic of the job on the core, in bytes
@@ -62,8 +79,9 @@ pub struct LaunchCost {
 
 impl LaunchCost {
     /// Derives the launch quantities for `job` on `accel` from the table —
-    /// the single copy of these expressions, used by both the fresh path and
-    /// the memo fill, so the two are bit-identical by construction.
+    /// the single copy of these expressions, evaluated by both the
+    /// [`CostMemo`] fill and the table-free [`crate::BwAllocator::allocate`],
+    /// so the two are bit-identical by construction.
     pub fn derive(table: &JobAnalysisTable, job: JobId, accel: usize) -> Self {
         let lat = table.no_stall_seconds(job, accel);
         let bw = table.required_bw_gbps(job, accel);
@@ -75,55 +93,44 @@ impl LaunchCost {
     }
 }
 
-/// Per-(job, core) launch-cost memo, filled lazily and shared by every
-/// evaluation of the problem's lifetime.
+/// The launch-cost table: [`LaunchCost::derive`] of every (job, core) pair,
+/// computed once when the evaluator is built.
 ///
 /// The bandwidth-allocator replay launches every job of every candidate, and
-/// each launch re-derived the same three quantities from the analysis table
-/// (a division by the core clock, two nested-`Vec` walks, a multiply).
-/// Within one generation — and across generations, since mutation touches
-/// few genes — the same (job, core) pairs recur constantly, so the memo
-/// converges to fully warm after a handful of candidates and every later
-/// launch is one flat-array load.
-///
-/// Each cell is a [`OnceLock`]: concurrent batch evaluation may race to fill
-/// a cell, but both racers compute the identical value from the same table,
-/// and every evaluation is bit-identical to the unmemoized path (the A/B
-/// proptests lock this). Cloning an evaluator clones the memo *with* its
-/// filled cells, so warm state survives `M3e` clones.
-///
-/// Built by [`FitnessEvaluator::new`] unless the `MAGMA_MEMO` knob opts out
-/// (see `magma_platform::settings::magma_memo`);
-/// [`FitnessEvaluator::with_memoization`] overrides explicitly for A/B runs.
-#[derive(Debug, Clone, Default)]
+/// deriving the three quantities from the analysis table costs a division by
+/// the core clock, two nested-`Vec` walks and a multiply. The Job Analyzer
+/// has already profiled all `jobs × cores` pairs, so the table is filled
+/// eagerly and every launch is one flat-array load. (The name dates from
+/// when the cells were filled lazily; the repository's benchmark refers to
+/// it.)
+#[derive(Debug, Clone)]
 pub struct CostMemo {
     /// `cells[job * num_accels + accel]`.
-    cells: Vec<OnceLock<LaunchCost>>,
+    cells: Vec<LaunchCost>,
     num_accels: usize,
 }
 
 impl CostMemo {
-    /// Creates an empty memo covering `num_jobs × num_accels` cells.
-    pub fn new(num_jobs: usize, num_accels: usize) -> Self {
-        CostMemo { cells: vec![OnceLock::new(); num_jobs * num_accels], num_accels }
+    /// Derives the launch cost of every (job, core) pair of `table`.
+    pub fn new(table: &JobAnalysisTable) -> Self {
+        let num_accels = table.num_accels();
+        let cells = (0..table.num_jobs())
+            .flat_map(|job| {
+                (0..num_accels).map(move |accel| LaunchCost::derive(table, JobId(job), accel))
+            })
+            .collect();
+        CostMemo { cells, num_accels }
     }
 
-    /// The launch cost of `job` on `accel`, derived from `table` on first
-    /// use and cached thereafter.
-    pub fn launch(&self, table: &JobAnalysisTable, job: JobId, accel: usize) -> LaunchCost {
-        *self.cells[job.0 * self.num_accels + accel]
-            .get_or_init(|| LaunchCost::derive(table, job, accel))
+    /// The launch cost of `job` on `accel`.
+    pub fn launch(&self, job: JobId, accel: usize) -> LaunchCost {
+        self.cells[job.0 * self.num_accels + accel]
     }
 
-    /// How many cells have been filled so far — the "entries survive across
-    /// a generation" observable the memoization tests assert on.
-    pub fn filled(&self) -> usize {
-        self.cells.iter().filter(|c| c.get().is_some()).count()
-    }
-
-    /// Total cell count (`num_jobs × num_accels`).
-    pub fn capacity(&self) -> usize {
-        self.cells.len()
+    /// Whether this table has `table`'s dimensions.
+    pub(crate) fn covers(&self, table: &JobAnalysisTable) -> bool {
+        self.num_accels == table.num_accels()
+            && self.cells.len() == table.num_jobs() * table.num_accels()
     }
 }
 
@@ -135,49 +142,28 @@ pub struct FitnessEvaluator {
     table: JobAnalysisTable,
     system_bw_gbps: f64,
     objective: Objective,
-    allocator: BwAllocator,
-    memo: Option<CostMemo>,
+    costs: CostMemo,
+    total_flops: u64,
 }
 
 impl FitnessEvaluator {
     /// Creates an evaluator from an analysis table, the system-bandwidth
-    /// constraint and the objective. Launch-cost memoization follows the
-    /// `MAGMA_MEMO` knob (default on); use
-    /// [`FitnessEvaluator::with_memoization`] to pin it explicitly.
+    /// constraint and the objective, filling the launch-cost table.
     ///
     /// # Panics
     ///
     /// Panics if `system_bw_gbps` is not positive.
     pub fn new(table: JobAnalysisTable, system_bw_gbps: f64, objective: Objective) -> Self {
         assert!(system_bw_gbps > 0.0, "system bandwidth must be positive");
-        let evaluator = FitnessEvaluator {
-            table,
-            system_bw_gbps,
-            objective,
-            allocator: BwAllocator::new(),
-            memo: None,
-        };
-        evaluator.with_memoization(magma_platform::settings::magma_memo())
+        let costs = CostMemo::new(&table);
+        let total_flops = table.total_flops();
+        FitnessEvaluator { table, system_bw_gbps, objective, costs, total_flops }
     }
 
-    /// Returns the evaluator with per-(job, core) launch-cost memoization
-    /// switched on (a fresh, empty memo) or off, overriding the `MAGMA_MEMO`
-    /// knob. Results are bit-identical either way; this is the A/B lever.
-    pub fn with_memoization(mut self, memoize: bool) -> Self {
-        self.memo = memoize.then(|| CostMemo::new(self.table.num_jobs(), self.table.num_accels()));
-        self
-    }
-
-    /// Whether this evaluator memoizes launch costs.
-    pub fn memoized(&self) -> bool {
-        self.memo.is_some()
-    }
-
-    /// The launch-cost memo, when memoization is on (test observability:
-    /// `memo().unwrap().filled()` shows warm entries surviving across a
-    /// generation).
+    /// The launch-cost table (always `Some`; the `Option` is the signature
+    /// the repository's benchmark was written against).
     pub fn memo(&self) -> Option<&CostMemo> {
-        self.memo.as_ref()
+        Some(&self.costs)
     }
 
     /// The job-analysis table this evaluator consults.
@@ -202,12 +188,24 @@ impl FitnessEvaluator {
     /// Panics if the mapping's job count or accelerator count do not match
     /// the analysis table.
     pub fn fitness(&self, mapping: &Mapping) -> f64 {
-        self.objective.fitness_of(&self.schedule(mapping))
+        self.check_dimensions(mapping);
+        let (makespan_sec, total_energy_nj) =
+            bw_alloc::replay_totals(mapping, self.system_bw_gbps, &self.costs);
+        self.objective.fitness_from(makespan_sec, total_energy_nj, self.total_flops)
     }
 
     /// Evaluates a mapping and returns the full schedule (used for the
     /// schedule visualizations and detailed reports).
+    ///
+    /// # Panics
+    ///
+    /// As [`FitnessEvaluator::fitness`].
     pub fn schedule(&self, mapping: &Mapping) -> Schedule {
+        self.check_dimensions(mapping);
+        bw_alloc::replay_schedule(mapping, self.system_bw_gbps, &self.costs, self.total_flops)
+    }
+
+    fn check_dimensions(&self, mapping: &Mapping) {
         assert_eq!(
             mapping.num_jobs(),
             self.table.num_jobs(),
@@ -218,12 +216,6 @@ impl FitnessEvaluator {
             self.table.num_accels(),
             "mapping targets a different number of sub-accelerators than the table"
         );
-        self.allocator.allocate_with_memo(
-            &mapping.decode(),
-            &self.table,
-            self.system_bw_gbps,
-            self.memo.as_ref(),
-        )
     }
 }
 
@@ -231,6 +223,7 @@ impl FitnessEvaluator {
 mod tests {
     use super::*;
     use crate::analyzer::JobAnalyzer;
+    use crate::bw_alloc::BwAllocator;
     use magma_model::{TaskType, WorkloadSpec};
     use magma_platform::{settings, Setting};
     use rand::rngs::StdRng;
@@ -290,53 +283,63 @@ mod tests {
     }
 
     #[test]
-    fn memoization_defaults_on_and_is_overridable() {
-        // Ambient environment never sets MAGMA_MEMO → default on.
-        let ev = evaluator(Objective::Throughput);
-        assert!(ev.memoized());
-        let off = ev.with_memoization(false);
-        assert!(!off.memoized() && off.memo().is_none());
-        let on = off.with_memoization(true);
-        assert!(on.memoized());
-        assert_eq!(on.memo().unwrap().filled(), 0, "fresh memo starts cold");
+    fn a_vector_holding_nans_decodes_and_evaluates() {
+        // A diverging continuous optimizer (DE / PSO / CMA-ES / TBPSA) can
+        // emit NaN coordinates. `from_vector` must hand back genomes
+        // `Mapping::new` accepts; a NaN priority would make the decode
+        // comparator a non-total order, on which the standard sorts panic at
+        // this size.
+        let jobs = 100;
+        let group = WorkloadSpec::single_group(TaskType::Mix, jobs, 0);
+        let platform = settings::build(Setting::S2);
+        let table = JobAnalyzer::new().analyze(&group, &platform);
+        let ev = FitnessEvaluator::new(table, platform.system_bw_gbps(), Objective::Throughput);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut v = Mapping::random(&mut rng, jobs, 4).to_vector();
+        for x in v.iter_mut().step_by(3) {
+            *x = f64::NAN;
+        }
+        let m = Mapping::from_vector(&v, 4);
+        assert_eq!(Mapping::new(m.accel_sel().to_vec(), m.priority().to_vec(), 4), m);
+        assert_eq!(m.decode().num_jobs(), jobs);
+        assert!(ev.fitness(&m) > 0.0);
     }
 
     #[test]
-    fn memo_entries_survive_across_evaluations() {
-        let ev = evaluator(Objective::Throughput).with_memoization(true);
-        let mut rng = StdRng::seed_from_u64(5);
-        let m = Mapping::random(&mut rng, 24, 4);
-        let _ = ev.fitness(&m);
-        let warm = ev.memo().unwrap().filled();
-        // One candidate touches exactly its (job, chosen-core) pairs.
-        assert_eq!(warm, 24);
-        // A second candidate reuses every shared pair; the memo only grows.
-        let m2 = Mapping::random(&mut rng, 24, 4);
-        let _ = ev.fitness(&m2);
-        let warmer = ev.memo().unwrap().filled();
-        assert!(warmer >= warm);
-        assert!(warmer <= ev.memo().unwrap().capacity());
-        // Cloning carries the warm cells along.
-        assert_eq!(ev.clone().memo().unwrap().filled(), warmer);
+    fn eager_table_cell_equals_launch_cost_derive() {
+        // Every cell is filled at construction with exactly what the
+        // table-free path derives at launch.
+        let ev = evaluator(Objective::Throughput);
+        let costs = ev.memo().expect("the launch-cost table is always built");
+        for job in 0..ev.table().num_jobs() {
+            for accel in 0..ev.table().num_accels() {
+                let derived = LaunchCost::derive(ev.table(), JobId(job), accel);
+                assert_eq!(costs.launch(JobId(job), accel), derived);
+            }
+        }
     }
 
     #[test]
     fn memoized_fitness_is_bit_identical_to_fresh() {
+        // The kernel (eager table, nothing recorded) against the table-free
+        // allocator, which derives every launch cost afresh and records the
+        // whole schedule.
         for obj in [
             Objective::Throughput,
             Objective::Latency,
             Objective::Energy,
             Objective::EnergyDelayProduct,
         ] {
-            let memoized = evaluator(obj).with_memoization(true);
-            let fresh = evaluator(obj).with_memoization(false);
+            let ev = evaluator(obj);
             let mut rng = StdRng::seed_from_u64(7);
             for _ in 0..16 {
                 let m = Mapping::random(&mut rng, 24, 4);
+                let fresh =
+                    BwAllocator::new().allocate(&m.decode(), ev.table(), ev.system_bw_gbps());
                 assert_eq!(
-                    memoized.fitness(&m).to_bits(),
-                    fresh.fitness(&m).to_bits(),
-                    "{obj}: memoized and fresh paths diverged"
+                    ev.fitness(&m).to_bits(),
+                    obj.fitness_of(&fresh).to_bits(),
+                    "{obj}: table and fresh paths diverged"
                 );
             }
         }

@@ -13,12 +13,14 @@
 //!   Table consulted inside the optimization loop.
 //! * [`bw_alloc`] — the Bandwidth Allocator (Algorithm 1), which replays a
 //!   decoded mapping on the platform, re-dividing the shared system bandwidth
-//!   among the live jobs at every job-completion event.
+//!   among the live jobs at every job-completion event: one event loop over
+//!   per-thread scratch, run without a recorder by the fitness function and
+//!   with one to build a full schedule.
 //! * [`schedule`] — the resulting timeline: per-core job segments, the
 //!   bandwidth-allocation trace, makespan and throughput.
 //! * [`evaluator`] — fitness functions (throughput by default; latency,
 //!   energy and EDP are also available) with the system-BW constraint baked
-//!   in.
+//!   in, over a per-(job, core) launch-cost table filled at construction.
 //! * [`framework`] — the [`M3e`] façade tying everything
 //!   together and the [`MappingProblem`] trait the
 //!   optimizers in `magma-optim` search against.

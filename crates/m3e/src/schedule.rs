@@ -36,6 +36,15 @@ pub struct BwSlice {
     pub alloc_gbps: Vec<f64>,
 }
 
+/// Throughput in GFLOP/s of `total_flops` executed in `makespan_sec` (0 for
+/// an empty timeline).
+pub(crate) fn throughput_gflops(total_flops: u64, makespan_sec: f64) -> f64 {
+    if makespan_sec <= 0.0 {
+        return 0.0;
+    }
+    total_flops as f64 / makespan_sec / 1e9
+}
+
 /// A complete schedule of one group of jobs on the platform.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Schedule {
@@ -100,10 +109,7 @@ impl Schedule {
 
     /// Achieved throughput in GFLOP/s — the paper's headline metric.
     pub fn throughput_gflops(&self) -> f64 {
-        if self.makespan_sec <= 0.0 {
-            return 0.0;
-        }
-        self.total_flops as f64 / self.makespan_sec / 1e9
+        throughput_gflops(self.total_flops, self.makespan_sec)
     }
 
     /// Fraction of the makespan a sub-accelerator spends executing jobs.

@@ -1,11 +1,13 @@
 //! Parallel batch evaluation of candidate populations.
 //!
-//! Every population-based optimizer in this crate spends essentially all of
-//! its time inside [`MappingProblem::evaluate`] (decode → bandwidth
-//! allocation → schedule), and the candidates of one generation are
-//! independent of each other — the classic embarrassingly parallel inner
-//! loop of evolutionary search. This module provides the one batch oracle
-//! they all share:
+//! Every population-based optimizer in this crate spends most of its time
+//! inside [`MappingProblem::evaluate`] (for `M3e`: decode the genomes into
+//! per-thread scratch, replay them through the bandwidth allocator, read the
+//! objective off the makespan and energy — no schedule is built and, once a
+//! thread is warm, nothing is allocated), and the candidates of one
+//! generation are independent of each other — the classic embarrassingly
+//! parallel inner loop of evolutionary search. This module provides the one
+//! batch oracle they all share:
 //!
 //! * [`BatchEvaluator::evaluate_batch`] — evaluates a slice of mappings and
 //!   returns their fitnesses **in input order**. A blanket implementation

@@ -1,7 +1,6 @@
 //! The six accelerator settings of Table III, their default bandwidths, and
-//! the process-wide runtime knobs (`MAGMA_THREADS`, `MAGMA_MEMO`,
-//! `MAGMA_SIGNATURE_PROFILE` and the `MAGMA_SERVE_*` family read by
-//! [`ServeKnobs`]).
+//! the process-wide runtime knobs (`MAGMA_THREADS`, `MAGMA_SIGNATURE_PROFILE`
+//! and the `MAGMA_SERVE_*` family read by [`ServeKnobs`]).
 
 use crate::platform::{AcceleratorPlatform, DEFAULT_LARGE_BW_GBPS, DEFAULT_SMALL_BW_GBPS};
 use magma_cost::{DataflowStyle, SubAccelConfig};
@@ -20,20 +19,6 @@ pub fn magma_threads() -> usize {
         Some(n) if n >= 1 => n,
         _ => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
     }
-}
-
-/// Reads the `MAGMA_MEMO` environment knob: whether the M3E fitness
-/// evaluator memoizes per-(job, core) launch costs (streamed bytes, required
-/// bandwidth, energy) across evaluations instead of re-deriving them from
-/// the analysis table inside the bandwidth-allocator replay.
-///
-/// Default **on** — memoization is bit-identical to the fresh path (the
-/// cached values are produced by the very same expressions, and the A/B
-/// proptests in `magma-m3e` and `tests/integration_pool.rs` lock that down)
-/// and only trims per-evaluation work. Set `MAGMA_MEMO=0` (or `off`) to opt
-/// out, e.g. to measure the memoization win itself.
-pub fn magma_memo() -> bool {
-    env_flag("MAGMA_MEMO", true)
 }
 
 /// Reads the `MAGMA_SIGNATURE_PROFILE` environment knob: whether `M3e`
@@ -867,13 +852,6 @@ mod tests {
         assert!("edf".parse::<FleetPolicy>().is_err());
         assert_eq!(FleetPolicy::default(), FleetPolicy::Deadline);
         assert_eq!(FleetPolicy::Deadline.to_string(), "deadline");
-    }
-
-    #[test]
-    fn memoization_defaults_on() {
-        // The ambient test environment never sets MAGMA_MEMO, so the
-        // memoized evaluator path is the default.
-        assert!(magma_memo());
     }
 
     #[test]
