@@ -24,11 +24,16 @@
 //!
 //! # Knobs
 //!
-//! | Variable | Effect |
+//! Serving knobs are the shipped defaults (`ServeKnobs` / `FleetKnobs` /
+//! `ServerKnobs`); per-scenario values come from the registry file's
+//! `traffic` / `serving` blocks, and the environment overrides only what
+//! the table lists (README has the one table of all 16 `MAGMA_*` variables).
+//!
+//! | Flag / variable | Effect |
 //! |---|---|
-//! | `--smoke` / `MAGMA_SERVE_MODE=smoke` | CI scale: tiny grid (probe off vs shipped epsilon) |
-//! | `MAGMA_SERVE_*` | the underlying serving knobs (trace size, budgets, seed) |
+//! | `--smoke` | CI scale: tiny grid (probe off vs shipped epsilon) |
 //! | `--scenario <file>` | sweep on a registry scenario's trace instead of the standard Poisson mix |
+//! | `MAGMA_SERVE_REQUESTS` | arrivals per grid point |
 //! | `MAGMA_SCENARIO_DIR` | registry root the scenario's references resolve against (default `scenarios/`) |
 //! | `MAGMA_THREADS` | evaluation worker threads — wall-clock only, the report never changes |
 //! | `MAGMA_BENCH_DIR` | output directory of `BENCH_cache.json` |
@@ -37,14 +42,13 @@ use magma_serve::sweep::{run_cache_sweep, run_cache_sweep_custom, write_cache_js
 use magma_serve::CacheSweepReport;
 
 fn main() {
-    let cli = magma_bench::serving_cli("MAGMA_SERVE_MODE");
-    let (smoke, scenario) = (cli.smoke, cli.scenario);
-    let knobs = magma::platform::settings::ServeKnobs::from_env(smoke);
+    let setup = magma_bench::serving_setup();
+    let (smoke, knobs) = (setup.smoke, &setup.knobs.fleet.serve);
     println!("==============================================================");
     println!("cache_sweep — mapping-cache calibration (magma-serve)");
     println!(
         "mode {}, {} requests/point, groups of {}, cold budget {}, cache {} entries, seed {}",
-        if smoke { "smoke" } else { "full" },
+        setup.mode(),
         knobs.requests,
         knobs.group_target,
         knobs.cold_budget,
@@ -52,25 +56,17 @@ fn main() {
         knobs.seed
     );
     println!(
-        "shipped defaults: epsilon {}, refine budget {}, quant step {}",
+        "knob point: epsilon {}, refine budget {}, quant step {}",
         knobs.cache_epsilon, knobs.refine_budget, knobs.quant_step
     );
     println!("==============================================================");
 
-    let report = match &scenario {
-        Some(path) => {
-            let resolved = magma_bench::resolve_scenario_or_exit(path);
-            println!(
-                "registry scenario {:?}: platform {} ({} cores), {} tenants, descriptor {}",
-                resolved.name,
-                resolved.platform.name(),
-                resolved.platform_def.core_count(),
-                resolved.mix.len(),
-                resolved.descriptor.content_hash
-            );
-            run_cache_sweep_custom(&knobs, smoke, true, &resolved.custom())
+    let report = match &setup.scenario {
+        Some(resolved) => {
+            magma_bench::print_scenario(resolved);
+            run_cache_sweep_custom(knobs, smoke, true, &resolved.custom())
         }
-        None => run_cache_sweep(&knobs, smoke, true),
+        None => run_cache_sweep(knobs, smoke, true),
     };
     if let Err(violation) = report.validate() {
         eprintln!("magma-cache/v2 schema self-check failed: {violation}");
@@ -87,7 +83,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if scenario.is_none() {
+    if setup.scenario.is_none() {
         check_acceptance(&report, smoke);
     }
 }

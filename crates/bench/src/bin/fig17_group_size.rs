@@ -16,7 +16,7 @@ fn main() {
     let scale = Scale::from_env();
     banner("Fig. 17 — group-size sweep (Mix, S2, BW=16)", &scale);
 
-    let full = std::env::var("MAGMA_FULL_SCALE").map(|v| v == "1").unwrap_or(false);
+    let full = magma_bench::full_scale();
     let sizes: Vec<usize> = if full {
         vec![4, 10, 20, 40, 50, 100, 200, 500, 1000]
     } else {

@@ -23,23 +23,16 @@
 //!
 //! # Knobs
 //!
-//! | Variable | Effect |
+//! Serving knobs are the shipped defaults (`ServeKnobs` / `FleetKnobs` /
+//! `ServerKnobs`); per-scenario values come from the registry file's
+//! `traffic` / `serving` blocks, and the environment overrides only what
+//! the table lists (README has the one table of all 16 `MAGMA_*` variables).
+//!
+//! | Flag / variable | Effect |
 //! |---|---|
-//! | `--smoke` / `MAGMA_FLEET_MODE=smoke` | CI scale: 400 requests, 32 tenants, ladder {1, N} |
-//! | `MAGMA_FLEET_SHARDS` | widest rung of the shard ladder |
-//! | `MAGMA_FLEET_SETTINGS` | comma-separated Table III settings cycled across shards |
-//! | `MAGMA_FLEET_REQUESTS` | arrivals per rung |
-//! | `MAGMA_FLEET_TENANTS` | synthetic tenant count |
-//! | `MAGMA_FLEET_LOAD` | offered load vs one calibrated reference shard |
-//! | `MAGMA_FLEET_MAX_LIVE` | live search sessions per shard mapper |
-//! | `MAGMA_FLEET_POLICY` | `uniform` or `deadline` scheduling |
-//! | `MAGMA_FLEET_MIN_SLICE` | deadline-policy slice floor (samples) |
-//! | `MAGMA_FLEET_PREEMPT` | value-preemption margin (0 disables) |
-//! | `MAGMA_FLEET_SHARED_CACHE` | shared cache tier entries (0 disables the tier) |
-//! | `MAGMA_FLEET_TENANT_QUOTA` | per-tenant entry quota over the shared tier (0 = unlimited) |
-//! | `MAGMA_SERVE_CACHE_PATH` | per-shard cache persistence at `<path>.shard<i>` |
-//! | `MAGMA_SERVE_*` | the underlying serving knobs (budgets, cache, SLA, seed) |
+//! | `--smoke` | CI scale: 400 requests, 32 tenants, ladder {1, N} |
 //! | `--scenario <file>` | run a registry scenario file instead of the standard set |
+//! | `MAGMA_FLEET_SHARDS` | widest rung of the shard ladder |
 //! | `MAGMA_SCENARIO_DIR` | registry root the scenario's references resolve against (default `scenarios/`) |
 //! | `MAGMA_THREADS` | evaluation worker threads — wall-clock only, the report never changes |
 //! | `MAGMA_BENCH_DIR` | output directory of `BENCH_fleet.json` |
@@ -50,19 +43,18 @@ use magma_serve::fleet::{
 use magma_serve::FleetReport;
 
 fn main() {
-    let cli = magma_bench::serving_cli("MAGMA_FLEET_MODE");
-    let (smoke, scenario) = (cli.smoke, cli.scenario);
-    let knobs = magma::platform::settings::FleetKnobs::from_env(smoke);
+    let setup = magma_bench::serving_setup();
+    let (smoke, knobs) = (setup.smoke, &setup.knobs.fleet);
     println!("==============================================================");
     println!("fleet_sim — fleet-scale multi-shard serving (magma-serve)");
     println!(
-        "mode {}, {} shards ({:?}), {} requests/rung, {} tenants, load {}x, \
+        "mode {}, {} shards ({}), {} requests/rung, {} tenants, load {}x, \
          policy {}, max_live {}, min_slice {}, preempt margin {}, seed {}",
-        if smoke { "smoke" } else { "full" },
+        setup.mode(),
         knobs.shards,
-        knobs.shard_settings,
+        knobs.shard_settings.iter().map(|s| s.label()).collect::<Vec<_>>().join(","),
         knobs.requests,
-        knobs.tenants,
+        setup.scenario.as_ref().map_or(knobs.tenants, |s| s.mix.len()),
         knobs.offered_load,
         knobs.policy,
         knobs.max_live,
@@ -72,28 +64,19 @@ fn main() {
     );
     println!("==============================================================");
 
-    let report = match &scenario {
-        Some(path) => {
-            let resolved = magma_bench::resolve_scenario_or_exit(path);
-            println!(
-                "registry scenario {:?}: platform {} ({} cores) on every shard, {} tenants, \
-                 descriptor {}",
-                resolved.name,
-                resolved.platform.name(),
-                resolved.platform_def.core_count(),
-                resolved.mix.len(),
-                resolved.descriptor.content_hash
-            );
-            run_fleet_custom(&knobs, smoke, &resolved.custom())
+    let report = match &setup.scenario {
+        Some(resolved) => {
+            magma_bench::print_scenario(resolved);
+            run_fleet_custom(knobs, smoke, &resolved.custom())
         }
-        None => run_fleet_ladder(&knobs, smoke),
+        None => run_fleet_ladder(knobs, smoke),
     };
     if let Err(violation) = report.validate() {
         eprintln!("magma-fleet/v3 schema self-check failed: {violation}");
         std::process::exit(1);
     }
     print_report(&report);
-    if scenario.is_none() {
+    if setup.scenario.is_none() {
         check_acceptance(&report);
     }
 

@@ -20,19 +20,20 @@
 //!
 //! # Knobs
 //!
-//! | Variable | Effect |
+//! Serving knobs are the shipped defaults (`ServeKnobs` / `FleetKnobs` /
+//! `ServerKnobs`); per-scenario values come from the registry file's
+//! `traffic` / `serving` blocks, and the environment overrides only what
+//! the table lists (README has the one table of all 16 `MAGMA_*` variables).
+//!
+//! | Flag / variable | Effect |
 //! |---|---|
-//! | `--smoke` / `MAGMA_SERVER_MODE=smoke` | CI scale: fewer requests, higher rate |
-//! | `MAGMA_SERVER_ADDR` | daemon address to dial (default `127.0.0.1:4270`) |
-//! | `MAGMA_SERVER_RATE` | offered rate, groups per wall-clock second |
-//! | `MAGMA_SERVER_REQUESTS` | trace length (arrivals replayed) |
-//! | `MAGMA_SERVER_TIMEOUT_SEC` | client-side wait bound for stragglers |
-//! | `MAGMA_SERVER_MAX_FRAME` | RPC frame size limit in bytes |
+//! | `--smoke` | CI scale: fewer requests, higher rate |
 //! | `--scenario <file>` | replay a registry scenario's traffic/mix |
+//! | `MAGMA_SERVER_ADDR` | daemon address to dial (default `127.0.0.1:4270`) |
+//! | `MAGMA_SERVER_REQUESTS` | trace length (arrivals replayed) |
 //! | `MAGMA_SCENARIO_DIR` | registry root for scenario references (default `scenarios/`) |
 //! | `MAGMA_BENCH_DIR` | output directory of `BENCH_rpc.json` |
 
-use magma::platform::settings::ServerKnobs;
 use magma_model::TenantMix;
 use magma_serve::trace::{generate_trace, Scenario, TraceParams};
 use magma_serve::ScenarioDescriptor;
@@ -40,32 +41,21 @@ use magma_server::loadgen::{self, LoadgenParams};
 use magma_server::write_rpc_json;
 
 fn main() {
-    let cli = magma_bench::serving_cli("MAGMA_SERVER_MODE");
-    let smoke = cli.smoke;
-    let knobs = ServerKnobs::from_env(smoke);
-    let mode = if smoke { "smoke" } else { "full" };
+    let setup = magma_bench::serving_setup();
+    let (knobs, mode) = (&setup.knobs, setup.mode());
+    let (requests, seed) = (knobs.requests, knobs.fleet.serve.seed);
 
     println!("==============================================================");
     println!("loadgen — wall-clock RPC load generator (magma-server)");
 
-    let (scenario, mix, requests, seed, descriptor) = match &cli.scenario {
-        Some(path) => {
-            let resolved = magma_bench::resolve_scenario_or_exit(path);
-            println!(
-                "registry scenario {:?}: {} traffic, {} tenants, descriptor {}",
-                resolved.name,
-                resolved.scenario,
-                resolved.mix.len(),
-                resolved.descriptor.content_hash
-            );
-            let requests = resolved.requests.unwrap_or(knobs.requests);
-            let seed = resolved.seed.unwrap_or(knobs.fleet.serve.seed);
-            (resolved.scenario, resolved.mix.clone(), requests, seed, resolved.descriptor)
+    let (scenario, mix, descriptor) = match setup.scenario {
+        Some(resolved) => {
+            magma_bench::print_scenario(&resolved);
+            (resolved.scenario, resolved.mix, resolved.descriptor)
         }
         None => {
-            let seed = knobs.fleet.serve.seed;
             let params = serde::Value::Map(vec![
-                ("requests".into(), serde::Value::U64(knobs.requests as u64)),
+                ("requests".into(), serde::Value::U64(requests as u64)),
                 ("rate".into(), serde::Value::F64(knobs.rate)),
                 ("tenants".into(), serde::Value::U64(knobs.fleet.tenants as u64)),
                 ("scenario".into(), serde::Value::Str("poisson".into())),
@@ -74,8 +64,6 @@ fn main() {
             (
                 Scenario::Poisson,
                 TenantMix::synthetic(knobs.fleet.tenants, seed),
-                knobs.requests,
-                seed,
                 ScenarioDescriptor::new("builtin", "loadgen_poisson", params),
             )
         }

@@ -15,64 +15,44 @@
 //!
 //! # Knobs
 //!
-//! | Variable | Effect |
+//! Serving knobs are the shipped defaults (`ServeKnobs` / `FleetKnobs` /
+//! `ServerKnobs`); per-scenario values come from the registry file's
+//! `traffic` / `serving` blocks, and the environment overrides only what
+//! the table lists (README has the one table of all 16 `MAGMA_*` variables).
+//!
+//! | Flag / variable | Effect |
 //! |---|---|
-//! | `--smoke` / `MAGMA_SERVER_MODE=smoke` | CI scale: smaller budgets, tighter timeout |
-//! | `MAGMA_SERVER_ADDR` | bind address (default `127.0.0.1:4270`; port 0 = ephemeral) |
-//! | `MAGMA_SERVER_BACKLOG_SEC` | projected-backlog bound before `busy` rejections |
-//! | `MAGMA_SERVER_PENDING` | bounded admission queue per shard (planned groups) |
-//! | `MAGMA_SERVER_TIMEOUT_SEC` | wall-clock session timeout (early finish + `timed_out`) |
-//! | `MAGMA_SERVER_MAX_FRAME` | RPC frame size limit in bytes |
-//! | `MAGMA_SERVER_RATE` | target rate used to price the batching window |
-//! | `MAGMA_FLEET_*` / `MAGMA_SERVE_*` | the underlying fleet/serving knobs |
-//! | `MAGMA_SERVE_CACHE_PATH` | per-shard cache persistence at `<path>.shard<i>` |
+//! | `--smoke` | CI scale: smaller budgets, tighter timeout |
 //! | `--scenario <file>` | serve a registry scenario's platform/mix |
+//! | `MAGMA_SERVER_ADDR` | bind address (default `127.0.0.1:4270`; port 0 = ephemeral) |
+//! | `MAGMA_FLEET_SHARDS` | platform shards behind the router |
+//! | `MAGMA_SERVE_CACHE_PATH` | per-shard cache persistence at `<path>.shard<i>` |
 //! | `MAGMA_SCENARIO_DIR` | registry root for scenario references (default `scenarios/`) |
+//! | `MAGMA_THREADS` | evaluation worker threads |
 
-use magma::platform::settings::{PlatformSpec, ServerKnobs};
 use magma_model::TenantMix;
 use magma_serve::EngineConfig;
 use magma_server::Server;
 
 fn main() {
-    let cli = magma_bench::serving_cli("MAGMA_SERVER_MODE");
-    let smoke = cli.smoke;
-    let mut knobs = ServerKnobs::from_env(smoke);
+    let setup = magma_bench::serving_setup();
+    let knobs = &setup.knobs;
 
     println!("==============================================================");
     println!("magma_server — wall-clock RPC serving daemon (magma-server)");
 
-    let (config, mix) = match &cli.scenario {
-        Some(path) => {
-            let resolved = magma_bench::resolve_scenario_or_exit(path);
-            let custom = resolved.custom();
-            knobs.fleet.serve = custom.apply_serving(&knobs.fleet.serve);
-            if let Some(seed) = custom.seed {
-                knobs.fleet.serve.seed = seed;
-            }
-            let mut config = EngineConfig::from_knobs(&knobs);
-            config.shard_settings =
-                vec![PlatformSpec::Custom(resolved.platform.clone()); knobs.fleet.shards];
-            println!(
-                "registry scenario {:?}: platform {} ({} cores) on every shard, {} tenants, \
-                 descriptor {}",
-                resolved.name,
-                resolved.platform.name(),
-                resolved.platform_def.core_count(),
-                resolved.mix.len(),
-                resolved.descriptor.content_hash
-            );
-            (config, resolved.mix)
+    let config = EngineConfig::from_knobs(knobs);
+    let mix = match &setup.scenario {
+        Some(resolved) => {
+            magma_bench::print_scenario(resolved);
+            resolved.mix.clone()
         }
-        None => (
-            EngineConfig::from_knobs(&knobs),
-            TenantMix::synthetic(knobs.fleet.tenants, knobs.fleet.serve.seed),
-        ),
+        None => TenantMix::synthetic(knobs.fleet.tenants, knobs.fleet.serve.seed),
     };
     println!(
         "mode {}, {} shards, policy {}, max_live {}, backlog bound {}s, \
          pending/shard {}, timeout {}s, seed {}",
-        if smoke { "smoke" } else { "full" },
+        setup.mode(),
         config.shards(),
         config.policy,
         config.max_live,

@@ -23,22 +23,16 @@
 //!
 //! # Knobs
 //!
-//! | Variable | Effect |
+//! Serving knobs are the shipped defaults (`ServeKnobs` / `FleetKnobs` /
+//! `ServerKnobs`); per-scenario values come from the registry file's
+//! `traffic` / `serving` blocks, and the environment overrides only what
+//! the table lists (README has the one table of all 16 `MAGMA_*` variables).
+//!
+//! | Flag / variable | Effect |
 //! |---|---|
-//! | `--smoke` / `MAGMA_SERVE_MODE=smoke` | CI scale: 96 requests, groups of 8, 60/6 budgets, 2 scenarios |
-//! | `MAGMA_SERVE_REQUESTS` | arrivals per scenario |
-//! | `MAGMA_SERVE_GROUP` | dispatch-group size target |
-//! | `MAGMA_SERVE_MAX_WAIT_X` | admission deadline in batch windows |
-//! | `MAGMA_SERVE_CACHE_CAP` | mapping-cache capacity (LRU) |
-//! | `MAGMA_SERVE_COLD_BUDGET` | cache-miss search budget |
-//! | `MAGMA_SERVE_REFINE_BUDGET` | cache-hit refinement budget |
-//! | `MAGMA_SERVE_QUANT` | cache-key quantization step (nats) |
-//! | `MAGMA_SERVE_CACHE_EPSILON` | nearest-key cache probe threshold (0 = exact-key only) |
-//! | `MAGMA_SERVE_LOAD` | offered load vs calibrated service rate |
-//! | `MAGMA_SERVE_SLA_X` | SLA tolerance factor |
-//! | `MAGMA_SERVE_OVERHEAD_US` | virtual mapper cost per sample (µs) |
-//! | `MAGMA_SERVE_SEED` | trace/search seed |
+//! | `--smoke` | CI scale: 96 requests, groups of 8, 60/6 budgets, 2 scenarios |
 //! | `--scenario <file>` | run a registry scenario file instead of the builtin ladder |
+//! | `MAGMA_SERVE_REQUESTS` | arrivals per scenario |
 //! | `MAGMA_SCENARIO_DIR` | registry root the scenario's references resolve against (default `scenarios/`) |
 //! | `MAGMA_THREADS` | evaluation worker threads — wall-clock only, the report never changes |
 //! | `MAGMA_BENCH_DIR` | output directory of `BENCH_serve.json` |
@@ -50,15 +44,14 @@ use magma_serve::report::{
 use magma_serve::ServeReport;
 
 fn main() {
-    let cli = magma_bench::serving_cli("MAGMA_SERVE_MODE");
-    let (smoke, scenario) = (cli.smoke, cli.scenario);
-    let knobs = magma::platform::settings::ServeKnobs::from_env(smoke);
+    let setup = magma_bench::serving_setup();
+    let (smoke, knobs) = (setup.smoke, &setup.knobs.fleet.serve);
     println!("==============================================================");
     println!("serve_sim — online multi-tenant serving (magma-serve)");
     println!(
         "mode {}, {} requests/scenario, groups of {}, budgets {}/{} (cold/refine), \
          cache {} entries (epsilon {}), seed {}",
-        if smoke { "smoke" } else { "full" },
+        setup.mode(),
         knobs.requests,
         knobs.group_target,
         knobs.cold_budget,
@@ -69,29 +62,19 @@ fn main() {
     );
     println!("==============================================================");
 
-    let report = match &scenario {
-        Some(path) => {
-            let resolved = magma_bench::resolve_scenario_or_exit(path);
-            println!(
-                "registry scenario {:?}: platform {} ({} cores), {} tenants, {} arrivals, \
-                 descriptor {}",
-                resolved.name,
-                resolved.platform.name(),
-                resolved.platform_def.core_count(),
-                resolved.mix.len(),
-                resolved.requests.unwrap_or(knobs.requests),
-                resolved.descriptor.content_hash
-            );
-            run_custom_scenario(&knobs, smoke, &resolved.custom())
+    let report = match &setup.scenario {
+        Some(resolved) => {
+            magma_bench::print_scenario(resolved);
+            run_custom_scenario(knobs, smoke, &resolved.custom())
         }
-        None => run_standard_scenarios(&knobs, smoke),
+        None => run_standard_scenarios(knobs, smoke),
     };
     if let Err(violation) = report.validate() {
         eprintln!("magma-serve/v4 schema self-check failed: {violation}");
         std::process::exit(1);
     }
     report.scenarios.iter().for_each(print_scenario);
-    if scenario.is_none() {
+    if setup.scenario.is_none() {
         check_acceptance(&report);
     }
 

@@ -33,7 +33,7 @@ fn main() {
     };
     banner(&format!("Table V — warm-start of MAGMA (Mix, S4, BW=1 GB/s, {mode})"), &scale);
 
-    let full = std::env::var("MAGMA_FULL_SCALE").map(|v| v == "1").unwrap_or(false);
+    let full = magma_bench::full_scale();
     let instances = if full { 4 } else { 2 };
 
     let rows = warm_start_study_with_mode(

@@ -34,6 +34,7 @@ pub mod compare;
 pub mod perf;
 
 use magma::experiments::MethodScore;
+use magma::platform::settings::{self, ServerKnobs};
 use serde::Serialize;
 use std::path::PathBuf;
 
@@ -54,48 +55,38 @@ pub struct Scale {
 
 impl Scale {
     /// Reads the scale from the environment: paper scale when
-    /// `MAGMA_FULL_SCALE=1`, reduced scale otherwise, with per-knob
-    /// overrides via `MAGMA_GROUP_SIZE` / `MAGMA_BUDGET` / `MAGMA_SEED` /
-    /// `MAGMA_THREADS`.
+    /// [`full_scale`], reduced scale otherwise, with per-knob overrides via
+    /// `MAGMA_GROUP_SIZE` / `MAGMA_BUDGET` / `MAGMA_SEED` / `MAGMA_THREADS`
+    /// (unparsable values keep the scale's default).
     pub fn from_env() -> Self {
-        let threads = magma::platform::settings::magma_threads();
-        let full = std::env::var("MAGMA_FULL_SCALE").map(|v| v == "1").unwrap_or(false);
-        let mut scale = if full {
-            Scale { group_size: 100, budget: 10_000, seed: 0, threads }
-        } else {
-            Scale { group_size: 30, budget: 1_000, seed: 0, threads }
-        };
-        if let Ok(v) = std::env::var("MAGMA_GROUP_SIZE") {
-            if let Ok(n) = v.parse() {
-                scale.group_size = n;
-            }
+        let (group_size, budget) = if full_scale() { (100, 10_000) } else { (30, 1_000) };
+        Scale {
+            group_size: settings::env_parse("MAGMA_GROUP_SIZE", group_size),
+            budget: settings::env_parse("MAGMA_BUDGET", budget),
+            seed: settings::env_parse("MAGMA_SEED", 0),
+            threads: settings::magma_threads(),
         }
-        if let Ok(v) = std::env::var("MAGMA_BUDGET") {
-            if let Ok(n) = v.parse() {
-                scale.budget = n;
-            }
-        }
-        if let Ok(v) = std::env::var("MAGMA_SEED") {
-            if let Ok(n) = v.parse() {
-                scale.seed = n;
-            }
-        }
-        scale
     }
+}
+
+/// Whether `MAGMA_FULL_SCALE` asks for the paper's scale: set to anything
+/// but `0` / `off` / `false` (the workspace's flag convention).
+pub fn full_scale() -> bool {
+    settings::env_flag("MAGMA_FULL_SCALE", false)
 }
 
 /// The parsed command line shared by the serving binaries (`serve_sim`,
 /// `fleet_sim`, `cache_sweep`, `magma_server`, `loadgen`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServingCli {
-    /// CI scale requested (`--smoke`, or the binary's mode env var).
+    /// CI scale requested (`--smoke`).
     pub smoke: bool,
     /// Registry scenario file to run instead of the builtin ladder
     /// (`--scenario <file>` / `--scenario=<file>`).
     pub scenario: Option<PathBuf>,
 }
 
-/// Pure parser behind [`serving_cli`]: accepts `--smoke`,
+/// Pure parser behind [`serving_setup`]: accepts `--smoke`,
 /// `--scenario <file>` and `--scenario=<file>`; **any other flag is a hard
 /// error** (the serving binaries used to silently ignore typos like
 /// `--smokey` or `--scenrio`, running at full scale instead).
@@ -128,34 +119,62 @@ where
     Ok(cli)
 }
 
-/// Parses the process arguments of a serving binary, folding in the
-/// binary's smoke-mode environment variable (`MAGMA_SERVE_MODE`,
-/// `MAGMA_FLEET_MODE` or `MAGMA_SERVER_MODE` set to `smoke`). Unknown flags
-/// exit with status 2 and an actionable message.
-pub fn serving_cli(mode_env: &str) -> ServingCli {
-    match parse_serving_args(std::env::args().skip(1)) {
-        Ok(mut cli) => {
-            cli.smoke |= std::env::var(mode_env).map(|v| v == "smoke").unwrap_or(false);
-            cli
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
+/// What a serving binary runs from: the scale, the resolved knob nest and
+/// the registry scenario behind `--scenario`, if any.
+pub struct ServingSetup {
+    /// CI scale requested (`--smoke`).
+    pub smoke: bool,
+    /// The smoke or full defaults with the serving environment
+    /// ([`ServerKnobs::from_env`]) and then the scenario file
+    /// (`CustomScenario::apply`) resolved onto them. Banners and configs
+    /// both read this; nothing is patched afterwards.
+    pub knobs: ServerKnobs,
+    /// The resolved `--scenario` file.
+    pub scenario: Option<magma_registry::ResolvedScenario>,
+}
+
+impl ServingSetup {
+    /// `smoke` or `full`, as the reports record it.
+    pub fn mode(&self) -> &'static str {
+        if self.smoke {
+            "smoke"
+        } else {
+            "full"
         }
     }
 }
 
-/// Resolves a `--scenario` path against the registry
-/// (`MAGMA_SCENARIO_DIR`, default `scenarios/`), exiting with the
-/// registry's actionable error on any rejection.
-pub fn resolve_scenario_or_exit(path: &std::path::Path) -> magma_registry::ResolvedScenario {
-    match magma_registry::resolve_scenario_file(path) {
-        Ok(resolved) => resolved,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+/// The one way into the serving stack: parses the process arguments,
+/// resolves `--scenario <file>` against the registry (`MAGMA_SCENARIO_DIR`,
+/// default `scenarios/`) and resolves the knobs. Unknown flags and rejected
+/// scenario files exit with status 2 and an actionable message.
+pub fn serving_setup() -> ServingSetup {
+    let fail = |message: String| -> ! {
+        eprintln!("{message}");
+        std::process::exit(2);
+    };
+    let cli = parse_serving_args(std::env::args().skip(1)).unwrap_or_else(|e| fail(e));
+    let scenario = cli.scenario.map(|path| {
+        magma_registry::resolve_scenario_file(&path).unwrap_or_else(|e| fail(e.to_string()))
+    });
+    let mut knobs = ServerKnobs::from_env(cli.smoke);
+    if let Some(resolved) = &scenario {
+        knobs = resolved.custom().apply(knobs);
     }
+    ServingSetup { smoke: cli.smoke, knobs, scenario }
+}
+
+/// Prints what a `--scenario` run resolved to, under the binary's banner.
+pub fn print_scenario(resolved: &magma_registry::ResolvedScenario) {
+    println!(
+        "registry scenario {:?}: {} traffic, platform {} ({} cores), {} tenants, descriptor {}",
+        resolved.name,
+        resolved.scenario,
+        resolved.platform.name(),
+        resolved.platform_def.core_count(),
+        resolved.mix.len(),
+        resolved.descriptor.content_hash
+    );
 }
 
 /// Prints a banner naming the experiment and the scale it runs at.

@@ -82,6 +82,6 @@ pub mod prelude {
     };
     pub use magma_platform::{settings, AcceleratorPlatform, Setting};
     pub use magma_serve::{
-        DispatchConfig, MappingCache, MappingService, Scenario, ServeReport, SimConfig,
+        DispatchConfig, FleetConfig, MappingCache, MappingService, Scenario, ServeReport,
     };
 }

@@ -1,6 +1,8 @@
-//! The six accelerator settings of Table III, their default bandwidths, and
-//! the process-wide runtime knobs (`MAGMA_THREADS`, `MAGMA_SIGNATURE_PROFILE`
-//! and the `MAGMA_SERVE_*` family read by [`ServeKnobs`]).
+//! The six accelerator settings of Table III, their default bandwidths, the
+//! process-wide runtime knobs (`MAGMA_THREADS`, `MAGMA_SIGNATURE_PROFILE`)
+//! and the one typed serving config: the [`ServeKnobs`] ⊂ [`FleetKnobs`] ⊂
+//! [`ServerKnobs`] nest, whose five environment overrides are read by
+//! [`ServerKnobs::from_env`] and nowhere else.
 
 use crate::platform::{AcceleratorPlatform, DEFAULT_LARGE_BW_GBPS, DEFAULT_SMALL_BW_GBPS};
 use magma_cost::{DataflowStyle, SubAccelConfig};
@@ -72,25 +74,19 @@ pub fn flag_or(raw: Option<&str>, default: bool) -> bool {
     }
 }
 
-/// The `MAGMA_SERVE_*` knob family configuring the online serving simulator
-/// (`magma-serve` / the `serve_sim` binary).
+/// The serving knobs every driver shares: trace size, batching, search
+/// budgets, cache geometry, SLA tolerance and seed (`magma-serve` / the
+/// `serve_sim` and `cache_sweep` binaries read this level directly).
+///
+/// Per-scenario values come from a registry scenario file (its `traffic` and
+/// `serving` blocks, applied by `CustomScenario::apply` in `magma-serve`);
+/// two fields can also be set from the environment
+/// ([`ServerKnobs::from_env`]):
 ///
 /// | Variable | Field | Meaning |
 /// |---|---|---|
 /// | `MAGMA_SERVE_REQUESTS` | `requests` | arrivals per simulated scenario |
-/// | `MAGMA_SERVE_GROUP` | `group_target` | dispatch-group size target of the admission batcher |
-/// | `MAGMA_SERVE_MAX_WAIT_X` | `max_wait_x` | admission deadline, in multiples of one mean batch-formation window (`group_target × mean inter-arrival`) |
-/// | `MAGMA_SERVE_CACHE_CAP` | `cache_capacity` | bounded LRU capacity of the signature-keyed mapping cache |
-/// | `MAGMA_SERVE_COLD_BUDGET` | `cold_budget` | sampling budget of a full (cache-miss) MAGMA search |
-/// | `MAGMA_SERVE_REFINE_BUDGET` | `refine_budget` | sampling budget of a cache-hit refinement |
-/// | `MAGMA_SERVE_QUANT` | `quant_step` | log-scale quantization step of the cache key (nats) |
-/// | `MAGMA_SERVE_LOAD` | `offered_load` | offered load relative to the calibrated (unoptimized) service rate |
-/// | `MAGMA_SERVE_SLA_X` | `sla_x` | per-job SLA bound, in multiples of one batch window + calibrated service time |
-/// | `MAGMA_SERVE_OVERHEAD_US` | `overhead_us_per_sample` | virtual mapper cost charged per search sample, in µs |
-/// | `MAGMA_SERVE_SLICE` | `search_slice` | samples per scheduler slice under the Uniform fleet/engine policy |
-/// | `MAGMA_SERVE_CACHE_EPSILON` | `cache_epsilon` | nearest-key cache probe threshold (mean signature distance); `0` = exact-key only |
 /// | `MAGMA_SERVE_CACHE_PATH` | `cache_path` | mapping-cache persistence base path: every driver loads `<path>.shard<i>` (if present) before a run and saves it after — warm restarts; empty/unset disables |
-/// | `MAGMA_SERVE_SEED` | `seed` | trace/search seed |
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeKnobs {
     /// Arrivals per simulated scenario.
@@ -122,8 +118,7 @@ pub struct ServeKnobs {
     /// Nearest-key cache probe threshold: on an exact-key miss, a stored
     /// solution whose signatures are within this mean `JobSignature`
     /// distance of the group's is still served as a (near) hit. `0.0`
-    /// disables the probe (exact-key only — the pre-calibration default,
-    /// one `MAGMA_SERVE_CACHE_EPSILON=0` away).
+    /// disables the probe (exact-key only — the pre-calibration default).
     pub cache_epsilon: f64,
     /// Mapping-cache persistence base path: when set, every driver (the
     /// simulators and the engine) loads shard `i`'s cache from
@@ -160,8 +155,8 @@ impl ServeKnobs {
             // matched quality — mean mapped GFLOP/s per dispatch vs the
             // probe-off run on the same trace — stays ≥ 0.95 (measured
             // 0.993 at a 21% mix-trace hit rate; epsilon 2 already costs
-            // 6–10%). `MAGMA_SERVE_CACHE_EPSILON=0` restores the
-            // exact-key behaviour that shipped before the calibration.
+            // 6–10%). `0` is the exact-key behaviour that shipped before
+            // the calibration.
             cache_epsilon: 1.0,
             cache_path: None,
             seed: 0,
@@ -186,41 +181,13 @@ impl ServeKnobs {
             ..Self::full()
         }
     }
-
-    /// Reads the knob family from the environment on top of the smoke or
-    /// full defaults. Zero values for counts/budgets are clamped to 1 so a
-    /// misconfigured environment can never produce a degenerate simulator.
-    pub fn from_env(smoke: bool) -> Self {
-        let d = if smoke { Self::smoke() } else { Self::full() };
-        ServeKnobs {
-            requests: env_parse("MAGMA_SERVE_REQUESTS", d.requests).max(1),
-            group_target: env_parse("MAGMA_SERVE_GROUP", d.group_target).max(1),
-            max_wait_x: env_parse("MAGMA_SERVE_MAX_WAIT_X", d.max_wait_x).max(0.0),
-            cache_capacity: env_parse("MAGMA_SERVE_CACHE_CAP", d.cache_capacity).max(1),
-            cold_budget: env_parse("MAGMA_SERVE_COLD_BUDGET", d.cold_budget).max(1),
-            refine_budget: env_parse("MAGMA_SERVE_REFINE_BUDGET", d.refine_budget).max(1),
-            quant_step: env_parse("MAGMA_SERVE_QUANT", d.quant_step).max(1e-6),
-            offered_load: env_parse("MAGMA_SERVE_LOAD", d.offered_load).max(1e-3),
-            sla_x: env_parse("MAGMA_SERVE_SLA_X", d.sla_x).max(0.0),
-            overhead_us_per_sample: env_parse("MAGMA_SERVE_OVERHEAD_US", d.overhead_us_per_sample)
-                .max(0.0),
-            search_slice: env_parse("MAGMA_SERVE_SLICE", d.search_slice).max(1),
-            cache_epsilon: env_parse("MAGMA_SERVE_CACHE_EPSILON", d.cache_epsilon).max(0.0),
-            cache_path: std::env::var("MAGMA_SERVE_CACHE_PATH")
-                .ok()
-                .map(|v| v.trim().to_string())
-                .filter(|v| !v.is_empty())
-                .or(d.cache_path),
-            seed: env_parse("MAGMA_SERVE_SEED", d.seed),
-        }
-    }
 }
 
 /// The scheduling policy of the fleet's concurrent session scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum FleetPolicy {
     /// Round-robin over live sessions with a fixed slice
-    /// (`MAGMA_SERVE_SLICE`). No preemption.
+    /// ([`ServeKnobs::search_slice`]). No preemption.
     Uniform,
     /// Earliest-deadline-first session selection with deadline-aware slice
     /// sizing (urgent sessions get big slices, relaxed ones small), plus
@@ -251,23 +218,13 @@ impl std::str::FromStr for FleetPolicy {
     }
 }
 
-/// The `MAGMA_FLEET_*` knob family configuring the multi-shard fleet
-/// simulator (`magma-serve`'s fleet layer / the `fleet_sim` binary), layered
-/// on top of the [`ServeKnobs`] budgets.
+/// The fleet shape of the multi-shard simulator (`magma-serve`'s fleet layer
+/// / the `fleet_sim` binary), layered on top of the [`ServeKnobs`] budgets.
+/// One field can be set from the environment ([`ServerKnobs::from_env`]):
 ///
 /// | Variable | Field | Meaning |
 /// |---|---|---|
-/// | `MAGMA_FLEET_SHARDS` | `shards` | platform shards in the fleet (the bench ladder overrides per rung) |
-/// | `MAGMA_FLEET_SETTINGS` | `shard_settings` | comma list of Table III settings cycled across shards (e.g. `S2,S4`) |
-/// | `MAGMA_FLEET_REQUESTS` | `requests` | arrivals per fleet scenario |
-/// | `MAGMA_FLEET_TENANTS` | `tenants` | synthetic-mix tenant count |
-/// | `MAGMA_FLEET_LOAD` | `offered_load` | offered load relative to **one** calibrated reference shard |
-/// | `MAGMA_FLEET_MAX_LIVE` | `max_live` | concurrent live search sessions per shard mapper |
-/// | `MAGMA_FLEET_POLICY` | `policy` | `uniform` or `deadline` (see [`FleetPolicy`]) |
-/// | `MAGMA_FLEET_MIN_SLICE` | `min_slice` | slice floor for deadline-aware sizing (graceful past-deadline degradation) |
-/// | `MAGMA_FLEET_PREEMPT` | `preempt_margin` | value-preemption threshold: a full shard preempts its least-valuable session for a group ≥ this × its value; `0` disables |
-/// | `MAGMA_FLEET_SHARED_CACHE` | `shared_cache_capacity` | entry capacity of the fleet-wide shared cache tier behind the per-shard caches; `0` disables the tier |
-/// | `MAGMA_FLEET_TENANT_QUOTA` | `shared_tenant_quota` | max shared-tier entries per publishing tenant (its own LRU entry is evicted first); `0` = no quota |
+/// | `MAGMA_FLEET_SHARDS` | `shards` | platform shards in the fleet — the widest rung of the bench ladder |
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetKnobs {
     /// The underlying serving knobs (budgets, cache geometry, group target,
@@ -277,9 +234,10 @@ pub struct FleetKnobs {
     pub serve: ServeKnobs,
     /// Platform shards in the fleet.
     pub shards: usize,
-    /// Table III settings cycled across shards (shard `i` gets
-    /// `shard_settings[i % len]`); a single entry means a homogeneous fleet.
-    pub shard_settings: Vec<Setting>,
+    /// Platforms cycled across shards ([`FleetKnobs::shard_specs`]): Table
+    /// III settings, or the one platform of a registry scenario. A single
+    /// entry means a homogeneous fleet.
+    pub shard_settings: Vec<PlatformSpec>,
     /// Arrivals per fleet scenario.
     pub requests: usize,
     /// Synthetic-mix tenant count (`TenantMix::synthetic` — thousands of
@@ -323,7 +281,7 @@ impl FleetKnobs {
         FleetKnobs {
             serve: ServeKnobs::full(),
             shards: 4,
-            shard_settings: vec![Setting::S2],
+            shard_settings: vec![Setting::S2.into()],
             requests: 20_000,
             tenants: 1_000,
             offered_load: 32.0,
@@ -348,64 +306,33 @@ impl FleetKnobs {
         }
     }
 
-    /// Reads the knob family from the environment on top of the smoke or
-    /// full defaults (including the underlying `MAGMA_SERVE_*` family).
-    /// Counts are clamped to 1 and the settings list to valid Table III
-    /// names, so a misconfigured environment can never produce a degenerate
-    /// fleet.
-    pub fn from_env(smoke: bool) -> Self {
-        let d = if smoke { Self::smoke() } else { Self::full() };
-        let shard_settings = match std::env::var("MAGMA_FLEET_SETTINGS") {
-            Ok(list) => {
-                let parsed: Vec<Setting> =
-                    list.split(',').filter_map(|s| s.trim().parse().ok()).collect();
-                if parsed.is_empty() {
-                    d.shard_settings.clone()
-                } else {
-                    parsed
-                }
-            }
-            Err(_) => d.shard_settings.clone(),
-        };
-        FleetKnobs {
-            serve: ServeKnobs::from_env(smoke),
-            shards: env_parse("MAGMA_FLEET_SHARDS", d.shards).max(1),
-            shard_settings,
-            requests: env_parse("MAGMA_FLEET_REQUESTS", d.requests).max(1),
-            tenants: env_parse("MAGMA_FLEET_TENANTS", d.tenants).max(1),
-            offered_load: env_parse("MAGMA_FLEET_LOAD", d.offered_load).max(1e-3),
-            max_live: env_parse("MAGMA_FLEET_MAX_LIVE", d.max_live).max(1),
-            policy: std::env::var("MAGMA_FLEET_POLICY")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d.policy),
-            min_slice: env_parse("MAGMA_FLEET_MIN_SLICE", d.min_slice).max(1),
-            preempt_margin: env_parse("MAGMA_FLEET_PREEMPT", d.preempt_margin).max(0.0),
-            shared_cache_capacity: env_parse("MAGMA_FLEET_SHARED_CACHE", d.shared_cache_capacity),
-            shared_tenant_quota: env_parse("MAGMA_FLEET_TENANT_QUOTA", d.shared_tenant_quota),
-        }
+    /// The platform of each of `shards` shards: shard `i` gets
+    /// `shard_settings[i % len]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the settings list is empty.
+    pub fn shard_specs(&self, shards: usize) -> Vec<PlatformSpec> {
+        assert!(!self.shard_settings.is_empty(), "the settings list cannot be empty");
+        self.shard_settings.iter().cycle().take(shards).cloned().collect()
     }
 }
 
-/// The `MAGMA_SERVER_*` knob family configuring the wall-clock RPC serving
-/// daemon (`magma-server` / the `magma_server` and `loadgen` binaries),
-/// layered on top of the [`FleetKnobs`] fleet shape (which itself layers on
-/// the [`ServeKnobs`] budgets).
+/// The wall-clock RPC serving daemon's knobs (`magma-server` / the
+/// `magma_server` and `loadgen` binaries) — the outermost level of the one
+/// typed serving config: it embeds the [`FleetKnobs`] fleet shape, which
+/// embeds the [`ServeKnobs`] budgets. Two fields can be set from the
+/// environment ([`ServerKnobs::from_env`]):
 ///
 /// | Variable | Field | Meaning |
 /// |---|---|---|
 /// | `MAGMA_SERVER_ADDR` | `addr` | TCP listen/connect address of the daemon |
-/// | `MAGMA_SERVER_BACKLOG_SEC` | `max_backlog_sec` | admission threshold: a submit is answered `Busy` when every shard's projected mapper backlog (the router's load metric, in seconds) exceeds this |
-/// | `MAGMA_SERVER_PENDING` | `pending_per_shard` | bounded admission queue: planned groups a shard may hold beyond its live sessions before submits bounce |
-/// | `MAGMA_SERVER_TIMEOUT_SEC` | `timeout_sec` | session timeout: a group still searching this long after admission is cancelled via early `finish()` |
-/// | `MAGMA_SERVER_MAX_FRAME` | `max_frame_bytes` | RPC frame size bound; oversized frames are rejected and the connection dropped |
-/// | `MAGMA_SERVER_RATE` | `rate` | loadgen target submission rate, in groups per wall-clock second |
 /// | `MAGMA_SERVER_REQUESTS` | `requests` | loadgen trace length (arrivals replayed over the wire) |
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerKnobs {
     /// The underlying fleet shape: shard count and settings, session
     /// scheduler policy/budgets, dispatch budgets, cache geometry and
-    /// persistence (`MAGMA_SERVE_CACHE_PATH` + `.shard<i>`), shared-tier
+    /// persistence (`cache_path` + `.shard<i>`), shared-tier
     /// size, seed. The daemon reads everything except the virtual-clock
     /// trace knobs (`requests` / `offered_load`), which have no wall-clock
     /// meaning server-side.
@@ -462,26 +389,28 @@ impl ServerKnobs {
         }
     }
 
-    /// Reads the knob family from the environment on top of the smoke or
-    /// full defaults (including the underlying `MAGMA_FLEET_*` and
-    /// `MAGMA_SERVE_*` families). Counts and durations are clamped so a
-    /// misconfigured environment can never produce a degenerate server.
+    /// The smoke or full defaults with the serving environment applied —
+    /// the one place the serving stack reads `MAGMA_*` variables.
     pub fn from_env(smoke: bool) -> Self {
-        let d = if smoke { Self::smoke() } else { Self::full() };
-        ServerKnobs {
-            fleet: FleetKnobs::from_env(smoke),
-            addr: std::env::var("MAGMA_SERVER_ADDR")
-                .ok()
-                .map(|v| v.trim().to_string())
-                .filter(|v| !v.is_empty())
-                .unwrap_or(d.addr),
-            max_backlog_sec: env_parse("MAGMA_SERVER_BACKLOG_SEC", d.max_backlog_sec).max(1e-3),
-            pending_per_shard: env_parse("MAGMA_SERVER_PENDING", d.pending_per_shard).max(1),
-            timeout_sec: env_parse("MAGMA_SERVER_TIMEOUT_SEC", d.timeout_sec).max(1e-3),
-            max_frame_bytes: env_parse("MAGMA_SERVER_MAX_FRAME", d.max_frame_bytes).max(1024),
-            rate: env_parse("MAGMA_SERVER_RATE", d.rate).max(1e-3),
-            requests: env_parse("MAGMA_SERVER_REQUESTS", d.requests).max(1),
-        }
+        let defaults = if smoke { Self::smoke() } else { Self::full() };
+        defaults.with_overrides(|name| std::env::var(name).ok())
+    }
+
+    /// Pure core of [`ServerKnobs::from_env`]: applies the five variables a
+    /// deployment, CI or a test sets, looked up through `var`. Unset or
+    /// unparsable counts keep the field, a zero count clamps to 1 (so no
+    /// environment can produce a degenerate trace or fleet), and an empty
+    /// path or address is ignored.
+    pub fn with_overrides(mut self, var: impl Fn(&str) -> Option<String>) -> Self {
+        let count = |name: &str, default: usize| parse_or(var(name).as_deref(), default).max(1);
+        let text = |name: &str| var(name).map(|v| v.trim().to_string()).filter(|v| !v.is_empty());
+        let fleet = &mut self.fleet;
+        fleet.serve.requests = count("MAGMA_SERVE_REQUESTS", fleet.serve.requests);
+        fleet.serve.cache_path = text("MAGMA_SERVE_CACHE_PATH").or(fleet.serve.cache_path.take());
+        fleet.shards = count("MAGMA_FLEET_SHARDS", fleet.shards);
+        self.addr = text("MAGMA_SERVER_ADDR").unwrap_or(self.addr);
+        self.requests = count("MAGMA_SERVER_REQUESTS", self.requests);
+        self
     }
 }
 
@@ -782,15 +711,11 @@ mod tests {
         assert!(full.refine_budget * 10 <= full.cold_budget);
         assert!(smoke.refine_budget * 10 <= smoke.cold_budget);
         // Since the cache_sweep calibration the nearest-key probe defaults
-        // on (BENCH_cache.json documents the frontier), with exact-key-only
-        // one `MAGMA_SERVE_CACHE_EPSILON=0` away. Persistence stays opt-in.
+        // on (BENCH_cache.json documents the frontier). Persistence stays
+        // opt-in.
         assert!(full.search_slice >= 1);
         assert!(full.cache_epsilon > 0.0 && smoke.cache_epsilon > 0.0);
         assert_eq!(full.cache_path, None);
-        // from_env falls back to the defaults when the knobs are unset (the
-        // ambient test environment never sets MAGMA_SERVE_*).
-        assert_eq!(ServeKnobs::from_env(true), smoke);
-        assert_eq!(ServeKnobs::from_env(false), full);
     }
 
     #[test]
@@ -820,10 +745,11 @@ mod tests {
         assert!(full.shared_cache_capacity > full.serve.cache_capacity);
         assert!(smoke.shared_cache_capacity > smoke.serve.cache_capacity);
         assert!(full.shared_tenant_quota > 0 && smoke.shared_tenant_quota > 0);
-        // from_env falls back to the defaults when the knobs are unset (the
-        // ambient test environment never sets MAGMA_FLEET_*).
-        assert_eq!(FleetKnobs::from_env(true), smoke);
-        assert_eq!(FleetKnobs::from_env(false), full);
+        // Shards cycle the settings list.
+        let duo =
+            FleetKnobs { shard_settings: vec![Setting::S2.into(), Setting::S4.into()], ..full };
+        let labels: Vec<String> = duo.shard_specs(3).iter().map(|s| s.label()).collect();
+        assert_eq!(labels, ["S2", "S4", "S2"]);
     }
 
     #[test]
@@ -839,10 +765,63 @@ mod tests {
         assert!(full.pending_per_shard >= 1 && smoke.pending_per_shard >= 1);
         // A frame must comfortably hold a serialized dispatch group.
         assert!(full.max_frame_bytes >= 1024 * 1024);
-        // from_env falls back to the defaults when the knobs are unset (the
-        // ambient test environment never sets MAGMA_SERVER_*).
+        // from_env falls back to the defaults when the variables are unset
+        // (the ambient test environment never sets the serving five).
         assert_eq!(ServerKnobs::from_env(true), smoke);
         assert_eq!(ServerKnobs::from_env(false), full);
+    }
+
+    /// A lookup over literal `(name, value)` pairs — the override pass is
+    /// tested without touching the process environment.
+    fn vars(pairs: &'static [(&'static str, &'static str)]) -> impl Fn(&str) -> Option<String> {
+        move |name| pairs.iter().find(|(k, _)| *k == name).map(|(_, v)| v.to_string())
+    }
+
+    #[test]
+    fn each_surviving_variable_lands_in_its_field_on_both_scales() {
+        for base in [ServerKnobs::smoke(), ServerKnobs::full()] {
+            let set = base.clone().with_overrides(vars(&[
+                ("MAGMA_SERVE_REQUESTS", "24"),
+                ("MAGMA_SERVE_CACHE_PATH", " rpc-cache/cache.json "),
+                ("MAGMA_FLEET_SHARDS", "7"),
+                ("MAGMA_SERVER_ADDR", "127.0.0.1:0"),
+                ("MAGMA_SERVER_REQUESTS", " 48 "),
+            ]));
+            let mut expect = base.clone();
+            expect.fleet.serve.requests = 24;
+            expect.fleet.serve.cache_path = Some("rpc-cache/cache.json".into());
+            expect.fleet.shards = 7;
+            expect.addr = "127.0.0.1:0".into();
+            expect.requests = 48;
+            assert_eq!(set, expect, "every other field keeps its default");
+            assert_eq!(base.clone().with_overrides(vars(&[])), base);
+        }
+    }
+
+    #[test]
+    fn malformed_zero_and_empty_overrides_cannot_degenerate_the_knobs() {
+        let base = ServerKnobs::smoke();
+        let malformed = base.clone().with_overrides(vars(&[
+            ("MAGMA_SERVE_REQUESTS", "many"),
+            ("MAGMA_FLEET_SHARDS", "-2"),
+            ("MAGMA_SERVER_REQUESTS", "4.5"),
+            ("MAGMA_SERVE_CACHE_PATH", "   "),
+            ("MAGMA_SERVER_ADDR", ""),
+        ]));
+        assert_eq!(malformed, base, "unparsable counts and empty text fall back");
+        let zero = base.clone().with_overrides(vars(&[
+            ("MAGMA_SERVE_REQUESTS", "0"),
+            ("MAGMA_FLEET_SHARDS", "0"),
+            ("MAGMA_SERVER_REQUESTS", "0"),
+        ]));
+        assert_eq!(zero.fleet.serve.requests, 1);
+        assert_eq!(zero.fleet.shards, 1);
+        assert_eq!(zero.requests, 1);
+        // An empty path does not clear one already configured.
+        let mut pathed = base;
+        pathed.fleet.serve.cache_path = Some("kept".into());
+        let kept = pathed.clone().with_overrides(vars(&[("MAGMA_SERVE_CACHE_PATH", "")]));
+        assert_eq!(kept, pathed);
     }
 
     #[test]

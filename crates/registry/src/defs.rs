@@ -412,12 +412,12 @@ pub struct TrafficDef {
     /// Arrival process: `poisson` / `bursty` / `drift`
     /// (see [`parse_process`]).
     pub process: String,
-    /// Trace length override; `null` inherits `MAGMA_SERVE_REQUESTS`.
+    /// Trace length override; `null` inherits the `requests` knob.
     pub requests: Option<usize>,
     /// Offered-load override (fraction of ideal service rate); `null`
-    /// inherits `MAGMA_SERVE_LOAD`.
+    /// inherits the `offered_load` knob.
     pub offered_load: Option<f64>,
-    /// Seed override; `null` inherits `MAGMA_SERVE_SEED`.
+    /// Seed override; `null` inherits the `seed` knob.
     pub seed: Option<u64>,
 }
 
@@ -452,21 +452,20 @@ impl TrafficDef {
 /// The optional serving block of a [`ScenarioDef`]: cache/dispatch knobs a
 /// scenario pins so it carries its *full* serving configuration, not just
 /// workload and traffic. Every field is optional — `null` inherits the
-/// ambient `MAGMA_SERVE_*` knobs, so the same file still runs at smoke and
-/// full scale.
+/// `ServeKnobs` default, so the same file still runs at smoke and full
+/// scale.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServingDef {
     /// Near-hit probe threshold override (mean per-job signature distance);
-    /// `0` disables the probe. `null` inherits `MAGMA_SERVE_CACHE_EPSILON`.
+    /// `0` disables the probe. `null` inherits `cache_epsilon`.
     pub cache_epsilon: Option<f64>,
     /// Refine-budget override for cache hits; `null` inherits
-    /// `MAGMA_SERVE_REFINE_BUDGET`.
+    /// `refine_budget`.
     pub refine_budget: Option<usize>,
     /// Signature-key quantization step override; `null` inherits
-    /// `MAGMA_SERVE_QUANT`.
+    /// `quant_step`.
     pub quant_step: Option<f64>,
-    /// Uniform SLA bound multiplier override; `null` inherits
-    /// `MAGMA_SERVE_SLA_X`.
+    /// Uniform SLA bound multiplier override; `null` inherits `sla_x`.
     pub sla_x: Option<f64>,
 }
 

@@ -68,9 +68,10 @@ pub struct ResolvedScenario {
 }
 
 impl ResolvedScenario {
-    /// The [`CustomScenario`] value the serving entry points
-    /// (`run_custom_scenario` / `run_fleet_custom` /
-    /// `run_cache_sweep_custom`) consume.
+    /// The [`CustomScenario`] value the serving stack consumes: its
+    /// overrides through `CustomScenario::apply`, the rest through
+    /// `run_custom_scenario` / `run_fleet_custom` /
+    /// `run_cache_sweep_custom`.
     pub fn custom(&self) -> CustomScenario {
         CustomScenario {
             name: self.name.clone(),

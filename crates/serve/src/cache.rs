@@ -376,13 +376,13 @@ impl Deserialize for MappingCache {
 }
 
 /// The fleet-wide shared cache tier sitting *behind* the per-shard
-/// [`MappingCache`]s (`MAGMA_FLEET_SHARED_CACHE`).
+/// [`MappingCache`]s (`FleetKnobs::shared_cache_capacity`).
 ///
 /// A shard that misses its own cache falls through to this tier, so a
 /// mapping solved on shard 2 warms a recurrence routed to shard 0 —
 /// previously only the router's sticky affinity kept warm state reachable.
 /// Inserts publish to both tiers. On top of the shared LRU sits a
-/// **per-tenant quota** (`MAGMA_FLEET_TENANT_QUOTA`): each publishing
+/// **per-tenant quota** (`shared_tenant_quota`): each publishing
 /// tenant may hold at most that many shared entries, so one chatty tenant
 /// cannot monopolise the fleet tier; its own least recently used entry is
 /// evicted first.

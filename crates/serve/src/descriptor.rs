@@ -11,6 +11,7 @@
 
 use crate::trace::Scenario;
 use magma_model::TenantMix;
+use magma_platform::settings::ServerKnobs;
 use magma_platform::PlatformSpec;
 use serde::{Deserialize, Serialize, Value};
 
@@ -108,8 +109,9 @@ impl ScenarioDescriptor {
 
 /// A fully resolved, data-driven scenario ready to run: everything the
 /// hardcoded ladders derive from their names, as one value. Built by the
-/// scenario registry (`magma-registry`) from a scenario file; consumed by
-/// [`crate::report::run_custom_scenario`],
+/// scenario registry (`magma-registry`) from a scenario file; its overrides
+/// reach the knobs through [`CustomScenario::apply`], its mix, platform and
+/// descriptor through [`crate::report::run_custom_scenario`],
 /// [`crate::fleet::run_fleet_custom`] and
 /// [`crate::sweep::run_cache_sweep_custom`].
 #[derive(Debug, Clone, PartialEq)]
@@ -122,19 +124,19 @@ pub struct CustomScenario {
     pub mix: TenantMix,
     /// The platform to serve on (every fleet shard gets a copy).
     pub platform: PlatformSpec,
-    /// Trace-length override; `None` inherits the knob default.
+    /// Trace-length override; `None` inherits the knob.
     pub requests: Option<usize>,
-    /// Offered-load override; `None` inherits the knob default.
+    /// Offered-load override; `None` inherits the knob.
     pub offered_load: Option<f64>,
-    /// Seed override; `None` inherits the knob default.
+    /// Seed override; `None` inherits the knob.
     pub seed: Option<u64>,
-    /// Near-hit epsilon override (`MAGMA_SERVE_CACHE_EPSILON` otherwise).
+    /// Near-hit epsilon override; `None` inherits the knob.
     pub cache_epsilon: Option<f64>,
-    /// Refine-budget override (`MAGMA_SERVE_REFINE_BUDGET` otherwise).
+    /// Refine-budget override; `None` inherits the knob.
     pub refine_budget: Option<usize>,
-    /// Quantization-step override (`MAGMA_SERVE_QUANT` otherwise).
+    /// Quantization-step override; `None` inherits the knob.
     pub quant_step: Option<f64>,
-    /// SLA-multiplier override (`MAGMA_SERVE_SLA_X` otherwise).
+    /// SLA-multiplier override; `None` inherits the knob.
     pub sla_x: Option<f64>,
     /// The self-describing descriptor embedded in any report this scenario
     /// produces.
@@ -142,27 +144,31 @@ pub struct CustomScenario {
 }
 
 impl CustomScenario {
-    /// The serving knobs with this scenario's pinned serving configuration
-    /// applied: each `Some` override replaces the corresponding knob, every
-    /// `None` inherits — the single place scenario-pinned cache/SLA knobs
-    /// meet the ambient `MAGMA_SERVE_*` environment.
-    pub fn apply_serving(
-        &self,
-        knobs: &magma_platform::settings::ServeKnobs,
-    ) -> magma_platform::settings::ServeKnobs {
-        let mut knobs = knobs.clone();
-        if let Some(eps) = self.cache_epsilon {
-            knobs.cache_epsilon = eps;
+    /// Resolves this scenario onto the knob nest — the single place a
+    /// scenario file meets the defaults and the environment
+    /// ([`ServerKnobs::from_env`]). Each pinned value replaces its knob at
+    /// every level that carries one (the trace length and offered load
+    /// exist per driver), every `None` inherits, and the platform becomes
+    /// the fleet's only shard setting. Drivers build their configs from the
+    /// result and patch nothing afterwards.
+    pub fn apply(&self, mut knobs: ServerKnobs) -> ServerKnobs {
+        if let Some(requests) = self.requests {
+            knobs.requests = requests;
+            knobs.fleet.requests = requests;
+            knobs.fleet.serve.requests = requests;
         }
-        if let Some(refine) = self.refine_budget {
-            knobs.refine_budget = refine;
+        let fleet = &mut knobs.fleet;
+        if let Some(load) = self.offered_load {
+            fleet.offered_load = load;
+            fleet.serve.offered_load = load;
         }
-        if let Some(quant) = self.quant_step {
-            knobs.quant_step = quant;
-        }
-        if let Some(sla_x) = self.sla_x {
-            knobs.sla_x = sla_x;
-        }
+        fleet.shard_settings = vec![self.platform.clone()];
+        let serve = &mut fleet.serve;
+        serve.seed = self.seed.unwrap_or(serve.seed);
+        serve.cache_epsilon = self.cache_epsilon.unwrap_or(serve.cache_epsilon);
+        serve.refine_budget = self.refine_budget.unwrap_or(serve.refine_budget);
+        serve.quant_step = self.quant_step.unwrap_or(serve.quant_step);
+        serve.sla_x = self.sla_x.unwrap_or(serve.sla_x);
         knobs
     }
 }
@@ -201,6 +207,60 @@ mod tests {
         let mut unnamed = d;
         unnamed.name = "  ".into();
         assert!(unnamed.validate().is_err());
+    }
+
+    /// What the binaries print in their banners is what the reports record:
+    /// every pinned value lands in the resolved knobs, and each driver's
+    /// report repeats the resolved knob, not a pre-override default.
+    #[test]
+    fn reports_record_the_knobs_apply_resolved() {
+        use crate::fleet::run_fleet_custom;
+        use crate::report::run_custom_scenario;
+        use crate::sweep::run_cache_sweep_custom;
+        use magma_platform::settings::{FleetKnobs, ServeKnobs};
+        use magma_platform::Setting;
+
+        let custom = CustomScenario {
+            name: "pinned".into(),
+            scenario: Scenario::Bursty,
+            mix: TenantMix::standard(),
+            platform: Setting::S1.into(),
+            requests: Some(24),
+            offered_load: Some(3.0),
+            seed: Some(5),
+            cache_epsilon: Some(2.5),
+            refine_budget: None,
+            quant_step: None,
+            sla_x: Some(1.5),
+            descriptor: ScenarioDescriptor::new("registry", "pinned", Value::Null),
+        };
+        let serve = ServeKnobs { group_target: 6, cold_budget: 30, ..ServeKnobs::smoke() };
+        let fleet = FleetKnobs { serve, shards: 2, max_live: 2, ..FleetKnobs::smoke() };
+        let knobs = custom.apply(ServerKnobs { fleet, ..ServerKnobs::smoke() });
+        let (fleet, serve) = (&knobs.fleet, &knobs.fleet.serve);
+        assert_eq!((knobs.requests, fleet.requests, serve.requests), (24, 24, 24));
+        assert_eq!((fleet.offered_load, serve.offered_load), (3.0, 3.0));
+        assert_eq!((serve.seed, serve.cache_epsilon, serve.sla_x), (5, 2.5, 1.5));
+        assert_eq!(serve.refine_budget, ServeKnobs::smoke().refine_budget, "unpinned inherits");
+        assert_eq!(fleet.shard_specs(2), vec![custom.platform.clone(); 2]);
+
+        let report = run_custom_scenario(serve, true, &custom);
+        assert_eq!(report.seed, serve.seed);
+        assert_eq!(report.scenarios[0].requests, serve.requests);
+        assert_eq!(report.scenarios[0].metrics.jobs, serve.requests);
+
+        let report = run_fleet_custom(fleet, true, &custom);
+        assert_eq!((report.requests, report.seed), (fleet.requests, serve.seed));
+        assert_eq!(report.scenarios[0].offered_load, fleet.offered_load);
+        assert_eq!(report.scenarios[0].sla_x, serve.sla_x);
+        assert!(report.scenarios[0]
+            .rungs
+            .iter()
+            .all(|r| r.shard_settings.iter().all(|s| s == "S1")));
+
+        let report = run_cache_sweep_custom(serve, true, false, &custom);
+        assert_eq!((report.requests, report.seed), (serve.requests, serve.seed));
+        assert_eq!(report.default_epsilon, serve.cache_epsilon);
     }
 
     #[test]

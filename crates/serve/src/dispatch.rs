@@ -97,7 +97,7 @@ impl DispatchConfig {
         }
     }
 
-    /// The budgets and cache geometry of the `MAGMA_SERVE_*` knob family,
+    /// The budgets and cache geometry of the serving knobs,
     /// nearest-key probe included.
     pub fn from_knobs(knobs: &ServeKnobs) -> Self {
         DispatchConfig::new(

@@ -61,9 +61,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 
-/// The full parameter set of a wall-clock engine, derived from the
-/// `MAGMA_SERVER_*` + `MAGMA_FLEET_*` + `MAGMA_SERVE_*` knob families by
-/// [`EngineConfig::from_knobs`].
+/// The full parameter set of a wall-clock engine, derived from the knob
+/// nest by [`EngineConfig::from_knobs`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// One platform spec per shard.
@@ -107,17 +106,15 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Builds a config from the `MAGMA_SERVER_*` knob family (which embeds
-    /// the fleet and serving knobs). The batcher's admission deadline is
+    /// Builds a config from the server knobs (which embed the fleet and
+    /// serving knobs). The batcher's admission deadline is
     /// expressed in wall-clock terms by pricing one batch window at the
     /// server's target rate: `max_wait_x × group_target / rate` seconds.
     pub fn from_knobs(knobs: &ServerKnobs) -> Self {
         let fleet = &knobs.fleet;
         let serve = &fleet.serve;
         EngineConfig {
-            shard_settings: (0..fleet.shards)
-                .map(|s| fleet.shard_settings[s % fleet.shard_settings.len()].into())
-                .collect(),
+            shard_settings: fleet.shard_specs(fleet.shards),
             group_target: serve.group_target,
             max_wait_sec: serve.max_wait_x * serve.group_target as f64 / knobs.rate,
             overhead_sec_per_sample: serve.overhead_us_per_sample * 1e-6,

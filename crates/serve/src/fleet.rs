@@ -2,7 +2,7 @@
 //! each multiplexing many live searches through a concurrent session
 //! scheduler.
 //!
-//! A fleet is `MAGMA_FLEET_SHARDS` independent **shards** — each a full
+//! A fleet is `FleetKnobs::shards` independent **shards** — each a full
 //! platform with its own mapper clock, accelerator timeline, mapping cache
 //! and [`SessionScheduler`](crate::scheduler::SessionScheduler) — fed from
 //! one global admission batcher:
@@ -24,8 +24,8 @@
 //! knob permitting) a live session cheap enough to value-preempt.
 //!
 //! Behind the per-shard caches sits an optional fleet-wide **shared cache
-//! tier** (`MAGMA_FLEET_SHARED_CACHE` entries, per-tenant quota
-//! `MAGMA_FLEET_TENANT_QUOTA`): a shard miss falls through to the tier
+//! tier** (`shared_cache_capacity` entries, per-tenant quota
+//! `shared_tenant_quota`): a shard miss falls through to the tier
 //! before cold-searching, every completed session publishes its mapping to
 //! both its shard cache and the tier, and the router places tier-held keys
 //! purely by load ([`crate::router::ShardRouter::place_balanced`]) since
@@ -37,7 +37,7 @@
 //! start, so fleet restarts begin warm.
 //!
 //! This is the one virtual-clock serving loop: the single-queue simulator
-//! ([`crate::sim::simulate`]) is this loop at one shard, the Uniform
+//! ([`FleetConfig::single_queue`]) is this loop at one shard, the Uniform
 //! policy, one live session and one step per search. The shard machinery
 //! itself — route, plan, step, complete, publish, persist — is the
 //! crate-private shard core the wall-clock [`crate::engine`] runs on too;
@@ -52,7 +52,7 @@
 //! tenants) is scheduled under a seeded random mapping, and its per-job
 //! makespan share becomes the unit the mean inter-arrival gap is derived
 //! from. This keeps one knob meaningful across platforms from S1 to S6, and
-//! `MAGMA_FLEET_LOAD=2.5` means "2.5× what one shard sustains": the
+//! an offered load of 2.5 means "2.5× what one shard sustains": the
 //! one-shard rung of the [`FleetReport`] ladder drowns and the ladder's
 //! throughput climbs with the shard count — the scaling headline
 //! `BENCH_fleet.json` exists to track. The per-job SLA bound is `sla_x ×
@@ -70,7 +70,7 @@ use crate::shards::{group_value, Completed, ShardSet};
 use crate::trace::{generate_trace, Arrival, Scenario, TraceParams};
 use magma_m3e::{M3e, Mapping, Objective};
 use magma_model::{Group, JobId, TenantMix};
-use magma_platform::settings::{FleetKnobs, FleetPolicy};
+use magma_platform::settings::{FleetKnobs, FleetPolicy, ServeKnobs};
 use magma_platform::{AcceleratorPlatform, PlatformSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,9 +80,9 @@ use std::path::PathBuf;
 /// The full parameter set of one fleet run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
-    /// One platform spec per shard (shard count = length; heterogeneous
-    /// mixes cycle `MAGMA_FLEET_SETTINGS`; registry scenarios may supply
-    /// fully custom platforms). Shard 0 is the load-calibration reference.
+    /// One platform spec per shard (shard count = length; the knobs'
+    /// settings list cycled — Table III settings or a registry scenario's
+    /// custom platform). Shard 0 is the load-calibration reference.
     pub shard_settings: Vec<PlatformSpec>,
     /// The traffic scenario.
     pub scenario: Scenario,
@@ -108,8 +108,8 @@ pub struct FleetConfig {
     pub shared_cache_capacity: usize,
     /// Per-tenant entry quota over the shared tier; `0` means unlimited.
     pub shared_tenant_quota: usize,
-    /// Mapping-cache persistence base path (`MAGMA_SERVE_CACHE_PATH`): each
-    /// shard loads/saves `<path>.shard<i>`. `None` keeps caches in-memory.
+    /// Mapping-cache persistence base path: each shard loads/saves
+    /// `<path>.shard<i>`. `None` keeps caches in-memory.
     pub cache_path: Option<PathBuf>,
     /// Scheduler policy.
     pub policy: FleetPolicy,
@@ -135,15 +135,12 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// Builds a config from the `MAGMA_FLEET_*` knob family for `shards`
-    /// shards (cycling the settings list) under the given scenario.
+    /// Builds a config from the fleet knobs for `shards` shards (cycling
+    /// the settings list) under the given scenario.
     pub fn from_knobs(knobs: &FleetKnobs, shards: usize, scenario: Scenario) -> Self {
         assert!(shards > 0, "a fleet needs at least one shard");
-        assert!(!knobs.shard_settings.is_empty(), "the settings list cannot be empty");
         FleetConfig {
-            shard_settings: (0..shards)
-                .map(|s| knobs.shard_settings[s % knobs.shard_settings.len()].into())
-                .collect(),
+            shard_settings: knobs.shard_specs(shards),
             scenario,
             requests: knobs.requests,
             group_target: knobs.serve.group_target,
@@ -164,6 +161,34 @@ impl FleetConfig {
             mapper_pressure: 0.0,
             seed: knobs.serve.seed,
         }
+    }
+
+    /// The single-queue simulator as the degenerate fleet it is: one
+    /// `platform` shard under the Uniform policy with one live session, no
+    /// shared tier and no preemption — one mapper, one accelerator, a
+    /// group's search hidden behind the previous group's execution. Trace
+    /// length and offered load are the serving knobs' own.
+    pub fn single_queue(knobs: &ServeKnobs, platform: PlatformSpec, scenario: Scenario) -> Self {
+        let degenerate = FleetKnobs {
+            // One scheduler step per search: with a single live session the
+            // slice size cannot change any result (the session-stepping
+            // invariant, `tests/integration_sessions.rs`), so the knob is
+            // not an input here.
+            serve: ServeKnobs { search_slice: usize::MAX, ..knobs.clone() },
+            shards: 1,
+            shard_settings: vec![platform],
+            requests: knobs.requests,
+            // Sizes the synthetic mix only; a config does not read it.
+            tenants: 1,
+            offered_load: knobs.offered_load,
+            max_live: 1,
+            policy: FleetPolicy::Uniform,
+            min_slice: 1,
+            preempt_margin: 0.0,
+            shared_cache_capacity: 0,
+            shared_tenant_quota: 0,
+        };
+        Self::from_knobs(&degenerate, 1, scenario)
     }
 
     /// Number of shards (the settings list's length).
@@ -461,8 +486,8 @@ pub struct FleetRung {
     /// Fleet-wide cache counters (summed over shards).
     pub cache: crate::metrics::CacheReport,
     /// Shared cache tier counters — disjoint from `cache`: a tier-served
-    /// dispatch is a shard miss *and* a tier hit. All zero when
-    /// `MAGMA_FLEET_SHARED_CACHE=0`.
+    /// dispatch is a shard miss *and* a tier hit. All zero when the tier is
+    /// disabled.
     pub shared: crate::metrics::CacheReport,
     /// Fleet-wide dispatch/budget/quality summary.
     pub dispatch: crate::metrics::DispatchSummary,
@@ -626,8 +651,8 @@ impl FleetReport {
 /// The standard fleet scenario set.
 ///
 /// * `fleet_mix` — the scaling headline: a large synthetic tenant mix at an
-///   offered load that overloads one shard (`MAGMA_FLEET_LOAD`, default
-///   2.5×), under the configured policy.
+///   offered load that overloads one shard (`FleetKnobs::offered_load`),
+///   under the configured policy.
 /// * `deadline_pressure` — the preemption stress: 1.5× that load with the
 ///   SLA tolerance cut to a third and the mapper oversubscribed 1.5×
 ///   ([`FleetConfig::mapper_pressure`]), always under the Deadline policy
@@ -661,27 +686,27 @@ pub fn shard_ladder(knobs: &FleetKnobs, smoke: bool) -> Vec<usize> {
     ladder
 }
 
-/// Runs one scenario template over the shard ladder, building each rung's
-/// shard list through `shard_spec` (cycled knob settings for the builtin
-/// ladders, one registry platform per shard for `--scenario` runs).
+/// Runs one scenario template over the shard ladder, each rung cycling the
+/// knobs' settings list over its shard count.
 fn run_scenario_ladder(
     name: &str,
     template: &FleetConfig,
+    knobs: &FleetKnobs,
     ladder: &[usize],
     mix: &TenantMix,
-    shard_spec: &dyn Fn(usize) -> PlatformSpec,
 ) -> FleetScenarioResult {
     let mut rungs = Vec::with_capacity(ladder.len());
     let mut base_jobs_per_sec = 0.0f64;
     for &shards in ladder {
-        let mut config = template.clone();
-        config.shard_settings = (0..shards).map(shard_spec).collect();
-        // Every rung of the ladder starts cold: a persistence file
-        // (`MAGMA_SERVE_CACHE_PATH`) would leak shard caches from
-        // rung to rung and scenario to scenario, invalidating the
-        // scaling comparison. Warm fleet restarts are exercised by
-        // `fleet_simulate` callers and the integration suite.
-        config.cache_path = None;
+        // Every rung of the ladder starts cold: a persistence file would
+        // leak shard caches from rung to rung and scenario to scenario,
+        // invalidating the scaling comparison. Warm fleet restarts are
+        // exercised by `fleet_simulate` callers and the integration suite.
+        let config = FleetConfig {
+            shard_settings: knobs.shard_specs(shards),
+            cache_path: None,
+            ..template.clone()
+        };
         let result = fleet_simulate(&config, mix);
         if rungs.is_empty() {
             base_jobs_per_sec = result.metrics.jobs_per_sec;
@@ -705,7 +730,7 @@ fn builtin_fleet_descriptor(knobs: &FleetKnobs, ladder: &[usize]) -> ScenarioDes
         ("ladder".into(), Value::Seq(ladder.iter().map(|&s| Value::U64(s as u64)).collect())),
         (
             "shard_settings".into(),
-            Value::Seq(knobs.shard_settings.iter().map(|s| Value::Str(s.to_string())).collect()),
+            Value::Seq(knobs.shard_settings.iter().map(|s| Value::Str(s.label())).collect()),
         ),
         ("tenants".into(), Value::U64(knobs.tenants as u64)),
         ("requests".into(), Value::U64(knobs.requests as u64)),
@@ -726,24 +751,28 @@ fn builtin_fleet_descriptor(knobs: &FleetKnobs, ladder: &[usize]) -> ScenarioDes
     ScenarioDescriptor::new("builtin", "fleet_ladder", params)
 }
 
-/// Runs the fleet scenario set over the shard ladder and assembles the
-/// report.
-pub fn run_fleet_ladder(knobs: &FleetKnobs, smoke: bool) -> FleetReport {
+/// Runs scenario templates over the shard ladder and assembles the report —
+/// shared by the builtin and registry paths, which differ only in the
+/// templates, the mix and the descriptor.
+fn run_ladders(
+    knobs: &FleetKnobs,
+    smoke: bool,
+    templates: &[(&str, FleetConfig)],
+    mix: &TenantMix,
+    descriptor: ScenarioDescriptor,
+) -> FleetReport {
     let ladder = shard_ladder(knobs, smoke);
-    let mix = TenantMix::synthetic(knobs.tenants, knobs.serve.seed);
-    let shard_spec =
-        |s: usize| PlatformSpec::from(knobs.shard_settings[s % knobs.shard_settings.len()]);
-    let scenarios = fleet_scenarios(knobs)
-        .into_iter()
-        .map(|(name, template)| run_scenario_ladder(name, &template, &ladder, &mix, &shard_spec))
+    let scenarios = templates
+        .iter()
+        .map(|(name, template)| run_scenario_ladder(name, template, knobs, &ladder, mix))
         .collect();
     FleetReport {
         schema: FLEET_SCHEMA.to_string(),
         mode: if smoke { "smoke" } else { "full" }.to_string(),
         seed: knobs.serve.seed,
-        scenario_descriptor: builtin_fleet_descriptor(knobs, &ladder),
+        scenario_descriptor: descriptor,
         shard_ladder: ladder,
-        tenants: knobs.tenants,
+        tenants: mix.tenants().len(),
         requests: knobs.requests,
         max_live: knobs.max_live,
         min_slice: knobs.min_slice,
@@ -752,42 +781,31 @@ pub fn run_fleet_ladder(knobs: &FleetKnobs, smoke: bool) -> FleetReport {
     }
 }
 
-/// Runs one registry-defined scenario over the shard ladder: every shard is
-/// a copy of the scenario's platform, the trace is drawn from its tenant
-/// mix, and the report embeds its descriptor. Knob-level ladder shape
-/// (shard counts, session scheduler, budgets) still comes from `knobs`;
-/// the scenario's optional `requests` / `offered_load` / `seed` override the
-/// knob defaults.
+/// Runs the fleet scenario set over the shard ladder and assembles the
+/// report.
+pub fn run_fleet_ladder(knobs: &FleetKnobs, smoke: bool) -> FleetReport {
+    let mix = TenantMix::synthetic(knobs.tenants, knobs.serve.seed);
+    let descriptor = builtin_fleet_descriptor(knobs, &shard_ladder(knobs, smoke));
+    run_ladders(knobs, smoke, &fleet_scenarios(knobs), &mix, descriptor)
+}
+
+/// Runs one registry-defined scenario over the shard ladder: the trace is
+/// drawn from its tenant mix and the report embeds its descriptor. `knobs`
+/// are the resolved ones ([`CustomScenario::apply`]): every shard is a copy
+/// of the scenario's platform, and its pinned trace length, offered load,
+/// seed and serving block are already in place.
+///
+/// # Panics
+///
+/// Panics if the scenario was not resolved onto `knobs` first.
 pub fn run_fleet_custom(knobs: &FleetKnobs, smoke: bool, custom: &CustomScenario) -> FleetReport {
-    let mut knobs = knobs.clone();
-    knobs.serve = custom.apply_serving(&knobs.serve);
-    let knobs = &knobs;
-    let ladder = shard_ladder(knobs, smoke);
-    let mut template = FleetConfig::from_knobs(knobs, knobs.shards, custom.scenario);
-    if let Some(requests) = custom.requests {
-        template.requests = requests;
-    }
-    if let Some(load) = custom.offered_load {
-        template.offered_load = load;
-    }
-    if let Some(seed) = custom.seed {
-        template.seed = seed;
-    }
-    let shard_spec = |_s: usize| custom.platform.clone();
-    let scenario = run_scenario_ladder(&custom.name, &template, &ladder, &custom.mix, &shard_spec);
-    FleetReport {
-        schema: FLEET_SCHEMA.to_string(),
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
-        seed: template.seed,
-        scenario_descriptor: custom.descriptor.clone(),
-        shard_ladder: ladder,
-        tenants: custom.mix.tenants().len(),
-        requests: template.requests,
-        max_live: knobs.max_live,
-        min_slice: knobs.min_slice,
-        preempt_margin: knobs.preempt_margin,
-        scenarios: vec![scenario],
-    }
+    assert!(
+        knobs.shard_settings == std::slice::from_ref(&custom.platform),
+        "resolve the scenario onto the knobs first (CustomScenario::apply)"
+    );
+    let template = FleetConfig::from_knobs(knobs, knobs.shards, custom.scenario);
+    let templates = [(custom.name.as_str(), template)];
+    run_ladders(knobs, smoke, &templates, &custom.mix, custom.descriptor.clone())
 }
 
 /// Folds one run into its ladder rung.

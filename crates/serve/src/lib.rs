@@ -32,10 +32,11 @@
 //! * [`dispatch`] — cold search vs adapt-then-refine as *steppable plans*
 //!   (plan → session → complete), both through the parallel batch evaluator
 //!   (`magma_optim::parallel`).
-//! * [`sim`] — the single-queue simulator: one mapper, one accelerator, a
-//!   group's search (a `magma_optim` [`SessionState`](magma_optim::SessionState),
-//!   mapper cost charged from measured per-step samples) hidden behind the
-//!   previous group's execution. A thin driver over the 1-shard [`fleet`].
+//! * [`FleetConfig::single_queue`] — the single-queue simulator: one
+//!   mapper, one accelerator, a group's search (a `magma_optim`
+//!   [`SessionState`](magma_optim::SessionState), mapper cost charged from
+//!   measured per-step samples) hidden behind the previous group's
+//!   execution. Not a second loop: a config of the 1-shard [`fleet`].
 //! * [`metrics`] — the latency/throughput/SLA pipeline, with per-tenant SLA
 //!   contracts.
 //! * [`report`] — the schema-stable `BENCH_serve.json` contract
@@ -48,7 +49,10 @@
 //! * [`descriptor`] — the self-describing
 //!   [`ScenarioDescriptor`] every report
 //!   embeds, and the [`CustomScenario`] value
-//!   the scenario registry (`magma-registry`) resolves scenario files into.
+//!   the scenario registry (`magma-registry`) resolves scenario files into
+//!   — [`CustomScenario::apply`] is the one place its overrides meet the
+//!   knob nest (`ServeKnobs` ⊂ `FleetKnobs` ⊂ `ServerKnobs`), the one typed
+//!   serving config every driver builds from.
 //!
 //! # Fleet serving
 //!
@@ -81,7 +85,7 @@
 //!
 //! # Determinism
 //!
-//! A simulation is a pure function of `(SimConfig, TenantMix)`: virtual
+//! A simulation is a pure function of `(FleetConfig, TenantMix)`: virtual
 //! clock only, seeded RNG only, and candidate evaluation through the
 //! order-stable parallel batch oracle — so `BENCH_serve.json` is
 //! bit-identical at every `MAGMA_THREADS` setting (locked down by
@@ -114,7 +118,8 @@ pub mod report;
 pub mod router;
 pub mod scheduler;
 mod shards;
-pub mod sim;
+#[cfg(test)]
+mod sim;
 pub mod sweep;
 pub mod trace;
 
@@ -132,7 +137,6 @@ pub use report::{run_custom_scenario, run_standard_scenarios, ServeReport, SCHEM
 pub use router::{RouterStats, ShardRouter};
 pub use scheduler::{SchedStats, SchedulerConfig, SessionScheduler};
 pub use shards::shard_cache_file;
-pub use sim::{simulate, SimConfig};
 pub use sweep::{
     run_cache_sweep, run_cache_sweep_custom, write_cache_json, CacheSweepReport, CACHE_SCHEMA,
 };

@@ -81,7 +81,7 @@ pub struct TenantReport {
     /// baseline scaled by the tenant's contracted multiplier.
     pub sla_sec: f64,
     /// The tenant's SLA contract multiplier (1.0 when uncontracted, i.e.
-    /// the uniform `MAGMA_SERVE_SLA_X` bound applies unscaled).
+    /// the uniform `ServeKnobs::sla_x` bound applies unscaled).
     pub sla_multiplier: f64,
     /// Jobs whose end-to-end latency exceeded the bound.
     pub sla_violations: usize,
@@ -97,7 +97,7 @@ pub struct CacheReport {
     /// Lookup misses.
     pub misses: u64,
     /// The subset of `hits` served by the nearest-key probe
-    /// (`MAGMA_SERVE_CACHE_EPSILON`).
+    /// (`ServeKnobs::cache_epsilon`).
     pub near_hits: u64,
     /// Capacity evictions.
     pub evictions: u64,

@@ -8,10 +8,11 @@
 //! `MAGMA_THREADS` settings.
 
 use crate::descriptor::{CustomScenario, ScenarioDescriptor};
-use crate::sim::{simulate, SimConfig};
+use crate::fleet::{fleet_simulate, FleetConfig};
 use crate::trace::Scenario;
 use magma_model::{TaskType, TenantMix};
 use magma_platform::settings::ServeKnobs;
+use magma_platform::{PlatformSpec, Setting};
 use serde::{Deserialize, Serialize, Value};
 use std::path::PathBuf;
 
@@ -119,39 +120,42 @@ pub fn standard_scenarios(smoke: bool) -> Vec<(&'static str, Scenario, TenantMix
     scenarios
 }
 
-/// Simulates one scenario from a cold cache and folds it into its report
-/// entry.
-fn run_scenario(name: &str, mut config: SimConfig, mix: &TenantMix) -> ScenarioResult {
-    // The report's acceptance criteria assume every scenario starts cold; a
-    // persistence file (`MAGMA_SERVE_CACHE_PATH`) would leak cache state
-    // across scenarios. Warm restarts are exercised by `sim::simulate`
-    // callers and the integration suites, never by the report.
-    config.cache_path = None;
-    let result = simulate(&config, mix);
-    ScenarioResult {
-        name: name.to_string(),
-        scenario: config.scenario,
-        requests: config.requests,
-        group_target: config.group_target,
-        mean_interarrival_us: result.mean_interarrival_sec * 1e6,
-        sla_us: result.sla_sec * 1e6,
-        metrics: result.metrics,
-    }
-}
-
-/// Assembles a report from its parts — shared by the builtin and registry
-/// paths.
-fn assemble_report(
+/// Simulates each scenario on `platform` through the single-queue simulator
+/// ([`FleetConfig::single_queue`]) and assembles the report — shared by the
+/// builtin and registry paths, which differ only in the platform, the
+/// scenario list and the descriptor.
+fn run_scenarios(
     knobs: &ServeKnobs,
     smoke: bool,
-    seed: u64,
+    platform: &PlatformSpec,
+    scenarios: Vec<(&str, Scenario, TenantMix)>,
     descriptor: ScenarioDescriptor,
-    scenarios: Vec<ScenarioResult>,
 ) -> ServeReport {
+    // The report's acceptance criteria assume every scenario starts cold; a
+    // persistence file would leak cache state across scenarios. Warm
+    // restarts are exercised by `fleet_simulate` callers and the
+    // integration suites, never by the report.
+    let cold = ServeKnobs { cache_path: None, ..knobs.clone() };
+    let scenarios = scenarios
+        .into_iter()
+        .map(|(name, scenario, mix)| {
+            let config = FleetConfig::single_queue(&cold, platform.clone(), scenario);
+            let result = fleet_simulate(&config, &mix);
+            ScenarioResult {
+                name: name.to_string(),
+                scenario,
+                requests: config.requests,
+                group_target: config.group_target,
+                mean_interarrival_us: result.mean_interarrival_sec * 1e6,
+                sla_us: result.sla_sec * 1e6,
+                metrics: result.metrics,
+            }
+        })
+        .collect();
     ServeReport {
         schema: SCHEMA.to_string(),
         mode: if smoke { "smoke" } else { "full" }.to_string(),
-        seed,
+        seed: knobs.seed,
         cold_budget: knobs.cold_budget,
         refine_budget: knobs.refine_budget,
         cache_capacity: knobs.cache_capacity,
@@ -185,43 +189,25 @@ fn builtin_serve_descriptor(knobs: &ServeKnobs, smoke: bool) -> ScenarioDescript
     ScenarioDescriptor::new("builtin", "standard_ladder", params)
 }
 
-/// Runs the standard scenario ladder under `knobs` and assembles the report.
+/// Runs the standard scenario ladder under `knobs` on the default platform
+/// (S2, the paper's main evaluation setting) and assembles the report.
 pub fn run_standard_scenarios(knobs: &ServeKnobs, smoke: bool) -> ServeReport {
-    let scenarios = standard_scenarios(smoke)
-        .into_iter()
-        .map(|(name, scenario, mix)| {
-            run_scenario(name, SimConfig::from_knobs(knobs, scenario), &mix)
-        })
-        .collect();
-    assemble_report(knobs, smoke, knobs.seed, builtin_serve_descriptor(knobs, smoke), scenarios)
+    let descriptor = builtin_serve_descriptor(knobs, smoke);
+    run_scenarios(knobs, smoke, &Setting::S2.into(), standard_scenarios(smoke), descriptor)
 }
 
 /// Runs one registry-defined scenario and assembles a single-scenario report
-/// embedding its descriptor. Knob-level budgets and cache geometry come from
-/// `knobs`; the scenario supplies the platform, mix and arrival process, its
-/// optional `requests` / `offered_load` / `seed` override the knob defaults,
-/// and a pinned `serving` block overrides the cache/SLA knobs
-/// ([`CustomScenario::apply_serving`]).
+/// embedding its descriptor: the scenario supplies the platform, mix and
+/// arrival process. `knobs` are the resolved ones
+/// ([`CustomScenario::apply`]) — its pinned trace length, offered load, seed
+/// and serving block are already in place.
 pub fn run_custom_scenario(
     knobs: &ServeKnobs,
     smoke: bool,
     custom: &CustomScenario,
 ) -> ServeReport {
-    let knobs = &custom.apply_serving(knobs);
-    let mut config = SimConfig::from_knobs(knobs, custom.scenario);
-    config.platform = custom.platform.clone();
-    if let Some(requests) = custom.requests {
-        config.requests = requests;
-    }
-    if let Some(load) = custom.offered_load {
-        config.offered_load = load;
-    }
-    if let Some(seed) = custom.seed {
-        config.seed = seed;
-    }
-    let seed = config.seed;
-    let scenarios = vec![run_scenario(&custom.name, config, &custom.mix)];
-    assemble_report(knobs, smoke, seed, custom.descriptor.clone(), scenarios)
+    let scenarios = vec![(custom.name.as_str(), custom.scenario, custom.mix.clone())];
+    run_scenarios(knobs, smoke, &custom.platform, scenarios, custom.descriptor.clone())
 }
 
 /// Writes the report to `BENCH_serve.json` in `MAGMA_BENCH_DIR` (default:
@@ -250,6 +236,13 @@ mod tests {
             cache_capacity: 8,
             ..ServeKnobs::smoke()
         }
+    }
+
+    /// `knobs` with `custom` resolved onto them, the way the binaries do it.
+    fn resolved(knobs: ServeKnobs, custom: &CustomScenario) -> ServeKnobs {
+        use magma_platform::settings::{FleetKnobs, ServerKnobs};
+        let fleet = FleetKnobs { serve: knobs, ..FleetKnobs::smoke() };
+        custom.apply(ServerKnobs { fleet, ..ServerKnobs::smoke() }).fleet.serve
     }
 
     #[test]
@@ -334,9 +327,6 @@ mod tests {
 
     #[test]
     fn custom_scenario_runs_and_embeds_its_descriptor() {
-        use crate::descriptor::ScenarioDescriptor;
-        use magma_platform::{PlatformSpec, Setting};
-        let knobs = tiny_knobs();
         let descriptor = ScenarioDescriptor::new(
             "registry",
             "test_custom",
@@ -356,7 +346,7 @@ mod tests {
             sla_x: None,
             descriptor,
         };
-        let report = run_custom_scenario(&knobs, true, &custom);
+        let report = run_custom_scenario(&resolved(tiny_knobs(), &custom), true, &custom);
         report.validate().expect("custom-scenario report must self-check");
         assert_eq!(report.scenario_descriptor.source, "registry");
         assert_eq!(report.seed, 9);
@@ -368,8 +358,6 @@ mod tests {
 
     #[test]
     fn pinned_serving_block_overrides_the_knobs_in_the_report() {
-        use crate::descriptor::ScenarioDescriptor;
-        use magma_platform::{PlatformSpec, Setting};
         let knobs = tiny_knobs();
         let descriptor = ScenarioDescriptor::new("registry", "pinned", serde::Value::Null);
         let custom = CustomScenario {
@@ -386,11 +374,11 @@ mod tests {
             sla_x: None,
             descriptor,
         };
-        let effective = custom.apply_serving(&knobs);
+        let effective = resolved(knobs.clone(), &custom);
         assert_eq!(effective.cache_epsilon, 2.5);
         assert_eq!(effective.refine_budget, 7);
         assert_eq!(effective.quant_step, knobs.quant_step, "unpinned knob inherits");
-        let report = run_custom_scenario(&knobs, true, &custom);
+        let report = run_custom_scenario(&effective, true, &custom);
         report.validate().expect("self-check");
         assert_eq!(report.refine_budget, 7, "report reflects the pinned serving config");
     }

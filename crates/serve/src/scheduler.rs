@@ -3,11 +3,11 @@
 //!
 //! A shard holds up to `max_live` detached [`magma_optim::SessionState`]s
 //! and multiplexes its mapper across them in slices. Two policies
-//! ([`FleetPolicy`], knob `MAGMA_FLEET_POLICY`):
+//! ([`FleetPolicy`], `FleetKnobs::policy`):
 //!
 //! * **Uniform** — round-robin selection, a fixed slice per step, no
 //!   preemption. With one shard and `max_live = 1` this is the single-queue
-//!   simulator ([`crate::sim`]).
+//!   simulator ([`FleetConfig::single_queue`](crate::fleet::FleetConfig::single_queue)).
 //! * **Deadline** (default) — earliest-deadline-first selection with
 //!   *deadline-aware slice sizing*: a session's slice grows with its
 //!   urgency — the fraction of its remaining headroom its remaining search
@@ -17,8 +17,8 @@
 //!   **preempted**: finished early with whatever it has evaluated, freeing
 //!   the mapper instead of polishing a mapping that is already late.
 //!
-//! A third preemption lever is *value preemption* (knob
-//! `MAGMA_FLEET_PREEMPT`, off at `0`): when every slot is full, an incoming
+//! A third preemption lever is *value preemption*
+//! (`FleetKnobs::preempt_margin`, off at `0`): when every slot is full, an incoming
 //! group whose value (tighter SLA contracts are worth more) is at least `preempt_margin`
 //! times the cheapest live session's may evict it (early-finished, not
 //! discarded — every admitted group still completes and executes).
@@ -45,8 +45,8 @@ use rand::rngs::StdRng;
 /// a division guard.
 const MIN_HEADROOM_SEC: f64 = 1e-12;
 
-/// Tuning of one shard's scheduler (derived from the `MAGMA_FLEET_*` knob
-/// family by the fleet loop).
+/// Tuning of one shard's scheduler (derived from the fleet knobs by the
+/// fleet loop).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
     /// Selection + slicing policy.

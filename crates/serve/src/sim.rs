@@ -1,152 +1,40 @@
-//! The single-queue serving simulator: one mapper, one accelerator, one
-//! search at a time.
+//! The single-queue simulator's behavioural suite: one mapper, one
+//! accelerator, one search at a time.
 //!
-//! The loop closes the paper's missing link from *traffic* to *mappings*:
-//! arrivals (from [`crate::trace`]) feed the admission batcher
-//! ([`crate::batcher`]); when the mapper is free and a group is ready, the
-//! mapping service ([`crate::dispatch`]) searches or cache-adapts a mapping;
-//! the resulting schedule's per-job finish times advance the virtual clock
-//! and feed the metrics pipeline ([`crate::metrics`]).
-//!
-//! Everything is virtual-time: searching costs `overhead_sec_per_sample`
-//! per evaluated sample (so cache hits buy latency, not just samples), and
-//! the group then occupies the accelerator for its schedule's makespan. The
-//! mapper and the accelerator are separate resources — a group is cut when
-//! the batcher is ready and the *mapper* is free, and execution starts at
-//! `max(search end, accelerator free)`, so group *g+1*'s search hides behind
-//! group *g*'s execution.
-//!
-//! There is no second event loop here: [`simulate`] runs
-//! [`fleet_simulate`] on the degenerate fleet — one shard, the Uniform
-//! policy, one live session, one scheduler step per search, no shared tier
-//! and no preemption. Load calibration and the SLA bound are the fleet's
-//! (see [`crate::fleet`]); the simulation is a pure function of `(config,
-//! mix)` and bit-identical at every `MAGMA_THREADS`.
+//! There is no simulator here, only its tests — the machine is
+//! [`FleetConfig::single_queue`](crate::fleet::FleetConfig::single_queue),
+//! [`fleet_simulate`](crate::fleet::fleet_simulate) on the degenerate fleet
+//! (one shard, the Uniform policy, one live session, one scheduler step per
+//! search, no shared tier and no preemption). Everything is virtual-time:
+//! searching costs `overhead_sec_per_sample` per evaluated sample (so cache
+//! hits buy latency, not just samples), and the group then occupies the
+//! accelerator for its schedule's makespan. The mapper and the accelerator
+//! are separate resources — a group is cut when the batcher is ready and the
+//! *mapper* is free, and execution starts at `max(search end, accelerator
+//! free)`, so group *g+1*'s search hides behind group *g*'s execution.
 
-use crate::dispatch::DispatchConfig;
-use crate::fleet::{fleet_simulate, FleetConfig, FleetResult};
-use crate::trace::Scenario;
-use magma_model::TenantMix;
-use magma_platform::settings::{FleetPolicy, ServeKnobs};
-use magma_platform::{PlatformSpec, Setting};
-use std::path::PathBuf;
-
-/// The full parameter set of one simulated scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimConfig {
-    /// The accelerator platform: a Table III setting or a custom
-    /// (registry-loaded) platform.
-    pub platform: PlatformSpec,
-    /// The traffic scenario.
-    pub scenario: Scenario,
-    /// Arrivals to simulate.
-    pub requests: usize,
-    /// Dispatch-group size target.
-    pub group_target: usize,
-    /// Admission deadline in batch-formation windows.
-    pub max_wait_x: f64,
-    /// Mini-batch size per job.
-    pub mini_batch: usize,
-    /// Offered load relative to the calibrated service rate.
-    pub offered_load: f64,
-    /// SLA tolerance factor (see [`crate::fleet`]'s calibration docs).
-    pub sla_x: f64,
-    /// Virtual mapper cost per evaluated sample, in seconds.
-    pub overhead_sec_per_sample: f64,
-    /// Search budgets and cache geometry.
-    pub dispatch: DispatchConfig,
-    /// Mapping-cache persistence base path (`MAGMA_SERVE_CACHE_PATH`): the
-    /// cache is loaded from `<path>.shard0` — if present — before the run
-    /// and saved back after it, so a restarted simulator starts warm. `None`
-    /// keeps the cache in-memory only.
-    pub cache_path: Option<PathBuf>,
-    /// Trace/search seed.
-    pub seed: u64,
-}
-
-impl SimConfig {
-    /// Builds a config from the `MAGMA_SERVE_*` knob family for a scenario
-    /// on the default platform (S2, the paper's main evaluation setting).
-    pub fn from_knobs(knobs: &ServeKnobs, scenario: Scenario) -> Self {
-        SimConfig {
-            platform: PlatformSpec::Setting(Setting::S2),
-            scenario,
-            requests: knobs.requests,
-            group_target: knobs.group_target,
-            max_wait_x: knobs.max_wait_x,
-            mini_batch: magma_model::workload::DEFAULT_MINI_BATCH,
-            offered_load: knobs.offered_load,
-            sla_x: knobs.sla_x,
-            overhead_sec_per_sample: knobs.overhead_us_per_sample * 1e-6,
-            dispatch: DispatchConfig::from_knobs(knobs),
-            cache_path: knobs.cache_path.as_ref().map(PathBuf::from),
-            seed: knobs.seed,
-        }
-    }
-
-    /// The degenerate fleet this config describes (see the module docs).
-    fn single_queue_fleet(&self) -> FleetConfig {
-        FleetConfig {
-            shard_settings: vec![self.platform.clone()],
-            scenario: self.scenario,
-            requests: self.requests,
-            group_target: self.group_target,
-            max_wait_x: self.max_wait_x,
-            mini_batch: self.mini_batch,
-            offered_load: self.offered_load,
-            sla_x: self.sla_x,
-            overhead_sec_per_sample: self.overhead_sec_per_sample,
-            dispatch: self.dispatch,
-            shared_cache_capacity: 0,
-            shared_tenant_quota: 0,
-            cache_path: self.cache_path.clone(),
-            policy: FleetPolicy::Uniform,
-            max_live: 1,
-            // One scheduler step per search: with a single live session the
-            // slice size cannot change any result (the session-stepping
-            // invariant, `tests/integration_sessions.rs`), so it is not an
-            // input here.
-            base_slice: usize::MAX,
-            min_slice: 1,
-            preempt_margin: 0.0,
-            mapper_pressure: 0.0,
-            seed: self.seed,
-        }
-    }
-}
-
-/// Runs one scenario to completion. The result is the degenerate fleet's:
-/// one entry in `per_shard_jobs`, no preemptions, an all-zero shared tier.
-///
-/// # Panics
-///
-/// Panics if the config is degenerate (zero requests/group target, a
-/// non-positive offered load) — [`SimConfig::from_knobs`] never builds such
-/// a config.
-pub fn simulate(config: &SimConfig, mix: &TenantMix) -> FleetResult {
-    fleet_simulate(&config.single_queue_fleet(), mix)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use magma_model::TaskType;
+    use crate::fleet::{fleet_simulate as simulate, FleetConfig, FleetResult};
+    use crate::trace::Scenario;
+    use magma_model::{TaskType, TenantMix};
+    use magma_platform::settings::ServeKnobs;
+    use magma_platform::Setting;
 
-    fn tiny_config(scenario: Scenario, seed: u64) -> SimConfig {
-        SimConfig {
-            platform: PlatformSpec::Setting(Setting::S2),
-            scenario,
+    fn tiny_knobs(seed: u64) -> ServeKnobs {
+        ServeKnobs {
             requests: 48,
             group_target: 8,
-            max_wait_x: 2.0,
-            mini_batch: 4,
-            offered_load: 0.7,
-            sla_x: 3.0,
-            overhead_sec_per_sample: 1e-6,
-            dispatch: DispatchConfig::new(40, 4, 1.0, 16),
-            cache_path: None,
+            cold_budget: 40,
+            refine_budget: 4,
+            cache_capacity: 16,
+            cache_epsilon: 0.0,
             seed,
+            ..ServeKnobs::full()
         }
+    }
+
+    fn tiny_config(scenario: Scenario, seed: u64) -> FleetConfig {
+        FleetConfig::single_queue(&tiny_knobs(seed), Setting::S2.into(), scenario)
     }
 
     #[test]
@@ -241,8 +129,10 @@ mod tests {
     #[test]
     fn from_knobs_mirrors_the_knob_family() {
         let knobs = ServeKnobs::smoke();
-        let config = SimConfig::from_knobs(&knobs, Scenario::Bursty);
+        let config = FleetConfig::single_queue(&knobs, Setting::S2.into(), Scenario::Bursty);
+        assert_eq!(config.shards(), 1);
         assert_eq!(config.requests, knobs.requests);
+        assert_eq!(config.offered_load, knobs.offered_load);
         assert_eq!(config.group_target, knobs.group_target);
         assert_eq!(config.dispatch.cold_budget, knobs.cold_budget);
         assert_eq!(config.dispatch.refine_budget, knobs.refine_budget);

@@ -1,8 +1,8 @@
 //! The cache-calibration sweep behind `BENCH_cache.json`.
 //!
-//! The near-hit probe (`MAGMA_SERVE_CACHE_EPSILON`), the refinement budget
-//! (`MAGMA_SERVE_REFINE_BUDGET`) and the key quantization step
-//! (`MAGMA_SERVE_QUANT`) trade hit rate against hit quality: a looser
+//! The near-hit probe (`cache_epsilon`), the refinement budget
+//! (`refine_budget`) and the key quantization step (`quant_step`) of
+//! [`ServeKnobs`] trade hit rate against hit quality: a looser
 //! epsilon or coarser key catches more traffic but adapts from
 //! less-matching solutions. This module sweeps that grid on the standard
 //! Poisson mix trace and emits a schema-stable report ([`CACHE_SCHEMA`])
@@ -30,10 +30,11 @@
 //! library users (and the test suite) leave it off.
 
 use crate::descriptor::{CustomScenario, ScenarioDescriptor};
-use crate::sim::{simulate, SimConfig};
+use crate::fleet::{fleet_simulate, FleetConfig};
 use crate::trace::Scenario;
 use magma_model::TenantMix;
 use magma_platform::settings::ServeKnobs;
+use magma_platform::{PlatformSpec, Setting};
 use serde::{Deserialize, Serialize, Value};
 use std::path::PathBuf;
 
@@ -285,19 +286,30 @@ pub fn sweep_grid(knobs: &ServeKnobs, smoke: bool) -> Vec<(f64, usize, f64)> {
     grid
 }
 
-/// Runs one grid point: the template's trace (the standard Poisson mix for
-/// the builtin sweep, a registry scenario otherwise) with the point's probe
-/// threshold, refinement budget and quantization step.
-fn run_point(template: &SimConfig, mix: &TenantMix, point: (f64, usize, f64)) -> SweepPoint {
+/// What a sweep simulates at every grid point: the standard Poisson mix on
+/// S2 for the builtin sweep, a registry scenario's platform, arrival process
+/// and mix otherwise.
+struct SweepTrace<'a> {
+    platform: &'a PlatformSpec,
+    scenario: Scenario,
+    mix: &'a TenantMix,
+}
+
+/// Runs one grid point: the trace through the single-queue simulator with
+/// the point's probe threshold, refinement budget and quantization step.
+fn run_point(knobs: &ServeKnobs, trace: &SweepTrace, point: (f64, usize, f64)) -> SweepPoint {
     let (epsilon, refine_budget, quant_step) = point;
-    let mut config = template.clone();
-    config.dispatch.cache_epsilon = epsilon;
-    config.dispatch.refine_budget = refine_budget;
-    config.dispatch.quant_step = quant_step;
-    // Every grid point starts cold — a persistence file would leak cache
-    // state from point to point and corrupt the frontier.
-    config.cache_path = None;
-    let result = simulate(&config, mix);
+    let at_point = ServeKnobs {
+        cache_epsilon: epsilon,
+        refine_budget,
+        quant_step,
+        // Every grid point starts cold — a persistence file would leak
+        // cache state from point to point and corrupt the frontier.
+        cache_path: None,
+        ..knobs.clone()
+    };
+    let config = FleetConfig::single_queue(&at_point, trace.platform.clone(), trace.scenario);
+    let result = fleet_simulate(&config, trace.mix);
     let m = &result.metrics;
     SweepPoint {
         epsilon,
@@ -390,49 +402,41 @@ fn builtin_cache_descriptor(knobs: &ServeKnobs) -> ScenarioDescriptor {
 /// binary's main thread (the `cache_sweep` bin does; the library test
 /// suite must not).
 pub fn run_cache_sweep(knobs: &ServeKnobs, smoke: bool, profile_ab: bool) -> CacheSweepReport {
-    let template = SimConfig::from_knobs(knobs, Scenario::Poisson);
-    let mix = TenantMix::standard();
-    let descriptor = builtin_cache_descriptor(knobs);
-    run_sweep_inner(knobs, smoke, profile_ab, &template, &mix, descriptor)
+    let trace = SweepTrace {
+        platform: &Setting::S2.into(),
+        scenario: Scenario::Poisson,
+        mix: &TenantMix::standard(),
+    };
+    run_sweep(knobs, smoke, profile_ab, &trace, builtin_cache_descriptor(knobs))
 }
 
 /// Runs the same calibration sweep on a registry-defined scenario: its
 /// platform, mix and arrival process replace the builtin S2 / standard-mix /
 /// Poisson trace, and the report embeds its descriptor. The grid axes and
 /// admission floors are unchanged, so registry scenarios can re-calibrate
-/// the cache knobs for their own traffic.
+/// the cache knobs for their own traffic. `knobs` are the resolved ones
+/// ([`CustomScenario::apply`]).
 pub fn run_cache_sweep_custom(
     knobs: &ServeKnobs,
     smoke: bool,
     profile_ab: bool,
     custom: &CustomScenario,
 ) -> CacheSweepReport {
-    let knobs = &custom.apply_serving(knobs);
-    let mut template = SimConfig::from_knobs(knobs, custom.scenario);
-    template.platform = custom.platform.clone();
-    if let Some(requests) = custom.requests {
-        template.requests = requests;
-    }
-    if let Some(load) = custom.offered_load {
-        template.offered_load = load;
-    }
-    if let Some(seed) = custom.seed {
-        template.seed = seed;
-    }
-    run_sweep_inner(knobs, smoke, profile_ab, &template, &custom.mix, custom.descriptor.clone())
+    let trace =
+        SweepTrace { platform: &custom.platform, scenario: custom.scenario, mix: &custom.mix };
+    run_sweep(knobs, smoke, profile_ab, &trace, custom.descriptor.clone())
 }
 
 /// The sweep engine shared by the builtin and registry paths.
-fn run_sweep_inner(
+fn run_sweep(
     knobs: &ServeKnobs,
     smoke: bool,
     profile_ab: bool,
-    template: &SimConfig,
-    mix: &TenantMix,
+    trace: &SweepTrace,
     descriptor: ScenarioDescriptor,
 ) -> CacheSweepReport {
     let mut grid: Vec<SweepPoint> =
-        sweep_grid(knobs, smoke).into_iter().map(|p| run_point(template, mix, p)).collect();
+        sweep_grid(knobs, smoke).into_iter().map(|p| run_point(knobs, trace, p)).collect();
     attach_quality(&mut grid);
     let shipped = (knobs.cache_epsilon, knobs.refine_budget, knobs.quant_step);
     let calibrated = calibrate_grid(&grid, shipped);
@@ -444,9 +448,9 @@ fn run_sweep_inner(
     let ab = profile_ab.then(|| {
         let prior = std::env::var("MAGMA_SIGNATURE_PROFILE").ok();
         std::env::set_var("MAGMA_SIGNATURE_PROFILE", "1");
-        let mut on = run_point(template, mix, shipped);
+        let mut on = run_point(knobs, trace, shipped);
         std::env::set_var("MAGMA_SIGNATURE_PROFILE", "0");
-        let mut off = run_point(template, mix, shipped);
+        let mut off = run_point(knobs, trace, shipped);
         match prior {
             Some(v) => std::env::set_var("MAGMA_SIGNATURE_PROFILE", v),
             None => std::env::remove_var("MAGMA_SIGNATURE_PROFILE"),
@@ -464,8 +468,8 @@ fn run_sweep_inner(
     CacheSweepReport {
         schema: CACHE_SCHEMA.to_string(),
         mode: if smoke { "smoke" } else { "full" }.to_string(),
-        seed: template.seed,
-        requests: template.requests,
+        seed: knobs.seed,
+        requests: knobs.requests,
         cold_budget: knobs.cold_budget,
         quality_floor: QUALITY_FLOOR,
         budget_ceiling: BUDGET_CEILING,

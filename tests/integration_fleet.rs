@@ -17,7 +17,6 @@ use magma_optim::parallel::with_threads;
 use magma_platform::settings::{FleetKnobs, FleetPolicy, ServeKnobs};
 use magma_platform::Setting;
 use magma_serve::fleet::{fleet_simulate, run_fleet_ladder, FleetConfig};
-use magma_serve::sim::{simulate, SimConfig};
 use magma_serve::trace::Scenario;
 use magma_serve::{quantize_signatures, ShardRouter, SignatureKey};
 use proptest::prelude::*;
@@ -87,12 +86,12 @@ fn different_seeds_produce_different_fleet_reports() {
     assert_ne!(a, b, "the seed must actually drive the trace and searches");
 }
 
-/// The degenerate-fleet contract: `sim::simulate` is a driver over the fleet
-/// loop, and the fleet it derives is the one a caller would write down by
-/// hand — one shard, the Uniform policy, one live session, no value
+/// The degenerate-fleet contract: `FleetConfig::single_queue` is a config of
+/// the fleet loop, and the fleet it derives is the one a caller would write
+/// down by hand — one shard, the Uniform policy, one live session, no value
 /// preemption, no shared tier and a slice at least the search budget.
-/// Bit-identical metrics, not approximate. `MAGMA_SERVE_SLICE` is the
-/// fleet's `base_slice`; on the single-queue side it is not an input.
+/// Bit-identical metrics, not approximate. `search_slice` is the fleet's
+/// `base_slice`; on the single-queue side it is not an input.
 #[test]
 fn one_shard_uniform_fleet_matches_the_single_queue_simulator_exactly() {
     let serve = ServeKnobs {
@@ -111,7 +110,7 @@ fn one_shard_uniform_fleet_matches_the_single_queue_simulator_exactly() {
         let fleet_knobs = FleetKnobs {
             serve: serve.clone(),
             shards: 1,
-            shard_settings: vec![Setting::S2],
+            shard_settings: vec![Setting::S2.into()],
             requests: serve.requests,
             tenants: 10,
             offered_load: serve.offered_load,
@@ -125,7 +124,8 @@ fn one_shard_uniform_fleet_matches_the_single_queue_simulator_exactly() {
         let fleet = fleet_simulate(&FleetConfig::from_knobs(&fleet_knobs, 1, scenario), &mix);
         for search_slice in [serve.search_slice, 3] {
             let knobs = ServeKnobs { search_slice, ..serve.clone() };
-            let sim = simulate(&SimConfig::from_knobs(&knobs, scenario), &mix);
+            let single = FleetConfig::single_queue(&knobs, Setting::S2.into(), scenario);
+            let sim = fleet_simulate(&single, &mix);
             assert_eq!(
                 sim, fleet,
                 "{scenario:?}: the single-queue simulator must equal a 1-shard Uniform fleet"

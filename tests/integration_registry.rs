@@ -21,10 +21,10 @@
 use std::path::PathBuf;
 
 use magma_model::{zoo, TaskType, TenantMix};
-use magma_platform::settings::{self, ServeKnobs};
+use magma_platform::settings::{self, FleetKnobs, ServeKnobs, ServerKnobs};
 use magma_platform::Setting;
-use magma_registry::{builtin, gen, Registry};
-use magma_serve::report::{run_custom_scenario, run_standard_scenarios};
+use magma_registry::{builtin, gen, Registry, ResolvedScenario};
+use magma_serve::report::{run_custom_scenario, run_standard_scenarios, ServeReport};
 use magma_serve::trace::{generate_trace, Scenario, TraceParams};
 
 /// The committed registry tree, independent of the test CWD.
@@ -46,6 +46,15 @@ fn tiny_knobs() -> ServeKnobs {
         refine_budget: 3,
         ..ServeKnobs::smoke()
     }
+}
+
+/// Runs a resolved registry scenario the way `serve_sim --scenario` does:
+/// the scenario applied onto the knob nest, then the report from the result.
+fn run_resolved(knobs: &ServeKnobs, smoke: bool, resolved: &ResolvedScenario) -> ServeReport {
+    let custom = resolved.custom();
+    let fleet = FleetKnobs { serve: knobs.clone(), ..FleetKnobs::smoke() };
+    let knobs = custom.apply(ServerKnobs { fleet, ..ServerKnobs::smoke() }).fleet.serve;
+    run_custom_scenario(&knobs, smoke, &custom)
 }
 
 #[test]
@@ -133,7 +142,7 @@ fn registry_scenarios_reproduce_the_hardcoded_bench_output() {
     let builtin_report = run_standard_scenarios(&knobs, false);
     for name in ["poisson_mix", "repeated_tenant", "bursty_mix", "drift_mix"] {
         let resolved = registry.resolve(name).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let custom_report = run_custom_scenario(&knobs, false, &resolved.custom());
+        let custom_report = run_resolved(&knobs, false, &resolved);
         assert_eq!(custom_report.scenario_descriptor.source, "registry");
         let builtin_block = builtin_report
             .scenarios
@@ -181,7 +190,7 @@ fn generated_scenario_runs_end_to_end() {
     let resolved = registry.resolve("edge-duo-steady").expect("resolves");
     let mut knobs = tiny_knobs();
     knobs.requests = 16;
-    let report = run_custom_scenario(&knobs, true, &resolved.custom());
+    let report = run_resolved(&knobs, true, &resolved);
     report.validate().expect("registry report validates");
     assert_eq!(report.scenario_descriptor.source, "registry");
     assert_eq!(report.scenario_descriptor.name, "edge-duo-steady");

@@ -135,8 +135,9 @@ fn full_scale_sweep_regenerates_the_committed_bench_cache_json() {
 #[test]
 fn a_persisted_cache_restart_is_warm_and_thread_invariant() {
     use magma_model::TenantMix;
+    use magma_platform::Setting;
+    use magma_serve::fleet::{fleet_simulate, FleetConfig};
     use magma_serve::shard_cache_file;
-    use magma_serve::sim::{simulate, SimConfig};
     use magma_serve::trace::Scenario;
 
     let knobs = test_knobs();
@@ -145,10 +146,10 @@ fn a_persisted_cache_restart_is_warm_and_thread_invariant() {
     let seed_path = dir.join(format!("magma_serve_cache_seed_{}", std::process::id()));
     let seed_file = shard_cache_file(&seed_path, 0);
     let _ = std::fs::remove_file(&seed_file);
-    let base = SimConfig::from_knobs(&knobs, Scenario::Poisson);
+    let base = FleetConfig::single_queue(&knobs, Setting::S2.into(), Scenario::Poisson);
     // First run: starts cold, persists its cache on exit.
     let cold = with_threads(2, || {
-        simulate(&SimConfig { cache_path: Some(seed_path.clone()), ..base.clone() }, &mix)
+        fleet_simulate(&FleetConfig { cache_path: Some(seed_path.clone()), ..base.clone() }, &mix)
     });
     // Every restart loads its own copy of the persisted file — a run
     // overwrites its cache file on exit, so copies keep the restarts
@@ -158,7 +159,7 @@ fn a_persisted_cache_restart_is_warm_and_thread_invariant() {
         let copy = shard_cache_file(&path, 0);
         std::fs::copy(&seed_file, &copy).expect("the persisted cache copies");
         let result = with_threads(threads, || {
-            simulate(&SimConfig { cache_path: Some(path.clone()), ..base.clone() }, &mix)
+            fleet_simulate(&FleetConfig { cache_path: Some(path.clone()), ..base.clone() }, &mix)
         });
         let _ = std::fs::remove_file(copy);
         result
