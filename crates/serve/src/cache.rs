@@ -258,15 +258,21 @@ impl MappingCache {
 
     /// Inserts (or replaces) the entry for `key`, marks it most recently
     /// used and evicts the least recently used entry when over capacity.
-    pub fn insert(&mut self, key: SignatureKey, solution: StoredSolution) {
+    /// Returns the evicted key, so whoever routes by key (the
+    /// [`ShardRouter`](crate::router::ShardRouter)'s affinity pins) can
+    /// forget it too.
+    pub fn insert(&mut self, key: SignatureKey, solution: StoredSolution) -> Option<SignatureKey> {
         self.stats.insertions += 1;
         self.entries.insert(key.clone(), solution);
         self.recency.bump(&key);
-        while self.entries.len() > self.capacity {
-            let lru = self.recency.pop_lru().expect("recency tracks every entry");
-            self.entries.remove(&lru);
-            self.stats.evictions += 1;
+        // One insert grows a cache that was within bounds by at most one.
+        if self.entries.len() <= self.capacity {
+            return None;
         }
+        let lru = self.recency.pop_lru().expect("recency tracks every entry");
+        self.entries.remove(&lru);
+        self.stats.evictions += 1;
+        Some(lru)
     }
 
     /// Re-bounds the cache to `capacity`, evicting least recently used
@@ -461,12 +467,12 @@ impl SharedCache {
     /// then enforces the tenant quota (evicting the tenant's own LRU
     /// entries) and the global capacity.
     pub fn publish(&mut self, key: SignatureKey, solution: StoredSolution, tenant: usize) {
-        self.cache.insert(key.clone(), solution);
+        // Keep the owner map aligned with the live set: capacity eviction
+        // inside `insert` is the only way an entry leaves it unseen.
+        if let Some(evicted) = self.cache.insert(key.clone(), solution) {
+            self.owners.remove(&evicted);
+        }
         self.owners.insert(key.clone(), tenant);
-        // Capacity eviction inside `insert` may have dropped entries; keep
-        // the owner map aligned with the live set.
-        let cache = &self.cache;
-        self.owners.retain(|k, _| cache.contains_key(k));
         if self.tenant_quota > 0 {
             while self.tenant_entries(tenant) > self.tenant_quota {
                 let victim = self

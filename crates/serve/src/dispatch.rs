@@ -253,25 +253,27 @@ impl MappingService {
 
     /// Completes a planned dispatch: stores the best mapping under the
     /// group's key (so the cache tracks the freshest solution per traffic
-    /// pattern) and assembles the [`DispatchOutcome`].
+    /// pattern) and assembles the [`DispatchOutcome`]. Also returns the key
+    /// the insert evicted from the cache, if any ([`MappingCache::insert`]).
     pub fn complete_group(
         &mut self,
         problem: &M3e,
         plan: SearchPlan,
         outcome: SearchOutcome,
-    ) -> DispatchOutcome {
-        self.cache.insert(
+    ) -> (DispatchOutcome, Option<SignatureKey>) {
+        let evicted = self.cache.insert(
             plan.key,
             StoredSolution::new(outcome.best_mapping.clone(), Some(problem.signatures().to_vec())),
         );
         let schedule = problem.schedule(&outcome.best_mapping);
-        DispatchOutcome {
+        let outcome = DispatchOutcome {
             kind: plan.kind,
             samples: outcome.history.num_samples(),
             best_fitness: outcome.best_fitness,
             mapping: outcome.best_mapping,
             schedule,
-        }
+        };
+        (outcome, evicted)
     }
 
     /// Maps one dispatch group in one call: plan, open the search, step it
@@ -288,7 +290,7 @@ impl MappingService {
                 break;
             }
         }
-        self.complete_group(problem, plan, state.finish())
+        self.complete_group(problem, plan, state.finish()).0
     }
 }
 
@@ -420,7 +422,7 @@ mod tests {
                     break;
                 }
             }
-            sliced.complete_group(&p, plan, state.finish())
+            sliced.complete_group(&p, plan, state.finish()).0
         };
         let cold_b = drive(1);
         let hit_b = drive(2);

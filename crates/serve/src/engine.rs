@@ -20,6 +20,11 @@
 //!                                      └──▶ Vec<JobCompletion> (token-tagged)
 //! ```
 //!
+//! The engine never sleeps or reads a clock; instead
+//! [`ServeEngine::next_wake`] tells its driver when the next `poll` is due
+//! ([`Wake`]: now, at a partial group's admission deadline, or not until
+//! the next submit), so the driver can block exactly that long.
+//!
 //! Three server-specific behaviours sit on top of the shard core:
 //!
 //! * **Admission control** — [`ServeEngine::submit`] rejects with
@@ -185,6 +190,32 @@ pub struct JobCompletion {
     pub completed_sec: f64,
 }
 
+/// When the engine next has something to do — what
+/// [`ServeEngine::next_wake`] tells an event-driven driver to wait for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Wake {
+    /// A [`ServeEngine::poll`] right now does work: a search is live, a
+    /// ready group has a shard with room, or completions are waiting to be
+    /// collected.
+    Now,
+    /// Nothing to do until this time (in the caller's `now_sec` domain): a
+    /// partial group is waiting out its admission deadline.
+    At(f64),
+    /// Nothing to do until the next `submit`.
+    Idle,
+}
+
+/// The mapper work an engine has done since it was created — cumulative, so
+/// a driver that budgets the mapper (the daemon's admission pace) charges
+/// the difference between two readings.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MapperWork {
+    /// Groups cut, planned and handed to a shard.
+    pub groups: u64,
+    /// Search samples evaluated.
+    pub samples: u64,
+}
+
 /// A point-in-time counter snapshot of the engine — the `Stats` RPC payload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
@@ -255,6 +286,7 @@ pub struct ServeEngine {
     draining: bool,
     /// The engine's own counters; [`ServeEngine::stats`] fills in the rest.
     counters: EngineStats,
+    work: MapperWork,
 }
 
 impl ServeEngine {
@@ -307,6 +339,7 @@ impl ServeEngine {
             last_now: 0.0,
             draining: false,
             counters: EngineStats::default(),
+            work: MapperWork::default(),
             config,
         }
     }
@@ -416,6 +449,7 @@ impl ServeEngine {
             } else {
                 // Nothing evaluated: no outcome to build, drop the session
                 // and synthesize cancelled completions directly.
+                self.shards.discard(&session, shard);
                 let tags = self.session_tags.remove(&id).expect("tags tracked per session");
                 let kind = session.plan.kind();
                 for (a, tag) in session.group.arrivals.iter().zip(tags.tags) {
@@ -440,6 +474,13 @@ impl ServeEngine {
     /// scheduler step per shard with live sessions — this is where search
     /// compute actually burns CPU — and returns the completions produced
     /// since the last call.
+    ///
+    /// One call is one scheduler slice per shard, so it is also the
+    /// engine's preemption granularity: a driver that applies `cancel` /
+    /// `stats` / `drain` between two polls is never more than one slice
+    /// late. How soon to call again is [`ServeEngine::next_wake`]'s answer —
+    /// polling an engine that reports [`Wake::Idle`] or a future
+    /// [`Wake::At`] is harmless but does nothing.
     pub fn poll(&mut self, now_sec: f64) -> Vec<JobCompletion> {
         let now = self.clamp_now(now_sec);
         while self.batcher.earliest_ready().is_some_and(|r| r <= now) && self.shards.has_room() {
@@ -447,6 +488,33 @@ impl ServeEngine {
         }
         self.step_shards(now);
         std::mem::take(&mut self.out)
+    }
+
+    /// When the next [`ServeEngine::poll`] is due, as seen at `now_sec` —
+    /// read-only, so a driver can ask between any two calls:
+    ///
+    /// * [`Wake::Now`] while any search is live (every poll advances one
+    ///   slice per shard), while a group is ready to cut and a shard has
+    ///   room for it, or while completions a `cancel` synthesized are
+    ///   waiting to be collected;
+    /// * [`Wake::At`] the batcher's `earliest_ready` when all that is left
+    ///   is a partial group waiting out `max_wait_sec`;
+    /// * [`Wake::Idle`] when the queue is empty and nothing is live — only
+    ///   a `submit` can change that.
+    ///
+    /// Session timeouts need no wake-up of their own: they preempt live
+    /// sessions, and a live session already means [`Wake::Now`].
+    pub fn next_wake(&self, now_sec: f64) -> Wake {
+        let now = now_sec.max(self.last_now);
+        if self.shards.live_total() > 0 || !self.out.is_empty() {
+            return Wake::Now;
+        }
+        // Nothing is live, so every shard has room for a ready group.
+        match self.batcher.earliest_ready() {
+            Some(ready) if ready > now => Wake::At(ready),
+            Some(_) => Wake::Now,
+            None => Wake::Idle,
+        }
     }
 
     /// Stops admissions and runs everything to completion: every queued
@@ -496,6 +564,11 @@ impl ServeEngine {
         }
     }
 
+    /// The mapper work done so far: groups cut and samples evaluated.
+    pub fn mapper_work(&self) -> MapperWork {
+        self.work
+    }
+
     /// Clamps caller time onto the engine's monotonic clock.
     fn clamp_now(&mut self, now_sec: f64) -> f64 {
         assert!(now_sec.is_finite(), "time must be finite");
@@ -517,13 +590,16 @@ impl ServeEngine {
             .fold(f64::INFINITY, f64::min);
         let (id, shard) = self.shards.admit(group, t, deadline_sec, &self.mix);
         self.session_tags.insert(id, SessionTags { shard, tags });
+        self.work.groups += 1;
     }
 
     /// Runs one scheduler step on every shard with live sessions — this is
     /// where search compute actually burns CPU — completing what finishes.
     fn step_shards(&mut self, now: f64) {
         for shard in 0..self.shards.len() {
-            if let (_, Some((session, preempted))) = self.shards.step(shard, now) {
+            let (spent, departed) = self.shards.step(shard, now);
+            self.work.samples += spent as u64;
+            if let Some((session, preempted)) = departed {
                 self.complete(session, shard, now, preempted);
             }
         }
@@ -639,6 +715,10 @@ mod tests {
         assert_eq!(stats.queued_jobs, 0);
         assert_eq!(stats.live_sessions, 0);
         assert_eq!(stats.admitted_sessions, stats.completed_sessions + stats.preempted_sessions);
+        // The work counters saw every group cut and every sample searched.
+        let work = engine.mapper_work();
+        assert_eq!(work.groups, stats.admitted_sessions);
+        assert!(work.samples > 0 && work.samples <= work.groups * 40, "{work:?}");
     }
 
     #[test]
@@ -683,6 +763,73 @@ mod tests {
         for _ in 0..8 {
             assert_eq!(run(), first);
         }
+    }
+
+    #[test]
+    fn next_wake_names_the_earliest_time_a_poll_does_work() {
+        // group_target 4, max_wait 4 / 100/s = 40 ms, cold budget 40.
+        let mut engine = ServeEngine::new(EngineConfig::from_knobs(&tiny_knobs()), mix(4));
+        let max_wait = engine.config().max_wait_sec;
+        assert_eq!(engine.next_wake(0.0), Wake::Idle, "an empty engine waits for a submit");
+
+        // A partial group waits out its admission deadline, and a poll at
+        // that very time cuts it.
+        assert_eq!(engine.submit(1.0, 0, 0, vec![job(0)]), Admission::Accepted);
+        assert_eq!(engine.next_wake(1.0), Wake::At(1.0 + max_wait));
+        assert!(engine.poll(1.0 + max_wait / 2.0).is_empty());
+        assert_eq!(engine.stats().live_sessions, 0, "a poll before the deadline cuts nothing");
+        assert_eq!(engine.next_wake(1.0 + max_wait / 2.0), Wake::At(1.0 + max_wait));
+        assert_eq!(engine.next_wake(1.0 + max_wait), Wake::Now, "ready, and every shard has room");
+        let mut completions = engine.poll(1.0 + max_wait);
+        assert_eq!(engine.stats().admitted_sessions, 1, "the deadline path cut the partial group");
+
+        // Live sessions mean `Now` until the last one completes.
+        let mut now = 1.0 + max_wait;
+        while engine.stats().live_sessions > 0 {
+            assert_eq!(engine.next_wake(now), Wake::Now);
+            now += 1e-3;
+            completions.extend(engine.poll(now));
+        }
+        assert_eq!(completions.len(), 1);
+        assert_eq!(engine.next_wake(now), Wake::Idle);
+
+        // A full group is ready on arrival.
+        for t in 1..=4 {
+            assert_eq!(engine.submit(now, t, 0, vec![job(t as usize)]), Admission::Accepted);
+        }
+        assert_eq!(engine.next_wake(now), Wake::Now);
+
+        // After a drain nothing is ever due again.
+        assert_eq!(engine.drain(now).len(), 4);
+        assert_eq!(engine.next_wake(now), Wake::Idle);
+        assert_eq!(engine.next_wake(now + 1e6), Wake::Idle);
+    }
+
+    #[test]
+    fn completions_a_cancel_synthesizes_are_due_now() {
+        // One shard, round-robin, a slice as long as the budget: the first
+        // poll cuts both one-job groups and runs the first to completion,
+        // leaving the second live with nothing evaluated.
+        let mut knobs = tiny_knobs();
+        knobs.fleet.serve.group_target = 1;
+        knobs.fleet.serve.search_slice = knobs.fleet.serve.cold_budget;
+        knobs.fleet.shards = 1;
+        knobs.fleet.policy = FleetPolicy::Uniform;
+        let mut engine = ServeEngine::new(EngineConfig::from_knobs(&knobs), mix(4));
+        for t in 0..2 {
+            assert_eq!(engine.submit(0.0, t, 0, vec![job(t as usize)]), Admission::Accepted);
+        }
+        assert_eq!(engine.poll(0.0).len(), 1);
+        assert_eq!(engine.stats().live_sessions, 1);
+        // Cancelling it drops the session outright: nothing is live or
+        // queued any more, but its completion still has to be collected.
+        assert!(engine.cancel(0.0, 1));
+        assert_eq!(engine.stats().live_sessions, 0);
+        assert_eq!(engine.next_wake(0.0), Wake::Now);
+        let cancelled = engine.poll(0.0);
+        assert_eq!(cancelled.len(), 1);
+        assert!(cancelled[0].cancelled);
+        assert_eq!(engine.next_wake(0.0), Wake::Idle);
     }
 
     #[test]

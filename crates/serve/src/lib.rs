@@ -127,7 +127,9 @@ pub use batcher::{AdmissionBatcher, BatchPolicy, DispatchGroup};
 pub use cache::{quantize_signatures, CacheStats, MappingCache, SharedCache, SignatureKey};
 pub use descriptor::{CustomScenario, ScenarioDescriptor};
 pub use dispatch::{DispatchConfig, DispatchKind, DispatchOutcome, MappingService};
-pub use engine::{Admission, EngineConfig, EngineStats, JobCompletion, ServeEngine};
+pub use engine::{
+    Admission, EngineConfig, EngineStats, JobCompletion, MapperWork, ServeEngine, Wake,
+};
 pub use fleet::{
     fleet_simulate, run_fleet_custom, run_fleet_ladder, write_fleet_json, FleetConfig, FleetReport,
     FleetResult, FLEET_SCHEMA,

@@ -7,7 +7,11 @@
 //! * **Signature affinity** — a group whose quantized signature key was seen
 //!   before should return to the shard that served it, because that shard's
 //!   cache holds the adapted solution (a hit elsewhere is a guaranteed cold
-//!   search). Affinity is sticky: the first placement of a key pins it.
+//!   search). Affinity is sticky: the first placement of a key pins it, and
+//!   the pin lasts as long as the warm state it points at — when the pinned
+//!   shard's cache evicts the key, [`ShardRouter::forget`] drops the pin, so
+//!   the map is bounded by the caches it mirrors rather than by how many
+//!   distinct keys the fleet has ever seen.
 //! * **Load** — unseen keys go to the least-loaded *admissible* shard (the
 //!   caller restricts admissibility to shards with scheduler room), with the
 //!   lowest index winning ties, so placement is a pure function of the
@@ -73,6 +77,21 @@ impl ShardRouter {
     /// Groups placed on each shard so far.
     pub fn per_shard(&self) -> &[u64] {
         &self.per_shard
+    }
+
+    /// Keys currently pinned to a shard.
+    pub fn pinned(&self) -> usize {
+        self.affinity.len()
+    }
+
+    /// Drops `key`'s pin if it points at `shard` — called when that shard
+    /// no longer holds the key's mapping (its cache evicted it, or the
+    /// session that would have stored it was dropped), so returning there
+    /// buys nothing. A key re-pinned elsewhere in the meantime keeps its pin.
+    pub fn forget(&mut self, key: &SignatureKey, shard: usize) {
+        if self.affinity.get(key) == Some(&shard) {
+            self.affinity.remove(key);
+        }
     }
 
     /// Places a group with signature `key` given the current per-shard
@@ -206,6 +225,20 @@ mod tests {
         assert_eq!(r.place(&key(2), &[9.0, 0.0, 0.0], &all), 0);
         assert_eq!(r.stats().affinity_hits, 1);
         assert_eq!(r.stats().placed, 3);
+    }
+
+    #[test]
+    fn forgetting_unpins_only_the_shard_that_lost_the_key() {
+        let mut r = ShardRouter::new(2);
+        let all = [true, true];
+        assert_eq!(r.place(&key(1), &[0.0, 1.0], &all), 0);
+        r.forget(&key(1), 1);
+        assert_eq!(r.pinned(), 1, "shard 1 never held the pin");
+        r.forget(&key(1), 0);
+        assert_eq!(r.pinned(), 0);
+        // Unpinned, the key is placed by load again (and re-pins there).
+        assert_eq!(r.place(&key(1), &[5.0, 1.0], &all), 1);
+        assert_eq!(r.stats().affinity_hits, 0);
     }
 
     #[test]

@@ -241,7 +241,12 @@ impl ShardSet {
     ) -> Completed {
         let LiveSession { group, plan, problem, state, .. } = session;
         let key = plan.key().clone();
-        let outcome = self.services[shard].complete_group(&problem, plan, state.finish());
+        let (outcome, evicted) =
+            self.services[shard].complete_group(&problem, plan, state.finish());
+        // A pin is only worth keeping while the shard's cache holds the key.
+        if let Some(evicted) = evicted {
+            self.router.forget(&evicted, shard);
+        }
         if let Some(tier) = self.shared.as_mut() {
             tier.publish(
                 key,
@@ -256,6 +261,17 @@ impl ShardSet {
             end_sec[seg.job.0] = exec_start + seg.end_sec;
         }
         Completed { group, outcome, end_sec }
+    }
+
+    /// Drops a session that left `shard`'s scheduler before evaluating a
+    /// sample (cancelled before its first slice): there is no outcome to
+    /// store, so unless an earlier group left the key in the shard's cache
+    /// its pin points at nothing and is forgotten.
+    pub(crate) fn discard(&mut self, session: &LiveSession, shard: usize) {
+        let key = session.plan.key();
+        if !self.services[shard].cache().contains_key(key) {
+            self.router.forget(key, shard);
+        }
     }
 
     /// Persists each shard's mapping cache to `<cache_path>.shard<i>`
@@ -321,6 +337,72 @@ impl ShardSet {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use magma_model::{Job, LayerShape, TaskType};
+    use magma_platform::settings::{FleetKnobs, FleetPolicy};
+
+    /// Affinity pins die with the cache entries they point at: however many
+    /// distinct keys pass through, the router holds at most one pin per
+    /// cache slot plus one per live session.
+    #[test]
+    fn affinity_pins_are_bounded_by_cache_capacity_and_live_sessions() {
+        const CAPACITY: usize = 3;
+        let knobs = FleetKnobs::smoke();
+        let platforms: Vec<_> = knobs.shard_specs(2).iter().map(|s| s.build()).collect();
+        let sched = SchedulerConfig {
+            policy: FleetPolicy::Uniform,
+            max_live: 2,
+            base_slice: 4,
+            min_slice: 4,
+            preempt_margin: 0.0,
+            overhead_sec_per_sample: 1e-6,
+        };
+        let mut set = ShardSet::new(
+            platforms,
+            DispatchConfig::new(8, 2, 1.0, CAPACITY),
+            0,
+            0,
+            None,
+            sched,
+            7,
+        );
+        let mix = TenantMix::synthetic(2, 0);
+        // 40 groups that differ in size or, by at least a factor of four,
+        // in their jobs' width: 40 distinct keys at a quantization step of
+        // 1 nat.
+        let mut last = (0, 0);
+        for i in 0..40 {
+            while !set.has_room() {
+                for shard in 0..set.len() {
+                    if let (_, Some((session, _))) = set.step(shard, 0.0) {
+                        set.complete(session, shard, 0.0);
+                    }
+                }
+            }
+            let shape =
+                LayerShape::FullyConnected { out_features: 32 << (2 * (i % 8)), in_features: 64 };
+            let job = Job::new(JobId(0), "m", 0, shape, 4, TaskType::Recommendation);
+            let arrival = Arrival { time_sec: 0.0, tenant: i % 2, job };
+            let group = DispatchGroup { arrivals: vec![arrival; 1 + i / 8], formed_at_sec: 0.0 };
+            last = set.admit(group, 0.0, f64::INFINITY, &mix);
+            assert!(
+                set.router.pinned() <= set.len() * CAPACITY + set.live_total(),
+                "{} pins after {} keys",
+                set.router.pinned(),
+                i + 1
+            );
+        }
+        assert_eq!(set.router_stats().affinity_hits, 0, "every key was distinct");
+        assert!(set.cache_report().evictions > 0, "the caches did overflow");
+
+        // The last group is still live and has evaluated nothing: dropped
+        // now (a cancel before its first slice), it takes its pin with it.
+        let pins = set.router.pinned();
+        let (id, shard) = last;
+        let session = set.sched(shard).remove_by_id(id).expect("admitted last, never stepped");
+        assert_eq!(session.spent(), 0);
+        set.discard(&session, shard);
+        assert_eq!(set.router.pinned(), pins - 1);
+    }
 
     /// The corrupt-cache-file contract, checked against either driver:
     /// `serve(cache_path)` runs a fixed two-shard workload to the end.

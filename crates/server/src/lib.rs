@@ -20,10 +20,12 @@
 //!   size limits; tolerant of arbitrary read splits.
 //! * [`proto`] — the JSON message shapes and verbs
 //!   (`submit_group`/`cancel`/`drain`/`stats`) with per-request ids.
-//! * [`daemon`] — [`Server`]: accept thread + per-connection readers +
-//!   one engine thread owning a
-//!   [`ServeEngine`](magma_serve::ServeEngine); graceful drain finishes
-//!   every admitted group and persists shard caches before shutdown.
+//! * [`daemon`] — [`Server`]: accept thread + per-connection reader and
+//!   writer threads + one event-driven engine thread owning a
+//!   [`ServeEngine`](magma_serve::ServeEngine) (it polls back to back
+//!   while searches are live and blocks when none are); graceful drain
+//!   finishes every admitted group and persists shard caches before
+//!   shutdown.
 //! * [`client`] — [`Client`] and the pure [`Mux`] state machine that
 //!   guarantees no response is lost or double-counted.
 //! * [`loadgen`] — wall-clock trace replay emitting [`RpcReport`].
@@ -33,7 +35,10 @@
 //! Backpressure is part of the protocol: when the projected mapper
 //! backlog exceeds the configured bound (the same load measure the
 //! fleet router balances on), submits get `busy` with a
-//! `retry_after_sec` hint instead of queueing without bound.
+//! `retry_after_sec` hint instead of queueing without bound. The daemon
+//! adds an admission pace in front of it — a budget of provisioned mapper
+//! time per wall-clock second, answered with the same `busy` — so what a
+//! saturating client gets is the same on every host and in every run.
 //!
 //! The end-to-end localhost suite lives in `tests/integration_rpc.rs`.
 

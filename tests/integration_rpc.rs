@@ -10,26 +10,40 @@
 //! * **Backpressure engages under flood** — with tiny queue bounds the
 //!   daemon answers `busy` with a positive retry hint while accepted
 //!   requests still complete within the timeout.
+//! * **Admissions are paced** — once the mapper work done overdraws the
+//!   daemon's budget a submit is answered `busy` with the time the budget
+//!   needs, a submit after that time is admitted, and the final stats count
+//!   the bounced submit as rejected.
 //! * **Graceful drain** — every in-flight group reaches its terminal
 //!   `done` *before* the `drained` response, shard caches are persisted
 //!   to disk, and the final stats account for every job.
 //! * **Cancellation over the wire** — a cancel is acknowledged and the
 //!   target submit terminates as `cancelled`, never `done`.
+//! * **The daemon waits exactly as long as the engine says** — a lone
+//!   partial group is cut at its admission deadline with no other traffic
+//!   to wake the engine thread (a wrong wake time hangs, it does not add a
+//!   tick).
+//! * **A bad client costs only its own connection** — one that stops
+//!   reading is dropped while every other client is served on, and one that
+//!   vanishes has its open submits cancelled.
 //! * **The loadgen → `BENCH_rpc.json` pipeline** — a wall-clock replay
 //!   produces a report that passes its own `magma-rpc/v1` self-check
 //!   with zero dropped in-flight submits.
 
 use std::collections::HashMap;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use magma_model::{Job, JobId, LayerShape, TaskType, TenantMix};
-use magma_platform::settings::ServerKnobs;
+use magma_platform::settings::{FleetPolicy, ServerKnobs};
 use magma_serve::shard_cache_file;
 use magma_serve::trace::{generate_trace, Scenario, TraceParams};
 use magma_serve::{EngineConfig, ScenarioDescriptor};
 use magma_server::client::{Client, Event};
 use magma_server::daemon::Server;
+use magma_server::frame::write_frame;
 use magma_server::loadgen::{self, LoadgenParams};
+use magma_server::proto::{encode, RequestMsg};
 
 const MAX_FRAME: usize = 1 << 20;
 const STEP: Duration = Duration::from_millis(20);
@@ -45,6 +59,18 @@ fn tiny_knobs() -> ServerKnobs {
     knobs.fleet.max_live = 2;
     knobs.rate = 100.0;
     knobs.timeout_sec = 30.0;
+    knobs
+}
+
+/// One-job groups whose search cannot finish on its own, however fast the
+/// daemon is: a budget of years, sliced round-robin so commands still land
+/// between slices (the deadline policy would sprint it in one step) — a
+/// submit under these knobs is live until something cancels it.
+fn endless_search_knobs() -> ServerKnobs {
+    let mut knobs = tiny_knobs();
+    knobs.fleet.serve.cold_budget = 1 << 50;
+    knobs.fleet.serve.group_target = 1;
+    knobs.fleet.policy = FleetPolicy::Uniform;
     knobs
 }
 
@@ -206,6 +232,45 @@ fn flooding_engages_backpressure_while_accepted_work_stays_bounded() {
 }
 
 #[test]
+fn the_admission_pace_bounces_a_submit_until_the_budget_has_caught_up() {
+    let mut knobs = tiny_knobs();
+    // One-job groups whose search is charged a second of mapper budget, four
+    // times the burst, and an engine that never answers `busy` itself.
+    knobs.fleet.serve.cold_budget = 40_000;
+    knobs.fleet.serve.group_target = 1;
+    knobs.max_backlog_sec = 1e9;
+    knobs.pending_per_shard = 1_000;
+    let (server, addr) = start_server(&knobs);
+    let mut client = Client::connect(&addr, MAX_FRAME).expect("client connects");
+    let settle = |client: &mut Client| {
+        let mut events = Vec::new();
+        pump_until_settled(client, &mut events, Instant::now() + Duration::from_secs(60));
+        events
+    };
+
+    client.submit(0, vec![job(0)]).expect("submit");
+    let events = settle(&mut client);
+    assert!(matches!(events[..], [Event::Accepted { .. }, Event::Done { .. }]), "{events:?}");
+
+    // The budget is overdrawn now: the next submit bounces, with a hint.
+    client.submit(0, vec![job(1)]).expect("submit");
+    let events = settle(&mut client);
+    let [Event::Busy { retry_after_sec, .. }] = events[..] else { panic!("{events:?}") };
+    assert!(retry_after_sec > 0.0 && retry_after_sec < 2.0, "hint {retry_after_sec}");
+
+    // The hint is good to the end: after it the same submit is admitted.
+    std::thread::sleep(Duration::from_secs_f64(retry_after_sec));
+    client.submit(0, vec![job(1)]).expect("submit");
+    let events = settle(&mut client);
+    assert!(matches!(events[..], [Event::Accepted { .. }, Event::Done { .. }]), "{events:?}");
+
+    let stats = drain_and_join(client, server);
+    assert_eq!(stats.accepted, 2);
+    assert_eq!(stats.rejected, 1, "a paced submit counts as rejected");
+    assert_eq!(stats.completed_jobs, 2);
+}
+
+#[test]
 fn drain_completes_in_flight_groups_first_and_persists_shard_caches() {
     let dir = std::env::temp_dir().join(format!("magma_rpc_drain_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -257,11 +322,7 @@ fn drain_completes_in_flight_groups_first_and_persists_shard_caches() {
 
 #[test]
 fn cancelling_over_the_wire_acknowledges_and_terminates_the_target() {
-    let mut knobs = tiny_knobs();
-    // Long searches so the target is still live when the cancel lands.
-    knobs.fleet.serve.cold_budget = 200_000;
-    knobs.fleet.serve.group_target = 1;
-    let (server, addr) = start_server(&knobs);
+    let (server, addr) = start_server(&endless_search_knobs());
     let mut client = Client::connect(&addr, MAX_FRAME).expect("client connects");
 
     let target = client.submit(0, vec![job(0)]).expect("submit");
@@ -269,8 +330,6 @@ fn cancelling_over_the_wire_acknowledges_and_terminates_the_target() {
     pump_until(&mut client, &mut events, Instant::now() + Duration::from_secs(30), |evs| {
         evs.iter().any(|e| matches!(e, Event::Accepted { .. }))
     });
-    // Give the scheduler a moment to start the session.
-    std::thread::sleep(Duration::from_millis(50));
 
     let cancel_id = client.cancel(target).expect("cancel");
     pump_until(&mut client, &mut events, Instant::now() + Duration::from_secs(60), |evs| {
@@ -286,6 +345,103 @@ fn cancelling_over_the_wire_acknowledges_and_terminates_the_target() {
     assert_eq!(stats.cancelled, 1);
     assert_eq!(stats.completed_jobs, 0);
     assert_eq!(stats.cancelled_jobs, 1);
+}
+
+#[test]
+fn a_lone_partial_group_completes_at_its_admission_deadline() {
+    let mut knobs = tiny_knobs();
+    // One job against a group target of 4: only the deadline path cuts it.
+    knobs.rate = knobs.fleet.serve.group_target as f64 / 0.25;
+    let max_wait = Duration::from_secs_f64(EngineConfig::from_knobs(&knobs).max_wait_sec);
+    assert_eq!(max_wait, Duration::from_millis(250));
+    let (server, addr) = start_server(&knobs);
+    let mut client = Client::connect(&addr, MAX_FRAME).expect("client connects");
+
+    // Nothing else is sent, so nothing but the engine's own wake time gets
+    // the daemon out of its blocking wait.
+    let sent = Instant::now();
+    client.submit(0, vec![job(0)]).expect("submit");
+    let mut events = Vec::new();
+    pump_until_settled(&mut client, &mut events, sent + Duration::from_secs(30));
+    let waited = sent.elapsed();
+    assert!(matches!(events[..], [Event::Accepted { .. }, Event::Done { jobs: 1, .. }]));
+    assert!(waited >= max_wait, "cut after {waited:?}, before the {max_wait:?} deadline");
+    assert!(waited < max_wait + Duration::from_secs(5), "cut only after {waited:?}");
+
+    let stats = drain_and_join(client, server);
+    assert_eq!(stats.completed_jobs, 1);
+}
+
+#[test]
+fn a_stalled_reader_loses_only_its_own_connection() {
+    let (server, addr) = start_server(&tiny_knobs());
+    let mut healthy = Client::connect(&addr, MAX_FRAME).expect("client connects");
+
+    // The stalled client submits a group, then keeps asking for stats and
+    // never reads an answer: its socket buffers fill, then its outbox, and
+    // the daemon drops it — seen here as a failing write.
+    let mut stalled = TcpStream::connect(&addr).expect("raw client connects");
+    write_frame(&mut stalled, &encode(&RequestMsg::submit(0, 0, vec![job(0)])), MAX_FRAME)
+        .expect("submit");
+    let flood = std::thread::spawn(move || {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut id = 1;
+        while write_frame(&mut stalled, &encode(&RequestMsg::stats(id)), MAX_FRAME).is_ok() {
+            assert!(Instant::now() < deadline, "still connected after {id} unread answers");
+            id += 1;
+        }
+    });
+
+    // Meanwhile, and afterwards, everyone else is served.
+    let mut served = 0;
+    let mut flooding = true;
+    while flooding {
+        flooding = !flood.is_finished();
+        healthy.submit(1, vec![job(served)]).expect("submit");
+        let mut events = Vec::new();
+        pump_until_settled(&mut healthy, &mut events, Instant::now() + Duration::from_secs(30));
+        assert!(matches!(events[..], [Event::Accepted { .. }, Event::Done { .. }]), "{events:?}");
+        served += 1;
+    }
+    flood.join().expect("the stalled client was dropped");
+
+    let stats = drain_and_join(healthy, server);
+    assert_eq!(stats.accepted, served as u64 + 1);
+    assert!(stats.completed_jobs >= served as u64);
+    // The stalled client's one job finished or was cancelled with its
+    // connection; either way every accepted job is accounted for.
+    assert_eq!(stats.completed_jobs + stats.cancelled_jobs, stats.accepted);
+}
+
+#[test]
+fn a_vanished_clients_open_submits_are_cancelled() {
+    let (server, addr) = start_server(&endless_search_knobs());
+    let mut vanishing = Client::connect(&addr, MAX_FRAME).expect("client connects");
+    vanishing.submit(0, vec![job(0)]).expect("submit");
+    let mut events = Vec::new();
+    pump_until(&mut vanishing, &mut events, Instant::now() + Duration::from_secs(30), |evs| {
+        evs.iter().any(|e| matches!(e, Event::Accepted { .. }))
+    });
+    drop(vanishing);
+
+    // A second client watches the daemon stop searching for the first.
+    let mut observer = Client::connect(&addr, MAX_FRAME).expect("client connects");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        observer.stats().expect("stats");
+        let mut events = Vec::new();
+        pump_until_settled(&mut observer, &mut events, deadline);
+        let [Event::Stats { stats, .. }] = events[..] else { panic!("unexpected {events:?}") };
+        if stats.live_sessions == 0 {
+            break;
+        }
+    }
+
+    let stats = drain_and_join(observer, server);
+    assert_eq!(stats.accepted, 1);
+    assert_eq!(stats.cancelled_jobs, 1);
+    assert_eq!(stats.accepted, stats.completed_jobs + stats.cancelled_jobs);
+    assert_eq!(stats.timed_out_jobs, 0);
 }
 
 #[test]
