@@ -11,14 +11,32 @@
 
 use magma_model::JobId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
 
 /// An encoded mapping: the individual the optimizers evolve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Mapping {
     accel_sel: Vec<usize>,
     priority: Vec<f64>,
     num_accels: usize,
+}
+
+/// The serialized shape of a [`Mapping`], before its invariants are checked.
+#[derive(Deserialize)]
+struct MappingFields {
+    accel_sel: Vec<usize>,
+    priority: Vec<f64>,
+    num_accels: usize,
+}
+
+// A mapping read from a file is outside input: it goes through the checks of
+// `Mapping::new`, so a bent file is a load error, not an index out of bounds
+// on the first hit that gathers from it.
+impl Deserialize for Mapping {
+    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
+        let MappingFields { accel_sel, priority, num_accels } = MappingFields::from_value(v)?;
+        Mapping::checked(accel_sel, priority, num_accels).map_err(DeError::custom)
+    }
 }
 
 impl Mapping {
@@ -30,12 +48,31 @@ impl Mapping {
     /// accelerator gene is out of range, or if any priority is outside
     /// `[0, 1]`.
     pub fn new(accel_sel: Vec<usize>, priority: Vec<f64>, num_accels: usize) -> Self {
-        assert!(!accel_sel.is_empty(), "a mapping must cover at least one job");
-        assert_eq!(accel_sel.len(), priority.len(), "genome lengths must match");
-        assert!(num_accels > 0, "need at least one sub-accelerator");
-        assert!(accel_sel.iter().all(|&a| a < num_accels), "sub-accelerator gene out of range");
-        assert!(priority.iter().all(|p| (0.0..=1.0).contains(p)), "priorities must be in [0, 1]");
-        Mapping { accel_sel, priority, num_accels }
+        Mapping::checked(accel_sel, priority, num_accels).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Mapping::new`] with the broken invariant as an error.
+    fn checked(
+        accel_sel: Vec<usize>,
+        priority: Vec<f64>,
+        num_accels: usize,
+    ) -> Result<Self, &'static str> {
+        if accel_sel.is_empty() {
+            return Err("a mapping must cover at least one job");
+        }
+        if accel_sel.len() != priority.len() {
+            return Err("genome lengths must match");
+        }
+        if num_accels == 0 {
+            return Err("need at least one sub-accelerator");
+        }
+        if !accel_sel.iter().all(|&a| a < num_accels) {
+            return Err("sub-accelerator gene out of range");
+        }
+        if !priority.iter().all(|p| (0.0..=1.0).contains(p)) {
+            return Err("priorities must be in [0, 1]");
+        }
+        Ok(Mapping { accel_sel, priority, num_accels })
     }
 
     /// Samples a uniformly random mapping for `num_jobs` jobs on
@@ -356,6 +393,26 @@ mod tests {
     #[should_panic(expected = "lengths must match")]
     fn mismatched_genomes_panic() {
         let _ = Mapping::new(vec![0, 1], vec![0.1], 2);
+    }
+
+    #[test]
+    fn deserialization_enforces_the_constructor_invariants() {
+        let good = r#"{"accel_sel":[0,1],"priority":[0.5,1.0],"num_accels":2}"#;
+        assert_eq!(
+            serde_json::from_str::<Mapping>(good).unwrap(),
+            Mapping::new(vec![0, 1], vec![0.5, 1.0], 2)
+        );
+        for (bent, why) in [
+            (r#"{"accel_sel":[],"priority":[],"num_accels":2}"#, "at least one job"),
+            (r#"{"accel_sel":[0,1],"priority":[0.5],"num_accels":2}"#, "lengths must match"),
+            (r#"{"accel_sel":[0],"priority":[0.5],"num_accels":0}"#, "at least one sub-accel"),
+            (r#"{"accel_sel":[0,2],"priority":[0.5,0.5],"num_accels":2}"#, "out of range"),
+            (r#"{"accel_sel":[0],"priority":[1.5],"num_accels":2}"#, "in [0, 1]"),
+            (r#"{"accel_sel":[0],"priority":[-0.1],"num_accels":2}"#, "in [0, 1]"),
+        ] {
+            let err = serde_json::from_str::<Mapping>(bent).expect_err(bent).to_string();
+            assert!(err.contains(why), "{bent}: {err}");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use crate::encoding::Mapping;
 use magma_model::{JobSignature, TaskType};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -54,10 +54,30 @@ impl fmt::Display for WarmStartMode {
 /// One remembered solution: the best mapping found for a group, plus the
 /// signatures of the jobs it was found for (when recorded via
 /// [`SolutionHistory::record_profiled`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StoredSolution {
     mapping: Mapping,
     signatures: Option<Vec<JobSignature>>,
+}
+
+/// The serialized shape of a [`StoredSolution`], before the check of
+/// [`StoredSolution::new`].
+#[derive(Deserialize)]
+struct StoredSolutionFields {
+    mapping: Mapping,
+    signatures: Option<Vec<JobSignature>>,
+}
+
+// A persisted solution is outside input: one signature per job, or a load
+// error.
+impl Deserialize for StoredSolution {
+    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
+        let StoredSolutionFields { mapping, signatures } = StoredSolutionFields::from_value(v)?;
+        if signatures.as_ref().is_some_and(|sigs| sigs.len() != mapping.num_jobs()) {
+            return Err(DeError::custom("one signature per job of the mapping"));
+        }
+        Ok(StoredSolution { mapping, signatures })
+    }
 }
 
 impl StoredSolution {
@@ -911,6 +931,20 @@ mod matching_tests {
             revived.adapt_matched(TaskType::Vision, &fresh.signatures(), 4),
             e.adapt_matched(TaskType::Vision, &fresh.signatures(), 4)
         );
+    }
+
+    #[test]
+    fn deserialization_rejects_a_solution_without_one_signature_per_job() {
+        let mapping = |n| Mapping::random(&mut StdRng::seed_from_u64(1), n, 4);
+        let sol = StoredSolution::new(mapping(3), Some(distinct_signatures(3)));
+        let json = serde_json::to_string(&sol).unwrap();
+        assert_eq!(serde_json::from_str::<StoredSolution>(&json).unwrap(), sol);
+        // The same signatures beside a two-job mapping.
+        let short = serde_json::to_string(&mapping(2)).unwrap();
+        let bent = json.replace(&serde_json::to_string(sol.mapping()).unwrap(), &short);
+        assert_ne!(bent, json);
+        let err = serde_json::from_str::<StoredSolution>(&bent).unwrap_err().to_string();
+        assert!(err.contains("one signature per job"), "{err}");
     }
 
     // Adapted genes always stay in range, whatever the stored/new group

@@ -11,6 +11,14 @@
 //! [`JobSignature::distance`] compares two such profiles in log scale, so the
 //! warm-start engine can assign each new job the genes of the most similar
 //! stored job instead of the job at the same wrapped index.
+//!
+//! A signature **carries its log coordinates**: `ln(1 + x)` of its three
+//! magnitudes is computed once, where the signature is built
+//! ([`JobSignature::of`] and deserialization), so a distance is three
+//! subtractions on those same `f64`s instead of six logarithms — bit for bit
+//! the value the written-out formula gives. The coordinates are derived
+//! data: they are never serialized (the persisted form keeps its seven
+//! fields) and there is no way to set them apart from the magnitudes.
 
 use crate::{Group, Job, LayerShape, TaskType};
 use serde::{Deserialize, Serialize};
@@ -59,7 +67,7 @@ impl fmt::Display for LayerClass {
 /// block of the stored job with the nearest signature. All quantities are
 /// per *job* (mini-batch included), so the same layer at different batch
 /// sizes is close but not identical.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobSignature {
     task: TaskType,
     class: LayerClass,
@@ -68,6 +76,25 @@ pub struct JobSignature {
     weight_elems: u64,
     activation_elems: u64,
     core_class: u32,
+    /// `ln(1 + x)` of `macs`, `weight_elems` and `activation_elems`: a pure
+    /// function of those fields, filled by [`JobSignature::new`] only.
+    log_coords: [f64; 3],
+}
+
+// Hand-written so the carried log coordinates stay out of the persisted
+// form: exactly the seven fields (and the order) the derive used to emit.
+impl serde::Serialize for JobSignature {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("task".to_string(), self.task.to_value()),
+            ("class".to_string(), self.class.to_value()),
+            ("batch".to_string(), self.batch.to_value()),
+            ("macs".to_string(), self.macs.to_value()),
+            ("weight_elems".to_string(), self.weight_elems.to_value()),
+            ("activation_elems".to_string(), self.activation_elems.to_value()),
+            ("core_class".to_string(), self.core_class.to_value()),
+        ])
+    }
 }
 
 // Hand-written so signatures persisted before `core_class` existed (e.g. a
@@ -83,19 +110,20 @@ impl serde::Deserialize for JobSignature {
             serde::Deserialize::from_value(v.get(name))
                 .map_err(|e| serde::DeError::custom(format!("field {name}: {e}")))
         }
-        Ok(JobSignature {
-            task: field(v, "task")?,
-            class: field(v, "class")?,
-            batch: field(v, "batch")?,
-            macs: field(v, "macs")?,
-            weight_elems: field(v, "weight_elems")?,
-            activation_elems: field(v, "activation_elems")?,
-            core_class: match v.get("core_class") {
-                serde::Value::Null => 0,
-                other => serde::Deserialize::from_value(other)
-                    .map_err(|e| serde::DeError::custom(format!("field core_class: {e}")))?,
-            },
-        })
+        let core_class = match v.get("core_class") {
+            serde::Value::Null => 0,
+            other => serde::Deserialize::from_value(other)
+                .map_err(|e| serde::DeError::custom(format!("field core_class: {e}")))?,
+        };
+        Ok(JobSignature::new(
+            field(v, "task")?,
+            field(v, "class")?,
+            field(v, "batch")?,
+            field(v, "macs")?,
+            field(v, "weight_elems")?,
+            field(v, "activation_elems")?,
+        )
+        .with_core_class(core_class))
     }
 }
 
@@ -121,21 +149,50 @@ impl JobSignature {
     /// profiled jobs (again only when both carry a core class).
     pub const LATENCY_CLASS_WEIGHT: f64 = 0.25;
 
+    /// The least distance between two signatures of different layer class or
+    /// task: the smaller of the two categorical penalties. A nearest-signature
+    /// search may stop at a same-class, same-task candidate under this floor
+    /// — nothing mismatched can beat it.
+    pub const KIND_MISMATCH_FLOOR: f64 =
+        Self::CLASS_MISMATCH_PENALTY.min(Self::TASK_MISMATCH_PENALTY);
+
     /// Presence flag of the packed core class (bit 31). A `core_class` of 0
     /// means "no platform profile attached".
     const CORE_CLASS_PRESENT: u32 = 0x8000_0000;
 
+    /// The one place a signature is put together, so the carried log
+    /// coordinates always belong to the magnitudes beside them.
+    fn new(
+        task: TaskType,
+        class: LayerClass,
+        batch: usize,
+        macs: u64,
+        weight_elems: u64,
+        activation_elems: u64,
+    ) -> Self {
+        let log = |x: u64| (1.0 + x as f64).ln();
+        JobSignature {
+            task,
+            class,
+            batch,
+            macs,
+            weight_elems,
+            activation_elems,
+            core_class: 0,
+            log_coords: [log(macs), log(weight_elems), log(activation_elems)],
+        }
+    }
+
     /// Computes the signature of a job.
     pub fn of(job: &Job) -> Self {
-        JobSignature {
-            task: job.task(),
-            class: LayerClass::from(job.layer()),
-            batch: job.batch(),
-            macs: job.macs(),
-            weight_elems: job.weight_elems(),
-            activation_elems: job.activation_elems(),
-            core_class: 0,
-        }
+        JobSignature::new(
+            job.task(),
+            LayerClass::from(job.layer()),
+            job.batch(),
+            job.macs(),
+            job.weight_elems(),
+            job.activation_elems(),
+        )
     }
 
     /// Packs a platform profile — the per-core no-stall latencies of the job
@@ -230,6 +287,14 @@ impl JobSignature {
         self.activation_elems
     }
 
+    /// The carried log coordinates: `ln(1 + x)` of [`Self::macs`],
+    /// [`Self::weight_elems`] and [`Self::activation_elems`], in that order
+    /// — the axes [`Self::distance`] measures magnitudes along, and what a
+    /// log-scale quantizer buckets.
+    pub fn log_coords(&self) -> [f64; 3] {
+        self.log_coords
+    }
+
     /// MACs per element of data moved — the roofline position of the job.
     pub fn arithmetic_intensity(&self) -> f64 {
         let data = self.weight_elems + self.activation_elems;
@@ -244,8 +309,11 @@ impl JobSignature {
     /// identical, symmetric, and always finite.
     ///
     /// Magnitudes are compared in log scale (L1 over `ln(1 + x)` of MACs,
-    /// weight elements and activation elements), so "twice the MACs" costs
-    /// the same everywhere on the size spectrum. Categorical mismatches add
+    /// weight elements and activation elements — the carried
+    /// [`Self::log_coords`], so no logarithm is taken here), so "twice the
+    /// MACs" costs the same everywhere on the size spectrum. Every term is
+    /// non-negative, so a pair that differs in class or task is never nearer
+    /// than [`Self::KIND_MISMATCH_FLOOR`]. Categorical mismatches add
     /// [`Self::CLASS_MISMATCH_PENALTY`] / [`Self::TASK_MISMATCH_PENALTY`] on
     /// top, which keeps matching within a layer class (and, in Mix groups,
     /// within a task) whenever a same-class candidate exists.
@@ -258,10 +326,9 @@ impl JobSignature {
     /// best-core latency difference. Unprofiled signatures (the default) are
     /// compared exactly as before the knob existed.
     pub fn distance(&self, other: &JobSignature) -> f64 {
-        let log_gap = |a: u64, b: u64| ((1.0 + a as f64).ln() - (1.0 + b as f64).ln()).abs();
-        let mut d = log_gap(self.macs, other.macs)
-            + log_gap(self.weight_elems, other.weight_elems)
-            + log_gap(self.activation_elems, other.activation_elems);
+        let [m, w, a] = self.log_coords;
+        let [om, ow, oa] = other.log_coords;
+        let mut d = (m - om).abs() + (w - ow).abs() + (a - oa).abs();
         if self.class != other.class {
             d += Self::CLASS_MISMATCH_PENALTY;
         }
@@ -299,6 +366,127 @@ impl Group {
 mod tests {
     use super::*;
     use crate::{JobId, WorkloadSpec};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The distance as it was computed before signatures carried their log
+    /// coordinates: six logarithms a pair, straight from the magnitudes.
+    fn written_out_distance(a: &JobSignature, b: &JobSignature) -> f64 {
+        let log_gap = |a: u64, b: u64| ((1.0 + a as f64).ln() - (1.0 + b as f64).ln()).abs();
+        let mut d = log_gap(a.macs, b.macs)
+            + log_gap(a.weight_elems, b.weight_elems)
+            + log_gap(a.activation_elems, b.activation_elems);
+        if a.class != b.class {
+            d += JobSignature::CLASS_MISMATCH_PENALTY;
+        }
+        if a.task != b.task {
+            d += JobSignature::TASK_MISMATCH_PENALTY;
+        }
+        if a.has_core_class() && b.has_core_class() {
+            if a.affinity() != b.affinity() {
+                d += JobSignature::AFFINITY_MISMATCH_PENALTY;
+            }
+            d += JobSignature::LATENCY_CLASS_WEIGHT
+                * (a.latency_class() as f64 - b.latency_class() as f64).abs();
+        }
+        d
+    }
+
+    /// A signature of a random accelerator layer, profiled half of the time.
+    fn random_signature(rng: &mut StdRng) -> JobSignature {
+        let dim = |rng: &mut StdRng| 1usize << rng.gen_range(0..11);
+        let layer = match rng.gen_range(0..4) {
+            0 => LayerShape::Conv2d {
+                k: dim(rng),
+                c: dim(rng),
+                y: rng.gen_range(1..225),
+                x: rng.gen_range(1..225),
+                r: rng.gen_range(1..8),
+                s: rng.gen_range(1..8),
+                stride: rng.gen_range(1..3),
+            },
+            1 => LayerShape::DepthwiseConv2d {
+                c: dim(rng),
+                y: rng.gen_range(1..113),
+                x: rng.gen_range(1..113),
+                r: 3,
+                s: 3,
+                stride: rng.gen_range(1..3),
+            },
+            2 => LayerShape::FullyConnected { out_features: dim(rng), in_features: dim(rng) },
+            _ => LayerShape::Gemm { m: dim(rng), n: dim(rng), kdim: dim(rng) },
+        };
+        let task = TaskType::ALL[rng.gen_range(0..TaskType::ALL.len())];
+        let job = Job::new(JobId(0), "m", 0, layer, rng.gen_range(1..9), task);
+        let sig = job.signature();
+        if rng.gen_range(0..2) == 0 {
+            return sig;
+        }
+        let latencies: Vec<f64> = (0..4).map(|_| rng.gen_range(1e-7..1e-1)).collect();
+        sig.with_core_class(JobSignature::encode_core_class(&latencies))
+    }
+
+    proptest! {
+        #[test]
+        fn distance_is_bit_identical_to_the_written_out_formula(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (a, b) = (random_signature(&mut rng), random_signature(&mut rng));
+            let expected = written_out_distance(&a, &b).to_bits();
+            prop_assert_eq!(a.distance(&b).to_bits(), expected);
+            prop_assert_eq!(b.distance(&a).to_bits(), expected);
+            prop_assert!(
+                (a.class == b.class && a.task == b.task)
+                    || a.distance(&b) >= JobSignature::KIND_MISMATCH_FLOOR
+            );
+
+            // The coordinates survive everything that hands a signature on:
+            // a serde round trip (which never stores them) ...
+            let json = serde_json::to_string(&a).unwrap();
+            let back: JobSignature = serde_json::from_str(&json).unwrap();
+            prop_assert_eq!(back, a);
+            prop_assert_eq!(back.distance(&b).to_bits(), expected);
+            // ... and attaching or detaching a platform profile.
+            let cc = JobSignature::encode_core_class(&[rng.gen_range(1e-6..1e-2), 1e-3]);
+            let (ap, bp) = (a.with_core_class(cc), b.with_core_class(0));
+            prop_assert_eq!(ap.distance(&bp).to_bits(), written_out_distance(&ap, &bp).to_bits());
+            prop_assert_eq!(ap.log_coords(), a.log_coords());
+        }
+    }
+
+    #[test]
+    fn extreme_magnitudes_keep_the_written_out_distance() {
+        // Deserialization is the other way a signature comes to be; it takes
+        // any u64, including the ends no layer shape reaches.
+        let sig = |macs: u64, weights: u64, acts: u64| -> JobSignature {
+            serde_json::from_str(&format!(
+                "{{\"task\":\"Vision\",\"class\":\"Conv\",\"batch\":1,\"macs\":{macs},\
+                 \"weight_elems\":{weights},\"activation_elems\":{acts}}}"
+            ))
+            .unwrap()
+        };
+        let ends = [sig(0, 0, 0), sig(u64::MAX, 1, 0), sig(1, u64::MAX, u64::MAX), sig(7, 9, 11)];
+        for a in &ends {
+            for b in &ends {
+                assert_eq!(a.distance(b).to_bits(), written_out_distance(a, b).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn the_serialized_form_has_exactly_the_seven_persisted_fields() {
+        let sig = conv_job(0, 64, 4)
+            .signature()
+            .with_core_class(JobSignature::encode_core_class(&[1e-3, 2e-3]));
+        let serde::Value::Map(fields) = serde::Serialize::to_value(&sig) else {
+            panic!("a signature serializes as an object");
+        };
+        let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["task", "class", "batch", "macs", "weight_elems", "activation_elems", "core_class"]
+        );
+    }
 
     fn conv_job(id: usize, k: usize, batch: usize) -> Job {
         Job::new(

@@ -207,8 +207,24 @@ impl MappingService {
         rng: &mut StdRng,
         shared: Option<&mut SharedCache>,
     ) -> SearchPlan {
+        let key = quantize_signatures(problem.signatures(), self.config.quant_step);
+        self.plan_keyed(problem, key, rng, shared)
+    }
+
+    /// [`MappingService::plan_group_shared`] for a caller that already
+    /// quantized the group — the shard set needs the key to route, before
+    /// there is a problem to plan. `key` must be the problem's signatures
+    /// quantized at this service's `quant_step` (the platform profile a
+    /// problem attaches to its signatures is not part of the key).
+    pub(crate) fn plan_keyed(
+        &mut self,
+        problem: &M3e,
+        key: SignatureKey,
+        rng: &mut StdRng,
+        shared: Option<&mut SharedCache>,
+    ) -> SearchPlan {
         let sigs = problem.signatures();
-        let key = quantize_signatures(sigs, self.config.quant_step);
+        debug_assert_eq!(key, quantize_signatures(sigs, self.config.quant_step));
         let num_accels = MappingProblem::num_accels(problem);
         let magma = Magma::default();
         let budget = self.config.refine_budget;
@@ -261,10 +277,25 @@ impl MappingService {
         plan: SearchPlan,
         outcome: SearchOutcome,
     ) -> (DispatchOutcome, Option<SignatureKey>) {
-        let evicted = self.cache.insert(
-            plan.key,
-            StoredSolution::new(outcome.best_mapping.clone(), Some(problem.signatures().to_vec())),
-        );
+        self.complete_group_shared(problem, plan, outcome, None)
+    }
+
+    /// [`MappingService::complete_group`] that also publishes the solution
+    /// to the fleet tier on behalf of a tenant: the stored solution is built
+    /// once and the tier gets a copy of it.
+    pub(crate) fn complete_group_shared(
+        &mut self,
+        problem: &M3e,
+        plan: SearchPlan,
+        outcome: SearchOutcome,
+        shared: Option<(&mut SharedCache, usize)>,
+    ) -> (DispatchOutcome, Option<SignatureKey>) {
+        let stored =
+            StoredSolution::new(outcome.best_mapping.clone(), Some(problem.signatures().to_vec()));
+        if let Some((tier, tenant)) = shared {
+            tier.publish(plan.key.clone(), stored.clone(), tenant);
+        }
+        let evicted = self.cache.insert(plan.key, stored);
         let schedule = problem.schedule(&outcome.best_mapping);
         let outcome = DispatchOutcome {
             kind: plan.kind,
@@ -316,9 +347,8 @@ impl SearchPlan {
         self.budget
     }
 
-    /// The cache key the group quantized to — what the fleet loop publishes
-    /// the completed mapping under in the shared tier (avoiding a second
-    /// quantization pass).
+    /// The cache key the group quantized to — what the completed mapping
+    /// will be stored under, in the shard's cache and the shared tier.
     pub fn key(&self) -> &SignatureKey {
         &self.key
     }
@@ -467,6 +497,36 @@ mod tests {
         let mut restarted = MappingService::new(config());
         restarted.install_cache(saved);
         assert_eq!(restarted.map_group(&p, 2).kind, DispatchKind::CacheHit);
+    }
+
+    #[test]
+    fn a_bent_cache_file_is_a_load_error_not_a_panic_on_the_first_hit() {
+        use crate::shards::tests::drop_last_of_first_entry;
+        let p = problem(0);
+        let mut service = MappingService::new(config());
+        service.map_group(&p, 1);
+        let path = std::env::temp_dir().join(format!("magma_bent_cache_{}", std::process::id()));
+        service.cache().save(&path).expect("temp dir is writable");
+        let saved = std::fs::read_to_string(&path).unwrap();
+        // Each file is valid JSON; each used to load and be installed. The
+        // first then killed the thread in `Mapping::gather` on the group's
+        // next `map_group`.
+        for (field, why) in [
+            (Some(["mapping", "priority"].as_slice()), "genome lengths must match"),
+            (Some(&["mapping", "accel_sel"]), "genome lengths must match"),
+            (Some(&["signatures"]), "one signature per job"),
+            (None, "keys 7 jobs but maps 8"),
+        ] {
+            std::fs::write(&path, drop_last_of_first_entry(&saved, field)).unwrap();
+            let err = MappingCache::load(&path).expect_err("nothing to install").to_string();
+            assert!(err.contains(why), "{field:?}: {err}");
+        }
+        // The file as it was saved is what a restart installs and hits.
+        std::fs::write(&path, &saved).unwrap();
+        let mut restarted = MappingService::new(config());
+        restarted.install_cache(MappingCache::load(&path).expect("the saved file loads"));
+        assert_eq!(restarted.map_group(&p, 2).kind, DispatchKind::CacheHit);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::metrics::CacheReport;
 use crate::router::{RouterStats, ShardRouter};
 use crate::scheduler::{LiveSession, SchedStats, SchedStep, SchedulerConfig, SessionScheduler};
 use crate::trace::Arrival;
-use magma_m3e::{M3e, Objective, StoredSolution};
+use magma_m3e::{M3e, Objective};
 use magma_model::{Group, JobId, JobSignature, TenantMix};
 use magma_platform::AcceleratorPlatform;
 use rand::rngs::StdRng;
@@ -198,7 +198,7 @@ impl ShardSet {
             M3e::new(self.platforms[shard].clone(), Group::new(jobs), Objective::Throughput);
         let id = self.admitted;
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(id.wrapping_mul(K_SEED_STRIDE)));
-        let plan = self.services[shard].plan_group_shared(&problem, &mut rng, self.shared.as_mut());
+        let plan = self.services[shard].plan_keyed(&problem, key, &mut rng, self.shared.as_mut());
         let budget = plan.budget();
         let state = self.services[shard].open_search(&plan, &problem, &mut rng);
         let value = group_value(group.arrivals.iter(), mix);
@@ -240,19 +240,12 @@ impl ShardSet {
         search_end_sec: f64,
     ) -> Completed {
         let LiveSession { group, plan, problem, state, .. } = session;
-        let key = plan.key().clone();
+        let shared = self.shared.as_mut().map(|tier| (tier, dominant_tenant(&group.arrivals)));
         let (outcome, evicted) =
-            self.services[shard].complete_group(&problem, plan, state.finish());
+            self.services[shard].complete_group_shared(&problem, plan, state.finish(), shared);
         // A pin is only worth keeping while the shard's cache holds the key.
         if let Some(evicted) = evicted {
             self.router.forget(&evicted, shard);
-        }
-        if let Some(tier) = self.shared.as_mut() {
-            tier.publish(
-                key,
-                StoredSolution::new(outcome.mapping.clone(), Some(problem.signatures().to_vec())),
-                dominant_tenant(&group.arrivals),
-            );
         }
         let exec_start = search_end_sec.max(self.accel_free[shard]);
         self.accel_free[shard] = exec_start + outcome.schedule.makespan_sec();
@@ -422,11 +415,44 @@ pub(crate) mod tests {
         let stale = PathBuf::from(format!("{}.tmp", shard_cache_file(&base, 0).display()));
         std::fs::write(&stale, &warm).unwrap();
         assert_eq!(serve(Some(base.clone())), cold, "unreadable files mean a cold start");
+        assert!(!stale.exists(), "a save consumes its temp file");
+        // Files that parse but are not a cache any more: a mapping short of
+        // a priority gene (which used to load, and panic on the first hit
+        // that gathered from it) and a solution short of a signature.
+        for (i, field) in [["mapping", "priority"].as_slice(), &["signatures"]].iter().enumerate() {
+            let file = shard_cache_file(&base, i);
+            let saved = std::fs::read_to_string(&file).expect("the run replaced the corrupt file");
+            MappingCache::load(&file).expect("and what it wrote loads");
+            std::fs::write(&file, drop_last_of_first_entry(&saved, Some(field))).unwrap();
+            MappingCache::load(&file).expect_err("an inconsistent file is a load error");
+        }
+        assert_eq!(serve(Some(base.clone())), cold, "inconsistent files mean a cold start");
         for i in 0..2 {
             let file = shard_cache_file(&base, i);
-            MappingCache::load(&file).expect("the run replaced the corrupt file");
+            MappingCache::load(&file).expect("the run replaced the inconsistent file");
             let _ = std::fs::remove_file(file);
         }
-        assert!(!stale.exists(), "a save consumes its temp file");
+    }
+
+    /// A persisted cache with the last element dropped from one array of its
+    /// first entry — the key (`None`) or a field of the stored solution
+    /// (`Some(&["mapping", "priority"])`): still JSON, no longer consistent.
+    pub(crate) fn drop_last_of_first_entry(cache_json: &str, field: Option<&[&str]>) -> String {
+        use serde::Value;
+        fn child<'a>(v: &'a mut Value, name: &str) -> &'a mut Value {
+            let Value::Map(fields) = v else { panic!("{name}: not inside an object") };
+            &mut fields.iter_mut().find(|(k, _)| k == name).expect("the field exists").1
+        }
+        let mut root: Value = serde_json::from_str(cache_json).expect("a saved cache is JSON");
+        let Value::Seq(entries) = child(&mut root, "entries") else { panic!("entries is a list") };
+        let Value::Seq(pair) = &mut entries[0] else { panic!("an entry is a pair") };
+        let (key, solution) = pair.split_at_mut(1);
+        let target = match field {
+            None => &mut key[0],
+            Some(path) => path.iter().fold(&mut solution[0], |v, name| child(v, name)),
+        };
+        let Value::Seq(items) = target else { panic!("the target is a list") };
+        items.pop().expect("the list has an element to drop");
+        serde_json::to_string_pretty(&root).unwrap()
     }
 }

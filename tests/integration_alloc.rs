@@ -1,4 +1,5 @@
-//! The zero-allocation gate on the fitness kernel.
+//! The zero-allocation gate on the fitness kernel — and on the near-hit
+//! cache probe, the other loop a request's cost is counted in.
 //!
 //! Every search sample is one `M3e::evaluate` call, and after a thread's
 //! first evaluation of a problem (which sizes its scratch) the call must not
@@ -15,10 +16,12 @@
 mod common;
 
 use common::problem;
+use magma::m3e::StoredSolution;
 use magma::optim::parallel::evaluate_batch_with;
 use magma::prelude::*;
+use magma::serve::quantize_signatures;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -114,4 +117,35 @@ fn a_serial_batch_allocates_only_its_output() {
         });
         assert!(allocations <= 1, "{name}: a 256-mapping batch allocated {allocations} times");
     }
+}
+
+/// An exact-key miss walks the whole cache looking for a near entry; the walk
+/// reads the entries in place and keeps its running totals in registers.
+#[test]
+fn a_near_hit_probe_that_misses_allocates_nothing() {
+    // Every job an independent draw from a long Mix workload, so no two
+    // groups are windows of one model.
+    let pool = WorkloadSpec::new(TaskType::Mix, 2000).build_jobs();
+    let mut rng = StdRng::seed_from_u64(3);
+    let signatures = |rng: &mut StdRng| -> Vec<JobSignature> {
+        (0..30).map(|_| pool[rng.gen_range(0..pool.len())].signature()).collect()
+    };
+    let mut cache = MappingCache::new(64);
+    while cache.len() < 64 {
+        let sigs = signatures(&mut rng);
+        let mapping = Mapping::random(&mut rng, sigs.len(), 4);
+        cache.insert(quantize_signatures(&sigs, 1.0), StoredSolution::new(mapping, Some(sigs)));
+    }
+    // Half the shipped epsilon: near enough that entries are walked many
+    // jobs deep before they are abandoned, too tight for a stranger to hit.
+    let probe = signatures(&mut rng);
+    let key = quantize_signatures(&probe, 1.0);
+    let misses = cache.stats().misses;
+    let allocations = allocations_in(|| {
+        for _ in 0..100 {
+            assert!(std::hint::black_box(cache.lookup_near(&key, &probe, 0.5)).is_none());
+        }
+    });
+    assert_eq!(cache.stats().misses, misses + 100);
+    assert_eq!(allocations, 0, "100 probes of {} entries allocated", cache.len());
 }

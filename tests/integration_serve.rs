@@ -196,3 +196,43 @@ fn every_scenario_completes_all_requests_with_sane_profiles() {
         assert_eq!(m.cache.hits + m.cache.misses, m.dispatch.dispatches as u64, "{}", s.name);
     }
 }
+
+/// The persisted format is a contract with files already on disk:
+/// `tests/data/cache_parent.json` was written by the code *before*
+/// signatures carried log coordinates and entries a derived index (five
+/// entries: profiled and plain signatures, a three-job group, an entry
+/// without signatures, one signature set under two keys), and
+/// `cache_parent_after_probe.json` by the same code after one near-hit probe
+/// — a distance tie between the twin entries, settled by recency. Today's
+/// code must load the first, re-save it to the same bytes, serve the same
+/// near hit and arrive at the second file's bytes.
+#[test]
+fn a_cache_file_written_before_the_scan_rewrite_loads_probes_and_resaves_identically() {
+    use magma_m3e::{M3e, Objective};
+    use magma_model::{TaskType, WorkloadSpec};
+    use magma_platform::settings::{self, Setting};
+    use magma_serve::{quantize_signatures, MappingCache};
+    use std::path::PathBuf;
+
+    let data = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data");
+    let before = std::fs::read(data.join("cache_parent.json")).unwrap();
+    let after = std::fs::read(data.join("cache_parent_after_probe.json")).unwrap();
+    let mut cache = MappingCache::load(&data.join("cache_parent.json")).expect("the file loads");
+    assert_eq!(cache.len(), 5);
+
+    let scratch = std::env::temp_dir().join(format!("magma_golden_cache_{}", std::process::id()));
+    let resaved = |cache: &MappingCache| {
+        cache.save(&scratch).expect("temp dir is writable");
+        std::fs::read(&scratch).unwrap()
+    };
+    assert!(resaved(&cache) == before, "load → save changed the file");
+
+    let group = WorkloadSpec::single_group(TaskType::Vision, 4, 5);
+    let probe = M3e::new(settings::build(Setting::S2), group, Objective::Throughput);
+    let key = quantize_signatures(probe.signatures(), 1.0);
+    let hit = cache.lookup_near(&key, probe.signatures(), 8.0).expect("a vision entry is near");
+    assert_eq!(hit.mapping().accel_sel(), [0, 2, 0, 2], "the more recent of the tied twins");
+    assert!(resaved(&cache) == after, "the probe left a different cache than it used to");
+    assert!(cache.lookup_near(&key, probe.signatures(), 0.01).is_none());
+    let _ = std::fs::remove_file(&scratch);
+}
