@@ -5,29 +5,28 @@
 //! Sweeps the nearest-key probe threshold × refinement budget × key
 //! quantization step grid of `magma_serve::sweep` on the standard Poisson
 //! mix trace, prints the measured frontier (hit rate, near-hit share, hit
-//! quality vs cold search, end-to-end latency per point) plus a
-//! `MAGMA_SIGNATURE_PROFILE` on/off A/B at the shipped knob point, and
-//! writes the schema-stable `BENCH_cache.json` (schema `magma-cache/v2`,
-//! self-checked via `CacheSweepReport::validate`).
+//! quality vs cold search, end-to-end latency per point) and writes the
+//! schema-stable `BENCH_cache.json` (schema `magma-cache/v3`) through
+//! `magma_serve::emit`: self-check, write, then gate.
 //!
 //! With `--scenario <file>` the sweep's trace comes from a registry
 //! scenario (`magma-registry`) instead of the standard Poisson mix, and
 //! the report embeds the resolved scenario descriptor.
 //!
-//! The builtin run doubles as an acceptance check and panics on regression:
-//! a calibrated point must exist (near-hit quality ≥ 0.95× cold search at
-//! ≤ 0.25× of the cold budget), and in full mode the shipped defaults must
-//! be that calibrated point — so a default that the frontier no longer
-//! justifies fails CI instead of shipping silently. Registry scenarios
-//! skip that gate — their frontier is the scenario's, not the shipped
-//! defaults'.
+//! The builtin run doubles as an acceptance check
+//! (`CacheSweepReport::accept`) and exits 1 on regression: a calibrated
+//! point must exist (near-hit quality ≥ 0.95× cold search at ≤ 0.25× of the
+//! cold budget), and in full mode the shipped defaults must be that
+//! calibrated point — so a default that the frontier no longer justifies
+//! fails CI instead of shipping silently. Registry scenarios skip that gate
+//! — their frontier is the scenario's, not the shipped defaults'.
 //!
 //! # Knobs
 //!
 //! Serving knobs are the shipped defaults (`ServeKnobs` / `FleetKnobs` /
 //! `ServerKnobs`); per-scenario values come from the registry file's
 //! `traffic` / `serving` blocks, and the environment overrides only what
-//! the table lists (README has the one table of all 16 `MAGMA_*` variables).
+//! the table lists (README has the one table of all 13 `MAGMA_*` variables).
 //!
 //! | Flag / variable | Effect |
 //! |---|---|
@@ -38,7 +37,7 @@
 //! | `MAGMA_THREADS` | evaluation worker threads — wall-clock only, the report never changes |
 //! | `MAGMA_BENCH_DIR` | output directory of `BENCH_cache.json` |
 
-use magma_serve::sweep::{run_cache_sweep, run_cache_sweep_custom, write_cache_json, SweepPoint};
+use magma_serve::sweep::{run_cache_sweep, run_cache_sweep_custom, SweepPoint};
 use magma_serve::CacheSweepReport;
 
 fn main() {
@@ -64,28 +63,12 @@ fn main() {
     let report = match &setup.scenario {
         Some(resolved) => {
             magma_bench::print_scenario(resolved);
-            run_cache_sweep_custom(knobs, smoke, true, &resolved.custom())
+            run_cache_sweep_custom(knobs, smoke, &resolved.custom())
         }
-        None => run_cache_sweep(knobs, smoke, true),
+        None => run_cache_sweep(knobs, smoke),
     };
-    if let Err(violation) = report.validate() {
-        eprintln!("magma-cache/v2 schema self-check failed: {violation}");
-        std::process::exit(1);
-    }
     print_report(&report);
-
-    // Write the profile before gating: a failing acceptance still leaves
-    // the measured frontier on disk for diagnosis.
-    match write_cache_json(&report) {
-        Ok(path) => println!("\n(cache profile written to {})", path.display()),
-        Err(e) => {
-            eprintln!("could not write BENCH_cache.json: {e}");
-            std::process::exit(1);
-        }
-    }
-    if setup.scenario.is_none() {
-        check_acceptance(&report, smoke);
-    }
+    magma_bench::emit_or_exit(&report, setup.scenario.is_none());
 }
 
 fn print_point(p: &SweepPoint, marker: &str) {
@@ -117,54 +100,4 @@ fn print_report(report: &CacheSweepReport) {
         let chosen = report.calibrated.as_ref() == Some(p);
         print_point(p, if chosen { "  ← calibrated" } else { "" });
     }
-    if let Some(ab) = &report.profile_ab {
-        println!("\nsignature profile A/B at the shipped knob point:");
-        print_point(&ab.on, "  (profile on)");
-        print_point(&ab.off, "  (profile off)");
-    }
-}
-
-/// The calibration acceptance criteria. Panics on regression so CI fails
-/// loudly.
-fn check_acceptance(report: &CacheSweepReport, smoke: bool) {
-    let calibrated = report.calibrated.as_ref().unwrap_or_else(|| {
-        panic!(
-            "no grid point kept quality ≥ {} at ≤ {} of the cold budget — the near-hit \
-             probe cannot be shipped on this frontier",
-            report.quality_floor, report.budget_ceiling
-        )
-    });
-    assert!(
-        calibrated.quality_vs_probe_off >= report.quality_floor
-            && calibrated.hit_sample_fraction <= report.budget_ceiling,
-        "calibrated point violates its own floors: {calibrated:?}"
-    );
-    // Smoke sweeps pin refine/quant to the knobs and only A/B the probe, so
-    // defaults can only be held to the frontier at full scale.
-    if !smoke {
-        assert!(
-            report.defaults_match_calibrated,
-            "the shipped defaults (epsilon {}, refine {}, quant {}) are not the calibrated \
-             point (epsilon {}, refine {}, quant {}) — recalibrate platform::settings",
-            report.default_epsilon,
-            report.default_refine_budget,
-            report.default_quant_step,
-            calibrated.epsilon,
-            calibrated.refine_budget,
-            calibrated.quant_step
-        );
-    }
-    println!(
-        "\nacceptance: calibrated point epsilon {}, refine {}, quant {} — hit rate {:.3}, \
-         quality {:.3} (≥ {}), budget {:.3} (≤ {}){}",
-        calibrated.epsilon,
-        calibrated.refine_budget,
-        calibrated.quant_step,
-        calibrated.hit_rate,
-        calibrated.quality_vs_probe_off,
-        report.quality_floor,
-        calibrated.hit_sample_fraction,
-        report.budget_ceiling,
-        if smoke { "" } else { "; shipped defaults match" }
-    );
 }

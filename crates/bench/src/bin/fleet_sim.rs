@@ -8,25 +8,26 @@
 //! stress (higher load, SLAs cut to a third, the mapper oversubscribed) —
 //! over a shard-count ladder, prints a throughput/latency/preemption
 //! profile per rung and writes the schema-stable `BENCH_fleet.json`
-//! (schema `magma-fleet/v3`, self-checked via `FleetReport::validate`).
+//! (schema `magma-fleet/v3`) through `magma_serve::emit`: self-check,
+//! write, then gate.
 //!
 //! With `--scenario <file>` the standard set is replaced by a registry
 //! scenario (`magma-registry`): every shard runs the file's platform, the
 //! trace follows its tenant mix and traffic block, and the report embeds
 //! the resolved scenario descriptor.
 //!
-//! The builtin run doubles as an acceptance check and panics on regression:
-//! the widest `fleet_mix` rung must beat the 1-shard rung's throughput, and
-//! the `deadline_pressure` scenario must actually preempt (a nonzero
-//! deadline-preemption counter at its widest rung). Registry scenarios skip
-//! that gate.
+//! The builtin run doubles as an acceptance check (`FleetReport::accept`)
+//! and exits 1 on regression: the widest `fleet_mix` rung must beat the
+//! 1-shard rung's throughput, and the `deadline_pressure` scenario must
+//! actually preempt (a nonzero deadline-preemption counter at its widest
+//! rung). Registry scenarios skip that gate.
 //!
 //! # Knobs
 //!
 //! Serving knobs are the shipped defaults (`ServeKnobs` / `FleetKnobs` /
 //! `ServerKnobs`); per-scenario values come from the registry file's
 //! `traffic` / `serving` blocks, and the environment overrides only what
-//! the table lists (README has the one table of all 16 `MAGMA_*` variables).
+//! the table lists (README has the one table of all 13 `MAGMA_*` variables).
 //!
 //! | Flag / variable | Effect |
 //! |---|---|
@@ -37,10 +38,7 @@
 //! | `MAGMA_THREADS` | evaluation worker threads — wall-clock only, the report never changes |
 //! | `MAGMA_BENCH_DIR` | output directory of `BENCH_fleet.json` |
 
-use magma_serve::fleet::{
-    run_fleet_custom, run_fleet_ladder, write_fleet_json, FleetRung, FleetScenarioResult,
-};
-use magma_serve::FleetReport;
+use magma_serve::fleet::{run_fleet_custom, run_fleet_ladder, FleetRung, FleetScenarioResult};
 
 fn main() {
     let setup = magma_bench::serving_setup();
@@ -71,22 +69,8 @@ fn main() {
         }
         None => run_fleet_ladder(knobs, smoke),
     };
-    if let Err(violation) = report.validate() {
-        eprintln!("magma-fleet/v3 schema self-check failed: {violation}");
-        std::process::exit(1);
-    }
-    print_report(&report);
-    if setup.scenario.is_none() {
-        check_acceptance(&report);
-    }
-
-    match write_fleet_json(&report) {
-        Ok(path) => println!("\n(fleet profile written to {})", path.display()),
-        Err(e) => {
-            eprintln!("could not write BENCH_fleet.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    report.scenarios.iter().for_each(print_scenario);
+    magma_bench::emit_or_exit(&report, setup.scenario.is_none());
 }
 
 fn print_rung(r: &FleetRung) {
@@ -144,52 +128,4 @@ fn print_scenario(s: &FleetScenarioResult) {
     for rung in &s.rungs {
         print_rung(rung);
     }
-}
-
-fn print_report(report: &FleetReport) {
-    for s in &report.scenarios {
-        print_scenario(s);
-    }
-}
-
-/// The fleet acceptance criteria. Panics on regression so CI fails loudly.
-fn check_acceptance(report: &FleetReport) {
-    let scenario = |name: &str| -> &FleetScenarioResult {
-        report
-            .scenarios
-            .iter()
-            .find(|s| s.name == name)
-            .unwrap_or_else(|| panic!("the standard set always contains {name}"))
-    };
-    let mix = scenario("fleet_mix");
-    let one = mix.rungs.first().expect("the ladder starts at 1 shard");
-    let wide = mix.rungs.last().expect("the ladder is non-empty");
-    assert!(
-        wide.shards > one.shards,
-        "the ladder must span more than one shard count to show scaling"
-    );
-    assert!(
-        wide.jobs_per_sec > one.jobs_per_sec,
-        "{} shards ({:.0} jobs/s) failed to beat 1 shard ({:.0} jobs/s) on the fleet mix",
-        wide.shards,
-        wide.jobs_per_sec,
-        one.jobs_per_sec
-    );
-    let pressure = scenario("deadline_pressure");
-    let stressed = pressure.rungs.last().expect("the ladder is non-empty");
-    assert!(
-        stressed.preemptions > 0,
-        "the deadline-pressure scenario completed without a single preemption at {} shards",
-        stressed.shards
-    );
-    println!(
-        "\nacceptance: fleet_mix {}-shard speedup {:.2}x over 1 shard; \
-         deadline_pressure preempted {} sessions ({} deadline / {} value) at {} shards",
-        wide.shards,
-        wide.speedup_vs_one_shard,
-        stressed.preemptions,
-        stressed.preempted_deadline,
-        stressed.preempted_value,
-        stressed.shards
-    );
 }

@@ -10,9 +10,10 @@
 //! accepted/rejected/timed-out/cancelled counts, the daemon's final
 //! counters and the resolved scenario descriptor.
 //!
-//! The process exits non-zero if the report fails its own schema
-//! self-check or if any accepted submit never reached a terminal
-//! response (`dropped_in_flight != 0`) — the drain guarantee CI gates on.
+//! The report goes through `magma_serve::emit` (self-check, write, then
+//! gate): the process exits 1 if the self-check fails or if any accepted
+//! submit never reached a terminal response (`dropped_in_flight != 0`,
+//! `RpcReport::accept`) — the drain guarantee CI gates on, for every run.
 //!
 //! With `--scenario <file>` the trace replays a registry scenario's
 //! traffic block and tenant mix; the daemon should be started with the
@@ -23,7 +24,7 @@
 //! Serving knobs are the shipped defaults (`ServeKnobs` / `FleetKnobs` /
 //! `ServerKnobs`); per-scenario values come from the registry file's
 //! `traffic` / `serving` blocks, and the environment overrides only what
-//! the table lists (README has the one table of all 16 `MAGMA_*` variables).
+//! the table lists (README has the one table of all 13 `MAGMA_*` variables).
 //!
 //! | Flag / variable | Effect |
 //! |---|---|
@@ -38,7 +39,6 @@ use magma_model::TenantMix;
 use magma_serve::trace::{generate_trace, Scenario, TraceParams};
 use magma_serve::ScenarioDescriptor;
 use magma_server::loadgen::{self, LoadgenParams};
-use magma_server::write_rpc_json;
 
 fn main() {
     let setup = magma_bench::serving_setup();
@@ -99,10 +99,6 @@ fn main() {
         }
     };
 
-    if let Some(violation) = report.validate() {
-        eprintln!("magma-rpc/v1 schema self-check failed: {violation}");
-        std::process::exit(1);
-    }
     println!(
         "admission: {} accepted / {} busy / {} errored of {} requests",
         report.accepted, report.rejected, report.errored, report.requests
@@ -124,18 +120,5 @@ fn main() {
         report.server.cache_misses
     );
 
-    match write_rpc_json(&report) {
-        Ok(path) => println!("\n(RPC profile written to {})", path.display()),
-        Err(e) => {
-            eprintln!("could not write BENCH_rpc.json: {e}");
-            std::process::exit(1);
-        }
-    }
-    if report.dropped_in_flight != 0 {
-        eprintln!(
-            "{} accepted submits never reached a terminal response — the drain guarantee failed",
-            report.dropped_in_flight
-        );
-        std::process::exit(1);
-    }
+    magma_bench::emit_or_exit(&report, true);
 }

@@ -17,8 +17,12 @@
 //! | `fig16_operator_ablation` | Fig. 16 — GA operator ablation |
 //! | `fig17_group_size` | Fig. 17 — group-size sweep |
 //! | `tab05_warm_start` | Table V — warm-start transfer |
-//! | `perf_suite` | not a paper artefact — the parallel-evaluation perf harness behind `BENCH_parallel_eval.json` (see [`perf`]) |
 //! | `serve_sim` | not a paper artefact — the online multi-tenant serving simulator behind `BENCH_serve.json` (`magma-serve`) |
+//! | `fleet_sim` | not a paper artefact — the multi-shard fleet simulator behind `BENCH_fleet.json` (`magma-serve`) |
+//! | `cache_sweep` | not a paper artefact — the mapping-cache calibration sweep behind `BENCH_cache.json` (`magma-serve`) |
+//! | `magma_server` | not a paper artefact — the wall-clock RPC serving daemon (`magma-server`) |
+//! | `loadgen` | not a paper artefact — the daemon's load generator behind `BENCH_rpc.json` (`magma-server`) |
+//! | `scenario_gen` | not a paper artefact — writes and checks the `scenarios/` registry tree (`magma-registry`) |
 //!
 //! By default the binaries run at a *reduced* scale so they finish in seconds
 //! on a laptop; set the environment variable `MAGMA_FULL_SCALE=1` to run at
@@ -29,9 +33,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod compare;
-pub mod perf;
 
 use magma::experiments::MethodScore;
 use magma::platform::settings::{self, ServerKnobs};
@@ -136,11 +137,7 @@ pub struct ServingSetup {
 impl ServingSetup {
     /// `smoke` or `full`, as the reports record it.
     pub fn mode(&self) -> &'static str {
-        if self.smoke {
-            "smoke"
-        } else {
-            "full"
-        }
+        magma_serve::mode_tag(self.smoke)
     }
 }
 
@@ -175,6 +172,20 @@ pub fn print_scenario(resolved: &magma_registry::ResolvedScenario) {
         resolved.mix.len(),
         resolved.descriptor.content_hash
     );
+}
+
+/// The tail of every gated serving binary: [`magma_serve::emit()`] the report
+/// (self-check → write → gate when `gated`), print where it went and the
+/// acceptance summary — or exit with status 1 and the one-line failure on
+/// stderr.
+pub fn emit_or_exit<R: magma_serve::BenchReport>(report: &R, gated: bool) {
+    match magma_serve::emit(report, gated) {
+        Ok(printed) => println!("\n{printed}"),
+        Err(failure) => {
+            eprintln!("{failure}");
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Prints a banner naming the experiment and the scale it runs at.

@@ -100,13 +100,10 @@ impl M3e {
         let table = JobAnalyzer::with_cost_model(cost_model).analyze(&group, &platform);
         let dominant_task = dominant_task(&group);
         let mut signatures = group.signatures();
-        // Behind the MAGMA_SIGNATURE_PROFILE knob (default on since the
-        // cache_sweep calibration; `=0` opts out), fold the analysis table's
-        // per-core no-stall latencies into the signatures so warm-start
-        // matching sees platform affinity, not just layer shape.
-        if magma_platform::settings::magma_signature_profile() {
-            attach_core_classes(&mut signatures, &table);
-        }
+        // Fold the analysis table's per-core no-stall latencies into the
+        // signatures so warm-start matching and the serving cache's near-hit
+        // probe see platform affinity, not just layer shape.
+        attach_core_classes(&mut signatures, &table);
         let evaluator = FitnessEvaluator::new(table, platform.system_bw_gbps(), objective);
         M3e { platform, group, evaluator, dominant_task, signatures }
     }
@@ -198,9 +195,8 @@ impl MappingProblem for M3e {
 /// the job-analysis table. `sigs[i]` must profile job `i` of the analyzed
 /// group.
 ///
-/// [`M3e`] calls this at construction when the `MAGMA_SIGNATURE_PROFILE`
-/// knob is set; it is public so tests and custom pipelines can profile
-/// signatures without touching the process environment.
+/// [`M3e`] calls this at construction, always; it is public so tests and
+/// custom pipelines can profile signatures they derived themselves.
 ///
 /// # Panics
 ///
@@ -282,7 +278,7 @@ mod tests {
         let sigs = p.signatures();
         assert_eq!(sigs.len(), 20);
         // The shape part is the job's own signature; the core class on top
-        // comes from the profile knob (on by default — see below).
+        // comes from the analysis table (see below).
         for (job, sig) in p.group().iter().zip(sigs) {
             assert_eq!(job.signature(), sig.with_core_class(0));
         }
@@ -292,9 +288,9 @@ mod tests {
 
     #[test]
     fn signatures_carry_core_classes_under_the_default_profile_knob() {
-        // The ambient test environment never sets MAGMA_SIGNATURE_PROFILE,
-        // and since the cache_sweep calibration the profiled metric is the
-        // default: every M3e signature carries a packed core class.
+        // What was the default of the MAGMA_SIGNATURE_PROFILE knob is, since
+        // the knob went, the only behaviour: every M3e signature carries a
+        // packed core class.
         let p = m3e(TaskType::Mix, 12);
         assert!(p.signatures().iter().all(|s| s.has_core_class()));
     }

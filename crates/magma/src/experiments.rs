@@ -26,9 +26,9 @@
 //! the dominant cost of every figure — fans out over `MAGMA_THREADS` worker
 //! threads (default: all available cores). The knob only changes wall-clock
 //! time: results are bit-identical at every thread count, which
-//! `tests/integration_parallel.rs` asserts per optimizer. The perf harness
-//! (`magma-bench`'s `perf_suite` binary) records the achieved
-//! evaluations/sec per thread count in `BENCH_parallel_eval.json`.
+//! `tests/integration_parallel.rs` asserts per optimizer. What the pool
+//! costs and buys is measured by the wall-clock benchmark (`benchmark/`,
+//! ladder rows `optim.pool.dispatch_us` and `optim.pool.speedup_2t`).
 
 use magma_cost::{CostModel, DataflowStyle, SubAccelConfig};
 use magma_m3e::{M3e, Objective, WarmStartEngine, WarmStartMode};

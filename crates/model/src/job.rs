@@ -1,7 +1,7 @@
 //! Jobs (mini-batched layers) and dependency-free groups.
 
 use crate::{LayerShape, TaskType};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a job inside a workload. Stable across the lifetime of the
@@ -21,7 +21,7 @@ impl fmt::Display for JobId {
 /// Jobs inside a [`Group`] have no dependencies on each other, because they
 /// come from different models or from independent mini-batches of batched-job
 /// tasks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Job {
     id: JobId,
     model: String,
@@ -29,6 +29,28 @@ pub struct Job {
     layer: LayerShape,
     batch: usize,
     task: TaskType,
+}
+
+/// The serialized shape of a [`Job`], before its invariants are checked.
+#[derive(Deserialize)]
+struct JobFields {
+    id: JobId,
+    model: String,
+    layer_index: usize,
+    layer: LayerShape,
+    batch: usize,
+    task: TaskType,
+}
+
+// A job read off the wire is outside input: it goes through the checks of
+// `Job::new`, so a `submit_group` with `"batch": 0` is a decode error that
+// costs its sender the connection, not a panic in the cost model that costs
+// every tenant the engine thread.
+impl Deserialize for Job {
+    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
+        let JobFields { id, model, layer_index, layer, batch, task } = JobFields::from_value(v)?;
+        Job::checked(id, model, layer_index, layer, batch, task).map_err(DeError::custom)
+    }
 }
 
 impl Job {
@@ -46,12 +68,26 @@ impl Job {
         batch: usize,
         task: TaskType,
     ) -> Self {
-        assert!(batch > 0, "a job must have a non-empty mini-batch");
-        assert!(
-            layer.runs_on_accelerator(),
-            "host-side layers (embedding lookups) cannot become accelerator jobs"
-        );
-        Job { id, model: model.into(), layer_index, layer, batch, task }
+        Job::checked(id, model.into(), layer_index, layer, batch, task)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Job::new`] with the broken invariant as an error.
+    fn checked(
+        id: JobId,
+        model: String,
+        layer_index: usize,
+        layer: LayerShape,
+        batch: usize,
+        task: TaskType,
+    ) -> Result<Self, &'static str> {
+        if batch == 0 {
+            return Err("a job must have a non-empty mini-batch");
+        }
+        if !layer.runs_on_accelerator() {
+            return Err("host-side layers (embedding lookups) cannot become accelerator jobs");
+        }
+        Ok(Job { id, model, layer_index, layer, batch, task })
     }
 
     /// The job's identifier.
@@ -257,6 +293,26 @@ mod tests {
             1,
             TaskType::Recommendation,
         );
+    }
+
+    #[test]
+    fn deserializing_a_job_enforces_the_constructor_checks() {
+        let good = serde_json::to_string(&sample_job(3)).unwrap();
+        assert!(good.contains("\"batch\":4"), "{good}");
+        let back: Job = serde_json::from_str(&good).expect("a well-formed job decodes");
+        assert_eq!(back, sample_job(3));
+        assert_eq!(serde_json::to_string(&back).unwrap(), good, "same bytes after a round trip");
+
+        let zero_batch = good.replace("\"batch\":4", "\"batch\":0");
+        let error = serde_json::from_str::<Job>(&zero_batch).unwrap_err();
+        assert!(error.to_string().contains("non-empty mini-batch"), "{error}");
+
+        let host_side = LayerShape::EmbeddingLookup { lookups: 4, dim: 4 };
+        let layer = serde_json::to_string(sample_job(3).layer()).unwrap();
+        let embedding = good.replace(&layer, &serde_json::to_string(&host_side).unwrap());
+        assert_ne!(embedding, good);
+        let error = serde_json::from_str::<Job>(&embedding).unwrap_err();
+        assert!(error.to_string().contains("host-side layers"), "{error}");
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   groups, and deterministic workload generators for each task type.
 //! * [`JobSignature`] — a platform-independent per-job profile (layer class,
 //!   compute and data-movement footprint) with a distance metric; the
-//!   transfer key of the profile-matched warm start (Table V). Under the
-//!   `MAGMA_SIGNATURE_PROFILE` knob a packed per-core latency class can be
-//!   attached, letting the metric see platform affinity too.
+//!   transfer key of the profile-matched warm start (Table V). `M3e`
+//!   attaches a packed per-core latency class to each, letting the metric
+//!   see platform affinity too.
 //! * [`Tenant`], [`TenantMix`] and [`TenantJobStream`] — the co-resident
 //!   service owners behind the online serving simulator (`magma-serve`),
 //!   each emitting a deterministic job stream from its slice of the zoo.

@@ -202,7 +202,7 @@ impl JobSignature {
     /// never 0, so an attached profile is always distinguishable from an
     /// unprofiled signature.
     ///
-    /// This is the seam behind the `MAGMA_SIGNATURE_PROFILE` knob: the
+    /// What the class adds (`M3e` attaches it to every signature): the
     /// shape-only signature cannot see that two similarly sized jobs prefer
     /// different cores of a heterogeneous platform; the packed class lets
     /// [`JobSignature::distance`] tell them apart (see ROADMAP's "shape-only
@@ -319,12 +319,12 @@ impl JobSignature {
     /// within a task) whenever a same-class candidate exists.
     ///
     /// When **both** signatures carry a platform profile (a packed core
-    /// class, attached by `magma_m3e::attach_core_classes` under the
-    /// `MAGMA_SIGNATURE_PROFILE` knob), the distance additionally sees the
+    /// class, attached by `magma_m3e::attach_core_classes` — every `M3e`
+    /// signature does), the distance additionally sees the
     /// platform: [`Self::AFFINITY_MISMATCH_PENALTY`] when the jobs prefer
     /// different cores, plus [`Self::LATENCY_CLASS_WEIGHT`] per octave of
-    /// best-core latency difference. Unprofiled signatures (the default) are
-    /// compared exactly as before the knob existed.
+    /// best-core latency difference. Unprofiled signatures (a job's own
+    /// `signature()`) are compared by shape alone.
     pub fn distance(&self, other: &JobSignature) -> f64 {
         let [m, w, a] = self.log_coords;
         let [om, ow, oa] = other.log_coords;

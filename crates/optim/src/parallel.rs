@@ -33,8 +33,8 @@
 //! The worker count comes from, in order:
 //!
 //! 1. an active [`with_threads`] override on the calling thread (used by the
-//!    determinism tests and the perf harness, which must pin the count
-//!    without touching the process environment), then
+//!    determinism tests, which must pin the count without touching the
+//!    process environment), then
 //! 2. the `MAGMA_THREADS` environment knob via
 //!    [`magma_platform::settings::magma_threads`], defaulting to the
 //!    machine's available parallelism.
@@ -100,8 +100,9 @@ impl<P: MappingProblem + ?Sized> BatchEvaluator for P {
 }
 
 /// Evaluates `mappings` with an explicit worker count, returning fitnesses
-/// in input order (the perf harness measures this function at 1..N threads;
-/// everything else should go through [`BatchEvaluator::evaluate_batch`]).
+/// in input order (the wall-clock benchmark's `optim.pool.*` rows time this
+/// function at 1 and 2 threads; everything else should go through
+/// [`BatchEvaluator::evaluate_batch`]).
 ///
 /// Counts of one, batches of fewer than two mappings, and calls from inside
 /// a pool chunk (nested batches) evaluate serially on the calling thread;
@@ -118,15 +119,6 @@ pub fn evaluate_batch_with<P: MappingProblem + ?Sized>(
     let mut out = vec![0.0f64; mappings.len()];
     crate::pool::submit(problem, mappings, &mut out, threads);
     out
-}
-
-/// A short stable tag describing how parallel batches are executed, stamped
-/// into the `magma-perf/v2` report (`pool_mode`) so every committed
-/// `BENCH_parallel_eval.json` names the machinery that produced it. Changes
-/// when (and only when) the execution strategy changes: PR 3's per-batch
-/// `thread::scope` would have reported `scoped-spawn`.
-pub fn pool_mode() -> &'static str {
-    "persistent-work-stealing"
 }
 
 #[cfg(test)]

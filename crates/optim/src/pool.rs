@@ -2,10 +2,10 @@
 //!
 //! PR 3's batch oracle spawned a fresh `std::thread::scope` per generation;
 //! at figure-scale batch times (~5 ms) the spawn/join cost ate the entire
-//! parallel win (the committed `BENCH_parallel_eval.json` recorded
-//! `speedup_vs_serial < 1.0` at 2 and 4 threads). This module replaces the
-//! per-batch scope with **one process-wide pool of parked worker threads**
-//! that persists across batches, generations, sessions and serve requests:
+//! parallel win (it measured under 1.0× of serial at 2 and 4 threads). This
+//! module replaces the per-batch scope with **one process-wide pool of
+//! parked worker threads** that persists across batches, generations,
+//! sessions and serve requests:
 //!
 //! * **Lazy initialization** — no thread is spawned until the first parallel
 //!   batch; serial runs (`MAGMA_THREADS=1`, singleton batches) never touch

@@ -1,5 +1,5 @@
 //! The six accelerator settings of Table III, their default bandwidths, the
-//! process-wide runtime knobs (`MAGMA_THREADS`, `MAGMA_SIGNATURE_PROFILE`)
+//! process-wide runtime knob (`MAGMA_THREADS`)
 //! and the one typed serving config: the [`ServeKnobs`] ⊂ [`FleetKnobs`] ⊂
 //! [`ServerKnobs`] nest, whose five environment overrides are read by
 //! [`ServerKnobs::from_env`] and nowhere else.
@@ -21,23 +21,6 @@ pub fn magma_threads() -> usize {
         Some(n) if n >= 1 => n,
         _ => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
     }
-}
-
-/// Reads the `MAGMA_SIGNATURE_PROFILE` environment knob: whether `M3e`
-/// attaches a packed per-core latency class to every job signature it
-/// computes, so `JobSignature::distance` (and therefore profile-matched warm
-/// start and the serving-layer mapping cache) sees platform affinity on top
-/// of layer shape.
-///
-/// Default **on** since the cache-calibration sweep (`cache_sweep`, the
-/// committed `BENCH_cache.json`): with the nearest-key probe enabled, the
-/// profiled metric matches or beats the shape-only metric on hit quality at
-/// the calibrated operating point, and it only refines candidate *ranking* —
-/// cache keys ignore the core class, so hit/miss behaviour with the probe
-/// disabled is unchanged. Set `MAGMA_SIGNATURE_PROFILE=0` (or `off`) to
-/// restore PR 2's shape-only metric.
-pub fn magma_signature_profile() -> bool {
-    env_flag("MAGMA_SIGNATURE_PROFILE", true)
 }
 
 /// Parses environment variable `name` into `T`, falling back to `default`
@@ -831,14 +814,6 @@ mod tests {
         assert!("edf".parse::<FleetPolicy>().is_err());
         assert_eq!(FleetPolicy::default(), FleetPolicy::Deadline);
         assert_eq!(FleetPolicy::Deadline.to_string(), "deadline");
-    }
-
-    #[test]
-    fn signature_profile_defaults_on() {
-        // The ambient test environment never sets MAGMA_SIGNATURE_PROFILE,
-        // so the profiled metric (calibrated default since the cache_sweep)
-        // is what every search and cache probe sees.
-        assert!(magma_signature_profile());
     }
 
     #[test]

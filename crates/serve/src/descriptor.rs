@@ -258,7 +258,7 @@ mod tests {
             .iter()
             .all(|r| r.shard_settings.iter().all(|s| s == "S1")));
 
-        let report = run_cache_sweep_custom(serve, true, false, &custom);
+        let report = run_cache_sweep_custom(serve, true, &custom);
         assert_eq!((report.requests, report.seed), (serve.requests, serve.seed));
         assert_eq!(report.default_epsilon, serve.cache_epsilon);
     }

@@ -63,6 +63,7 @@
 use crate::batcher::{AdmissionBatcher, BatchPolicy};
 use crate::descriptor::{CustomScenario, ScenarioDescriptor};
 use crate::dispatch::{DispatchConfig, DispatchOutcome};
+use crate::emit::{mode_tag, BenchReport};
 use crate::metrics::{CacheReport, JobRecord, LatencyStats, ServeMetrics};
 use crate::router::RouterStats;
 use crate::scheduler::{SchedStats, SchedulerConfig};
@@ -566,15 +567,15 @@ pub struct FleetReport {
     pub scenarios: Vec<FleetScenarioResult>,
 }
 
-impl FleetReport {
-    /// The [`FLEET_SCHEMA`] self-check: the versioned invariants CI
-    /// asserts before uploading a profile. Returns the first violation as an
-    /// error string.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema != FLEET_SCHEMA {
-            return Err(format!("schema tag {} != {}", self.schema, FLEET_SCHEMA));
-        }
-        self.scenario_descriptor.validate().map_err(|e| format!("fleet report: {e}"))?;
+impl BenchReport for FleetReport {
+    const FILE: &'static str = "BENCH_fleet.json";
+    const SCHEMA: &'static str = FLEET_SCHEMA;
+
+    fn header(&self) -> (&str, &str, &ScenarioDescriptor) {
+        (&self.schema, &self.mode, &self.scenario_descriptor)
+    }
+
+    fn check_body(&self) -> Result<(), String> {
         if self.scenarios.is_empty() {
             return Err("empty scenario list".into());
         }
@@ -645,6 +646,43 @@ impl FleetReport {
             }
         }
         Ok(())
+    }
+
+    /// Scaling and preemption: the widest `fleet_mix` rung out-throughputs
+    /// the 1-shard rung, and `deadline_pressure` actually preempts at its
+    /// widest rung.
+    fn accept(&self) -> Result<String, String> {
+        let ends = |name: &str| {
+            let scenario = self.scenarios.iter().find(|s| s.name == name);
+            scenario
+                .and_then(|s| s.rungs.first().zip(s.rungs.last()))
+                .ok_or_else(|| format!("no {name} ladder to judge"))
+        };
+        let (one, wide) = ends("fleet_mix")?;
+        if wide.jobs_per_sec <= one.jobs_per_sec {
+            return Err(format!(
+                "fleet_mix at {} shards ({:.0} jobs/s) does not out-throughput {} shard \
+                 ({:.0} jobs/s)",
+                wide.shards, wide.jobs_per_sec, one.shards, one.jobs_per_sec
+            ));
+        }
+        let (_, stressed) = ends("deadline_pressure")?;
+        if stressed.preemptions == 0 {
+            return Err(format!(
+                "deadline_pressure preempted 0 sessions at {} shards",
+                stressed.shards
+            ));
+        }
+        Ok(format!(
+            "fleet_mix {}-shard speedup {:.2}x over 1 shard; deadline_pressure preempted {} \
+             sessions ({} deadline / {} value) at {} shards",
+            wide.shards,
+            wide.speedup_vs_one_shard,
+            stressed.preemptions,
+            stressed.preempted_deadline,
+            stressed.preempted_value,
+            stressed.shards
+        ))
     }
 }
 
@@ -768,7 +806,7 @@ fn run_ladders(
         .collect();
     FleetReport {
         schema: FLEET_SCHEMA.to_string(),
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
+        mode: mode_tag(smoke).to_string(),
         seed: knobs.serve.seed,
         scenario_descriptor: descriptor,
         shard_ladder: ladder,
@@ -851,18 +889,6 @@ fn rung_from_result(
         mean_interarrival_us: result.mean_interarrival_sec * 1e6,
         sla_us: result.sla_sec * 1e6,
     }
-}
-
-/// Writes the report to `BENCH_fleet.json` in `MAGMA_BENCH_DIR` (default:
-/// the current directory), returning the path — the same contract as
-/// `BENCH_serve.json`, so CI never silently uploads a stale profile.
-pub fn write_fleet_json(report: &FleetReport) -> std::io::Result<PathBuf> {
-    let dir = std::env::var("MAGMA_BENCH_DIR").map(PathBuf::from).unwrap_or_else(|_| ".".into());
-    let path = dir.join("BENCH_fleet.json");
-    let json = serde_json::to_string_pretty(report)
-        .map_err(|e| std::io::Error::other(format!("serializing the fleet report: {e}")))?;
-    std::fs::write(&path, json + "\n")?;
-    Ok(path)
 }
 
 #[cfg(test)]

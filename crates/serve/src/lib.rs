@@ -41,11 +41,13 @@
 //!   contracts.
 //! * [`report`] — the schema-stable `BENCH_serve.json` contract
 //!   (`magma-serve/v4`: the scenario ladder and the embedded scenario
-//!   descriptor, self-checked by
-//!   [`ServeReport::validate`](report::ServeReport::validate)).
+//!   descriptor).
 //! * [`sweep`] — the epsilon × refine-budget × quantization calibration
-//!   sweep behind `BENCH_cache.json` (`magma-cache/v2`), whose frontier
+//!   sweep behind `BENCH_cache.json` (`magma-cache/v3`), whose frontier
 //!   justifies the shipped cache defaults.
+//! * [`emit`](mod@emit) — the one path every `BENCH_*.json` takes to disk:
+//!   [`BenchReport`] (shared header self-check, the report's invariants, its
+//!   acceptance gate) and [`emit()`] (validate → write → gate).
 //! * [`descriptor`] — the self-describing
 //!   [`ScenarioDescriptor`] every report
 //!   embeds, and the [`CustomScenario`] value
@@ -70,8 +72,7 @@
 //! * [`fleet`] — the one virtual-clock event loop gluing trace → batcher →
 //!   router → shards (with an optional shared cache tier and per-shard
 //!   cache persistence), plus the schema-stable `BENCH_fleet.json`
-//!   scaling-ladder report (`magma-fleet/v3`, self-checked by
-//!   [`FleetReport::validate`](fleet::FleetReport::validate)).
+//!   scaling-ladder report (`magma-fleet/v3`).
 //! * [`engine`] — the same shards behind a wall-clock API (tokens,
 //!   admission control, timeouts, cancel, drain) for `magma-server`.
 //!
@@ -111,6 +112,7 @@ pub mod batcher;
 pub mod cache;
 pub mod descriptor;
 pub mod dispatch;
+pub mod emit;
 pub mod engine;
 pub mod fleet;
 pub mod metrics;
@@ -127,19 +129,18 @@ pub use batcher::{AdmissionBatcher, BatchPolicy, DispatchGroup};
 pub use cache::{quantize_signatures, CacheStats, MappingCache, SharedCache, SignatureKey};
 pub use descriptor::{CustomScenario, ScenarioDescriptor};
 pub use dispatch::{DispatchConfig, DispatchKind, DispatchOutcome, MappingService};
+pub use emit::{emit, mode_tag, BenchReport};
 pub use engine::{
     Admission, EngineConfig, EngineStats, JobCompletion, MapperWork, ServeEngine, Wake,
 };
 pub use fleet::{
-    fleet_simulate, run_fleet_custom, run_fleet_ladder, write_fleet_json, FleetConfig, FleetReport,
-    FleetResult, FLEET_SCHEMA,
+    fleet_simulate, run_fleet_custom, run_fleet_ladder, FleetConfig, FleetReport, FleetResult,
+    FLEET_SCHEMA,
 };
 pub use metrics::{LatencyStats, ServeMetrics};
 pub use report::{run_custom_scenario, run_standard_scenarios, ServeReport, SCHEMA};
 pub use router::{RouterStats, ShardRouter};
 pub use scheduler::{SchedStats, SchedulerConfig, SessionScheduler};
 pub use shards::shard_cache_file;
-pub use sweep::{
-    run_cache_sweep, run_cache_sweep_custom, write_cache_json, CacheSweepReport, CACHE_SCHEMA,
-};
+pub use sweep::{run_cache_sweep, run_cache_sweep_custom, CacheSweepReport, CACHE_SCHEMA};
 pub use trace::{generate_trace, Arrival, Scenario, TraceParams};

@@ -1,20 +1,20 @@
 //! The schema-stable serving report behind `BENCH_serve.json`.
 //!
-//! Mirrors the contract of `magma-bench`'s `BENCH_parallel_eval.json`
-//! ([`SCHEMA`] is a versioned tag; fields are added with a version bump and
-//! never renamed) so trend tooling can diff serving profiles across commits. The report is purely virtual-clock — it contains
-//! **no wall-clock measurements and no thread counts** — which is what makes
-//! the determinism suite's bit-identical-JSON assertion possible across
-//! `MAGMA_THREADS` settings.
+//! [`SCHEMA`] is a versioned tag: fields are added with a version bump and
+//! never renamed, so trend tooling can diff serving profiles across commits.
+//! The report is purely virtual-clock — it contains **no wall-clock
+//! measurements and no thread counts** — which is what makes the determinism
+//! suite's bit-identical-JSON assertion possible across `MAGMA_THREADS`
+//! settings.
 
 use crate::descriptor::{CustomScenario, ScenarioDescriptor};
+use crate::emit::{mode_tag, BenchReport};
 use crate::fleet::{fleet_simulate, FleetConfig};
 use crate::trace::Scenario;
 use magma_model::{TaskType, TenantMix};
 use magma_platform::settings::ServeKnobs;
 use magma_platform::{PlatformSpec, Setting};
 use serde::{Deserialize, Serialize, Value};
-use std::path::PathBuf;
 
 /// Version tag of the report layout. Bump when (and only when) the field
 /// set changes; existing fields are never renamed.
@@ -26,12 +26,20 @@ use std::path::PathBuf;
 /// `v3` (the scenario-registry release) adds the embedded
 /// `scenario_descriptor`: what the report measured — builtin ladder knobs or
 /// the resolved registry definitions — content-hashed and required by
-/// [`ServeReport::validate`].
+/// [`BenchReport::validate`].
 ///
 /// `v4` is the one deliberate removal: the serial baseline serving mode was
 /// deleted, and with it the mode flags, the second ladder and the
 /// comparison block. Every remaining key and number is unchanged from `v3`.
 pub const SCHEMA: &str = "magma-serve/v4";
+
+/// Minimum mean throughput of the repeated-tenant scenario's cache-hit
+/// dispatches over its cold searches' ([`ServeReport`]'s acceptance gate).
+pub const HIT_THROUGHPUT_FLOOR: f64 = 0.9;
+
+/// Maximum mean hit samples over mean cold samples on the same scenario:
+/// a tenth of the cold budget, plus the rounding of integer sample means.
+pub const HIT_BUDGET_CEILING: f64 = 0.101;
 
 /// One simulated scenario's block in the report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -75,18 +83,51 @@ pub struct ServeReport {
     pub scenarios: Vec<ScenarioResult>,
 }
 
-impl ServeReport {
-    /// The [`SCHEMA`] self-check: the versioned invariants CI asserts before
-    /// uploading a profile. Returns the first violation as an error string.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema != SCHEMA {
-            return Err(format!("schema tag {} != {}", self.schema, SCHEMA));
-        }
-        self.scenario_descriptor.validate().map_err(|e| format!("serve report: {e}"))?;
+impl BenchReport for ServeReport {
+    const FILE: &'static str = "BENCH_serve.json";
+    const SCHEMA: &'static str = SCHEMA;
+
+    fn header(&self) -> (&str, &str, &ScenarioDescriptor) {
+        (&self.schema, &self.mode, &self.scenario_descriptor)
+    }
+
+    fn check_body(&self) -> Result<(), String> {
         if self.scenarios.is_empty() {
             return Err("empty scenario ladder".into());
         }
         Ok(())
+    }
+
+    /// The cache economics of the repeated-tenant scenario: hits reach
+    /// [`HIT_THROUGHPUT_FLOOR`] of cold-search throughput while spending at
+    /// most [`HIT_BUDGET_CEILING`] of the cold sample budget.
+    fn accept(&self) -> Result<String, String> {
+        let d = match self.scenarios.iter().find(|s| s.name == "repeated_tenant") {
+            Some(s) => s.metrics.dispatch,
+            None => return Err("no repeated_tenant scenario to judge the cache on".into()),
+        };
+        if d.hits == 0 {
+            return Err("repeated_tenant traffic produced 0 cache hits".into());
+        }
+        if d.hit_cold_throughput_ratio < HIT_THROUGHPUT_FLOOR {
+            return Err(format!(
+                "repeated_tenant hit/cold throughput ratio {:.4} is under the floor of {}",
+                d.hit_cold_throughput_ratio, HIT_THROUGHPUT_FLOOR
+            ));
+        }
+        if d.hit_sample_fraction > HIT_BUDGET_CEILING {
+            return Err(format!(
+                "repeated_tenant hits spent {:.4} of the cold sample budget, over the ceiling \
+                 of {}",
+                d.hit_sample_fraction, HIT_BUDGET_CEILING
+            ));
+        }
+        Ok(format!(
+            "hit/cold throughput ratio {:.3} (≥ {}) at {:.1}% of the cold budget (≤ 10%)",
+            d.hit_cold_throughput_ratio,
+            HIT_THROUGHPUT_FLOOR,
+            d.hit_sample_fraction * 100.0
+        ))
     }
 }
 
@@ -154,7 +195,7 @@ fn run_scenarios(
         .collect();
     ServeReport {
         schema: SCHEMA.to_string(),
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
+        mode: mode_tag(smoke).to_string(),
         seed: knobs.seed,
         cold_budget: knobs.cold_budget,
         refine_budget: knobs.refine_budget,
@@ -208,19 +249,6 @@ pub fn run_custom_scenario(
 ) -> ServeReport {
     let scenarios = vec![(custom.name.as_str(), custom.scenario, custom.mix.clone())];
     run_scenarios(knobs, smoke, &custom.platform, scenarios, custom.descriptor.clone())
-}
-
-/// Writes the report to `BENCH_serve.json` in `MAGMA_BENCH_DIR` (default:
-/// the current directory, i.e. the repo root under `cargo run`), returning
-/// the path on success — same contract as the perf harness, so CI never
-/// silently uploads a stale profile.
-pub fn write_bench_json(report: &ServeReport) -> std::io::Result<PathBuf> {
-    let dir = std::env::var("MAGMA_BENCH_DIR").map(PathBuf::from).unwrap_or_else(|_| ".".into());
-    let path = dir.join("BENCH_serve.json");
-    let json = serde_json::to_string_pretty(report)
-        .map_err(|e| std::io::Error::other(format!("serializing the serve report: {e}")))?;
-    std::fs::write(&path, json + "\n")?;
-    Ok(path)
 }
 
 #[cfg(test)]
@@ -312,17 +340,11 @@ mod tests {
 
     #[test]
     fn validate_rejects_a_corrupted_report() {
-        let mut wrong_tag = run_standard_scenarios(&tiny_knobs(), true);
-        wrong_tag.schema = "magma-serve/v3".into();
-        assert!(wrong_tag.validate().is_err());
+        // (The header — tag, mode, descriptor hash — is bent for every report
+        // kind in `tests/integration_serve.rs`.)
         let mut empty = run_standard_scenarios(&tiny_knobs(), true);
         empty.scenarios.clear();
         assert!(empty.validate().is_err(), "a report without scenarios measured nothing");
-        // v3: a descriptor whose params were edited without re-hashing
-        // fails the self-check.
-        let mut stale_hash = run_standard_scenarios(&tiny_knobs(), true);
-        stale_hash.scenario_descriptor.params = serde::Value::Null;
-        assert!(stale_hash.validate().is_err());
     }
 
     #[test]

@@ -21,28 +21,23 @@
 //! loose epsilon are an unrepresentative cohort, so hit-mean over
 //! cold-mean is biased by *which* groups landed on each path, not by what
 //! the probe did to them.
-//!
-//! The report also carries a signature-profile A/B block
-//! (`MAGMA_SIGNATURE_PROFILE` on vs off at the shipped knob point), which
-//! is what flipped that knob's default on: latency-class-aware distances
-//! rank near neighbours better at zero extra cost. The A/B mutates the
-//! process environment, so only the `cache_sweep` binary requests it —
-//! library users (and the test suite) leave it off.
 
 use crate::descriptor::{CustomScenario, ScenarioDescriptor};
+use crate::emit::{mode_tag, BenchReport};
 use crate::fleet::{fleet_simulate, FleetConfig};
 use crate::trace::Scenario;
 use magma_model::TenantMix;
 use magma_platform::settings::ServeKnobs;
 use magma_platform::{PlatformSpec, Setting};
 use serde::{Deserialize, Serialize, Value};
-use std::path::PathBuf;
 
 /// Version tag of the cache-sweep report layout. Same contract as
 /// [`crate::report::SCHEMA`]: fields are only ever added, with a bump.
 /// `v2` added the embedded `scenario_descriptor` (required by
-/// [`CacheSweepReport::validate`]).
-pub const CACHE_SCHEMA: &str = "magma-cache/v2";
+/// [`BenchReport::validate`]). `v3` is one deliberate removal: the
+/// `profile_ab` block went with the `MAGMA_SIGNATURE_PROFILE` knob it
+/// toggled; every remaining key and number is unchanged from `v2`.
+pub const CACHE_SCHEMA: &str = "magma-cache/v3";
 
 /// Minimum `quality_vs_probe_off` a grid point must keep to be admissible
 /// as the calibrated point.
@@ -104,15 +99,6 @@ impl SweepPoint {
     }
 }
 
-/// The signature-profile A/B at the shipped knob point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProfileAb {
-    /// `MAGMA_SIGNATURE_PROFILE` on (the shipped default).
-    pub on: SweepPoint,
-    /// `MAGMA_SIGNATURE_PROFILE=0`.
-    pub off: SweepPoint,
-}
-
 /// The full report written to `BENCH_cache.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheSweepReport {
@@ -149,20 +135,17 @@ pub struct CacheSweepReport {
     pub calibrated: Option<SweepPoint>,
     /// Whether the shipped defaults coincide with the calibrated point.
     pub defaults_match_calibrated: bool,
-    /// The signature-profile A/B (binary runs only; `None` from the
-    /// library API).
-    pub profile_ab: Option<ProfileAb>,
 }
 
-impl CacheSweepReport {
-    /// The [`CACHE_SCHEMA`] self-check: the versioned invariants CI asserts
-    /// before uploading a profile. Returns the first violation as an error
-    /// string.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.schema != CACHE_SCHEMA {
-            return Err(format!("schema tag {} != {}", self.schema, CACHE_SCHEMA));
-        }
-        self.scenario_descriptor.validate().map_err(|e| format!("cache report: {e}"))?;
+impl BenchReport for CacheSweepReport {
+    const FILE: &'static str = "BENCH_cache.json";
+    const SCHEMA: &'static str = CACHE_SCHEMA;
+
+    fn header(&self) -> (&str, &str, &ScenarioDescriptor) {
+        (&self.schema, &self.mode, &self.scenario_descriptor)
+    }
+
+    fn check_body(&self) -> Result<(), String> {
         if self.grid.is_empty() {
             return Err("empty sweep grid".into());
         }
@@ -243,6 +226,46 @@ impl CacheSweepReport {
             }
         }
         Ok(())
+    }
+
+    /// The frontier justifies what ships: an admissible grid point exists
+    /// (that the calibrated point is one is [`BenchReport::check_body`]'s),
+    /// and at full scale the shipped defaults are the calibrated point.
+    /// (Smoke sweeps pin refine/quant to the knobs and only A/B the probe,
+    /// so defaults can only be held to the frontier at full scale.)
+    fn accept(&self) -> Result<String, String> {
+        let Some(c) = &self.calibrated else {
+            return Err(format!(
+                "no admissible grid point: none kept quality ≥ {} at ≤ {} of the cold budget",
+                self.quality_floor, self.budget_ceiling
+            ));
+        };
+        let full = self.mode == mode_tag(false);
+        if full && !self.defaults_match_calibrated {
+            return Err(format!(
+                "the shipped defaults (epsilon {}, refine {}, quant {}) are not the calibrated \
+                 point (epsilon {}, refine {}, quant {}) — recalibrate platform::settings",
+                self.default_epsilon,
+                self.default_refine_budget,
+                self.default_quant_step,
+                c.epsilon,
+                c.refine_budget,
+                c.quant_step
+            ));
+        }
+        Ok(format!(
+            "calibrated point epsilon {}, refine {}, quant {} — hit rate {:.3}, quality {:.3} \
+             (≥ {}), budget {:.3} (≤ {}){}",
+            c.epsilon,
+            c.refine_budget,
+            c.quant_step,
+            c.hit_rate,
+            c.quality_vs_probe_off,
+            self.quality_floor,
+            c.hit_sample_fraction,
+            self.budget_ceiling,
+            if full { "; shipped defaults match" } else { "" }
+        ))
     }
 }
 
@@ -396,18 +419,14 @@ fn builtin_cache_descriptor(knobs: &ServeKnobs) -> ScenarioDescriptor {
     ScenarioDescriptor::new("builtin", "cache_sweep", params)
 }
 
-/// Runs the sweep and assembles the report. `profile_ab` additionally runs
-/// the shipped knob point with `MAGMA_SIGNATURE_PROFILE` forced on and off
-/// — this mutates the process environment, so pass `true` only from a
-/// binary's main thread (the `cache_sweep` bin does; the library test
-/// suite must not).
-pub fn run_cache_sweep(knobs: &ServeKnobs, smoke: bool, profile_ab: bool) -> CacheSweepReport {
+/// Runs the sweep on the standard Poisson mix and assembles the report.
+pub fn run_cache_sweep(knobs: &ServeKnobs, smoke: bool) -> CacheSweepReport {
     let trace = SweepTrace {
         platform: &Setting::S2.into(),
         scenario: Scenario::Poisson,
         mix: &TenantMix::standard(),
     };
-    run_sweep(knobs, smoke, profile_ab, &trace, builtin_cache_descriptor(knobs))
+    run_sweep(knobs, smoke, &trace, builtin_cache_descriptor(knobs))
 }
 
 /// Runs the same calibration sweep on a registry-defined scenario: its
@@ -419,19 +438,17 @@ pub fn run_cache_sweep(knobs: &ServeKnobs, smoke: bool, profile_ab: bool) -> Cac
 pub fn run_cache_sweep_custom(
     knobs: &ServeKnobs,
     smoke: bool,
-    profile_ab: bool,
     custom: &CustomScenario,
 ) -> CacheSweepReport {
     let trace =
         SweepTrace { platform: &custom.platform, scenario: custom.scenario, mix: &custom.mix };
-    run_sweep(knobs, smoke, profile_ab, &trace, custom.descriptor.clone())
+    run_sweep(knobs, smoke, &trace, custom.descriptor.clone())
 }
 
 /// The sweep engine shared by the builtin and registry paths.
 fn run_sweep(
     knobs: &ServeKnobs,
     smoke: bool,
-    profile_ab: bool,
     trace: &SweepTrace,
     descriptor: ScenarioDescriptor,
 ) -> CacheSweepReport {
@@ -445,29 +462,9 @@ fn run_sweep(
             && c.refine_budget == knobs.refine_budget
             && c.quant_step == knobs.quant_step
     });
-    let ab = profile_ab.then(|| {
-        let prior = std::env::var("MAGMA_SIGNATURE_PROFILE").ok();
-        std::env::set_var("MAGMA_SIGNATURE_PROFILE", "1");
-        let mut on = run_point(knobs, trace, shipped);
-        std::env::set_var("MAGMA_SIGNATURE_PROFILE", "0");
-        let mut off = run_point(knobs, trace, shipped);
-        match prior {
-            Some(v) => std::env::set_var("MAGMA_SIGNATURE_PROFILE", v),
-            None => std::env::remove_var("MAGMA_SIGNATURE_PROFILE"),
-        }
-        // The probe-off baseline never consults signature distances (an
-        // epsilon of 0 means exact keys only), so the grid's sibling is
-        // the valid denominator for both arms.
-        for p in [&mut on, &mut off] {
-            p.quality_vs_probe_off = probe_off_sibling(&grid, p)
-                .map(|base| p.mean_dispatch_gflops / base)
-                .unwrap_or(0.0);
-        }
-        ProfileAb { on, off }
-    });
     CacheSweepReport {
         schema: CACHE_SCHEMA.to_string(),
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
+        mode: mode_tag(smoke).to_string(),
         seed: knobs.seed,
         requests: knobs.requests,
         cold_budget: knobs.cold_budget,
@@ -480,20 +477,7 @@ fn run_sweep(
         grid,
         calibrated,
         defaults_match_calibrated,
-        profile_ab: ab,
     }
-}
-
-/// Writes the report to `BENCH_cache.json` in `MAGMA_BENCH_DIR` (default:
-/// the current directory), returning the path — the same contract as
-/// `BENCH_serve.json`, so CI never silently uploads a stale profile.
-pub fn write_cache_json(report: &CacheSweepReport) -> std::io::Result<PathBuf> {
-    let dir = std::env::var("MAGMA_BENCH_DIR").map(PathBuf::from).unwrap_or_else(|_| ".".into());
-    let path = dir.join("BENCH_cache.json");
-    let json = serde_json::to_string_pretty(report)
-        .map_err(|e| std::io::Error::other(format!("serializing the cache report: {e}")))?;
-    std::fs::write(&path, json + "\n")?;
-    Ok(path)
 }
 
 #[cfg(test)]
@@ -513,7 +497,7 @@ mod tests {
 
     #[test]
     fn smoke_sweep_validates_and_round_trips_with_stable_keys() {
-        let report = run_cache_sweep(&tiny_knobs(), true, false);
+        let report = run_cache_sweep(&tiny_knobs(), true);
         report.validate().expect("a freshly assembled sweep must self-check");
         assert_eq!(report.grid.len(), 2, "smoke sweeps probe-off vs the shipped epsilon");
         let json = serde_json::to_string_pretty(&report).unwrap();
@@ -542,7 +526,6 @@ mod tests {
             "\"jobs_per_sec\"",
             "\"calibrated\"",
             "\"defaults_match_calibrated\"",
-            "\"profile_ab\"",
             // v2 additions.
             "\"scenario_descriptor\"",
             "\"content_hash\"",
@@ -555,7 +538,7 @@ mod tests {
 
     #[test]
     fn the_probe_earns_its_keep_on_the_mix_trace() {
-        let report = run_cache_sweep(&tiny_knobs(), true, false);
+        let report = run_cache_sweep(&tiny_knobs(), true);
         let off = &report.grid[0];
         let on = &report.grid[1];
         assert_eq!(off.epsilon, 0.0);
@@ -585,17 +568,14 @@ mod tests {
 
     #[test]
     fn validate_rejects_a_corrupted_sweep() {
-        let good = run_cache_sweep(&tiny_knobs(), true, false);
+        let good = run_cache_sweep(&tiny_knobs(), true);
         let mut bad = good.clone();
         bad.grid[0].hit_rate = 2.0;
         assert!(bad.validate().is_err());
-        let mut foreign = good.clone();
+        let mut foreign = good;
         if let Some(c) = &mut foreign.calibrated {
             c.epsilon += 123.0;
             assert!(foreign.validate().is_err(), "a non-member calibrated point must fail");
         }
-        let mut wrong_tag = good;
-        wrong_tag.schema = "magma-cache/v0".into();
-        assert!(wrong_tag.validate().is_err());
     }
 }

@@ -30,7 +30,7 @@
 //!   guarantees no response is lost or double-counted.
 //! * [`loadgen`] — wall-clock trace replay emitting [`RpcReport`].
 //! * [`report`] — the schema-stable `BENCH_rpc.json` contract
-//!   (`magma-rpc/v1`), self-checked by [`RpcReport::validate`].
+//!   (`magma-rpc/v1`), a `magma_serve::BenchReport` like the simulators'.
 //!
 //! Backpressure is part of the protocol: when the projected mapper
 //! backlog exceeds the configured bound (the same load measure the
@@ -56,4 +56,4 @@ pub use client::{Client, Event, Mux, PendingKind};
 pub use daemon::Server;
 pub use loadgen::LoadgenParams;
 pub use proto::{RequestMsg, ResponseMsg};
-pub use report::{write_rpc_json, RpcReport, RPC_SCHEMA};
+pub use report::{RpcReport, RPC_SCHEMA};

@@ -55,8 +55,8 @@ enum Terminal {
 /// Replays `trace` against the daemon and assembles the report.
 ///
 /// `mode` is recorded verbatim (`"full"` / `"smoke"`). The returned
-/// report has not been validated; callers gate on
-/// [`RpcReport::validate`].
+/// report has not been validated; `magma_serve::emit` self-checks, writes
+/// and gates it.
 pub fn run(
     params: &LoadgenParams,
     trace: &[Arrival],

@@ -4,11 +4,10 @@
 //! run: client-measured latency percentiles over the wire, admission
 //! outcomes, the server's final counter snapshot and the resolved
 //! scenario descriptor — so a report is self-describing and
-//! re-runnable. [`RpcReport::validate`] is the self-check CI gates on.
+//! re-runnable. It is a [`BenchReport`]: `magma_serve::emit` self-checks,
+//! writes and gates it (the drain guarantee) like the simulators' reports.
 
-use std::path::PathBuf;
-
-use magma_serve::{EngineStats, ScenarioDescriptor};
+use magma_serve::{BenchReport, EngineStats, ScenarioDescriptor};
 use serde::{Deserialize, Serialize};
 
 /// Schema tag every `BENCH_rpc.json` carries.
@@ -58,35 +57,34 @@ pub struct RpcReport {
     pub scenario_descriptor: ScenarioDescriptor,
 }
 
-impl RpcReport {
-    /// Self-checks the report's internal consistency. Returns the first
-    /// violation found, if any.
-    pub fn validate(&self) -> Option<String> {
-        if self.schema != RPC_SCHEMA {
-            return Some(format!("schema is {:?}, expected {RPC_SCHEMA:?}", self.schema));
-        }
-        if self.mode != "full" && self.mode != "smoke" {
-            return Some(format!("mode is {:?}, expected \"full\" or \"smoke\"", self.mode));
-        }
+impl BenchReport for RpcReport {
+    const FILE: &'static str = "BENCH_rpc.json";
+    const SCHEMA: &'static str = RPC_SCHEMA;
+
+    fn header(&self) -> (&str, &str, &ScenarioDescriptor) {
+        (&self.schema, &self.mode, &self.scenario_descriptor)
+    }
+
+    fn check_body(&self) -> Result<(), String> {
         if !self.rate.is_finite() || self.rate <= 0.0 {
-            return Some(format!("rate {} is not positive", self.rate));
+            return Err(format!("rate {} is not positive", self.rate));
         }
         if self.accepted + self.rejected + self.errored != self.requests {
-            return Some(format!(
+            return Err(format!(
                 "admission outcomes do not partition requests: {} accepted + {} rejected + {} \
                  errored != {} requests",
                 self.accepted, self.rejected, self.errored, self.requests
             ));
         }
         if self.completed + self.cancelled + self.dropped_in_flight != self.accepted {
-            return Some(format!(
+            return Err(format!(
                 "terminal outcomes do not partition accepted submits: {} completed + {} \
                  cancelled + {} dropped != {} accepted",
                 self.completed, self.cancelled, self.dropped_in_flight, self.accepted
             ));
         }
         if self.timed_out > self.completed {
-            return Some(format!(
+            return Err(format!(
                 "{} timed out exceeds {} completed",
                 self.timed_out, self.completed
             ));
@@ -94,30 +92,29 @@ impl RpcReport {
         let percentiles =
             [self.mean_latency_ms, self.p50_latency_ms, self.p95_latency_ms, self.p99_latency_ms];
         if percentiles.iter().any(|p| !p.is_finite() || *p < 0.0) {
-            return Some("latency statistics must be finite and non-negative".to_string());
+            return Err("latency statistics must be finite and non-negative".to_string());
         }
         if self.p50_latency_ms > self.p95_latency_ms || self.p95_latency_ms > self.p99_latency_ms {
-            return Some(format!(
+            return Err(format!(
                 "latency percentiles are not monotone: p50 {} > p95 {} or p95 > p99 {}",
                 self.p50_latency_ms, self.p95_latency_ms, self.p99_latency_ms
             ));
         }
-        if let Err(violation) = self.scenario_descriptor.validate() {
-            return Some(format!("scenario descriptor: {violation}"));
-        }
-        None
+        Ok(())
     }
-}
 
-/// Writes the report to `BENCH_rpc.json` in `MAGMA_BENCH_DIR` (default:
-/// the current directory); returns the path written.
-pub fn write_rpc_json(report: &RpcReport) -> std::io::Result<PathBuf> {
-    let dir = std::env::var("MAGMA_BENCH_DIR").map(PathBuf::from).unwrap_or_else(|_| ".".into());
-    let path = dir.join("BENCH_rpc.json");
-    let json = serde_json::to_string_pretty(report)
-        .map_err(|e| std::io::Error::other(format!("serializing the RPC report: {e}")))?;
-    std::fs::write(&path, json + "\n")?;
-    Ok(path)
+    /// The drain guarantee: every accepted submit reached a terminal
+    /// response before the daemon acknowledged the drain.
+    fn accept(&self) -> Result<String, String> {
+        if self.dropped_in_flight != 0 {
+            return Err(format!(
+                "dropped_in_flight = {}: accepted submits never reached a terminal response \
+                 (the drain guarantee requires 0)",
+                self.dropped_in_flight
+            ));
+        }
+        Ok(format!("all {} accepted submits reached a terminal response", self.accepted))
+    }
 }
 
 #[cfg(test)]
@@ -155,33 +152,53 @@ mod tests {
     #[test]
     fn a_consistent_report_validates_and_round_trips() {
         let report = sample();
-        assert_eq!(report.validate(), None);
+        assert_eq!(report.validate(), Ok(()));
         let back: RpcReport =
             serde_json::from_str(&serde_json::to_string(&report).unwrap()).unwrap();
-        assert_eq!(back.validate(), None);
+        assert_eq!(back.validate(), Ok(()));
         assert_eq!(back.requests, report.requests);
+        assert!(back.accept().unwrap().contains("all 8 accepted"));
     }
 
     #[test]
     fn every_partition_violation_is_caught() {
         let mut r = sample();
-        r.schema = "bogus".into();
-        assert!(r.validate().is_some());
-
-        let mut r = sample();
         r.accepted += 1;
-        assert!(r.validate().unwrap().contains("partition requests"));
+        assert!(r.validate().unwrap_err().contains("partition requests"));
 
         let mut r = sample();
         r.dropped_in_flight = 1;
-        assert!(r.validate().unwrap().contains("partition accepted"));
+        assert!(r.validate().unwrap_err().contains("partition accepted"));
 
         let mut r = sample();
         r.p50_latency_ms = 30.0;
-        assert!(r.validate().unwrap().contains("monotone"));
+        assert!(r.validate().unwrap_err().contains("monotone"));
 
         let mut r = sample();
         r.timed_out = 9;
-        assert!(r.validate().is_some());
+        assert!(r.validate().is_err());
+    }
+
+    #[test]
+    fn the_shared_header_check_covers_the_rpc_report() {
+        let mut r = sample();
+        r.schema = "magma-rpc/v0".into();
+        assert!(r.validate().unwrap_err().contains("schema tag"));
+
+        let mut r = sample();
+        r.mode = "ful".into();
+        assert!(r.validate().unwrap_err().contains("mode \"ful\""));
+
+        let mut r = sample();
+        r.scenario_descriptor.params = serde::Value::Null;
+        assert!(r.validate().unwrap_err().contains("content_hash"));
+    }
+
+    #[test]
+    fn a_dropped_submit_fails_the_drain_gate_by_name() {
+        let mut r = sample();
+        (r.completed, r.dropped_in_flight) = (6, 1);
+        assert_eq!(r.validate(), Ok(()), "a consistent report of a bad run");
+        assert!(r.accept().unwrap_err().starts_with("dropped_in_flight = 1"));
     }
 }

@@ -18,7 +18,7 @@ use magma_platform::settings::{FleetKnobs, FleetPolicy, ServeKnobs};
 use magma_platform::Setting;
 use magma_serve::fleet::{fleet_simulate, run_fleet_ladder, FleetConfig};
 use magma_serve::trace::Scenario;
-use magma_serve::{quantize_signatures, ShardRouter, SignatureKey};
+use magma_serve::{quantize_signatures, BenchReport, ShardRouter, SignatureKey};
 use proptest::prelude::*;
 use std::collections::HashMap;
 

@@ -26,6 +26,7 @@ use magma_platform::Setting;
 use magma_registry::{builtin, gen, Registry, ResolvedScenario};
 use magma_serve::report::{run_custom_scenario, run_standard_scenarios, ServeReport};
 use magma_serve::trace::{generate_trace, Scenario, TraceParams};
+use magma_serve::BenchReport;
 
 /// The committed registry tree, independent of the test CWD.
 fn committed_tree() -> PathBuf {

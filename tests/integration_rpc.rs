@@ -24,8 +24,10 @@
 //!   to wake the engine thread (a wrong wake time hangs, it does not add a
 //!   tick).
 //! * **A bad client costs only its own connection** — one that stops
-//!   reading is dropped while every other client is served on, and one that
-//!   vanishes has its open submits cancelled.
+//!   reading is dropped while every other client is served on, one that
+//!   vanishes has its open submits cancelled, and one whose `submit_group`
+//!   carries a job `Job::new` would refuse (`"batch": 0`) is a decode error
+//!   on its own socket, not a panic of the engine thread.
 //! * **The loadgen → `BENCH_rpc.json` pipeline** — a wall-clock replay
 //!   produces a report that passes its own `magma-rpc/v1` self-check
 //!   with zero dropped in-flight submits.
@@ -38,10 +40,10 @@ use magma_model::{Job, JobId, LayerShape, TaskType, TenantMix};
 use magma_platform::settings::{FleetPolicy, ServerKnobs};
 use magma_serve::shard_cache_file;
 use magma_serve::trace::{generate_trace, Scenario, TraceParams};
-use magma_serve::{EngineConfig, ScenarioDescriptor};
+use magma_serve::{BenchReport, EngineConfig, ScenarioDescriptor};
 use magma_server::client::{Client, Event};
 use magma_server::daemon::Server;
-use magma_server::frame::write_frame;
+use magma_server::frame::{read_frame, write_frame};
 use magma_server::loadgen::{self, LoadgenParams};
 use magma_server::proto::{encode, RequestMsg};
 
@@ -414,6 +416,34 @@ fn a_stalled_reader_loses_only_its_own_connection() {
 }
 
 #[test]
+fn a_job_the_constructor_would_refuse_costs_only_its_senders_connection() {
+    let (server, addr) = start_server(&tiny_knobs());
+
+    // Client A bends one field of an otherwise well-formed submit. Admitted,
+    // a zero mini-batch panics the cost model on the engine thread.
+    let frame = String::from_utf8(encode(&RequestMsg::submit(0, 0, vec![job(0)]))).unwrap();
+    let bent = frame.replace("\"batch\":4", "\"batch\":0");
+    assert_ne!(bent, frame);
+    let mut hostile = TcpStream::connect(&addr).expect("raw client connects");
+    hostile.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout sets");
+    write_frame(&mut hostile, bent.as_bytes(), MAX_FRAME).expect("the bent frame sends");
+    let answer = read_frame(&mut hostile, MAX_FRAME).expect("the daemon hangs up cleanly");
+    assert_eq!(answer, None, "a malformed submit is answered by closing the connection");
+
+    // Client B, on the same daemon, is served as if nothing had happened.
+    let mut healthy = Client::connect(&addr, MAX_FRAME).expect("client connects");
+    healthy.submit(1, vec![job(1)]).expect("submit");
+    let mut events = Vec::new();
+    pump_until_settled(&mut healthy, &mut events, Instant::now() + Duration::from_secs(30));
+    assert!(matches!(events[..], [Event::Accepted { .. }, Event::Done { .. }]), "{events:?}");
+
+    let stats = drain_and_join(healthy, server);
+    assert_eq!((stats.accepted, stats.rejected), (1, 0), "the bent frame never reached admission");
+    assert_eq!(stats.accepted, stats.completed_jobs + stats.cancelled_jobs);
+    assert_eq!((stats.completed_jobs, stats.timed_out_jobs), (1, 0));
+}
+
+#[test]
 fn a_vanished_clients_open_submits_are_cancelled() {
     let (server, addr) = start_server(&endless_search_knobs());
     let mut vanishing = Client::connect(&addr, MAX_FRAME).expect("client connects");
@@ -474,9 +504,9 @@ fn the_loadgen_pipeline_emits_a_self_consistent_report() {
         speedup: 1.0,
     };
     let report = loadgen::run(&params, &trace, descriptor, "smoke").expect("loadgen runs");
-    assert_eq!(report.validate(), None, "magma-rpc/v1 self-check passes");
+    assert_eq!(report.validate(), Ok(()), "magma-rpc/v1 self-check passes");
     assert_eq!(report.requests, 24);
-    assert_eq!(report.dropped_in_flight, 0, "the drain guarantee holds");
+    report.accept().expect("the drain guarantee holds");
     assert!(report.accepted > 0);
     // One job per request: accepted submits and accounted jobs line up.
     assert_eq!(report.server.completed_jobs + report.server.cancelled_jobs, report.accepted as u64);

@@ -9,14 +9,24 @@
 //! (pinned per-thread via `magma_optim::parallel::with_threads`, exactly as
 //! the optimizer determinism suite does) and across repeated runs. The suite
 //! also locks the acceptance criterion — the repeated-tenant cache economics
-//! (hits ≥ 90% of cold throughput at ≤ 10% of the cold budget) — and pins
-//! the full-scale numbers: the shipped knobs must regenerate the committed
-//! `BENCH_serve.json` and `BENCH_cache.json` exactly.
+//! (hits ≥ 90% of cold throughput at ≤ 10% of the cold budget) — pins the
+//! full-scale numbers (the shipped knobs must regenerate the committed
+//! `BENCH_serve.json` and `BENCH_cache.json` exactly) and holds the three
+//! committed reports to the gates the binaries apply: each passes
+//! `validate` and `accept`, and a bent copy fails by the threshold's name.
 
 use magma_optim::parallel::with_threads;
 use magma_platform::settings::ServeKnobs;
-use magma_serve::report::{run_standard_scenarios, ServeReport};
-use magma_serve::sweep::{run_cache_sweep, CacheSweepReport};
+use magma_serve::report::run_standard_scenarios;
+use magma_serve::sweep::run_cache_sweep;
+use magma_serve::{BenchReport, CacheSweepReport, FleetReport, ServeReport};
+
+const BENCH_SERVE: &str =
+    include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json"));
+const BENCH_FLEET: &str =
+    include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json"));
+const BENCH_CACHE: &str =
+    include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cache.json"));
 
 /// Miniature but non-trivial knobs: several dispatch groups per scenario,
 /// cold/refine budgets in the acceptance ratio, a real (bounded) cache.
@@ -76,23 +86,8 @@ fn different_seeds_produce_different_reports() {
 #[test]
 fn acceptance_criterion_holds_on_the_repeated_tenant_trace() {
     let report = with_threads(4, || run_standard_scenarios(&test_knobs(), true));
-    let repeat = report
-        .scenarios
-        .iter()
-        .find(|s| s.name == "repeated_tenant")
-        .expect("the standard ladder always contains the repeated-tenant scenario");
-    let d = &repeat.metrics.dispatch;
-    assert!(d.hits > 0, "repeated-tenant windows must recur in the cache: {d:?}");
-    assert!(
-        d.hit_cold_throughput_ratio >= 0.9,
-        "hit dispatches reached only {:.3} of cold throughput",
-        d.hit_cold_throughput_ratio
-    );
-    assert!(
-        d.hit_sample_fraction <= 0.101,
-        "hits spent {:.3} of the cold budget",
-        d.hit_sample_fraction
-    );
+    report.accept().expect("the repeated-tenant cache economics hold");
+    let repeat = report.scenarios.iter().find(|s| s.name == "repeated_tenant").unwrap();
     // The cache never exceeds its bound.
     assert!(repeat.metrics.cache.entries <= test_knobs().cache_capacity);
 }
@@ -103,28 +98,96 @@ fn acceptance_criterion_holds_on_the_repeated_tenant_trace() {
 fn full_scale_ladder_regenerates_the_committed_bench_serve_json() {
     let report = run_standard_scenarios(&ServeKnobs::full(), false);
     let json = serde_json::to_string_pretty(&report).expect("report serializes") + "\n";
-    let committed = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json"));
-    assert!(json == committed, "BENCH_serve.json is stale: regenerate it with `serve_sim`");
+    assert!(json == BENCH_SERVE, "BENCH_serve.json is stale: regenerate it with `serve_sim`");
 }
 
-/// The same for the cache-calibration sweep. The committed file's
-/// `profile_ab` block comes from toggling `MAGMA_SIGNATURE_PROFILE` in the
-/// process environment, which only the `cache_sweep` binary may do (CI
-/// `cmp`s its full output); everything else is compared here.
+/// The same for the cache-calibration sweep.
 #[test]
 fn full_scale_sweep_regenerates_the_committed_bench_cache_json() {
-    let report = run_cache_sweep(&ServeKnobs::full(), false, false);
-    let mut committed: CacheSweepReport = serde_json::from_str(include_str!(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_cache.json"
-    )))
-    .expect("the committed sweep deserializes");
-    committed.profile_ab = None;
-    assert!(
-        serde_json::to_string_pretty(&report).unwrap()
-            == serde_json::to_string_pretty(&committed).unwrap(),
-        "BENCH_cache.json is stale: regenerate it with `cache_sweep`"
-    );
+    let report = run_cache_sweep(&ServeKnobs::full(), false);
+    let json = serde_json::to_string_pretty(&report).expect("report serializes") + "\n";
+    assert!(json == BENCH_CACHE, "BENCH_cache.json is stale: regenerate it with `cache_sweep`");
+}
+
+/// What is committed is what the gates accept: each file deserializes,
+/// passes the schema self-check and its acceptance gate (parse-only).
+#[test]
+fn the_committed_reports_validate_and_pass_their_gates() {
+    fn check<R: BenchReport + serde::Deserialize>(json: &str, summary_names: &str) {
+        let report: R = serde_json::from_str(json).expect("the committed report deserializes");
+        report.validate().unwrap_or_else(|e| panic!("{}: {e}", R::FILE));
+        let summary = report.accept().unwrap_or_else(|e| panic!("{}: {e}", R::FILE));
+        assert!(summary.contains(summary_names), "{}: {summary}", R::FILE);
+    }
+    check::<ServeReport>(BENCH_SERVE, "hit/cold throughput ratio 1.0");
+    check::<FleetReport>(BENCH_FLEET, "fleet_mix 4-shard speedup");
+    check::<CacheSweepReport>(BENCH_CACHE, "shipped defaults match");
+}
+
+/// Every threshold a binary gates on, bent one at a time in a copy of the
+/// committed report: `accept` names the threshold and the measured value.
+#[test]
+fn a_bent_report_fails_its_gate_by_the_thresholds_name() {
+    fn refused(verdict: Result<String, String>, names: &str) {
+        let violation = verdict.expect_err(names);
+        assert!(violation.contains(names), "{violation:?} does not name {names:?}");
+    }
+
+    let serve: ServeReport = serde_json::from_str(BENCH_SERVE).unwrap();
+    let repeated = serve.scenarios.iter().position(|s| s.name == "repeated_tenant").unwrap();
+    let mut slow_hits = serve.clone();
+    slow_hits.scenarios[repeated].metrics.dispatch.hit_cold_throughput_ratio = 0.89;
+    refused(slow_hits.accept(), "hit/cold throughput ratio 0.8900 is under the floor of 0.9");
+    let mut dear_hits = serve;
+    dear_hits.scenarios[repeated].metrics.dispatch.hit_sample_fraction = 0.11;
+    refused(dear_hits.accept(), "0.1100 of the cold sample budget");
+
+    let fleet: FleetReport = serde_json::from_str(BENCH_FLEET).unwrap();
+    let names: Vec<&str> = fleet.scenarios.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["fleet_mix", "deadline_pressure"]);
+    let mut flat = fleet.clone();
+    let one_shard = flat.scenarios[0].rungs[0].jobs_per_sec;
+    flat.scenarios[0].rungs.last_mut().unwrap().jobs_per_sec = one_shard;
+    refused(flat.accept(), "fleet_mix at 4 shards");
+    let mut calm = fleet.clone();
+    calm.scenarios[1].rungs.last_mut().unwrap().preemptions = 0;
+    refused(calm.accept(), "deadline_pressure preempted 0 sessions at 4 shards");
+
+    let cache: CacheSweepReport = serde_json::from_str(BENCH_CACHE).unwrap();
+    let mut no_frontier = cache.clone();
+    no_frontier.calibrated = None;
+    refused(no_frontier.accept(), "no admissible grid point");
+    let mut drifted = cache;
+    drifted.defaults_match_calibrated = false;
+    refused(drifted.accept(), "are not the calibrated point");
+    // Smoke sweeps only A/B the probe: their defaults are not held to it.
+    drifted.mode = "smoke".into();
+    drifted.accept().expect("a smoke sweep with a calibrated point passes");
+}
+
+/// The header check is one function: each report kind rejects a foreign
+/// schema tag, a mode that is neither `smoke` nor `full`, and a descriptor
+/// whose parameters were edited without re-hashing. (`RpcReport`, the fourth
+/// kind, is held to the same three in `magma-server`'s unit tests.)
+#[test]
+fn every_report_kind_shares_the_header_check() {
+    macro_rules! header_is_checked {
+        ($kind:ty, $json:expr) => {{
+            let good: $kind = serde_json::from_str($json).unwrap();
+            let mut bent = good.clone();
+            bent.schema.push_str("-next");
+            assert!(bent.validate().unwrap_err().contains("schema tag"));
+            let mut bent = good.clone();
+            bent.mode = "ful".into();
+            assert!(bent.validate().unwrap_err().contains("mode \"ful\""));
+            let mut bent = good.clone();
+            bent.scenario_descriptor.params = serde::Value::Null;
+            assert!(bent.validate().unwrap_err().contains("content_hash"));
+        }};
+    }
+    header_is_checked!(ServeReport, BENCH_SERVE);
+    header_is_checked!(FleetReport, BENCH_FLEET);
+    header_is_checked!(CacheSweepReport, BENCH_CACHE);
 }
 
 /// The warm-restart contract of `MAGMA_SERVE_CACHE_PATH`: a run persists
