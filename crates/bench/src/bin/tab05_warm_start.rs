@@ -7,43 +7,27 @@
 //! size: 100 epochs of one population each), `MAGMA_SEED`, `MAGMA_THREADS`
 //! (evaluation worker threads, default: all cores — changes wall-clock only,
 //! never results), `MAGMA_FULL_SCALE=1` (paper scale, 4 warm-started
-//! instances), and
-//! `MAGMA_WARMSTART_MODE=index` to reproduce the index-wrapped adaptation
-//! baseline instead of the default profile-matched transfer (Section V-C).
+//! instances). The stored solution carries its job signatures, so the
+//! transfer is profile-matched (Section V-C).
 
-use magma::experiments::warm_start_study_with_mode;
+use magma::experiments::warm_start_study;
 use magma::prelude::*;
 use magma_bench::{banner, dump_json, Scale};
 
 fn main() {
     let scale = Scale::from_env();
-    let mode = match std::env::var("MAGMA_WARMSTART_MODE") {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "index" | "index-wrap" | "indexwrap" => WarmStartMode::IndexWrap,
-            "profile" | "profile-matched" | "profilematched" => WarmStartMode::ProfileMatched,
-            other => {
-                eprintln!(
-                    "warning: unknown MAGMA_WARMSTART_MODE '{other}' \
-                     (expected 'index' or 'profile'); using profile-matched"
-                );
-                WarmStartMode::ProfileMatched
-            }
-        },
-        Err(_) => WarmStartMode::ProfileMatched,
-    };
-    banner(&format!("Table V — warm-start of MAGMA (Mix, S4, BW=1 GB/s, {mode})"), &scale);
+    banner("Table V — warm-start of MAGMA (Mix, S4, BW=1 GB/s, profile-matched)", &scale);
 
     let full = magma_bench::full_scale();
     let instances = if full { 4 } else { 2 };
 
-    let rows = warm_start_study_with_mode(
+    let rows = warm_start_study(
         Setting::S4,
         TaskType::Mix,
         Some(1.0),
         scale.group_size,
         instances,
         scale.seed,
-        mode,
     );
 
     println!(
@@ -68,7 +52,7 @@ fn main() {
             warm.iter().map(|r| f(r)).sum::<f64>() / warm.len() as f64
         };
         println!(
-            "\naverage over warm-started instances ({mode}): Raw {:.2}, Trf-0-ep {:.2}, Trf-1-ep {:.2}, Trf-30-ep {:.2}",
+            "\naverage over warm-started instances (profile-matched): Raw {:.2}, Trf-0-ep {:.2}, Trf-1-ep {:.2}, Trf-30-ep {:.2}",
             avg(|r| r.raw),
             avg(|r| r.transfer_0_epoch),
             avg(|r| r.transfer_1_epoch),

@@ -147,8 +147,8 @@ impl M3e {
 
     /// The signatures of the group's jobs, in job order (computed once at
     /// construction). Hand these to
-    /// [`WarmStartEngine::adapt_matched`](crate::WarmStartEngine::adapt_matched)
-    /// to transfer a stored solution onto this problem by job profile.
+    /// [`StoredSolution::adapt_to`](crate::StoredSolution::adapt_to) to
+    /// transfer a stored solution onto this problem by job profile.
     pub fn signatures(&self) -> &[JobSignature] {
         &self.signatures
     }

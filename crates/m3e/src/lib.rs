@@ -26,9 +26,9 @@
 //!   optimizers in `magma-optim` search against.
 //! * [`history`] — sample-efficiency bookkeeping (best-so-far curves, the
 //!   data behind Figs. 10/11/16).
-//! * [`warmstart`] — the warm-start engine of Section V-C / Table V: a
-//!   [`SolutionHistory`] of solved mappings with their job signatures, and
-//!   profile-matched adaptation onto fresh groups.
+//! * [`warmstart`] — the warm start of Section V-C / Table V: a
+//!   [`StoredSolution`] (a solved mapping with its job signatures) adapts
+//!   onto a fresh group by job profile and seeds the next search.
 //!
 //! # Paper cross-references
 //!
@@ -68,7 +68,6 @@ pub mod encoding;
 pub mod evaluator;
 pub mod framework;
 pub mod history;
-pub mod lru;
 pub mod schedule;
 pub mod warmstart;
 
@@ -78,11 +77,8 @@ pub use encoding::{DecodedMapping, Mapping};
 pub use evaluator::{CostMemo, FitnessEvaluator, LaunchCost, Objective};
 pub use framework::{attach_core_classes, JobProfile, M3e, MappingProblem};
 pub use history::SearchHistory;
-pub use lru::LruOrder;
 pub use schedule::{Schedule, ScheduleSegment};
-pub use warmstart::{
-    match_signatures, SolutionHistory, StoredSolution, WarmStartEngine, WarmStartMode,
-};
+pub use warmstart::{match_signatures, StoredSolution, WarmStartEngine};
 
 /// Convenience re-exports for downstream users.
 pub mod prelude {
@@ -93,5 +89,5 @@ pub mod prelude {
     pub use crate::framework::{JobProfile, M3e, MappingProblem};
     pub use crate::history::SearchHistory;
     pub use crate::schedule::{Schedule, ScheduleSegment};
-    pub use crate::warmstart::{SolutionHistory, StoredSolution, WarmStartEngine, WarmStartMode};
+    pub use crate::warmstart::{StoredSolution, WarmStartEngine};
 }

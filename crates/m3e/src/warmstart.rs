@@ -1,59 +1,41 @@
-//! The warm-start engine (Section V-C, Table V).
+//! Warm start (Section V-C, Table V).
 //!
-//! When the current group of jobs belongs to the same task category as a
-//! previously solved group, the previous best mapping is adapted and used to
-//! initialize the optimizer instead of a random population. The paper shows
-//! this recovers most of the benefit of a full search within one epoch
-//! (Table V).
+//! When the current group of jobs resembles a previously solved group, the
+//! previous best mapping is adapted and used to initialize the optimizer
+//! instead of a random population. The paper shows this recovers most of the
+//! benefit of a full search within one epoch (Table V).
 //!
-//! Adaptation comes in two flavours ([`WarmStartMode`]):
+//! The mechanism is a [`StoredSolution`]: a solved mapping plus, optionally,
+//! the [`JobSignature`]s of the jobs it was solved for.
+//! [`StoredSolution::adapt_to`] carries it onto a new group and
+//! [`StoredSolution::seed_population`] builds a search's initial population
+//! around the result. How it adapts follows from what was stored:
 //!
-//! * **Index wrapping** ([`WarmStartEngine::adapt`]) — job `i` of the new
-//!   group inherits the genes of stored job `i % stored_len`. Cheap, but it
-//!   assumes the new group lists similar jobs in the same order, which fails
-//!   whenever request interleaving reshuffles the layers.
-//! * **Profile matching** ([`WarmStartEngine::adapt_matched`], the default) —
-//!   each new job inherits the genes of the stored job with the nearest
-//!   [`JobSignature`], found by a greedy one-to-one assignment
-//!   ([`match_signatures`]). This is what actually carries Table V's claim
-//!   that stored solutions transfer to *similar* jobs: a conv inherits a
-//!   conv's core affinity regardless of where either sits in its group.
+//! * **with signatures** — each new job inherits the genes of the stored job
+//!   with the nearest signature, found by a greedy one-to-one assignment
+//!   ([`match_signatures`]). This is what carries Table V's claim that
+//!   stored solutions transfer to *similar* jobs: a conv inherits a conv's
+//!   core affinity regardless of where either sits in its group.
+//! * **without** — job `i` inherits the genes of stored job
+//!   `i % stored_len` (index wrapping). Cheap, but it assumes the new group
+//!   lists similar jobs in the same order, which fails whenever request
+//!   interleaving reshuffles the layers; it is the baseline the matched
+//!   transfer is measured against.
 //!
-//! The engine keeps its knowledge in a [`SolutionHistory`]: one
-//! [`StoredSolution`] (mapping + optional signatures) per task category,
-//! serializable so a long-running mapping service can persist it across
-//! restarts.
+//! Where the solutions live is the caller's choice: the serving layer keys
+//! them by quantized signatures (`magma-serve`'s `MappingCache`), and
+//! [`WarmStartEngine`] — the paper's one-per-task-category store — is a map.
+//! Both serialize, so a long-running mapping service can persist its
+//! knowledge across restarts.
 
 use crate::encoding::Mapping;
 use magma_model::{JobSignature, TaskType};
 use rand::Rng;
 use serde::{DeError, Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fmt;
-
-/// How a stored solution is adapted to a new group (Section V-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum WarmStartMode {
-    /// Job `i` inherits the genes of stored job `i % stored_len`.
-    IndexWrap,
-    /// Each job inherits the genes of the stored job with the nearest
-    /// [`JobSignature`] (greedy one-to-one assignment).
-    #[default]
-    ProfileMatched,
-}
-
-impl fmt::Display for WarmStartMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WarmStartMode::IndexWrap => f.write_str("index-wrap"),
-            WarmStartMode::ProfileMatched => f.write_str("profile-matched"),
-        }
-    }
-}
 
 /// One remembered solution: the best mapping found for a group, plus the
-/// signatures of the jobs it was found for (when recorded via
-/// [`SolutionHistory::record_profiled`]).
+/// signatures of the jobs it was found for (when they were recorded).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StoredSolution {
     mapping: Mapping,
@@ -82,9 +64,9 @@ impl Deserialize for StoredSolution {
 
 impl StoredSolution {
     /// Creates a stored solution from a solved mapping and (optionally) the
-    /// signatures of the jobs it was solved for. This is the entry point for
-    /// callers that manage their own storage — e.g. the signature-keyed
-    /// mapping cache of `magma-serve`, whose entries are not per-task.
+    /// signatures of the jobs it was solved for. With signatures it adapts
+    /// by profile matching, without them by index wrapping
+    /// ([`StoredSolution::adapt_to`]).
     ///
     /// # Panics
     ///
@@ -108,12 +90,12 @@ impl StoredSolution {
         self.signatures.as_deref()
     }
 
-    /// Adapts this stored solution to a new group: profile-matched
+    /// Adapts this stored solution to a new group of
+    /// `new_signatures.len()` jobs on `num_accels` cores: profile-matched
     /// ([`match_signatures`] + [`Mapping::gather`]) when signatures were
-    /// recorded (and are consistent), index-wrapped otherwise. This is the
-    /// per-solution core of [`WarmStartEngine::adapt_matched`], exposed so
-    /// non-task-keyed stores (the serving-layer mapping cache) can adapt a
-    /// hit directly.
+    /// recorded (and are consistent), index-wrapped otherwise — new job `i`
+    /// takes the genes of stored job `i % stored_len`, and accelerator genes
+    /// are re-mapped modulo the new core count either way.
     ///
     /// # Panics
     ///
@@ -136,8 +118,8 @@ impl StoredSolution {
     /// Builds an initial population of `size` individuals around the adapted
     /// solution ([`StoredSolution::adapt_to`] plus jittered copies) — the
     /// budgeted adapt-then-refine entry point: hand the result to a
-    /// budget-limited search (e.g. `Magma::refine`) to spend a small
-    /// refinement budget on top of the transferred solution.
+    /// budget-limited search (e.g. `Magma::with_warm_start`) to spend a
+    /// small refinement budget on top of the transferred solution.
     pub fn seed_population<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -147,149 +129,6 @@ impl StoredSolution {
     ) -> Vec<Mapping> {
         let base = self.adapt_to(new_signatures, num_accels);
         jittered_population(rng, base, num_accels, size)
-    }
-}
-
-/// Per-task-category storage of solved mappings and their job signatures —
-/// the knowledge base behind warm start (Section V-C).
-///
-/// By default the history is unbounded (at most one entry per
-/// [`TaskType`]). A long-running mapping service that keys its own storage
-/// more finely can bound it with [`SolutionHistory::with_capacity`], which
-/// evicts the least-recently *used* entry — used meaning recorded or
-/// explicitly [`touch`](SolutionHistory::touch)ed — once the capacity is
-/// exceeded.
-///
-/// `Deserialize` is implemented by hand so that histories persisted
-/// *before* the capacity/recency fields existed still load: a missing
-/// `recency` is rebuilt from the entry keys (in [`TaskType`] order) and a
-/// missing `capacity` means unbounded.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct SolutionHistory {
-    entries: HashMap<TaskType, StoredSolution>,
-    /// Recency order, least recently used first. Always lists exactly the
-    /// keys of `entries`.
-    recency: crate::lru::LruOrder<TaskType>,
-    /// `None` means unbounded.
-    capacity: Option<usize>,
-}
-
-impl serde::Deserialize for SolutionHistory {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        if v.as_map().is_none() {
-            return Err(serde::DeError::mismatch("object", v));
-        }
-        let entries: HashMap<TaskType, StoredSolution> =
-            serde::Deserialize::from_value(v.get("entries"))
-                .map_err(|e| serde::DeError::custom(format!("field entries: {e}")))?;
-        // Both fields were added after the first persisted format; tolerate
-        // their absence (the vendored derive cannot express defaults).
-        let recency = match v.get("recency") {
-            serde::Value::Null => {
-                let mut tasks: Vec<TaskType> = entries.keys().copied().collect();
-                tasks.sort_unstable();
-                tasks.into_iter().collect()
-            }
-            other => serde::Deserialize::from_value(other)
-                .map_err(|e| serde::DeError::custom(format!("field recency: {e}")))?,
-        };
-        let capacity: Option<usize> = serde::Deserialize::from_value(v.get("capacity"))
-            .map_err(|e| serde::DeError::custom(format!("field capacity: {e}")))?;
-        Ok(SolutionHistory { entries, recency, capacity })
-    }
-}
-
-impl SolutionHistory {
-    /// Creates an empty, unbounded history.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty history bounded to `capacity` entries with LRU-style
-    /// eviction: recording beyond the capacity evicts the least-recently
-    /// recorded-or-touched entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0` — a history that can hold nothing cannot
-    /// honor `record`.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "a solution history must hold at least one entry");
-        SolutionHistory { capacity: Some(capacity), ..Self::default() }
-    }
-
-    /// The configured capacity, or `None` when unbounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Inserts or replaces the entry for `task`, marks it most recently used
-    /// and evicts the least recently used entry if the capacity is exceeded.
-    fn insert_entry(&mut self, task: TaskType, solution: StoredSolution) {
-        self.entries.insert(task, solution);
-        self.recency.bump(&task);
-        if let Some(cap) = self.capacity {
-            while self.entries.len() > cap {
-                let lru = self.recency.pop_lru().expect("recency tracks every entry");
-                self.entries.remove(&lru);
-            }
-        }
-    }
-
-    /// Stores the best mapping for a task category without job signatures,
-    /// replacing any previous entry. Adaptation falls back to index wrapping
-    /// for entries recorded this way.
-    pub fn record(&mut self, task: TaskType, best: Mapping) {
-        self.insert_entry(task, StoredSolution { mapping: best, signatures: None });
-    }
-
-    /// Stores the best mapping for a task category together with the
-    /// signatures of the jobs it was optimized for, replacing any previous
-    /// entry. This enables profile-matched adaptation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `signatures.len() != best.num_jobs()`.
-    pub fn record_profiled(
-        &mut self,
-        task: TaskType,
-        best: Mapping,
-        signatures: Vec<JobSignature>,
-    ) {
-        assert_eq!(
-            signatures.len(),
-            best.num_jobs(),
-            "one signature per job of the stored mapping"
-        );
-        self.insert_entry(task, StoredSolution { mapping: best, signatures: Some(signatures) });
-    }
-
-    /// The stored solution for a task category, if any. Does not affect the
-    /// eviction order (`&self`); callers that want a read to protect an
-    /// entry pair it with [`SolutionHistory::touch`].
-    pub fn get(&self, task: TaskType) -> Option<&StoredSolution> {
-        self.entries.get(&task)
-    }
-
-    /// Marks the entry for `task` most recently used, returning whether the
-    /// entry exists.
-    pub fn touch(&mut self, task: TaskType) -> bool {
-        if self.entries.contains_key(&task) {
-            self.recency.bump(&task);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Number of task categories with stored knowledge.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no knowledge is stored at all.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -339,11 +178,11 @@ pub fn match_signatures(new: &[JobSignature], stored: &[JobSignature]) -> Vec<us
     assignment
 }
 
-/// Stores the best known mapping per task category and seeds new searches
-/// from it.
+/// The paper's warm-start engine: the best known solution per task category,
+/// and new searches seeded from it.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct WarmStartEngine {
-    history: SolutionHistory,
+    solutions: HashMap<TaskType, StoredSolution>,
 }
 
 impl WarmStartEngine {
@@ -352,130 +191,30 @@ impl WarmStartEngine {
         Self::default()
     }
 
-    /// Records the best mapping found for a task category, replacing any
-    /// previous entry. Entries recorded without signatures only support
-    /// index-wrapped adaptation; prefer [`WarmStartEngine::record_profiled`].
-    pub fn record(&mut self, task: TaskType, best: Mapping) {
-        self.history.record(task, best);
+    /// Records the best solution found for a task category, replacing any
+    /// previous one.
+    pub fn record(&mut self, task: TaskType, solution: StoredSolution) {
+        self.solutions.insert(task, solution);
     }
 
-    /// Records the best mapping together with the signatures of the jobs it
-    /// was optimized for, enabling profile-matched adaptation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `signatures.len() != best.num_jobs()`.
-    pub fn record_profiled(
-        &mut self,
-        task: TaskType,
-        best: Mapping,
-        signatures: Vec<JobSignature>,
-    ) {
-        self.history.record_profiled(task, best, signatures);
+    /// The stored solution for a task category, if any.
+    pub fn stored(&self, task: TaskType) -> Option<&StoredSolution> {
+        self.solutions.get(&task)
     }
 
-    /// Whether previous knowledge exists for this task category.
-    pub fn has_knowledge(&self, task: TaskType) -> bool {
-        self.history.get(task).is_some()
-    }
-
-    /// The stored mapping for a task category, if any.
-    pub fn stored(&self, task: TaskType) -> Option<&Mapping> {
-        self.history.get(task).map(StoredSolution::mapping)
-    }
-
-    /// The full stored solution (mapping + signatures) for a task category.
-    pub fn stored_solution(&self, task: TaskType) -> Option<&StoredSolution> {
-        self.history.get(task)
-    }
-
-    /// The engine's knowledge base.
-    pub fn history(&self) -> &SolutionHistory {
-        &self.history
-    }
-
-    /// Index-wrapped adaptation ([`WarmStartMode::IndexWrap`]): adapts the
-    /// stored solution of `task` to a new problem of `num_jobs` jobs on
-    /// `num_accels` cores by wrapping the stored genomes around (or
-    /// truncating them) and re-mapping accelerator genes modulo the new core
-    /// count. Returns `None` when no knowledge exists.
-    ///
-    /// This is the fallback when job signatures are unavailable; with
-    /// signatures, [`WarmStartEngine::adapt_matched`] transfers far better
-    /// across reshuffled groups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if knowledge exists for `task` but `num_jobs == 0` or
-    /// `num_accels == 0` — a mapping cannot cover zero jobs or zero cores
-    /// (`None` strictly means "no stored knowledge").
-    pub fn adapt(&self, task: TaskType, num_jobs: usize, num_accels: usize) -> Option<Mapping> {
-        let stored = self.stored(task)?;
-        let sources: Vec<usize> = (0..num_jobs).map(|i| i % stored.num_jobs()).collect();
-        Some(stored.gather(&sources, num_accels))
-    }
-
-    /// Profile-matched adaptation ([`WarmStartMode::ProfileMatched`]): each
-    /// new job (described by its signature) inherits the gene block of the
-    /// stored job with the nearest signature, via [`match_signatures`].
-    ///
-    /// Returns `None` when no knowledge exists for the task category. Falls
-    /// back to index wrapping when the stored entry carries no signatures
-    /// (it was recorded with [`WarmStartEngine::record`]) — or when it
-    /// carries the wrong number of them, which cannot happen via
-    /// [`WarmStartEngine::record_profiled`] but can arrive through
-    /// deserialization of a corrupted or version-skewed [`SolutionHistory`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if knowledge exists for `task` but `new_signatures` is empty or
-    /// `num_accels == 0` — a mapping cannot cover zero jobs or zero cores
-    /// (`None` strictly means "no stored knowledge").
-    pub fn adapt_matched(
-        &self,
-        task: TaskType,
-        new_signatures: &[JobSignature],
-        num_accels: usize,
-    ) -> Option<Mapping> {
-        let solution = self.history.get(task)?;
-        Some(solution.adapt_to(new_signatures, num_accels))
-    }
-
-    /// Builds an initial population of `size` individuals for a new search
-    /// using index-wrapped adaptation: the adapted previous solution plus
-    /// jittered copies of it. Returns `None` when no knowledge exists for the
-    /// task category, in which case the caller should fall back to random
-    /// initialization.
+    /// The initial population for a search on a new group of `task`
+    /// ([`StoredSolution::seed_population`] on the stored solution), or
+    /// `None` when nothing is stored for the category — the caller then
+    /// falls back to random initialization.
     pub fn seed_population<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         task: TaskType,
-        num_jobs: usize,
-        num_accels: usize,
-        size: usize,
-    ) -> Option<Vec<Mapping>> {
-        let base = self.adapt(task, num_jobs, num_accels)?;
-        Some(jittered_population(rng, base, num_accels, size))
-    }
-
-    /// As [`WarmStartEngine::seed_population`] but with profile-matched
-    /// adaptation: the base individual is built by [`WarmStartEngine::adapt_matched`]
-    /// against the new group's signatures.
-    pub fn seed_population_matched<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        task: TaskType,
         new_signatures: &[JobSignature],
         num_accels: usize,
         size: usize,
     ) -> Option<Vec<Mapping>> {
-        let base = self.adapt_matched(task, new_signatures, num_accels)?;
-        Some(jittered_population(rng, base, num_accels, size))
-    }
-
-    /// Number of task categories with stored knowledge.
-    pub fn num_entries(&self) -> usize {
-        self.history.len()
+        Some(self.stored(task)?.seed_population(rng, new_signatures, num_accels, size))
     }
 }
 
@@ -508,6 +247,7 @@ fn jittered_population<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use magma_model::WorkloadSpec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -516,52 +256,69 @@ mod tests {
         Mapping::random(&mut rng, n, m)
     }
 
+    /// The signatures of a fresh `n`-job group of `task`.
+    fn signatures(task: TaskType, n: usize) -> Vec<JobSignature> {
+        WorkloadSpec::single_group(task, n, 9).signatures()
+    }
+
+    /// The index-wrapped adaptation, written out.
+    pub(super) fn wrapped(stored: &Mapping, num_jobs: usize, num_accels: usize) -> Mapping {
+        let sources: Vec<usize> = (0..num_jobs).map(|i| i % stored.num_jobs()).collect();
+        stored.gather(&sources, num_accels)
+    }
+
     #[test]
     fn empty_engine_has_no_knowledge() {
         let e = WarmStartEngine::new();
-        assert!(!e.has_knowledge(TaskType::Vision));
-        assert!(e.adapt(TaskType::Vision, 10, 2).is_none());
-        assert!(e.adapt_matched(TaskType::Vision, &[], 2).is_none());
-        assert_eq!(e.num_entries(), 0);
-        assert!(e.history().is_empty());
+        assert!(TaskType::ALL.into_iter().all(|task| e.stored(task).is_none()));
+    }
+
+    #[test]
+    fn a_solution_stored_without_signatures_adapts_by_index_wrapping() {
+        for (stored_n, new_n, stored_accels, new_accels) in
+            [(10, 10, 4, 4), (7, 25, 4, 6), (12, 5, 8, 3)]
+        {
+            let best = mapping(stored_n, stored_accels, 1);
+            let adapted = StoredSolution::new(best.clone(), None)
+                .adapt_to(&signatures(TaskType::Mix, new_n), new_accels);
+            assert_eq!(adapted, wrapped(&best, new_n, new_accels), "{stored_n} -> {new_n}");
+        }
     }
 
     #[test]
     fn record_and_adapt_same_shape() {
         let mut e = WarmStartEngine::new();
         let best = mapping(20, 4, 1);
-        e.record(TaskType::Mix, best.clone());
-        assert!(e.has_knowledge(TaskType::Mix));
-        let adapted = e.adapt(TaskType::Mix, 20, 4).unwrap();
+        e.record(TaskType::Mix, StoredSolution::new(best.clone(), None));
+        let adapted = e.stored(TaskType::Mix).unwrap().adapt_to(&signatures(TaskType::Mix, 20), 4);
         assert_eq!(adapted, best);
     }
 
     #[test]
     fn adapt_to_larger_group_wraps_genes() {
-        let mut e = WarmStartEngine::new();
-        e.record(TaskType::Language, mapping(10, 4, 2));
-        let adapted = e.adapt(TaskType::Language, 25, 4).unwrap();
+        let stored = StoredSolution::new(mapping(10, 4, 2), None);
+        let adapted = stored.adapt_to(&signatures(TaskType::Language, 25), 4);
         assert_eq!(adapted.num_jobs(), 25);
-        let stored = e.stored(TaskType::Language).unwrap();
-        assert_eq!(adapted.accel_sel()[13], stored.accel_sel()[3]);
+        assert_eq!(adapted.accel_sel()[13], stored.mapping().accel_sel()[3]);
     }
 
     #[test]
     fn adapt_to_fewer_accels_stays_in_range() {
-        let mut e = WarmStartEngine::new();
-        e.record(TaskType::Vision, mapping(10, 8, 3));
-        let adapted = e.adapt(TaskType::Vision, 10, 4).unwrap();
+        let stored = StoredSolution::new(mapping(10, 8, 3), None);
+        let adapted = stored.adapt_to(&signatures(TaskType::Vision, 10), 4);
         assert!(adapted.accel_sel().iter().all(|&a| a < 4));
     }
 
     #[test]
     fn seed_population_has_requested_size_and_contains_base() {
+        let task = TaskType::Recommendation;
         let mut e = WarmStartEngine::new();
-        e.record(TaskType::Recommendation, mapping(30, 4, 4));
+        e.record(task, StoredSolution::new(mapping(30, 4, 4), None));
+        let sigs = signatures(task, 30);
         let mut rng = StdRng::seed_from_u64(5);
-        let pop = e.seed_population(&mut rng, TaskType::Recommendation, 30, 4, 16).unwrap();
+        let pop = e.seed_population(&mut rng, task, &sigs, 4, 16).unwrap();
         assert_eq!(pop.len(), 16);
-        let base = e.adapt(TaskType::Recommendation, 30, 4).unwrap();
+        let base = e.stored(task).unwrap().adapt_to(&sigs, 4);
         assert_eq!(pop[0], base);
         // Jittered copies differ from the base but keep valid genes.
         assert!(pop[1..].iter().any(|m| m != &base));
@@ -574,167 +331,31 @@ mod tests {
     fn seed_population_none_without_knowledge() {
         let e = WarmStartEngine::new();
         let mut rng = StdRng::seed_from_u64(6);
-        assert!(e.seed_population(&mut rng, TaskType::Mix, 10, 2, 4).is_none());
-        assert!(e.seed_population_matched(&mut rng, TaskType::Mix, &[], 2, 4).is_none());
+        assert!(e.seed_population(&mut rng, TaskType::Mix, &[], 2, 4).is_none());
     }
 
     #[test]
     fn recording_overwrites_previous_entry() {
         let mut e = WarmStartEngine::new();
-        e.record(TaskType::Mix, mapping(10, 2, 7));
-        let second = mapping(10, 2, 8);
+        e.record(TaskType::Mix, StoredSolution::new(mapping(10, 2, 7), None));
+        let second = StoredSolution::new(mapping(10, 2, 8), None);
         e.record(TaskType::Mix, second.clone());
         assert_eq!(e.stored(TaskType::Mix), Some(&second));
-        assert_eq!(e.num_entries(), 1);
+        assert!(e.stored(TaskType::Vision).is_none());
     }
-
-    #[test]
-    fn mode_labels_are_distinct() {
-        assert_eq!(WarmStartMode::default(), WarmStartMode::ProfileMatched);
-        assert_ne!(WarmStartMode::IndexWrap.to_string(), WarmStartMode::ProfileMatched.to_string());
-    }
-
-    #[test]
-    fn unbounded_history_never_evicts() {
-        let mut h = SolutionHistory::new();
-        assert_eq!(h.capacity(), None);
-        for (i, task) in TaskType::ALL.into_iter().enumerate() {
-            h.record(task, mapping(4, 2, i as u64));
-        }
-        assert_eq!(h.len(), 4);
-    }
-
-    #[test]
-    fn bounded_history_evicts_least_recently_recorded() {
-        let mut h = SolutionHistory::with_capacity(2);
-        assert_eq!(h.capacity(), Some(2));
-        h.record(TaskType::Vision, mapping(4, 2, 0));
-        h.record(TaskType::Language, mapping(4, 2, 1));
-        h.record(TaskType::Recommendation, mapping(4, 2, 2));
-        assert_eq!(h.len(), 2);
-        assert!(h.get(TaskType::Vision).is_none(), "oldest entry must be evicted");
-        assert!(h.get(TaskType::Language).is_some());
-        assert!(h.get(TaskType::Recommendation).is_some());
-    }
-
-    #[test]
-    fn touch_protects_an_entry_from_eviction() {
-        let mut h = SolutionHistory::with_capacity(2);
-        h.record(TaskType::Vision, mapping(4, 2, 0));
-        h.record_profiled(
-            TaskType::Language,
-            mapping(4, 2, 1),
-            WorkloadSpec::single_group(TaskType::Language, 4, 0).signatures(),
-        );
-        // Vision is LRU; touching it flips the eviction victim to Language.
-        assert!(h.touch(TaskType::Vision));
-        assert!(!h.touch(TaskType::Mix), "touch reports missing entries");
-        h.record(TaskType::Recommendation, mapping(4, 2, 2));
-        assert!(h.get(TaskType::Vision).is_some());
-        assert!(h.get(TaskType::Language).is_none());
-    }
-
-    #[test]
-    fn re_recording_a_task_bumps_it_without_growing() {
-        let mut h = SolutionHistory::with_capacity(2);
-        h.record(TaskType::Vision, mapping(4, 2, 0));
-        h.record(TaskType::Language, mapping(4, 2, 1));
-        // Re-record Vision: it becomes most recent, len stays 2.
-        h.record(TaskType::Vision, mapping(4, 2, 3));
-        assert_eq!(h.len(), 2);
-        h.record(TaskType::Mix, mapping(4, 2, 4));
-        assert!(h.get(TaskType::Language).is_none(), "Language was LRU after the re-record");
-        assert!(h.get(TaskType::Vision).is_some());
-    }
-
-    #[test]
-    fn bounded_history_round_trips_through_serde() {
-        let mut h = SolutionHistory::with_capacity(3);
-        h.record(TaskType::Vision, mapping(4, 2, 0));
-        h.record(TaskType::Language, mapping(4, 2, 1));
-        let json = serde_json::to_string(&h).expect("history serializes");
-        let mut back: SolutionHistory = serde_json::from_str(&json).expect("history deserializes");
-        assert_eq!(back.capacity(), Some(3));
-        assert_eq!(back.len(), 2);
-        // The revived history keeps evicting in the same order.
-        back.record(TaskType::Recommendation, mapping(4, 2, 2));
-        back.record(TaskType::Mix, mapping(4, 2, 3));
-        assert!(back.get(TaskType::Vision).is_none());
-        assert_eq!(back.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one entry")]
-    fn zero_capacity_panics() {
-        let _ = SolutionHistory::with_capacity(0);
-    }
-
-    /// Drops every occurrence of the named keys from a serde value tree —
-    /// used to reconstruct the pre-capacity persisted format.
-    fn strip_keys(v: &serde::Value, keys: &[&str]) -> serde::Value {
-        match v {
-            serde::Value::Map(entries) => serde::Value::Map(
-                entries
-                    .iter()
-                    .filter(|(k, _)| !keys.contains(&k.as_str()))
-                    .map(|(k, val)| (k.clone(), strip_keys(val, keys)))
-                    .collect(),
-            ),
-            serde::Value::Seq(items) => {
-                serde::Value::Seq(items.iter().map(|i| strip_keys(i, keys)).collect())
-            }
-            other => other.clone(),
-        }
-    }
-
-    #[test]
-    fn deserializes_the_pre_capacity_persisted_format() {
-        // A WarmStartEngine persisted before PR 4 has no recency/capacity
-        // fields on its SolutionHistory and no core_class on its signatures.
-        // Such state must still load (README advertises serde persistence).
-        let group = WorkloadSpec::single_group(TaskType::Vision, 10, 2);
-        let mut engine = WarmStartEngine::new();
-        engine.record_profiled(TaskType::Vision, mapping(10, 4, 1), group.signatures());
-        let old_value = strip_keys(
-            &serde::Serialize::to_value(&engine),
-            &["recency", "capacity", "core_class"],
-        );
-        let old_json = serde_json::to_string(&old_value).unwrap();
-        assert!(!old_json.contains("recency") && !old_json.contains("core_class"));
-
-        let revived: WarmStartEngine = serde_json::from_str(&old_json).unwrap();
-        assert_eq!(revived.history().capacity(), None, "missing capacity means unbounded");
-        assert_eq!(revived.num_entries(), 1);
-        let fresh = WorkloadSpec::single_group(TaskType::Vision, 10, 9);
-        assert_eq!(
-            revived.adapt_matched(TaskType::Vision, &fresh.signatures(), 4),
-            engine.adapt_matched(TaskType::Vision, &fresh.signatures(), 4)
-        );
-        // The rebuilt recency order keeps working (record + evict).
-        let mut revived = revived;
-        revived.record(TaskType::Language, mapping(4, 2, 3));
-        assert_eq!(revived.num_entries(), 2);
-    }
-
-    use magma_model::WorkloadSpec;
 
     #[test]
     fn stored_solution_adapt_to_matches_engine_adaptation() {
         let group = WorkloadSpec::single_group(TaskType::Vision, 12, 3);
-        let best = mapping(12, 4, 5);
-        let sol = StoredSolution::new(best.clone(), Some(group.signatures()));
+        let sol = StoredSolution::new(mapping(12, 4, 5), Some(group.signatures()));
         let mut e = WarmStartEngine::new();
-        e.record_profiled(TaskType::Vision, best, group.signatures());
-        let fresh = WorkloadSpec::single_group(TaskType::Vision, 12, 9);
+        e.record(TaskType::Vision, sol.clone());
+        let fresh = signatures(TaskType::Vision, 12);
+        // The engine's population is the stored solution's, draw for draw.
         assert_eq!(
-            sol.adapt_to(&fresh.signatures(), 4),
-            e.adapt_matched(TaskType::Vision, &fresh.signatures(), 4).unwrap()
+            e.seed_population(&mut StdRng::seed_from_u64(1), TaskType::Vision, &fresh, 4, 8),
+            Some(sol.seed_population(&mut StdRng::seed_from_u64(1), &fresh, 4, 8))
         );
-        // Without signatures the standalone adaptation index-wraps.
-        let bare = StoredSolution::new(mapping(5, 4, 6), None);
-        let adapted = bare.adapt_to(&fresh.signatures(), 4);
-        assert_eq!(adapted.num_jobs(), 12);
-        assert_eq!(adapted.accel_sel()[7], bare.mapping().accel_sel()[2]);
     }
 
     #[test]
@@ -760,6 +381,7 @@ mod tests {
 /// and cross-instance transfer (the scenarios behind Table V).
 #[cfg(test)]
 mod matching_tests {
+    use super::tests::wrapped;
     use super::*;
     use magma_model::{Group, Job, JobId, LayerShape, WorkloadSpec};
     use proptest::prelude::*;
@@ -798,14 +420,11 @@ mod matching_tests {
             .collect()
     }
 
-    /// An engine with the signatures of `stored_group` and a random stored
-    /// mapping for them.
-    fn engine_for(task: TaskType, stored: &Group, num_accels: usize, seed: u64) -> WarmStartEngine {
+    /// A random mapping of `stored`, remembered with its signatures.
+    fn solution_for(stored: &Group, num_accels: usize, seed: u64) -> StoredSolution {
         let mut rng = StdRng::seed_from_u64(seed);
         let best = Mapping::random(&mut rng, stored.len(), num_accels);
-        let mut e = WarmStartEngine::new();
-        e.record_profiled(task, best, stored.signatures());
-        e
+        StoredSolution::new(best, Some(stored.signatures()))
     }
 
     #[test]
@@ -813,13 +432,12 @@ mod matching_tests {
         let sigs = distinct_signatures(24);
         let mut rng = StdRng::seed_from_u64(1);
         let best = Mapping::random(&mut rng, 24, 4);
-        let mut e = WarmStartEngine::new();
-        e.record_profiled(TaskType::Vision, best.clone(), sigs.clone());
+        let stored = StoredSolution::new(best.clone(), Some(sigs.clone()));
 
         // Present the same jobs in reversed order: each job must get exactly
         // the gene block its twin had in the stored solution.
         let reversed: Vec<_> = sigs.iter().rev().copied().collect();
-        let adapted = e.adapt_matched(TaskType::Vision, &reversed, 4).unwrap();
+        let adapted = stored.adapt_to(&reversed, 4);
         for i in 0..24 {
             let twin = 23 - i;
             assert_eq!(adapted.accel_sel()[i], best.accel_sel()[twin], "job {i}");
@@ -830,9 +448,8 @@ mod matching_tests {
     #[test]
     fn identical_group_is_a_fixed_point() {
         let stored = group(TaskType::Vision, 16, 3);
-        let e = engine_for(TaskType::Vision, &stored, 4, 2);
-        let adapted = e.adapt_matched(TaskType::Vision, &stored.signatures(), 4).unwrap();
-        assert_eq!(&adapted, e.stored(TaskType::Vision).unwrap());
+        let solution = solution_for(&stored, 4, 2);
+        assert_eq!(&solution.adapt_to(&stored.signatures(), 4), solution.mapping());
     }
 
     #[test]
@@ -884,52 +501,46 @@ mod matching_tests {
 
     #[test]
     fn adapt_matched_falls_back_to_index_wrap_without_stored_signatures() {
-        let mut e = WarmStartEngine::new();
         let mut rng = StdRng::seed_from_u64(9);
         let best = Mapping::random(&mut rng, 10, 4);
-        e.record(TaskType::Mix, best); // no signatures
+        let mut e = WarmStartEngine::new();
+        e.record(TaskType::Mix, StoredSolution::new(best.clone(), None));
         let fresh = group(TaskType::Mix, 14, 5);
-        let matched = e.adapt_matched(TaskType::Mix, &fresh.signatures(), 4).unwrap();
-        let wrapped = e.adapt(TaskType::Mix, 14, 4).unwrap();
-        assert_eq!(matched, wrapped);
+        let pop = e.seed_population(&mut rng, TaskType::Mix, &fresh.signatures(), 4, 6).unwrap();
+        assert_eq!(pop[0], wrapped(&best, 14, 4));
     }
 
     #[test]
     fn mismatched_stored_signatures_fall_back_to_index_wrap() {
-        // record_profiled asserts len(signatures) == num_jobs, but a
-        // deserialized SolutionHistory can arrive corrupted or
-        // version-skewed; adapt_matched must degrade to index wrapping
+        // The constructor and the deserializer both refuse a solution
+        // without one signature per job; should one exist anyway (built here
+        // by same-module access), adapting it degrades to index wrapping
         // rather than panic or mis-gather.
         let mut rng = StdRng::seed_from_u64(11);
         let best = Mapping::random(&mut rng, 10, 4);
-        let mut e = WarmStartEngine::new();
-        // Bypass record_profiled's assert the same way a hand-edited JSON
-        // would: construct the entry directly (same-module access).
-        e.history.entries.insert(
-            TaskType::Vision,
-            StoredSolution { mapping: best, signatures: Some(distinct_signatures(14)) },
-        );
+        let skewed =
+            StoredSolution { mapping: best.clone(), signatures: Some(distinct_signatures(14)) };
         let fresh = group(TaskType::Vision, 12, 5);
-        let matched = e.adapt_matched(TaskType::Vision, &fresh.signatures(), 4).unwrap();
-        assert_eq!(matched, e.adapt(TaskType::Vision, 12, 4).unwrap());
+        assert_eq!(skewed.adapt_to(&fresh.signatures(), 4), wrapped(&best, 12, 4));
     }
 
     #[test]
     fn solution_history_persists_signatures_through_serde() {
         // record → serialize → deserialize → adapt must behave identically.
         let stored = group(TaskType::Vision, 12, 4);
-        let e = engine_for(TaskType::Vision, &stored, 4, 7);
+        let mut e = WarmStartEngine::new();
+        e.record(TaskType::Vision, solution_for(&stored, 4, 7));
         let fresh = group(TaskType::Vision, 12, 99);
 
         let json = serde_json::to_string(&e).expect("engine serializes");
         let revived: WarmStartEngine = serde_json::from_str(&json).expect("engine deserializes");
 
-        assert_eq!(revived.num_entries(), 1);
-        let sol = revived.stored_solution(TaskType::Vision).unwrap();
-        assert_eq!(sol.signatures().unwrap(), &stored.signatures()[..]);
+        let sol = revived.stored(TaskType::Vision).unwrap();
+        assert_eq!(Some(sol), e.stored(TaskType::Vision));
+        assert!(revived.stored(TaskType::Language).is_none());
         assert_eq!(
-            revived.adapt_matched(TaskType::Vision, &fresh.signatures(), 4),
-            e.adapt_matched(TaskType::Vision, &fresh.signatures(), 4)
+            sol.adapt_to(&fresh.signatures(), 4),
+            e.stored(TaskType::Vision).unwrap().adapt_to(&fresh.signatures(), 4)
         );
     }
 
@@ -959,19 +570,14 @@ mod matching_tests {
             seed in 0u64..20,
             profiled_sel in 0usize..2,
         ) {
-            let profiled = profiled_sel == 1;
             let task = TaskType::Mix;
             let stored_group = group(task, stored_n, seed);
             let mut rng = StdRng::seed_from_u64(seed);
             let best = Mapping::random(&mut rng, stored_n, stored_accels);
-            let mut e = WarmStartEngine::new();
-            if profiled {
-                e.record_profiled(task, best, stored_group.signatures());
-            } else {
-                e.record(task, best);
-            }
+            let signatures = (profiled_sel == 1).then(|| stored_group.signatures());
             let fresh = group(task, new_n, seed + 1);
-            let adapted = e.adapt_matched(task, &fresh.signatures(), new_accels).unwrap();
+            let adapted =
+                StoredSolution::new(best, signatures).adapt_to(&fresh.signatures(), new_accels);
             prop_assert_eq!(adapted.num_jobs(), new_n);
             prop_assert_eq!(adapted.num_accels(), new_accels);
             prop_assert!(adapted.accel_sel().iter().all(|&a| a < new_accels));

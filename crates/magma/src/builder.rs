@@ -197,10 +197,10 @@ impl MapperBuilder {
     }
 
     /// Seeds the search with an initial population instead of random
-    /// initialization — the builder-level entry to the warm-start /
-    /// budget-limited-resume path (Section V-C; used by the serving layer's
-    /// cache-hit refinements). Honored by [`Algorithm::Magma`] only; other
-    /// algorithms ignore the seeds.
+    /// initialization — the builder-level entry to the warm start of
+    /// Section V-C ([`Magma::with_warm_start`], typically over a
+    /// `StoredSolution::seed_population`). Honored by [`Algorithm::Magma`]
+    /// only; other algorithms ignore the seeds.
     pub fn initial_population(mut self, population: Vec<Mapping>) -> Self {
         self.initial_population = Some(population);
         self

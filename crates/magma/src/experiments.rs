@@ -31,11 +31,9 @@
 //! ladder rows `optim.pool.dispatch_us` and `optim.pool.speedup_2t`).
 
 use magma_cost::{CostModel, DataflowStyle, SubAccelConfig};
-use magma_m3e::{M3e, Objective, WarmStartEngine, WarmStartMode};
+use magma_m3e::{M3e, Objective, StoredSolution, WarmStartEngine};
 use magma_model::{zoo, TaskType, WorkloadSpec};
-use magma_optim::{
-    all_mappers, bw_sweep_mappers, Magma, MagmaConfig, OperatorSet, Optimizer, RandomSearch,
-};
+use magma_optim::{all_mappers, bw_sweep_mappers, Magma, OperatorSet, Optimizer, RandomSearch};
 use magma_platform::{settings, AcceleratorPlatform, Setting};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -530,9 +528,10 @@ pub struct WarmStartRow {
 /// throughput after 0, 1, 30 and 100 epochs (an epoch is one population worth
 /// of samples, i.e. `group_size` evaluations).
 ///
-/// Uses the profile-matched adaptation ([`WarmStartMode::ProfileMatched`]),
-/// which carries the paper's transfer claim; see
-/// [`warm_start_study_with_mode`] to reproduce the index-wrapped baseline.
+/// The solution is stored with the signatures of the jobs it was found for,
+/// so it transfers by profile matching — the adaptation that carries the
+/// paper's claim. Stored without them it would index-wrap, the baseline that
+/// loses to a random epoch on compute-bound groups.
 pub fn warm_start_study(
     setting: Setting,
     task: TaskType,
@@ -540,30 +539,6 @@ pub fn warm_start_study(
     group_size: usize,
     num_instances: usize,
     seed: u64,
-) -> Vec<WarmStartRow> {
-    warm_start_study_with_mode(
-        setting,
-        task,
-        bw_gbps,
-        group_size,
-        num_instances,
-        seed,
-        WarmStartMode::ProfileMatched,
-    )
-}
-
-/// As [`warm_start_study`] but with an explicit adaptation mode, so the
-/// profile-matched transfer (the paper-faithful result) can be compared
-/// against the index-wrapped baseline that loses to a random epoch on
-/// compute-bound groups.
-pub fn warm_start_study_with_mode(
-    setting: Setting,
-    task: TaskType,
-    bw_gbps: Option<f64>,
-    group_size: usize,
-    num_instances: usize,
-    seed: u64,
-    mode: WarmStartMode,
 ) -> Vec<WarmStartRow> {
     let epoch = group_size.max(16);
     let full_budget = 100 * epoch;
@@ -574,10 +549,12 @@ pub fn warm_start_study_with_mode(
     let base_problem = build_problem(setting, task, bw_gbps, group_size, seed);
     let mut rng = StdRng::seed_from_u64(seed);
     let base_outcome = Magma::default().search(&base_problem, full_budget, &mut rng);
-    engine.record_profiled(
+    engine.record(
         task,
-        base_outcome.best_mapping.clone(),
-        base_problem.signatures().to_vec(),
+        StoredSolution::new(
+            base_outcome.best_mapping.clone(),
+            Some(base_problem.signatures().to_vec()),
+        ),
     );
 
     let mut rows = vec![WarmStartRow {
@@ -596,29 +573,16 @@ pub fn warm_start_study_with_mode(
         let mut rng = StdRng::seed_from_u64(inst_seed);
 
         let num_accels = build_platform(setting, bw_gbps).num_sub_accels();
-        let seeded_pop = match mode {
-            WarmStartMode::IndexWrap => {
-                engine.seed_population(&mut rng, task, group_size, num_accels, epoch)
-            }
-            WarmStartMode::ProfileMatched => engine.seed_population_matched(
-                &mut rng,
-                task,
-                problem.signatures(),
-                num_accels,
-                epoch,
-            ),
-        }
-        .expect("knowledge was recorded for this task");
+        let seeded_pop = engine
+            .seed_population(&mut rng, task, problem.signatures(), num_accels, epoch)
+            .expect("knowledge was recorded for this task");
         let transfer_0 = problem.evaluate(&seeded_pop[0]);
 
         let run_epochs = |epochs: usize| -> f64 {
             let mut rng = StdRng::seed_from_u64(inst_seed);
-            Magma::with_config(MagmaConfig {
-                initial_population: Some(seeded_pop.clone()),
-                ..MagmaConfig::default()
-            })
-            .search(&problem, epochs * epoch, &mut rng)
-            .best_fitness
+            Magma::with_warm_start(seeded_pop.clone())
+                .search(&problem, epochs * epoch, &mut rng)
+                .best_fitness
         };
 
         let full = run_epochs(100);
@@ -736,22 +700,12 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_rows_have_expected_shape_in_both_modes() {
-        for mode in [WarmStartMode::IndexWrap, WarmStartMode::ProfileMatched] {
-            let rows = warm_start_study_with_mode(
-                Setting::S2,
-                TaskType::Language,
-                Some(16.0),
-                8,
-                1,
-                0,
-                mode,
-            );
-            assert_eq!(rows.len(), 2, "{mode}");
-            // Trf-100-ep is the normalizer on every row.
-            assert!(rows.iter().all(|r| r.transfer_100_epoch == 1.0), "{mode}");
-            assert!(rows[1].transfer_0_epoch > 0.0, "{mode}");
-        }
+    fn warm_start_rows_have_expected_shape() {
+        let rows = warm_start_study(Setting::S2, TaskType::Language, Some(16.0), 8, 1, 0);
+        assert_eq!(rows.len(), 2);
+        // Trf-100-ep is the normalizer on every row.
+        assert!(rows.iter().all(|r| r.transfer_100_epoch == 1.0));
+        assert!(rows[1].transfer_0_epoch > 0.0);
     }
 
     #[test]

@@ -25,10 +25,10 @@
 //!
 //! The [`experiments`] module documents a full figure/table → function map
 //! (Figs. 7–17 and Table V). The warm-start experiment
-//! ([`experiments::warm_start_study`]) uses profile-matched adaptation
-//! (Section V-C) by default;
-//! [`experiments::warm_start_study_with_mode`] exposes the index-wrapped
-//! baseline for comparison.
+//! ([`experiments::warm_start_study`]) stores its solution with the job
+//! signatures it was found for, so it transfers by profile matching
+//! (Section V-C); a solution stored without them index-wraps, which is the
+//! baseline (see [`magma_m3e::warmstart`]).
 //!
 //! # Quickstart
 //!
@@ -70,7 +70,7 @@ pub mod prelude {
     pub use magma_cost::{CostModel, DataflowStyle, SubAccelConfig};
     pub use magma_m3e::{
         JobAnalyzer, M3e, Mapping, MappingProblem, Objective, Schedule, SearchHistory,
-        SolutionHistory, WarmStartEngine, WarmStartMode,
+        StoredSolution, WarmStartEngine,
     };
     pub use magma_model::{
         Group, Job, JobId, JobSignature, LayerShape, Model, TaskType, Tenant, TenantMix,

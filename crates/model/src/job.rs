@@ -43,8 +43,9 @@ struct JobFields {
 }
 
 // A job read off the wire is outside input: it goes through the checks of
-// `Job::new`, so a `submit_group` with `"batch": 0` is a decode error that
-// costs its sender the connection, not a panic in the cost model that costs
+// `Job::new`, so a `submit_group` with `"batch": 0`, a dimension of 2^64 − 1 or
+// an all-zero layer is a decode error that costs its sender the connection,
+// not a panic in the cost model or a replay that never ends, which cost
 // every tenant the engine thread.
 impl Deserialize for Job {
     fn from_value(v: &serde::Value) -> Result<Self, DeError> {
@@ -58,8 +59,11 @@ impl Job {
     ///
     /// # Panics
     ///
-    /// Panics if `batch == 0` or if the layer does not run on the accelerator
-    /// (embedding lookups are host-side and never become jobs).
+    /// Panics if `batch == 0`, if the layer does not run on the accelerator
+    /// (embedding lookups are host-side and never become jobs), if the layer
+    /// is so large that its FLOPs or data volume for the mini-batch overflow
+    /// `u64`, or if it is so degenerate (zero dimensions) that it moves no
+    /// data at all.
     pub fn new(
         id: JobId,
         model: impl Into<String>,
@@ -86,6 +90,15 @@ impl Job {
         }
         if !layer.runs_on_accelerator() {
             return Err("host-side layers (embedding lookups) cannot become accelerator jobs");
+        }
+        match layer.checked_totals(batch) {
+            None => return Err("a job's FLOPs and data volume must fit 64 bits"),
+            // Algorithm 1 divides a job's remaining bytes by its bandwidth
+            // share; at zero bytes and zero bandwidth the job never completes.
+            Some((_, 0)) => {
+                return Err("a job must move data (every tensor of its layer is empty)")
+            }
+            Some(_) => {}
         }
         Ok(Job { id, model, layer_index, layer, batch, task })
     }
@@ -313,6 +326,19 @@ mod tests {
         assert_ne!(embedding, good);
         let error = serde_json::from_str::<Job>(&embedding).unwrap_err();
         assert!(error.to_string().contains("host-side layers"), "{error}");
+
+        let overflowing = good.replace("\"k\":64", "\"k\":18446744073709551615");
+        assert_ne!(overflowing, good);
+        let error = serde_json::from_str::<Job>(&overflowing).unwrap_err();
+        assert!(error.to_string().contains("must fit 64 bits"), "{error}");
+
+        // No output channels is a job that computes nothing but still reads
+        // its input; no channels at all is one that moves no data.
+        let idle = good.replace("\"k\":64", "\"k\":0");
+        assert_eq!(serde_json::from_str::<Job>(&idle).expect("it decodes").flops(), 0);
+        let empty = idle.replace("\"c\":64", "\"c\":0");
+        let error = serde_json::from_str::<Job>(&empty).unwrap_err();
+        assert!(error.to_string().contains("must move data"), "{error}");
     }
 
     #[test]

@@ -153,6 +153,55 @@ impl LayerShape {
         }
     }
 
+    /// FLOPs and data elements of this layer at mini-batch `batch` —
+    /// `(macs · batch · 2, weights + (inputs + outputs) · batch)`, the two
+    /// totals the mapper computes per job — in checked arithmetic: `None`
+    /// when a total, or a product on the way to it in the accessors above,
+    /// does not fit `u64`. The accessors multiply unchecked, so shapes from
+    /// outside the program pass through here first ([`Job`](crate::Job)'s
+    /// constructor does).
+    pub(crate) fn checked_totals(&self, batch: usize) -> Option<(u64, u64)> {
+        fn product(dims: &[usize]) -> Option<u64> {
+            dims.iter().try_fold(1u64, |acc, &d| acc.checked_mul(d as u64))
+        }
+        // The input extent behind `out` outputs of a strided filter window.
+        fn input_side(out: usize, stride: usize, filter: usize) -> Option<usize> {
+            out.checked_mul(stride)?.checked_add(filter.saturating_sub(stride))
+        }
+        let (macs, weights, inputs, outputs) = match *self {
+            LayerShape::Conv2d { k, c, y, x, r, s, stride } => (
+                product(&[k, c, y, x, r, s])?,
+                product(&[k, c, r, s])?,
+                product(&[c, input_side(y, stride, r)?, input_side(x, stride, s)?])?,
+                product(&[k, y, x])?,
+            ),
+            LayerShape::DepthwiseConv2d { c, y, x, r, s, stride } => (
+                product(&[c, y, x, r, s])?,
+                product(&[c, r, s])?,
+                product(&[c, input_side(y, stride, r)?, input_side(x, stride, s)?])?,
+                product(&[c, y, x])?,
+            ),
+            LayerShape::FullyConnected { out_features, in_features } => {
+                let weights = product(&[out_features, in_features])?;
+                (weights, weights, in_features as u64, out_features as u64)
+            }
+            LayerShape::Gemm { m, n, kdim } => (
+                product(&[m, n, kdim])?,
+                0,
+                product(&[m, kdim])?.checked_add(product(&[kdim, n])?)?,
+                product(&[m, n])?,
+            ),
+            LayerShape::EmbeddingLookup { lookups, dim } => {
+                let table = product(&[lookups, dim])?;
+                (0, table, lookups as u64, table)
+            }
+        };
+        let batch = batch as u64;
+        let flops = macs.checked_mul(batch)?.checked_mul(2)?;
+        let data = inputs.checked_add(outputs)?.checked_mul(batch)?.checked_add(weights)?;
+        Some((flops, data))
+    }
+
     /// Total tensor traffic (weights + inputs + outputs) for one sample, in
     /// elements. This is the data that must cross the DRAM↔accelerator
     /// boundary at least once.
@@ -294,7 +343,48 @@ mod tests {
         assert_eq!(l.input_elems(), 12 * 12);
     }
 
+    #[test]
+    fn checked_totals_refuse_what_the_accessors_would_overflow() {
+        const MAX: usize = usize::MAX;
+        let fc =
+            |out_features, in_features| LayerShape::FullyConnected { out_features, in_features };
+        assert_eq!(fc(1, MAX).checked_totals(1), None, "the FLOPs are twice the MACs");
+        assert_eq!(fc(2, MAX).checked_totals(1), None);
+        assert_eq!(fc(1, MAX / 2).checked_totals(2), None, "the mini-batch multiplies");
+        assert!(fc(1, MAX / 8).checked_totals(1).is_some());
+        // A product that overflows on the way is refused even when a later
+        // zero would bring it back into range.
+        let conv = LayerShape::Conv2d { k: MAX, c: 2, y: 0, x: 1, r: 1, s: 1, stride: 1 };
+        assert_eq!(conv.checked_totals(1), None);
+        // The input extent is computed in `usize` before it is counted.
+        let strided = LayerShape::DepthwiseConv2d { c: 1, y: MAX / 2, x: 1, r: 1, s: 1, stride: 3 };
+        assert_eq!(strided.checked_totals(1), None);
+        let halo = LayerShape::Conv2d { k: 1, c: 1, y: 1, x: 1, r: MAX, s: 1, stride: 1 };
+        assert_eq!(halo.checked_totals(1), None);
+        let gemm = LayerShape::Gemm { m: 1 << 32, n: 1, kdim: 1 << 32 };
+        assert_eq!(gemm.checked_totals(1), None);
+    }
+
     proptest! {
+        #[test]
+        fn checked_totals_are_the_accessors_totals(
+            kind in 0usize..5,
+            d in proptest::collection::vec(0usize..300, 6..7),
+            stride in 0usize..4, batch in 1usize..16,
+        ) {
+            let (k, c, y, x, r, s) = (d[0], d[1], d[2], d[3], d[4], d[5]);
+            let l = match kind {
+                0 => LayerShape::Conv2d { k, c, y, x, r, s, stride },
+                1 => LayerShape::DepthwiseConv2d { c, y, x, r, s, stride },
+                2 => LayerShape::FullyConnected { out_features: k, in_features: c },
+                3 => LayerShape::Gemm { m: k, n: c, kdim: y },
+                _ => LayerShape::EmbeddingLookup { lookups: k, dim: c },
+            };
+            let flops = l.flops() * batch as u64;
+            let data = l.weight_elems() + (l.input_elems() + l.output_elems()) * batch as u64;
+            prop_assert_eq!(l.checked_totals(batch), Some((flops, data)));
+        }
+
         #[test]
         fn conv_macs_monotonic_in_channels(
             k in 1usize..64, c in 1usize..64, y in 1usize..32, x in 1usize..32,

@@ -97,8 +97,8 @@ impl serde::Serialize for JobSignature {
     }
 }
 
-// Hand-written so signatures persisted before `core_class` existed (e.g. a
-// serialized warm-start SolutionHistory) still load: a missing field means
+// Hand-written so signatures persisted before `core_class` existed (e.g. in
+// a serialized warm-start engine) still load: a missing field means
 // "no platform profile attached" (0). The vendored serde derive cannot
 // express per-field defaults.
 impl serde::Deserialize for JobSignature {
@@ -637,7 +637,7 @@ mod tests {
     #[test]
     fn deserializes_pre_core_class_json() {
         // Signatures persisted before the core_class field existed (PR 2's
-        // SolutionHistory format) must still load, as unprofiled.
+        // warm-start format) must still load, as unprofiled.
         let sig = conv_job(0, 64, 4).signature();
         let json = serde_json::to_string(&sig).unwrap();
         let old = json.replace(",\"core_class\":0", "").replace("\"core_class\":0,", "");

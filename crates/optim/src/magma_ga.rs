@@ -20,7 +20,7 @@
 //! The population size defaults to the group size (as in the paper), elites
 //! survive unchanged, and the whole search respects a fixed sampling budget.
 
-use crate::optimizer::{Optimizer, SearchOutcome, SearchSession, SessionState};
+use crate::optimizer::{Optimizer, SessionState};
 use crate::session::{CoreDrive, SessionCore};
 use magma_m3e::{Mapping, MappingProblem};
 use rand::rngs::StdRng;
@@ -160,7 +160,11 @@ impl Magma {
         Magma { config: MagmaConfig { operators, ..MagmaConfig::default() } }
     }
 
-    /// Creates MAGMA seeded with a warm-start population (Section V-C).
+    /// Creates MAGMA seeded with a warm-start population (Section V-C), e.g.
+    /// a `StoredSolution::seed_population`. The seeds are evaluated first,
+    /// so a search of any budget is never worse than the first seed — which
+    /// is how the serving layer refines a cache hit on a fraction of the
+    /// cold budget.
     pub fn with_warm_start(population: Vec<Mapping>) -> Self {
         Magma {
             config: MagmaConfig { initial_population: Some(population), ..MagmaConfig::default() },
@@ -172,86 +176,16 @@ impl Magma {
         &self.config
     }
 
-    /// Budget-limited resume: continues a search from `seeds` (e.g. a
-    /// warm-start population adapted from a stored solution) for exactly
-    /// `budget` further evaluations, keeping every other hyper-parameter of
-    /// this configuration.
-    ///
-    /// This is the refinement half of the serving layer's adapt-then-refine
-    /// path: a cache hit adapts the stored mapping into a seed population
-    /// (`StoredSolution::seed_population`) and spends a small fraction of the
-    /// cold-search budget here. The first seed is evaluated first, so the
-    /// outcome is never worse than the adapted solution itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget == 0` or `seeds` is empty.
-    pub fn refine(
-        &self,
-        problem: &dyn MappingProblem,
-        seeds: Vec<Mapping>,
-        budget: usize,
-        rng: &mut StdRng,
-    ) -> SearchOutcome {
-        assert!(!seeds.is_empty(), "refinement needs at least one seed");
-        self.refining(seeds).search(problem, budget, rng)
-    }
-
-    /// The resumable counterpart of [`Magma::refine`]: opens a
-    /// [`SearchSession`] seeded with `seeds`, so a serving layer can advance
-    /// the refinement in slices (e.g. interleaved with accelerator
-    /// execution) and stop at whatever budget it decides to spend. Stepping
-    /// the session to `budget` samples produces exactly the outcome of
-    /// [`Magma::refine`] at that budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty.
-    pub fn refine_session<'a>(
-        &self,
-        problem: &'a dyn MappingProblem,
-        seeds: Vec<Mapping>,
-        rng: &'a mut StdRng,
-    ) -> Box<dyn SearchSession + 'a> {
-        assert!(!seeds.is_empty(), "refinement needs at least one seed");
-        self.refining(seeds).start(problem, rng)
-    }
-
-    /// The owned counterpart of [`Magma::refine_session`]: returns a
-    /// detached [`SessionState`] seeded with `seeds`, for schedulers that
-    /// hold many live refinements and lend the problem/RNG per step.
-    /// Bit-identical to `refine_session` (both delegate to the same seeded
-    /// configuration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty.
-    pub fn refine_open(
-        &self,
-        problem: &dyn MappingProblem,
-        seeds: Vec<Mapping>,
-        rng: &mut StdRng,
-    ) -> Box<dyn SessionState> {
-        assert!(!seeds.is_empty(), "refinement needs at least one seed");
-        self.refining(seeds).open(problem, rng)
-    }
-
-    /// A clone of this configuration with `seeds` as the initial population.
-    fn refining(&self, seeds: Vec<Mapping>) -> Magma {
-        Magma { config: MagmaConfig { initial_population: Some(seeds), ..self.config.clone() } }
-    }
-
     fn population_size(&self, problem: &dyn MappingProblem, budget: usize) -> usize {
         let base = self.config.population_size.unwrap_or(problem.num_jobs());
         base.max(16).min(budget.max(2))
     }
 
-    /// The population size [`Magma::search`] (and therefore
-    /// [`Magma::refine`]) will actually use on `problem` at `budget`.
-    /// Callers building a seed population (e.g. the serving layer's
-    /// cache-hit path) size it with this so the seeds fill exactly one
-    /// initial generation — no seed is dropped and none of the refinement
-    /// budget is padded with random individuals.
+    /// The population size a search will actually use on `problem` at
+    /// `budget`. Callers building a seed population (e.g. the serving
+    /// layer's cache-hit path) size it with this so the seeds fill exactly
+    /// one initial generation — no seed is dropped and none of the
+    /// refinement budget is padded with random individuals.
     pub fn population_size_for(&self, problem: &dyn MappingProblem, budget: usize) -> usize {
         self.population_size(problem, budget)
     }
@@ -556,9 +490,8 @@ mod tests {
         let seed_fitness = problem.evaluate(&seed);
         // Even a minimal refinement budget evaluates the seed itself.
         for budget in [1, 4, 16] {
-            let outcome = Magma::default().refine(
+            let outcome = Magma::with_warm_start(vec![seed.clone()]).search(
                 &problem,
-                vec![seed.clone()],
                 budget,
                 &mut StdRng::seed_from_u64(9),
             );
@@ -572,8 +505,10 @@ mod tests {
         let problem = ToyProblem { jobs: 12, accels: 3 };
         let mut rng = StdRng::seed_from_u64(4);
         let seeds: Vec<Mapping> = (0..6).map(|_| Mapping::random(&mut rng, 12, 3)).collect();
-        let a = Magma::default().refine(&problem, seeds.clone(), 60, &mut StdRng::seed_from_u64(5));
-        let b = Magma::default().refine(&problem, seeds, 60, &mut StdRng::seed_from_u64(5));
+        let refine = |seeds: Vec<Mapping>| {
+            Magma::with_warm_start(seeds).search(&problem, 60, &mut StdRng::seed_from_u64(5))
+        };
+        let (a, b) = (refine(seeds.clone()), refine(seeds));
         assert_eq!(a.best_fitness, b.best_fitness);
         assert_eq!(a.best_mapping, b.best_mapping);
     }

@@ -3,10 +3,9 @@
 //! DE, CMA-ES, PSO and TBPSA are continuous black-box optimizers; they search
 //! the hyper-cube `[0, 1]^(2n)` and decode candidate vectors through
 //! [`Mapping::from_vector`]. This module centralizes that adapter so every
-//! vector optimizer evaluates candidates identically.
+//! vector optimizer decodes candidates identically.
 
-use crate::parallel::BatchEvaluator;
-use magma_m3e::{Mapping, MappingProblem, SearchHistory};
+use magma_m3e::{Mapping, MappingProblem};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -29,28 +28,6 @@ impl<'a> VectorProblem<'a> {
     /// Decodes a vector into a mapping (values are clamped into `[0, 1]`).
     pub fn decode(&self, x: &[f64]) -> Mapping {
         Mapping::from_vector(x, self.problem.num_accels())
-    }
-
-    /// Evaluates a vector, recording the sample in `history`. Returns the
-    /// fitness (higher is better).
-    pub fn evaluate(&self, x: &[f64], history: &mut SearchHistory) -> f64 {
-        let mapping = self.decode(x);
-        let f = self.problem.evaluate(&mapping);
-        history.record(&mapping, f);
-        f
-    }
-
-    /// Evaluates one generation of vectors through the parallel batch oracle
-    /// ([`BatchEvaluator::evaluate_batch`]), recording every sample in
-    /// `history` in input order. Returns the fitnesses in the same order, so
-    /// results are independent of the worker count.
-    pub fn evaluate_generation(&self, xs: &[Vec<f64>], history: &mut SearchHistory) -> Vec<f64> {
-        let mappings: Vec<Mapping> = xs.iter().map(|x| self.decode(x)).collect();
-        let fits = self.problem.evaluate_batch(&mappings);
-        for (mapping, &f) in mappings.iter().zip(&fits) {
-            history.record(mapping, f);
-        }
-        fits
     }
 
     /// Samples a uniformly random point in the unit hyper-cube.
@@ -82,34 +59,6 @@ mod tests {
         let m = vp.decode(&x);
         assert_eq!(m.num_jobs(), 7);
         assert!(m.accel_sel().iter().all(|&a| a < 3));
-    }
-
-    #[test]
-    fn evaluate_records_history() {
-        let p = ToyProblem { jobs: 5, accels: 2 };
-        let vp = VectorProblem::new(&p);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut h = SearchHistory::new();
-        let f = vp.evaluate(&vp.random_point(&mut rng), &mut h);
-        assert_eq!(h.num_samples(), 1);
-        assert_eq!(h.best_fitness(), Some(f));
-    }
-
-    #[test]
-    fn evaluate_generation_matches_one_by_one() {
-        let p = ToyProblem { jobs: 6, accels: 2 };
-        let vp = VectorProblem::new(&p);
-        let mut rng = StdRng::seed_from_u64(2);
-        let xs: Vec<Vec<f64>> = (0..9).map(|_| vp.random_point(&mut rng)).collect();
-
-        let mut serial = SearchHistory::new();
-        let one_by_one: Vec<f64> = xs.iter().map(|x| vp.evaluate(x, &mut serial)).collect();
-        let mut batched = SearchHistory::new();
-        let generation = vp.evaluate_generation(&xs, &mut batched);
-
-        assert_eq!(generation, one_by_one);
-        assert_eq!(batched.samples(), serial.samples());
-        assert_eq!(batched.best_curve(), serial.best_curve());
     }
 
     #[test]

@@ -8,6 +8,7 @@ use crate::platform::{AcceleratorPlatform, DEFAULT_LARGE_BW_GBPS, DEFAULT_SMALL_
 use magma_cost::{DataflowStyle, SubAccelConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Reads the `MAGMA_THREADS` environment knob: how many worker threads batch
 /// fitness evaluation (`magma_optim::parallel`) may use.
@@ -16,10 +17,27 @@ use std::fmt;
 /// available parallelism (itself falling back to 1), so the knob can never
 /// disable evaluation. The result is always ≥ 1; `MAGMA_THREADS=1` forces
 /// fully serial evaluation.
+///
+/// Resolved once per process: every batch evaluation asks, and asking the
+/// OS for its parallelism re-reads the affinity mask and the cgroup quota
+/// files (≈ 20 µs a call on Linux). Nothing in the workspace changes the
+/// variable after start-up.
 pub fn magma_threads() -> usize {
-    match std::env::var("MAGMA_THREADS").ok().and_then(|v| v.trim().parse::<usize>().ok()) {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        threads_or(std::env::var("MAGMA_THREADS").ok().as_deref(), || {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        })
+    })
+}
+
+/// Pure core of [`magma_threads`]: `raw` (the environment value, if the
+/// variable was set) when it parses to a count ≥ 1, the machine's `cores`
+/// otherwise — asked for only then.
+pub fn threads_or(raw: Option<&str>, cores: impl FnOnce() -> usize) -> usize {
+    match parse_or(raw, 0) {
+        0 => cores(),
+        n => n,
     }
 }
 
@@ -836,6 +854,14 @@ mod tests {
             FleetPolicy::Uniform
         });
         assert_eq!(parse_or(Some("deadline"), FleetPolicy::Uniform), FleetPolicy::Deadline);
+    }
+
+    #[test]
+    fn threads_or_takes_a_positive_count_and_asks_the_machine_otherwise() {
+        for raw in [None, Some(""), Some("  "), Some("0"), Some("banana"), Some("-2")] {
+            assert_eq!(threads_or(raw, || 6), 6, "{raw:?}");
+        }
+        assert_eq!(threads_or(Some(" 3 "), || unreachable!("a set count asks nothing")), 3);
     }
 
     #[test]

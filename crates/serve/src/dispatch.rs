@@ -4,10 +4,9 @@
 //! Every dispatch group becomes an [`M3e`] problem; the service then either
 //!
 //! * **hits** the [`MappingCache`]: the stored solution is adapted onto the
-//!   new group by profile matching ([`StoredSolution::seed_population`], the
-//!   machinery behind `WarmStartEngine::adapt_matched`) and refined with the
-//!   small `refine_budget` via [`Magma::refine`] — the budget-limited resume
-//!   path; or
+//!   new group by profile matching ([`StoredSolution::seed_population`]) and
+//!   refined with the small `refine_budget` by a MAGMA search seeded with the
+//!   result ([`Magma::with_warm_start`]); or
 //! * **misses**: a full MAGMA search runs at `cold_budget`.
 //!
 //! Both paths evaluate candidates through `magma_optim::parallel` (every
@@ -260,11 +259,11 @@ impl MappingService {
         problem: &M3e,
         rng: &mut StdRng,
     ) -> Box<dyn SessionState> {
-        let magma = Magma::default();
-        match &plan.seeds {
-            Some(seeds) => magma.refine_open(problem, seeds.clone(), rng),
-            None => magma.open(problem, rng),
-        }
+        let magma = match &plan.seeds {
+            Some(seeds) => Magma::with_warm_start(seeds.clone()),
+            None => Magma::default(),
+        };
+        magma.open(problem, rng)
     }
 
     /// Completes a planned dispatch: stores the best mapping under the

@@ -641,7 +641,10 @@ impl ServeEngine {
         if let Some(remaining) = self.open_tokens.get_mut(&completion.token) {
             *remaining -= 1;
             if *remaining == 0 {
+                // The token is closed: it may be submitted again, and a
+                // cancellation does not outlive the submission it was for.
                 self.open_tokens.remove(&completion.token);
+                self.cancelled.remove(&completion.token);
             }
         }
         self.out.push(completion);
@@ -902,6 +905,38 @@ mod tests {
         assert_eq!(stats.cancelled_jobs, 4);
         assert_eq!(stats.completed_jobs, 0);
         assert_eq!(stats.live_sessions, 0);
+    }
+
+    #[test]
+    fn a_cancellation_ends_with_the_submission_it_was_for() {
+        let mut knobs = tiny_knobs();
+        knobs.pending_per_shard = 16; // room to queue the 101 jobs below
+        let mut engine = ServeEngine::new(EngineConfig::from_knobs(&knobs), mix(4));
+        assert_eq!(engine.submit(0.0, 7, 0, vec![job(0), job(1)]), Admission::Accepted);
+        assert!(engine.cancel(0.0, 7));
+        let first = run_until_idle(&mut engine, 0.1);
+        assert_eq!(first.len(), 2);
+        assert!(first.iter().all(|c| c.cancelled));
+
+        // The token closed with its last completion, so it is free again —
+        // and the new submission is not the cancelled one.
+        assert_eq!(engine.submit(1.0, 7, 0, vec![job(2), job(3)]), Admission::Accepted);
+        let second = run_until_idle(&mut engine, 1.1);
+        assert_eq!(second.len(), 2);
+        assert!(second.iter().all(|c| !c.cancelled), "{second:?}");
+        assert_eq!(engine.submit(2.0, 7, 0, vec![job(4)]), Admission::Accepted);
+        assert!(engine.cancel(2.0, 7), "a reused token can be cancelled again");
+
+        // Nothing is kept per cancelled token once it has closed.
+        for t in 100..200 {
+            assert_eq!(engine.submit(2.0, t, 0, vec![job(t as usize)]), Admission::Accepted);
+            assert!(engine.cancel(2.0, t));
+        }
+        assert_eq!(engine.cancelled.len(), 101);
+        assert_eq!(engine.drain(3.0).len(), 101);
+        assert!(engine.cancelled.is_empty(), "{:?}", engine.cancelled);
+        let stats = engine.stats();
+        assert_eq!((stats.cancelled, stats.cancelled_jobs, stats.completed_jobs), (102, 103, 2));
     }
 
     #[test]

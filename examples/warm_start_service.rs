@@ -31,7 +31,10 @@ fn main() {
         .seed(11);
     let first_problem = first_builder.build_problem();
     let first = first_builder.run_on(&first_problem);
-    engine.record_profiled(task, first.best_mapping.clone(), first_problem.signatures().to_vec());
+    engine.record(
+        task,
+        StoredSolution::new(first.best_mapping.clone(), Some(first_problem.signatures().to_vec())),
+    );
     println!("group 0 (cold, 60 epochs): {:.1} GFLOP/s", first.throughput_gflops);
 
     // --- Groups 1..4: new jobs of the same task arrive; warm-start. ---
@@ -45,7 +48,7 @@ fn main() {
 
         let mut rng = StdRng::seed_from_u64(100 + inst);
         let seeded = engine
-            .seed_population_matched(
+            .seed_population(
                 &mut rng,
                 task,
                 problem.signatures(),

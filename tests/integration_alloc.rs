@@ -17,7 +17,7 @@ mod common;
 
 use common::problem;
 use magma::m3e::StoredSolution;
-use magma::optim::parallel::evaluate_batch_with;
+use magma::optim::parallel::{evaluate_batch_with, thread_count};
 use magma::prelude::*;
 use magma::serve::quantize_signatures;
 use rand::rngs::StdRng;
@@ -148,4 +148,18 @@ fn a_near_hit_probe_that_misses_allocates_nothing() {
     });
     assert_eq!(cache.stats().misses, misses + 100);
     assert_eq!(allocations, 0, "100 probes of {} entries allocated", cache.len());
+}
+
+/// Every batch evaluation — one per scheduler slice, one per GA generation —
+/// asks how many workers it may use. The answer is resolved once per
+/// process: neither the environment nor the OS is asked again.
+#[test]
+fn resolving_the_thread_count_allocates_nothing_after_the_first_call() {
+    let threads = thread_count();
+    let allocations = allocations_in(|| {
+        for _ in 0..100 {
+            assert_eq!(std::hint::black_box(thread_count()), threads);
+        }
+    });
+    assert_eq!(allocations, 0, "100 thread-count reads allocated {allocations} times");
 }

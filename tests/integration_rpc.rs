@@ -26,8 +26,9 @@
 //! * **A bad client costs only its own connection** — one that stops
 //!   reading is dropped while every other client is served on, one that
 //!   vanishes has its open submits cancelled, and one whose `submit_group`
-//!   carries a job `Job::new` would refuse (`"batch": 0`) is a decode error
-//!   on its own socket, not a panic of the engine thread.
+//!   carries a job `Job::new` would refuse (`"batch": 0`, a dimension of
+//!   2^64 − 1, a layer with no elements) is a decode error on its own socket,
+//!   not a panic or a hang of the engine thread.
 //! * **The loadgen → `BENCH_rpc.json` pipeline** — a wall-clock replay
 //!   produces a report that passes its own `magma-rpc/v1` self-check
 //!   with zero dropped in-flight submits.
@@ -419,16 +420,27 @@ fn a_stalled_reader_loses_only_its_own_connection() {
 fn a_job_the_constructor_would_refuse_costs_only_its_senders_connection() {
     let (server, addr) = start_server(&tiny_knobs());
 
-    // Client A bends one field of an otherwise well-formed submit. Admitted,
-    // a zero mini-batch panics the cost model on the engine thread.
+    // Client A bends an otherwise well-formed submit. Admitted, a zero
+    // mini-batch panics the cost model on the engine thread, a dimension of
+    // 2^64 − 1 overflows the job's FLOP count there, and a layer without a
+    // single element never completes in the bandwidth allocator's replay.
     let frame = String::from_utf8(encode(&RequestMsg::submit(0, 0, vec![job(0)]))).unwrap();
-    let bent = frame.replace("\"batch\":4", "\"batch\":0");
-    assert_ne!(bent, frame);
-    let mut hostile = TcpStream::connect(&addr).expect("raw client connects");
-    hostile.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout sets");
-    write_frame(&mut hostile, bent.as_bytes(), MAX_FRAME).expect("the bent frame sends");
-    let answer = read_frame(&mut hostile, MAX_FRAME).expect("the daemon hangs up cleanly");
-    assert_eq!(answer, None, "a malformed submit is answered by closing the connection");
+    let bend = |from: &str, to: &str| {
+        let bent = frame.replace(from, to);
+        assert_ne!(bent, frame, "{from}");
+        bent
+    };
+    for bent in [
+        bend("\"batch\":4", "\"batch\":0"),
+        bend("\"in_features\":64", "\"in_features\":18446744073709551615"),
+        bend("\"out_features\":64,\"in_features\":64", "\"out_features\":0,\"in_features\":0"),
+    ] {
+        let mut hostile = TcpStream::connect(&addr).expect("raw client connects");
+        hostile.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout sets");
+        write_frame(&mut hostile, bent.as_bytes(), MAX_FRAME).expect("the bent frame sends");
+        let answer = read_frame(&mut hostile, MAX_FRAME).expect("the daemon hangs up cleanly");
+        assert_eq!(answer, None, "{bent}: a malformed submit closes the connection");
+    }
 
     // Client B, on the same daemon, is served as if nothing had happened.
     let mut healthy = Client::connect(&addr, MAX_FRAME).expect("client connects");
@@ -438,7 +450,7 @@ fn a_job_the_constructor_would_refuse_costs_only_its_senders_connection() {
     assert!(matches!(events[..], [Event::Accepted { .. }, Event::Done { .. }]), "{events:?}");
 
     let stats = drain_and_join(healthy, server);
-    assert_eq!((stats.accepted, stats.rejected), (1, 0), "the bent frame never reached admission");
+    assert_eq!((stats.accepted, stats.rejected), (1, 0), "no bent frame reached admission");
     assert_eq!(stats.accepted, stats.completed_jobs + stats.cancelled_jobs);
     assert_eq!((stats.completed_jobs, stats.timed_out_jobs), (1, 0));
 }

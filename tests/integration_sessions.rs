@@ -89,20 +89,19 @@ fn sessions_reproduce_one_shot_outcomes_at_any_slice_size() {
     }
 }
 
-/// The seeded-refinement session (`Magma::refine_session`, the serving
-/// layer's cache-hit path) holds the same invariant against the one-call
-/// `Magma::refine`.
+/// A warm-started MAGMA search (`Magma::with_warm_start`, the serving
+/// layer's cache-hit path) holds the same invariant at refinement budgets.
 #[test]
 fn refine_sessions_reproduce_one_shot_refinement() {
     let p = problem(Setting::S2, TaskType::Recommendation, Some(16.0), 10, 4);
     let mut seed_rng = StdRng::seed_from_u64(11);
     let seeds: Vec<Mapping> = (0..4).map(|_| Mapping::random(&mut seed_rng, 10, 4)).collect();
-    let magma = Magma::default();
+    let magma = Magma::with_warm_start(seeds);
     for budget in [1usize, 5, 40] {
-        let reference = magma.refine(&p, seeds.clone(), budget, &mut StdRng::seed_from_u64(SEED));
+        let reference = magma.search(&p, budget, &mut StdRng::seed_from_u64(SEED));
         for slice in [1usize, 3, budget] {
             let mut rng = StdRng::seed_from_u64(SEED);
-            let mut session = magma.refine_session(&p, seeds.clone(), &mut rng);
+            let mut session = magma.start(&p, &mut rng);
             loop {
                 let remaining = budget - session.spent();
                 if remaining == 0 {
