@@ -223,6 +223,10 @@ impl CostModel {
     }
 
     /// Total DRAM traffic in elements, including dataflow-induced re-fetches.
+    /// A job's own volumes fit `u64` (its constructor checks); re-fetched
+    /// multiples of them may not, so those saturate — a layer within a few
+    /// bits of the bound costs "as much as can be counted" instead of
+    /// wrapping to something cheap (or panicking under overflow checks).
     fn dram_traffic_elems(&self, layer: &LayerShape, batch: usize, accel: &SubAccelConfig) -> u64 {
         let weights = layer.weight_elems();
         let inputs = layer.input_elems() * batch as u64;
@@ -243,7 +247,7 @@ impl CostModel {
                     let row_dim = spatial_mapping(layer, batch, accel.dataflow()).row_dim;
                     row_dim.div_ceil(accel.pe_rows()).max(1) as u64
                 };
-                weights + inputs * input_refetch + outputs
+                inputs.saturating_mul(input_refetch).saturating_add(weights).saturating_add(outputs)
             }
             DataflowStyle::LowBandwidth => {
                 // Row-stationary: activations are held on-chip and maximally
@@ -255,7 +259,7 @@ impl CostModel {
                 } else {
                     (inputs + outputs).div_ceil(half_sg_elems).max(1)
                 };
-                weights * weight_refetch.min(8) + inputs + outputs
+                weights.saturating_mul(weight_refetch.min(8)).saturating_add(inputs + outputs)
             }
         }
     }
@@ -284,6 +288,25 @@ mod tests {
         assert_eq!(dim_utilization(128, 64), 1.0);
         assert!((dim_utilization(96, 64) - 0.75).abs() < 1e-12);
         assert!(dim_utilization(1, 64) < 0.02);
+    }
+
+    #[test]
+    fn a_layer_near_the_64_bit_bound_saturates_its_refetched_traffic() {
+        // 2^62 weights: in range on their own (a `Job` accepts the layer),
+        // past 2^64 once a dataflow re-fetches them or the activations.
+        let layer = LayerShape::FullyConnected { out_features: 1 << 31, in_features: 1 << 31 };
+        let m = CostModel::default();
+        for accel in [hb_large(), lb_large(), hb_small()] {
+            let e = m.estimate(&layer, 1, &accel);
+            assert!(e.dram_traffic_bytes >= layer.weight_elems(), "{}: {e:?}", accel.name());
+            assert!(e.required_bw_gbps.is_finite() && e.required_bw_gbps > 0.0, "{e:?}");
+            assert!(e.no_stall_cycles > 0 && e.energy_nj.is_finite(), "{e:?}");
+        }
+        // 2^62 input activations, re-streamed once per fold of 2^31 output
+        // rows over the PE array.
+        let wide = LayerShape::Gemm { m: 1 << 31, n: 1, kdim: 1 << 31 };
+        let e = m.estimate(&wide, 1, &hb_large());
+        assert!(e.dram_traffic_bytes >= wide.input_elems(), "{e:?}");
     }
 
     #[test]

@@ -114,9 +114,11 @@ impl JobAnalysisTable {
     }
 
     /// Total FLOPs across all jobs — the numerator of the throughput
-    /// objective.
+    /// objective. Saturating: each job's FLOPs fit `u64`, a group of them
+    /// near the bound need not, and a wrapped total (0 for two jobs of 2^63)
+    /// would score every mapping alike.
     pub fn total_flops(&self) -> u64 {
-        self.flops.iter().sum()
+        self.flops.iter().fold(0, |total, &flops| total.saturating_add(flops))
     }
 
     /// Average no-stall latency (cycles) across all jobs and cores —

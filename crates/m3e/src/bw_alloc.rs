@@ -16,6 +16,45 @@
 //! on a per-thread scratch (flat per-core queues and the list of live cores),
 //! so once a thread has evaluated one candidate of a problem, every further
 //! fitness evaluation on it performs no heap allocation.
+//!
+//! # Two passes per completion event
+//!
+//! The live cores are kept as parallel flat arrays in ascending core order
+//! (`remaining`, `required`, `alloc`, the core's index); what a core needs
+//! only when a job starts or ends stays in one struct per core that never
+//! moves. An event is two sweeps over the arrays:
+//!
+//! * **Pass A** scales every requirement into its grant and takes the
+//!   smallest `remaining / (alloc · 1e9)` — the time to the next completion.
+//! * **Pass B** advances every job by that `dt`, completes the finished ones,
+//!   launches their cores' next jobs, compacts drained cores away — and, while
+//!   it is there, adds up `Σ required` of the survivors for the next event's
+//!   division, so that chain of dependent additions runs behind the per-core
+//!   work instead of in a sweep of its own in front of pass A.
+//!
+//! Every value is the one the naive three-loop formulation computes (the
+//! `#[cfg(test)] mod oracle` below; `kernel_matches_the_oracle` holds `replay`
+//! to it bit for bit). What makes the restructuring exact, and what would
+//! break it:
+//!
+//! * **The minimum may be re-associated.** `min` over a set of `f64`s that
+//!   holds no NaN picks an element of the set, whatever the order of the
+//!   comparisons; a NaN candidate (`0 / 0`, a job with no bytes on a core
+//!   with no grant) is skipped by `f64::min` and by the `lesser` select alike.
+//!   So pass A keeps `LANES` independent running minima and joins them at the
+//!   end. (The candidates are never `-0.0` — remaining bytes and grants are
+//!   non-negative — so which of two equal zeros survives does not arise.)
+//! * **The sum may not.** Floating-point addition is not associative:
+//!   `Σ required` is one left-to-right chain over the live cores in ascending
+//!   core order, exactly the order the separate loop added them in. Pass B
+//!   visits the survivors in that order, so it can carry the chain; splitting
+//!   it into lanes, or adding a relaunched core's requirement out of turn,
+//!   changes the last bit of `scale` and from there every grant.
+//! * **Per-core expressions keep their shape.** `remaining / (alloc * 1e9)`
+//!   and `remaining - dt * alloc * 1e9` are evaluated as written (no hoisted
+//!   `alloc * 1e9`, no reciprocal, no fused multiply-add): each is rounded
+//!   operation by operation, and any algebraically equal form rounds
+//!   differently.
 
 use crate::analyzer::JobAnalysisTable;
 use crate::encoding::{DecodedMapping, FlatQueues, Mapping};
@@ -33,23 +72,14 @@ const REMAINING_EPS: f64 = 1.0;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BwAllocator;
 
-/// A core that still has work, with the job it is running.
+/// What a core carries besides the quantities every completion event
+/// computes with: touched only when it launches or completes a job.
 #[derive(Debug, Clone, Copy)]
-struct LiveCore {
-    accel: usize,
+struct CoreState {
     /// Position in [`FlatQueues::jobs`] of the core's next queued job.
     next: usize,
-    /// One past the core's last queued job.
-    end: usize,
+    /// The running job.
     job: JobId,
-    /// Remaining "work" expressed in bytes of DRAM traffic still to stream
-    /// (`no-stall latency × required BW`, the `CurJobs` quantity of
-    /// Algorithm 1).
-    remaining_bytes: f64,
-    /// The job's no-stall bandwidth requirement in GB/s.
-    required_bw_gbps: f64,
-    /// Bandwidth granted for the current slice, in GB/s.
-    alloc_gbps: f64,
     /// Energy the job will charge at completion, in nJ (carried from launch
     /// so completion does not consult the table again).
     energy_nj: f64,
@@ -57,38 +87,53 @@ struct LiveCore {
     start_sec: f64,
 }
 
-impl LiveCore {
-    /// The core `accel` starting, at `now`, the job at position `next` of
-    /// its queue `jobs[..end]`.
-    fn launched(
-        accel: usize,
-        next: usize,
-        end: usize,
-        jobs: &[JobId],
-        cost: impl Fn(JobId, usize) -> LaunchCost,
-        now: f64,
-    ) -> Self {
-        let job = jobs[next];
-        let LaunchCost { remaining_bytes, required_bw_gbps, energy_nj } = cost(job, accel);
-        LiveCore {
-            accel,
-            next: next + 1,
-            end,
-            job,
-            remaining_bytes,
-            required_bw_gbps,
-            alloc_gbps: 0.0,
-            energy_nj,
-            start_sec: now,
+/// The state of one replay. The cores that still have work are listed in
+/// ascending core order: slot `i` of each of the four parallel arrays belongs
+/// to the `i`-th of them. These are what the two passes of a completion event
+/// stream over; everything else about a core stays put in `cores`, indexed by
+/// core.
+struct LiveCores {
+    /// Remaining "work" of the running job, in bytes of DRAM traffic still to
+    /// stream (`no-stall latency × required BW`, the `CurJobs` quantity of
+    /// Algorithm 1).
+    remaining_bytes: Vec<f64>,
+    /// The running job's no-stall bandwidth requirement in GB/s.
+    required_bw_gbps: Vec<f64>,
+    /// Bandwidth granted for the current slice, in GB/s.
+    alloc_gbps: Vec<f64>,
+    /// Which core the slot is.
+    accel: Vec<usize>,
+    cores: Vec<CoreState>,
+}
+
+impl LiveCores {
+    const fn new() -> Self {
+        LiveCores {
+            remaining_bytes: Vec::new(),
+            required_bw_gbps: Vec::new(),
+            alloc_gbps: Vec::new(),
+            accel: Vec::new(),
+            cores: Vec::new(),
         }
+    }
+
+    /// One slot per core of the platform; a warm instance allocates nothing.
+    fn resize(&mut self, num_accels: usize) {
+        let idle = CoreState { next: 0, job: JobId(0), energy_nj: 0.0, start_sec: 0.0 };
+        self.remaining_bytes.resize(num_accels, 0.0);
+        self.required_bw_gbps.resize(num_accels, 0.0);
+        self.alloc_gbps.resize(num_accels, 0.0);
+        self.accel.resize(num_accels, 0);
+        self.cores.resize(num_accels, idle);
     }
 }
 
 /// What a replay reports as it goes. The loop is monomorphized per recorder,
 /// so [`NoRecord`] costs the fitness path nothing.
 trait Recorder {
-    /// One bandwidth division: `live` holds the grant of every busy core.
-    fn slice(&mut self, start_sec: f64, end_sec: f64, live: &[LiveCore]);
+    /// One bandwidth division: `alloc_gbps[i]` is the grant of busy core
+    /// `accels[i]`.
+    fn slice(&mut self, start_sec: f64, end_sec: f64, accels: &[usize], alloc_gbps: &[f64]);
     /// One finished job.
     fn segment(&mut self, segment: ScheduleSegment);
 }
@@ -97,7 +142,7 @@ trait Recorder {
 struct NoRecord;
 
 impl Recorder for NoRecord {
-    fn slice(&mut self, _: f64, _: f64, _: &[LiveCore]) {}
+    fn slice(&mut self, _: f64, _: f64, _: &[usize], _: &[f64]) {}
     fn segment(&mut self, _: ScheduleSegment) {}
 }
 
@@ -110,10 +155,10 @@ struct ScheduleRecorder {
 }
 
 impl Recorder for ScheduleRecorder {
-    fn slice(&mut self, start_sec: f64, end_sec: f64, live: &[LiveCore]) {
+    fn slice(&mut self, start_sec: f64, end_sec: f64, accels: &[usize], grants: &[f64]) {
         let mut alloc_gbps = vec![0.0_f64; self.num_accels];
-        for core in live {
-            alloc_gbps[core.accel] = core.alloc_gbps;
+        for (&accel, &grant) in accels.iter().zip(grants) {
+            alloc_gbps[accel] = grant;
         }
         self.bw_trace.push(BwSlice { start_sec, end_sec, alloc_gbps });
     }
@@ -129,21 +174,35 @@ pub(crate) type Totals = (f64, f64);
 /// The buffers a replay works on, reused by every evaluation on a thread.
 struct Scratch {
     queues: FlatQueues,
-    live: Vec<LiveCore>,
+    live: LiveCores,
 }
 
 thread_local! {
     /// Per thread because the evaluator is shared by reference across the
     /// evaluation pool (`evaluate` takes `&self`); each worker warms its own.
     static SCRATCH: RefCell<Scratch> =
-        const { RefCell::new(Scratch { queues: FlatQueues::new(), live: Vec::new() }) };
+        const { RefCell::new(Scratch { queues: FlatQueues::new(), live: LiveCores::new() }) };
+}
+
+/// Independent running minima pass A keeps, so consecutive `min`s do not wait
+/// on each other (see the module docs for why that is exact).
+const LANES: usize = 4;
+
+/// `a.min(b)` for an `a` that is not NaN, as one compare-and-select: a NaN `b`
+/// is skipped as `f64::min` skips it, so the result is never NaN either.
+fn lesser(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
+    } else {
+        a
+    }
 }
 
 /// Algorithm 1: replays `queues` under the system-bandwidth budget, taking
 /// each launched job's quantities from `cost`, and returns the totals.
 fn replay<R: Recorder>(
     queues: &FlatQueues,
-    live: &mut Vec<LiveCore>,
+    live: &mut LiveCores,
     system_bw_gbps: f64,
     cost: impl Fn(JobId, usize) -> LaunchCost,
     recorder: &mut R,
@@ -152,55 +211,93 @@ fn replay<R: Recorder>(
     let mut now = 0.0_f64;
     let mut total_energy_nj = 0.0;
 
-    // Launch the first job on every non-empty queue. The live list stays in
-    // ascending core order and only shrinks: a drained core never revives.
-    live.clear();
-    live.reserve(queues.num_accels());
+    live.resize(queues.num_accels());
+    let LiveCores { remaining_bytes, required_bw_gbps, alloc_gbps, accel: live_accel, cores } =
+        live;
+
+    // Starts, at `now`, the job at position `next` of core `accel`'s queue,
+    // and returns its remaining bytes and required bandwidth.
+    let launch = |cores: &mut [CoreState], accel: usize, next: usize, now: f64| {
+        let job = jobs[next];
+        let LaunchCost { remaining_bytes, required_bw_gbps, energy_nj } = cost(job, accel);
+        cores[accel] = CoreState { next: next + 1, job, energy_nj, start_sec: now };
+        (remaining_bytes, required_bw_gbps)
+    };
+
+    // Launch the first job on every non-empty queue. The live slots stay in
+    // ascending core order and only shrink: a drained core never revives.
+    // `sum_req` is Σ required over them, added in that order.
+    let mut count = 0;
+    let mut sum_req = 0.0_f64;
     for accel in 0..queues.num_accels() {
         let (next, end) = queues.span(accel);
         if next < end {
-            live.push(LiveCore::launched(accel, next, end, jobs, &cost, now));
+            let (left, required) = launch(cores, accel, next, now);
+            remaining_bytes[count] = left;
+            required_bw_gbps[count] = required;
+            live_accel[count] = accel;
+            sum_req += required;
+            count += 1;
         }
     }
 
-    while !live.is_empty() {
+    while count > 0 {
         // Proportional bandwidth division (Algorithm 1, lines 5–9).
-        let sum_req: f64 = live.iter().map(|core| core.required_bw_gbps).sum();
         let scale = if sum_req <= system_bw_gbps { 1.0 } else { system_bw_gbps / sum_req };
 
-        // Smallest time to the next completion under this allocation.
-        let mut dt = f64::INFINITY;
-        for core in live.iter_mut() {
-            core.alloc_gbps = core.required_bw_gbps * scale;
-            dt = dt.min(core.remaining_bytes / (core.alloc_gbps * 1e9));
+        // Pass A: every grant, and the smallest time to the next completion
+        // under this allocation.
+        let remaining = &remaining_bytes[..count];
+        let required = &required_bw_gbps[..count];
+        let alloc = &mut alloc_gbps[..count];
+        let mut grant = |i: usize, lane: &mut f64| {
+            alloc[i] = required[i] * scale;
+            *lane = lesser(*lane, remaining[i] / (alloc[i] * 1e9));
+        };
+        let mut lanes = [f64::INFINITY; LANES];
+        let whole = count - count % LANES;
+        for base in (0..whole).step_by(LANES) {
+            for (k, lane) in lanes.iter_mut().enumerate() {
+                grant(base + k, lane);
+            }
         }
-        let dt = dt.max(0.0);
+        for (i, lane) in (whole..count).zip(&mut lanes) {
+            grant(i, lane);
+        }
+        let dt = lesser(lesser(lanes[0], lanes[1]), lesser(lanes[2], lanes[3])).max(0.0);
 
-        recorder.slice(now, now + dt, live);
+        recorder.slice(now, now + dt, &live_accel[..count], alloc);
 
-        // Advance every live job by dt, compacting away drained cores.
+        // Pass B: advance every live job by dt, complete and relaunch,
+        // compact away drained cores, and sum what the survivors require.
         now += dt;
         let mut kept = 0;
-        for i in 0..live.len() {
-            let mut core = live[i];
-            core.remaining_bytes -= dt * core.alloc_gbps * 1e9;
-            if core.remaining_bytes <= REMAINING_EPS {
+        sum_req = 0.0;
+        for i in 0..count {
+            let accel = live_accel[i];
+            let mut left = remaining_bytes[i] - dt * alloc_gbps[i] * 1e9;
+            let mut required = required_bw_gbps[i];
+            if left <= REMAINING_EPS {
+                let core = cores[accel];
                 total_energy_nj += core.energy_nj;
                 recorder.segment(ScheduleSegment {
                     job: core.job,
-                    accel: core.accel,
+                    accel,
                     start_sec: core.start_sec,
                     end_sec: now,
                 });
-                if core.next == core.end {
+                if core.next == queues.span(accel).1 {
                     continue;
                 }
-                core = LiveCore::launched(core.accel, core.next, core.end, jobs, &cost, now);
+                (left, required) = launch(cores, accel, core.next, now);
             }
-            live[kept] = core;
+            remaining_bytes[kept] = left;
+            required_bw_gbps[kept] = required;
+            live_accel[kept] = accel;
+            sum_req += required;
             kept += 1;
         }
-        live.truncate(kept);
+        count = kept;
     }
 
     (now, total_energy_nj)
@@ -445,12 +542,13 @@ mod oracle {
 mod tests {
     use super::*;
     use crate::analyzer::JobAnalyzer;
+    use crate::encoding::tests::shaped_mapping;
     use crate::evaluator::{FitnessEvaluator, Objective};
     use magma_model::{TaskType, WorkloadSpec};
     use magma_platform::{settings, AcceleratorPlatform, Setting};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
     use std::sync::Barrier;
 
     const OBJECTIVES: [Objective; 4] = [
@@ -460,37 +558,18 @@ mod tests {
         Objective::EnergyDelayProduct,
     ];
 
-    /// S1–S6 (`which` 0..6) or, for 6, a 64-core platform: S6's sixteen
-    /// big/little HB/LB cores four times over.
+    /// S1–S6 (`which` 0..6); for 6, a 64-core platform (S6's sixteen
+    /// big/little HB/LB cores four times over); for 7..12, a mix of 1, 2, 3,
+    /// 5 or 7 of S6's cores — live-core counts that are not a multiple of the
+    /// lane width of pass A.
     fn platform(which: usize) -> AcceleratorPlatform {
         if let Some(&setting) = Setting::ALL.get(which) {
             return settings::build(setting);
         }
         let s6 = settings::build(Setting::S6);
-        let cores = s6.sub_accels().iter().cycle().take(64).cloned().collect();
-        AcceleratorPlatform::new("mesh64", cores, 64.0)
-    }
-
-    /// A mapping of one of four shapes: uniformly random; priorities drawn
-    /// from five levels including both zeros and 1.0 (ties everywhere); one
-    /// priority for every job; or all jobs on at most two cores (the rest
-    /// stay empty).
-    fn shaped_mapping(rng: &mut StdRng, shape: usize, jobs: usize, accels: usize) -> Mapping {
-        let random = Mapping::random(rng, jobs, accels);
-        let levels = [0.0, -0.0, 0.25, 0.5, 1.0];
-        match shape {
-            0 => random,
-            1 => {
-                let priority = (0..jobs).map(|_| levels[rng.gen_range(0..levels.len())]).collect();
-                Mapping::new(random.accel_sel().to_vec(), priority, accels)
-            }
-            2 => Mapping::new(random.accel_sel().to_vec(), vec![0.5; jobs], accels),
-            _ => {
-                let pair = [rng.gen_range(0..accels), rng.gen_range(0..accels)];
-                let accel_sel = (0..jobs).map(|_| pair[rng.gen_range(0..2)]).collect();
-                Mapping::new(accel_sel, random.priority().to_vec(), accels)
-            }
-        }
+        let (count, stride) = [(64, 1), (1, 7), (2, 7), (3, 7), (5, 7), (7, 7)][which - 6];
+        let cores = s6.sub_accels().iter().cycle().step_by(stride).take(count).cloned().collect();
+        AcceleratorPlatform::new(format!("cores{count}"), cores, 64.0)
     }
 
     /// One property-test case: the analysis table of a `jobs`-job Mix group
@@ -681,8 +760,8 @@ mod tests {
         // fitness bits for all four objectives.
         #[test]
         fn kernel_matches_the_oracle(
-            which in 0usize..7,
-            jobs in 1usize..121,
+            which in 0usize..12,
+            jobs in 1usize..301,
             shape in 0usize..4,
             bw_exponent in 0.0f64..9.0,
             seed in 0u64..1000,
@@ -713,8 +792,8 @@ mod tests {
         // a core's segments tile its busy time from 0 without gap or overlap.
         #[test]
         fn recorded_schedule_conserves_bandwidth_and_bytes(
-            which in 0usize..7,
-            jobs in 1usize..121,
+            which in 0usize..12,
+            jobs in 1usize..301,
             shape in 0usize..4,
             bw_exponent in 0.0f64..9.0,
             seed in 0u64..1000,

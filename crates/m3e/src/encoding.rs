@@ -8,17 +8,53 @@
 //! * the **job prioritization** genome — gene `i` is a priority in `[0, 1)`;
 //!   jobs assigned to the same core execute in ascending priority order
 //!   (0 is the highest priority).
+//!
+//! # Decoding sorts inside a core
+//!
+//! Fig. 5(a) reads as "sort all jobs by priority, then deal them to their
+//! cores", and the first decoder did exactly that. But a priority only ever
+//! orders jobs that *share* a core: a core's queue is the restriction of the
+//! global `(priority, job id)` order to the jobs selected onto it, and the
+//! restriction of a total order to a subset is that subset in ascending order
+//! — however it got sorted. So the decoder (one implementation,
+//! `FlatQueues::decode`; [`Mapping::decode`] splits its flat result per core)
+//! counts the jobs of each core, places every job's `(priority, job id)` pair
+//! into its core's segment, and sorts each segment on its own:
+//! `n + Σ k·log k` over segments of about `n / cores` jobs instead of
+//! `n·log n` over all of them. Pairs are distinct (job ids are), so "ascending"
+//! names one permutation and ties, `±0.0` and equal priorities come out as the
+//! global sort had them; the global sort survives as the `#[cfg(test)]`
+//! oracle the decode proptest compares against.
 
 use magma_model::JobId;
 use rand::Rng;
 use serde::{DeError, Deserialize, Serialize};
 
 /// An encoded mapping: the individual the optimizers evolve.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, PartialEq, Serialize)]
 pub struct Mapping {
     accel_sel: Vec<usize>,
     priority: Vec<f64>,
     num_accels: usize,
+}
+
+impl Clone for Mapping {
+    fn clone(&self) -> Self {
+        Mapping {
+            accel_sel: self.accel_sel.clone(),
+            priority: self.priority.clone(),
+            num_accels: self.num_accels,
+        }
+    }
+
+    /// Overwrites this mapping in its own genome buffers (the derived
+    /// `clone_from` would allocate two fresh ones): a GA breeds each child
+    /// into an individual the last generation discarded.
+    fn clone_from(&mut self, source: &Self) {
+        self.accel_sel.clone_from(&source.accel_sel);
+        self.priority.clone_from(&source.priority);
+        self.num_accels = source.num_accels;
+    }
 }
 
 /// The serialized shape of a [`Mapping`], before its invariants are checked.
@@ -118,28 +154,18 @@ impl Mapping {
     /// Decodes the genomes into per-core ordered job queues (Fig. 4a / 5a).
     ///
     /// Ties in priority are broken by job id so decoding is deterministic.
+    /// This is the fitness kernel's decode (one implementation, see the
+    /// module docs) run on fresh buffers, with the flat queues split per core.
     pub fn decode(&self) -> DecodedMapping {
-        let mut order = Vec::new();
-        self.execution_order_into(&mut order);
-        let mut queues: Vec<Vec<JobId>> = vec![Vec::new(); self.num_accels];
-        for (_, job) in order {
-            queues[self.accel_sel[job]].push(JobId(job));
-        }
+        let mut flat = FlatQueues::new();
+        flat.decode(self);
+        let queues = (0..self.num_accels)
+            .map(|accel| {
+                let (start, end) = flat.span(accel);
+                flat.jobs[start..end].to_vec()
+            })
+            .collect();
         DecodedMapping { queues }
-    }
-
-    /// Overwrites `order` with the `(priority, job id)` pairs in ascending
-    /// order — the order jobs sharing a core execute in. For the in-range
-    /// priorities [`Mapping::new`] accepts this is a total order with no equal
-    /// elements, so the unstable sort (which needs no merge buffer) yields the
-    /// one possible result. The keys travel with the indices so comparisons
-    /// read the slice being sorted, not the genome behind it.
-    fn execution_order_into(&self, order: &mut Vec<(f64, usize)>) {
-        order.clear();
-        order.extend(self.priority.iter().copied().zip(0..));
-        order.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
-        });
     }
 
     /// Flattens the mapping into a continuous vector in `[0, 1]^(2n)` — the
@@ -214,8 +240,8 @@ impl Mapping {
 }
 
 /// Clamps one coordinate of a continuous vector into `[0, hi]`, reading NaN
-/// as 0: `f64::clamp` passes NaN through, and a NaN priority makes the decode
-/// comparator a non-total order, on which the standard sorts panic.
+/// as 0: `f64::clamp` passes NaN through, and a NaN gene is outside the range
+/// [`Mapping::new`] accepts.
 fn unit(x: f64, hi: f64) -> f64 {
     if x.is_nan() {
         0.0
@@ -254,21 +280,55 @@ impl DecodedMapping {
 }
 
 /// Per-core job queues in one flat CSR layout — core `a` executes
-/// `jobs[starts[a]..starts[a + 1]]` in order — plus the buffers decoding
-/// into it needs. Refilling a warm instance allocates nothing, which is what
-/// lets the fitness kernel decode every candidate into per-thread scratch.
+/// `jobs[starts[a]..starts[a + 1]]` in order — plus the buffer decoding into
+/// it needs. Refilling a warm instance allocates nothing, which is what lets
+/// the fitness kernel decode every candidate into per-thread scratch.
 #[derive(Debug)]
 pub(crate) struct FlatQueues {
     starts: Vec<usize>,
     jobs: Vec<JobId>,
-    order: Vec<(f64, usize)>,
-    cursor: Vec<usize>,
+    /// `(priority key, job id)` of every job, laid out as `jobs` is.
+    order: Vec<(u64, usize)>,
+}
+
+/// Segments up to this long are ordered by a stable insertion sort on the
+/// priority key alone; longer ones (most of a group on one core) by the
+/// standard sort on the whole pair. Both yield the one ascending order.
+const INSERTION_SORT_MAX: usize = 32;
+
+/// An integer that orders as the priority does under `partial_cmp`: `+ 0.0`
+/// folds `-0.0` into `+0.0` (the two compare equal, so they share a key), and
+/// the bit pattern of every other non-NaN `f64` maps monotonically onto
+/// `u64`. NaN — which only `priority_mut` can write — lands past ±∞ by its
+/// sign, so the order stays total and no sort can panic on it.
+fn priority_key(priority: f64) -> u64 {
+    let bits = (priority + 0.0).to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
+}
+
+/// Orders one core's `(priority key, job id)` pairs ascending. The caller
+/// placed them in job-id order, so a stable sort by key alone breaks ties by
+/// job id, as comparing whole pairs does.
+fn sort_segment(segment: &mut [(u64, usize)]) {
+    if segment.len() > INSERTION_SORT_MAX {
+        segment.sort_unstable();
+        return;
+    }
+    for i in 1..segment.len() {
+        let pair = segment[i];
+        let mut hole = i;
+        while hole > 0 && segment[hole - 1].0 > pair.0 {
+            segment[hole] = segment[hole - 1];
+            hole -= 1;
+        }
+        segment[hole] = pair;
+    }
 }
 
 impl FlatQueues {
     /// Empty queues over zero cores.
     pub(crate) const fn new() -> Self {
-        FlatQueues { starts: Vec::new(), jobs: Vec::new(), order: Vec::new(), cursor: Vec::new() }
+        FlatQueues { starts: Vec::new(), jobs: Vec::new(), order: Vec::new() }
     }
 
     /// Number of sub-accelerators.
@@ -286,29 +346,39 @@ impl FlatQueues {
         &self.jobs
     }
 
-    /// Decodes `mapping`'s genomes into the queues [`Mapping::decode`]
-    /// builds: an index sort by `(priority, job id)`, then a counting
-    /// placement by selected core.
+    /// Decodes `mapping`'s genomes (Fig. 5a): a counting placement of every
+    /// job's `(priority key, job id)` pair into its core's segment, in job-id
+    /// order, then an ascending sort inside each segment (see the module
+    /// docs for why no order across cores is needed).
     pub(crate) fn decode(&mut self, mapping: &Mapping) {
         let accels = mapping.num_accels;
-        mapping.execution_order_into(&mut self.order);
+        // Count core `a` into `starts[a + 2]`: after the running sum
+        // `starts[a + 1]` is where core `a`'s segment begins, and once the
+        // placement below has advanced it past the core's last job it is
+        // where core `a + 1` begins — the CSR offsets, with no cursor copy.
         self.starts.clear();
-        self.starts.resize(accels + 1, 0);
-        for &a in &mapping.accel_sel {
-            self.starts[a + 1] += 1;
+        self.starts.resize(accels + 2, 0);
+        for &accel in &mapping.accel_sel {
+            self.starts[accel + 2] += 1;
         }
-        for a in 0..accels {
-            self.starts[a + 1] += self.starts[a];
+        for accel in 2..accels + 2 {
+            self.starts[accel] += self.starts[accel - 1];
         }
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.starts[..accels]);
-        self.jobs.clear();
-        self.jobs.resize(mapping.num_jobs(), JobId(0));
-        for &(_, job) in &self.order {
-            let slot = &mut self.cursor[mapping.accel_sel[job]];
-            self.jobs[*slot] = JobId(job);
+        self.order.clear();
+        self.order.resize(mapping.num_jobs(), (0, 0));
+        for (job, (&accel, &priority)) in
+            mapping.accel_sel.iter().zip(&mapping.priority).enumerate()
+        {
+            let slot = &mut self.starts[accel + 1];
+            self.order[*slot] = (priority_key(priority), job);
             *slot += 1;
         }
+        self.starts.pop();
+        for accel in 0..accels {
+            sort_segment(&mut self.order[self.starts[accel]..self.starts[accel + 1]]);
+        }
+        self.jobs.clear();
+        self.jobs.extend(self.order.iter().map(|&(_, job)| JobId(job)));
     }
 
     /// Copies already decoded queues.
@@ -331,12 +401,58 @@ pub fn search_space_log10(group_size: usize, _num_accels: usize) -> f64 {
     (1..=group_size).map(|i| (i as f64).log10()).sum()
 }
 
+/// The decode as it was first written — one global sort of every
+/// `(priority, job id)` pair, then a walk that appends each job to its core's
+/// queue — kept as the executable spec the tests hold [`FlatQueues::decode`]
+/// to.
 #[cfg(test)]
-mod tests {
+mod oracle {
+    use super::*;
+
+    pub(super) fn decode_by_global_sort(mapping: &Mapping) -> DecodedMapping {
+        let mut order: Vec<(f64, usize)> = mapping.priority.iter().copied().zip(0..).collect();
+        order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        let mut queues: Vec<Vec<JobId>> = vec![Vec::new(); mapping.num_accels];
+        for (_, job) in order {
+            queues[mapping.accel_sel[job]].push(JobId(job));
+        }
+        DecodedMapping { queues }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A mapping of one of four shapes: uniformly random; priorities drawn
+    /// from five levels including both zeros and 1.0 (ties everywhere); one
+    /// priority for every job; or all jobs on at most two cores (the rest
+    /// stay empty, and a segment outgrows the insertion sort).
+    pub(crate) fn shaped_mapping(
+        rng: &mut StdRng,
+        shape: usize,
+        jobs: usize,
+        accels: usize,
+    ) -> Mapping {
+        let random = Mapping::random(rng, jobs, accels);
+        let levels = [0.0, -0.0, 0.25, 0.5, 1.0];
+        match shape {
+            0 => random,
+            1 => {
+                let priority = (0..jobs).map(|_| levels[rng.gen_range(0..levels.len())]).collect();
+                Mapping::new(random.accel_sel().to_vec(), priority, accels)
+            }
+            2 => Mapping::new(random.accel_sel().to_vec(), vec![0.5; jobs], accels),
+            _ => {
+                let pair = [rng.gen_range(0..accels), rng.gen_range(0..accels)];
+                let accel_sel = (0..jobs).map(|_| pair[rng.gen_range(0..2)]).collect();
+                Mapping::new(accel_sel, random.priority().to_vec(), accels)
+            }
+        }
+    }
 
     #[test]
     fn paper_example_decodes_correctly() {
@@ -355,6 +471,40 @@ mod tests {
         let m = Mapping::new(vec![0, 0, 0], vec![0.5, 0.5, 0.5], 1);
         let q: Vec<usize> = m.decode().queue(0).iter().map(|j| j.0).collect();
         assert_eq!(q, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn signed_zeros_tie_and_break_by_job_id() {
+        let m = Mapping::new(vec![0; 4], vec![0.0, -0.0, 0.0, -0.0], 1);
+        assert_eq!(m.decode(), oracle::decode_by_global_sort(&m));
+        let q: Vec<usize> = m.decode().queue(0).iter().map(|j| j.0).collect();
+        assert_eq!(q, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn nan_priorities_decode_to_a_permutation() {
+        // `Mapping::new` refuses NaN, `priority_mut` cannot: the decode must
+        // still hand every job to its core exactly once, at a segment length
+        // on either side of the insertion-sort bound, without panicking.
+        for (jobs, accels) in [(100, 4), (300, 2)] {
+            let mut rng = StdRng::seed_from_u64(jobs as u64);
+            let mut m = Mapping::random(&mut rng, jobs, accels);
+            for (i, p) in m.priority_mut().iter_mut().enumerate() {
+                match i % 5 {
+                    0 => *p = f64::NAN,
+                    3 => *p = -f64::NAN,
+                    _ => {}
+                }
+            }
+            let d = m.decode();
+            for accel in 0..accels {
+                let mut queue: Vec<usize> = d.queue(accel).iter().map(|j| j.0).collect();
+                queue.sort_unstable();
+                let assigned: Vec<usize> =
+                    (0..jobs).filter(|&j| m.accel_sel()[j] == accel).collect();
+                assert_eq!(queue, assigned);
+            }
+        }
     }
 
     #[test]
@@ -454,6 +604,28 @@ mod tests {
             let m = Mapping::from_vector(&v, 4);
             prop_assert!(m.accel_sel().iter().all(|&a| a < 4));
             prop_assert!(m.priority().iter().all(|&p| (0.0..=1.0).contains(&p)));
+        }
+
+        // The per-core ordering against the global sort it replaced: the
+        // same queues, job for job.
+        #[test]
+        fn decode_matches_the_global_sort_oracle(
+            jobs in 1usize..301,
+            accels in 1usize..129,
+            shape in 0usize..4,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mapping = shaped_mapping(&mut rng, shape, jobs, accels);
+            prop_assert_eq!(mapping.decode(), oracle::decode_by_global_sort(&mapping));
+            let mut flat = FlatQueues::new();
+            // A warm instance that last held another shape.
+            flat.decode(&Mapping::random(&mut rng, 7, 3));
+            flat.decode(&mapping);
+            let mut copied = FlatQueues::new();
+            copied.copy_from(&mapping.decode());
+            prop_assert_eq!(flat.jobs(), copied.jobs());
+            prop_assert_eq!(&flat.starts, &copied.starts);
         }
 
         #[test]

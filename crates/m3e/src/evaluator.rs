@@ -1,10 +1,12 @@
 //! Objectives and the fitness function (Section IV-C).
 //!
 //! [`FitnessEvaluator::fitness`] is the kernel every search sample runs
-//! once: it decodes the two genomes into per-thread scratch, replays them
-//! through Algorithm 1 (the one event loop of [`crate::bw_alloc`], recording
-//! nothing) against a launch-cost table filled at construction, and turns
-//! the makespan and energy into the objective. After a thread's first
+//! once: it decodes the two genomes into per-thread scratch (a counting
+//! placement by core, then a sort inside each core's segment — see
+//! [`crate::encoding`]), replays them through Algorithm 1 (the one event loop
+//! of [`crate::bw_alloc`]: two passes over flat arrays per completion event,
+//! recording nothing) against a launch-cost table filled at construction, and
+//! turns the makespan and energy into the objective. After a thread's first
 //! evaluation of a problem it allocates nothing.
 //! [`FitnessEvaluator::schedule`] runs the same loop with the recorder that
 //! builds the full [`Schedule`].
@@ -286,9 +288,7 @@ mod tests {
     fn a_vector_holding_nans_decodes_and_evaluates() {
         // A diverging continuous optimizer (DE / PSO / CMA-ES / TBPSA) can
         // emit NaN coordinates. `from_vector` must hand back genomes
-        // `Mapping::new` accepts; a NaN priority would make the decode
-        // comparator a non-total order, on which the standard sorts panic at
-        // this size.
+        // `Mapping::new` accepts, which a NaN gene is not.
         let jobs = 100;
         let group = WorkloadSpec::single_group(TaskType::Mix, jobs, 0);
         let platform = settings::build(Setting::S2);

@@ -226,7 +226,7 @@ fn dominant_task(group: &Group) -> TaskType {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use magma_model::WorkloadSpec;
+    use magma_model::{JobId, WorkloadSpec};
     use magma_platform::{settings, Setting};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -251,6 +251,26 @@ mod tests {
         let m = Mapping::random(&mut rng, 20, 4);
         assert!(p.evaluate(&m) > 0.0);
         assert!(MappingProblem::evaluate(&p, &m) > 0.0);
+    }
+
+    #[test]
+    fn jobs_near_the_64_bit_bound_build_and_still_rank_mappings() {
+        // 9.2e18 FLOPs each: either fits `u64` (so `Job::new` accepts it),
+        // the pair's sum and the cost model's re-fetched traffic do not. They
+        // must saturate — neither panic the thread that builds the problem
+        // nor wrap the group's FLOPs to 0, which scores every mapping 0.
+        let layer =
+            magma_model::LayerShape::FullyConnected { out_features: 1 << 31, in_features: 1 << 31 };
+        let job = |i| magma_model::Job::new(JobId(i), "huge", i, layer, 1, TaskType::Language);
+        let group = Group::new(vec![job(0), job(1)]);
+        assert_eq!(group.total_flops(), u64::MAX);
+        let p = M3e::new(settings::build(Setting::S2), group, Objective::Throughput);
+        assert_eq!(p.table().total_flops(), u64::MAX);
+        let on_hb = p.evaluate(&Mapping::new(vec![0, 0], vec![0.1, 0.2], 4));
+        let on_lb = p.evaluate(&Mapping::new(vec![3, 3], vec![0.1, 0.2], 4));
+        assert!(on_hb > 0.0 && on_hb.is_finite(), "both on the first HB core: {on_hb}");
+        assert!(on_lb > 0.0 && on_lb.is_finite(), "both on the LB core: {on_lb}");
+        assert_ne!(on_hb, on_lb, "the two mappings must not score alike");
     }
 
     #[test]

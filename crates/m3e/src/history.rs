@@ -30,7 +30,10 @@ impl SearchHistory {
         let improved = self.best_fitness.is_none_or(|b| fitness > b);
         if improved {
             self.best_fitness = Some(fitness);
-            self.best_mapping = Some(mapping.clone());
+            match &mut self.best_mapping {
+                Some(best) => best.clone_from(mapping),
+                None => self.best_mapping = Some(mapping.clone()),
+            }
         }
         self.best_curve.push(self.best_fitness.unwrap());
     }

@@ -225,14 +225,15 @@ impl Group {
     }
 
     /// Total FLOPs across the group — the numerator of the throughput
-    /// objective.
+    /// objective. Saturating, as [`Group::total_macs`] is: every job's totals
+    /// fit `u64`, a group's sum of them need not.
     pub fn total_flops(&self) -> u64 {
-        self.jobs.iter().map(|j| j.flops()).sum()
+        self.jobs.iter().fold(0, |total, j| total.saturating_add(j.flops()))
     }
 
     /// Total MACs across the group.
     pub fn total_macs(&self) -> u64 {
-        self.jobs.iter().map(|j| j.macs()).sum()
+        self.jobs.iter().fold(0, |total, j| total.saturating_add(j.macs()))
     }
 
     /// Count of jobs per task category, in `TaskType::ALL` order (Mix counts

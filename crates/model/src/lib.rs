@@ -67,5 +67,5 @@ pub use layer::LayerShape;
 pub use model::Model;
 pub use signature::{JobSignature, LayerClass};
 pub use task::TaskType;
-pub use tenant::{Tenant, TenantJobStream, TenantMix};
+pub use tenant::{PreparedWeights, Tenant, TenantJobStream, TenantMix};
 pub use workload::WorkloadSpec;

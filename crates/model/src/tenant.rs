@@ -224,18 +224,51 @@ impl TenantMix {
     /// Picks a tenant index given per-tenant effective weights and a uniform
     /// draw `u` in `[0, 1)`. Exposed so trace generators can modulate the
     /// weights over time (tenant-mix drift) while keeping selection
-    /// deterministic.
+    /// deterministic. Drawing many tenants from one weight vector goes
+    /// through [`TenantMix::prepare_weights`], which this is one draw of.
     ///
     /// # Panics
     ///
     /// Panics if `weights.len() != self.len()` or if no weight is positive.
     pub fn pick(&self, weights: &[f64], u: f64) -> usize {
+        self.prepare_weights(weights).pick(u)
+    }
+
+    /// Validates and sums `weights` once, for any number of
+    /// [`PreparedWeights::pick`] draws — each picks the tenant
+    /// [`TenantMix::pick`] picks for the same `u`.
+    ///
+    /// # Panics
+    ///
+    /// As [`TenantMix::pick`].
+    pub fn prepare_weights<'a>(&self, weights: &'a [f64]) -> PreparedWeights<'a> {
         assert_eq!(weights.len(), self.tenants.len(), "one weight per tenant");
-        let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
+        let total: f64 = weights.iter().copied().filter(|&w| counts(w)).sum();
         assert!(total > 0.0, "at least one tenant weight must be positive");
-        let mut target = u.clamp(0.0, 1.0) * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if w.is_finite() && w > 0.0 {
+        PreparedWeights { weights, total }
+    }
+}
+
+/// Whether a tenant with weight `w` can be drawn at all.
+fn counts(w: f64) -> bool {
+    w.is_finite() && w > 0.0
+}
+
+/// Per-tenant weights with their total already taken
+/// (see [`TenantMix::prepare_weights`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PreparedWeights<'a> {
+    weights: &'a [f64],
+    /// Sum of the weights that count, in tenant order.
+    total: f64,
+}
+
+impl PreparedWeights<'_> {
+    /// The tenant a uniform draw `u` in `[0, 1)` lands on.
+    pub fn pick(&self, u: f64) -> usize {
+        let mut target = u.clamp(0.0, 1.0) * self.total;
+        for (i, &w) in self.weights.iter().enumerate() {
+            if counts(w) {
                 if target < w {
                     return i;
                 }
@@ -243,7 +276,7 @@ impl TenantMix {
             }
         }
         // Rounding at u ≈ 1.0 lands past the last positive weight.
-        weights.iter().rposition(|w| w.is_finite() && *w > 0.0).unwrap()
+        self.weights.iter().rposition(|&w| counts(w)).expect("the total is positive")
     }
 }
 
@@ -381,6 +414,48 @@ mod tests {
         assert_eq!(mix.pick(&[0.0, 1.0, 0.0], 0.7), 1);
         // u == 1.0 still lands on the last positive weight.
         assert_eq!(mix.pick(&[1.0, 1.0, 0.0], 1.0), 1);
+    }
+
+    /// `TenantMix::pick` as it was written before the total was hoisted.
+    fn pick_spelled_out(weights: &[f64], u: f64) -> usize {
+        let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
+        let mut target = u.clamp(0.0, 1.0) * total;
+        for (i, &w) in weights.iter().enumerate() {
+            if w.is_finite() && w > 0.0 {
+                if target < w {
+                    return i;
+                }
+                target -= w;
+            }
+        }
+        weights.iter().rposition(|w| w.is_finite() && *w > 0.0).unwrap()
+    }
+
+    #[test]
+    fn prepared_weights_pick_what_pick_picks() {
+        // Fleet-shaped weights with everything `pick` must skip mixed in.
+        let mix = TenantMix::synthetic(200, 9);
+        let mut weights: Vec<f64> = mix.tenants().iter().map(Tenant::weight).collect();
+        for (i, w) in weights.iter_mut().enumerate() {
+            match i % 7 {
+                1 => *w = 0.0,
+                3 => *w = f64::NAN,
+                5 => *w = f64::INFINITY,
+                6 => *w = -*w,
+                _ => {}
+            }
+        }
+        // The last tenant cannot be drawn, so `u → 1` exercises the fallback.
+        *weights.last_mut().unwrap() = 0.0;
+        let prepared = mix.prepare_weights(&weights);
+        let edges = [0.0, f64::MIN_POSITIVE, 0.5, 1.0 - f64::EPSILON / 2.0, 1.0, 1.5, -0.5];
+        let draws = (0..10_000).map(|k| k as f64 / 10_000.0).chain(edges);
+        for u in draws {
+            let expect = pick_spelled_out(&weights, u);
+            assert_eq!(prepared.pick(u), expect, "u = {u}");
+            assert_eq!(mix.pick(&weights, u), expect, "u = {u}");
+            assert!(weights[expect].is_finite() && weights[expect] > 0.0);
+        }
     }
 
     #[test]

@@ -252,28 +252,30 @@ impl Magma {
         }
     }
 
+    /// Breeds one child of `dad` and `mom` into `child`, whose previous
+    /// genes are overwritten (its buffers are what is being reused).
     fn make_child(
         &self,
+        child: &mut Mapping,
         dad: &Mapping,
         mom: &Mapping,
         num_accels: usize,
         rng: &mut StdRng,
-    ) -> Mapping {
+    ) {
         let ops = &self.config.operators;
-        let mut child = dad.clone();
+        child.clone_from(dad);
         if ops.crossover_gen && rng.gen::<f64>() < self.config.crossover_gen_rate {
-            Self::crossover_gen(&mut child, mom, rng);
+            Self::crossover_gen(child, mom, rng);
         }
         if ops.crossover_rg && rng.gen::<f64>() < self.config.crossover_rg_rate {
-            Self::crossover_rg(&mut child, mom, rng);
+            Self::crossover_rg(child, mom, rng);
         }
         if ops.crossover_accel && rng.gen::<f64>() < self.config.crossover_accel_rate {
-            Self::crossover_accel(&mut child, mom, num_accels, rng);
+            Self::crossover_accel(child, mom, num_accels, rng);
         }
         if ops.mutation {
-            self.mutate(&mut child, num_accels, rng);
+            self.mutate(child, num_accels, rng);
         }
-        child
     }
 }
 
@@ -287,12 +289,28 @@ impl Optimizer for Magma {
     }
 }
 
+/// One evaluated individual.
+struct Individual {
+    mapping: Mapping,
+    fitness: f64,
+    /// Position in the list the ranking sort was handed (elites first, then
+    /// evaluation order): the tie-break that makes the in-place unstable sort
+    /// return what a stable one would.
+    arrival: usize,
+}
+
 /// The incremental MAGMA stepper: carries the population across budget
 /// slices. The initial population is emitted lazily (seed individuals first,
 /// random fill after); each later generation breeds children lazily, one per
 /// demanded sample, from a parent pool frozen when the previous generation
 /// finished evaluating — so a session stopped mid-generation has drawn
 /// exactly the RNG stream of the one-shot search whose budget ran out there.
+///
+/// A generation recycles its individuals: the ranked previous generation
+/// stays where it is (its first `elite_count` are the elites, its first
+/// `parent_count` the parent pool, both by index), and children are bred into
+/// the genome buffers of individuals the ranking before that discarded — so
+/// once two generations have run, breeding allocates nothing per child.
 struct MagmaCore {
     magma: Magma,
     num_jobs: usize,
@@ -303,12 +321,15 @@ struct MagmaCore {
     init_emitted: usize,
     /// Whether the initial population has been fully evaluated.
     in_generations: bool,
-    /// Evaluated (mapping, fitness) pairs of the generation in flight.
-    evaluated: Vec<(Mapping, f64)>,
-    /// Elites carried into the generation in flight (empty during init).
-    carry: Vec<(Mapping, f64)>,
-    /// Parent pool of the generation in flight (top half, sorted).
-    parents: Vec<Mapping>,
+    /// The generation in flight, as evaluated so far.
+    evaluated: Vec<Individual>,
+    /// The last fully evaluated generation with the elites it inherited,
+    /// best first (empty during init).
+    ranked: Vec<Individual>,
+    /// Size of the parent pool `ranked[..parent_count]` (the top half).
+    parent_count: usize,
+    /// Discarded individuals, to breed the next children into.
+    spare: Vec<Mapping>,
     children_target: usize,
     children_bred: usize,
 }
@@ -333,8 +354,9 @@ impl MagmaCore {
             init_emitted: 0,
             in_generations: false,
             evaluated: Vec::new(),
-            carry: Vec::new(),
-            parents: Vec::new(),
+            ranked: Vec::new(),
+            parent_count: 0,
+            spare: Vec::new(),
             children_target: 0,
             children_bred: 0,
         }
@@ -350,17 +372,26 @@ impl MagmaCore {
     }
 
     /// Closes the fully evaluated generation (or initial population) and
-    /// sets up breeding for the next one: sort, pick elites and the parent
-    /// pool — exactly the per-generation bookkeeping of the one-shot loop.
+    /// sets up breeding for the next one: the elites of the previous ranking
+    /// stay, the rest of it is discarded, the new generation joins and the
+    /// whole is ranked — exactly the per-generation bookkeeping of the
+    /// one-shot loop.
     fn begin_generation(&mut self) {
-        let mut scored = std::mem::take(&mut self.carry);
-        scored.append(&mut self.evaluated);
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let half = (scored.len() / 2).max(2).min(scored.len());
-        self.parents = scored[..half].iter().map(|(mapping, _)| mapping.clone()).collect();
-        scored.truncate(self.elite_count.min(scored.len()));
-        self.carry = scored;
-        self.children_target = self.pop_size.saturating_sub(self.carry.len());
+        let elites = self.elite_count.min(self.ranked.len());
+        self.spare.extend(self.ranked.drain(elites..).map(|individual| individual.mapping));
+        self.ranked.append(&mut self.evaluated);
+        for (arrival, individual) in self.ranked.iter_mut().enumerate() {
+            individual.arrival = arrival;
+        }
+        self.ranked.sort_unstable_by(|a, b| {
+            b.fitness
+                .partial_cmp(&a.fitness)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.arrival.cmp(&b.arrival))
+        });
+        self.parent_count = (self.ranked.len() / 2).max(2).min(self.ranked.len());
+        self.children_target =
+            self.pop_size.saturating_sub(self.elite_count.min(self.ranked.len()));
         self.children_bred = 0;
     }
 }
@@ -386,11 +417,14 @@ impl SessionCore for MagmaCore {
             self.begin_generation();
         }
         let count = want.min(self.children_target - self.children_bred);
+        let parents = &self.ranked[..self.parent_count];
         let wave: Vec<Mapping> = (0..count)
             .map(|_| {
-                let dad = self.parents.choose(rng).unwrap();
-                let mom = self.parents.choose(rng).unwrap();
-                self.magma.make_child(dad, mom, self.num_accels, rng)
+                let dad = &parents.choose(rng).unwrap().mapping;
+                let mom = &parents.choose(rng).unwrap().mapping;
+                let mut child = self.spare.pop().unwrap_or_else(|| dad.clone());
+                self.magma.make_child(&mut child, dad, mom, self.num_accels, rng);
+                child
             })
             .collect();
         self.children_bred += count;
@@ -398,7 +432,11 @@ impl SessionCore for MagmaCore {
     }
 
     fn absorb(&mut self, wave: Vec<Mapping>, fits: &[f64], _problem: &dyn MappingProblem) {
-        self.evaluated.extend(wave.into_iter().zip(fits.iter().copied()));
+        self.evaluated.extend(wave.into_iter().zip(fits).map(|(mapping, &fitness)| Individual {
+            mapping,
+            fitness,
+            arrival: 0,
+        }));
     }
 }
 

@@ -129,20 +129,22 @@ pub fn generate_trace(params: &TraceParams, mix: &TenantMix) -> Vec<Arrival> {
     // Fleet-scale traces pair millions of requests with thousands of
     // tenants; rebuilding the weight vector per arrival would make trace
     // synthesis O(requests × tenants). Only Drift actually varies the
-    // weights over the trace — stationary scenarios hoist them once.
-    // Selection still goes through `TenantMix::pick` either way, so the
-    // emitted trace is bit-identical to the per-arrival path.
+    // weights over the trace — stationary scenarios hoist them, and their
+    // validation and total, once. A prepared draw is what `TenantMix::pick`
+    // does per call, so the emitted trace is bit-identical to the
+    // per-arrival path.
     let stationary_weights = match params.scenario {
         Scenario::Drift => None,
         _ => Some(params.scenario.tenant_weights(mix, 0.0)),
     };
+    let stationary = stationary_weights.as_deref().map(|weights| mix.prepare_weights(weights));
     for i in 0..params.requests {
         // Exponential gap via inverse CDF; 1 - u is in (0, 1] so ln is finite.
         let u: f64 = rng.gen();
         let gap = -(1.0 - u).max(f64::MIN_POSITIVE).ln() * params.mean_interarrival_sec;
         now += gap * params.scenario.gap_factor(i, params.requests);
-        let tenant = match &stationary_weights {
-            Some(weights) => mix.pick(weights, rng.gen()),
+        let tenant = match &stationary {
+            Some(prepared) => prepared.pick(rng.gen()),
             None => {
                 let progress = i as f64 / denom;
                 let weights = params.scenario.tenant_weights(mix, progress);

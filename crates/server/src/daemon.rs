@@ -94,15 +94,16 @@ const WRITE_STALL: Duration = Duration::from_secs(5);
 /// The admission pace's price list, in seconds of mapper budget per search
 /// sample the engine evaluated and per group it cut.
 ///
-/// A sample costs the daemon ≈ 5 µs of CPU on the reference box (2.6 ms a
-/// never-seen 30-job group at ≈ 520 samples, codec and cache included). The
-/// charge was set at two and a half times the ≈ 12 µs a sample cost while
-/// every exact-key miss paid a 2 ms near-hit scan (6.5 ms a group); the scan
-/// is 0.1 ms now and the charge is six times the cost. It is deliberately
-/// left where it was — lowering it moves `throughput_per_s` and is a change
-/// of its own — so a host at a fifth of the speed still keeps up with what
-/// the pace admits. The per-group charge is not a cost estimate: it keeps a cache-hit
-/// workload (≈ 30 samples a group, ≈ 350 groups/s at this price) under what
+/// A sample costs the daemon ≈ 4 µs of CPU on the reference box (2.15 ms a
+/// never-seen 30-job group at ≈ 520 samples, codec and cache included; it was
+/// 2.6 ms before the fitness kernel sorted inside a core and ran two passes
+/// an event). The charge was set at two and a half times the ≈ 12 µs a sample
+/// cost while every exact-key miss paid a 2 ms near-hit scan (6.5 ms a
+/// group); the scan is 0.1 ms now and the charge is seven times the cost. It
+/// is deliberately left where it was — lowering it moves `throughput_per_s`
+/// and is a change of its own — so a host at a fifth of the speed still keeps
+/// up with what the pace admits. The per-group charge is not a cost estimate:
+/// it keeps a cache-hit workload (≈ 30 samples a group, ≈ 350 groups/s at this price) under what
 /// the four virtual accelerator timelines sustain — 330 to 540 groups/s
 /// depending on which groups are hot — so that it, too, meets the pace first
 /// and not the engine's accelerator backpressure, whose level moves with the

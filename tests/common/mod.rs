@@ -22,3 +22,16 @@ pub fn problem(setting: Setting, task: TaskType, bw: Option<f64>, n: usize, seed
     };
     M3e::new(platform, group, Objective::Throughput)
 }
+
+/// The three platforms of the repository's benchmark at paper scale: S2 at
+/// 16 GB/s, S4 at 256 GB/s, and a 64-core platform (S6's sixteen big/little
+/// cores four times over) at 256 GB/s.
+pub fn paper_scale_platforms() -> Vec<(&'static str, AcceleratorPlatform)> {
+    let s6 = settings::build(Setting::S6);
+    let cores = s6.sub_accels().iter().cycle().take(64).cloned().collect();
+    vec![
+        ("s2", settings::build(Setting::S2).with_system_bw_gbps(16.0)),
+        ("s4", settings::build(Setting::S4).with_system_bw_gbps(256.0)),
+        ("mesh64", AcceleratorPlatform::new("mesh64", cores, 256.0)),
+    ]
+}

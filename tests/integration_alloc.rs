@@ -1,5 +1,6 @@
 //! The zero-allocation gate on the fitness kernel — and on the near-hit
-//! cache probe, the other loop a request's cost is counted in.
+//! cache probe, the other loop a request's cost is counted in — and the
+//! constant-allocation gate on a GA generation around the kernel.
 //!
 //! Every search sample is one `M3e::evaluate` call, and after a thread's
 //! first evaluation of a problem (which sizes its scratch) the call must not
@@ -15,9 +16,9 @@
 
 mod common;
 
-use common::problem;
+use common::{paper_scale_platforms, problem};
 use magma::m3e::StoredSolution;
-use magma::optim::parallel::{evaluate_batch_with, thread_count};
+use magma::optim::parallel::{evaluate_batch_with, thread_count, with_threads};
 use magma::prelude::*;
 use magma::serve::quantize_signatures;
 use rand::rngs::StdRng;
@@ -73,19 +74,17 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// The paper-scale instances of the repository's benchmark: 100-job Mix
-/// groups on S2 at 16 GB/s, S4 at 256 GB/s, and a 64-core platform (S6's
-/// sixteen big/little cores four times over).
+/// The paper-scale instances of the repository's benchmark: a 100-job Mix
+/// group on each of its three platforms.
 fn problems() -> Vec<(&'static str, M3e)> {
-    let s6 = settings::build(Setting::S6);
-    let cores = s6.sub_accels().iter().cycle().take(64).cloned().collect();
-    let mesh64 = AcceleratorPlatform::new("mesh64", cores, 256.0);
-    let group = WorkloadSpec::single_group(TaskType::Mix, 100, 2);
-    vec![
-        ("s2", problem(Setting::S2, TaskType::Mix, Some(16.0), 100, 0)),
-        ("s4", problem(Setting::S4, TaskType::Mix, Some(256.0), 100, 1)),
-        ("mesh64", M3e::new(mesh64, group, Objective::Throughput)),
-    ]
+    paper_scale_platforms()
+        .into_iter()
+        .zip(0..)
+        .map(|((name, platform), seed)| {
+            let group = WorkloadSpec::single_group(TaskType::Mix, 100, seed);
+            (name, M3e::new(platform, group, Objective::Throughput))
+        })
+        .collect()
 }
 
 fn population(p: &M3e, count: usize, seed: u64) -> Vec<Mapping> {
@@ -117,6 +116,47 @@ fn a_serial_batch_allocates_only_its_output() {
         });
         assert!(allocations <= 1, "{name}: a 256-mapping batch allocated {allocations} times");
     }
+}
+
+/// A MAGMA generation recycles its individuals: children are bred into the
+/// genome buffers of individuals an earlier ranking discarded, the parent pool
+/// is the ranked generation's first half by index, and the best-so-far mapping
+/// is overwritten in place. What a steady-state generation still allocates is
+/// the wave it hands to the evaluator and the fitness vector that comes back
+/// (history growth is amortised: the fewest of four consecutive generations
+/// leaves it out) — the same count at any population, where cloning every
+/// child and every parent cost two allocations apiece (≥ 250 a generation at
+/// population 100).
+#[test]
+fn a_steady_state_generation_allocates_a_constant_independent_of_the_population() {
+    let per_generation = |population: usize| -> u64 {
+        let p = problem(Setting::S2, TaskType::Mix, Some(16.0), population, 4);
+        let optimizer = Magma::default();
+        assert_eq!(optimizer.population_size_for(&p, usize::MAX), population);
+        let elites = (population as f64 * optimizer.config().elite_ratio).round() as usize;
+        let children = population - elites;
+        let mut rng = StdRng::seed_from_u64(5);
+        with_threads(1, || {
+            let mut session = optimizer.open(&p, &mut rng);
+            // The initial population, a generation of cloned children, and one
+            // bred into the initial population's discards.
+            assert_eq!(
+                session.step(&p, &mut rng, population + 2 * children).spent,
+                population + 2 * children
+            );
+            (0..4)
+                .map(|_| {
+                    allocations_in(|| {
+                        assert_eq!(session.step(&p, &mut rng, children).spent, children);
+                    })
+                })
+                .min()
+                .unwrap()
+        })
+    };
+    let (small, paper_scale) = (per_generation(16), per_generation(100));
+    assert_eq!(small, paper_scale, "allocations per generation at population 16 and 100");
+    assert!(small <= 4, "a steady-state generation allocated {small} times");
 }
 
 /// An exact-key miss walks the whole cache looking for a near entry; the walk

@@ -4,10 +4,11 @@
 
 mod common;
 
-use common::problem;
+use common::{paper_scale_platforms, problem};
 use magma::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::{Deserialize, Serialize};
 
 /// Every mapper in Table IV runs on the real problem and returns a positive
 /// throughput within the sampling budget.
@@ -107,5 +108,63 @@ fn history_is_consistent_for_all_mappers() {
         let curve = o.history.best_curve();
         assert!(curve.windows(2).all(|w| w[1] >= w[0]), "{}", mapper.name());
         assert_eq!(*curve.last().unwrap(), o.best_fitness, "{}", mapper.name());
+    }
+}
+
+/// What one paper-scale search found, down to the bit.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct SearchGolden {
+    platform: String,
+    seed: u64,
+    best_fitness_bits: u64,
+    /// FNV-1a over the bits of every sample's fitness, in evaluation order.
+    samples_hash: u64,
+    accel_sel: Vec<usize>,
+    priority_bits: Vec<u64>,
+}
+
+/// A 2 000-sample MAGMA search on a 100-job Mix group, on each paper-scale
+/// platform, for group-and-search seeds 3 and 11.
+fn search_goldens() -> Vec<SearchGolden> {
+    let mut goldens = Vec::new();
+    for (name, platform) in paper_scale_platforms() {
+        for seed in [3, 11] {
+            let group = WorkloadSpec::single_group(TaskType::Mix, 100, seed);
+            let p = M3e::new(platform.clone(), group, Objective::Throughput);
+            let outcome = Magma::default().search(&p, 2_000, &mut StdRng::seed_from_u64(seed));
+            let sample_bytes: Vec<u8> =
+                outcome.history.samples().iter().flat_map(|f| f.to_bits().to_le_bytes()).collect();
+            goldens.push(SearchGolden {
+                platform: name.to_string(),
+                seed,
+                best_fitness_bits: outcome.best_fitness.to_bits(),
+                samples_hash: magma::serve::descriptor::fnv1a64(&sample_bytes),
+                accel_sel: outcome.best_mapping.accel_sel().to_vec(),
+                priority_bits: outcome
+                    .best_mapping
+                    .priority()
+                    .iter()
+                    .map(|p| p.to_bits())
+                    .collect(),
+            });
+        }
+    }
+    goldens
+}
+
+/// `tests/data/search_parent.json` was written by the code *before* the
+/// decode sorted inside a core, Algorithm 1 ran two fused passes and a
+/// generation recycled its individuals. Today's kernel and GA must replay it:
+/// the same fitness for every one of 2 000 samples, in the same order, and the
+/// same best mapping — on 4, 8 and 64 cores.
+#[test]
+fn searches_recorded_before_the_kernel_rewrite_replay_bit_for_bit() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/data/search_parent.json");
+    let recorded: Vec<SearchGolden> =
+        serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    assert_eq!(recorded.len(), 6);
+    for (found, recorded) in search_goldens().iter().zip(&recorded) {
+        assert_eq!(found, recorded, "{} seed {}", recorded.platform, recorded.seed);
     }
 }
