@@ -18,7 +18,7 @@
 //! Serving knobs are the shipped defaults (`ServeKnobs` / `FleetKnobs` /
 //! `ServerKnobs`); per-scenario values come from the registry file's
 //! `traffic` / `serving` blocks, and the environment overrides only what
-//! the table lists (README has the one table of all 13 `MAGMA_*` variables).
+//! the table lists (README has the one table of every `MAGMA_*` variable).
 //!
 //! | Flag / variable | Effect |
 //! |---|---|

@@ -1,22 +1,8 @@
-//! Shared plumbing for the experiment-reproduction binaries.
+//! Shared plumbing for the seven binaries in `src/bin/`.
 //!
-//! Every binary in `src/bin/` regenerates one figure or table of the paper's
-//! evaluation section (each binary's doc comment names its artefact):
-//!
-//! | Binary | Paper artefact |
+//! | Binary | What it runs |
 //! |---|---|
-//! | `fig07_job_analysis` | Fig. 7 — HB/LB job characteristics |
-//! | `fig08_homogeneous` | Fig. 8 — mappers on the homogeneous S1 |
-//! | `fig09_heterogeneous` | Fig. 9 — mappers on heterogeneous S2/S4 |
-//! | `fig10_exploration` | Fig. 10 — exploration study |
-//! | `fig11_convergence` | Fig. 11 — convergence curves |
-//! | `fig12_bw_sweep` | Fig. 12 — bandwidth sweep |
-//! | `fig13_subaccel_combos` | Fig. 13 — sub-accelerator combinations |
-//! | `fig14_flexible` | Fig. 14 — fixed vs flexible PE arrays |
-//! | `fig15_schedule_visual` | Fig. 15 — schedule visualization |
-//! | `fig16_operator_ablation` | Fig. 16 — GA operator ablation |
-//! | `fig17_group_size` | Fig. 17 — group-size sweep |
-//! | `tab05_warm_start` | Table V — warm-start transfer |
+//! | `paper` | the paper's evaluation section — Figs. 7–17 and Table V, one row of [`magma::experiments::ARTEFACTS`] each: `paper --list`, `paper fig08 tab05`, `paper all` |
 //! | `serve_sim` | not a paper artefact — the online multi-tenant serving simulator behind `BENCH_serve.json` (`magma-serve`) |
 //! | `fleet_sim` | not a paper artefact — the multi-shard fleet simulator behind `BENCH_fleet.json` (`magma-serve`) |
 //! | `cache_sweep` | not a paper artefact — the mapping-cache calibration sweep behind `BENCH_cache.json` (`magma-serve`) |
@@ -24,56 +10,90 @@
 //! | `loadgen` | not a paper artefact — the daemon's load generator behind `BENCH_rpc.json` (`magma-server`) |
 //! | `scenario_gen` | not a paper artefact — writes and checks the `scenarios/` registry tree (`magma-registry`) |
 //!
-//! By default the binaries run at a *reduced* scale so they finish in seconds
-//! on a laptop; set the environment variable `MAGMA_FULL_SCALE=1` to run at
-//! the paper's scale (group size 100, 10 000-sample budget), or override the
-//! individual knobs with `MAGMA_GROUP_SIZE` and `MAGMA_BUDGET` (see
-//! [`Scale::from_env`]). Binaries print paper-style tables and dump raw JSON
-//! under `target/experiment-results/` via [`dump_json`].
+//! `paper` runs at a *reduced* scale by default so every artefact finishes in
+//! seconds on a laptop; `--full` runs at the paper's scale (group size 100,
+//! 10 000-sample budget), and `--group-size N`, `--budget N`, `--seed N`
+//! override one value each ([`parse_paper_args`]). It prints paper-style
+//! tables and dumps raw JSON under `target/experiment-results/` via
+//! [`dump_json`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use magma::experiments::MethodScore;
+use magma::experiments::{Artefact, Scale, ARTEFACTS};
 use magma::platform::settings::{self, ServerKnobs};
 use serde::Serialize;
 use std::path::PathBuf;
 
-/// Scale parameters shared by all experiment binaries.
-#[derive(Debug, Clone, Copy)]
-pub struct Scale {
-    /// Number of jobs per group.
-    pub group_size: usize,
-    /// Sampling budget per optimizer run.
-    pub budget: usize,
-    /// Workload / search seed.
-    pub seed: u64,
-    /// Worker threads for batch fitness evaluation (`MAGMA_THREADS`,
-    /// default: available parallelism). Purely a wall-clock knob — results
-    /// are identical at every thread count.
-    pub threads: usize,
+/// The parsed command line of the `paper` binary.
+#[derive(Debug, Clone)]
+pub struct PaperCli {
+    /// Print the artefact table (`--list`) before running what is selected.
+    pub list: bool,
+    /// The scale every selected artefact runs at.
+    pub scale: Scale,
+    /// The selected rows of [`ARTEFACTS`], in the paper's order.
+    pub artefacts: Vec<&'static Artefact>,
 }
 
-impl Scale {
-    /// Reads the scale from the environment: paper scale when
-    /// [`full_scale`], reduced scale otherwise, with per-knob overrides via
-    /// `MAGMA_GROUP_SIZE` / `MAGMA_BUDGET` / `MAGMA_SEED` / `MAGMA_THREADS`
-    /// (unparsable values keep the scale's default).
-    pub fn from_env() -> Self {
-        let (group_size, budget) = if full_scale() { (100, 10_000) } else { (30, 1_000) };
-        Scale {
-            group_size: settings::env_parse("MAGMA_GROUP_SIZE", group_size),
-            budget: settings::env_parse("MAGMA_BUDGET", budget),
-            seed: settings::env_parse("MAGMA_SEED", 0),
-            threads: settings::magma_threads(),
+/// Pure parser of `paper [--list] [--full] [--group-size N] [--budget N]
+/// [--seed N] <artefact…|all>`, in the strict style of
+/// [`parse_serving_args`]: an unknown flag, an unknown artefact name, an
+/// unparsable value or a zero group size or budget (either would panic deep
+/// inside workload generation or `Optimizer::search`) is a hard error that
+/// names what is valid. `--full` selects [`Scale::FULL`] instead of
+/// [`Scale::REDUCED`]; the three valued flags then override one field each,
+/// wherever they stand on the line.
+pub fn parse_paper_args<I>(args: I) -> Result<PaperCli, String>
+where
+    I: IntoIterator<Item = String>,
+{
+    fn value<T>(flag: &str, raw: Option<String>, at_least: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd + std::fmt::Display,
+    {
+        let raw = raw.unwrap_or_default();
+        match raw.parse::<T>() {
+            Ok(n) if n >= at_least => Ok(n),
+            _ => Err(format!("{flag} requires an integer of at least {at_least}, got {raw:?}")),
         }
     }
-}
-
-/// Whether `MAGMA_FULL_SCALE` asks for the paper's scale: set to anything
-/// but `0` / `off` / `false` (the workspace's flag convention).
-pub fn full_scale() -> bool {
-    settings::env_flag("MAGMA_FULL_SCALE", false)
+    let names = || ARTEFACTS.iter().map(|a| a.name).collect::<Vec<_>>().join(", ");
+    let (mut list, mut full, mut all) = (false, false, false);
+    let (mut group_size, mut budget, mut seed) = (None, None, None);
+    let mut selected = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--list" => list = true,
+            "--full" => full = true,
+            "--group-size" => group_size = Some(value(&arg, args.next(), 1usize)?),
+            "--budget" => budget = Some(value(&arg, args.next(), 1usize)?),
+            "--seed" => seed = Some(value(&arg, args.next(), 0u64)?),
+            "all" => all = true,
+            name if ARTEFACTS.iter().any(|a| a.name == name) => selected.push(arg),
+            _ => {
+                return Err(format!(
+                    "unknown argument {arg:?} (expected --list, --full, --group-size N, \
+                     --budget N, --seed N, and artefacts out of: {}, all)",
+                    names()
+                ))
+            }
+        }
+    }
+    let artefacts: Vec<_> =
+        ARTEFACTS.iter().filter(|a| all || selected.iter().any(|s| s == a.name)).collect();
+    if artefacts.is_empty() && !list {
+        return Err(format!("no artefact selected (expected any of: {}, all)", names()));
+    }
+    let base = if full { Scale::FULL } else { Scale::REDUCED };
+    let scale = Scale {
+        group_size: group_size.unwrap_or(base.group_size),
+        budget: budget.unwrap_or(base.budget),
+        seed: seed.unwrap_or(base.seed),
+        full,
+    };
+    Ok(PaperCli { list, scale, artefacts })
 }
 
 /// The parsed command line shared by the serving binaries (`serve_sim`,
@@ -188,26 +208,19 @@ pub fn emit_or_exit<R: magma_serve::BenchReport>(report: &R, gated: bool) {
     }
 }
 
-/// Prints a banner naming the experiment and the scale it runs at.
+/// Prints a banner naming the artefact and the scale it runs at.
 pub fn banner(title: &str, scale: &Scale) {
     println!("==============================================================");
     println!("{title}");
     println!(
         "group size {}, budget {} samples, seed {}, {} eval thread(s) \
-         (set MAGMA_FULL_SCALE=1 for paper scale, MAGMA_THREADS=n for the pool size)",
-        scale.group_size, scale.budget, scale.seed, scale.threads
+         (--full for paper scale, MAGMA_THREADS=n for the pool size)",
+        scale.group_size,
+        scale.budget,
+        scale.seed,
+        settings::magma_threads()
     );
     println!("==============================================================");
-}
-
-/// Prints a normalized-throughput table in the layout of the paper's bar
-/// charts (one row per mapper).
-pub fn print_scores(label: &str, scores: &[MethodScore]) {
-    println!("\n[{label}]");
-    println!("{:<22} {:>14} {:>12}", "mapper", "GFLOP/s", "norm (MAGMA=1)");
-    for s in scores {
-        println!("{:<22} {:>14.2} {:>12.3}", s.method, s.gflops, s.normalized);
-    }
 }
 
 /// Writes any serializable result next to the printed table as JSON so the
@@ -234,15 +247,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reduced_scale_defaults_are_modest() {
-        // The default (no env override) must stay laptop-friendly.
-        let s = Scale { group_size: 30, budget: 1_000, seed: 0, threads: 1 };
-        assert!(s.group_size <= 100);
-        assert!(s.budget <= 10_000);
-        assert!(Scale::from_env().threads >= 1);
-    }
-
-    #[test]
     fn serving_cli_accepts_the_shared_flags() {
         let to_args = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
         assert_eq!(parse_serving_args(to_args(&[])).unwrap(), ServingCli::default());
@@ -266,11 +270,51 @@ mod tests {
         assert!(parse_serving_args(to_args(&["--smoke", "--verbose"])).is_err());
     }
 
+    fn paper(args: &[&str]) -> Result<PaperCli, String> {
+        parse_paper_args(args.iter().map(|a| a.to_string()))
+    }
+
     #[test]
-    fn print_scores_does_not_panic() {
-        print_scores(
-            "test",
-            &[MethodScore { method: "MAGMA".into(), gflops: 10.0, normalized: 1.0 }],
-        );
+    fn paper_scales_are_the_reduced_default_and_the_papers_under_full() {
+        let cli = paper(&["all"]).unwrap();
+        assert_eq!(cli.scale, Scale { group_size: 30, budget: 1_000, seed: 0, full: false });
+        assert!(!cli.list && cli.artefacts.len() == ARTEFACTS.len());
+        let cli = paper(&["--full", "tab05"]).unwrap();
+        assert_eq!(cli.scale, Scale { group_size: 100, budget: 10_000, seed: 0, full: true });
+        // Each valued flag replaces one field of either preset, in any order.
+        let cli = paper(&["--group-size", "8", "fig08", "--seed", "7", "--full"]).unwrap();
+        assert_eq!(cli.scale, Scale { group_size: 8, budget: 10_000, seed: 7, full: true });
+        assert_eq!(paper(&["--budget", "50", "all"]).unwrap().scale.budget, 50);
+    }
+
+    #[test]
+    fn paper_cli_selects_rows_in_the_papers_order_once_each() {
+        let names = |args: &[&str]| -> Vec<&str> {
+            paper(args).unwrap().artefacts.iter().map(|a| a.name).collect()
+        };
+        assert_eq!(names(&["tab05", "fig08", "fig08"]), ["fig08", "tab05"]);
+        assert_eq!(names(&["fig11", "all"]).len(), 12);
+        let cli = paper(&["--list"]).unwrap();
+        assert!(cli.list && cli.artefacts.is_empty());
+    }
+
+    #[test]
+    fn paper_cli_rejects_bad_values_unknown_flags_and_unknown_artefacts() {
+        // Unparsable values, and zeros that would panic deep inside a search.
+        for bad in [
+            &["--budget", "1e4", "all"][..],
+            &["--group-size", "ten", "all"],
+            &["--budget", "0", "all"],
+            &["--group-size", "0", "all"],
+            &["--seed", "-1", "all"],
+            &["all", "--budget"],
+        ] {
+            assert!(paper(bad).unwrap_err().contains("requires an integer"), "{bad:?}");
+        }
+        // Unknown flags and names list the valid artefacts.
+        for bad in [&["--smoke", "all"][..], &["fig18"], &["--budget=50", "all"], &[]] {
+            let message = paper(bad).unwrap_err();
+            assert!(message.contains("fig07") && message.contains("tab05"), "{bad:?}: {message}");
+        }
     }
 }

@@ -40,7 +40,8 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// All algorithms, in the order the paper's figures list them.
+    /// All algorithms, in the order the paper's figures list them; the
+    /// random-search reference of Fig. 10 comes last.
     pub const ALL: [Algorithm; 11] = [
         Algorithm::HeraldLike,
         Algorithm::AiMtLike,
@@ -55,7 +56,12 @@ impl Algorithm {
         Algorithm::Random,
     ];
 
-    /// Instantiates the optimizer behind this algorithm tag.
+    /// The ten mappers the paper compares (Table IV) — the roster of Figs. 8,
+    /// 9 and 11: [`Algorithm::ALL`] without the random-search reference.
+    pub const TABLE_IV: &[Algorithm] = Self::ALL.split_at(10).0;
+
+    /// Instantiates the optimizer behind this algorithm tag — the one place
+    /// the Table IV constructors are written.
     pub fn build(self) -> Box<dyn Optimizer> {
         match self {
             Algorithm::Magma => Box::new(Magma::default()),
@@ -101,13 +107,13 @@ pub struct MapperBuilder {
     setting: Setting,
     platform: Option<AcceleratorPlatform>,
     system_bw_gbps: Option<f64>,
-    task: TaskType,
-    group_size: usize,
+    pub(crate) task: TaskType,
+    pub(crate) group_size: usize,
     group: Option<Group>,
     objective: Objective,
     algorithm: Algorithm,
     budget: usize,
-    seed: u64,
+    pub(crate) seed: u64,
     initial_population: Option<Vec<Mapping>>,
 }
 
@@ -239,6 +245,13 @@ impl MapperBuilder {
             (Some(pop), Algorithm::Magma) => Box::new(Magma::with_warm_start(pop.clone())),
             _ => self.algorithm.build(),
         };
+        self.run_with(optimizer.as_ref(), problem)
+    }
+
+    /// Runs `optimizer` — one no [`Algorithm`] tag names, such as a MAGMA
+    /// with a reduced operator set — on `problem` under this builder's
+    /// budget and seed.
+    pub fn run_with(&self, optimizer: &dyn Optimizer, problem: &M3e) -> MappingReport {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let outcome = optimizer.search(problem, self.budget, &mut rng);
         let schedule = problem.schedule(&outcome.best_mapping);

@@ -1,19 +1,28 @@
-//! Reproductions of every experiment in the paper's evaluation section.
+//! The paper's evaluation section as data.
 //!
-//! Each function regenerates the data behind one figure or table. The
-//! functions are parameterized by group size and sampling budget so the
-//! Criterion benches and the unit tests can run them at reduced scale, while
-//! the binaries in `magma-bench` run them at the paper's scale (group size
-//! 100, 10 K samples).
+//! [`ARTEFACTS`] holds one row per figure or table of the evaluation
+//! (Figs. 7–17 and Table V): its name, its title, the paper's fixed cases
+//! for it and one [`Artefact::run`] that regenerates it at a [`Scale`] —
+//! reduced by default, so a run finishes in seconds on a laptop, or the
+//! paper's (group size 100, 10 K samples). The `paper` binary of
+//! `magma-bench` is a loop over the rows, and
+//! `tests/integration_experiments.rs` walks the same rows against the
+//! recorded hashes of every file they write.
+//!
+//! A case is a [`MapperBuilder`] — setting, bandwidth, task, group size,
+//! budget and seed ([`Scale::case`]). Every function below builds its
+//! problem with [`MapperBuilder::build_problem`] and searches it with
+//! [`MapperBuilder::run_on`], so workloads and searches are seeded in one
+//! place.
 //!
 //! | Paper artefact | Function |
 //! |---|---|
 //! | Fig. 7 | [`fig7_job_analysis`] |
-//! | Fig. 8 / Fig. 9 | [`compare_all_mappers`] |
+//! | Fig. 8 / Fig. 9 | [`compare_mappers`] |
 //! | Fig. 10 | [`exploration_study`] |
 //! | Fig. 11 / Fig. 16 | [`convergence_curves`], [`operator_ablation`] |
 //! | Fig. 12 | [`bw_sweep`] |
-//! | Fig. 13 | [`subaccel_combination_study`] |
+//! | Fig. 13 | [`combination_row`] |
 //! | Fig. 14 | [`flexible_vs_fixed`] |
 //! | Fig. 15 | [`schedule_comparison`] |
 //! | Fig. 17 | [`group_size_sweep`] |
@@ -30,14 +39,194 @@
 //! costs and buys is measured by the wall-clock benchmark (`benchmark/`,
 //! ladder rows `optim.pool.dispatch_us` and `optim.pool.speedup_2t`).
 
+use crate::builder::{Algorithm, MapperBuilder};
 use magma_cost::{CostModel, DataflowStyle, SubAccelConfig};
-use magma_m3e::{M3e, Objective, StoredSolution, WarmStartEngine};
-use magma_model::{zoo, TaskType, WorkloadSpec};
-use magma_optim::{all_mappers, bw_sweep_mappers, Magma, OperatorSet, Optimizer, RandomSearch};
-use magma_platform::{settings, AcceleratorPlatform, Setting};
+use magma_m3e::{M3e, StoredSolution, WarmStartEngine};
+use magma_model::zoo;
+use magma_model::TaskType::{self, Language, Mix, Recommendation, Vision};
+use magma_optim::{Magma, OperatorSet};
+use magma_platform::Setting::{self, S1, S2, S3, S4, S5};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+
+// ---------------------------------------------------------------------------
+// The artefact table
+// ---------------------------------------------------------------------------
+
+/// One of the paper's fixed problem instances: accelerator setting, task
+/// category and system bandwidth in GB/s.
+pub type Case = (Setting, TaskType, f64);
+
+/// The scale the artefacts run at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Scale {
+    /// Number of jobs per group.
+    pub group_size: usize,
+    /// Sampling budget per optimizer run.
+    pub budget: usize,
+    /// Workload / search seed.
+    pub seed: u64,
+    /// Paper scale: Fig. 17 sweeps the paper's nine group sizes instead of
+    /// six and Table V warm-starts four instances instead of two.
+    pub full: bool,
+}
+
+impl Scale {
+    /// The default: every artefact finishes in seconds on a laptop.
+    pub const REDUCED: Scale = Scale { group_size: 30, budget: 1_000, seed: 0, full: false };
+    /// The paper's: group size 100, 10 K samples.
+    pub const FULL: Scale = Scale { group_size: 100, budget: 10_000, seed: 0, full: true };
+
+    /// `case` at this scale, as the builder the experiment functions take.
+    pub fn case(&self, (setting, task, bw_gbps): Case) -> MapperBuilder {
+        MapperBuilder::new()
+            .setting(setting)
+            .task(task)
+            .system_bw_gbps(bw_gbps)
+            .group_size(self.group_size)
+            .budget(self.budget)
+            .seed(self.seed)
+    }
+}
+
+/// One result file of an artefact with the table printed beside it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Output {
+    /// File stem of the raw data (`fig11_convergence_S2_Vision`).
+    pub stem: String,
+    /// The paper-style table.
+    pub table: String,
+    /// The raw data behind the table.
+    pub rows: Value,
+}
+
+impl Output {
+    fn new(stem: impl Into<String>, table: String, rows: &impl Serialize) -> Self {
+        Output { stem: stem.into(), table, rows: rows.to_value() }
+    }
+}
+
+/// One figure or table of the paper's evaluation section.
+#[derive(Debug)]
+pub struct Artefact {
+    /// What `paper` selects it by (`fig08`, `tab05`).
+    pub name: &'static str,
+    /// The banner line: the artefact and what it shows.
+    pub title: &'static str,
+    /// The paper's fixed problem instances for it.
+    pub cases: &'static [Case],
+    run: fn(&[Case], &Scale) -> Vec<Output>,
+}
+
+impl Artefact {
+    /// Regenerates the artefact: its [`Artefact::cases`] at `scale`.
+    pub fn run(&self, scale: &Scale) -> Vec<Output> {
+        (self.run)(self.cases, scale)
+    }
+}
+
+/// The two instances whose searches Figs. 11 and 16 plot sample by sample.
+const CURVE_CASES: &[Case] = &[(S2, Vision, 16.0), (S3, Mix, 16.0)];
+
+/// The paper's evaluation section, in its order.
+pub static ARTEFACTS: [Artefact; 12] = [
+    Artefact {
+        name: "fig07",
+        title: "Fig. 7 — job analysis (HB vs LB dataflow styles)",
+        cases: &[],
+        run: fig07,
+    },
+    Artefact {
+        name: "fig08",
+        title: "Fig. 8 — homogeneous small accelerator (S1, BW=16 GB/s)",
+        cases: &[
+            (S1, Vision, 16.0),
+            (S1, Language, 16.0),
+            (S1, Recommendation, 16.0),
+            (S1, Mix, 16.0),
+        ],
+        run: fig08,
+    },
+    Artefact {
+        name: "fig09",
+        title: "Fig. 9 — heterogeneous accelerators (S2 BW=16, S4 BW=256)",
+        cases: &[(S2, Vision, 16.0), (S2, Mix, 16.0), (S4, Vision, 256.0), (S4, Mix, 256.0)],
+        run: fig09,
+    },
+    Artefact {
+        name: "fig10",
+        title: "Fig. 10 — explored map space and reached performance (Mix, S2, BW=16)",
+        cases: &[(S2, Mix, 16.0)],
+        run: fig10,
+    },
+    Artefact {
+        name: "fig11",
+        title: "Fig. 11 — convergence curves",
+        cases: CURVE_CASES,
+        run: fig11,
+    },
+    Artefact {
+        name: "fig12",
+        title: "Fig. 12 — BW sweep (Mix task)",
+        // Each swept over its accelerator class's range (`Setting::bw_sweep_gbps`),
+        // which ends at the bandwidth named here.
+        cases: &[(S2, Mix, 16.0), (S4, Mix, 256.0)],
+        run: fig12,
+    },
+    Artefact {
+        name: "fig13",
+        title: "Fig. 13 — S3 vs S4 vs S5 under different bandwidths (Mix task)",
+        cases: &[
+            (S3, Mix, 1.0),
+            (S4, Mix, 1.0),
+            (S5, Mix, 1.0),
+            (S3, Mix, 64.0),
+            (S4, Mix, 64.0),
+            (S5, Mix, 64.0),
+        ],
+        run: fig13,
+    },
+    Artefact {
+        name: "fig14",
+        title: "Fig. 14 — fixed vs flexible PE arrays",
+        cases: &[
+            (S1, Vision, 1.0),
+            (S1, Vision, 16.0),
+            (S1, Mix, 1.0),
+            (S1, Mix, 16.0),
+            (S3, Vision, 1.0),
+            (S3, Vision, 256.0),
+            (S3, Mix, 1.0),
+            (S3, Mix, 256.0),
+        ],
+        run: fig14,
+    },
+    Artefact {
+        name: "fig15",
+        title: "Fig. 15 — schedule visualization (Mix, S5, BW=1 GB/s)",
+        cases: &[(S5, Mix, 1.0)],
+        run: fig15,
+    },
+    Artefact {
+        name: "fig16",
+        title: "Fig. 16 — genetic-operator ablation",
+        cases: CURVE_CASES,
+        run: fig16,
+    },
+    Artefact {
+        name: "fig17",
+        title: "Fig. 17 — group-size sweep (Mix, S2, BW=16)",
+        cases: &[(S2, Mix, 16.0)],
+        run: fig17,
+    },
+    Artefact {
+        name: "tab05",
+        title: "Table V — warm-start of MAGMA (Mix, S4, BW=1 GB/s, profile-matched)",
+        cases: &[(S4, Mix, 1.0)],
+        run: tab05,
+    },
+];
 
 // ---------------------------------------------------------------------------
 // Common result types
@@ -72,23 +261,19 @@ pub fn normalize_by_magma(raw: Vec<(String, f64)>) -> Vec<MethodScore> {
         .collect()
 }
 
-fn build_platform(setting: Setting, bw_gbps: Option<f64>) -> AcceleratorPlatform {
-    match bw_gbps {
-        Some(bw) => settings::build_with_bw(setting, bw),
-        None => settings::build(setting),
-    }
-}
-
-fn build_problem(
-    setting: Setting,
-    task: TaskType,
-    bw_gbps: Option<f64>,
-    group_size: usize,
-    seed: u64,
-) -> M3e {
-    let platform = build_platform(setting, bw_gbps);
-    let group = WorkloadSpec::single_group(task, group_size, seed);
-    M3e::new(platform, group, Objective::Throughput)
+/// A normalized-throughput table in the layout of the paper's bar charts
+/// (one row per mapper).
+pub fn score_table(label: &str, scores: &[MethodScore]) -> String {
+    let mut lines = vec![
+        format!("[{label}]"),
+        format!("{:<22} {:>14} {:>12}", "mapper", "GFLOP/s", "norm (MAGMA=1)"),
+    ];
+    lines.extend(
+        scores
+            .iter()
+            .map(|s| format!("{:<22} {:>14.2} {:>12.3}", s.method, s.gflops, s.normalized)),
+    );
+    lines.join("\n")
 }
 
 // ---------------------------------------------------------------------------
@@ -166,62 +351,107 @@ pub fn fig7_job_analysis(batch: usize) -> (Vec<JobAnalysisRow>, Vec<JobAnalysisR
     (rows, averages)
 }
 
+/// The analysis is closed-form (no search), so the scale has no effect; the
+/// per-job mini-batch is fixed at 4 as in the paper.
+fn fig07(_: &[Case], _: &Scale) -> Vec<Output> {
+    let (rows, averages) = fig7_job_analysis(4);
+    let mut lines = vec![format!(
+        "{:<16} {:>8} {:>14} {:>14} {:>12} {:>12}",
+        "model", "task", "HB lat (cyc)", "LB lat (cyc)", "HB BW (GB/s)", "LB BW (GB/s)"
+    )];
+    lines.extend(rows.iter().chain(&averages).map(|r| {
+        format!(
+            "{:<16} {:>8} {:>14.2e} {:>14.2e} {:>12.2e} {:>12.2e}",
+            r.model,
+            r.task.short_name(),
+            r.hb_latency_cycles,
+            r.lb_latency_cycles,
+            r.hb_bw_gbps,
+            r.lb_bw_gbps
+        )
+    }));
+    vec![Output::new("fig07_job_analysis", lines.join("\n"), &(rows, averages))]
+}
+
 // ---------------------------------------------------------------------------
 // Fig. 8 / Fig. 9 — mapper comparison on one accelerator setting
 // ---------------------------------------------------------------------------
 
-/// Runs every mapper of Table IV on one (setting, task, BW) problem instance
-/// and returns their throughputs, normalized by MAGMA (Fig. 8 and Fig. 9).
-pub fn compare_all_mappers(
-    setting: Setting,
-    task: TaskType,
-    bw_gbps: Option<f64>,
-    group_size: usize,
-    budget: usize,
-    seed: u64,
-) -> Vec<MethodScore> {
-    let problem = build_problem(setting, task, bw_gbps, group_size, seed);
-    let raw = all_mappers()
+/// Runs every mapper of `roster` on one problem instance and returns their
+/// throughputs, normalized by MAGMA — Figs. 8 and 9 with
+/// [`Algorithm::TABLE_IV`], one bandwidth of Fig. 12 with [`FIG12_MAPPERS`].
+pub fn compare_mappers(case: &MapperBuilder, roster: &[Algorithm]) -> Vec<MethodScore> {
+    let problem = case.build_problem();
+    normalize_by_magma(raw_scores(case, &problem, roster).collect())
+}
+
+/// `(mapper name, GFLOP/s)` of the case's search under each of `roster`.
+fn raw_scores<'a>(
+    case: &'a MapperBuilder,
+    problem: &'a M3e,
+    roster: &'a [Algorithm],
+) -> impl Iterator<Item = (String, f64)> + 'a {
+    roster.iter().map(move |&algorithm| {
+        let report = case.clone().algorithm(algorithm).run_on(problem);
+        (report.algorithm, report.best_fitness)
+    })
+}
+
+fn fig08(cases: &[Case], scale: &Scale) -> Vec<Output> {
+    let mut tables = Vec::new();
+    let all: Vec<(TaskType, Vec<MethodScore>)> = cases
         .iter()
-        .map(|mapper| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = mapper.search(&problem, budget, &mut rng);
-            (mapper.name().to_string(), outcome.best_fitness)
+        .map(|&(setting, task, bw)| {
+            let scores = compare_mappers(&scale.case((setting, task, bw)), Algorithm::TABLE_IV);
+            tables.push(score_table(&format!("{setting} / {task}"), &scores));
+            (task, scores)
         })
         .collect();
-    normalize_by_magma(raw)
+    vec![Output::new("fig08_homogeneous", tables.join("\n\n"), &all)]
+}
+
+fn fig09(cases: &[Case], scale: &Scale) -> Vec<Output> {
+    let mut tables = Vec::new();
+    let all: Vec<(String, TaskType, f64, Vec<MethodScore>)> = cases
+        .iter()
+        .map(|&(setting, task, bw)| {
+            let scores = compare_mappers(&scale.case((setting, task, bw)), Algorithm::TABLE_IV);
+            tables.push(score_table(&format!("{setting} / {task} / BW={bw}"), &scores));
+            (setting.to_string(), task, bw, scores)
+        })
+        .collect();
+    vec![Output::new("fig09_heterogeneous", tables.join("\n\n"), &all)]
 }
 
 // ---------------------------------------------------------------------------
 // Fig. 10 — exploration study with an exhaustive-sampling reference
 // ---------------------------------------------------------------------------
 
-/// Reproduces the Fig. 10(c) table: the throughput reached by MAGMA, PPO2,
-/// stdGA, PSO and CMA at `budget` samples, plus a random-sampling reference
+/// The mappers of the Fig. 10(c) table, in Table IV order.
+pub const FIG10_MAPPERS: [Algorithm; 5] =
+    [Algorithm::Pso, Algorithm::CmaEs, Algorithm::StdGa, Algorithm::Ppo2, Algorithm::Magma];
+
+/// Reproduces the Fig. 10(c) table: the throughput reached by
+/// [`FIG10_MAPPERS`] at the case's budget, plus a random-sampling reference
 /// given `reference_budget` samples (the paper's "exhaustively sampled"
 /// column used ~1 M).
-pub fn exploration_study(
-    setting: Setting,
-    task: TaskType,
-    bw_gbps: Option<f64>,
-    group_size: usize,
-    budget: usize,
-    reference_budget: usize,
-    seed: u64,
-) -> Vec<MethodScore> {
-    let problem = build_problem(setting, task, bw_gbps, group_size, seed);
-    let mut raw: Vec<(String, f64)> = Vec::new();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let reference = RandomSearch::new().search(&problem, reference_budget, &mut rng);
-    raw.push(("Exhaustively Sampled".to_string(), reference.best_fitness));
-    for mapper in all_mappers() {
-        if ["MAGMA", "RL PPO2", "stdGA", "PSO", "CMA"].contains(&mapper.name()) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = mapper.search(&problem, budget, &mut rng);
-            raw.push((mapper.name().to_string(), outcome.best_fitness));
-        }
-    }
+pub fn exploration_study(case: &MapperBuilder, reference_budget: usize) -> Vec<MethodScore> {
+    let problem = case.build_problem();
+    let reference =
+        case.clone().algorithm(Algorithm::Random).budget(reference_budget).run_on(&problem);
+    let mut raw = vec![("Exhaustively Sampled".to_string(), reference.best_fitness)];
+    raw.extend(raw_scores(case, &problem, &FIG10_MAPPERS));
     normalize_by_magma(raw)
+}
+
+fn fig10(cases: &[Case], scale: &Scale) -> Vec<Output> {
+    let (setting, task, bw) = cases[0];
+    // The paper's reference uses ~1M random samples; scale it to 10x the
+    // per-method budget here.
+    let reference_budget = scale.budget * 10;
+    let scores = exploration_study(&scale.case(cases[0]), reference_budget);
+    let label = format!("{task} / {setting} / BW={bw} (reference budget {reference_budget})");
+    vec![Output::new("fig10_exploration", score_table(&label, &scores), &scores)]
 }
 
 // ---------------------------------------------------------------------------
@@ -237,86 +467,100 @@ pub struct ConvergenceCurve {
     pub points: Vec<(usize, f64)>,
 }
 
-/// Reproduces Fig. 11: convergence curves of every mapper on one problem
-/// instance, downsampled to `points` entries each.
-pub fn convergence_curves(
-    setting: Setting,
-    task: TaskType,
-    bw_gbps: Option<f64>,
-    group_size: usize,
-    budget: usize,
-    points: usize,
-    seed: u64,
-) -> Vec<ConvergenceCurve> {
-    let problem = build_problem(setting, task, bw_gbps, group_size, seed);
-    all_mappers()
-        .iter()
-        .map(|mapper| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = mapper.search(&problem, budget, &mut rng);
-            ConvergenceCurve {
-                method: mapper.name().to_string(),
-                points: outcome.history.downsampled_curve(points),
-            }
-        })
-        .collect()
+/// Reproduces Fig. 11: convergence curves of every Table IV mapper on one
+/// problem instance, downsampled to `points` entries each.
+pub fn convergence_curves(case: &MapperBuilder, points: usize) -> Vec<ConvergenceCurve> {
+    let problem = case.build_problem();
+    let curve = |&algorithm: &Algorithm| {
+        let report = case.clone().algorithm(algorithm).run_on(&problem);
+        ConvergenceCurve {
+            method: report.algorithm,
+            points: report.history.downsampled_curve(points),
+        }
+    };
+    Algorithm::TABLE_IV.iter().map(curve).collect()
 }
 
 /// Reproduces Fig. 16: MAGMA's convergence with three operator sets —
 /// mutation only, mutation + Crossover-gen, and all four operators.
-pub fn operator_ablation(
-    setting: Setting,
-    task: TaskType,
-    bw_gbps: Option<f64>,
-    group_size: usize,
-    budget: usize,
-    points: usize,
-    seed: u64,
-) -> Vec<ConvergenceCurve> {
-    let problem = build_problem(setting, task, bw_gbps, group_size, seed);
+pub fn operator_ablation(case: &MapperBuilder, points: usize) -> Vec<ConvergenceCurve> {
+    let problem = case.build_problem();
     [OperatorSet::mutation_only(), OperatorSet::mutation_and_gen(), OperatorSet::all()]
         .into_iter()
-        .map(|ops| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = Magma::with_operators(ops).search(&problem, budget, &mut rng);
-            ConvergenceCurve {
-                method: ops.label(),
-                points: outcome.history.downsampled_curve(points),
-            }
+        .map(|ops| ConvergenceCurve {
+            method: ops.label(),
+            points: case
+                .run_with(&Magma::with_operators(ops), &problem)
+                .history
+                .downsampled_curve(points),
         })
         .collect()
+}
+
+/// One compact table and one file per case: a row per curve, its best
+/// GFLOP/s at 10 checkpoints.
+fn curve_outputs(
+    cases: &[Case],
+    scale: &Scale,
+    stem: &str,
+    corner: &str,
+    width: usize,
+    curves_of: fn(&MapperBuilder, usize) -> Vec<ConvergenceCurve>,
+) -> Vec<Output> {
+    let output =
+        |&(setting, task, bw): &Case| {
+            let curves = curves_of(&scale.case((setting, task, bw)), 10);
+            let row = |head: &str, cells: String| format!("{head:<width$}{cells}");
+            let samples = &curves.last().expect("every figure plots a curve").points;
+            let mut lines = vec![
+                format!("[{setting} / {task} / BW={bw}]"),
+                row(corner, samples.iter().map(|(n, _)| format!("{n:>9}")).collect()),
+            ];
+            lines.extend(curves.iter().map(|c| {
+                row(&c.method, c.points.iter().map(|(_, v)| format!("{v:>9.1}")).collect())
+            }));
+            Output::new(format!("{stem}_{setting}_{task}"), lines.join("\n"), &curves)
+        };
+    cases.iter().map(output).collect()
+}
+
+fn fig11(cases: &[Case], scale: &Scale) -> Vec<Output> {
+    curve_outputs(cases, scale, "fig11_convergence", "mapper \\ samples", 22, convergence_curves)
+}
+
+fn fig16(cases: &[Case], scale: &Scale) -> Vec<Output> {
+    let corner = "operator set \\ samples";
+    curve_outputs(cases, scale, "fig16_operator_ablation", corner, 30, operator_ablation)
 }
 
 // ---------------------------------------------------------------------------
 // Fig. 12 — bandwidth sweep
 // ---------------------------------------------------------------------------
 
-/// Reproduces Fig. 12: Herald-like, RL A2C, RL PPO2 and MAGMA across a sweep
-/// of system bandwidths. Returns one entry per bandwidth with the per-method
+/// The mappers Fig. 12 sweeps, in Table IV order.
+pub const FIG12_MAPPERS: [Algorithm; 4] =
+    [Algorithm::HeraldLike, Algorithm::A2c, Algorithm::Ppo2, Algorithm::Magma];
+
+/// Reproduces Fig. 12: [`FIG12_MAPPERS`] on the case across a sweep of
+/// system bandwidths. Returns one entry per bandwidth with the per-method
 /// scores normalized by MAGMA at that bandwidth.
-pub fn bw_sweep(
-    setting: Setting,
-    task: TaskType,
-    bandwidths_gbps: &[f64],
-    group_size: usize,
-    budget: usize,
-    seed: u64,
-) -> Vec<(f64, Vec<MethodScore>)> {
+pub fn bw_sweep(case: &MapperBuilder, bandwidths_gbps: &[f64]) -> Vec<(f64, Vec<MethodScore>)> {
     bandwidths_gbps
         .iter()
-        .map(|&bw| {
-            let problem = build_problem(setting, task, Some(bw), group_size, seed);
-            let raw = bw_sweep_mappers()
-                .iter()
-                .map(|mapper| {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let outcome = mapper.search(&problem, budget, &mut rng);
-                    (mapper.name().to_string(), outcome.best_fitness)
-                })
-                .collect();
-            (bw, normalize_by_magma(raw))
-        })
+        .map(|&bw| (bw, compare_mappers(&case.clone().system_bw_gbps(bw), &FIG12_MAPPERS)))
         .collect()
+}
+
+fn fig12(cases: &[Case], scale: &Scale) -> Vec<Output> {
+    let output = |&(setting, task, bw): &Case| {
+        let rows = bw_sweep(&scale.case((setting, task, bw)), &setting.bw_sweep_gbps());
+        let tables: Vec<String> = rows
+            .iter()
+            .map(|(bw, scores)| score_table(&format!("{setting} / {task} / BW={bw}"), scores))
+            .collect();
+        Output::new(format!("fig12_bw_sweep_{setting}"), tables.join("\n\n"), &rows)
+    };
+    cases.iter().map(output).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -339,31 +583,46 @@ pub struct CombinationRow {
     pub magma_gflops: f64,
 }
 
-/// Reproduces Fig. 13: compares S3 (homogeneous), S4 (heterogeneous) and S5
-/// (BigLittle) under the given bandwidths using MAGMA.
-pub fn subaccel_combination_study(
-    task: TaskType,
-    bandwidths_gbps: &[f64],
-    group_size: usize,
-    budget: usize,
-    seed: u64,
-) -> Vec<CombinationRow> {
-    let mut rows = Vec::new();
-    for &bw in bandwidths_gbps {
-        for setting in [Setting::S3, Setting::S4, Setting::S5] {
-            let problem = build_problem(setting, task, Some(bw), group_size, seed);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = Magma::default().search(&problem, budget, &mut rng);
-            rows.push(CombinationRow {
-                setting: setting.to_string(),
-                bw_gbps: bw,
-                avg_no_stall_cycles: problem.table().avg_no_stall_cycles(),
-                avg_required_bw_gbps: problem.table().avg_required_bw_gbps(),
-                magma_gflops: outcome.best_fitness,
-            });
+/// One point of Fig. 13, which compares S3 (homogeneous), S4
+/// (heterogeneous) and S5 (BigLittle) under two bandwidths: the case's job
+/// analysis and what its search (MAGMA, unless the case says otherwise)
+/// reaches on it.
+pub fn combination_row(case: &MapperBuilder) -> CombinationRow {
+    let problem = case.build_problem();
+    CombinationRow {
+        setting: problem.platform().name().to_string(),
+        bw_gbps: problem.platform().system_bw_gbps(),
+        avg_no_stall_cycles: problem.table().avg_no_stall_cycles(),
+        avg_required_bw_gbps: problem.table().avg_required_bw_gbps(),
+        magma_gflops: case.run_on(&problem).best_fitness,
+    }
+}
+
+fn fig13(cases: &[Case], scale: &Scale) -> Vec<Output> {
+    let rows: Vec<CombinationRow> =
+        cases.iter().map(|&case| combination_row(&scale.case(case))).collect();
+    let mut lines = vec![format!(
+        "{:<8} {:>10} {:>18} {:>18} {:>16}",
+        "setting", "BW (GB/s)", "avg lat (cycles)", "avg req BW (GB/s)", "MAGMA GFLOP/s"
+    )];
+    lines.extend(rows.iter().map(|r| {
+        format!(
+            "{:<8} {:>10.0} {:>18.2e} {:>18.2} {:>16.1}",
+            r.setting, r.bw_gbps, r.avg_no_stall_cycles, r.avg_required_bw_gbps, r.magma_gflops
+        )
+    }));
+    // Normalized view per bandwidth (the paper normalizes by S5).
+    for per_bw in rows.chunk_by(|a, b| a.bw_gbps == b.bw_gbps) {
+        if let Some(s5) = per_bw.iter().find(|r| r.setting == "S5") {
+            lines.push(format!("\nBW={} GB/s (normalized by S5):", s5.bw_gbps));
+            lines.extend(
+                per_bw
+                    .iter()
+                    .map(|r| format!("  {:<4} {:.2}", r.setting, r.magma_gflops / s5.magma_gflops)),
+            );
         }
     }
-    rows
+    vec![Output::new("fig13_subaccel_combos", lines.join("\n"), &rows)]
 }
 
 // ---------------------------------------------------------------------------
@@ -393,39 +652,54 @@ pub struct FlexibleRow {
     pub flexible_avg_bw: f64,
 }
 
-/// Reproduces Fig. 14: MAGMA on fixed vs flexible PE-array variants of a
-/// setting, for one task and one bandwidth.
-pub fn flexible_vs_fixed(
-    setting: Setting,
-    task: TaskType,
-    bw_gbps: f64,
-    group_size: usize,
-    budget: usize,
-    seed: u64,
-) -> FlexibleRow {
-    let group = WorkloadSpec::single_group(task, group_size, seed);
-    let fixed_platform = settings::build_with_bw(setting, bw_gbps);
-    let flex_platform = settings::build_flexible(setting, bw_gbps);
-
-    let fixed = M3e::new(fixed_platform, group.clone(), Objective::Throughput);
-    let flex = M3e::new(flex_platform, group, Objective::Throughput);
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let fixed_out = Magma::default().search(&fixed, budget, &mut rng);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let flex_out = Magma::default().search(&flex, budget, &mut rng);
-
+/// Reproduces Fig. 14: the case's search on its platform as built (fixed PE
+/// arrays) and on the flexible-array variant of the same platform
+/// (Section VI-F).
+pub fn flexible_vs_fixed(case: &MapperBuilder) -> FlexibleRow {
+    let fixed = case.build_problem();
+    let flex_case = case.clone().platform(fixed.platform().clone().into_flexible());
+    let flex = flex_case.build_problem();
     FlexibleRow {
-        setting: setting.to_string(),
-        task,
-        bw_gbps,
-        fixed_gflops: fixed_out.best_fitness,
-        flexible_gflops: flex_out.best_fitness,
+        setting: fixed.platform().name().to_string(),
+        task: case.task,
+        bw_gbps: fixed.platform().system_bw_gbps(),
+        fixed_gflops: case.run_on(&fixed).best_fitness,
+        flexible_gflops: flex_case.run_on(&flex).best_fitness,
         fixed_avg_latency: fixed.table().avg_no_stall_cycles(),
         flexible_avg_latency: flex.table().avg_no_stall_cycles(),
         fixed_avg_bw: fixed.table().avg_required_bw_gbps(),
         flexible_avg_bw: flex.table().avg_required_bw_gbps(),
     }
+}
+
+fn fig14(cases: &[Case], scale: &Scale) -> Vec<Output> {
+    let rows: Vec<FlexibleRow> =
+        cases.iter().map(|&case| flexible_vs_fixed(&scale.case(case))).collect();
+    let mut lines = vec![format!(
+        "{:<10} {:>8} {:>6} {:>14} {:>14} {:>8} {:>16} {:>16}",
+        "setting",
+        "task",
+        "BW",
+        "fixed GFLOP/s",
+        "flex GFLOP/s",
+        "ratio",
+        "fixed lat (cyc)",
+        "flex lat (cyc)"
+    )];
+    lines.extend(rows.iter().map(|r| {
+        format!(
+            "{:<10} {:>8} {:>6.0} {:>14.1} {:>14.1} {:>8.2} {:>16.2e} {:>16.2e}",
+            r.setting,
+            r.task.short_name(),
+            r.bw_gbps,
+            r.fixed_gflops,
+            r.flexible_gflops,
+            r.flexible_gflops / r.fixed_gflops,
+            r.fixed_avg_latency,
+            r.flexible_avg_latency
+        )
+    }));
+    vec![Output::new("fig14_flexible", lines.join("\n"), &rows)]
 }
 
 // ---------------------------------------------------------------------------
@@ -451,54 +725,63 @@ pub struct ScheduleComparison {
 }
 
 /// Reproduces Fig. 15: the sub-accelerator and bandwidth allocation found by
-/// Herald-like versus MAGMA on the same (task, setting, BW) instance.
-pub fn schedule_comparison(
-    setting: Setting,
-    task: TaskType,
-    bw_gbps: f64,
-    group_size: usize,
-    budget: usize,
-    seed: u64,
-) -> ScheduleComparison {
-    let problem = build_problem(setting, task, Some(bw_gbps), group_size, seed);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let herald = magma_optim::HeraldLike::new().search(&problem, 1, &mut rng);
-    let magma = Magma::default().search(&problem, budget, &mut rng);
-    let hs = problem.schedule(&herald.best_mapping);
-    let ms = problem.schedule(&magma.best_mapping);
+/// Herald-like (one shot) versus the case's search on the same instance.
+pub fn schedule_comparison(case: &MapperBuilder) -> ScheduleComparison {
+    let problem = case.build_problem();
+    let herald = case.clone().algorithm(Algorithm::HeraldLike).budget(1).run_on(&problem).schedule;
+    let magma = case.run_on(&problem).schedule;
     ScheduleComparison {
-        herald_finish_sec: hs.makespan_sec(),
-        magma_finish_sec: ms.makespan_sec(),
-        herald_gflops: hs.throughput_gflops(),
-        magma_gflops: ms.throughput_gflops(),
-        herald_gantt: hs.render_gantt(100),
-        magma_gantt: ms.render_gantt(100),
+        herald_finish_sec: herald.makespan_sec(),
+        magma_finish_sec: magma.makespan_sec(),
+        herald_gflops: herald.throughput_gflops(),
+        magma_gflops: magma.throughput_gflops(),
+        herald_gantt: herald.render_gantt(100),
+        magma_gantt: magma.render_gantt(100),
     }
+}
+
+fn fig15(cases: &[Case], scale: &Scale) -> Vec<Output> {
+    let cmp = schedule_comparison(&scale.case(cases[0]));
+    let table = format!(
+        "--- Herald-like schedule (finish {:.3} ms, {:.1} GFLOP/s) ---\n{}\n\
+         --- MAGMA schedule (finish {:.3} ms, {:.1} GFLOP/s) ---\n{}\n\
+         MAGMA finishes the group {:.2}x faster than the Herald-like mapping.",
+        cmp.herald_finish_sec * 1e3,
+        cmp.herald_gflops,
+        cmp.herald_gantt,
+        cmp.magma_finish_sec * 1e3,
+        cmp.magma_gflops,
+        cmp.magma_gantt,
+        cmp.herald_finish_sec / cmp.magma_finish_sec
+    );
+    vec![Output::new("fig15_schedule_visual", table, &cmp)]
 }
 
 // ---------------------------------------------------------------------------
 // Fig. 17 — group-size sweep
 // ---------------------------------------------------------------------------
 
-/// Reproduces Fig. 17: MAGMA throughput for different group sizes on the same
-/// (setting, task, BW) configuration. Returns `(group_size, gflops)` pairs.
-pub fn group_size_sweep(
-    setting: Setting,
-    task: TaskType,
-    bw_gbps: Option<f64>,
-    group_sizes: &[usize],
-    budget: usize,
-    seed: u64,
-) -> Vec<(usize, f64)> {
-    group_sizes
-        .iter()
-        .map(|&gs| {
-            let problem = build_problem(setting, task, bw_gbps, gs, seed);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = Magma::default().search(&problem, budget, &mut rng);
-            (gs, outcome.best_fitness)
-        })
-        .collect()
+/// Reproduces Fig. 17: the throughput the case's search reaches at each of
+/// `group_sizes` (which replace the case's own). Returns
+/// `(group_size, gflops)` pairs.
+pub fn group_size_sweep(case: &MapperBuilder, group_sizes: &[usize]) -> Vec<(usize, f64)> {
+    group_sizes.iter().map(|&gs| (gs, case.clone().group_size(gs).run().best_fitness)).collect()
+}
+
+/// The group sizes are the swept variable, so the scale's own is ignored.
+fn fig17(cases: &[Case], scale: &Scale) -> Vec<Output> {
+    let sizes: &[usize] = if scale.full {
+        &[4, 10, 20, 40, 50, 100, 200, 500, 1000]
+    } else {
+        &[4, 10, 20, 40, 60, 100]
+    };
+    let rows = group_size_sweep(&scale.case(cases[0]), sizes);
+    let reference = rows.last().map_or(1.0, |(_, g)| *g);
+    let mut lines = vec![format!("{:>12} {:>14} {:>12}", "group size", "GFLOP/s", "normalized")];
+    lines.extend(
+        rows.iter().map(|(gs, g)| format!("{:>12} {:>14.1} {:>12.2}", gs, g, g / reference)),
+    );
+    vec![Output::new("fig17_group_size", lines.join("\n"), &rows)]
 }
 
 // ---------------------------------------------------------------------------
@@ -523,43 +806,39 @@ pub struct WarmStartRow {
     pub transfer_100_epoch: f64,
 }
 
-/// Reproduces Table V(a): optimize one group (`Insts0`), then warm-start on
-/// `num_instances` fresh groups of the same task and measure the normalized
-/// throughput after 0, 1, 30 and 100 epochs (an epoch is one population worth
-/// of samples, i.e. `group_size` evaluations).
+/// Reproduces Table V(a): optimize the case's group (`Insts0`), then
+/// warm-start on `num_instances` fresh groups of the same task and measure
+/// the normalized throughput after 0, 1, 30 and 100 epochs (an epoch is one
+/// population worth of samples, i.e. the group size; the case's own budget
+/// is unused).
 ///
 /// The solution is stored with the signatures of the jobs it was found for,
 /// so it transfers by profile matching — the adaptation that carries the
 /// paper's claim. Stored without them it would index-wrap, the baseline that
 /// loses to a random epoch on compute-bound groups.
-pub fn warm_start_study(
-    setting: Setting,
-    task: TaskType,
-    bw_gbps: Option<f64>,
-    group_size: usize,
-    num_instances: usize,
-    seed: u64,
-) -> Vec<WarmStartRow> {
-    let epoch = group_size.max(16);
-    let full_budget = 100 * epoch;
+pub fn warm_start_study(case: &MapperBuilder, num_instances: usize) -> Vec<WarmStartRow> {
+    let (task, epoch) = (case.task, case.group_size.max(16));
+    let case = case.clone().algorithm(Algorithm::Magma).budget(100 * epoch);
+    // Best fitness of one epoch of uniformly random mappings (the "Raw"
+    // baseline).
+    let raw = |case: &MapperBuilder, problem: &M3e| {
+        case.clone().algorithm(Algorithm::Random).budget(epoch).run_on(problem).best_fitness
+    };
     let mut engine = WarmStartEngine::new();
 
     // --- Insts0: plain optimization, store the best mapping with the job
     // signatures it was optimized for. ---
-    let base_problem = build_problem(setting, task, bw_gbps, group_size, seed);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let base_outcome = Magma::default().search(&base_problem, full_budget, &mut rng);
+    let base_problem = case.build_problem();
+    let base = case.run_on(&base_problem);
+    let base_raw = raw(&case, &base_problem) / base.best_fitness;
     engine.record(
         task,
-        StoredSolution::new(
-            base_outcome.best_mapping.clone(),
-            Some(base_problem.signatures().to_vec()),
-        ),
+        StoredSolution::new(base.best_mapping, Some(base_problem.signatures().to_vec())),
     );
 
     let mut rows = vec![WarmStartRow {
         instance: "Insts0 (optimized)".to_string(),
-        raw: random_best(&base_problem, epoch, seed) / base_outcome.best_fitness,
+        raw: base_raw,
         transfer_0_epoch: 1.0,
         transfer_1_epoch: 1.0,
         transfer_30_epoch: 1.0,
@@ -568,27 +847,25 @@ pub fn warm_start_study(
 
     // --- Fresh instances of the same task: warm-start and refine. ---
     for inst in 1..=num_instances {
-        let inst_seed = seed + inst as u64 * 101;
-        let problem = build_problem(setting, task, bw_gbps, group_size, inst_seed);
+        let inst_seed = case.seed + inst as u64 * 101;
+        let case = case.clone().seed(inst_seed);
+        let problem = case.build_problem();
         let mut rng = StdRng::seed_from_u64(inst_seed);
 
-        let num_accels = build_platform(setting, bw_gbps).num_sub_accels();
+        let num_accels = problem.platform().num_sub_accels();
         let seeded_pop = engine
             .seed_population(&mut rng, task, problem.signatures(), num_accels, epoch)
             .expect("knowledge was recorded for this task");
         let transfer_0 = problem.evaluate(&seeded_pop[0]);
 
-        let run_epochs = |epochs: usize| -> f64 {
-            let mut rng = StdRng::seed_from_u64(inst_seed);
-            Magma::with_warm_start(seeded_pop.clone())
-                .search(&problem, epochs * epoch, &mut rng)
-                .best_fitness
-        };
+        let warm = case.clone().initial_population(seeded_pop);
+        let run_epochs =
+            |epochs: usize| warm.clone().budget(epochs * epoch).run_on(&problem).best_fitness;
 
         let full = run_epochs(100);
         rows.push(WarmStartRow {
             instance: format!("Insts{inst} (warm-start)"),
-            raw: random_best(&problem, epoch, inst_seed) / full,
+            raw: raw(&case, &problem) / full,
             transfer_0_epoch: transfer_0 / full,
             transfer_1_epoch: run_epochs(1) / full,
             transfer_30_epoch: run_epochs(30) / full,
@@ -598,11 +875,34 @@ pub fn warm_start_study(
     rows
 }
 
-/// Best fitness of `budget` uniformly random mappings (the "Raw" baseline of
-/// Table V).
-fn random_best(problem: &M3e, budget: usize, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    RandomSearch::new().search(problem, budget, &mut rng).best_fitness
+fn tab05(cases: &[Case], scale: &Scale) -> Vec<Output> {
+    let rows = warm_start_study(&scale.case(cases[0]), if scale.full { 4 } else { 2 });
+    let mut lines = vec![format!(
+        "{:<24} {:>8} {:>10} {:>10} {:>11} {:>12}",
+        "instance", "Raw", "Trf-0-ep", "Trf-1-ep", "Trf-30-ep", "Trf-100-ep"
+    )];
+    lines.extend(rows.iter().map(|r| {
+        format!(
+            "{:<24} {:>8.2} {:>10.2} {:>10.2} {:>11.2} {:>12.2}",
+            r.instance,
+            r.raw,
+            r.transfer_0_epoch,
+            r.transfer_1_epoch,
+            r.transfer_30_epoch,
+            r.transfer_100_epoch
+        )
+    }));
+    let warm = &rows[1..];
+    let avg = |f: fn(&WarmStartRow) -> f64| warm.iter().map(f).sum::<f64>() / warm.len() as f64;
+    lines.push(format!(
+        "\naverage over warm-started instances (profile-matched): Raw {:.2}, Trf-0-ep {:.2}, \
+         Trf-1-ep {:.2}, Trf-30-ep {:.2}",
+        avg(|r| r.raw),
+        avg(|r| r.transfer_0_epoch),
+        avg(|r| r.transfer_1_epoch),
+        avg(|r| r.transfer_30_epoch)
+    ));
+    vec![Output::new("tab05_warm_start", lines.join("\n"), &rows)]
 }
 
 // ---------------------------------------------------------------------------
@@ -619,8 +919,24 @@ pub fn search_space_log10(group_size: usize, num_accels: usize) -> f64 {
 mod tests {
     use super::*;
 
-    const GS: usize = 16;
-    const BUDGET: usize = 150;
+    /// `case` at the unit tests' scale: 16 jobs, 150 samples, seed 0.
+    fn small(case: Case) -> MapperBuilder {
+        Scale { group_size: 16, budget: 150, ..Scale::REDUCED }.case(case)
+    }
+
+    #[test]
+    fn the_table_lists_the_twelve_artefacts_once_each_in_paper_order() {
+        let names: Vec<&str> = ARTEFACTS.iter().map(|a| a.name).collect();
+        assert_eq!(
+            names,
+            [
+                "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
+                "fig16", "fig17", "tab05"
+            ]
+        );
+        // Only the closed-form Fig. 7 has no problem instance to search.
+        assert!(ARTEFACTS.iter().all(|a| a.cases.is_empty() == (a.name == "fig07")));
+    }
 
     #[test]
     fn fig7_has_expected_shape_and_trends() {
@@ -640,7 +956,7 @@ mod tests {
 
     #[test]
     fn comparison_contains_all_ten_mappers_and_magma_is_reference() {
-        let scores = compare_all_mappers(Setting::S2, TaskType::Mix, Some(16.0), GS, BUDGET, 0);
+        let scores = compare_mappers(&small((S2, Mix, 16.0)), Algorithm::TABLE_IV);
         assert_eq!(scores.len(), 10);
         let magma = scores.iter().find(|s| s.method == "MAGMA").unwrap();
         assert!((magma.normalized - 1.0).abs() < 1e-9);
@@ -649,7 +965,7 @@ mod tests {
 
     #[test]
     fn bw_sweep_produces_one_row_per_bandwidth() {
-        let rows = bw_sweep(Setting::S2, TaskType::Mix, &[1.0, 16.0], GS, BUDGET, 0);
+        let rows = bw_sweep(&small((S2, Mix, 16.0)), &[1.0, 16.0]);
         assert_eq!(rows.len(), 2);
         for (_, scores) in &rows {
             assert_eq!(scores.len(), 4);
@@ -658,8 +974,7 @@ mod tests {
 
     #[test]
     fn operator_ablation_has_three_levels() {
-        let curves =
-            operator_ablation(Setting::S2, TaskType::Vision, Some(16.0), GS, BUDGET, 10, 0);
+        let curves = operator_ablation(&small((S2, Vision, 16.0)), 10);
         assert_eq!(curves.len(), 3);
         assert_eq!(curves[0].method, "Mut");
         assert_eq!(curves[2].method, "Mut+Crs-gen+Crs-rg+Crs-accel");
@@ -670,7 +985,7 @@ mod tests {
 
     #[test]
     fn group_size_sweep_returns_requested_sizes() {
-        let rows = group_size_sweep(Setting::S2, TaskType::Mix, Some(16.0), &[8, 16], BUDGET, 0);
+        let rows = group_size_sweep(&small((S2, Mix, 16.0)), &[8, 16]);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].0, 8);
         assert!(rows.iter().all(|(_, g)| *g > 0.0));
@@ -678,14 +993,15 @@ mod tests {
 
     #[test]
     fn flexible_beats_or_matches_fixed() {
-        let row = flexible_vs_fixed(Setting::S1, TaskType::Mix, 16.0, GS, BUDGET, 0);
+        let row = flexible_vs_fixed(&small((S1, Mix, 16.0)));
+        assert_eq!((row.setting.as_str(), row.task, row.bw_gbps), ("S1", Mix, 16.0));
         assert!(row.flexible_gflops >= row.fixed_gflops * 0.9);
         assert!(row.flexible_avg_latency <= row.fixed_avg_latency * 1.05);
     }
 
     #[test]
     fn schedule_comparison_includes_ganff_charts() {
-        let cmp = schedule_comparison(Setting::S2, TaskType::Mix, 1.0, GS, BUDGET, 0);
+        let cmp = schedule_comparison(&small((S2, Mix, 1.0)));
         assert!(cmp.herald_finish_sec > 0.0);
         assert!(cmp.magma_finish_sec > 0.0);
         assert!(cmp.herald_gantt.contains("accel"));
@@ -701,7 +1017,7 @@ mod tests {
 
     #[test]
     fn warm_start_rows_have_expected_shape() {
-        let rows = warm_start_study(Setting::S2, TaskType::Language, Some(16.0), 8, 1, 0);
+        let rows = warm_start_study(&small((S2, Language, 16.0)).group_size(8), 1);
         assert_eq!(rows.len(), 2);
         // Trf-100-ep is the normalizer on every row.
         assert!(rows.iter().all(|r| r.transfer_100_epoch == 1.0));
@@ -713,5 +1029,17 @@ mod tests {
         let scores = normalize_by_magma(vec![("A".to_string(), 5.0), ("MAGMA".to_string(), 10.0)]);
         assert_eq!(scores[0].normalized, 0.5);
         assert_eq!(scores[1].normalized, 1.0);
+    }
+
+    #[test]
+    fn score_table_has_a_label_a_header_and_a_row_per_mapper() {
+        let table = score_table(
+            "test",
+            &[MethodScore { method: "MAGMA".into(), gflops: 10.0, normalized: 1.0 }],
+        );
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert_eq!(lines[0], "[test]");
+        assert!(lines[2].starts_with("MAGMA") && lines[2].ends_with("1.000"));
     }
 }

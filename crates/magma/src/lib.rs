@@ -77,8 +77,8 @@ pub mod prelude {
         WorkloadSpec,
     };
     pub use magma_optim::{
-        all_mappers, AiMtLike, BatchEvaluator, HeraldLike, Magma, MagmaConfig, OperatorSet,
-        Optimizer, RandomSearch, SearchOutcome, SearchSession, SessionState, StepReport,
+        AiMtLike, BatchEvaluator, HeraldLike, Magma, MagmaConfig, OperatorSet, Optimizer,
+        RandomSearch, SearchOutcome, SearchSession, SessionState, StepReport,
     };
     pub use magma_platform::{settings, AcceleratorPlatform, Setting};
     pub use magma_serve::{

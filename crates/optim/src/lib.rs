@@ -42,9 +42,8 @@
 //! | Paper artefact | Here |
 //! |---|---|
 //! | Section IV-E (MAGMA's genetic operators) | [`magma_ga::OperatorSet`] |
-//! | Figs. 8–9 (mapper comparison) | [`all_mappers`] |
+//! | Figs. 8–12 (the mapper rosters) | `magma::Algorithm` — the facade's tag enum is the one list of the optimizers here |
 //! | Fig. 11 / Fig. 16 (convergence, operator ablation) | [`Optimizer::search`] histories, [`magma_ga::Magma::with_operators`] |
-//! | Fig. 12 (bandwidth sweep subset) | [`bw_sweep_mappers`] |
 //! | Table V (warm-started initial populations) | [`magma_ga::Magma::with_warm_start`] |
 //! | Section V-B (hyper-parameter tuning) | [`hyper`] |
 //!
@@ -94,32 +93,3 @@ pub use magma_ga::{Magma, MagmaConfig, OperatorSet};
 pub use optimizer::{Optimizer, SearchOutcome, SearchSession, SessionState, StepReport};
 pub use parallel::BatchEvaluator;
 pub use random::RandomSearch;
-
-/// Builds every optimizer the paper compares (Table IV), in the order the
-/// figures list them: Herald-like, AI-MT-like, PSO, CMA, DE, TBPSA, stdGA,
-/// RL A2C, RL PPO2, MAGMA.
-pub fn all_mappers() -> Vec<Box<dyn Optimizer>> {
-    vec![
-        Box::new(heuristics::HeraldLike::new()),
-        Box::new(heuristics::AiMtLike::new()),
-        Box::new(pso::Pso::default()),
-        Box::new(cmaes::CmaEs::default()),
-        Box::new(de::DifferentialEvolution::default()),
-        Box::new(tbpsa::Tbpsa::default()),
-        Box::new(stdga::StdGa::default()),
-        Box::new(rl::a2c::A2c::default()),
-        Box::new(rl::ppo::Ppo2::default()),
-        Box::new(magma_ga::Magma::default()),
-    ]
-}
-
-/// Builds the subset of mappers used in the bandwidth-sweep figure (Fig. 12):
-/// Herald-like, RL A2C, RL PPO2 and MAGMA.
-pub fn bw_sweep_mappers() -> Vec<Box<dyn Optimizer>> {
-    vec![
-        Box::new(heuristics::HeraldLike::new()),
-        Box::new(rl::a2c::A2c::default()),
-        Box::new(rl::ppo::Ppo2::default()),
-        Box::new(magma_ga::Magma::default()),
-    ]
-}

@@ -41,38 +41,13 @@ pub fn threads_or(raw: Option<&str>, cores: impl FnOnce() -> usize) -> usize {
     }
 }
 
-/// Parses environment variable `name` into `T`, falling back to `default`
-/// when unset, empty or unparsable. This is the single parse/default path
-/// every `MAGMA_*` knob family goes through; the malformed-value fallback is
-/// unit-tested once, centrally, on [`parse_or`].
-pub fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
-    parse_or(std::env::var(name).ok().as_deref(), default)
-}
-
-/// Pure core of [`env_parse`]: parses `raw` (the environment value, if the
-/// variable was set) into `T`, falling back to `default` when absent, empty,
-/// whitespace-only or unparsable. Split out so the fallback semantics are
-/// testable without mutating the process environment.
+/// Parses `raw` (an environment value, if the variable was set) into `T`,
+/// falling back to `default` when absent, empty, whitespace-only or
+/// unparsable — the malformed-value fallback of every `MAGMA_*` count
+/// ([`threads_or`], [`ServerKnobs::with_overrides`]), pure so it is testable
+/// without mutating the process environment.
 pub fn parse_or<T: std::str::FromStr>(raw: Option<&str>, default: T) -> T {
     raw.and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
-
-/// Reads a boolean environment knob: `0`, `off` or `false` (any case,
-/// surrounding whitespace ignored) disable it, anything else — including the
-/// empty string — leaves it enabled. Unset falls back to `default`.
-pub fn env_flag(name: &str, default: bool) -> bool {
-    flag_or(std::env::var(name).ok().as_deref(), default)
-}
-
-/// Pure core of [`env_flag`], testable without mutating the environment.
-pub fn flag_or(raw: Option<&str>, default: bool) -> bool {
-    match raw {
-        Some(v) => {
-            let v = v.trim();
-            !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false"))
-        }
-        None => default,
-    }
 }
 
 /// The serving knobs every driver shares: trace size, batching, search
@@ -837,9 +812,9 @@ mod tests {
     #[test]
     fn parse_or_falls_back_on_malformed_values() {
         // The single, central test of the malformed-value fallback every
-        // MAGMA_* knob family shares (via env_parse): absent, empty,
-        // whitespace-only and unparsable values all yield the default;
-        // well-formed values (with surrounding whitespace) parse.
+        // MAGMA_* count shares: absent, empty, whitespace-only and
+        // unparsable values all yield the default; well-formed values (with
+        // surrounding whitespace) parse.
         assert_eq!(parse_or::<usize>(None, 7), 7);
         assert_eq!(parse_or::<usize>(Some(""), 7), 7);
         assert_eq!(parse_or::<usize>(Some("   "), 7), 7);
@@ -862,20 +837,6 @@ mod tests {
             assert_eq!(threads_or(raw, || 6), 6, "{raw:?}");
         }
         assert_eq!(threads_or(Some(" 3 "), || unreachable!("a set count asks nothing")), 3);
-    }
-
-    #[test]
-    fn flag_or_disables_only_on_explicit_off_values() {
-        for off in ["0", "off", "OFF", "Off", "false", "FALSE", " 0 ", " off "] {
-            assert!(!flag_or(Some(off), true), "{off:?} should disable");
-            assert!(!flag_or(Some(off), false), "{off:?} should disable");
-        }
-        for on in ["1", "on", "yes", "", "   ", "banana", "2"] {
-            assert!(flag_or(Some(on), true), "{on:?} should enable");
-            assert!(flag_or(Some(on), false), "{on:?} should enable");
-        }
-        assert!(flag_or(None, true));
-        assert!(!flag_or(None, false));
     }
 
     #[test]

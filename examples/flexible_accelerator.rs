@@ -4,12 +4,11 @@
 //!
 //! Run with: `cargo run --release --example flexible_accelerator`
 
-use magma::experiments;
+use magma::experiments::{self, Scale};
 use magma::prelude::*;
 
 fn main() {
-    let group_size = 30;
-    let budget = 1_200;
+    let scale = Scale { group_size: 30, budget: 1_200, seed: 5, full: false };
 
     println!("MAGMA on fixed vs flexible PE arrays (same PE count, same budget)\n");
     println!(
@@ -23,7 +22,7 @@ fn main() {
         (Setting::S1, TaskType::Mix, 1.0),
         (Setting::S1, TaskType::Mix, 16.0),
     ] {
-        let row = experiments::flexible_vs_fixed(setting, task, bw, group_size, budget, 5);
+        let row = experiments::flexible_vs_fixed(&scale.case((setting, task, bw)));
         println!(
             "{:<22} {:>8.0} {:>14.1} {:>14.1} {:>9.2}x",
             format!("{setting} {task}"),
@@ -36,8 +35,7 @@ fn main() {
 
     // Show why: the flexible arrays cut the average per-job no-stall latency
     // (better PE utilization) at the cost of a higher bandwidth appetite.
-    let row =
-        experiments::flexible_vs_fixed(Setting::S1, TaskType::Mix, 16.0, group_size, budget, 5);
+    let row = experiments::flexible_vs_fixed(&scale.case((Setting::S1, TaskType::Mix, 16.0)));
     println!(
         "\navg per-job no-stall latency: fixed {:.0} cycles vs flexible {:.0} cycles",
         row.fixed_avg_latency, row.flexible_avg_latency

@@ -1,12 +1,44 @@
 //! Reduced-scale runs of the experiment harness: every figure/table
 //! reproduction function executes end-to-end and reproduces the paper's
-//! qualitative trends.
+//! qualitative trends, and the artefact table regenerates, byte for byte,
+//! what the one-binary-per-figure code wrote.
 
-use magma::experiments;
+use magma::experiments::{self, Case, Scale, ARTEFACTS};
 use magma::prelude::*;
+use std::collections::BTreeMap;
 
-const GS: usize = 16;
-const BUDGET: usize = 200;
+/// `case` with `group_size` jobs, `budget` samples and `seed`.
+fn case(case: Case, group_size: usize, budget: usize, seed: u64) -> MapperBuilder {
+    Scale { group_size, budget, seed, full: false }.case(case)
+}
+
+/// `tests/data/paper_parent.json` maps each result file's stem to the
+/// FNV-1a-64 of the bytes the parent commit's twelve `fig*` / `tab05`
+/// binaries wrote for it at group size 8, budget 50, seed 0 — written by
+/// those binaries, not by the table. Every row of [`ARTEFACTS`]
+/// at that scale must reproduce its files to the byte, and between them the
+/// rows must cover all fifteen: an artefact cannot be dropped from the table
+/// or bent by the case-as-builder signatures.
+#[test]
+fn the_artefact_table_regenerates_the_files_the_parent_binaries_wrote() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/data/paper_parent.json");
+    let recorded: BTreeMap<String, String> =
+        serde_json::from_str(&std::fs::read_to_string(path).expect("the fixture reads"))
+            .expect("the fixture parses");
+    assert_eq!(recorded.len(), 15);
+
+    let scale = Scale { group_size: 8, budget: 50, ..Scale::REDUCED };
+    let mut written = BTreeMap::new();
+    for artefact in &ARTEFACTS {
+        for output in artefact.run(&scale) {
+            assert!(!output.table.is_empty(), "{} prints nothing", output.stem);
+            let json = serde_json::to_string_pretty(&output.rows).expect("rows serialize");
+            let hash = magma::serve::descriptor::fnv1a64(json.as_bytes());
+            written.insert(output.stem, format!("{hash:016x}"));
+        }
+    }
+    assert_eq!(written, recorded);
+}
 
 /// Fig. 7: vision jobs are compute-heavy / bandwidth-light, recommendation
 /// jobs the opposite; HB is faster but hungrier than LB on language.
@@ -29,8 +61,10 @@ fn fig7_trends() {
 /// same ballpark and MAGMA is the reference (normalized 1.0).
 #[test]
 fn fig8_homogeneous_comparison_runs() {
-    let scores =
-        experiments::compare_all_mappers(Setting::S1, TaskType::Vision, Some(16.0), GS, BUDGET, 0);
+    let scores = experiments::compare_mappers(
+        &case((Setting::S1, TaskType::Vision, 16.0), 16, 200, 0),
+        Algorithm::TABLE_IV,
+    );
     assert_eq!(scores.len(), 10);
     let magma = scores.iter().find(|s| s.method == "MAGMA").unwrap();
     assert!((magma.normalized - 1.0).abs() < 1e-9);
@@ -44,8 +78,10 @@ fn fig8_homogeneous_comparison_runs() {
 /// falls far behind MAGMA, Herald-like stays closer.
 #[test]
 fn fig9_heterogeneous_gap() {
-    let scores =
-        experiments::compare_all_mappers(Setting::S2, TaskType::Mix, Some(16.0), 32, 600, 1);
+    let scores = experiments::compare_mappers(
+        &case((Setting::S2, TaskType::Mix, 16.0), 32, 600, 1),
+        Algorithm::TABLE_IV,
+    );
     let get = |name: &str| scores.iter().find(|s| s.method == name).unwrap().normalized;
     assert!(get("AI-MT-like") < get("MAGMA"));
     assert!(get("AI-MT-like") < get("Herald-like"));
@@ -55,7 +91,8 @@ fn fig9_heterogeneous_gap() {
 /// shrink when bandwidth becomes scarce.
 #[test]
 fn fig12_bw_sweep_trend() {
-    let rows = experiments::bw_sweep(Setting::S2, TaskType::Mix, &[1.0, 16.0], 24, 400, 2);
+    let rows =
+        experiments::bw_sweep(&case((Setting::S2, TaskType::Mix, 16.0), 24, 400, 2), &[1.0, 16.0]);
     assert_eq!(rows.len(), 2);
     let herald_at =
         |i: usize| rows[i].1.iter().find(|s| s.method == "Herald-like").unwrap().normalized;
@@ -67,8 +104,8 @@ fn fig12_bw_sweep_trend() {
 /// job analysis shows S4 requiring less bandwidth than S3.
 #[test]
 fn fig13_combination_trends() {
-    let rows = experiments::subaccel_combination_study(TaskType::Mix, &[64.0], 24, 400, 3);
-    assert_eq!(rows.len(), 3);
+    let rows = [Setting::S3, Setting::S4, Setting::S5]
+        .map(|s| experiments::combination_row(&case((s, TaskType::Mix, 64.0), 24, 400, 3)));
     let s3 = rows.iter().find(|r| r.setting == "S3").unwrap();
     let s4 = rows.iter().find(|r| r.setting == "S4").unwrap();
     let s5 = rows.iter().find(|r| r.setting == "S5").unwrap();
@@ -86,7 +123,8 @@ fn fig13_combination_trends() {
 /// Fig. 14 (reduced): flexible arrays do not lose to fixed arrays.
 #[test]
 fn fig14_flexible_not_worse() {
-    let row = experiments::flexible_vs_fixed(Setting::S1, TaskType::Vision, 16.0, GS, BUDGET, 0);
+    let row =
+        experiments::flexible_vs_fixed(&case((Setting::S1, TaskType::Vision, 16.0), 16, 200, 0));
     assert!(row.flexible_gflops >= row.fixed_gflops * 0.9);
 }
 
@@ -94,7 +132,8 @@ fn fig14_flexible_not_worse() {
 /// on a bandwidth-starved heterogeneous instance.
 #[test]
 fn fig15_schedule_comparison() {
-    let cmp = experiments::schedule_comparison(Setting::S5, TaskType::Mix, 1.0, 24, 600, 0);
+    let cmp =
+        experiments::schedule_comparison(&case((Setting::S5, TaskType::Mix, 1.0), 24, 600, 0));
     assert!(cmp.magma_finish_sec <= cmp.herald_finish_sec * 1.02);
     assert!(cmp.magma_gantt.lines().count() >= 8);
 }
@@ -103,8 +142,10 @@ fn fig15_schedule_comparison() {
 /// best found at the same budget.
 #[test]
 fn fig16_ablation_runs() {
-    let curves =
-        experiments::operator_ablation(Setting::S2, TaskType::Vision, Some(16.0), 24, 400, 10, 0);
+    let curves = experiments::operator_ablation(
+        &case((Setting::S2, TaskType::Vision, 16.0), 24, 400, 0),
+        10,
+    );
     assert_eq!(curves.len(), 3);
     let final_of = |i: usize| curves[i].points.last().unwrap().1;
     assert!(final_of(2) >= final_of(0) * 0.95);
@@ -114,8 +155,10 @@ fn fig16_ablation_runs() {
 /// but tiny groups lose.
 #[test]
 fn fig17_group_size_sweep() {
-    let rows =
-        experiments::group_size_sweep(Setting::S2, TaskType::Mix, Some(16.0), &[4, 20, 40], 500, 0);
+    let rows = experiments::group_size_sweep(
+        &case((Setting::S2, TaskType::Mix, 16.0), 30, 500, 0),
+        &[4, 20, 40],
+    );
     assert_eq!(rows.len(), 3);
     let tiny = rows[0].1;
     let large = rows[2].1;
@@ -137,7 +180,8 @@ fn search_space_size_matches_paper() {
 fn table5_warm_start_reduced() {
     // Compute-bound regime: vision jobs at ample bandwidth (this is exactly
     // where index-wrapped adaptation used to lose to a random epoch).
-    let vision = experiments::warm_start_study(Setting::S2, TaskType::Vision, Some(16.0), 16, 1, 0);
+    let vision =
+        experiments::warm_start_study(&case((Setting::S2, TaskType::Vision, 16.0), 16, 0, 0), 1);
     assert_eq!(vision.len(), 2);
     let warm = &vision[1];
     assert!(
@@ -151,7 +195,8 @@ fn table5_warm_start_reduced() {
     assert_eq!(warm.transfer_100_epoch, 1.0);
 
     // Bandwidth-bound regime: language jobs, where the BW allocator dominates.
-    let lang = experiments::warm_start_study(Setting::S2, TaskType::Language, Some(16.0), 16, 1, 0);
+    let lang =
+        experiments::warm_start_study(&case((Setting::S2, TaskType::Language, 16.0), 16, 0, 0), 1);
     let warm = &lang[1];
     assert!(
         warm.transfer_0_epoch >= warm.raw,

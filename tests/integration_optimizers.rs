@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 #[test]
 fn every_mapper_runs_on_the_real_problem() {
     let p = problem(Setting::S2, TaskType::Mix, Some(16.0), 16, 0);
-    for mapper in all_mappers() {
+    for mapper in Algorithm::TABLE_IV.iter().map(|a| a.build()) {
         let mut rng = StdRng::seed_from_u64(1);
         let outcome = mapper.search(&p, 64, &mut rng);
         assert!(outcome.best_fitness > 0.0, "{} found nothing", mapper.name());
@@ -102,7 +102,7 @@ fn warm_start_transfers_across_groups() {
 #[test]
 fn history_is_consistent_for_all_mappers() {
     let p = problem(Setting::S1, TaskType::Vision, Some(16.0), 12, 2);
-    for mapper in all_mappers() {
+    for mapper in Algorithm::TABLE_IV.iter().map(|a| a.build()) {
         let mut rng = StdRng::seed_from_u64(3);
         let o = mapper.search(&p, 40, &mut rng);
         let curve = o.history.best_curve();
