@@ -41,8 +41,9 @@
 //! * **Cancellation** — [`ServeEngine::cancel`] marks a token cancelled;
 //!   a live session whose jobs are all cancelled is removed immediately
 //!   (finished into the cache when it has evaluated samples, dropped
-//!   outright when it has not), and completions of cancelled tokens are
-//!   flagged so the transport can suppress them.
+//!   outright when it has not) — also a group cut with every token already
+//!   cancelled, which is never searched — and completions of cancelled
+//!   tokens are flagged so the transport can suppress them.
 //!
 //! [`ServeEngine::drain`] closes the lifecycle: admissions stop, every
 //! queued group is force-cut and every live session run to completion, and
@@ -426,7 +427,9 @@ impl ServeEngine {
     /// can close its books; a live session whose jobs are *all* cancelled
     /// is removed immediately — finished into the cache when it has
     /// evaluated samples (the mapping is still worth keeping), dropped
-    /// outright when it has not (an empty history cannot be finished).
+    /// outright when it has not (an empty history cannot be finished). A
+    /// token still in the admission queue is only flagged: the poll that cuts
+    /// its group drops it the same way if nobody else is in it.
     pub fn cancel(&mut self, now_sec: f64, token: u64) -> bool {
         let now = self.clamp_now(now_sec);
         if !self.open_tokens.contains_key(&token) || !self.cancelled.insert(token) {
@@ -443,28 +446,7 @@ impl ServeEngine {
             .map(|(&id, st)| (id, st.shard))
             .collect();
         for (id, shard) in doomed {
-            let Some(session) = self.shards.sched(shard).remove_by_id(id) else { continue };
-            if session.spent() > 0 {
-                self.complete(session, shard, now, false);
-            } else {
-                // Nothing evaluated: no outcome to build, drop the session
-                // and synthesize cancelled completions directly.
-                self.shards.discard(&session, shard);
-                let tags = self.session_tags.remove(&id).expect("tags tracked per session");
-                let kind = session.plan.kind();
-                for (a, tag) in session.group.arrivals.iter().zip(tags.tags) {
-                    self.push_completion(JobCompletion {
-                        token: tag.token,
-                        job_index: tag.job_index,
-                        tenant: a.tenant,
-                        shard,
-                        kind,
-                        timed_out: false,
-                        cancelled: true,
-                        completed_sec: now,
-                    });
-                }
-            }
+            self.end_cancelled_session(id, shard, now);
         }
         true
     }
@@ -589,8 +571,42 @@ impl ServeEngine {
             .map(|a| a.time_sec + self.config.timeout_sec)
             .fold(f64::INFINITY, f64::min);
         let (id, shard) = self.shards.admit(group, t, deadline_sec, &self.mix);
+        // Cancelled to the last token while it waited to be cut: nobody is
+        // left to search for.
+        let for_nobody = tags.iter().all(|tag| self.cancelled.contains(&tag.token));
         self.session_tags.insert(id, SessionTags { shard, tags });
         self.work.groups += 1;
+        if for_nobody {
+            self.end_cancelled_session(id, shard, t);
+        }
+    }
+
+    /// Removes a live session wholly made of cancelled tokens: finished into
+    /// the cache when it has evaluated samples, dropped outright when it has
+    /// not, its jobs completed as cancelled either way.
+    fn end_cancelled_session(&mut self, id: u64, shard: usize, now: f64) {
+        let Some(session) = self.shards.sched(shard).remove_by_id(id) else { return };
+        if session.spent() > 0 {
+            self.complete(session, shard, now, false);
+        } else {
+            // Nothing evaluated: no outcome to build, drop the session
+            // and synthesize cancelled completions directly.
+            self.shards.discard(&session, shard);
+            let tags = self.session_tags.remove(&id).expect("tags tracked per session");
+            let kind = session.plan.kind();
+            for (a, tag) in session.group.arrivals.iter().zip(tags.tags) {
+                self.push_completion(JobCompletion {
+                    token: tag.token,
+                    job_index: tag.job_index,
+                    tenant: a.tenant,
+                    shard,
+                    kind,
+                    timed_out: false,
+                    cancelled: true,
+                    completed_sec: now,
+                });
+            }
+        }
     }
 
     /// Runs one scheduler step on every shard with live sessions — this is
@@ -833,6 +849,42 @@ mod tests {
         assert_eq!(cancelled.len(), 1);
         assert!(cancelled[0].cancelled);
         assert_eq!(engine.next_wake(0.0), Wake::Idle);
+    }
+
+    #[test]
+    fn a_group_cancelled_before_it_is_cut_is_never_searched() {
+        // The cancel overtakes the poll that cuts the group — what a client
+        // cancelling or hanging up right after `accepted` does. A budget of
+        // years: searched for nobody, neither poll nor drain would return.
+        let mut knobs = tiny_knobs();
+        knobs.fleet.serve.group_target = 1;
+        knobs.fleet.serve.cold_budget = 1 << 50;
+        let mut engine = ServeEngine::new(EngineConfig::from_knobs(&knobs), mix(4));
+        assert_eq!(engine.submit(0.0, 1, 0, vec![job(1)]), Admission::Accepted);
+        assert!(engine.cancel(0.0, 1));
+        assert_eq!(engine.stats().queued_jobs, 1, "only flagged so far");
+        let cancelled = engine.poll(0.0);
+        assert!(matches!(cancelled[..], [JobCompletion { token: 1, cancelled: true, .. }]));
+        assert_eq!(engine.next_wake(0.0), Wake::Idle);
+
+        // A group somebody still waits for is searched for them, and drain
+        // cuts and drops the other kind like poll does.
+        knobs.fleet.serve.group_target = 2;
+        knobs.fleet.serve.cold_budget = 40;
+        let mut engine = ServeEngine::new(EngineConfig::from_knobs(&knobs), mix(4));
+        for t in 0..3 {
+            assert_eq!(engine.submit(0.0, t, 0, vec![job(t as usize)]), Admission::Accepted);
+        }
+        assert!(engine.cancel(0.0, 0) && engine.cancel(0.0, 2));
+        let done = engine.drain(0.0);
+        // Token 2's group is dropped as it is cut, before 0 and 1's finishes.
+        let cancelled: Vec<u64> = done.iter().filter(|c| c.cancelled).map(|c| c.token).collect();
+        assert_eq!((done.len(), cancelled), (3, vec![2, 0]));
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.completed_jobs, stats.cancelled_jobs, stats.completed_sessions),
+            (1, 2, 1)
+        );
     }
 
     #[test]

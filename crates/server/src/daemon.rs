@@ -6,7 +6,7 @@
 //!
 //! ```text
 //!   accept thread ──▶ per-connection reader threads ──▶ command channel
-//!   (blocking accept)   (blocking read, decode)               │
+//!   (blocking accept)   (blocking read, envelope scan)     (bounded)
 //!                                                             ▼
 //!                                        engine thread (owns ServeEngine,
 //!                                        wall clock = Instant::elapsed)
@@ -19,10 +19,16 @@
 //!                                       (blocking recv, blocking write)
 //! ```
 //!
-//! The engine thread is the only place serving state lives: readers decode
+//! The engine thread is the only place serving state lives: readers turn
 //! frames into commands, the engine thread applies them against the wall
 //! clock (`submit`/`cancel`/`drain`/`stats`) and polls the engine for
-//! completions. It is **work-conserving**: how long it waits for the next
+//! completions. A reader parses only a request's [`Envelope`] — id, verb,
+//! tenant, target — and checks that the jobs are well-formed JSON; the engine
+//! thread decides `busy` on that alone and decodes the jobs of the submits it
+//! admits, so refusing a group costs a scan of its frame. The command channel
+//! is bounded: a reader that cannot enqueue stops reading, and a client that
+//! sends faster than the engine thread applies is held back by TCP. It is
+//! **work-conserving**: how long it waits for the next
 //! command is the engine's own answer ([`ServeEngine::next_wake`]):
 //!
 //! * [`Wake::Now`] — searches are live or a group is ready to cut: take
@@ -40,7 +46,7 @@
 //! wall-clock second, and while the charges run ahead of the clock — more
 //! than a quarter-second burst ahead of an idle daemon's — a submit is
 //! answered `busy` with the time the budget needs, exactly like the engine's
-//! own backpressure. The prices are over twice what the work costs on the
+//! own backpressure. The prices are three times what the work costs on the
 //! reference box, so an open-loop client at a sane rate never meets the
 //! pace, while a client that saturates the daemon gets the same throughput
 //! on every host and in every run instead of the host's CPU speed of the
@@ -62,9 +68,7 @@ use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{
-    self, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError, TrySendError,
-};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -76,8 +80,8 @@ use magma_serve::{
 
 use crate::frame::{read_frame, write_frame};
 use crate::proto::{
-    decode, encode, RequestMsg, ResponseMsg, KIND_ACCEPTED, KIND_BUSY, KIND_CANCELLED, KIND_DONE,
-    KIND_DRAINED, KIND_STATS, VERB_CANCEL, VERB_DRAIN, VERB_STATS, VERB_SUBMIT,
+    decode_jobs, encode, Envelope, ResponseMsg, KIND_ACCEPTED, KIND_BUSY, KIND_CANCELLED,
+    KIND_DONE, KIND_DRAINED, KIND_STATS, VERB_CANCEL, VERB_DRAIN, VERB_STATS, VERB_SUBMIT,
 };
 
 /// Responses a connection may have queued for its writer thread. The socket
@@ -85,6 +89,12 @@ use crate::proto::{
 /// megabytes behind; the bound is generous because the engine thread can
 /// answer a whole batch of pipelined requests before the writer runs at all.
 const OUTBOX_FRAMES: usize = 1024;
+
+/// Commands the readers may have queued for the engine thread, which takes
+/// all of them between every two scheduler slices. Each holds at most one
+/// frame, so this bounds what unapplied requests can pin in memory; a reader
+/// that finds the queue full blocks, and its peer meets TCP backpressure.
+const CMD_QUEUE: usize = 256;
 
 /// How long a writer thread waits for a peer to accept a byte before it
 /// gives the connection up. Also bounds how long a stalled peer can hold up
@@ -94,26 +104,29 @@ const WRITE_STALL: Duration = Duration::from_secs(5);
 /// The admission pace's price list, in seconds of mapper budget per search
 /// sample the engine evaluated and per group it cut.
 ///
-/// A sample costs the daemon ≈ 4 µs of CPU on the reference box (2.15 ms a
-/// never-seen 30-job group at ≈ 520 samples, codec and cache included; it was
-/// 2.6 ms before the fitness kernel sorted inside a core and ran two passes
-/// an event). The charge was set at two and a half times the ≈ 12 µs a sample
-/// cost while every exact-key miss paid a 2 ms near-hit scan (6.5 ms a
-/// group); the scan is 0.1 ms now and the charge is seven times the cost. It
-/// is deliberately left where it was — lowering it moves `throughput_per_s`
-/// and is a change of its own — so a host at a fifth of the speed still keeps
-/// up with what the pace admits. The per-group charge is not a cost estimate:
-/// it keeps a cache-hit workload (≈ 30 samples a group, ≈ 350 groups/s at this price) under what
-/// the four virtual accelerator timelines sustain — 330 to 540 groups/s
-/// depending on which groups are hot — so that it, too, meets the pace first
-/// and not the engine's accelerator backpressure, whose level moves with the
-/// request mix.
-const PACE_SEC_PER_SAMPLE: f64 = 30e-6;
+/// The sample price is three times what a sample costs the daemon on the
+/// reference box, codec, cache and scheduler included: ≈ 3.5 µs, measured with
+/// the pace out of the way as 1.6 ms of CPU a never-seen 30-job group at ≈ 450
+/// samples. A host at a third of the speed still keeps up with what the pace
+/// admits, and the same box unpaced sustains four times as much, so the
+/// saturation figure stays a constant of the daemon. The per-group charge is
+/// not a cost estimate: it keeps a cache-hit workload (30 refine samples a
+/// group, so 2.9 ms and ≈ 350 groups/s) under what the four virtual
+/// accelerator timelines sustain — 330 to 540 groups/s depending on which
+/// groups are hot — so that it, too, meets the pace first and not the
+/// engine's accelerator backpressure, whose level moves with the request mix.
+/// Whoever moves the sample price moves the group price against it: the 2.9 ms
+/// is the invariant.
+const PACE_SEC_PER_SAMPLE: f64 = 10e-6;
 /// The per-group entry of the price list above.
-const PACE_SEC_PER_GROUP: f64 = 2e-3;
+const PACE_SEC_PER_GROUP: f64 = 2.6e-3;
 
 /// Mapper budget an idle daemon has saved up: the burst it admits at once.
 const PACE_BURST_SEC: f64 = 0.25;
+
+/// The shortest wait a `busy` answer suggests, the floor the engine's own
+/// backpressure uses: a client that honours a hint of nanoseconds spins.
+const PACE_MIN_RETRY_SEC: f64 = 1e-3;
 
 /// The admission pace: one second of mapper budget per second of wall time.
 ///
@@ -122,7 +135,7 @@ const PACE_BURST_SEC: f64 = 0.25;
 /// the time the budget needs to catch up. An unsaturated daemon never
 /// notices, and the engine thread stays work-conserving — what is admitted
 /// is searched back to back. A client that saturates the daemon, though, is
-/// admitted at the same rate on every host and in every run (≈ 64 cold
+/// admitted at the same rate on every host and in every run (≈ 140 cold
 /// 30-job groups a second, ≈ 350 cached ones) instead of at whatever the
 /// host's CPU sustains that minute: saturation throughput is a property of
 /// the daemon, not of the box, and the same traffic draws the same `busy`
@@ -153,7 +166,7 @@ impl Pace {
 
     /// How long a submit at `now` has to wait for budget; `None` admits it.
     fn wait(&self, now: f64) -> Option<f64> {
-        (self.spent_until > now).then_some(self.spent_until - now)
+        (self.spent_until > now).then(|| (self.spent_until - now).max(PACE_MIN_RETRY_SEC))
     }
 }
 
@@ -161,8 +174,8 @@ impl Pace {
 enum Cmd {
     /// A connection opened; carries the engine thread's end of it.
     Connect { conn: u64, link: Link },
-    /// A decoded request from `conn`.
-    Request { conn: u64, msg: RequestMsg },
+    /// A request from `conn`, its jobs not decoded yet.
+    Request { conn: u64, msg: Envelope },
     /// A frame that failed to decode: the connection is dropped.
     Malformed { conn: u64, reason: String },
     /// The connection closed or errored.
@@ -223,7 +236,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<Cmd>();
+        let (tx, rx) = mpsc::sync_channel::<Cmd>(CMD_QUEUE);
 
         let accept_thread = {
             let shutdown = Arc::clone(&shutdown);
@@ -266,7 +279,7 @@ impl Server {
 
 fn accept_loop(
     listener: TcpListener,
-    tx: Sender<Cmd>,
+    tx: SyncSender<Cmd>,
     shutdown: Arc<AtomicBool>,
     max_frame_bytes: usize,
 ) {
@@ -299,11 +312,11 @@ fn accept_loop(
     }
 }
 
-fn reader_loop(conn: u64, stream: &TcpStream, tx: Sender<Cmd>, max_frame_bytes: usize) {
+fn reader_loop(conn: u64, stream: &TcpStream, tx: SyncSender<Cmd>, max_frame_bytes: usize) {
     let mut r = BufReader::new(stream);
     loop {
         match read_frame(&mut r, max_frame_bytes) {
-            Ok(Some(payload)) => match decode::<RequestMsg>(&payload) {
+            Ok(Some(payload)) => match Envelope::decode(&payload) {
                 Ok(msg) => {
                     if tx.send(Cmd::Request { conn, msg }).is_err() {
                         return;
@@ -433,22 +446,33 @@ impl Serving {
                 self.conns.insert(conn, link);
             }
             Cmd::Gone { conn } => self.drop_conn(conn),
-            Cmd::Malformed { conn, reason } => {
-                eprintln!("magma-server: dropping connection {conn}: {reason}");
-                self.drop_conn(conn);
-            }
+            Cmd::Malformed { conn, reason } => self.drop_malformed(conn, &reason),
             Cmd::Request { conn, msg } => match msg.verb.as_str() {
+                // Queued behind the request that got its connection dropped:
+                // not admitted, nobody is left to search for.
+                VERB_SUBMIT if !self.conns.contains_key(&conn) => {}
                 VERB_SUBMIT => {
-                    let resp = match (msg.tenant, msg.jobs) {
-                        (Some(tenant), Some(jobs)) => {
+                    let resp = match (msg.tenant, &msg.jobs) {
+                        (Some(tenant), Some(raw)) => {
                             let token = self.next_token;
-                            let total = jobs.len();
+                            let mut total = 0;
+                            // The pace first: only an admitted submit has
+                            // its jobs decoded.
                             let verdict = match self.pace.wait(now) {
                                 Some(retry_after_sec) => {
                                     self.paced += 1;
                                     Admission::Busy { retry_after_sec }
                                 }
-                                None => self.engine.submit(now, token, tenant, jobs),
+                                None => match decode_jobs(raw) {
+                                    Ok(jobs) => {
+                                        total = jobs.len();
+                                        self.engine.submit(now, token, tenant, jobs)
+                                    }
+                                    Err(reason) => {
+                                        self.drop_malformed(conn, &reason);
+                                        return false;
+                                    }
+                                },
                             };
                             match verdict {
                                 Admission::Accepted => {
@@ -571,6 +595,12 @@ impl Serving {
         }
     }
 
+    /// Drops a connection over a frame that failed to decode.
+    fn drop_malformed(&mut self, conn: u64, reason: &str) {
+        eprintln!("magma-server: dropping connection {conn}: {reason}");
+        self.drop_conn(conn);
+    }
+
     /// Closes a connection (a no-op when it is already closed) and cancels
     /// the submits it still has open, so the engine stops searching for
     /// answers nobody will read; their books close through the `cancelled`
@@ -604,23 +634,50 @@ mod tests {
         assert_eq!(pace.wait(0.0), None, "a fresh daemon has its burst saved up");
 
         // As many groups as the burst pays for, done in no time at t = 10:
-        // still admitting. One more overdraws the budget by what the burst
-        // does not cover, and the hint says so to the end — a submit at the
-        // hinted time is admitted.
+        // still admitting. Two more overdraw the budget by what the burst
+        // does not cover (a whole group at least, so well above the hint's
+        // floor), and the hint says so to the end — a submit at the hinted
+        // time is admitted.
         let group = PACE_SEC_PER_GROUP + 500.0 * PACE_SEC_PER_SAMPLE;
         let burst = (PACE_BURST_SEC / group) as u64;
         pace.charge(10.0, work(burst, 500 * burst));
         assert_eq!(pace.wait(10.0), None);
-        pace.charge(10.0, work(burst + 1, 500 * (burst + 1)));
+        let over = burst + 2;
+        pace.charge(10.0, work(over, 500 * over));
         let wait = pace.wait(10.0).expect("the budget is overdrawn");
-        assert!((wait - (group * (burst + 1) as f64 - PACE_BURST_SEC)).abs() < 1e-9);
+        assert!((wait - (group * over as f64 - PACE_BURST_SEC)).abs() < 1e-9);
         assert_eq!(pace.wait(10.0 + wait), None);
 
         // A daemon that then idles saves up again, but never more than the
         // burst: after a long pause the same work overdraws it as much.
-        pace.charge(1_000.0, work(2 * (burst + 1), 1_000 * (burst + 1)));
+        pace.charge(1_000.0, work(2 * over, 1_000 * over));
         let again = pace.wait(1_000.0).expect("the budget is overdrawn again");
         assert!((again - wait).abs() < 1e-9);
+    }
+
+    #[test]
+    fn the_retry_hint_is_never_shorter_than_a_millisecond() {
+        // Overdrawn by one sample's price: a client sleeping exactly the
+        // hint would otherwise come back every few microseconds.
+        let burst = (PACE_BURST_SEC / PACE_SEC_PER_SAMPLE).round() as u64;
+        let mut pace = Pace::new();
+        pace.charge(10.0, work(0, burst + 1));
+        assert_eq!(pace.wait(10.0), Some(PACE_MIN_RETRY_SEC));
+        let caught_up = 10.0 + 2.0 * PACE_SEC_PER_SAMPLE;
+        assert_eq!(pace.wait(caught_up), None, "the floor lengthens the hint, not the wait");
+    }
+
+    #[test]
+    fn the_price_list_charges_a_cached_group_what_it_always_did() {
+        let charged = |samples: u64| {
+            let mut pace = Pace::new();
+            pace.charge(0.0, work(1, samples));
+            pace.spent_until + PACE_BURST_SEC
+        };
+        // A cache hit's 30 refine samples: the 2.9 ms `rpc_hot`'s ≈ 350 /s
+        // rests on, whatever the sample price is. A cold search of 600: 8.6 ms.
+        assert!((charged(30) - 2.9e-3).abs() < 1e-12, "{}", charged(30));
+        assert!((charged(600) - 8.6e-3).abs() < 1e-12, "{}", charged(600));
     }
 
     #[test]

@@ -37,8 +37,10 @@
 //! fleet router balances on), submits get `busy` with a
 //! `retry_after_sec` hint instead of queueing without bound. The daemon
 //! adds an admission pace in front of it — a budget of provisioned mapper
-//! time per wall-clock second, answered with the same `busy` — so what a
-//! saturating client gets is the same on every host and in every run.
+//! time per wall-clock second, answered with the same `busy`, and decided on
+//! a request's envelope before its jobs are decoded — so what a saturating
+//! client gets is the same on every host and in every run, and what it is
+//! refused costs the daemon a scan of the frame.
 //!
 //! The end-to-end localhost suite lives in `tests/integration_rpc.rs`.
 

@@ -13,6 +13,9 @@
 //! The vendored serde stack has no field attributes, so both messages are
 //! flat structs whose verb-specific fields are `Option`s; the constructors
 //! below are the only intended way to build well-formed requests.
+//!
+//! Clients speak [`RequestMsg`]; the daemon reads the same bytes as an
+//! [`Envelope`], whose `jobs` stay text until a submit is admitted.
 
 use magma_model::Job;
 use magma_serve::EngineStats;
@@ -85,6 +88,47 @@ impl RequestMsg {
     }
 }
 
+/// A [`RequestMsg`] as the daemon reads it: everything an admission verdict
+/// needs, with the jobs checked to be well-formed JSON and left undecoded. A
+/// submit the daemon is too busy for costs it a scan of the frame, not thirty
+/// [`Job`]s built to be thrown away; [`decode_jobs`] builds them once the
+/// submit is admitted. The jobs of a request that never gets that far — a
+/// bounced submit, one without a tenant, any other verb — are never looked
+/// at beyond their grammar.
+///
+/// `Deserialize` is derived for [`Envelope::decode`], which has the parser
+/// read `jobs` as `null`; `decode::<Envelope>` is not a way to get one.
+#[derive(Debug, Clone, Deserialize)]
+pub struct Envelope {
+    /// See [`RequestMsg::id`].
+    pub id: u64,
+    /// See [`RequestMsg::verb`].
+    pub verb: String,
+    /// See [`RequestMsg::tenant`].
+    pub tenant: Option<usize>,
+    /// The text of [`RequestMsg::jobs`].
+    pub jobs: Option<String>,
+    /// See [`RequestMsg::target`].
+    pub target: Option<u64>,
+}
+
+impl Envelope {
+    /// Decodes a frame payload. Fails on exactly the payloads
+    /// [`decode::<RequestMsg>`](decode) fails on, short of those whose `jobs`
+    /// are well-formed JSON that is not a list of valid jobs — those fail in
+    /// [`decode_jobs`].
+    pub fn decode(payload: &[u8]) -> Result<Self, String> {
+        let (env, jobs): (Envelope, _) =
+            serde_json::from_str_raw_member(utf8(payload)?, "jobs").map_err(malformed)?;
+        Ok(Envelope { jobs: jobs.filter(|&raw| raw != "null").map(str::to_owned), ..env })
+    }
+}
+
+/// Decodes the jobs of an [`Envelope`], through [`Job`]'s checked constructor.
+pub fn decode_jobs(raw: &str) -> Result<Vec<Job>, String> {
+    serde_json::from_str(raw).map_err(|e| format!("malformed message: field jobs: {e}"))
+}
+
 /// One server → client message.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ResponseMsg {
@@ -131,26 +175,37 @@ pub fn encode<T: Serialize>(msg: &T) -> Vec<u8> {
 
 /// Decodes a frame payload; the error string names the parse failure.
 pub fn decode<T: Deserialize>(payload: &[u8]) -> Result<T, String> {
-    let text = std::str::from_utf8(payload).map_err(|e| format!("frame is not UTF-8: {e}"))?;
-    serde_json::from_str(text).map_err(|e| format!("malformed message: {e}"))
+    serde_json::from_str(utf8(payload)?).map_err(malformed)
+}
+
+fn utf8(payload: &[u8]) -> Result<&str, String> {
+    std::str::from_utf8(payload).map_err(|e| format!("frame is not UTF-8: {e}"))
+}
+
+fn malformed(e: serde_json::Error) -> String {
+    format!("malformed message: {e}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use magma_model::{LayerShape, TaskType};
+    use magma_model::{JobId, LayerShape, TaskType};
+    use proptest::prelude::*;
+
+    fn fc_job(id: usize, model: &str, out_features: usize, in_features: usize) -> Job {
+        Job::new(
+            JobId(id),
+            model,
+            0,
+            LayerShape::FullyConnected { out_features, in_features },
+            4,
+            TaskType::Recommendation,
+        )
+    }
 
     #[test]
     fn requests_round_trip_with_job_payloads() {
-        let job = Job::new(
-            magma_model::JobId(0),
-            "mlp",
-            0,
-            LayerShape::FullyConnected { out_features: 128, in_features: 64 },
-            4,
-            TaskType::Recommendation,
-        );
-        let req = RequestMsg::submit(7, 1, vec![job]);
+        let req = RequestMsg::submit(7, 1, vec![fc_job(0, "mlp", 128, 64)]);
         let back: RequestMsg = decode(&encode(&req)).unwrap();
         assert_eq!(back.id, 7);
         assert_eq!(back.verb, VERB_SUBMIT);
@@ -168,5 +223,82 @@ mod tests {
         assert!(decode::<RequestMsg>(b"not json").is_err());
         assert!(decode::<RequestMsg>(&[0xff, 0xfe]).is_err());
         assert!(decode::<RequestMsg>(b"{\"id\":1}").is_err(), "missing verb");
+        assert!(Envelope::decode(b"not json").is_err());
+        assert!(Envelope::decode(&[0xff, 0xfe]).is_err());
+        assert!(Envelope::decode(b"{\"id\":1}").is_err(), "missing verb");
+    }
+
+    #[test]
+    fn an_envelope_reads_members_the_way_the_whole_message_is_read() {
+        // The first of two members counts, unknown ones are ignored, and the
+        // jobs may stand anywhere — also between two `id`s.
+        let text = br#" {"id":1, "jobs":[], "x":{"id":9}, "id":2, "verb":"stats", "verb":7} "#;
+        let (env, msg) = (Envelope::decode(text).unwrap(), decode::<RequestMsg>(text).unwrap());
+        assert_eq!((env.id, env.verb.as_str()), (1, "stats"));
+        assert_eq!((msg.id, msg.verb.as_str()), (1, "stats"));
+        assert_eq!(decode_jobs(&env.jobs.unwrap()), Ok(vec![]));
+        // Jobs that are JSON but not jobs pass the envelope and fail later.
+        let text = br#"{"id":1,"verb":"submit_group","tenant":0,"jobs":{"a":[1,2]}}"#;
+        assert!(decode::<RequestMsg>(text).is_err());
+        assert!(decode_jobs(&Envelope::decode(text).unwrap().jobs.unwrap()).is_err());
+        // Jobs that are not JSON do not.
+        let text = br#"{"id":1,"verb":"submit_group","tenant":0,"jobs":[{"a":[1,2}]}"#;
+        assert!(Envelope::decode(text).is_err());
+    }
+
+    /// The request a generated case describes, and how to bend its frame.
+    fn generated(
+        (id, verb, fields): (u64, usize, usize),
+        jobs: &[(usize, usize, usize)],
+    ) -> RequestMsg {
+        const MODELS: [&str; 4] = ["mlp", "quo\"te\\d", "br[ack]{et},s:", "ünï\u{7}code\n"];
+        let verbs = [VERB_SUBMIT, VERB_CANCEL, VERB_DRAIN, VERB_STATS, "", "\"]}"];
+        let jobs = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, &(out, inp, model))| fc_job(i, MODELS[model], out, inp))
+            .collect();
+        RequestMsg {
+            id,
+            verb: verbs[verb].to_string(),
+            tenant: (fields & 1 != 0).then_some(fields),
+            jobs: (fields & 2 != 0).then_some(jobs),
+            target: (fields & 4 != 0).then_some(id / 2),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn an_envelope_and_its_jobs_decode_to_what_the_whole_message_decodes_to(
+            head in (0u64..u64::MAX, 0usize..6, 0usize..8),
+            jobs in proptest::collection::vec((1usize..4096, 1usize..4096, 0usize..4), 0..6),
+            bend in 0usize..4,
+        ) {
+            let frame = String::from_utf8(encode(&generated(head, &jobs))).unwrap();
+            // Three in four frames are bent into something a client library
+            // would not send: a job the constructor refuses, jobs of the wrong
+            // type, whitespace and a repeated member.
+            let frame = match bend {
+                1 => frame.replace("\"batch\":4", "\"batch\":0"),
+                2 => frame.replace("\"jobs\":[", "\"jobs\":[7,"),
+                3 => frame.replace("\"jobs\":", "\"id\" : 3 ,\n\"jobs\" :\t"),
+                _ => frame,
+            };
+            let payload = frame.as_bytes();
+
+            let whole = decode::<RequestMsg>(payload);
+            let lazy = Envelope::decode(payload).and_then(|env| {
+                let jobs = env.jobs.as_deref().map(decode_jobs).transpose()?;
+                Ok(RequestMsg { id: env.id, verb: env.verb, tenant: env.tenant, jobs, target: env.target })
+            });
+            prop_assert_eq!(whole.as_ref().map(encode).ok(), lazy.as_ref().map(encode).ok());
+            prop_assert!(whole.is_ok() || bend == 1 || bend == 2, "{frame}");
+
+            // Cut anywhere, also inside a character, the frame is an error.
+            for cut in 0..payload.len() {
+                prop_assert!(Envelope::decode(&payload[..cut]).is_err(), "cut at {cut}: {frame}");
+                prop_assert!(decode::<RequestMsg>(&payload[..cut]).is_err());
+            }
+        }
     }
 }

@@ -13,7 +13,9 @@
 //! * **Admissions are paced** — once the mapper work done overdraws the
 //!   daemon's budget a submit is answered `busy` with the time the budget
 //!   needs, a submit after that time is admitted, and the final stats count
-//!   the bounced submit as rejected.
+//!   the bounced submit as rejected. `busy` is decided before the jobs are
+//!   decoded: at a closed pace a submit whose jobs are JSON but not jobs is
+//!   bounced like any other, and costs its connection only once admitted.
 //! * **Graceful drain** — every in-flight group reaches its terminal
 //!   `done` *before* the `drained` response, shard caches are persisted
 //!   to disk, and the final stats account for every job.
@@ -24,16 +26,18 @@
 //!   to wake the engine thread (a wrong wake time hangs, it does not add a
 //!   tick).
 //! * **A bad client costs only its own connection** — one that stops
-//!   reading is dropped while every other client is served on, one that
-//!   vanishes has its open submits cancelled, and one whose `submit_group`
-//!   carries a job `Job::new` would refuse (`"batch": 0`, a dimension of
-//!   2^64 − 1, a layer with no elements) is a decode error on its own socket,
-//!   not a panic or a hang of the engine thread.
+//!   reading is dropped while every other client is served on (also one that
+//!   floods submits at a closed pace), one that vanishes has its open submits
+//!   cancelled, and one whose `submit_group` carries a job `Job::new` would
+//!   refuse (`"batch": 0`, a dimension of 2^64 − 1, a layer with no elements)
+//!   is a decode error on its own socket, not a panic or a hang of the engine
+//!   thread.
 //! * **The loadgen → `BENCH_rpc.json` pipeline** — a wall-clock replay
 //!   produces a report that passes its own `magma-rpc/v1` self-check
 //!   with zero dropped in-flight submits.
 
 use std::collections::HashMap;
+use std::io::ErrorKind;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -46,7 +50,7 @@ use magma_server::client::{Client, Event};
 use magma_server::daemon::Server;
 use magma_server::frame::{read_frame, write_frame};
 use magma_server::loadgen::{self, LoadgenParams};
-use magma_server::proto::{encode, RequestMsg};
+use magma_server::proto::{decode, encode, RequestMsg, ResponseMsg, KIND_BUSY, KIND_STATS};
 
 const MAX_FRAME: usize = 1 << 20;
 const STEP: Duration = Duration::from_millis(20);
@@ -120,6 +124,28 @@ fn pump_until(
             events.push(event);
         }
     }
+}
+
+/// One-job groups whose search is charged `closed_for_sec` of mapper budget
+/// (10 µs a sample, a fraction of that to run), and an engine that never
+/// answers `busy` itself: see [`close_the_pace`].
+fn paced_knobs(closed_for_sec: f64) -> ServerKnobs {
+    let mut knobs = tiny_knobs();
+    knobs.fleet.serve.cold_budget = (closed_for_sec * 100_000.0) as usize;
+    knobs.fleet.serve.group_target = 1;
+    knobs.max_backlog_sec = 1e9;
+    knobs.pending_per_shard = 1_000;
+    knobs
+}
+
+/// Has a daemon under [`paced_knobs`] search one group. Its charge overdraws
+/// the budget by the knobs' seconds less the burst, from when it was admitted:
+/// until then the daemon is idle and every submit is bounced by the pace.
+fn close_the_pace(client: &mut Client) {
+    client.submit(0, vec![job(0)]).expect("submit");
+    let mut events = Vec::new();
+    pump_until_settled(client, &mut events, Instant::now() + Duration::from_secs(60));
+    assert!(matches!(events[..], [Event::Accepted { .. }, Event::Done { .. }]), "{events:?}");
 }
 
 fn drain_and_join(mut client: Client, server: Server) -> magma_serve::EngineStats {
@@ -236,24 +262,15 @@ fn flooding_engages_backpressure_while_accepted_work_stays_bounded() {
 
 #[test]
 fn the_admission_pace_bounces_a_submit_until_the_budget_has_caught_up() {
-    let mut knobs = tiny_knobs();
-    // One-job groups whose search is charged a second of mapper budget, four
-    // times the burst, and an engine that never answers `busy` itself.
-    knobs.fleet.serve.cold_budget = 40_000;
-    knobs.fleet.serve.group_target = 1;
-    knobs.max_backlog_sec = 1e9;
-    knobs.pending_per_shard = 1_000;
-    let (server, addr) = start_server(&knobs);
+    // A search charged 1.2 s of mapper budget, almost five times the burst.
+    let (server, addr) = start_server(&paced_knobs(1.2));
     let mut client = Client::connect(&addr, MAX_FRAME).expect("client connects");
     let settle = |client: &mut Client| {
         let mut events = Vec::new();
         pump_until_settled(client, &mut events, Instant::now() + Duration::from_secs(60));
         events
     };
-
-    client.submit(0, vec![job(0)]).expect("submit");
-    let events = settle(&mut client);
-    assert!(matches!(events[..], [Event::Accepted { .. }, Event::Done { .. }]), "{events:?}");
+    close_the_pace(&mut client);
 
     // The budget is overdrawn now: the next submit bounces, with a hint.
     client.submit(0, vec![job(1)]).expect("submit");
@@ -271,6 +288,86 @@ fn the_admission_pace_bounces_a_submit_until_the_budget_has_caught_up() {
     assert_eq!(stats.accepted, 2);
     assert_eq!(stats.rejected, 1, "a paced submit counts as rejected");
     assert_eq!(stats.completed_jobs, 2);
+}
+
+#[test]
+fn a_closed_pace_bounces_a_submit_before_its_jobs_are_decoded() {
+    let (server, addr) = start_server(&paced_knobs(10.0));
+    let mut client = Client::connect(&addr, MAX_FRAME).expect("client connects");
+    close_the_pace(&mut client);
+
+    let frame = String::from_utf8(encode(&RequestMsg::submit(0, 0, vec![job(0)]))).unwrap();
+    let mut raw = TcpStream::connect(&addr).expect("raw client connects");
+    raw.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout sets");
+    let mut ask = |payload: &[u8]| {
+        write_frame(&mut raw, payload, MAX_FRAME).expect("the frame sends");
+        let answer = read_frame(&mut raw, MAX_FRAME).expect("the daemon answers or hangs up");
+        answer.map(|payload| decode::<ResponseMsg>(&payload).expect("a response"))
+    };
+
+    // Well-formed JSON that is not a valid job: admitted it would be a decode
+    // error (see `a_job_the_constructor_would_refuse…`), but nothing is
+    // admitted now, so it is bounced like any submit and the connection lives.
+    let bounced = ask(frame.replace("\"batch\":4", "\"batch\":0").as_bytes()).expect("an answer");
+    assert_eq!(bounced.kind, KIND_BUSY);
+    assert!(bounced.retry_after_sec.expect("a hint") > 1.0, "{bounced:?}");
+    // A verb that does not use its jobs never reads them beyond their grammar.
+    let stats = ask(br#"{"id":1,"verb":"stats","jobs":[7]}"#).expect("the connection lives");
+    assert_eq!(stats.kind, KIND_STATS);
+    // Not JSON at all: the reader refuses the frame whatever the pace says.
+    assert!(ask(frame.replace("\"batch\":4", "\"batch\":}").as_bytes()).is_none());
+
+    let stats = drain_and_join(client, server);
+    assert_eq!((stats.accepted, stats.rejected), (1, 1), "one bent frame was bounced");
+}
+
+#[test]
+fn a_submit_flood_at_a_closed_pace_costs_only_the_flooders_connection() {
+    let (server, addr) = start_server(&paced_knobs(10.0));
+    let mut healthy = Client::connect(&addr, MAX_FRAME).expect("client connects");
+    close_the_pace(&mut healthy);
+
+    // The flooder pipelines submits as fast as the socket takes them and
+    // never reads an answer. Every one is bounced; the unread answers fill
+    // its socket, then its outbox, and the daemon drops it, well before the
+    // pace would admit one. Its writes then fail, or stall if the daemon's
+    // end closed on a full window, and what is left to read ends in a
+    // hang-up: on a live connection the read would time out instead.
+    let frame = encode(&RequestMsg::submit(0, 0, vec![job(0)]));
+    let mut flooder = TcpStream::connect(&addr).expect("raw client connects");
+    flooder.set_write_timeout(Some(Duration::from_secs(1))).expect("timeout sets");
+    flooder.set_read_timeout(Some(Duration::from_secs(8))).expect("timeout sets");
+    let flood = std::thread::spawn(move || {
+        let deadline = Instant::now() + Duration::from_secs(8);
+        let mut sent = 0u64;
+        while write_frame(&mut flooder, &frame, MAX_FRAME).is_ok() {
+            assert!(Instant::now() < deadline, "still served after {sent} unread answers");
+            sent += 1;
+        }
+        let end = loop {
+            match read_frame(&mut flooder, MAX_FRAME) {
+                Ok(Some(_answer)) => {}
+                end => break end,
+            }
+        };
+        assert!(!matches!(&end, Err(e) if e.kind() == ErrorKind::WouldBlock), "still connected");
+        sent
+    });
+
+    // Meanwhile, and afterwards, everyone else is answered.
+    let mut flooding = true;
+    while flooding {
+        flooding = !flood.is_finished();
+        healthy.stats().expect("stats");
+        let mut events = Vec::new();
+        pump_until_settled(&mut healthy, &mut events, Instant::now() + Duration::from_secs(30));
+        assert!(matches!(events[..], [Event::Stats { .. }]), "{events:?}");
+    }
+    let sent = flood.join().expect("the flooder was dropped");
+
+    let stats = drain_and_join(healthy, server);
+    assert_eq!(stats.accepted, 1, "no submit of the flood was admitted");
+    assert!(stats.rejected > 0 && stats.rejected <= sent, "{stats:?} after {sent} frames");
 }
 
 #[test]
@@ -434,6 +531,8 @@ fn a_job_the_constructor_would_refuse_costs_only_its_senders_connection() {
         bend("\"batch\":4", "\"batch\":0"),
         bend("\"in_features\":64", "\"in_features\":18446744073709551615"),
         bend("\"out_features\":64,\"in_features\":64", "\"out_features\":0,\"in_features\":0"),
+        // Jobs that are not even JSON never leave the reader thread.
+        bend("\"batch\":4", "\"batch\":}"),
     ] {
         let mut hostile = TcpStream::connect(&addr).expect("raw client connects");
         hostile.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout sets");
