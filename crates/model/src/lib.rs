@@ -65,7 +65,7 @@ pub mod zoo;
 pub use job::{Group, Job, JobId};
 pub use layer::LayerShape;
 pub use model::Model;
-pub use signature::{JobSignature, LayerClass};
+pub use signature::{DistanceCoords, JobSignature, LayerClass};
 pub use task::TaskType;
 pub use tenant::{PreparedWeights, Tenant, TenantJobStream, TenantMix};
 pub use workload::WorkloadSpec;

@@ -19,6 +19,8 @@
 //! the value the written-out formula gives. The coordinates are derived
 //! data: they are never serialized (the persisted form keeps its seven
 //! fields) and there is no way to set them apart from the magnitudes.
+//! [`DistanceCoords`] is a signature cut down to what a distance reads, for
+//! whoever compares one set of signatures with many others.
 
 use crate::{Group, Job, LayerShape, TaskType};
 use serde::{Deserialize, Serialize};
@@ -39,6 +41,18 @@ pub enum LayerClass {
     Gemm,
     /// Embedding-table lookup (host-side; never appears in accelerator jobs).
     Embedding,
+}
+
+impl LayerClass {
+    /// Number of layer classes. The match is exhaustive, so that whoever adds
+    /// one is sent here.
+    const COUNT: usize = match LayerClass::Conv {
+        LayerClass::Conv
+        | LayerClass::DepthwiseConv
+        | LayerClass::FullyConnected
+        | LayerClass::Gemm
+        | LayerClass::Embedding => 5,
+    };
 }
 
 impl From<&LayerShape> for LayerClass {
@@ -79,6 +93,8 @@ pub struct JobSignature {
     /// `ln(1 + x)` of `macs`, `weight_elems` and `activation_elems`: a pure
     /// function of those fields, filled by [`JobSignature::new`] only.
     log_coords: [f64; 3],
+    /// The sum of `log_coords`, in that order ([`DistanceCoords::size`]).
+    log_size: f64,
 }
 
 // Hand-written so the carried log coordinates stay out of the persisted
@@ -171,6 +187,7 @@ impl JobSignature {
         activation_elems: u64,
     ) -> Self {
         let log = |x: u64| (1.0 + x as f64).ln();
+        let log_coords = [log(macs), log(weight_elems), log(activation_elems)];
         JobSignature {
             task,
             class,
@@ -179,7 +196,8 @@ impl JobSignature {
             weight_elems,
             activation_elems,
             core_class: 0,
-            log_coords: [log(macs), log(weight_elems), log(activation_elems)],
+            log_coords,
+            log_size: log_coords[0] + log_coords[1] + log_coords[2],
         }
     }
 
@@ -246,13 +264,15 @@ impl JobSignature {
     }
 
     /// The preferred (fastest) core index of an attached profile.
+    #[cfg(test)]
     fn affinity(&self) -> u32 {
-        self.core_class & 0xFF
+        self.coords().affinity()
     }
 
     /// The octave-quantized best-core latency of an attached profile.
+    #[cfg(test)]
     fn latency_class(&self) -> u32 {
-        (self.core_class >> 8) & 0xFFFF
+        self.coords().latency_class()
     }
 
     /// The task category of the profiled job.
@@ -325,24 +345,123 @@ impl JobSignature {
     /// different cores, plus [`Self::LATENCY_CLASS_WEIGHT`] per octave of
     /// best-core latency difference. Unprofiled signatures (a job's own
     /// `signature()`) are compared by shape alone.
+    ///
+    /// The arithmetic lives in [`DistanceCoords::distance`], so a caller that
+    /// keeps signatures as packed [`Self::coords`] computes these very bits.
     pub fn distance(&self, other: &JobSignature) -> f64 {
-        let [m, w, a] = self.log_coords;
-        let [om, ow, oa] = other.log_coords;
+        self.coords().distance(&other.coords())
+    }
+
+    /// Everything [`Self::distance`] reads of this signature.
+    pub fn coords(&self) -> DistanceCoords {
+        DistanceCoords {
+            log: self.log_coords,
+            size: self.log_size,
+            core_class: self.core_class,
+            class: self.class,
+            task: self.task,
+        }
+    }
+}
+
+/// One signature as [`JobSignature::distance`] reads it: the three log
+/// coordinates with their sum beside them, the packed core class (affinity
+/// and latency class), layer class and task — 40 bytes. A store of signatures
+/// that are compared often keeps these packed side by side instead of the
+/// signatures themselves; like the log coordinates they are derived, never
+/// persisted.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DistanceCoords {
+    log: [f64; 3],
+    size: f64,
+    core_class: u32,
+    class: LayerClass,
+    task: TaskType,
+}
+
+impl DistanceCoords {
+    /// How far [`Self::size_gap`] is lowered so that rounding can never lift
+    /// it above the distance: ten thousand times the ≈ 10⁻¹³ the roundings on
+    /// both sides can add up to (see there).
+    const SIZE_GAP_SLACK: f64 = 1e-9;
+
+    /// [`JobSignature::distance`] between the signatures `self` and `other`
+    /// were taken from.
+    #[inline]
+    pub fn distance(&self, other: &DistanceCoords) -> f64 {
+        let [m, w, a] = self.log;
+        let [om, ow, oa] = other.log;
         let mut d = (m - om).abs() + (w - ow).abs() + (a - oa).abs();
         if self.class != other.class {
-            d += Self::CLASS_MISMATCH_PENALTY;
+            d += JobSignature::CLASS_MISMATCH_PENALTY;
         }
         if self.task != other.task {
-            d += Self::TASK_MISMATCH_PENALTY;
+            d += JobSignature::TASK_MISMATCH_PENALTY;
         }
-        if self.has_core_class() && other.has_core_class() {
+        if self.core_class & other.core_class & JobSignature::CORE_CLASS_PRESENT != 0 {
             if self.affinity() != other.affinity() {
-                d += Self::AFFINITY_MISMATCH_PENALTY;
+                d += JobSignature::AFFINITY_MISMATCH_PENALTY;
             }
-            d += Self::LATENCY_CLASS_WEIGHT
+            d += JobSignature::LATENCY_CLASS_WEIGHT
                 * (self.latency_class() as f64 - other.latency_class() as f64).abs();
         }
         d
+    }
+
+    /// A lower bound of [`Self::distance`] from the sizes — the sums of the
+    /// three log coordinates — alone: `|size − other size|`, less a slack. In
+    /// exact arithmetic the gap between two sums is at most the sum of the
+    /// gaps, `|Σx − Σy| ≤ Σ|x − y|`, and the distance adds only non-negative
+    /// terms to the latter. In `f64` every coordinate is at most
+    /// `ln(1 + 2⁶⁴)` < 45, so the five additions and subtractions behind the
+    /// left side and the five behind the right each round by less than
+    /// 2·10⁻¹⁴: the computed gap exceeds the computed distance by less than
+    /// 2·10⁻¹³, and the slack covers that several thousand times over.
+    #[inline]
+    pub fn size_gap(&self, other: &DistanceCoords) -> f64 {
+        (self.size - other.size).abs() - Self::SIZE_GAP_SLACK
+    }
+
+    /// [`Self::size_gap`] to whatever lies between `low` and `high` in size:
+    /// how far `self`'s size is outside their range, less the slack
+    /// (negative inside it). A size in the range is no nearer than the end
+    /// `self` is beyond, and a float subtraction never reorders its results.
+    #[inline]
+    pub fn size_gap_to_range(&self, low: &DistanceCoords, high: &DistanceCoords) -> f64 {
+        (low.size - self.size).max(self.size - high.size) - Self::SIZE_GAP_SLACK
+    }
+
+    /// Number of distinct [`Self::kind`]s.
+    pub const KINDS: usize = LayerClass::COUNT * TaskType::ALL.len();
+
+    /// The signature's `(class, task)` pair as a dense index below
+    /// [`Self::KINDS`]: a store that keeps a kind's coordinates side by side
+    /// finds them by it.
+    pub fn kind(&self) -> usize {
+        self.class as usize * TaskType::ALL.len() + self.task as usize
+    }
+
+    /// The kinds of `kind`'s layer class: one per task, side by side.
+    pub fn kinds_of_class(kind: usize) -> std::ops::Range<usize> {
+        let tasks = TaskType::ALL.len();
+        kind / tasks * tasks..kind / tasks * tasks + tasks
+    }
+
+    /// The sum of the three log coordinates: the job's overall size in nats,
+    /// and the order to keep coordinates in for a nearest-first walk —
+    /// [`Self::size_gap`] only grows from the nearest size outwards.
+    pub fn size(&self) -> f64 {
+        self.size
+    }
+
+    /// The preferred (fastest) core index of an attached profile.
+    fn affinity(&self) -> u32 {
+        self.core_class & 0xFF
+    }
+
+    /// The octave-quantized best-core latency of an attached profile.
+    fn latency_class(&self) -> u32 {
+        (self.core_class >> 8) & 0xFFFF
     }
 }
 
@@ -452,6 +571,40 @@ mod tests {
             prop_assert_eq!(ap.distance(&bp).to_bits(), written_out_distance(&ap, &bp).to_bits());
             prop_assert_eq!(ap.log_coords(), a.log_coords());
         }
+
+        // What a store of packed coordinates prunes by: the kind index tells
+        // class and task apart, and the size bounds never exceed the
+        // distance — least of all between two signatures that differ in one
+        // magnitude only, whose distance *is* their size gap up to rounding.
+        #[test]
+        fn the_size_bounds_never_exceed_the_distance(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (a, b) = (random_signature(&mut rng), random_signature(&mut rng));
+            let (ca, cb) = (a.coords(), b.coords());
+            prop_assert!(ca.kind() < DistanceCoords::KINDS);
+            prop_assert_eq!(ca.kind() == cb.kind(), a.class == b.class && a.task == b.task);
+            let class = DistanceCoords::kinds_of_class(ca.kind());
+            prop_assert_eq!(class.contains(&cb.kind()), a.class == b.class);
+            prop_assert_eq!(ca.distance(&cb).to_bits(), a.distance(&b).to_bits());
+            prop_assert!(ca.size_gap(&cb) <= a.distance(&b));
+
+            // `b` with `a`'s weights and activations, profile, class and task.
+            let near = JobSignature::new(
+                a.task, a.class, a.batch, b.macs, a.weight_elems, a.activation_elems,
+            )
+            .with_core_class(a.core_class);
+            let gap = ca.size_gap(&near.coords());
+            prop_assert!(gap <= a.distance(&near), "{gap} > {}", a.distance(&near));
+            prop_assert!(a.distance(&near) - gap < 1e-8, "the slack is all the bound gives away");
+
+            // A size between two others is no nearer than the end beyond
+            // which the probe lies.
+            let c = random_signature(&mut rng).coords();
+            let (low, high) = if ca.size() <= cb.size() { (ca, cb) } else { (cb, ca) };
+            let outside = c.size_gap_to_range(&low, &high);
+            prop_assert!(outside <= c.size_gap(&low) && outside <= c.size_gap(&high));
+            prop_assert!(outside <= 0.0 || c.size() < low.size() || c.size() > high.size());
+        }
     }
 
     #[test]
@@ -469,6 +622,7 @@ mod tests {
         for a in &ends {
             for b in &ends {
                 assert_eq!(a.distance(b).to_bits(), written_out_distance(a, b).to_bits());
+                assert!(a.coords().size_gap(&b.coords()) <= a.distance(b));
             }
         }
     }
@@ -655,5 +809,6 @@ mod tests {
             LayerClass::Embedding
         );
         assert_eq!(LayerClass::Conv.to_string(), "Conv");
+        assert_eq!(LayerClass::Embedding as usize + 1, LayerClass::COUNT, "kinds index by class");
     }
 }

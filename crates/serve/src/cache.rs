@@ -20,11 +20,16 @@
 //! the nearest-key probe ([`MappingCache::lookup_near`]) walks, back to
 //! front, without hashing a key per entry. At these capacities (tens to a
 //! few hundred entries) an exact lookup is a scan over the keys, which
-//! costs less than hashing one 30-signature key. Next to its key and its
-//! solution an entry keeps one piece of derived data, built when it is
-//! inserted (or loaded) and **never persisted**: the indices of its stored
-//! signatures grouped by `(class, task)`, so the probe compares a job only
-//! with the stored jobs of its own kind.
+//! costs less than hashing one 30-signature key. Next to its key an entry
+//! holds its solution behind an `Arc` — a shard's cache and the fleet tier
+//! hold *one* solution per publish, which is also how the tier knows what
+//! the probing shard has just refused — and one piece of derived data, built
+//! when the entry is inserted (or loaded) and **never persisted**: the stored
+//! signatures as packed rows of what a distance reads
+//! ([`DistanceCoords`], 40 bytes a job), a `(class, task)` kind's rows side
+//! by side and in order of size, so the probe compares a job with the stored
+//! jobs of its own kind, nearest in size first, and knows from the two ends
+//! of a run what a job is at least away from all of it.
 //!
 //! The whole cache round-trips through serde ([`MappingCache::save`] /
 //! [`MappingCache::load`], behind the `MAGMA_SERVE_CACHE_PATH` knob) so a
@@ -32,12 +37,14 @@
 //! survive byte-for-byte.
 
 use magma_m3e::StoredSolution;
-use magma_model::{JobSignature, LayerClass, TaskType};
+use magma_model::{DistanceCoords, JobSignature, LayerClass, TaskType};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::Write;
+use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 
 /// One job signature, quantized to log-scale magnitude buckets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -129,101 +136,161 @@ impl CacheStats {
     }
 }
 
-/// How far above `ε·g` a running distance total must be before the probe
-/// abandons an entry. The exact acceptance test is `total / g <= ε` in
-/// floating point; `ε·g` itself is rounded, so a total a few ulps above it
-/// can still divide back to `ε`. A relative slack of `1e-9` — millions of
-/// times the rounding error of the two operations — keeps every such entry.
+/// How far above a bound a sum must be before the probe abandons an entry,
+/// where the two are not computed the same way. Against `ε·g`: the exact
+/// acceptance test is `total / g <= ε` in floating point, and `ε·g` itself is
+/// rounded, so a total a few ulps above it can still divide back to `ε`.
+/// Against the running total plus what the jobs still to come at least add:
+/// that is summed in another order than the total will be, a few ulps of a
+/// few dozen additions apart. A relative slack of `1e-9` — millions of times
+/// either error — keeps every entry an exact comparison would keep.
 const PRUNE_SLACK: f64 = 1e-9;
 
 #[cfg(test)]
 thread_local! {
-    /// [`JobSignature::distance`] evaluations the near-hit probe made on
-    /// this thread — the work the abandon rule exists to avoid.
+    /// Signature-pair distances the near-hit probe evaluated on this thread
+    /// — the work the abandon rule and the sorted rows exist to avoid.
     static DISTANCE_EVALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// [`JobSignature::distance`], counted under test.
+/// [`DistanceCoords::distance`], counted under test.
 #[inline]
-fn distance(a: &JobSignature, b: &JobSignature) -> f64 {
+fn distance(a: &DistanceCoords, b: &DistanceCoords) -> f64 {
     #[cfg(test)]
     DISTANCE_EVALS.with(|n| n.set(n.get() + 1));
     a.distance(b)
 }
 
-/// What two signatures must share for their distance to carry no categorical
-/// penalty.
-type Kind = (LayerClass, TaskType);
-
-/// The positions of an entry's stored signatures grouped by [`Kind`] — the
-/// derived, never persisted part of a cache entry. Empty for an entry stored
-/// without signatures.
-#[derive(Debug, Clone, Default)]
-struct KindIndex {
-    /// Every position `0..g`, sorted by kind.
-    order: Vec<u32>,
-    /// One `(kind, end)` per kind present: its positions are `order[..end]`
-    /// after the previous run's end.
-    runs: Vec<(Kind, u32)>,
+/// An entry's stored signatures as the probe reads them — the derived, never
+/// persisted part of a cache entry: one [`DistanceCoords`] per stored job,
+/// packed by [`DistanceCoords::kind`] (so a layer class's kinds lie side by
+/// side) and, inside a kind, in ascending order of size.
+#[derive(Debug, Clone)]
+struct PackedRows {
+    rows: Vec<DistanceCoords>,
+    /// Kind `k`'s rows are `rows[starts[k]..starts[k + 1]]`.
+    starts: [u32; DistanceCoords::KINDS + 1],
 }
 
-impl KindIndex {
+impl PackedRows {
     fn of(stored: &[JobSignature]) -> Self {
-        let kind = |j: u32| -> Kind { (stored[j as usize].class(), stored[j as usize].task()) };
-        let mut order: Vec<u32> = (0..stored.len() as u32).collect();
-        order.sort_unstable_by_key(|&j| (kind(j), j));
-        let mut runs: Vec<(Kind, u32)> = Vec::new();
-        for (end, &j) in (1u32..).zip(&order) {
-            match runs.last_mut() {
-                Some((last, run_end)) if *last == kind(j) => *run_end = end,
-                _ => runs.push((kind(j), end)),
-            }
+        let mut rows: Vec<DistanceCoords> = stored.iter().map(JobSignature::coords).collect();
+        rows.sort_unstable_by(|a, b| a.kind().cmp(&b.kind()).then(a.size().total_cmp(&b.size())));
+        let mut starts = [0; DistanceCoords::KINDS + 1];
+        for row in &rows {
+            starts[row.kind() + 1] += 1;
         }
-        KindIndex { order, runs }
+        for k in 0..DistanceCoords::KINDS {
+            starts[k + 1] += starts[k];
+        }
+        PackedRows { rows, starts }
     }
 
-    /// Positions of the stored signatures of `probe`'s class and task.
-    fn same_kind(&self, probe: &JobSignature) -> &[u32] {
-        let kind = (probe.class(), probe.task());
-        let mut start = 0;
-        for &(run, end) in &self.runs {
-            if run == kind {
-                return &self.order[start..end as usize];
-            }
-            start = end as usize;
-        }
-        &[]
+    /// The rows of kinds `kinds.start..kinds.end`.
+    fn runs(&self, kinds: Range<usize>) -> &[DistanceCoords] {
+        &self.rows[self.starts[kinds.start] as usize..self.starts[kinds.end] as usize]
     }
 
-    /// Σ over `probe` of the distance to the nearest of `stored` (the
-    /// signatures this index was built from), summed in probe order — or
-    /// `None` as soon as the running sum exceeds `limit`. Every term is
-    /// non-negative, so the running sum only grows: once above `limit`, so
-    /// is the total.
-    fn total_within(
-        &self,
-        probe: &[JobSignature],
-        stored: &[JobSignature],
-        limit: f64,
-    ) -> Option<f64> {
+    /// What `p` is at least away from every row, read off the two ends of
+    /// `run`, its kind's rows: a size outside their range is at least that
+    /// far outside from each of them ([`DistanceCoords::size_gap`]), and a
+    /// row of any other kind is at least the mismatch floor away.
+    fn at_least(run: &[DistanceCoords], p: &DistanceCoords) -> f64 {
+        let (Some(first), Some(last)) = (run.first(), run.last()) else {
+            return JobSignature::KIND_MISMATCH_FLOOR;
+        };
+        p.size_gap_to_range(first, last).clamp(0.0, JobSignature::KIND_MISMATCH_FLOOR)
+    }
+
+    /// The distance from `p` to the nearest row of `run`, its kind's rows
+    /// (infinite without one). The rows are walked outwards from where `p`'s
+    /// size would sort — the first either way unconditionally, so that the
+    /// two evaluations overlap — and each way the walk stops at the first
+    /// row whose size gap alone reaches the running nearest: the gap bounds
+    /// the row's distance from below and only grows from there on, so no
+    /// later row can lower the minimum — and `min` is exact in any order.
+    fn nearest_in(run: &[DistanceCoords], p: &DistanceCoords) -> f64 {
+        /// `nearest`, lowered by the rows before the first whose size gap
+        /// reaches it.
+        fn walk<'a>(
+            rows: impl Iterator<Item = &'a DistanceCoords>,
+            p: &DistanceCoords,
+            mut nearest: f64,
+        ) -> f64 {
+            for row in rows {
+                if p.size_gap(row) >= nearest {
+                    break;
+                }
+                nearest = nearest.min(distance(p, row));
+            }
+            nearest
+        }
+        let (below, above) = run.split_at(run.partition_point(|row| row.size() < p.size()));
+        let (mut below, mut above) = (below.iter().rev(), above.iter());
+        let mut nearest = f64::INFINITY;
+        for row in above.next().into_iter().chain(below.next()) {
+            nearest = nearest.min(distance(p, row));
+        }
+        walk(below, p, walk(above, p, nearest))
+    }
+
+    /// `nearest.min(`the distance from `p` to the nearest row of another
+    /// kind`)`: first the other kinds of `p`'s layer class, a task penalty
+    /// away, then — only if the nearest so far is no better than a class
+    /// penalty — the other classes.
+    fn nearest_of_other_kinds(&self, p: &DistanceCoords, nearest: f64) -> f64 {
+        let kind = p.kind();
+        let class = DistanceCoords::kinds_of_class(kind);
+        let near = [self.runs(class.start..kind), self.runs(kind + 1..class.end)];
+        let far = [self.runs(0..class.start), self.runs(class.end..DistanceCoords::KINDS)];
+        let mut nearest = nearest;
+        for (rows, floor) in [
+            (near, JobSignature::TASK_MISMATCH_PENALTY),
+            (far, JobSignature::CLASS_MISMATCH_PENALTY),
+        ] {
+            if nearest <= floor {
+                break;
+            }
+            for row in rows.into_iter().flatten() {
+                if p.size_gap(row).max(floor) < nearest {
+                    nearest = nearest.min(distance(p, row));
+                }
+            }
+        }
+        nearest
+    }
+
+    /// Σ over `probe` of the distance to the nearest stored signature,
+    /// summed in probe order — or `None` if that sum exceeds `limit`, found
+    /// out as early as can be. Every term is non-negative, so the running
+    /// sum only grows: once above `limit`, so is the total. And it is known
+    /// ahead what the jobs still to come will at least add
+    /// ([`Self::at_least`]): once the running sum and that together are
+    /// clear of `limit` — by [`PRUNE_SLACK`], since what is still owed is
+    /// summed in another order than the total will be — the total is too.
+    fn total_within(&self, probe: &[JobSignature], limit: f64) -> Option<f64> {
+        let clear = limit * (1.0 + PRUNE_SLACK);
+        let run_of = |p: &DistanceCoords| self.runs(p.kind()..p.kind() + 1);
+        let mut owed: f64 =
+            probe.iter().map(|sig| sig.coords()).map(|p| Self::at_least(run_of(&p), &p)).sum();
         let mut total = 0.0;
-        for p in probe {
-            let mut nearest = f64::INFINITY;
-            for &j in self.same_kind(p) {
-                nearest = nearest.min(distance(p, &stored[j as usize]));
+        for sig in probe {
+            if total + owed > clear {
+                return None;
             }
+            let p = sig.coords();
+            let run = run_of(&p);
+            owed -= Self::at_least(run, &p);
+            let mut nearest = Self::nearest_in(run, &p);
             // A same-kind match under the floor is the nearest overall: any
             // signature of another kind is at least the floor away. Without
-            // one the whole entry is looked at (its same-kind part again:
-            // `min` is exact in any order and over repeats) — unless the
-            // floor alone already carries the sum past the limit.
+            // one the other kinds are looked at too — unless the floor alone
+            // already carries the sum past the limit.
             if nearest >= JobSignature::KIND_MISMATCH_FLOOR {
                 if total + JobSignature::KIND_MISMATCH_FLOOR > limit {
                     return None;
                 }
-                for t in stored {
-                    nearest = nearest.min(distance(p, t));
-                }
+                nearest = self.nearest_of_other_kinds(&p, nearest);
             }
             total += nearest;
             if total > limit {
@@ -238,8 +305,18 @@ impl KindIndex {
 #[derive(Debug, Clone)]
 struct Slot {
     key: SignatureKey,
-    solution: StoredSolution,
-    kinds: KindIndex,
+    /// Shared with the fleet tier when the entry was published there too.
+    solution: Arc<StoredSolution>,
+    /// `None` for an entry stored without signatures.
+    rows: Option<PackedRows>,
+}
+
+impl Slot {
+    /// Whether this entry *is* one of `others`: the same shared solution,
+    /// not merely the same key.
+    fn is_one_of(&self, others: &[Slot]) -> bool {
+        others.iter().any(|other| Arc::ptr_eq(&other.solution, &self.solution))
+    }
 }
 
 /// The bounded LRU mapping cache.
@@ -301,7 +378,7 @@ impl MappingCache {
     }
 
     /// Removes the entry for `key` (counted as an eviction when present).
-    pub fn remove(&mut self, key: &SignatureKey) -> Option<StoredSolution> {
+    pub fn remove(&mut self, key: &SignatureKey) -> Option<Arc<StoredSolution>> {
         let pos = self.position(key)?;
         self.stats.evictions += 1;
         Some(self.slots.remove(pos).solution)
@@ -323,7 +400,7 @@ impl MappingCache {
         };
         self.stats.hits += 1;
         self.slots[pos..].rotate_left(1);
-        self.slots.last().map(|slot| &slot.solution)
+        self.slots.last().map(|slot| &*slot.solution)
     }
 
     /// Looks `key` up with a nearest-key fallback: on an exact-key miss, the
@@ -366,21 +443,50 @@ impl MappingCache {
     ///   acceptable entry); whether a surviving entry is accepted and
     ///   whether it replaces the incumbent is decided on its mean, as in
     ///   the exhaustive scan.
-    /// * **Partition.** A probe job is compared with the stored jobs of its
-    ///   own `(class, task)` first (the per-entry index built at insert). A
-    ///   match under [`JobSignature::KIND_MISMATCH_FLOOR`] is final, since
-    ///   jobs of any other kind are at least that far away; otherwise the
-    ///   rest of the entry is scanned, unless the floor alone already
-    ///   carries the sum past a bound.
+    /// * **What is still owed.** Before an entry's first distance is taken,
+    ///   each probe job is given a floor from the two ends of its kind's
+    ///   rows (how far its size lies outside their range, or the mismatch
+    ///   floor without such rows). The entry is dropped as soon as the
+    ///   running sum plus the floors of the jobs still to come clears the
+    ///   bound — with the same slack, since the floors are summed in another
+    ///   order than the total — which is before the first job for a group
+    ///   the entry plainly does not resemble.
+    /// * **Partition and order.** A probe job is compared with the stored
+    ///   jobs of its own `(class, task)` first (the packed rows built at
+    ///   insert), outwards from the nearest in size and only while a row's
+    ///   size gap — a lower bound of its distance — is under the nearest
+    ///   found. A match under [`JobSignature::KIND_MISMATCH_FLOOR`] is final,
+    ///   since jobs of any other kind are at least that far away; otherwise
+    ///   the other tasks of its layer class are scanned, and the other
+    ///   classes only if nothing nearer than a class penalty turned up —
+    ///   unless the floor alone already carries the sum past a bound.
+    ///
+    /// The walk this replaced (every stored job of the kind, gathered through
+    /// an index) is kept beside the exhaustive scan as a second test oracle.
     pub fn lookup_near(
         &mut self,
         key: &SignatureKey,
         sigs: &[JobSignature],
         epsilon: f64,
     ) -> Option<&StoredSolution> {
+        self.lookup_near_after(key, sigs, epsilon, &[])
+    }
+
+    /// [`MappingCache::lookup_near`] for the tier behind a cache that has
+    /// just refused the same probe: an entry that *is* one of `refused` —
+    /// the same shared solution, not merely the same key — was over
+    /// `epsilon` there and is over it here, so the nearest-key probe does
+    /// not walk it again.
+    fn lookup_near_after(
+        &mut self,
+        key: &SignatureKey,
+        sigs: &[JobSignature],
+        epsilon: f64,
+        refused: &[Slot],
+    ) -> Option<&StoredSolution> {
         let mut found = self.position(key);
         if found.is_none() && epsilon > 0.0 {
-            found = self.nearest(sigs, epsilon);
+            found = self.nearest(sigs, epsilon, refused);
             self.stats.near_hits += u64::from(found.is_some());
         }
         self.serve(found)
@@ -388,18 +494,20 @@ impl MappingCache {
 
     /// The position of the entry [`MappingCache::lookup_near`] serves as a
     /// near hit, if any is within `epsilon`.
-    fn nearest(&self, probe: &[JobSignature], epsilon: f64) -> Option<usize> {
+    fn nearest(&self, probe: &[JobSignature], epsilon: f64, refused: &[Slot]) -> Option<usize> {
         let jobs = probe.len().max(1) as f64;
         let cutoff = epsilon * jobs * (1.0 + PRUNE_SLACK);
         // The incumbent as (position, total).
         let mut best: Option<(usize, f64)> = None;
         for (pos, slot) in self.slots.iter().enumerate().rev() {
-            let Some(stored) = slot.solution.signatures() else { continue };
-            if stored.len() != probe.len() {
+            let Some(rows) = slot.rows.as_ref().filter(|r| r.rows.len() == probe.len()) else {
+                continue;
+            };
+            if slot.is_one_of(refused) {
                 continue;
             }
             let limit = best.map_or(cutoff, |(_, best_total)| cutoff.min(best_total));
-            let Some(total) = slot.kinds.total_within(probe, stored, limit) else { continue };
+            let Some(total) = rows.total_within(probe, limit) else { continue };
             let mean = total / jobs;
             if mean <= epsilon && best.is_none_or(|(_, best_total)| mean < best_total / jobs) {
                 best = Some((pos, total));
@@ -410,22 +518,27 @@ impl MappingCache {
 
     /// Puts `solution` under `key` as the most recently used entry,
     /// replacing the key's previous entry if there is one.
-    fn place(&mut self, key: SignatureKey, solution: StoredSolution) {
+    fn place(&mut self, key: SignatureKey, solution: Arc<StoredSolution>) {
         if let Some(pos) = self.position(&key) {
             self.slots.remove(pos);
         }
-        let kinds = solution.signatures().map(KindIndex::of).unwrap_or_default();
-        self.slots.push(Slot { key, solution, kinds });
+        let rows = solution.signatures().map(PackedRows::of);
+        self.slots.push(Slot { key, solution, rows });
     }
 
     /// Inserts (or replaces) the entry for `key`, marks it most recently
     /// used and evicts the least recently used entry when over capacity.
     /// Returns the evicted key, so whoever routes by key (the
     /// [`ShardRouter`](crate::router::ShardRouter)'s affinity pins) can
-    /// forget it too.
-    pub fn insert(&mut self, key: SignatureKey, solution: StoredSolution) -> Option<SignatureKey> {
+    /// forget it too. A caller that hands the same `Arc` to a shard's cache
+    /// and to the fleet tier stores the solution once.
+    pub fn insert(
+        &mut self,
+        key: SignatureKey,
+        solution: impl Into<Arc<StoredSolution>>,
+    ) -> Option<SignatureKey> {
         self.stats.insertions += 1;
-        self.place(key, solution);
+        self.place(key, solution.into());
         // One insert grows a cache that was within bounds by at most one.
         if self.slots.len() <= self.capacity {
             return None;
@@ -539,7 +652,7 @@ impl Deserialize for MappingCache {
                     key.len()
                 )));
             }
-            cache.place(key, solution);
+            cache.place(key, Arc::new(solution));
         }
         Ok(cache)
     }
@@ -565,6 +678,8 @@ pub struct SharedCache {
     tenant_quota: usize,
     /// Publishing tenant of each live entry (quota bookkeeping).
     owners: HashMap<SignatureKey, usize>,
+    /// Live entries per publishing tenant: `owners`, counted by value.
+    held: HashMap<usize, usize>,
 }
 
 impl SharedCache {
@@ -575,7 +690,12 @@ impl SharedCache {
     ///
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize, tenant_quota: usize) -> Self {
-        SharedCache { cache: MappingCache::new(capacity), tenant_quota, owners: HashMap::new() }
+        SharedCache {
+            cache: MappingCache::new(capacity),
+            tenant_quota,
+            owners: HashMap::new(),
+            held: HashMap::new(),
+        }
     }
 
     /// The capacity bound of the shared LRU.
@@ -607,7 +727,32 @@ impl SharedCache {
 
     /// Number of live entries published by `tenant`.
     pub fn tenant_entries(&self, tenant: usize) -> usize {
-        self.owners.values().filter(|&&t| t == tenant).count()
+        self.held.get(&tenant).copied().unwrap_or(0)
+    }
+
+    /// Records `tenant` as the owner of `key`'s entry, in place of whoever
+    /// published the key before.
+    fn own(&mut self, key: SignatureKey, tenant: usize) {
+        self.disown(&key);
+        self.owners.insert(key, tenant);
+        *self.held.entry(tenant).or_insert(0) += 1;
+    }
+
+    /// Forgets the owner of an entry that left the tier.
+    fn disown(&mut self, key: &SignatureKey) {
+        let Some(tenant) = self.owners.remove(key) else { return };
+        let held = self.held.get_mut(&tenant).expect("an owner is counted");
+        *held -= 1;
+        if *held == 0 {
+            self.held.remove(&tenant);
+        }
+    }
+
+    /// How many of the tier's entries are entries of `cache` too: one
+    /// solution, published to both.
+    #[cfg(test)]
+    pub(crate) fn shared_with(&self, cache: &MappingCache) -> usize {
+        self.cache.slots.iter().filter(|slot| slot.is_one_of(&cache.slots)).count()
     }
 
     /// Whether `key` is in the tier, without counting a lookup — the cheap
@@ -616,27 +761,37 @@ impl SharedCache {
         self.cache.contains_key(key)
     }
 
-    /// The shard-miss fallthrough: exactly [`MappingCache::lookup_near`]
-    /// over the shared LRU (same epsilon semantics and tie-break).
+    /// The shard-miss fallthrough: [`MappingCache::lookup_near`] over the
+    /// shared LRU (same epsilon semantics and tie-break) for the shard whose
+    /// own cache, `refused`, has just failed the same lookup. The entries the
+    /// tier shares with that cache — one solution published to both — were
+    /// over `epsilon` there and are not walked again; the entry served is
+    /// the one a walk of the whole tier would serve.
     pub fn lookup_near(
         &mut self,
         key: &SignatureKey,
         sigs: &[JobSignature],
         epsilon: f64,
+        refused: &MappingCache,
     ) -> Option<&StoredSolution> {
-        self.cache.lookup_near(key, sigs, epsilon)
+        self.cache.lookup_near_after(key, sigs, epsilon, &refused.slots)
     }
 
     /// Publishes a solved mapping to the shared tier on behalf of `tenant`,
     /// then enforces the tenant quota (evicting the tenant's own LRU
     /// entries) and the global capacity.
-    pub fn publish(&mut self, key: SignatureKey, solution: StoredSolution, tenant: usize) {
+    pub fn publish(
+        &mut self,
+        key: SignatureKey,
+        solution: impl Into<Arc<StoredSolution>>,
+        tenant: usize,
+    ) {
         // Keep the owner map aligned with the live set: capacity eviction
         // inside `insert` is the only way an entry leaves it unseen.
         if let Some(evicted) = self.cache.insert(key.clone(), solution) {
-            self.owners.remove(&evicted);
+            self.disown(&evicted);
         }
-        self.owners.insert(key.clone(), tenant);
+        self.own(key.clone(), tenant);
         if self.tenant_quota > 0 {
             while self.tenant_entries(tenant) > self.tenant_quota {
                 let victim = self
@@ -646,7 +801,7 @@ impl SharedCache {
                     .cloned()
                     .expect("over-quota tenant owns an older entry");
                 self.cache.remove(&victim);
-                self.owners.remove(&victim);
+                self.disown(&victim);
             }
         }
     }
@@ -700,6 +855,103 @@ mod tests {
                 self.stats.near_hits += 1;
             }
             self.serve(best.map(|(_, rank)| rank))
+        }
+    }
+
+    /// The per-entry index the probe walked before the packed rows: the
+    /// positions of the stored signatures grouped by `(class, task)`, the
+    /// signatures themselves gathered through them.
+    struct KindIndex {
+        /// Every position `0..g`, sorted by kind.
+        order: Vec<u32>,
+        /// One `(kind, end)` per kind present: its positions are
+        /// `order[..end]` after the previous run's end.
+        runs: Vec<(usize, u32)>,
+    }
+
+    impl KindIndex {
+        fn of(stored: &[JobSignature]) -> Self {
+            let mut order: Vec<u32> = (0..stored.len() as u32).collect();
+            order.sort_unstable_by_key(|&j| (stored[j as usize].coords().kind(), j));
+            let mut runs: Vec<(usize, u32)> = Vec::new();
+            for (end, &j) in (1u32..).zip(&order) {
+                let kind = stored[j as usize].coords().kind();
+                match runs.last_mut() {
+                    Some((last, run_end)) if *last == kind => *run_end = end,
+                    _ => runs.push((kind, end)),
+                }
+            }
+            KindIndex { order, runs }
+        }
+
+        fn same_kind(&self, probe: &JobSignature) -> &[u32] {
+            let mut start = 0;
+            for &(run, end) in &self.runs {
+                if run == probe.coords().kind() {
+                    return &self.order[start..end as usize];
+                }
+                start = end as usize;
+            }
+            &[]
+        }
+
+        /// The walk [`PackedRows::total_within`] replaced, adding the
+        /// distances it evaluates to `evals`.
+        fn total_within(
+            &self,
+            probe: &[JobSignature],
+            stored: &[JobSignature],
+            limit: f64,
+            evals: &mut u64,
+        ) -> Option<f64> {
+            let mut total = 0.0;
+            for p in probe {
+                let mut nearest = f64::INFINITY;
+                for &j in self.same_kind(p) {
+                    *evals += 1;
+                    nearest = nearest.min(p.distance(&stored[j as usize]));
+                }
+                if nearest >= JobSignature::KIND_MISMATCH_FLOOR {
+                    if total + JobSignature::KIND_MISMATCH_FLOOR > limit {
+                        return None;
+                    }
+                    for t in stored {
+                        *evals += 1;
+                        nearest = nearest.min(p.distance(t));
+                    }
+                }
+                total += nearest;
+                if total > limit {
+                    return None;
+                }
+            }
+            Some(total)
+        }
+    }
+
+    impl MappingCache {
+        /// [`MappingCache::nearest`] as it was before the packed rows — every
+        /// entry walked through a [`KindIndex`] — and the distances it
+        /// evaluated: the second oracle, and the yardstick of the probe's
+        /// work.
+        fn nearest_by_gather(&self, probe: &[JobSignature], epsilon: f64) -> (Option<usize>, u64) {
+            let jobs = probe.len().max(1) as f64;
+            let cutoff = epsilon * jobs * (1.0 + PRUNE_SLACK);
+            let (mut best, mut evals): (Option<(usize, f64)>, u64) = (None, 0);
+            for (pos, slot) in self.slots.iter().enumerate().rev() {
+                let Some(stored) = slot.solution.signatures() else { continue };
+                if stored.len() != probe.len() {
+                    continue;
+                }
+                let limit = best.map_or(cutoff, |(_, best_total)| cutoff.min(best_total));
+                let walked = KindIndex::of(stored).total_within(probe, stored, limit, &mut evals);
+                let Some(total) = walked else { continue };
+                let mean = total / jobs;
+                if mean <= epsilon && best.is_none_or(|(_, best_total)| mean < best_total / jobs) {
+                    best = Some((pos, total));
+                }
+            }
+            (best.map(|(pos, _)| pos), evals)
         }
     }
 
@@ -953,7 +1205,7 @@ mod tests {
         assert!(shared.contains(&key_v));
         assert_eq!(shared.stats().hits + shared.stats().misses, 0);
         let sigs = WorkloadSpec::single_group(TaskType::Vision, 8, 0).signatures();
-        assert!(shared.lookup_near(&key_v, &sigs, 0.0).is_some());
+        assert!(shared.lookup_near(&key_v, &sigs, 0.0, &MappingCache::new(1)).is_some());
         assert_eq!(shared.stats().hits, 1);
 
         // A tenant over quota evicts its *own* LRU entry; other tenants are
@@ -1007,33 +1259,77 @@ mod tests {
     #[test]
     fn kind_index_groups_every_position_by_class_and_task() {
         let sigs = WorkloadSpec::single_group(TaskType::Mix, 40, 1).signatures();
-        let index = KindIndex::of(&sigs);
-        let mut seen = vec![false; sigs.len()];
-        for probe in &sigs {
-            let same = index.same_kind(probe);
-            assert!(!same.is_empty(), "a signature is of its own kind");
-            for &j in same {
-                let stored = &sigs[j as usize];
-                assert_eq!((stored.class(), stored.task()), (probe.class(), probe.task()));
-                seen[j as usize] = true;
-            }
-            let of_kind = sigs
+        let packed = PackedRows::of(&sigs);
+        assert_eq!(packed.rows.len(), sigs.len());
+        assert_eq!(*packed.starts.last().unwrap() as usize, sigs.len(), "every job is in a run");
+        for kind in 0..DistanceCoords::KINDS {
+            // A kind's run holds exactly the kind's signatures, leading
+            // coordinate ascending.
+            let mut of_kind: Vec<DistanceCoords> = sigs
                 .iter()
-                .filter(|s| (s.class(), s.task()) == (probe.class(), probe.task()))
-                .count();
-            assert_eq!(same.len(), of_kind, "a kind's run holds all of the kind");
+                .filter(|s| s.coords().kind() == kind)
+                .map(JobSignature::coords)
+                .collect();
+            of_kind.sort_by(|a, b| a.size().total_cmp(&b.size()));
+            let run = packed.runs(kind..kind + 1);
+            assert_eq!(run.len(), of_kind.len());
+            assert!(run.windows(2).all(|w| w[0].size() <= w[1].size()));
+            let leading = |rows: &[DistanceCoords]| -> Vec<f64> {
+                rows.iter().map(DistanceCoords::size).collect()
+            };
+            assert_eq!(leading(run), leading(&of_kind));
         }
-        assert!(seen.iter().all(|&s| s));
-        assert!(index.runs.len() > 1, "a Mix group spans several kinds");
+        let kinds =
+            (0..DistanceCoords::KINDS).filter(|&k| !packed.runs(k..k + 1).is_empty()).count();
+        assert!(kinds > 1, "a Mix group spans several kinds");
+    }
+
+    /// 30-job groups the way the benchmark's `rpc_mix` draws them — every job
+    /// a random accelerator layer of a random zoo model at a mini-batch from
+    /// {1, 2, 4, 8} — profiled on S2 the way a shard profiles what it serves.
+    fn zoo_groups(seed: u64) -> impl FnMut() -> Vec<JobSignature> {
+        use magma_m3e::{M3e, Objective};
+        use magma_model::{zoo, Group, Job, JobId};
+        use magma_platform::{settings, Setting};
+        let layers: Vec<_> = zoo::models_for_task(TaskType::Mix)
+            .iter()
+            .flat_map(|m| {
+                let layer = |(i, l): (usize, &_)| (m.name().to_string(), m.task(), i, *l);
+                m.layers().iter().enumerate().map(layer).collect::<Vec<_>>()
+            })
+            .filter(|(_, _, _, l)| l.runs_on_accelerator())
+            .collect();
+        let platform = settings::build(Setting::S2);
+        let mut rng = StdRng::seed_from_u64(seed);
+        move || {
+            let jobs = (0..30)
+                .map(|k| {
+                    let (model, task, index, layer) =
+                        layers[rng.gen_range(0..layers.len())].clone();
+                    let batch = 1usize << rng.gen_range(0..4u32);
+                    Job::new(JobId(k), model, index, layer, batch, task)
+                })
+                .collect();
+            M3e::new(platform.clone(), Group::new(jobs), Objective::Throughput)
+                .signatures()
+                .to_vec()
+        }
+    }
+
+    fn evals_of<T>(probe: impl FnOnce() -> T) -> (T, u64) {
+        let before = DISTANCE_EVALS.with(std::cell::Cell::get);
+        let out = probe();
+        (out, DISTANCE_EVALS.with(std::cell::Cell::get) - before)
     }
 
     #[test]
     fn a_probe_of_unrelated_groups_abandons_most_of_the_pairwise_work() {
         // 64 stored 30-job groups and a 30-job stranger: the exhaustive scan
-        // evaluates 64 · 30² = 57 600 distances; the probe 11 636 on these
-        // groups — 26 082 without the abandon bounds, 28 890 without the
-        // kind partition. Pinned as a count under a quarter, so losing
-        // either shows here and not first in the benchmark.
+        // evaluates 64 · 30² = 57 600 distances, the walk through a kind
+        // index 11 636 on these groups, the packed rows 474. Pinned as a
+        // count under a quarter of the first and half of the second, so
+        // losing the abandon bounds, the kind partition or the row order
+        // shows here and not first in the benchmark.
         const ENTRIES: usize = 64;
         const JOBS: usize = 30;
         // Every job an independent draw from a long Mix workload.
@@ -1054,28 +1350,122 @@ mod tests {
         let probe = group();
         let probe_key = quantize_signatures(&probe, 1.0);
         let mut oracle = cache.clone();
-        let before = DISTANCE_EVALS.with(std::cell::Cell::get);
-        let served = cache.lookup_near(&probe_key, &probe, 1.0).cloned();
-        let evals = DISTANCE_EVALS.with(std::cell::Cell::get) - before;
+        let (found, gathered) = cache.nearest_by_gather(&probe, 1.0);
+        let (served, evals) = evals_of(|| cache.lookup_near(&probe_key, &probe, 1.0).cloned());
+        assert_eq!(served.is_some(), found.is_some());
         assert_eq!(served, oracle.lookup_near_exhaustive(&probe_key, &probe, 1.0).cloned());
         assert!(evals > 0, "the probe did look");
         assert!(
-            evals < (ENTRIES * JOBS * JOBS / 4) as u64,
-            "{evals} distance evaluations for one probe of {ENTRIES} entries"
+            evals < (ENTRIES * JOBS * JOBS / 4) as u64 && evals * 2 <= gathered,
+            "{evals} distance evaluations for one probe of {ENTRIES} entries ({gathered} gathered)"
         );
     }
 
-    /// A pool signature set: a window of a task's workload, profiled (a core
-    /// class per job) half of the time. Small pools of tasks, sizes and
-    /// seeds, so sets recur exactly and nearly.
+    #[test]
+    fn a_miss_at_full_caches_evaluates_under_half_the_distances_it_used_to() {
+        // The daemon at saturation: a shard cache of 58 entries behind which
+        // the fleet tier holds 232, the shard's 58 among them (every fourth
+        // publish was this shard's). A never-seen group misses both. Walked
+        // through a kind index, both passes in full, that was ≈ 56 K
+        // signature pairs a miss on the benchmark's groups — 70 758 on
+        // these, drawn the same way, where the packed rows evaluate 8 195.
+        // Pinned as a count (counts repeat exactly; the timing is the
+        // ladder's `serve.cache.lookup_near_us`).
+        const PUBLISHED: usize = 232;
+        let mut group = zoo_groups(23);
+        let mut shard = MappingCache::new(64);
+        let mut tier = SharedCache::new(256, 0);
+        for i in 0..PUBLISHED {
+            let sigs = group();
+            let key = quantize_signatures(&sigs, 1.0);
+            let stored = Arc::new(StoredSolution::new(
+                solution(sigs.len(), i as u64).mapping().clone(),
+                Some(sigs),
+            ));
+            if i % 4 == 0 {
+                shard.insert(key.clone(), Arc::clone(&stored));
+            }
+            tier.publish(key, stored, 0);
+        }
+        assert_eq!((shard.len(), tier.len()), (PUBLISHED / 4, PUBLISHED));
+
+        let probe = group();
+        let key = quantize_signatures(&probe, 1.0);
+        let (shard_found, shard_gathered) = shard.nearest_by_gather(&probe, 1.0);
+        let (tier_found, tier_gathered) = tier.cache.nearest_by_gather(&probe, 1.0);
+        assert_eq!((shard_found, tier_found), (None, None), "a stranger misses both tiers");
+        let before = shard_gathered + tier_gathered;
+
+        let (_, evals) = evals_of(|| {
+            assert!(shard.lookup_near(&key, &probe, 1.0).is_none());
+            assert!(tier.lookup_near(&key, &probe, 1.0, &shard).is_none());
+        });
+        assert!(evals * 2 <= before, "{evals} distance evaluations a miss, {before} before");
+        // What the identity skip is worth on its own: the tier pass without
+        // it walks the shard's 58 entries a second time (8 195 against
+        // 6 125 evaluations), to the same miss.
+        let mut unskipped = tier.clone();
+        let nobody = MappingCache::new(1);
+        let (_, skipping) = evals_of(|| tier.lookup_near(&key, &probe, 1.0, &shard).is_none());
+        let (_, whole) = evals_of(|| unskipped.lookup_near(&key, &probe, 1.0, &nobody).is_none());
+        assert!(skipping < whole, "{skipping} with the skip, {whole} without");
+        assert_eq!(tier.stats(), unskipped.stats());
+    }
+
+    /// A pool signature set. Half of the time a window of a task's workload —
+    /// one time in three with its tail swapped for another task's, so that a
+    /// probe finds some of its kinds in an entry and misses others —
+    /// profiled (a core class per job) half of the time: small pools of
+    /// tasks, sizes and seeds, so sets recur exactly and nearly. Otherwise
+    /// random layers of three shapes and two tasks, close in size and each
+    /// with a profile of its own, so that runs are long and the nearest row
+    /// is rarely the nearest in size.
     fn pool_signatures(rng: &mut StdRng) -> Vec<JobSignature> {
-        let task = TaskType::ALL[rng.gen_range(0..TaskType::ALL.len())];
-        let jobs = [1, 2, 3, 5, 8][rng.gen_range(0..5)];
-        let mut sigs = WorkloadSpec::single_group(task, jobs, rng.gen_range(0..6)).signatures();
+        use magma_model::{Job, JobId, LayerShape};
+        fn window(rng: &mut StdRng, jobs: usize) -> Vec<JobSignature> {
+            let task = TaskType::ALL[rng.gen_range(0..TaskType::ALL.len())];
+            WorkloadSpec::single_group(task, jobs, rng.gen_range(0..6)).signatures()
+        }
+        let profile = |rng: &mut StdRng, sig: JobSignature| {
+            let latencies = [rng.gen_range(1e-6..1e-2), rng.gen_range(1e-6..1e-2)];
+            sig.with_core_class(JobSignature::encode_core_class(&latencies))
+        };
+        let jobs = [1, 2, 3, 5, 8, 21][rng.gen_range(0..6)];
+        if rng.gen_range(0..2) == 0 {
+            return (0..jobs)
+                .map(|_| {
+                    let layer = match rng.gen_range(0..3) {
+                        0 => LayerShape::pointwise(
+                            32 << rng.gen_range(0..3),
+                            32 << rng.gen_range(0..3),
+                            rng.gen_range(7..29),
+                            rng.gen_range(7..29),
+                        ),
+                        1 => LayerShape::FullyConnected {
+                            out_features: rng.gen_range(256..2048),
+                            in_features: rng.gen_range(256..2048),
+                        },
+                        _ => LayerShape::Gemm {
+                            m: rng.gen_range(16..128),
+                            n: rng.gen_range(16..128),
+                            kdim: 64,
+                        },
+                    };
+                    let task = [TaskType::Vision, TaskType::Language][rng.gen_range(0..2)];
+                    let batch = 1 << rng.gen_range(0..3);
+                    profile(rng, Job::new(JobId(0), "m", 0, layer, batch, task).signature())
+                })
+                .collect();
+        }
+        let mut sigs = window(rng, jobs);
+        if rng.gen_range(0..3) == 0 {
+            let tail = rng.gen_range(0..jobs);
+            sigs.truncate(tail);
+            sigs.extend(window(rng, jobs).drain(tail..));
+        }
         if rng.gen_range(0..2) == 0 {
             for sig in &mut sigs {
-                let latencies = [rng.gen_range(1e-6..1e-2), rng.gen_range(1e-6..1e-2)];
-                *sig = sig.with_core_class(JobSignature::encode_core_class(&latencies));
+                *sig = profile(rng, *sig);
             }
         }
         sigs
@@ -1093,11 +1483,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         // The exactness proof of the near-hit probe: on random caches —
-        // mixed group sizes, entries without signatures, one signature set
-        // under several keys (exact distance ties), recency shuffled by
-        // lookups, epsilon from "off" to "accepts everything" — the probe
-        // and the exhaustive oracle serve the same entry and leave the same
-        // counters and recency order, also across a save/load round trip.
+        // mixed group sizes, entries without signatures, entries that hold
+        // some of a probe's kinds and lack others, one signature set under
+        // several keys (exact distance ties, which go to the more recent
+        // entry), recency shuffled by lookups, epsilon from "off" to
+        // "accepts everything" — the probe, the walk it replaced and the
+        // exhaustive oracle serve the same entry and leave the same counters
+        // and recency order, also across a save/load round trip.
         #[test]
         fn lookup_near_matches_the_exhaustive_oracle(seed in 0u64..u64::MAX) {
             const EPSILONS: [f64; 9] = [0.0, 1e-3, 0.3, 1.0, 3.0, 8.0, 40.0, 1e9, f64::INFINITY];
@@ -1134,6 +1526,29 @@ mod tests {
                     }
                     _ => {
                         let epsilon = EPSILONS[rng.gen_range(0..EPSILONS.len())];
+                        prop_assert_eq!(
+                            fast.nearest(&sigs, epsilon, &[]),
+                            fast.nearest_by_gather(&sigs, epsilon).0
+                        );
+                        // Entry by entry, not only the pick: the walk's total
+                        // is the exhaustive one to the bit, and is withheld
+                        // exactly when it is over the limit.
+                        for slot in &fast.slots {
+                            let (Some(rows), Some(stored)) =
+                                (&slot.rows, slot.solution.signatures()) else { continue };
+                            if stored.len() != sigs.len() {
+                                continue;
+                            }
+                            let total: f64 = sigs
+                                .iter()
+                                .map(|s| stored.iter().map(|t| s.distance(t)).fold(f64::INFINITY, f64::min))
+                                .sum();
+                            let walked = rows.total_within(&sigs, f64::INFINITY);
+                            prop_assert_eq!(walked.map(f64::to_bits), Some(total.to_bits()));
+                            let limit = epsilon * sigs.len() as f64;
+                            let within = rows.total_within(&sigs, limit);
+                            prop_assert_eq!(within.map(f64::to_bits), walked.filter(|&t| t <= limit).map(f64::to_bits));
+                        }
                         let served = fast.lookup_near(&key, &sigs, epsilon).cloned();
                         let expected = oracle.lookup_near_exhaustive(&key, &sigs, epsilon).cloned();
                         prop_assert_eq!(served, expected);

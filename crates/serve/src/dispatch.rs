@@ -33,6 +33,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// How a dispatch was served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -231,13 +232,16 @@ impl MappingService {
         // population (pure in the problem and budget; no RNG draw).
         let pop = magma.population_size_for(problem, budget);
         let epsilon = self.config.cache_epsilon;
-        let stored = self
-            .cache
-            .lookup_near(&key, sigs, epsilon)
-            .or_else(|| shared.and_then(|tier| tier.lookup_near(&key, sigs, epsilon)));
-        if let Some(stored) = stored {
-            let seeds = stored.seed_population(rng, sigs, num_accels, pop);
-            return SearchPlan { kind: DispatchKind::CacheHit, budget, key, seeds: Some(seeds) };
+        let mut adapt =
+            |stored: &StoredSolution| stored.seed_population(rng, sigs, num_accels, pop);
+        // The tier is told which cache has just refused the probe, so it
+        // skips the entries it shares with it.
+        let seeds = self.cache.lookup_near(&key, sigs, epsilon).map(&mut adapt).or_else(|| {
+            let tier = shared?;
+            tier.lookup_near(&key, sigs, epsilon, &self.cache).map(&mut adapt)
+        });
+        if seeds.is_some() {
+            return SearchPlan { kind: DispatchKind::CacheHit, budget, key, seeds };
         }
         SearchPlan {
             kind: DispatchKind::ColdSearch,
@@ -281,7 +285,7 @@ impl MappingService {
 
     /// [`MappingService::complete_group`] that also publishes the solution
     /// to the fleet tier on behalf of a tenant: the stored solution is built
-    /// once and the tier gets a copy of it.
+    /// once and the two caches share it.
     pub(crate) fn complete_group_shared(
         &mut self,
         problem: &M3e,
@@ -289,10 +293,12 @@ impl MappingService {
         outcome: SearchOutcome,
         shared: Option<(&mut SharedCache, usize)>,
     ) -> (DispatchOutcome, Option<SignatureKey>) {
-        let stored =
-            StoredSolution::new(outcome.best_mapping.clone(), Some(problem.signatures().to_vec()));
+        let stored = Arc::new(StoredSolution::new(
+            outcome.best_mapping.clone(),
+            Some(problem.signatures().to_vec()),
+        ));
         if let Some((tier, tenant)) = shared {
-            tier.publish(plan.key.clone(), stored.clone(), tenant);
+            tier.publish(plan.key.clone(), Arc::clone(&stored), tenant);
         }
         let evicted = self.cache.insert(plan.key, stored);
         let schedule = problem.schedule(&outcome.best_mapping);
@@ -359,6 +365,8 @@ mod tests {
     use magma_m3e::Objective;
     use magma_model::{TaskType, WorkloadSpec};
     use magma_platform::{settings, Setting};
+    use proptest::prelude::*;
+    use rand::Rng;
 
     fn problem(seed: u64) -> M3e {
         let group = WorkloadSpec::single_group(TaskType::Recommendation, 8, seed);
@@ -526,6 +534,69 @@ mod tests {
         restarted.install_cache(MappingCache::load(&path).expect("the saved file loads"));
         assert_eq!(restarted.map_group(&p, 2).kind, DispatchKind::CacheHit);
         let _ = std::fs::remove_file(&path);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // The fleet tier skips the entries it shares with the shard that has
+        // just refused a probe, and no plan can tell: two fleets take the
+        // same completions and the same probes, one sharing every published
+        // solution between shard and tier, the other reloading each shard's
+        // cache from its saved form after every completion — which is what a
+        // restart does, and leaves nothing shared. Plans, seeds and both
+        // tiers' counters stay equal throughout.
+        #[test]
+        fn the_tier_skips_what_the_shard_refused_and_plans_the_same(seed in 0u64..u64::MAX) {
+            const SHARDS: usize = 2;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let epsilon = [0.0, 0.5, 2.0, 8.0, 1e6][rng.gen_range(0..5)];
+            let config = DispatchConfig::new(6, 2, 1.0, rng.gen_range(1..5))
+                .with_cache_epsilon(epsilon);
+            let fleet = || -> (Vec<MappingService>, SharedCache) {
+                ((0..SHARDS).map(|_| MappingService::new(config)).collect(), SharedCache::new(6, 2))
+            };
+            let (mut sharing, mut reloaded) = (fleet(), fleet());
+            let platform = settings::build(Setting::S2);
+            let mut shared_entries = 0;
+            for _ in 0..20 {
+                let task = TaskType::ALL[rng.gen_range(0..TaskType::ALL.len())];
+                let group = WorkloadSpec::single_group(task, 6, rng.gen_range(0..4));
+                let problem = M3e::new(platform.clone(), group, Objective::Throughput);
+                let (shard, tenant, search_seed) =
+                    (rng.gen_range(0..SHARDS), rng.gen_range(0..3), rng.gen::<u64>());
+                let mut outcomes = Vec::new();
+                for (services, tier) in [&mut sharing, &mut reloaded] {
+                    let service = &mut services[shard];
+                    let mut search = StdRng::seed_from_u64(search_seed);
+                    let plan = service.plan_group_shared(&problem, &mut search, Some(tier));
+                    let mut state = service.open_search(&plan, &problem, &mut search);
+                    state.step(&problem, &mut search, plan.budget());
+                    let planned = (plan.kind(), plan.budget(), plan.seeds.clone());
+                    let (outcome, evicted) = service.complete_group_shared(
+                        &problem,
+                        plan,
+                        state.finish(),
+                        Some((tier, tenant)),
+                    );
+                    outcomes.push((planned, outcome.mapping, evicted));
+                }
+                prop_assert_eq!(&outcomes[0], &outcomes[1]);
+                shared_entries += sharing.1.shared_with(sharing.0[shard].cache());
+                let saved = serde_json::to_string(reloaded.0[shard].cache()).unwrap();
+                reloaded.0[shard].install_cache(serde_json::from_str(&saved).unwrap());
+                for shard in 0..SHARDS {
+                    prop_assert_eq!(reloaded.1.shared_with(reloaded.0[shard].cache()), 0);
+                    prop_assert_eq!(
+                        sharing.0[shard].cache_stats(),
+                        reloaded.0[shard].cache_stats()
+                    );
+                }
+                prop_assert_eq!(sharing.1.stats(), reloaded.1.stats());
+                prop_assert_eq!(sharing.1.len(), reloaded.1.len());
+            }
+            prop_assert!(shared_entries > 0, "a completion shares its solution with the tier");
+        }
     }
 
     #[test]

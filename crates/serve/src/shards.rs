@@ -43,17 +43,20 @@ pub(crate) fn group_value<'a>(arrivals: impl Iterator<Item = &'a Arrival>, mix: 
 
 /// A group's dominant tenant: the most frequent tenant among its arrivals,
 /// smallest index on ties — the tenant the shared tier charges the
-/// published entry to.
-fn dominant_tenant(arrivals: &[Arrival]) -> usize {
-    let mut counts: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-    for a in arrivals {
-        *counts.entry(a.tenant).or_insert(0) += 1;
+/// published entry to. `ids` is scratch space, so that a completion
+/// allocates nothing here.
+fn dominant_tenant(arrivals: &[Arrival], ids: &mut Vec<usize>) -> usize {
+    ids.clear();
+    ids.extend(arrivals.iter().map(|a| a.tenant));
+    ids.sort_unstable();
+    // Runs in ascending order of tenant: the first longest one wins.
+    let (mut dominant, mut most) = (0, 0);
+    for run in ids.chunk_by(|a, b| a == b) {
+        if run.len() > most {
+            (dominant, most) = (run[0], run.len());
+        }
     }
-    counts
-        .into_iter()
-        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-        .map(|(tenant, _)| tenant)
-        .unwrap_or(0)
+    dominant
 }
 
 /// A completed group, as [`ShardSet::complete`] hands it back to the driver.
@@ -82,6 +85,8 @@ pub(crate) struct ShardSet {
     overhead_sec_per_sample: f64,
     cache_path: Option<PathBuf>,
     seed: u64,
+    /// [`dominant_tenant`]'s scratch space.
+    tenant_ids: Vec<usize>,
 }
 
 impl ShardSet {
@@ -127,6 +132,7 @@ impl ShardSet {
             overhead_sec_per_sample: sched.overhead_sec_per_sample,
             cache_path,
             seed,
+            tenant_ids: Vec::new(),
         }
     }
 
@@ -240,7 +246,8 @@ impl ShardSet {
         search_end_sec: f64,
     ) -> Completed {
         let LiveSession { group, plan, problem, state, .. } = session;
-        let shared = self.shared.as_mut().map(|tier| (tier, dominant_tenant(&group.arrivals)));
+        let tenant = dominant_tenant(&group.arrivals, &mut self.tenant_ids);
+        let shared = self.shared.as_mut().map(|tier| (tier, tenant));
         let (outcome, evicted) =
             self.services[shard].complete_group_shared(&problem, plan, state.finish(), shared);
         // A pin is only worth keeping while the shard's cache holds the key.
@@ -332,6 +339,29 @@ pub(crate) mod tests {
     use super::*;
     use magma_model::{Job, LayerShape, TaskType};
     use magma_platform::settings::{FleetKnobs, FleetPolicy};
+
+    #[test]
+    fn the_dominant_tenant_is_the_most_frequent_one_and_the_smallest_on_ties() {
+        let job = Job::new(
+            JobId(0),
+            "m",
+            0,
+            LayerShape::FullyConnected { out_features: 8, in_features: 8 },
+            1,
+            TaskType::Recommendation,
+        );
+        let arrivals = |tenants: &[usize]| -> Vec<Arrival> {
+            tenants
+                .iter()
+                .map(|&tenant| Arrival { time_sec: 0.0, tenant, job: job.clone() })
+                .collect()
+        };
+        let mut ids = Vec::new();
+        assert_eq!(dominant_tenant(&arrivals(&[5, 2, 5, 9, 2, 5]), &mut ids), 5);
+        assert_eq!(dominant_tenant(&arrivals(&[7, 3, 7, 3, 9]), &mut ids), 3, "a tie");
+        assert_eq!(dominant_tenant(&arrivals(&[4]), &mut ids), 4);
+        assert_eq!(dominant_tenant(&[], &mut ids), 0);
+    }
 
     /// Affinity pins die with the cache entries they point at: however many
     /// distinct keys pass through, the router holds at most one pin per

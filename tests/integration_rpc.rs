@@ -39,6 +39,7 @@
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::TcpStream;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use magma_model::{Job, JobId, LayerShape, TaskType, TenantMix};
@@ -127,11 +128,11 @@ fn pump_until(
 }
 
 /// One-job groups whose search is charged `closed_for_sec` of mapper budget
-/// (10 µs a sample, a fraction of that to run), and an engine that never
+/// (2.4 µs a sample, a sixth of that to run), and an engine that never
 /// answers `busy` itself: see [`close_the_pace`].
 fn paced_knobs(closed_for_sec: f64) -> ServerKnobs {
     let mut knobs = tiny_knobs();
-    knobs.fleet.serve.cold_budget = (closed_for_sec * 100_000.0) as usize;
+    knobs.fleet.serve.cold_budget = (closed_for_sec / 2.4e-6) as usize;
     knobs.fleet.serve.group_target = 1;
     knobs.max_backlog_sec = 1e9;
     knobs.pending_per_shard = 1_000;
@@ -141,7 +142,12 @@ fn paced_knobs(closed_for_sec: f64) -> ServerKnobs {
 /// Has a daemon under [`paced_knobs`] search one group. Its charge overdraws
 /// the budget by the knobs' seconds less the burst, from when it was admitted:
 /// until then the daemon is idle and every submit is bounced by the pace.
+///
+/// One such search at a time: it buys its budget seconds with a sixth as many
+/// CPU seconds, which leaves a margin only while it has a core to itself.
 fn close_the_pace(client: &mut Client) {
+    static CLOSING: Mutex<()> = Mutex::new(());
+    let _one_at_a_time = CLOSING.lock().unwrap_or_else(PoisonError::into_inner);
     client.submit(0, vec![job(0)]).expect("submit");
     let mut events = Vec::new();
     pump_until_settled(client, &mut events, Instant::now() + Duration::from_secs(60));
@@ -292,7 +298,7 @@ fn the_admission_pace_bounces_a_submit_until_the_budget_has_caught_up() {
 
 #[test]
 fn a_closed_pace_bounces_a_submit_before_its_jobs_are_decoded() {
-    let (server, addr) = start_server(&paced_knobs(10.0));
+    let (server, addr) = start_server(&paced_knobs(4.0));
     let mut client = Client::connect(&addr, MAX_FRAME).expect("client connects");
     close_the_pace(&mut client);
 
