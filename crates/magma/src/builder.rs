@@ -65,13 +65,13 @@ impl Algorithm {
     pub fn build(self) -> Box<dyn Optimizer> {
         match self {
             Algorithm::Magma => Box::new(Magma::default()),
-            Algorithm::StdGa => Box::new(StdGa::default()),
-            Algorithm::De => Box::new(DifferentialEvolution::default()),
-            Algorithm::CmaEs => Box::new(CmaEs::default()),
-            Algorithm::Pso => Box::new(Pso::default()),
-            Algorithm::Tbpsa => Box::new(Tbpsa::default()),
-            Algorithm::A2c => Box::new(A2c::default()),
-            Algorithm::Ppo2 => Box::new(Ppo2::default()),
+            Algorithm::StdGa => Box::new(StdGa),
+            Algorithm::De => Box::new(DifferentialEvolution),
+            Algorithm::CmaEs => Box::new(CmaEs),
+            Algorithm::Pso => Box::new(Pso),
+            Algorithm::Tbpsa => Box::new(Tbpsa),
+            Algorithm::A2c => Box::new(A2c),
+            Algorithm::Ppo2 => Box::new(Ppo2),
             Algorithm::Random => Box::new(RandomSearch::new()),
             Algorithm::HeraldLike => Box::new(HeraldLike::new()),
             Algorithm::AiMtLike => Box::new(AiMtLike::new()),

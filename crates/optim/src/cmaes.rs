@@ -9,52 +9,26 @@
 //! the elite group).
 
 use crate::optimizer::{Optimizer, SessionState};
-use crate::session::{CoreDrive, SessionCore};
-use crate::vector::{clamp_unit, VectorProblem};
+use crate::session::{Generation, Generations};
+use crate::vector::{better_half, centre_point, gaussian_point, VectorProblem};
 use magma_m3e::{Mapping, MappingProblem};
 use rand::rngs::StdRng;
-use rand::Rng;
-use rand_distr::{Distribution, Normal};
 
-/// CMA-ES hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CmaEsConfig {
-    /// Offspring per generation (λ).
-    pub population_size: usize,
-    /// Fraction of the population used as the elite (paper: 1/2).
-    pub elite_fraction: f64,
-    /// Initial global step size σ.
-    pub initial_sigma: f64,
-    /// Learning rate for the per-dimension variance update.
-    pub variance_learning_rate: f64,
-}
-
-impl Default for CmaEsConfig {
-    fn default() -> Self {
-        CmaEsConfig {
-            population_size: 40,
-            elite_fraction: 0.5,
-            initial_sigma: 0.3,
-            variance_learning_rate: 0.3,
-        }
-    }
-}
+/// Offspring per generation (λ).
+const POPULATION: usize = 40;
+/// Initial per-dimension step size σ.
+const INITIAL_SIGMA: f64 = 0.3;
+/// Learning rate of the per-dimension variance update.
+const VARIANCE_LEARNING_RATE: f64 = 0.3;
 
 /// The separable CMA-ES optimizer.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CmaEs {
-    config: CmaEsConfig,
-}
+pub struct CmaEs;
 
 impl CmaEs {
     /// Creates CMA-ES with the default hyper-parameters.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates CMA-ES with explicit hyper-parameters.
-    pub fn with_config(config: CmaEsConfig) -> Self {
-        CmaEs { config }
+        CmaEs
     }
 }
 
@@ -64,65 +38,47 @@ impl Optimizer for CmaEs {
     }
 
     fn open(&self, problem: &dyn MappingProblem, rng: &mut StdRng) -> Box<dyn SessionState> {
-        CoreDrive::new(CmaCore::new(*self, problem, rng)).boxed()
+        let dims = VectorProblem::new(problem).dims();
+        Generations::open(CmaRule {
+            mean: centre_point(dims, rng),
+            sigma: vec![INITIAL_SIGMA; dims],
+            xs: Vec::new(),
+        })
     }
 }
 
-/// The incremental separable-CMA-ES stepper: individuals of a generation are
-/// sampled lazily from the frozen `(mean, sigma)` distribution; the
-/// distribution update runs only when the whole generation has been
-/// evaluated. A session stopped mid-generation never updates on a partial
-/// elite set — matching the one-shot search, whose partial final generation
-/// could no longer influence any sample.
-struct CmaCore {
-    cma: CmaEs,
-    lambda: usize,
-    mu: usize,
-    normal: Normal,
+/// Separable CMA-ES as a generation rule: λ individuals sampled from the
+/// `(mean, sigma)` the previous generation left, which a closed generation's
+/// elite half then moves.
+struct CmaRule {
     mean: Vec<f64>,
     sigma: Vec<f64>,
-    gen_xs: Vec<Vec<f64>>,
-    gen_fits: Vec<f64>,
+    /// The generation in flight.
+    xs: Vec<Vec<f64>>,
 }
 
-impl CmaCore {
-    fn new(cma: CmaEs, problem: &dyn MappingProblem, rng: &mut StdRng) -> Self {
-        let dims = VectorProblem::new(problem).dims();
-        // Nominal (budget-independent) offspring count; the one-shot budget
-        // clamp only bound runs that ended inside their first generation.
-        let lambda = cma.config.population_size.max(4);
-        let mu = ((lambda as f64 * cma.config.elite_fraction) as usize).max(1);
-        // Mean starts at the centre of the hyper-cube; per-dimension sigma
-        // at the configured initial step size (drawn at session start, like
-        // the one-shot search drew it at entry).
-        let mean: Vec<f64> = (0..dims).map(|_| rng.gen_range(0.3..0.7)).collect();
-        CmaCore {
-            cma,
-            lambda,
-            mu,
-            normal: Normal::new(0.0, 1.0).expect("unit normal"),
-            mean,
-            sigma: vec![cma.config.initial_sigma; dims],
-            gen_xs: Vec::new(),
-            gen_fits: Vec::new(),
-        }
+impl Generation for CmaRule {
+    fn size(&self) -> usize {
+        POPULATION
     }
 
-    /// The rank-weighted mean / per-dimension variance update over the
-    /// completed generation (the one-shot per-generation block, verbatim).
-    fn update_distribution(&mut self) {
+    fn emit(&mut self, _index: usize, problem: &dyn MappingProblem, rng: &mut StdRng) -> Mapping {
+        let x = gaussian_point(&self.mean, |d| self.sigma[d], rng);
+        let mapping = VectorProblem::new(problem).decode(&x);
+        self.xs.push(x);
+        mapping
+    }
+
+    /// The rank-weighted mean / per-dimension variance update.
+    fn close(&mut self, _candidates: &mut Vec<Mapping>, fits: &[f64]) {
         let dims = self.mean.len();
-        let xs = std::mem::take(&mut self.gen_xs);
-        let fits = std::mem::take(&mut self.gen_fits);
-        let mut samples: Vec<(Vec<f64>, f64)> = xs.into_iter().zip(fits).collect();
-        samples.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let elites = &samples[..self.mu.min(samples.len())];
+        let elites = better_half(std::mem::take(&mut self.xs), fits);
 
         // Weighted (rank-linear) mean of the elites.
         let weights: Vec<f64> = (0..elites.len()).map(|r| (elites.len() - r) as f64).collect();
         let wsum: f64 = weights.iter().sum();
         let mut new_mean = vec![0.0; dims];
-        for (w, (x, _)) in weights.iter().zip(elites) {
+        for (w, (x, _)) in weights.iter().zip(&elites) {
             for d in 0..dims {
                 new_mean[d] += w * x[d] / wsum;
             }
@@ -130,7 +86,7 @@ impl CmaCore {
 
         // Per-dimension variance from the elites around the *old* mean
         // (rank-mu style update), blended with the previous sigma.
-        let lr = self.cma.config.variance_learning_rate;
+        let lr = VARIANCE_LEARNING_RATE;
         for d in 0..dims {
             let var: f64 = elites.iter().map(|(x, _)| (x[d] - self.mean[d]).powi(2)).sum::<f64>()
                 / elites.len() as f64;
@@ -138,35 +94,6 @@ impl CmaCore {
             self.sigma[d] = (1.0 - lr) * self.sigma[d] + lr * new_sigma;
         }
         self.mean = new_mean;
-    }
-}
-
-impl SessionCore for CmaCore {
-    fn next_wave(
-        &mut self,
-        want: usize,
-        problem: &dyn MappingProblem,
-        rng: &mut StdRng,
-    ) -> Vec<Mapping> {
-        let vp = VectorProblem::new(problem);
-        let dims = self.mean.len();
-        if self.gen_xs.len() == self.lambda {
-            self.update_distribution();
-        }
-        let count = want.min(self.lambda - self.gen_xs.len());
-        let mut wave = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mut x: Vec<f64> =
-                (0..dims).map(|d| self.mean[d] + self.sigma[d] * self.normal.sample(rng)).collect();
-            clamp_unit(&mut x);
-            wave.push(vp.decode(&x));
-            self.gen_xs.push(x);
-        }
-        wave
-    }
-
-    fn absorb(&mut self, _wave: Vec<Mapping>, fits: &[f64], _problem: &dyn MappingProblem) {
-        self.gen_fits.extend_from_slice(fits);
     }
 }
 

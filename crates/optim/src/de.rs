@@ -9,44 +9,29 @@
 //! batch.
 
 use crate::optimizer::{Optimizer, SessionState};
-use crate::session::{CoreDrive, SessionCore};
+use crate::session::{Generation, Generations};
 use crate::vector::{clamp_unit, VectorProblem};
 use magma_m3e::{Mapping, MappingProblem};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Differential-evolution hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeConfig {
-    /// Population size.
-    pub population_size: usize,
-    /// Differential weight F (paper: 0.8).
-    pub differential_weight: f64,
-    /// Crossover probability CR (paper: 0.8).
-    pub crossover_rate: f64,
-}
-
-impl Default for DeConfig {
-    fn default() -> Self {
-        DeConfig { population_size: 40, differential_weight: 0.8, crossover_rate: 0.8 }
-    }
-}
+/// Population size.
+const POPULATION: usize = 40;
+/// Differential weight F (Table IV: 0.8).
+const DIFFERENTIAL_WEIGHT: f64 = 0.8;
+/// Crossover probability CR (Table IV: 0.8).
+const CROSSOVER_RATE: f64 = 0.8;
+// rand/1/bin builds a trial from three individuals other than its target.
+const _: () = assert!(POPULATION >= 4);
 
 /// The DE/rand/1/bin optimizer.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DifferentialEvolution {
-    config: DeConfig,
-}
+pub struct DifferentialEvolution;
 
 impl DifferentialEvolution {
     /// Creates DE with the paper's hyper-parameters.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates DE with explicit hyper-parameters.
-    pub fn with_config(config: DeConfig) -> Self {
-        DifferentialEvolution { config }
+        DifferentialEvolution
     }
 }
 
@@ -55,51 +40,27 @@ impl Optimizer for DifferentialEvolution {
         "DE"
     }
 
-    fn open(&self, problem: &dyn MappingProblem, _rng: &mut StdRng) -> Box<dyn SessionState> {
-        CoreDrive::new(DeCore::new(*self, problem)).boxed()
+    fn open(&self, _problem: &dyn MappingProblem, _rng: &mut StdRng) -> Box<dyn SessionState> {
+        Generations::open(DeRule::default())
     }
 }
 
-/// The incremental DE/rand/1/bin stepper. Trials stay generation-synchronous
-/// — every trial of a generation is built from the population frozen at the
-/// generation boundary — but are *bred lazily*, one per demanded sample, and
-/// selection is applied only once the whole generation has been evaluated.
-/// A session stopped mid-generation has therefore drawn exactly the one-shot
-/// search's RNG stream.
-struct DeCore {
-    de: DifferentialEvolution,
-    np: usize,
-    /// The frozen population and fitnesses trials are built against.
+/// DE as a generation rule: a random initial population, then generations of
+/// one trial per individual, built from the population as the previous
+/// generation left it and selected index by index once all are evaluated.
+#[derive(Default)]
+struct DeRule {
+    /// The population and fitnesses trials are built against (empty until
+    /// the initial population is evaluated).
     pop: Vec<Vec<f64>>,
     fit: Vec<f64>,
-    /// Candidates emitted for the generation in flight (init individuals or
-    /// trial vectors), in emission order.
-    gen_xs: Vec<Vec<f64>>,
-    /// Fitnesses absorbed for the generation in flight.
-    gen_fits: Vec<f64>,
-    in_generations: bool,
+    /// The generation in flight: initial individuals or trial vectors.
+    trials: Vec<Vec<f64>>,
 }
 
-impl DeCore {
-    fn new(de: DifferentialEvolution, _problem: &dyn MappingProblem) -> Self {
-        // Nominal (budget-independent) population size; the one-shot budget
-        // clamp only bound runs that ended inside the initial population.
-        let np = de.config.population_size.max(4);
-        DeCore {
-            de,
-            np,
-            pop: Vec::new(),
-            fit: Vec::new(),
-            gen_xs: Vec::new(),
-            gen_fits: Vec::new(),
-            in_generations: false,
-        }
-    }
-
-    /// Breeds trial `i` of the current generation (rand/1/bin) against the
-    /// frozen population — the exact per-trial RNG draws of the one-shot
-    /// loop.
-    fn breed_trial(&self, i: usize, dims: usize, rng: &mut StdRng) -> Vec<f64> {
+impl DeRule {
+    /// Breeds the trial against individual `i` (rand/1/bin).
+    fn breed_trial(&self, i: usize, rng: &mut StdRng) -> Vec<f64> {
         let mut pick = |taken: &[usize]| loop {
             let j = rng.gen_range(0..self.pop.len());
             if j != i && !taken.contains(&j) {
@@ -109,78 +70,45 @@ impl DeCore {
         let a = pick(&[]);
         let b = pick(&[a]);
         let c = pick(&[a, b]);
-        let jrand = rng.gen_range(0..dims);
         let mut trial = self.pop[i].clone();
+        let jrand = rng.gen_range(0..trial.len());
         for (d, gene) in trial.iter_mut().enumerate() {
-            if rng.gen::<f64>() < self.de.config.crossover_rate || d == jrand {
-                *gene = self.pop[a][d]
-                    + self.de.config.differential_weight * (self.pop[b][d] - self.pop[c][d]);
+            if rng.gen::<f64>() < CROSSOVER_RATE || d == jrand {
+                *gene = self.pop[a][d] + DIFFERENTIAL_WEIGHT * (self.pop[b][d] - self.pop[c][d]);
             }
         }
         clamp_unit(&mut trial);
         trial
     }
-
-    /// Size of the generation in flight: the initial population and every
-    /// trial generation are all `np` wide.
-    fn gen_target(&self) -> usize {
-        self.np
-    }
-
-    /// Folds the completed generation back: the initial population becomes
-    /// the frozen population; a trial generation is selected index-by-index.
-    fn close_generation(&mut self) {
-        let xs = std::mem::take(&mut self.gen_xs);
-        let fits = std::mem::take(&mut self.gen_fits);
-        if !self.in_generations {
-            self.pop = xs;
-            self.fit = fits;
-            self.in_generations = true;
-        } else {
-            for (i, (trial, f)) in xs.into_iter().zip(fits).enumerate() {
-                if f > self.fit[i] {
-                    self.pop[i] = trial;
-                    self.fit[i] = f;
-                }
-            }
-        }
-    }
 }
 
-impl SessionCore for DeCore {
-    fn next_wave(
-        &mut self,
-        want: usize,
-        problem: &dyn MappingProblem,
-        rng: &mut StdRng,
-    ) -> Vec<Mapping> {
-        let vp = VectorProblem::new(problem);
-        let dims = vp.dims();
-        if self.gen_xs.len() == self.gen_target() {
-            self.close_generation();
-            // Mirrors the one-shot `pop.len() >= 4` guard: rand/1/bin needs
-            // four distinct individuals (never hit at the nominal np ≥ 4).
-            if self.in_generations && self.pop.len() < 4 {
-                return Vec::new();
-            }
-        }
-        let count = want.min(self.gen_target() - self.gen_xs.len());
-        let mut wave = Vec::with_capacity(count);
-        for _ in 0..count {
-            let i = self.gen_xs.len();
-            let x = if self.in_generations {
-                self.breed_trial(i, dims, rng)
-            } else {
-                vp.random_point(rng)
-            };
-            wave.push(vp.decode(&x));
-            self.gen_xs.push(x);
-        }
-        wave
+impl Generation for DeRule {
+    fn size(&self) -> usize {
+        POPULATION
     }
 
-    fn absorb(&mut self, _wave: Vec<Mapping>, fits: &[f64], _problem: &dyn MappingProblem) {
-        self.gen_fits.extend_from_slice(fits);
+    fn emit(&mut self, index: usize, problem: &dyn MappingProblem, rng: &mut StdRng) -> Mapping {
+        let vp = VectorProblem::new(problem);
+        let x =
+            if self.pop.is_empty() { vp.random_point(rng) } else { self.breed_trial(index, rng) };
+        let mapping = vp.decode(&x);
+        self.trials.push(x);
+        mapping
+    }
+
+    fn close(&mut self, _candidates: &mut Vec<Mapping>, fits: &[f64]) {
+        let trials = std::mem::take(&mut self.trials);
+        if self.pop.is_empty() {
+            self.pop = trials;
+            self.fit = fits.to_vec();
+            return;
+        }
+        for (i, (trial, &f)) in trials.into_iter().zip(fits).enumerate() {
+            if f > self.fit[i] {
+                self.pop[i] = trial;
+                self.fit[i] = f;
+            }
+        }
     }
 }
 

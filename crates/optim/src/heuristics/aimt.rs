@@ -1,7 +1,7 @@
 //! The AI-MT-like manual mapper.
 
 use crate::optimizer::{Optimizer, SessionState};
-use crate::session::{CoreDrive, OneShotCore};
+use crate::session::OneShot;
 use magma_m3e::{Mapping, MappingProblem};
 use rand::rngs::StdRng;
 
@@ -61,7 +61,7 @@ impl Optimizer for AiMtLike {
     fn open(&self, problem: &dyn MappingProblem, _rng: &mut StdRng) -> Box<dyn SessionState> {
         // The heuristic proposes a single deterministic mapping: its session
         // spends one sample on the first step and reports exhaustion after.
-        CoreDrive::new(OneShotCore::new(self.build_mapping(problem))).boxed()
+        OneShot::open(self.build_mapping(problem))
     }
 }
 

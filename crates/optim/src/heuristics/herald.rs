@@ -1,7 +1,7 @@
 //! The Herald-like manual mapper.
 
 use crate::optimizer::{Optimizer, SessionState};
-use crate::session::{CoreDrive, OneShotCore};
+use crate::session::OneShot;
 use magma_m3e::{Mapping, MappingProblem};
 use rand::rngs::StdRng;
 
@@ -77,7 +77,7 @@ impl Optimizer for HeraldLike {
     fn open(&self, problem: &dyn MappingProblem, _rng: &mut StdRng) -> Box<dyn SessionState> {
         // The heuristic proposes a single deterministic mapping: its session
         // spends one sample on the first step and reports exhaustion after.
-        CoreDrive::new(OneShotCore::new(self.build_mapping(problem))).boxed()
+        OneShot::open(self.build_mapping(problem))
     }
 }
 

@@ -4,19 +4,24 @@
 //! [`MappingProblem`](magma_m3e::MappingProblem) under a fixed sampling
 //! budget, mirroring Table IV of the paper:
 //!
-//! | Algorithm | Module | Notes |
+//! | Algorithm | Module | Rule and constants |
 //! |---|---|---|
-//! | **MAGMA** (this paper) | [`magma_ga`] | GA with domain-aware operators: Mutation, Crossover-gen, Crossover-rg, Crossover-accel |
-//! | stdGA | [`stdga`] | standard genetic algorithm (mutation 0.1, crossover 0.1) |
-//! | DE | [`de`] | differential evolution (F = 0.8, CR = 0.8) |
-//! | CMA-ES | [`cmaes`] | (separable) covariance matrix adaptation evolution strategy |
-//! | PSO | [`pso`] | particle swarm optimization (c1 = c2 = 0.8) |
-//! | TBPSA | [`tbpsa`] | test-based population-size adaptation evolution strategy |
-//! | RL A2C | [`rl`] | advantage actor-critic, 3×128 MLP policy/critic |
-//! | RL PPO2 | [`rl`] | proximal policy optimization with clipping, 3×128 MLP |
-//! | Random | [`random`] | uniform random search (the "exhaustively sampled" reference of Fig. 10) |
-//! | Herald-like | [`heuristics`] | manual mapper tuned for heterogeneous cores |
-//! | AI-MT-like | [`heuristics`] | manual mapper tuned for homogeneous cores |
+//! | **MAGMA** (this paper) | [`magma_ga`] | breeding rule of the elitist GA engine: Crossover-gen 0.9, Crossover-rg 0.05, Crossover-accel 0.05, Mutation 0.05; population = group size (≥ 16), elites 0.25 — [`MagmaConfig`], the one settable set (Fig. 16, warm start, [`hyper`]) |
+//! | stdGA | [`stdga`] | breeding rule of the same engine: flat single-pivot crossover 0.1, mutation 0.1; population 50, elites 0.2 |
+//! | DE | [`de`] | generation of 40 rand/1/bin trials, selected index by index: F = 0.8, CR = 0.8 |
+//! | CMA-ES | [`cmaes`] | generation of 40 Gaussian samples, separable: elite half, initial σ 0.3, variance learning rate 0.3 |
+//! | PSO | [`pso`] | iteration of 40 particles: c1 = c2 = 0.8, inertia 0.6, velocity cap 0.25 |
+//! | TBPSA | [`tbpsa`] | generation of λ Gaussian samples, λ from 50 growing ×1.3 to at most 400 when a generation does not improve: elite half, σ 0.3 decaying ×0.95 |
+//! | RL A2C | [`rl`] | generation of one episode, then the actor-critic update: 3×128 MLP policy/critic, γ = 0.99, RMSProp lr 7e-4, entropy bonus 0.01 |
+//! | RL PPO2 | [`rl`] | generation of 8 episodes under a frozen policy, then the clipped update: same networks, γ = 0.99, Adam lr 2.5e-4, clip 0.2, 4 epochs |
+//! | Random | [`random`] | generations of 1 024 uniform mappings, nothing folded (the "exhaustively sampled" reference of Fig. 10) |
+//! | Herald-like | [`heuristics`] | one proposal, then exhausted: manual mapper tuned for heterogeneous cores |
+//! | AI-MT-like | [`heuristics`] | one proposal, then exhausted: manual mapper tuned for homogeneous cores |
+//!
+//! The paper compares the mappers at these fixed values, so the baselines'
+//! are `const`s beside each rule, not configuration. Every row is a
+//! *generation rule* — `size()`, `emit(index)`, `close(fits)` — over the one
+//! session driver of `session.rs`, which owns the generation in flight.
 //!
 //! Every optimizer evaluates its candidates through the shared batch oracle
 //! in [`parallel`] ([`BatchEvaluator::evaluate_batch`]), which fans each
@@ -34,8 +39,11 @@
 //! carrying population / distribution / policy state (and the RNG stream)
 //! across slices. [`Optimizer::search`] is a provided method that steps one
 //! session to the budget, and stepping at *any* slice sizes is bit-identical
-//! to it (locked down by `tests/integration_sessions.rs`) — which is what
-//! lets `magma-serve` overlap search slices with accelerator execution.
+//! to it — a rule never sees a slice, so the k-th candidate cannot depend on
+//! one (stated and property-tested in `session.rs`, locked down end to end by
+//! `tests/integration_sessions.rs`, and pinned across commits for every row
+//! above by `tests/data/baselines_parent.json`) — which is what lets
+//! `magma-serve` overlap search slices with accelerator execution.
 //!
 //! # Paper cross-references
 //!
@@ -73,6 +81,7 @@
 
 pub mod cmaes;
 pub mod de;
+mod ga;
 pub mod heuristics;
 pub mod hyper;
 pub mod magma_ga;

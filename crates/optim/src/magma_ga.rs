@@ -19,12 +19,14 @@
 //!
 //! The population size defaults to the group size (as in the paper), elites
 //! survive unchanged, and the whole search respects a fixed sampling budget.
+//! The four operators are this module's `Breed` rule; ranking, elitism and
+//! parent selection are the engine stdGA shares (`ga.rs`).
 
+use crate::ga::{mutate, Breed, ElitistGa};
 use crate::optimizer::{Optimizer, SessionState};
-use crate::session::{CoreDrive, SessionCore};
+use crate::session::Generations;
 use magma_m3e::{Mapping, MappingProblem};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -176,35 +178,16 @@ impl Magma {
         &self.config
     }
 
-    fn population_size(&self, problem: &dyn MappingProblem, budget: usize) -> usize {
-        let base = self.config.population_size.unwrap_or(problem.num_jobs());
-        base.max(16).min(budget.max(2))
-    }
-
     /// The population size a search will actually use on `problem` at
     /// `budget`. Callers building a seed population (e.g. the serving
     /// layer's cache-hit path) size it with this so the seeds fill exactly
     /// one initial generation — no seed is dropped and none of the
     /// refinement budget is padded with random individuals.
     pub fn population_size_for(&self, problem: &dyn MappingProblem, budget: usize) -> usize {
-        self.population_size(problem, budget)
+        Breed::population_size(self, problem.num_jobs()).min(budget.max(2))
     }
 
     // ----- genetic operators -------------------------------------------------
-
-    /// Standard mutation: every gene is re-drawn with probability
-    /// `mutation_rate`.
-    fn mutate(&self, child: &mut Mapping, num_accels: usize, rng: &mut StdRng) {
-        let n = child.num_jobs();
-        for i in 0..n {
-            if rng.gen::<f64>() < self.config.mutation_rate {
-                child.accel_sel_mut()[i] = rng.gen_range(0..num_accels);
-            }
-            if rng.gen::<f64>() < self.config.mutation_rate {
-                child.priority_mut()[i] = rng.gen_range(0.0..1.0);
-            }
-        }
-    }
 
     /// Crossover-gen: single-pivot crossover restricted to one randomly
     /// chosen genome.
@@ -251,9 +234,22 @@ impl Magma {
             }
         }
     }
+}
 
-    /// Breeds one child of `dad` and `mom` into `child`, whose previous
-    /// genes are overwritten (its buffers are what is being reused).
+impl Breed for Magma {
+    fn population_size(&self, num_jobs: usize) -> usize {
+        self.config.population_size.unwrap_or(num_jobs).max(16)
+    }
+
+    fn elite_ratio(&self) -> f64 {
+        self.config.elite_ratio
+    }
+
+    /// A warm-start seed while they last.
+    fn seed(&self, index: usize) -> Option<&Mapping> {
+        self.config.initial_population.as_ref()?.get(index)
+    }
+
     fn make_child(
         &self,
         child: &mut Mapping,
@@ -274,7 +270,7 @@ impl Magma {
             Self::crossover_accel(child, mom, num_accels, rng);
         }
         if ops.mutation {
-            self.mutate(child, num_accels, rng);
+            mutate(child, self.config.mutation_rate, num_accels, rng);
         }
     }
 }
@@ -285,158 +281,7 @@ impl Optimizer for Magma {
     }
 
     fn open(&self, problem: &dyn MappingProblem, _rng: &mut StdRng) -> Box<dyn SessionState> {
-        CoreDrive::new(MagmaCore::new(self.clone(), problem)).boxed()
-    }
-}
-
-/// One evaluated individual.
-struct Individual {
-    mapping: Mapping,
-    fitness: f64,
-    /// Position in the list the ranking sort was handed (elites first, then
-    /// evaluation order): the tie-break that makes the in-place unstable sort
-    /// return what a stable one would.
-    arrival: usize,
-}
-
-/// The incremental MAGMA stepper: carries the population across budget
-/// slices. The initial population is emitted lazily (seed individuals first,
-/// random fill after); each later generation breeds children lazily, one per
-/// demanded sample, from a parent pool frozen when the previous generation
-/// finished evaluating — so a session stopped mid-generation has drawn
-/// exactly the RNG stream of the one-shot search whose budget ran out there.
-///
-/// A generation recycles its individuals: the ranked previous generation
-/// stays where it is (its first `elite_count` are the elites, its first
-/// `parent_count` the parent pool, both by index), and children are bred into
-/// the genome buffers of individuals the ranking before that discarded — so
-/// once two generations have run, breeding allocates nothing per child.
-struct MagmaCore {
-    magma: Magma,
-    num_jobs: usize,
-    num_accels: usize,
-    pop_size: usize,
-    elite_count: usize,
-    /// Individuals of the initial population emitted so far.
-    init_emitted: usize,
-    /// Whether the initial population has been fully evaluated.
-    in_generations: bool,
-    /// The generation in flight, as evaluated so far.
-    evaluated: Vec<Individual>,
-    /// The last fully evaluated generation with the elites it inherited,
-    /// best first (empty during init).
-    ranked: Vec<Individual>,
-    /// Size of the parent pool `ranked[..parent_count]` (the top half).
-    parent_count: usize,
-    /// Discarded individuals, to breed the next children into.
-    spare: Vec<Mapping>,
-    children_target: usize,
-    children_bred: usize,
-}
-
-impl MagmaCore {
-    fn new(magma: Magma, problem: &dyn MappingProblem) -> Self {
-        let num_jobs = problem.num_jobs();
-        let num_accels = problem.num_accels();
-        // The nominal (budget-independent) population size: the one-shot
-        // search clamped this to the budget, but that clamp only ever bound
-        // runs that ended inside the initial population — which a lazily
-        // emitting session reproduces without knowing the budget.
-        let pop_size = magma.config.population_size.unwrap_or(num_jobs).max(16);
-        let elite_count = ((pop_size as f64 * magma.config.elite_ratio).round() as usize)
-            .clamp(1, pop_size.saturating_sub(1).max(1));
-        MagmaCore {
-            magma,
-            num_jobs,
-            num_accels,
-            pop_size,
-            elite_count,
-            init_emitted: 0,
-            in_generations: false,
-            evaluated: Vec::new(),
-            ranked: Vec::new(),
-            parent_count: 0,
-            spare: Vec::new(),
-            children_target: 0,
-            children_bred: 0,
-        }
-    }
-
-    /// The next individual of the initial population: a warm-start seed
-    /// while they last, a fresh random mapping after.
-    fn next_initial(&self, index: usize, rng: &mut StdRng) -> Mapping {
-        match &self.magma.config.initial_population {
-            Some(seed) if index < seed.len().min(self.pop_size) => seed[index].clone(),
-            _ => Mapping::random(rng, self.num_jobs, self.num_accels),
-        }
-    }
-
-    /// Closes the fully evaluated generation (or initial population) and
-    /// sets up breeding for the next one: the elites of the previous ranking
-    /// stay, the rest of it is discarded, the new generation joins and the
-    /// whole is ranked — exactly the per-generation bookkeeping of the
-    /// one-shot loop.
-    fn begin_generation(&mut self) {
-        let elites = self.elite_count.min(self.ranked.len());
-        self.spare.extend(self.ranked.drain(elites..).map(|individual| individual.mapping));
-        self.ranked.append(&mut self.evaluated);
-        for (arrival, individual) in self.ranked.iter_mut().enumerate() {
-            individual.arrival = arrival;
-        }
-        self.ranked.sort_unstable_by(|a, b| {
-            b.fitness
-                .partial_cmp(&a.fitness)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.arrival.cmp(&b.arrival))
-        });
-        self.parent_count = (self.ranked.len() / 2).max(2).min(self.ranked.len());
-        self.children_target =
-            self.pop_size.saturating_sub(self.elite_count.min(self.ranked.len()));
-        self.children_bred = 0;
-    }
-}
-
-impl SessionCore for MagmaCore {
-    fn next_wave(
-        &mut self,
-        want: usize,
-        _problem: &dyn MappingProblem,
-        rng: &mut StdRng,
-    ) -> Vec<Mapping> {
-        if !self.in_generations {
-            if self.init_emitted < self.pop_size {
-                let count = want.min(self.pop_size - self.init_emitted);
-                let wave: Vec<Mapping> =
-                    (0..count).map(|k| self.next_initial(self.init_emitted + k, rng)).collect();
-                self.init_emitted += count;
-                return wave;
-            }
-            self.in_generations = true;
-            self.begin_generation();
-        } else if self.children_bred == self.children_target {
-            self.begin_generation();
-        }
-        let count = want.min(self.children_target - self.children_bred);
-        let parents = &self.ranked[..self.parent_count];
-        let wave: Vec<Mapping> = (0..count)
-            .map(|_| {
-                let dad = &parents.choose(rng).unwrap().mapping;
-                let mom = &parents.choose(rng).unwrap().mapping;
-                let mut child = self.spare.pop().unwrap_or_else(|| dad.clone());
-                self.magma.make_child(&mut child, dad, mom, self.num_accels, rng);
-                child
-            })
-            .collect();
-        self.children_bred += count;
-        wave
-    }
-
-    fn absorb(&mut self, wave: Vec<Mapping>, fits: &[f64], _problem: &dyn MappingProblem) {
-        self.evaluated.extend(wave.into_iter().zip(fits).map(|(mapping, &fitness)| Individual {
-            mapping,
-            fitness,
-            arrival: 0,
-        }));
+        Generations::open(ElitistGa::new(self.clone(), problem))
     }
 }
 

@@ -9,48 +9,31 @@
 //! parallel batch.
 
 use crate::optimizer::{Optimizer, SessionState};
-use crate::session::{CoreDrive, SessionCore};
+use crate::session::{Generation, Generations};
 use crate::vector::{clamp_unit, VectorProblem};
 use magma_m3e::{Mapping, MappingProblem};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// PSO hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PsoConfig {
-    /// Number of particles.
-    pub swarm_size: usize,
-    /// Inertia weight ω.
-    pub inertia: f64,
-    /// Attraction toward the particle's own best (c1, paper: 0.8).
-    pub cognitive: f64,
-    /// Attraction toward the global best (c2, paper: 0.8).
-    pub social: f64,
-    /// Maximum absolute velocity per dimension.
-    pub max_velocity: f64,
-}
-
-impl Default for PsoConfig {
-    fn default() -> Self {
-        PsoConfig { swarm_size: 40, inertia: 0.6, cognitive: 0.8, social: 0.8, max_velocity: 0.25 }
-    }
-}
+/// Number of particles.
+const SWARM: usize = 40;
+/// Inertia weight ω (Table IV lists 1.6; see the module docs).
+const INERTIA: f64 = 0.6;
+/// Attraction toward the particle's own best (c1, Table IV: 0.8).
+const COGNITIVE: f64 = 0.8;
+/// Attraction toward the global best (c2, Table IV: 0.8).
+const SOCIAL: f64 = 0.8;
+/// Maximum absolute velocity per dimension.
+const MAX_VELOCITY: f64 = 0.25;
 
 /// The particle-swarm optimizer.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Pso {
-    config: PsoConfig,
-}
+pub struct Pso;
 
 impl Pso {
     /// Creates PSO with the default hyper-parameters.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates PSO with explicit hyper-parameters.
-    pub fn with_config(config: PsoConfig) -> Self {
-        Pso { config }
+        Pso
     }
 }
 
@@ -59,137 +42,74 @@ impl Optimizer for Pso {
         "PSO"
     }
 
-    fn open(&self, problem: &dyn MappingProblem, _rng: &mut StdRng) -> Box<dyn SessionState> {
-        CoreDrive::new(PsoCore::new(*self, problem)).boxed()
+    fn open(&self, _problem: &dyn MappingProblem, _rng: &mut StdRng) -> Box<dyn SessionState> {
+        Generations::open(Swarm { gbest_fit: f64::NEG_INFINITY, ..Swarm::default() })
     }
 }
 
-/// The incremental synchronous-swarm PSO stepper. Particles are sampled
-/// (initial swarm) and moved (later iterations) lazily, one per demanded
-/// sample, but the personal/global bests are folded in only at iteration
-/// boundaries — so every particle of an iteration still moves against the
-/// *previous* iteration's bests, exactly as the one-shot synchronous update
-/// did, whatever the slice sizes.
-struct PsoCore {
-    pso: Pso,
-    n: usize,
+/// The synchronous swarm as a generation rule: an iteration samples (the
+/// first) or moves (every later) each particle once; the personal and global
+/// bests are folded in when the iteration closes, so every particle moves
+/// against the *previous* iteration's bests.
+#[derive(Default)]
+struct Swarm {
     pos: Vec<Vec<f64>>,
     vel: Vec<Vec<f64>>,
+    /// Personal bests (empty until the first iteration is evaluated).
     pbest: Vec<Vec<f64>>,
     pbest_fit: Vec<f64>,
     gbest: Vec<f64>,
     gbest_fit: f64,
-    /// Particles emitted (sampled or moved) in the iteration in flight.
-    emitted: usize,
-    /// Fitnesses absorbed for the iteration in flight.
-    gen_fits: Vec<f64>,
-    in_iterations: bool,
 }
 
-impl PsoCore {
-    fn new(pso: Pso, _problem: &dyn MappingProblem) -> Self {
-        // Nominal (budget-independent) swarm size; the one-shot budget clamp
-        // only bound runs that ended inside the initial swarm.
-        let n = pso.config.swarm_size.max(2);
-        PsoCore {
-            pso,
-            n,
-            pos: Vec::new(),
-            vel: Vec::new(),
-            pbest: Vec::new(),
-            pbest_fit: Vec::new(),
-            gbest: Vec::new(),
-            gbest_fit: f64::NEG_INFINITY,
-            emitted: 0,
-            gen_fits: Vec::new(),
-            in_iterations: false,
-        }
-    }
-
-    /// Folds the completed iteration's fitnesses into the personal and
-    /// global bests, in particle order (the one-shot post-batch fold).
-    fn close_iteration(&mut self) {
-        let fits = std::mem::take(&mut self.gen_fits);
-        if !self.in_iterations {
-            for (x, &f) in self.pos.iter().zip(&fits) {
-                if f > self.gbest_fit {
-                    self.gbest_fit = f;
-                    self.gbest = x.clone();
-                }
-                self.pbest.push(x.clone());
-                self.pbest_fit.push(f);
-            }
-            self.in_iterations = true;
-        } else {
-            for (i, &f) in fits.iter().enumerate() {
-                if f > self.pbest_fit[i] {
-                    self.pbest_fit[i] = f;
-                    self.pbest[i] = self.pos[i].clone();
-                }
-                if f > self.gbest_fit {
-                    self.gbest_fit = f;
-                    self.gbest = self.pos[i].clone();
-                }
-            }
-        }
-        self.emitted = 0;
-    }
-
-    /// Moves particle `i` against the previous iteration's bests (the exact
-    /// per-particle RNG draws of the one-shot loop).
-    fn move_particle(&mut self, i: usize, dims: usize, rng: &mut StdRng) {
-        let c = &self.pso.config;
-        for d in 0..dims {
+impl Swarm {
+    fn move_particle(&mut self, i: usize, rng: &mut StdRng) {
+        for d in 0..self.gbest.len() {
             let r1 = rng.gen::<f64>();
             let r2 = rng.gen::<f64>();
-            let v = c.inertia * self.vel[i][d]
-                + c.cognitive * r1 * (self.pbest[i][d] - self.pos[i][d])
-                + c.social * r2 * (self.gbest[d] - self.pos[i][d]);
-            self.vel[i][d] = v.clamp(-c.max_velocity, c.max_velocity);
+            let v = INERTIA * self.vel[i][d]
+                + COGNITIVE * r1 * (self.pbest[i][d] - self.pos[i][d])
+                + SOCIAL * r2 * (self.gbest[d] - self.pos[i][d]);
+            self.vel[i][d] = v.clamp(-MAX_VELOCITY, MAX_VELOCITY);
             self.pos[i][d] += self.vel[i][d];
         }
         clamp_unit(&mut self.pos[i]);
     }
 }
 
-impl SessionCore for PsoCore {
-    fn next_wave(
-        &mut self,
-        want: usize,
-        problem: &dyn MappingProblem,
-        rng: &mut StdRng,
-    ) -> Vec<Mapping> {
-        let vp = VectorProblem::new(problem);
-        let dims = vp.dims();
-        if self.emitted == self.n {
-            self.close_iteration();
-        }
-        let count = want.min(self.n - self.emitted);
-        let mut wave = Vec::with_capacity(count);
-        for _ in 0..count {
-            let i = self.emitted;
-            if !self.in_iterations {
-                self.pos.push(vp.random_point(rng));
-                self.vel.push(
-                    (0..dims)
-                        .map(|_| {
-                            rng.gen_range(
-                                -self.pso.config.max_velocity..self.pso.config.max_velocity,
-                            )
-                        })
-                        .collect(),
-                );
-            } else {
-                self.move_particle(i, dims, rng);
-            }
-            wave.push(vp.decode(&self.pos[i]));
-            self.emitted += 1;
-        }
-        wave
+impl Generation for Swarm {
+    fn size(&self) -> usize {
+        SWARM
     }
 
-    fn absorb(&mut self, _wave: Vec<Mapping>, fits: &[f64], _problem: &dyn MappingProblem) {
-        self.gen_fits.extend_from_slice(fits);
+    fn emit(&mut self, index: usize, problem: &dyn MappingProblem, rng: &mut StdRng) -> Mapping {
+        let vp = VectorProblem::new(problem);
+        if self.pbest.is_empty() {
+            self.pos.push(vp.random_point(rng));
+            self.vel
+                .push((0..vp.dims()).map(|_| rng.gen_range(-MAX_VELOCITY..MAX_VELOCITY)).collect());
+        } else {
+            self.move_particle(index, rng);
+        }
+        vp.decode(&self.pos[index])
+    }
+
+    fn close(&mut self, _candidates: &mut Vec<Mapping>, fits: &[f64]) {
+        if self.pbest.is_empty() {
+            // A particle's first position is its best so far.
+            self.pbest = self.pos.clone();
+            self.pbest_fit = fits.to_vec();
+        }
+        for (i, &f) in fits.iter().enumerate() {
+            if f > self.pbest_fit[i] {
+                self.pbest_fit[i] = f;
+                self.pbest[i] = self.pos[i].clone();
+            }
+            if f > self.gbest_fit {
+                self.gbest_fit = f;
+                self.gbest = self.pos[i].clone();
+            }
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! approximate the achievable optimum of a problem instance).
 
 use crate::optimizer::{Optimizer, SessionState};
-use crate::session::{CoreDrive, SessionCore};
+use crate::session::{Generation, Generations};
 use magma_m3e::{Mapping, MappingProblem};
 use rand::rngs::StdRng;
 
@@ -31,27 +31,22 @@ impl Optimizer for RandomSearch {
     }
 
     fn open(&self, _problem: &dyn MappingProblem, _rng: &mut StdRng) -> Box<dyn SessionState> {
-        CoreDrive::new(RandomCore).boxed()
+        Generations::open(*self)
     }
 }
 
-/// The incremental random-search stepper: memoryless, so each wave is
-/// simply up to `BATCH` fresh uniform mappings capped at the slice.
-struct RandomCore;
-
-impl SessionCore for RandomCore {
-    fn next_wave(
-        &mut self,
-        want: usize,
-        problem: &dyn MappingProblem,
-        rng: &mut StdRng,
-    ) -> Vec<Mapping> {
-        (0..want.min(BATCH))
-            .map(|_| Mapping::random(rng, problem.num_jobs(), problem.num_accels()))
-            .collect()
+/// Random search as a generation rule: memoryless, so a generation is simply
+/// `BATCH` fresh uniform mappings and closing it folds nothing.
+impl Generation for RandomSearch {
+    fn size(&self) -> usize {
+        BATCH
     }
 
-    fn absorb(&mut self, _wave: Vec<Mapping>, _fits: &[f64], _problem: &dyn MappingProblem) {}
+    fn emit(&mut self, _index: usize, problem: &dyn MappingProblem, rng: &mut StdRng) -> Mapping {
+        Mapping::random(rng, problem.num_jobs(), problem.num_accels())
+    }
+
+    fn close(&mut self, _candidates: &mut Vec<Mapping>, _fits: &[f64]) {}
 }
 
 #[cfg(test)]

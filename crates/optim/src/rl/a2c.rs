@@ -2,48 +2,25 @@
 //! 3 × 128 MLP policy and critic, discount 0.99, learning rate 7e-4, RMSProp.
 
 use crate::optimizer::{Optimizer, SessionState};
-use crate::rl::env::{
-    observation, observation_dim, EpisodeActions, RewardNormalizer, PRIORITY_BUCKETS,
-};
-use crate::rl::nn::{policy_grad_logits, sample_categorical, softmax, GradOptimizer, Mlp};
-use crate::session::{CoreDrive, SessionCore};
+use crate::rl::agent::{ActorCritic, Step};
+use crate::rl::nn::GradOptimizer;
+use crate::session::{Generation, Generations};
 use magma_m3e::{Mapping, MappingProblem};
 use rand::rngs::StdRng;
 
-/// A2C hyper-parameters (Table IV).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct A2cConfig {
-    /// Hidden layer width (paper: 128, three layers).
-    pub hidden: usize,
-    /// Discount factor γ.
-    pub gamma: f64,
-    /// Learning rate for both networks.
-    pub learning_rate: f64,
-    /// Entropy-bonus coefficient (encourages exploration).
-    pub entropy_coef: f64,
-}
-
-impl Default for A2cConfig {
-    fn default() -> Self {
-        A2cConfig { hidden: 128, gamma: 0.99, learning_rate: 7e-4, entropy_coef: 0.01 }
-    }
-}
+/// Learning rate of both networks (Table IV: 7e-4, RMSProp).
+const LEARNING_RATE: f64 = 7e-4;
+/// Entropy-bonus coefficient (encourages exploration).
+const ENTROPY_COEF: f64 = 0.01;
 
 /// The A2C mapper.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct A2c {
-    config: A2cConfig,
-}
+pub struct A2c;
 
 impl A2c {
     /// Creates A2C with the paper's hyper-parameters.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates A2C with explicit hyper-parameters.
-    pub fn with_config(config: A2cConfig) -> Self {
-        A2c { config }
+        A2c
     }
 }
 
@@ -53,111 +30,48 @@ impl Optimizer for A2c {
     }
 
     fn open(&self, problem: &dyn MappingProblem, rng: &mut StdRng) -> Box<dyn SessionState> {
-        CoreDrive::new(A2cCore::new(*self, problem, rng)).boxed()
+        let opt = GradOptimizer::RmsProp { lr: LEARNING_RATE, decay: 0.99 };
+        Generations::open(A2cRule {
+            agent: ActorCritic::new(problem, opt, rng),
+            episode: Vec::new(),
+        })
     }
 }
 
-/// One rolled-out episode awaiting its fitness: the data the actor-critic
-/// update needs.
-struct A2cEpisode {
-    observations: Vec<Vec<f64>>,
-    accels: Vec<usize>,
-    buckets: Vec<usize>,
+/// A2C as a generation rule: it updates after every episode, so a generation
+/// is one rollout — one mapping — and closing it is the actor-critic update.
+struct A2cRule {
+    agent: ActorCritic,
+    /// The episode in flight.
+    episode: Vec<Step>,
 }
 
-/// The incremental A2C stepper. A2C's natural granularity is one episode =
-/// one evaluated mapping: each wave rolls out a single episode with the
-/// current policy and the actor-critic update runs as soon as its fitness is
-/// absorbed — the exact episode loop of the one-shot search, sliced.
-struct A2cCore {
-    a2c: A2c,
-    policy: Mlp,
-    critic: Mlp,
-    opt: GradOptimizer,
-    normalizer: RewardNormalizer,
-    inflight: Option<A2cEpisode>,
-}
-
-impl A2cCore {
-    fn new(a2c: A2c, problem: &dyn MappingProblem, rng: &mut StdRng) -> Self {
-        let m = problem.num_accels();
-        let obs_dim = observation_dim(problem);
-        let h = a2c.config.hidden;
-        let act_dim = m + PRIORITY_BUCKETS;
-        A2cCore {
-            a2c,
-            policy: Mlp::new(&[obs_dim, h, h, h, act_dim], rng),
-            critic: Mlp::new(&[obs_dim, h, h, h, 1], rng),
-            opt: GradOptimizer::RmsProp { lr: a2c.config.learning_rate, decay: 0.99 },
-            normalizer: RewardNormalizer::new(),
-            inflight: None,
-        }
-    }
-}
-
-impl SessionCore for A2cCore {
-    fn next_wave(
-        &mut self,
-        _want: usize,
-        problem: &dyn MappingProblem,
-        rng: &mut StdRng,
-    ) -> Vec<Mapping> {
-        // ----- roll out one episode -----
-        let n = problem.num_jobs();
-        let m = problem.num_accels();
-        let mut loads = vec![0.0f64; m];
-        let mut observations = Vec::with_capacity(n);
-        let mut accels = Vec::with_capacity(n);
-        let mut buckets = Vec::with_capacity(n);
-        for step in 0..n {
-            let obs = observation(problem, step, &loads);
-            let logits = self.policy.forward(&obs);
-            let pa = softmax(&logits[..m]);
-            let pb = softmax(&logits[m..]);
-            let a = sample_categorical(&pa, rng);
-            let b = sample_categorical(&pb, rng);
-            loads[a] += problem.profile(step, a).map(|p| p.no_stall_seconds).unwrap_or(1.0);
-            observations.push(obs);
-            accels.push(a);
-            buckets.push(b);
-        }
-        let mapping =
-            EpisodeActions { accels: accels.clone(), buckets: buckets.clone() }.into_mapping(m);
-        self.inflight = Some(A2cEpisode { observations, accels, buckets });
-        // A2C updates after every episode, so its rollout "batch" is a
-        // single mapping — still routed through the shared batch oracle.
-        vec![mapping]
+impl Generation for A2cRule {
+    fn size(&self) -> usize {
+        1
     }
 
-    fn absorb(&mut self, _wave: Vec<Mapping>, fits: &[f64], problem: &dyn MappingProblem) {
-        let episode = self.inflight.take().expect("an episode is in flight");
-        let n = problem.num_jobs();
-        let m = problem.num_accels();
-        let norm_reward = self.normalizer.normalize(fits[0]);
+    fn emit(&mut self, _index: usize, problem: &dyn MappingProblem, rng: &mut StdRng) -> Mapping {
+        let (episode, mapping) = self.agent.rollout(problem, rng);
+        self.episode = episode;
+        mapping
+    }
 
-        // ----- actor-critic update -----
-        for step in 0..n {
-            let ret = norm_reward * self.a2c.config.gamma.powi((n - 1 - step) as i32);
-            let obs = &episode.observations[step];
-            let (v_out, v_cache) = self.critic.forward_cached(obs);
-            let advantage = ret - v_out[0];
-            self.critic.backward(&v_cache, &[2.0 * (v_out[0] - ret)]);
-
-            let (logits, p_cache) = self.policy.forward_cached(obs);
-            let pa = softmax(&logits[..m]);
-            let pb = softmax(&logits[m..]);
-            let mut grad = Vec::with_capacity(m + PRIORITY_BUCKETS);
-            grad.extend(policy_grad_logits(&pa, episode.accels[step], advantage));
-            grad.extend(policy_grad_logits(&pb, episode.buckets[step], advantage));
+    fn close(&mut self, _candidates: &mut Vec<Mapping>, fits: &[f64]) {
+        let episode = std::mem::take(&mut self.episode);
+        let returns = self.agent.returns(fits[0], episode.len());
+        for (step, ret) in episode.iter().zip(returns) {
+            let advantage = self.agent.critique(&step.obs, ret);
+            let (logits, cache) = self.agent.policy.forward_cached(&step.obs);
+            let (pa, pb) = self.agent.heads(&logits);
+            let mut grad = ActorCritic::choice_grad(&pa, &pb, step, advantage);
             // Entropy bonus: push probabilities toward uniform.
-            for (i, g) in grad.iter_mut().enumerate() {
-                let p = if i < m { pa[i] } else { pb[i - m] };
-                *g -= self.a2c.config.entropy_coef * (-(p.ln() + 1.0)) * p;
+            for (g, p) in grad.iter_mut().zip(pa.iter().chain(&pb)) {
+                *g -= ENTROPY_COEF * (-(p.ln() + 1.0)) * p;
             }
-            self.policy.backward(&p_cache, &grad);
+            self.agent.policy.backward(&cache, &grad);
         }
-        self.policy.step(self.opt, n);
-        self.critic.step(self.opt, n);
+        self.agent.step(episode.len());
     }
 }
 

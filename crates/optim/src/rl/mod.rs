@@ -9,9 +9,12 @@
 //! * [`mod@env`] — the mapping-construction episode: the agent assigns jobs to
 //!   cores (and priority buckets) one at a time and receives the achieved
 //!   group throughput as the terminal reward,
-//! * [`a2c`] — Advantage Actor-Critic (RMSProp, lr 7e-4, γ = 0.99),
-//! * [`ppo`] — Proximal Policy Optimization with clipping (Adam, lr 2.5e-4,
-//!   clip 0.2, γ = 0.99).
+//! * `agent` — the one actor-critic pair: 3 × 128 policy and critic, the
+//!   episode rollout and the discounted return (γ = 0.99),
+//! * [`a2c`] — Advantage Actor-Critic's update (RMSProp, lr 7e-4, entropy
+//!   bonus 0.01), after every episode,
+//! * [`ppo`] — Proximal Policy Optimization's update (Adam, lr 2.5e-4,
+//!   clip 0.2, 4 epochs), after every 8 episodes.
 //!
 //! Every environment step consumes exactly one fitness evaluation per
 //! completed episode, so the RL agents respect the same sampling budget as
@@ -21,6 +24,7 @@
 //! after every episode and therefore evaluates one-element batches.
 
 pub mod a2c;
+mod agent;
 pub mod env;
 pub mod nn;
 pub mod ppo;
@@ -39,7 +43,7 @@ mod tests {
     #[test]
     fn a2c_and_ppo_run_within_budget_and_learn_something() {
         let p = ToyProblem { jobs: 12, accels: 3 };
-        for opt in [&super::A2c::default() as &dyn Optimizer, &super::Ppo2::default()] {
+        for opt in [&super::A2c as &dyn Optimizer, &super::Ppo2] {
             let o = opt.search(&p, 400, &mut StdRng::seed_from_u64(0));
             assert_eq!(o.history.num_samples(), 400, "{}", opt.name());
             // Sanity: not worse than a handful of random samples.

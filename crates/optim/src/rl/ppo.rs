@@ -3,72 +3,29 @@
 //! rate 2.5e-4, Adam.
 
 use crate::optimizer::{Optimizer, SessionState};
-use crate::rl::env::{
-    observation, observation_dim, EpisodeActions, RewardNormalizer, PRIORITY_BUCKETS,
-};
-use crate::rl::nn::{sample_categorical, softmax, GradOptimizer, Mlp};
-use crate::session::{CoreDrive, SessionCore};
+use crate::rl::agent::{ActorCritic, Step};
+use crate::rl::nn::GradOptimizer;
+use crate::session::{Generation, Generations};
 use magma_m3e::{Mapping, MappingProblem};
 use rand::rngs::StdRng;
 
-/// PPO2 hyper-parameters (Table IV).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ppo2Config {
-    /// Hidden layer width (paper: 128, three layers).
-    pub hidden: usize,
-    /// Discount factor γ.
-    pub gamma: f64,
-    /// Clipping range ε.
-    pub clip_range: f64,
-    /// Learning rate.
-    pub learning_rate: f64,
-    /// Episodes collected per policy update.
-    pub episodes_per_batch: usize,
-    /// Optimization epochs per batch.
-    pub epochs: usize,
-}
-
-impl Default for Ppo2Config {
-    fn default() -> Self {
-        Ppo2Config {
-            hidden: 128,
-            gamma: 0.99,
-            clip_range: 0.2,
-            learning_rate: 2.5e-4,
-            episodes_per_batch: 8,
-            epochs: 4,
-        }
-    }
-}
-
-/// One sampled episode step: (observation, accel action, bucket action,
-/// joint log-probability).
-type Step = (Vec<f64>, usize, usize, f64);
-
-/// One transition stored in the rollout buffer.
-struct Transition {
-    obs: Vec<f64>,
-    accel: usize,
-    bucket: usize,
-    old_logp: f64,
-    ret: f64,
-}
+/// Clipping range ε (Table IV: 0.2).
+const CLIP_RANGE: f64 = 0.2;
+/// Learning rate (Table IV: 2.5e-4, Adam).
+const LEARNING_RATE: f64 = 2.5e-4;
+/// Episodes collected per policy update.
+const EPISODES_PER_BATCH: usize = 8;
+/// Optimization epochs per batch.
+const EPOCHS: usize = 4;
 
 /// The PPO2 mapper.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Ppo2 {
-    config: Ppo2Config,
-}
+pub struct Ppo2;
 
 impl Ppo2 {
     /// Creates PPO2 with the paper's hyper-parameters.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates PPO2 with explicit hyper-parameters.
-    pub fn with_config(config: Ppo2Config) -> Self {
-        Ppo2 { config }
+        Ppo2
     }
 }
 
@@ -78,151 +35,61 @@ impl Optimizer for Ppo2 {
     }
 
     fn open(&self, problem: &dyn MappingProblem, rng: &mut StdRng) -> Box<dyn SessionState> {
-        CoreDrive::new(Ppo2Core::new(*self, problem, rng)).boxed()
+        let opt = GradOptimizer::Adam { lr: LEARNING_RATE, beta1: 0.9, beta2: 0.999 };
+        Generations::open(Ppo2Rule {
+            agent: ActorCritic::new(problem, opt, rng),
+            batch: Vec::new(),
+        })
     }
 }
 
-/// The incremental PPO2 stepper. PPO2's natural granularity is coarser than
-/// a single sample: the policy is frozen while a rollout batch (8 episodes)
-/// is collected and only updated at the batch boundary. A wave therefore
-/// rolls out up to the slice's worth of episodes *within the current frozen
-/// batch*; the clipped update runs once the full batch has been absorbed.
-/// Because rollouts are serially sampled and evaluation never touches the
-/// RNG, slicing the collection changes neither the episode stream nor the
-/// update points — the one-shot search, sliced.
-struct Ppo2Core {
-    ppo: Ppo2,
-    policy: Mlp,
-    critic: Mlp,
-    opt: GradOptimizer,
-    normalizer: RewardNormalizer,
-    /// Transitions of the rollout batch being collected.
-    buffer: Vec<Transition>,
-    /// Episodes rolled out in the current batch (absorbed ones).
-    episodes_in_batch: usize,
-    /// Episodes rolled out by the current wave, awaiting fitnesses.
-    inflight: Vec<Vec<Step>>,
+/// PPO2 as a generation rule: the policy is frozen while a batch of rollouts
+/// is collected — a generation of eight episodes, evaluated through the batch
+/// oracle — and closing it is the clipped update.
+struct Ppo2Rule {
+    agent: ActorCritic,
+    /// The episodes of the batch in flight.
+    batch: Vec<Vec<Step>>,
 }
 
-impl Ppo2Core {
-    fn new(ppo: Ppo2, problem: &dyn MappingProblem, rng: &mut StdRng) -> Self {
-        let m = problem.num_accels();
-        let obs_dim = observation_dim(problem);
-        let h = ppo.config.hidden;
-        let act_dim = m + PRIORITY_BUCKETS;
-        Ppo2Core {
-            ppo,
-            policy: Mlp::new(&[obs_dim, h, h, h, act_dim], rng),
-            critic: Mlp::new(&[obs_dim, h, h, h, 1], rng),
-            opt: GradOptimizer::Adam { lr: ppo.config.learning_rate, beta1: 0.9, beta2: 0.999 },
-            normalizer: RewardNormalizer::new(),
-            buffer: Vec::new(),
-            episodes_in_batch: 0,
-            inflight: Vec::new(),
-        }
+impl Generation for Ppo2Rule {
+    fn size(&self) -> usize {
+        EPISODES_PER_BATCH
     }
 
-    /// Rolls out one episode under the frozen policy.
-    fn rollout(&mut self, problem: &dyn MappingProblem, rng: &mut StdRng) -> (Vec<Step>, Mapping) {
-        let n = problem.num_jobs();
-        let m = problem.num_accels();
-        let mut loads = vec![0.0f64; m];
-        let mut steps: Vec<Step> = Vec::with_capacity(n);
-        for step in 0..n {
-            let obs = observation(problem, step, &loads);
-            let logits = self.policy.forward(&obs);
-            let pa = softmax(&logits[..m]);
-            let pb = softmax(&logits[m..]);
-            let a = sample_categorical(&pa, rng);
-            let b = sample_categorical(&pb, rng);
-            let logp = pa[a].max(1e-12).ln() + pb[b].max(1e-12).ln();
-            loads[a] += problem.profile(step, a).map(|p| p.no_stall_seconds).unwrap_or(1.0);
-            steps.push((obs, a, b, logp));
-        }
-        let mapping = EpisodeActions {
-            accels: steps.iter().map(|s| s.1).collect(),
-            buckets: steps.iter().map(|s| s.2).collect(),
-        }
-        .into_mapping(m);
-        (steps, mapping)
+    fn emit(&mut self, _index: usize, problem: &dyn MappingProblem, rng: &mut StdRng) -> Mapping {
+        let (episode, mapping) = self.agent.rollout(problem, rng);
+        self.batch.push(episode);
+        mapping
     }
 
-    /// The clipped policy / value update over the completed rollout batch
-    /// (the one-shot per-batch block, verbatim).
-    fn update(&mut self, m: usize) {
-        let act_dim = m + PRIORITY_BUCKETS;
-        for _ in 0..self.ppo.config.epochs {
-            for tr in &self.buffer {
-                let (v_out, v_cache) = self.critic.forward_cached(&tr.obs);
-                let advantage = tr.ret - v_out[0];
-                self.critic.backward(&v_cache, &[2.0 * (v_out[0] - tr.ret)]);
-
-                let (logits, p_cache) = self.policy.forward_cached(&tr.obs);
-                let pa = softmax(&logits[..m]);
-                let pb = softmax(&logits[m..]);
-                let new_logp = pa[tr.accel].max(1e-12).ln() + pb[tr.bucket].max(1e-12).ln();
-                let ratio = (new_logp - tr.old_logp).exp();
-                let eps = self.ppo.config.clip_range;
+    fn close(&mut self, _candidates: &mut Vec<Mapping>, fits: &[f64]) {
+        let mut buffer: Vec<(Step, f64)> = Vec::new();
+        for (episode, &fitness) in self.batch.drain(..).zip(fits) {
+            let returns = self.agent.returns(fitness, episode.len());
+            buffer.extend(episode.into_iter().zip(returns));
+        }
+        for _ in 0..EPOCHS {
+            for (step, ret) in &buffer {
+                let advantage = self.agent.critique(&step.obs, *ret);
+                let (logits, cache) = self.agent.policy.forward_cached(&step.obs);
+                let (pa, pb) = self.agent.heads(&logits);
+                let new_logp = ActorCritic::log_prob(&pa, &pb, step.accel, step.bucket);
+                let ratio = (new_logp - step.logp).exp();
                 // The clipped-surrogate gradient is zero when the ratio is
                 // outside the trust region on the side the advantage
                 // pushes toward.
-                let active = if advantage >= 0.0 { ratio <= 1.0 + eps } else { ratio >= 1.0 - eps };
+                let active = if advantage >= 0.0 {
+                    ratio <= 1.0 + CLIP_RANGE
+                } else {
+                    ratio >= 1.0 - CLIP_RANGE
+                };
                 if active {
-                    let factor = ratio * advantage;
-                    let mut grad = Vec::with_capacity(act_dim);
-                    for (i, &p) in pa.iter().enumerate() {
-                        let onehot = if i == tr.accel { 1.0 } else { 0.0 };
-                        grad.push(factor * (p - onehot));
-                    }
-                    for (i, &p) in pb.iter().enumerate() {
-                        let onehot = if i == tr.bucket { 1.0 } else { 0.0 };
-                        grad.push(factor * (p - onehot));
-                    }
-                    self.policy.backward(&p_cache, &grad);
+                    let grad = ActorCritic::choice_grad(&pa, &pb, step, ratio * advantage);
+                    self.agent.policy.backward(&cache, &grad);
                 }
             }
-            self.policy.step(self.opt, self.buffer.len());
-            self.critic.step(self.opt, self.buffer.len());
-        }
-        self.buffer.clear();
-        self.episodes_in_batch = 0;
-    }
-}
-
-impl SessionCore for Ppo2Core {
-    fn next_wave(
-        &mut self,
-        want: usize,
-        problem: &dyn MappingProblem,
-        rng: &mut StdRng,
-    ) -> Vec<Mapping> {
-        // Collect up to the slice's worth of episodes, never crossing the
-        // frozen-policy batch boundary.
-        let room = self.ppo.config.episodes_per_batch.max(1) - self.episodes_in_batch;
-        let count = want.min(room);
-        let mut wave = Vec::with_capacity(count);
-        for _ in 0..count {
-            let (steps, mapping) = self.rollout(problem, rng);
-            self.inflight.push(steps);
-            wave.push(mapping);
-        }
-        wave
-    }
-
-    fn absorb(&mut self, _wave: Vec<Mapping>, fits: &[f64], problem: &dyn MappingProblem) {
-        let n = problem.num_jobs();
-        let m = problem.num_accels();
-        for (steps, &fitness) in std::mem::take(&mut self.inflight).into_iter().zip(fits) {
-            let norm_reward = self.normalizer.normalize(fitness);
-            for (step, (obs, a, b, logp)) in steps.into_iter().enumerate() {
-                let ret = norm_reward * self.ppo.config.gamma.powi((n - 1 - step) as i32);
-                self.buffer.push(Transition { obs, accel: a, bucket: b, old_logp: logp, ret });
-            }
-            self.episodes_in_batch += 1;
-        }
-        // ----- clipped policy / value updates at the batch boundary -----
-        if self.episodes_in_batch == self.ppo.config.episodes_per_batch.max(1) {
-            self.update(m);
+            self.agent.step(buffer.len());
         }
     }
 }

@@ -2,55 +2,34 @@
 //!
 //! Unlike MAGMA, stdGA treats the whole individual as one flat genome: a
 //! single-pivot crossover cuts across the concatenated
-//! (selection ‖ priority) genome, and mutation re-draws genes uniformly. The
-//! paper uses mutation rate 0.1 and crossover rate 0.1.
+//! (selection ‖ priority) genome, and mutation re-draws genes uniformly.
+//! That is its whole `Breed` rule; ranking, elitism, parent selection and
+//! the recycled individuals are the engine MAGMA runs on (`ga.rs`).
 
+use crate::ga::{mutate, Breed, ElitistGa};
 use crate::optimizer::{Optimizer, SessionState};
-use crate::session::{CoreDrive, SessionCore};
+use crate::session::Generations;
 use magma_m3e::{Mapping, MappingProblem};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// Standard GA hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StdGaConfig {
-    /// Population size.
-    pub population_size: usize,
-    /// Per-gene mutation probability (paper: 0.1).
-    pub mutation_rate: f64,
-    /// Probability of applying the flat single-pivot crossover (paper: 0.1).
-    pub crossover_rate: f64,
-    /// Fraction of the population carried over as elites.
-    pub elite_ratio: f64,
-}
-
-impl Default for StdGaConfig {
-    fn default() -> Self {
-        StdGaConfig {
-            population_size: 50,
-            mutation_rate: 0.1,
-            crossover_rate: 0.1,
-            elite_ratio: 0.2,
-        }
-    }
-}
+/// Population size.
+const POPULATION: usize = 50;
+/// Per-gene mutation probability (Table IV: 0.1).
+const MUTATION_RATE: f64 = 0.1;
+/// Probability of applying the flat single-pivot crossover (Table IV: 0.1).
+const CROSSOVER_RATE: f64 = 0.1;
+/// Fraction of the population carried over as elites.
+const ELITE_RATIO: f64 = 0.2;
 
 /// The standard genetic algorithm baseline.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct StdGa {
-    config: StdGaConfig,
-}
+pub struct StdGa;
 
 impl StdGa {
     /// Creates a stdGA with the paper's hyper-parameters.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a stdGA with explicit hyper-parameters.
-    pub fn with_config(config: StdGaConfig) -> Self {
-        StdGa { config }
+        StdGa
     }
 
     /// Flat single-pivot crossover over the concatenated genome.
@@ -67,17 +46,30 @@ impl StdGa {
             }
         }
     }
+}
 
-    fn mutate(&self, child: &mut Mapping, num_accels: usize, rng: &mut StdRng) {
-        let n = child.num_jobs();
-        for i in 0..n {
-            if rng.gen::<f64>() < self.config.mutation_rate {
-                child.accel_sel_mut()[i] = rng.gen_range(0..num_accels);
-            }
-            if rng.gen::<f64>() < self.config.mutation_rate {
-                child.priority_mut()[i] = rng.gen_range(0.0..1.0);
-            }
+impl Breed for StdGa {
+    fn population_size(&self, _num_jobs: usize) -> usize {
+        POPULATION
+    }
+
+    fn elite_ratio(&self) -> f64 {
+        ELITE_RATIO
+    }
+
+    fn make_child(
+        &self,
+        child: &mut Mapping,
+        dad: &Mapping,
+        mom: &Mapping,
+        num_accels: usize,
+        rng: &mut StdRng,
+    ) {
+        child.clone_from(dad);
+        if rng.gen::<f64>() < CROSSOVER_RATE {
+            Self::crossover(child, mom, rng);
         }
+        mutate(child, MUTATION_RATE, num_accels, rng);
     }
 }
 
@@ -87,103 +79,7 @@ impl Optimizer for StdGa {
     }
 
     fn open(&self, problem: &dyn MappingProblem, _rng: &mut StdRng) -> Box<dyn SessionState> {
-        CoreDrive::new(StdGaCore::new(*self, problem)).boxed()
-    }
-}
-
-/// The incremental stdGA stepper: a lazily emitted random initial
-/// population, then lazily bred generations from a parent pool frozen at
-/// each generation boundary (same slicing discipline as MAGMA's core).
-struct StdGaCore {
-    ga: StdGa,
-    num_accels: usize,
-    pop_size: usize,
-    elite_count: usize,
-    init_emitted: usize,
-    in_generations: bool,
-    evaluated: Vec<(Mapping, f64)>,
-    carry: Vec<(Mapping, f64)>,
-    parents: Vec<Mapping>,
-    children_target: usize,
-    children_bred: usize,
-}
-
-impl StdGaCore {
-    fn new(ga: StdGa, problem: &dyn MappingProblem) -> Self {
-        // Nominal (budget-independent) population size; the one-shot budget
-        // clamp only bound runs that ended inside the initial population,
-        // which lazy emission reproduces.
-        let pop_size = ga.config.population_size.max(4);
-        let elite_count =
-            ((pop_size as f64 * ga.config.elite_ratio).round() as usize).clamp(1, pop_size - 1);
-        StdGaCore {
-            ga,
-            num_accels: problem.num_accels(),
-            pop_size,
-            elite_count,
-            init_emitted: 0,
-            in_generations: false,
-            evaluated: Vec::new(),
-            carry: Vec::new(),
-            parents: Vec::new(),
-            children_target: 0,
-            children_bred: 0,
-        }
-    }
-
-    fn begin_generation(&mut self) {
-        let mut scored = std::mem::take(&mut self.carry);
-        scored.append(&mut self.evaluated);
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let half = (scored.len() / 2).max(2).min(scored.len());
-        self.parents = scored[..half].iter().map(|(mapping, _)| mapping.clone()).collect();
-        scored.truncate(self.elite_count.min(scored.len()));
-        self.carry = scored;
-        self.children_target = self.pop_size.saturating_sub(self.carry.len());
-        self.children_bred = 0;
-    }
-}
-
-impl SessionCore for StdGaCore {
-    fn next_wave(
-        &mut self,
-        want: usize,
-        problem: &dyn MappingProblem,
-        rng: &mut StdRng,
-    ) -> Vec<Mapping> {
-        let n = problem.num_jobs();
-        if !self.in_generations {
-            if self.init_emitted < self.pop_size {
-                let count = want.min(self.pop_size - self.init_emitted);
-                let wave: Vec<Mapping> =
-                    (0..count).map(|_| Mapping::random(rng, n, self.num_accels)).collect();
-                self.init_emitted += count;
-                return wave;
-            }
-            self.in_generations = true;
-            self.begin_generation();
-        } else if self.children_bred == self.children_target {
-            self.begin_generation();
-        }
-        let count = want.min(self.children_target - self.children_bred);
-        let wave: Vec<Mapping> = (0..count)
-            .map(|_| {
-                let dad = self.parents.choose(rng).unwrap();
-                let mom = self.parents.choose(rng).unwrap();
-                let mut child = dad.clone();
-                if rng.gen::<f64>() < self.ga.config.crossover_rate {
-                    StdGa::crossover(&mut child, mom, rng);
-                }
-                self.ga.mutate(&mut child, self.num_accels, rng);
-                child
-            })
-            .collect();
-        self.children_bred += count;
-        wave
-    }
-
-    fn absorb(&mut self, wave: Vec<Mapping>, fits: &[f64], _problem: &dyn MappingProblem) {
-        self.evaluated.extend(wave.into_iter().zip(fits.iter().copied()));
+        Generations::open(ElitistGa::new(*self, problem))
     }
 }
 

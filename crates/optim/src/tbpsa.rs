@@ -7,55 +7,30 @@
 //! The paper starts it at a population of 50 and lets it evolve.
 
 use crate::optimizer::{Optimizer, SessionState};
-use crate::session::{CoreDrive, SessionCore};
-use crate::vector::{clamp_unit, VectorProblem};
+use crate::session::{Generation, Generations};
+use crate::vector::{better_half, centre_point, gaussian_point, VectorProblem};
 use magma_m3e::{Mapping, MappingProblem};
 use rand::rngs::StdRng;
-use rand::Rng;
-use rand_distr::{Distribution, Normal};
 
-/// TBPSA hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TbpsaConfig {
-    /// Initial population size (paper: 50).
-    pub initial_population: usize,
-    /// Maximum population size the adaptation may grow to.
-    pub max_population: usize,
-    /// Growth factor applied when a generation fails to improve the best.
-    pub growth_factor: f64,
-    /// Initial per-dimension step size.
-    pub initial_sigma: f64,
-    /// Multiplicative step-size decay per non-improving generation.
-    pub sigma_decay: f64,
-}
-
-impl Default for TbpsaConfig {
-    fn default() -> Self {
-        TbpsaConfig {
-            initial_population: 50,
-            max_population: 400,
-            growth_factor: 1.3,
-            initial_sigma: 0.3,
-            sigma_decay: 0.95,
-        }
-    }
-}
+/// Initial population size (Table IV: 50).
+const INITIAL_POPULATION: usize = 50;
+/// Maximum population size the adaptation may grow to.
+const MAX_POPULATION: usize = 400;
+/// Growth factor applied when a generation fails to improve the best.
+const GROWTH_FACTOR: f64 = 1.3;
+/// Initial step size, shared by every dimension.
+const INITIAL_SIGMA: f64 = 0.3;
+/// Multiplicative step-size decay per non-improving generation.
+const SIGMA_DECAY: f64 = 0.95;
 
 /// The TBPSA optimizer.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Tbpsa {
-    config: TbpsaConfig,
-}
+pub struct Tbpsa;
 
 impl Tbpsa {
     /// Creates TBPSA with the paper's initial population of 50.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates TBPSA with explicit hyper-parameters.
-    pub fn with_config(config: TbpsaConfig) -> Self {
-        Tbpsa { config }
+        Tbpsa
     }
 }
 
@@ -65,97 +40,55 @@ impl Optimizer for Tbpsa {
     }
 
     fn open(&self, problem: &dyn MappingProblem, rng: &mut StdRng) -> Box<dyn SessionState> {
-        CoreDrive::new(TbpsaCore::new(*self, problem, rng)).boxed()
+        Generations::open(TbpsaRule {
+            lambda: INITIAL_POPULATION,
+            sigma: INITIAL_SIGMA,
+            mean: centre_point(VectorProblem::new(problem).dims(), rng),
+            best_so_far: f64::NEG_INFINITY,
+            xs: Vec::new(),
+        })
     }
 }
 
-/// The incremental TBPSA stepper: individuals are sampled lazily from the
-/// frozen `(mean, sigma)` distribution; the mean update and the test-based
-/// population growth run only when the whole (current-λ) generation has
-/// been evaluated, so slicing never changes which generation a sample
-/// belongs to.
-struct TbpsaCore {
-    tbpsa: Tbpsa,
+/// TBPSA as a generation rule: λ individuals sampled from the `(mean, sigma)`
+/// the previous generation left; a closed generation moves the mean to its
+/// elite half and, if it did not improve the best, grows λ for the next one.
+struct TbpsaRule {
     lambda: usize,
     sigma: f64,
-    normal: Normal,
     mean: Vec<f64>,
     best_so_far: f64,
-    gen_xs: Vec<Vec<f64>>,
-    gen_fits: Vec<f64>,
+    /// The generation in flight.
+    xs: Vec<Vec<f64>>,
 }
 
-impl TbpsaCore {
-    fn new(tbpsa: Tbpsa, problem: &dyn MappingProblem, rng: &mut StdRng) -> Self {
-        let dims = VectorProblem::new(problem).dims();
-        let lambda = tbpsa.config.initial_population.max(4);
-        let sigma = tbpsa.config.initial_sigma;
-        let mean: Vec<f64> = (0..dims).map(|_| rng.gen_range(0.3..0.7)).collect();
-        TbpsaCore {
-            tbpsa,
-            lambda,
-            sigma,
-            normal: Normal::new(0.0, 1.0).expect("unit normal"),
-            mean,
-            best_so_far: f64::NEG_INFINITY,
-            gen_xs: Vec::new(),
-            gen_fits: Vec::new(),
-        }
+impl Generation for TbpsaRule {
+    fn size(&self) -> usize {
+        self.lambda
     }
 
-    /// The per-generation mean update and test-based adaptation (the
-    /// one-shot per-generation block, verbatim).
-    fn update_distribution(&mut self) {
-        let dims = self.mean.len();
-        let xs = std::mem::take(&mut self.gen_xs);
-        let fits = std::mem::take(&mut self.gen_fits);
-        let mut samples: Vec<(Vec<f64>, f64)> = xs.into_iter().zip(fits).collect();
-        samples.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let mu = (samples.len() / 2).max(1);
-        let elites = &samples[..mu];
-        for d in 0..dims {
-            self.mean[d] = elites.iter().map(|(x, _)| x[d]).sum::<f64>() / mu as f64;
+    fn emit(&mut self, _index: usize, problem: &dyn MappingProblem, rng: &mut StdRng) -> Mapping {
+        let x = gaussian_point(&self.mean, |_| self.sigma, rng);
+        let mapping = VectorProblem::new(problem).decode(&x);
+        self.xs.push(x);
+        mapping
+    }
+
+    fn close(&mut self, _candidates: &mut Vec<Mapping>, fits: &[f64]) {
+        let elites = better_half(std::mem::take(&mut self.xs), fits);
+        for (d, mean) in self.mean.iter_mut().enumerate() {
+            *mean = elites.iter().map(|(x, _)| x[d]).sum::<f64>() / elites.len() as f64;
         }
 
-        let gen_best = samples[0].1;
+        let gen_best = elites[0].1;
         if gen_best > self.best_so_far {
             self.best_so_far = gen_best;
         } else {
             // Test failed: widen the population to average out noise and
             // shrink the step size.
-            self.lambda = ((self.lambda as f64 * self.tbpsa.config.growth_factor) as usize)
-                .min(self.tbpsa.config.max_population);
-            self.sigma *= self.tbpsa.config.sigma_decay;
+            self.lambda = ((self.lambda as f64 * GROWTH_FACTOR) as usize).min(MAX_POPULATION);
+            self.sigma *= SIGMA_DECAY;
         }
-    }
-}
-
-impl SessionCore for TbpsaCore {
-    fn next_wave(
-        &mut self,
-        want: usize,
-        problem: &dyn MappingProblem,
-        rng: &mut StdRng,
-    ) -> Vec<Mapping> {
-        let vp = VectorProblem::new(problem);
-        let dims = self.mean.len();
-        if self.gen_xs.len() == self.lambda {
-            self.update_distribution();
-        }
-        let count = want.min(self.lambda - self.gen_xs.len());
-        let mut wave = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mut x: Vec<f64> =
-                (0..dims).map(|d| self.mean[d] + self.sigma * self.normal.sample(rng)).collect();
-            clamp_unit(&mut x);
-            wave.push(vp.decode(&x));
-            self.gen_xs.push(x);
-        }
-        wave
-    }
-
-    fn absorb(&mut self, _wave: Vec<Mapping>, fits: &[f64], _problem: &dyn MappingProblem) {
-        self.gen_fits.extend_from_slice(fits);
     }
 }
 

@@ -8,6 +8,7 @@
 use magma_m3e::{Mapping, MappingProblem};
 use rand::rngs::StdRng;
 use rand::Rng;
+use rand_distr::{Distribution, StandardNormal};
 
 /// Adapter exposing a [`MappingProblem`] as a bounded continuous function.
 pub struct VectorProblem<'a> {
@@ -41,6 +42,35 @@ pub fn clamp_unit(x: &mut [f64]) {
     for v in x {
         *v = v.clamp(0.0, 1.0);
     }
+}
+
+/// Where the evolution strategies (CMA-ES, TBPSA) start their mean: near
+/// the centre of the hyper-cube.
+pub(crate) fn centre_point(dims: usize, rng: &mut StdRng) -> Vec<f64> {
+    (0..dims).map(|_| rng.gen_range(0.3..0.7)).collect()
+}
+
+/// One individual of an evolution strategy: `mean + sigma(d) · N(0, 1)` per
+/// dimension, clamped into the hyper-cube.
+pub(crate) fn gaussian_point(
+    mean: &[f64],
+    sigma: impl Fn(usize) -> f64,
+    rng: &mut StdRng,
+) -> Vec<f64> {
+    let mut x: Vec<f64> =
+        mean.iter().enumerate().map(|(d, m)| m + sigma(d) * StandardNormal.sample(rng)).collect();
+    clamp_unit(&mut x);
+    x
+}
+
+/// The elite group of an evolution strategy's generation: its better half
+/// (Table IV: "the best 1/2 of individuals"), best first, ties in sampling
+/// order.
+pub(crate) fn better_half(xs: Vec<Vec<f64>>, fits: &[f64]) -> Vec<(Vec<f64>, f64)> {
+    let mut samples: Vec<(Vec<f64>, f64)> = xs.into_iter().zip(fits.iter().copied()).collect();
+    samples.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    samples.truncate((samples.len() / 2).max(1));
+    samples
 }
 
 #[cfg(test)]

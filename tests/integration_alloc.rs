@@ -121,12 +121,13 @@ fn a_serial_batch_allocates_only_its_output() {
 /// A MAGMA generation recycles its individuals: children are bred into the
 /// genome buffers of individuals an earlier ranking discarded, the parent pool
 /// is the ranked generation's first half by index, and the best-so-far mapping
-/// is overwritten in place. What a steady-state generation still allocates is
-/// the wave it hands to the evaluator and the fitness vector that comes back
-/// (history growth is amortised: the fewest of four consecutive generations
-/// leaves it out) — the same count at any population, where cloning every
-/// child and every parent cost two allocations apiece (≥ 250 a generation at
-/// population 100).
+/// is overwritten in place. Children are emitted straight into the session's
+/// generation in flight, which is evaluated where it stands, so what a
+/// steady-state generation still allocates is the fitness vector that comes
+/// back (history growth is amortised: the fewest of four consecutive
+/// generations leaves it out) — the same count at any population, where
+/// cloning every child and every parent cost two allocations apiece (≥ 250 a
+/// generation at population 100).
 #[test]
 fn a_steady_state_generation_allocates_a_constant_independent_of_the_population() {
     let per_generation = |population: usize| -> u64 {

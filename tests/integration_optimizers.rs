@@ -32,8 +32,7 @@ fn magma_beats_stdga_on_heterogeneous_instance() {
     let p = problem(Setting::S2, TaskType::Mix, Some(1.0), 40, 3);
     let budget = 1_200;
     let magma = Magma::default().search(&p, budget, &mut StdRng::seed_from_u64(0));
-    let stdga =
-        magma::optim::stdga::StdGa::default().search(&p, budget, &mut StdRng::seed_from_u64(0));
+    let stdga = magma::optim::stdga::StdGa.search(&p, budget, &mut StdRng::seed_from_u64(0));
     assert!(
         magma.best_fitness >= stdga.best_fitness,
         "MAGMA {} < stdGA {}",
@@ -123,6 +122,25 @@ struct SearchGolden {
     priority_bits: Vec<u64>,
 }
 
+impl SearchGolden {
+    fn of(platform: &str, seed: u64, outcome: &SearchOutcome) -> Self {
+        let sample_bytes: Vec<u8> =
+            outcome.history.samples().iter().flat_map(|f| f.to_bits().to_le_bytes()).collect();
+        SearchGolden {
+            platform: platform.to_string(),
+            seed,
+            best_fitness_bits: outcome.best_fitness.to_bits(),
+            samples_hash: magma::serve::descriptor::fnv1a64(&sample_bytes),
+            accel_sel: outcome.best_mapping.accel_sel().to_vec(),
+            priority_bits: outcome.best_mapping.priority().iter().map(|p| p.to_bits()).collect(),
+        }
+    }
+}
+
+fn data_file(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data").join(name)
+}
+
 /// A 2 000-sample MAGMA search on a 100-job Mix group, on each paper-scale
 /// platform, for group-and-search seeds 3 and 11.
 fn search_goldens() -> Vec<SearchGolden> {
@@ -132,24 +150,25 @@ fn search_goldens() -> Vec<SearchGolden> {
             let group = WorkloadSpec::single_group(TaskType::Mix, 100, seed);
             let p = M3e::new(platform.clone(), group, Objective::Throughput);
             let outcome = Magma::default().search(&p, 2_000, &mut StdRng::seed_from_u64(seed));
-            let sample_bytes: Vec<u8> =
-                outcome.history.samples().iter().flat_map(|f| f.to_bits().to_le_bytes()).collect();
-            goldens.push(SearchGolden {
-                platform: name.to_string(),
-                seed,
-                best_fitness_bits: outcome.best_fitness.to_bits(),
-                samples_hash: magma::serve::descriptor::fnv1a64(&sample_bytes),
-                accel_sel: outcome.best_mapping.accel_sel().to_vec(),
-                priority_bits: outcome
-                    .best_mapping
-                    .priority()
-                    .iter()
-                    .map(|p| p.to_bits())
-                    .collect(),
-            });
+            goldens.push(SearchGolden::of(name, seed, &outcome));
         }
     }
     goldens
+}
+
+/// A 400-sample search by every mapper of [`Algorithm::ALL`] on one 16-job
+/// Mix group (S2 at 16 GB/s, seed 5), under the mapper's Table IV name: eight
+/// to twenty-five generations past every baseline's initial population.
+fn baseline_goldens() -> Vec<(String, SearchGolden)> {
+    let p = problem(Setting::S2, TaskType::Mix, Some(16.0), 16, 5);
+    Algorithm::ALL
+        .iter()
+        .map(|algorithm| {
+            let mapper = algorithm.build();
+            let outcome = mapper.search(&p, 400, &mut StdRng::seed_from_u64(5));
+            (mapper.name().to_string(), SearchGolden::of("s2", 5, &outcome))
+        })
+        .collect()
 }
 
 /// `tests/data/search_parent.json` was written by the code *before* the
@@ -159,12 +178,27 @@ fn search_goldens() -> Vec<SearchGolden> {
 /// same best mapping — on 4, 8 and 64 cores.
 #[test]
 fn searches_recorded_before_the_kernel_rewrite_replay_bit_for_bit() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/data/search_parent.json");
     let recorded: Vec<SearchGolden> =
-        serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+        serde_json::from_str(&std::fs::read_to_string(data_file("search_parent.json")).unwrap())
+            .unwrap();
     assert_eq!(recorded.len(), 6);
     for (found, recorded) in search_goldens().iter().zip(&recorded) {
         assert_eq!(found, recorded, "{} seed {}", recorded.platform, recorded.seed);
+    }
+}
+
+/// `tests/data/baselines_parent.json` was written by the code *before* the
+/// Table IV baselines became rules over one generation adapter, one GA engine
+/// and one actor-critic pair with constant hyper-parameters. Every mapper must
+/// replay it: the same fitness for every one of 400 samples, in the same
+/// order, and the same best mapping.
+#[test]
+fn every_table_iv_search_replays_the_parent_bit_for_bit() {
+    let recorded: Vec<(String, SearchGolden)> =
+        serde_json::from_str(&std::fs::read_to_string(data_file("baselines_parent.json")).unwrap())
+            .unwrap();
+    assert_eq!(recorded.len(), Algorithm::ALL.len());
+    for (found, recorded) in baseline_goldens().iter().zip(&recorded) {
+        assert_eq!(found, recorded, "{}", recorded.0);
     }
 }

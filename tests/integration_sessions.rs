@@ -142,13 +142,14 @@ fn mixed_slice_sizes_are_bit_identical_too() {
 /// a session abandoned part-way through its budget still yields a valid
 /// outcome, bit-identical to the one-shot search at the *spent* budget —
 /// whether the cut lands mid-generation (19 is no multiple of any population
-/// here) or on a generation boundary (24 = two 12-strong MAGMA generations).
+/// here) or on a generation boundary (24 = two 12-strong MAGMA generations,
+/// three PPO2 rollout batches, any number of A2C episodes) — for every
+/// [`Algorithm::ALL`] entry that is not a one-shot heuristic.
 #[test]
 fn early_finish_matches_one_shot_at_the_spent_budget() {
     let p = problem(Setting::S2, TaskType::Mix, Some(16.0), 12, 0);
-    for algorithm in
-        [Algorithm::Magma, Algorithm::StdGa, Algorithm::De, Algorithm::Pso, Algorithm::CmaEs]
-    {
+    let one_shot = [Algorithm::HeraldLike, Algorithm::AiMtLike];
+    for algorithm in Algorithm::ALL.iter().filter(|a| !one_shot.contains(a)) {
         let mapper = algorithm.build();
         for spent in [19usize, 24] {
             let reference =
