@@ -20,12 +20,6 @@ pub(crate) trait Breed {
     /// Fraction of the population carried over unchanged as elites.
     fn elite_ratio(&self) -> f64;
 
-    /// Individual `index` of the initial population, where the rule has one
-    /// (a warm start); the engine draws a uniform random individual otherwise.
-    fn seed(&self, _index: usize) -> Option<&Mapping> {
-        None
-    }
-
     /// Breeds one child of `dad` and `mom` into `child`, whose previous
     /// genes are overwritten (its buffers are what is being reused).
     fn make_child(
@@ -61,8 +55,9 @@ struct Individual {
 }
 
 /// The engine, as a [`Generation`] rule: the initial population (seeds first,
-/// random fill after), then generations of children bred from a parent pool
-/// frozen when the previous generation finished evaluating.
+/// each handed over by move, random fill after), then generations of children
+/// bred from a parent pool frozen when the previous generation finished
+/// evaluating.
 ///
 /// A generation recycles its individuals: the ranked previous generation
 /// stays where it is (its first `elite_count` are the elites, its first
@@ -75,6 +70,9 @@ pub(crate) struct ElitistGa<B: Breed> {
     num_accels: usize,
     pop_size: usize,
     elite_count: usize,
+    /// The warm-start seeds not yet emitted: the initial population's first
+    /// individuals, in order (the session emits each index once, in order).
+    seeds: std::vec::IntoIter<Mapping>,
     /// The last fully evaluated generation with the elites it inherited,
     /// best first (empty until the initial population is evaluated).
     ranked: Vec<Individual>,
@@ -85,7 +83,9 @@ pub(crate) struct ElitistGa<B: Breed> {
 }
 
 impl<B: Breed> ElitistGa<B> {
-    pub(crate) fn new(rule: B, problem: &dyn MappingProblem) -> Self {
+    /// The engine over `rule`, its initial population starting with `seeds`
+    /// (a warm start; empty for a cold one).
+    pub(crate) fn new(rule: B, problem: &dyn MappingProblem, seeds: Vec<Mapping>) -> Self {
         let num_jobs = problem.num_jobs();
         let pop_size = rule.population_size(num_jobs);
         let elite_count = ((pop_size as f64 * rule.elite_ratio()).round() as usize)
@@ -96,6 +96,7 @@ impl<B: Breed> ElitistGa<B> {
             num_accels: problem.num_accels(),
             pop_size,
             elite_count,
+            seeds: seeds.into_iter(),
             ranked: Vec::new(),
             parent_count: 0,
             spare: Vec::new(),
@@ -113,12 +114,10 @@ impl<B: Breed> Generation for ElitistGa<B> {
         self.pop_size.saturating_sub(self.elites())
     }
 
-    fn emit(&mut self, index: usize, _problem: &dyn MappingProblem, rng: &mut StdRng) -> Mapping {
+    fn emit(&mut self, _index: usize, _problem: &dyn MappingProblem, rng: &mut StdRng) -> Mapping {
         if self.ranked.is_empty() {
-            return match self.rule.seed(index) {
-                Some(seed) => seed.clone(),
-                None => Mapping::random(rng, self.num_jobs, self.num_accels),
-            };
+            let (jobs, accels) = (self.num_jobs, self.num_accels);
+            return self.seeds.next().unwrap_or_else(|| Mapping::random(rng, jobs, accels));
         }
         let parents = &self.ranked[..self.parent_count];
         let dad = &parents.choose(rng).expect("a ranked population has parents").mapping;

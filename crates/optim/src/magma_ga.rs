@@ -187,6 +187,15 @@ impl Magma {
         Breed::population_size(self, problem.num_jobs()).min(budget.max(2))
     }
 
+    /// [`Optimizer::open`] for a caller that is done with this `Magma`: the
+    /// session takes the configuration, and the warm-start population with
+    /// it, and emits each seed by move — nothing is copied. Draws nothing
+    /// from any RNG (neither does `open`).
+    pub fn into_session(mut self, problem: &dyn MappingProblem) -> Box<dyn SessionState> {
+        let seeds = self.config.initial_population.take().unwrap_or_default();
+        Generations::open(ElitistGa::new(self, problem, seeds))
+    }
+
     // ----- genetic operators -------------------------------------------------
 
     /// Crossover-gen: single-pivot crossover restricted to one randomly
@@ -245,11 +254,6 @@ impl Breed for Magma {
         self.config.elite_ratio
     }
 
-    /// A warm-start seed while they last.
-    fn seed(&self, index: usize) -> Option<&Mapping> {
-        self.config.initial_population.as_ref()?.get(index)
-    }
-
     fn make_child(
         &self,
         child: &mut Mapping,
@@ -281,7 +285,7 @@ impl Optimizer for Magma {
     }
 
     fn open(&self, problem: &dyn MappingProblem, _rng: &mut StdRng) -> Box<dyn SessionState> {
-        Generations::open(ElitistGa::new(self.clone(), problem))
+        self.clone().into_session(problem)
     }
 }
 

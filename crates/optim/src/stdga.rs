@@ -79,7 +79,7 @@ impl Optimizer for StdGa {
     }
 
     fn open(&self, problem: &dyn MappingProblem, _rng: &mut StdRng) -> Box<dyn SessionState> {
-        Generations::open(ElitistGa::new(*self, problem))
+        Generations::open(ElitistGa::new(*self, problem, Vec::new()))
     }
 }
 

@@ -27,7 +27,7 @@
 
 use crate::cache::{quantize_signatures, CacheStats, MappingCache, SharedCache, SignatureKey};
 use magma_m3e::{M3e, Mapping, MappingProblem, Schedule, StoredSolution};
-use magma_optim::{Magma, Optimizer, SearchOutcome, SessionState};
+use magma_optim::{Magma, SearchOutcome, SessionState};
 use magma_platform::settings::ServeKnobs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -189,9 +189,9 @@ impl MappingService {
     /// carries everything [`MappingService::open_search`] needs; nothing is
     /// evaluated yet.
     ///
-    /// `rng` must be the same RNG later handed to `open_search` — the seed
-    /// population draws from it, exactly as the pre-session one-call path
-    /// did.
+    /// The seed population's jitter draws from `rng`; pass the same RNG on
+    /// to the session's steps, as the one-call path ([`Self::map_group`])
+    /// does — opening the search draws nothing in between.
     pub fn plan_group(&mut self, problem: &M3e, rng: &mut StdRng) -> SearchPlan {
         self.plan_group_shared(problem, rng, None)
     }
@@ -257,17 +257,16 @@ impl MappingService {
     /// problem and RNG per step. The caller owns the stepping: spend
     /// [`SearchPlan::budget`] samples in whatever slices fit its schedule,
     /// then pass the finished outcome to [`MappingService::complete_group`].
-    pub fn open_search(
-        &self,
-        plan: &SearchPlan,
-        problem: &M3e,
-        rng: &mut StdRng,
-    ) -> Box<dyn SessionState> {
-        let magma = match &plan.seeds {
-            Some(seeds) => Magma::with_warm_start(seeds.clone()),
+    ///
+    /// A warm-started session takes the plan's seeds and emits each one by
+    /// move ([`Magma::into_session`]); the plan keeps its kind, budget and
+    /// key for `complete_group`. Opening draws nothing from any RNG.
+    pub fn open_search(&self, plan: &mut SearchPlan, problem: &M3e) -> Box<dyn SessionState> {
+        match plan.seeds.take() {
+            Some(seeds) => Magma::with_warm_start(seeds),
             None => Magma::default(),
-        };
-        magma.open(problem, rng)
+        }
+        .into_session(problem)
     }
 
     /// Completes a planned dispatch: stores the best mapping under the
@@ -318,8 +317,8 @@ impl MappingService {
     /// primitives themselves, slice by slice ([`crate::scheduler`]).
     pub fn map_group(&mut self, problem: &M3e, seed: u64) -> DispatchOutcome {
         let mut rng = StdRng::seed_from_u64(seed);
-        let plan = self.plan_group(problem, &mut rng);
-        let mut state = self.open_search(&plan, problem, &mut rng);
+        let mut plan = self.plan_group(problem, &mut rng);
+        let mut state = self.open_search(&mut plan, problem);
         loop {
             let remaining = plan.budget - state.spent();
             if remaining == 0 || state.step(problem, &mut rng, remaining).spent == 0 {
@@ -332,7 +331,8 @@ impl MappingService {
 
 /// The decision [`MappingService::plan_group`] makes for one dispatch group:
 /// how it will be served (cold vs hit), at what budget, under which cache
-/// key, and — on a hit — the adapted seed population.
+/// key, and — on a hit, until [`MappingService::open_search`] hands them to
+/// the session — the adapted seed population.
 #[derive(Debug, Clone)]
 pub struct SearchPlan {
     kind: DispatchKind,
@@ -450,9 +450,9 @@ mod tests {
         let mut sliced = MappingService::new(config());
         let mut drive = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let plan = sliced.plan_group(&p, &mut rng);
+            let mut plan = sliced.plan_group(&p, &mut rng);
             let budget = plan.budget();
-            let mut state = sliced.open_search(&plan, &p, &mut rng);
+            let mut state = sliced.open_search(&mut plan, &p);
             loop {
                 let remaining = budget - state.spent();
                 if remaining == 0 || state.step(&p, &mut rng, remaining.min(3)).spent == 0 {
@@ -569,10 +569,11 @@ mod tests {
                 for (services, tier) in [&mut sharing, &mut reloaded] {
                     let service = &mut services[shard];
                     let mut search = StdRng::seed_from_u64(search_seed);
-                    let plan = service.plan_group_shared(&problem, &mut search, Some(tier));
-                    let mut state = service.open_search(&plan, &problem, &mut search);
-                    state.step(&problem, &mut search, plan.budget());
+                    let mut plan = service.plan_group_shared(&problem, &mut search, Some(tier));
+                    // Captured before the session takes the seeds.
                     let planned = (plan.kind(), plan.budget(), plan.seeds.clone());
+                    let mut state = service.open_search(&mut plan, &problem);
+                    state.step(&problem, &mut search, plan.budget());
                     let (outcome, evicted) = service.complete_group_shared(
                         &problem,
                         plan,

@@ -390,8 +390,8 @@ mod tests {
         );
         let mut service = MappingService::new(DispatchConfig::new(budget, 4, 1.0, 4));
         let mut rng = StdRng::seed_from_u64(id);
-        let plan = service.plan_group(&problem, &mut rng);
-        let state = service.open_search(&plan, &problem, &mut rng);
+        let mut plan = service.plan_group(&problem, &mut rng);
+        let state = service.open_search(&mut plan, &problem);
         let group = DispatchGroup {
             arrivals: vec![Arrival { time_sec: 0.0, tenant: 0, job }],
             formed_at_sec: 0.0,

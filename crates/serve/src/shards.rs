@@ -204,9 +204,10 @@ impl ShardSet {
             M3e::new(self.platforms[shard].clone(), Group::new(jobs), Objective::Throughput);
         let id = self.admitted;
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(id.wrapping_mul(K_SEED_STRIDE)));
-        let plan = self.services[shard].plan_keyed(&problem, key, &mut rng, self.shared.as_mut());
+        let mut plan =
+            self.services[shard].plan_keyed(&problem, key, &mut rng, self.shared.as_mut());
         let budget = plan.budget();
-        let state = self.services[shard].open_search(&plan, &problem, &mut rng);
+        let state = self.services[shard].open_search(&mut plan, &problem);
         let value = group_value(group.arrivals.iter(), mix);
         let session =
             LiveSession { id, group, plan, problem, rng, state, budget, deadline_sec, value };

@@ -1,6 +1,8 @@
 //! The zero-allocation gate on the fitness kernel — and on the near-hit
-//! cache probe, the other loop a request's cost is counted in — and the
-//! constant-allocation gate on a GA generation around the kernel.
+//! cache probe, the other loop a request's cost is counted in — the
+//! constant-allocation gate on a GA generation around the kernel, and the
+//! bound on a cached group's plan and open, which pins that the seeds are
+//! never copied.
 //!
 //! Every search sample is one `M3e::evaluate` call, and after a thread's
 //! first evaluation of a problem (which sizes its scratch) the call must not
@@ -20,7 +22,7 @@ use common::{paper_scale_platforms, problem};
 use magma::m3e::StoredSolution;
 use magma::optim::parallel::{evaluate_batch_with, thread_count, with_threads};
 use magma::prelude::*;
-use magma::serve::quantize_signatures;
+use magma::serve::{quantize_signatures, DispatchKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -189,6 +191,35 @@ fn a_near_hit_probe_that_misses_allocates_nothing() {
     });
     assert_eq!(cache.stats().misses, misses + 100);
     assert_eq!(allocations, 0, "100 probes of {} entries allocated", cache.len());
+}
+
+/// A cached group's dispatch: the plan adapts the stored mapping into a
+/// 30-individual seed population (two genome buffers each), and the session
+/// it opens takes those seeds and emits each by move. Until PR 25 they were
+/// copied three times on the way — into `Magma::with_warm_start`, into the
+/// engine with the whole configuration, and once more as each was emitted:
+/// plan 69 + open 123 + initial generation 73 = 265 allocations, where this
+/// takes 69 + 1 + 13 = 83. The initial generation is counted because its
+/// emits are where the last copy was made.
+#[test]
+fn an_exact_hit_plans_and_opens_without_copying_its_seeds() {
+    let problem = problem(Setting::S2, TaskType::Mix, Some(16.0), 30, 1);
+    let refine_budget = settings::ServeKnobs::full().refine_budget;
+    let mut service = MappingService::new(DispatchConfig::new(60, refine_budget, 1.0, 8));
+    let mut rng = StdRng::seed_from_u64(2);
+    with_threads(1, || {
+        service.map_group(&problem, 1);
+        let allocations = allocations_in(|| {
+            let mut plan = service.plan_group(&problem, &mut rng);
+            assert_eq!(plan.kind(), DispatchKind::CacheHit);
+            let mut state = service.open_search(&mut plan, &problem);
+            assert_eq!(state.step(&problem, &mut rng, 30).spent, 30);
+        });
+        assert!(
+            allocations <= 83,
+            "an exact hit's plan, open and seeds allocated {allocations} times"
+        );
+    });
 }
 
 /// Every batch evaluation — one per scheduler slice, one per GA generation —
