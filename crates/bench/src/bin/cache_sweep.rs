@@ -63,7 +63,7 @@ fn main() {
     let report = match &setup.scenario {
         Some(resolved) => {
             magma_bench::print_scenario(resolved);
-            run_cache_sweep_custom(knobs, smoke, &resolved.custom())
+            run_cache_sweep_custom(knobs, smoke, resolved)
         }
         None => run_cache_sweep(knobs, smoke),
     };

@@ -65,7 +65,7 @@ fn main() {
     let report = match &setup.scenario {
         Some(resolved) => {
             magma_bench::print_scenario(resolved);
-            run_fleet_custom(knobs, smoke, &resolved.custom())
+            run_fleet_custom(knobs, smoke, resolved)
         }
         None => run_fleet_ladder(knobs, smoke),
     };

@@ -62,7 +62,7 @@ fn main() {
     let report = match &setup.scenario {
         Some(resolved) => {
             magma_bench::print_scenario(resolved);
-            run_custom_scenario(knobs, smoke, &resolved.custom())
+            run_custom_scenario(knobs, smoke, resolved)
         }
         None => run_standard_scenarios(knobs, smoke),
     };

@@ -1,4 +1,4 @@
-//! Shared plumbing for the seven binaries in `src/bin/`.
+//! Shared plumbing for the six binaries in `src/bin/`.
 //!
 //! | Binary | What it runs |
 //! |---|---|
@@ -8,7 +8,6 @@
 //! | `cache_sweep` | not a paper artefact — the mapping-cache calibration sweep behind `BENCH_cache.json` (`magma-serve`) |
 //! | `magma_server` | not a paper artefact — the wall-clock RPC serving daemon (`magma-server`) |
 //! | `loadgen` | not a paper artefact — the daemon's load generator behind `BENCH_rpc.json` (`magma-server`) |
-//! | `scenario_gen` | not a paper artefact — writes and checks the `scenarios/` registry tree (`magma-registry`) |
 //!
 //! `paper` runs at a *reduced* scale by default so every artefact finishes in
 //! seconds on a laptop; `--full` runs at the paper's scale (group size 100,
@@ -151,7 +150,7 @@ pub struct ServingSetup {
     /// both read this; nothing is patched afterwards.
     pub knobs: ServerKnobs,
     /// The resolved `--scenario` file.
-    pub scenario: Option<magma_registry::ResolvedScenario>,
+    pub scenario: Option<magma_serve::CustomScenario>,
 }
 
 impl ServingSetup {
@@ -176,19 +175,19 @@ pub fn serving_setup() -> ServingSetup {
     });
     let mut knobs = ServerKnobs::from_env(cli.smoke);
     if let Some(resolved) = &scenario {
-        knobs = resolved.custom().apply(knobs);
+        knobs = resolved.apply(knobs);
     }
     ServingSetup { smoke: cli.smoke, knobs, scenario }
 }
 
 /// Prints what a `--scenario` run resolved to, under the binary's banner.
-pub fn print_scenario(resolved: &magma_registry::ResolvedScenario) {
+pub fn print_scenario(resolved: &magma_serve::CustomScenario) {
     println!(
         "registry scenario {:?}: {} traffic, platform {} ({} cores), {} tenants, descriptor {}",
         resolved.name,
         resolved.scenario,
-        resolved.platform.name(),
-        resolved.platform_def.core_count(),
+        resolved.platform.label(),
+        resolved.platform.build().num_sub_accels(),
         resolved.mix.len(),
         resolved.descriptor.content_hash
     );

@@ -437,18 +437,6 @@ impl Setting {
             vec![1.0, 16.0, 64.0, 256.0]
         }
     }
-
-    /// The paper's descriptive name for the setting.
-    pub fn description(self) -> &'static str {
-        match self {
-            Setting::S1 => "Small Homogeneous",
-            Setting::S2 => "Small Heterogeneous",
-            Setting::S3 => "Large Homogeneous",
-            Setting::S4 => "Large Heterogeneous",
-            Setting::S5 => "Large Heterogeneous BigLittle",
-            Setting::S6 => "Large Scale-up",
-        }
-    }
 }
 
 impl fmt::Display for Setting {
@@ -851,13 +839,5 @@ mod tests {
         assert_eq!(custom.label(), "S2");
         assert_eq!(custom.build().system_bw_gbps(), 4.0);
         assert_ne!(custom, PlatformSpec::Setting(Setting::S2));
-    }
-
-    #[test]
-    fn descriptions_are_distinct() {
-        let mut d: Vec<&str> = Setting::ALL.iter().map(|s| s.description()).collect();
-        d.sort_unstable();
-        d.dedup();
-        assert_eq!(d.len(), 6);
     }
 }

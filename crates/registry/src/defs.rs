@@ -541,8 +541,25 @@ impl ScenarioDef {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builtin;
     use magma_platform::{settings, Setting};
+
+    /// One definition of the committed `scenarios/` tree.
+    fn committed<T: Deserialize>(rel: &str) -> T {
+        let text = std::fs::read_to_string(crate::committed(rel)).unwrap();
+        serde_json::from_str(&text).unwrap_or_else(|e| panic!("{rel}: {e}"))
+    }
+
+    fn s1() -> PlatformDef {
+        committed("platforms/s1.json")
+    }
+
+    fn standard() -> MixDef {
+        committed("mixes/standard.json")
+    }
+
+    fn poisson_mix() -> ScenarioDef {
+        committed("traffic/poisson_mix.json")
+    }
 
     #[test]
     fn parse_helpers_cover_registry_vocabulary() {
@@ -555,6 +572,32 @@ mod tests {
         assert_eq!(parse_process("Poisson"), Some(Scenario::Poisson));
         assert_eq!(parse_process("drift"), Some(Scenario::Drift));
         assert_eq!(parse_process("uniform"), None);
+    }
+
+    #[test]
+    fn builtin_platform_defs_build_bit_identical_settings() {
+        let defs = crate::builtin::platforms();
+        for setting in Setting::ALL {
+            let name = setting.to_string();
+            let def = defs.iter().find(|d| d.name == name).expect("Table III row committed");
+            def.validate().unwrap_or_else(|e| panic!("{setting}: {e}"));
+            assert_eq!(def.build(), settings::build(setting), "{setting} differs");
+        }
+    }
+
+    #[test]
+    fn builtin_mix_defs_build_bit_identical_mixes() {
+        let defs = crate::builtin::mixes();
+        let standard = defs.iter().find(|d| d.name == "standard").expect("standard mix");
+        standard.validate().expect("valid");
+        assert_eq!(standard.build().expect("builds"), TenantMix::standard());
+
+        let repeated =
+            defs.iter().find(|d| d.name == "repeated_tenant").expect("repeated_tenant mix");
+        assert_eq!(
+            repeated.build().expect("builds"),
+            TenantMix::single("recommendation", TaskType::Recommendation, vec![zoo::ncf()])
+        );
     }
 
     #[test]
@@ -576,88 +619,64 @@ mod tests {
     }
 
     #[test]
-    fn builtin_platform_defs_build_bit_identical_settings() {
-        for setting in Setting::ALL {
-            let def = builtin::platform_def_for(setting);
-            def.validate().unwrap_or_else(|e| panic!("{setting}: {e}"));
-            assert_eq!(def.build(), settings::build(setting), "{setting} differs");
-        }
-    }
-
-    #[test]
-    fn builtin_mix_defs_build_bit_identical_mixes() {
-        let defs = builtin::builtin_mix_defs();
-        let standard = defs.iter().find(|d| d.name == "standard").expect("standard mix");
-        standard.validate().expect("valid");
-        assert_eq!(standard.build().expect("builds"), TenantMix::standard());
-
-        let repeated =
-            defs.iter().find(|d| d.name == "repeated_tenant").expect("repeated_tenant mix");
-        assert_eq!(
-            repeated.build().expect("builds"),
-            TenantMix::single("recommendation", TaskType::Recommendation, vec![zoo::ncf()])
-        );
-    }
-
-    #[test]
     fn rejects_out_of_range_platform_values() {
-        let mut def = builtin::platform_def_for(Setting::S1);
+        let mut def = s1();
         def.system_bw_gbps = 0.0;
         assert!(def.validate().unwrap_err().contains("system_bw_gbps"));
 
-        let mut def = builtin::platform_def_for(Setting::S1);
+        let mut def = s1();
         def.system_bw_gbps = -4.0;
         assert!(def.validate().is_err());
 
-        let mut def = builtin::platform_def_for(Setting::S1);
+        let mut def = s1();
         def.cores[0].pe_rows = 0;
         assert!(def.validate().unwrap_err().contains("PE rows"));
 
-        let mut def = builtin::platform_def_for(Setting::S1);
+        let mut def = s1();
         def.cores[0].dataflow = "warp".into();
         assert!(def.validate().unwrap_err().contains("unknown dataflow"));
 
-        let mut def = builtin::platform_def_for(Setting::S1);
+        let mut def = s1();
         def.cores.clear();
         assert!(def.validate().is_err());
 
         // Colliding expansion: two classes expanding to the same name.
-        let mut def = builtin::platform_def_for(Setting::S2);
+        let mut def = committed::<PlatformDef>("platforms/s2.json");
         def.cores[1].name = "S2-hb0".into();
         assert!(def.validate().unwrap_err().contains("collides"));
     }
 
     #[test]
     fn rejects_out_of_range_mix_values() {
-        let mut def = builtin::builtin_mix_defs()[0].clone();
+        let mut def = standard();
         def.tenants.as_mut().unwrap()[0].weight = 0.0;
         assert!(def.validate().unwrap_err().contains("weight"));
 
-        let mut def = builtin::builtin_mix_defs()[0].clone();
+        let mut def = standard();
         def.tenants.as_mut().unwrap()[0].task = "speech".into();
         assert!(def.validate().unwrap_err().contains("unknown task"));
 
-        let mut def = builtin::builtin_mix_defs()[0].clone();
+        let mut def = standard();
         def.tenants.as_mut().unwrap()[0].sla_multiplier = Some(-1.0);
         assert!(def.validate().unwrap_err().contains("SLA"));
 
-        let mut def = builtin::builtin_mix_defs()[0].clone();
+        let mut def = standard();
         def.synthetic = Some(SyntheticMixDef { tenants: 8, seed: 1 });
         assert!(def.validate().unwrap_err().contains("not both"));
 
-        let mut def = builtin::builtin_mix_defs()[0].clone();
+        let mut def = standard();
         def.tenants = None;
         assert!(def.validate().unwrap_err().contains("either"));
 
-        let mut def = builtin::builtin_mix_defs()[0].clone();
+        let mut def = standard();
         def.default_sla_multiplier = Some(0.0);
         assert!(def.validate().unwrap_err().contains("default SLA multiplier"));
 
-        let mut def = builtin::builtin_mix_defs()[0].clone();
+        let mut def = standard();
         def.default_sla_multiplier = Some(f64::NAN);
         assert!(def.validate().is_err());
 
-        let mut def = builtin::builtin_mix_defs()[0].clone();
+        let mut def = standard();
         def.tenants = None;
         def.synthetic = Some(SyntheticMixDef { tenants: 8, seed: 1 });
         def.default_sla_multiplier = Some(2.0);
@@ -666,7 +685,7 @@ mod tests {
 
     #[test]
     fn default_sla_multiplier_fills_unpinned_tenants_only() {
-        let mut def = builtin::builtin_mix_defs()[0].clone();
+        let mut def = standard();
         let tenants = def.tenants.as_mut().unwrap();
         tenants[0].sla_multiplier = Some(0.5);
         def.default_sla_multiplier = Some(2.0);
@@ -680,7 +699,7 @@ mod tests {
 
     #[test]
     fn rejects_out_of_range_serving_values() {
-        let base = builtin::builtin_scenario_defs()[0].clone();
+        let base = poisson_mix();
 
         let mut def = base.clone();
         def.serving = Some(ServingDef {
@@ -738,8 +757,8 @@ mod tests {
         def.validate().expect("in-range serving block validates");
     }
 
-    // Serialize → load round-trips over randomized definitions: whatever the
-    // generator (or a user) can express must survive the committed-file form
+    // Serialize → load round-trips over randomized definitions: whatever a
+    // definition can express must survive the committed-file form
     // bit-for-bit, including the built runtime values.
     mod round_trip {
         use super::super::*;
@@ -867,19 +886,19 @@ mod tests {
 
     #[test]
     fn rejects_out_of_range_traffic_values() {
-        let mut def = builtin::builtin_scenario_defs()[0].clone();
+        let mut def = poisson_mix();
         def.traffic.process = "uniform".into();
         assert!(def.validate().unwrap_err().contains("arrival process"));
 
-        let mut def = builtin::builtin_scenario_defs()[0].clone();
+        let mut def = poisson_mix();
         def.traffic.requests = Some(0);
         assert!(def.validate().is_err());
 
-        let mut def = builtin::builtin_scenario_defs()[0].clone();
+        let mut def = poisson_mix();
         def.traffic.offered_load = Some(f64::NAN);
         assert!(def.validate().is_err());
 
-        let mut def = builtin::builtin_scenario_defs()[0].clone();
+        let mut def = poisson_mix();
         def.platform = "  ".into();
         assert!(def.validate().is_err());
     }

@@ -106,8 +106,7 @@ impl fmt::Display for RegistryError {
             }
             RegistryError::UnknownSchema { path, found } => write!(
                 f,
-                "{}: unknown schema {found:?} (this loader reads {:?}; regenerate the file \
-                 with `scenario_gen` or migrate it by hand)",
+                "{}: unknown schema {found:?} (this loader reads {:?}; migrate the file to it)",
                 path.display(),
                 crate::REGISTRY_SCHEMA
             ),

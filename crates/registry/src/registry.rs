@@ -1,15 +1,15 @@
 //! The validating loader: walks a `scenarios/` tree, parses every `*.json`
-//! into its definition type, range-checks each, rejects duplicates and
-//! dangling cross-references, and resolves scenario definitions into
-//! runnable values.
+//! into its definition type, rejects keys the type does not have,
+//! range-checks each, rejects duplicates and dangling cross-references, and
+//! resolves scenario definitions into runnable values.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use magma_model::{zoo, TenantMix};
+use magma_model::zoo;
 use magma_platform::{AcceleratorPlatform, PlatformSpec};
-use magma_serve::{CustomScenario, Scenario, ScenarioDescriptor};
-use serde::{Deserialize, Value};
+use magma_serve::{CustomScenario, ScenarioDescriptor};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::defs::{def_value, MixDef, PlatformDef, ScenarioDef};
 use crate::error::RegistryError;
@@ -24,7 +24,7 @@ pub struct Registry {
     scenarios: BTreeMap<String, (PathBuf, ScenarioDef)>,
 }
 
-/// What a registry holds, for `scenario_gen --check` reporting.
+/// Definition counts of a loaded registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegistryStats {
     /// Number of platform definitions.
@@ -33,61 +33,6 @@ pub struct RegistryStats {
     pub mixes: usize,
     /// Number of scenario definitions.
     pub scenarios: usize,
-}
-
-/// A scenario resolved against its registry: the built runtime values plus
-/// the self-describing descriptor that lands in `BENCH_*.json`.
-#[derive(Debug, Clone)]
-pub struct ResolvedScenario {
-    /// The scenario's registry name.
-    pub name: String,
-    /// The arrival process.
-    pub scenario: Scenario,
-    /// The platform definition the scenario referenced.
-    pub platform_def: PlatformDef,
-    /// The built platform.
-    pub platform: AcceleratorPlatform,
-    /// The built tenant mix.
-    pub mix: TenantMix,
-    /// Trace-length override (`None` inherits the knobs).
-    pub requests: Option<usize>,
-    /// Offered-load override (`None` inherits the knobs).
-    pub offered_load: Option<f64>,
-    /// Seed override (`None` inherits the knobs).
-    pub seed: Option<u64>,
-    /// Near-hit epsilon override (`None` inherits the knobs).
-    pub cache_epsilon: Option<f64>,
-    /// Refine-budget override (`None` inherits the knobs).
-    pub refine_budget: Option<usize>,
-    /// Quantization-step override (`None` inherits the knobs).
-    pub quant_step: Option<f64>,
-    /// SLA-multiplier override (`None` inherits the knobs).
-    pub sla_x: Option<f64>,
-    /// The descriptor embedding the full resolved definitions.
-    pub descriptor: ScenarioDescriptor,
-}
-
-impl ResolvedScenario {
-    /// The [`CustomScenario`] value the serving stack consumes: its
-    /// overrides through `CustomScenario::apply`, the rest through
-    /// `run_custom_scenario` / `run_fleet_custom` /
-    /// `run_cache_sweep_custom`.
-    pub fn custom(&self) -> CustomScenario {
-        CustomScenario {
-            name: self.name.clone(),
-            scenario: self.scenario,
-            mix: self.mix.clone(),
-            platform: PlatformSpec::Custom(self.platform.clone()),
-            requests: self.requests,
-            offered_load: self.offered_load,
-            seed: self.seed,
-            cache_epsilon: self.cache_epsilon,
-            refine_budget: self.refine_budget,
-            quant_step: self.quant_step,
-            sla_x: self.sla_x,
-            descriptor: self.descriptor.clone(),
-        }
-    }
 }
 
 /// Recursively collects every `*.json` under `dir`, sorted for a
@@ -132,7 +77,30 @@ fn parse_registry_file(path: &Path) -> Result<(Value, String), RegistryError> {
     Ok((value, kind))
 }
 
-/// Parses + range-checks one definition of a known type.
+/// The first key of `file` that `def` — the definition parsed from it,
+/// serialized back, so every field it has is a key — does not have, as a
+/// dotted path from `at` (`traffic.offered_laod`, `cores[0].pe_colls`).
+/// The derive reads fields by name and ignores every other key, so without
+/// this walk a mistyped key silently inherits its default.
+fn unknown_key(file: &Value, def: &Value, at: &str) -> Option<String> {
+    match (file, def) {
+        (Value::Map(entries), Value::Map(fields)) => entries.iter().find_map(|(key, value)| {
+            let path = if at.is_empty() { key.clone() } else { format!("{at}.{key}") };
+            match fields.iter().find(|(field, _)| field == key) {
+                Some((_, known)) => unknown_key(value, known, &path),
+                None => Some(path),
+            }
+        }),
+        (Value::Seq(items), Value::Seq(known)) => items
+            .iter()
+            .zip(known)
+            .enumerate()
+            .find_map(|(i, (item, known))| unknown_key(item, known, &format!("{at}[{i}]"))),
+        _ => None,
+    }
+}
+
+/// Parses + key- and range-checks one definition of a known type.
 fn parse_def<T>(
     path: &Path,
     value: &Value,
@@ -140,10 +108,15 @@ fn parse_def<T>(
     name_of: impl Fn(&T) -> String,
 ) -> Result<T, RegistryError>
 where
-    T: Deserialize,
+    T: Deserialize + Serialize,
 {
-    let def = T::from_value(value)
-        .map_err(|e| RegistryError::Parse { path: path.to_path_buf(), message: e.to_string() })?;
+    let parse_error = |message: String| RegistryError::Parse { path: path.to_path_buf(), message };
+    let def = T::from_value(value).map_err(|e| parse_error(e.to_string()))?;
+    if let Some(key) = unknown_key(value, &def_value(&def), "") {
+        return Err(parse_error(format!(
+            "unknown key {key:?} (the definition has no such field; check its spelling)"
+        )));
+    }
     validate(&def).map_err(|message| RegistryError::Invalid {
         path: path.to_path_buf(),
         name: name_of(&def),
@@ -156,16 +129,16 @@ impl Registry {
     /// Loads and fully validates every `*.json` under `dir` (recursively).
     ///
     /// Rejections, in check order per file: unreadable file, unparseable
-    /// JSON, unknown schema, unknown kind, failed range validation,
-    /// duplicate name — then, across the whole tree, dangling model
+    /// JSON, unknown schema, unknown kind, unknown key, failed range
+    /// validation, duplicate name — then, across the whole tree, dangling model
     /// references from mixes and dangling platform/mix references from
     /// scenarios.
     pub fn load_dir(dir: &Path) -> Result<Registry, RegistryError> {
         if !dir.is_dir() {
             return Err(RegistryError::Io {
                 path: dir.to_path_buf(),
-                message: "not a directory (set MAGMA_SCENARIO_DIR or run `scenario_gen --out` \
-                          to create the registry tree)"
+                message: "not a directory (set MAGMA_SCENARIO_DIR to the registry tree, \
+                          default `scenarios/` in the repository root)"
                     .to_string(),
             });
         }
@@ -327,8 +300,9 @@ impl Registry {
         })
     }
 
-    /// Resolves a registered scenario by name into runnable values.
-    pub fn resolve(&self, name: &str) -> Result<ResolvedScenario, RegistryError> {
+    /// Resolves a registered scenario by name into the value the serving
+    /// drivers run.
+    pub fn resolve(&self, name: &str) -> Result<CustomScenario, RegistryError> {
         let (path, def) = self.scenarios.get(name).ok_or_else(|| RegistryError::UnknownName {
             kind: "scenario",
             name: name.to_string(),
@@ -343,7 +317,7 @@ impl Registry {
         &self,
         def: &ScenarioDef,
         path: &Path,
-    ) -> Result<ResolvedScenario, RegistryError> {
+    ) -> Result<CustomScenario, RegistryError> {
         let platform_def =
             self.platform(&def.platform).ok_or_else(|| RegistryError::DanglingRef {
                 path: path.to_path_buf(),
@@ -366,7 +340,6 @@ impl Registry {
         };
         let scenario = def.traffic.process().map_err(&invalid)?;
         let mix = mix_def.build().map_err(&invalid)?;
-        let platform = platform_def.build();
         // The descriptor embeds the *resolved* definitions — a report built
         // from this scenario is self-describing without the registry tree.
         let params = Value::Map(vec![
@@ -374,21 +347,20 @@ impl Registry {
             ("platform".to_string(), def_value(platform_def)),
             ("mix".to_string(), def_value(mix_def)),
         ]);
-        let descriptor = ScenarioDescriptor::new("registry", &def.name, params);
-        Ok(ResolvedScenario {
+        let serving = def.serving.as_ref();
+        Ok(CustomScenario {
             name: def.name.clone(),
             scenario,
-            platform_def: platform_def.clone(),
-            platform,
             mix,
+            platform: PlatformSpec::Custom(platform_def.build()),
             requests: def.traffic.requests,
             offered_load: def.traffic.offered_load,
             seed: def.traffic.seed,
-            cache_epsilon: def.serving.as_ref().and_then(|s| s.cache_epsilon),
-            refine_budget: def.serving.as_ref().and_then(|s| s.refine_budget),
-            quant_step: def.serving.as_ref().and_then(|s| s.quant_step),
-            sla_x: def.serving.as_ref().and_then(|s| s.sla_x),
-            descriptor,
+            cache_epsilon: serving.and_then(|s| s.cache_epsilon),
+            refine_budget: serving.and_then(|s| s.refine_budget),
+            quant_step: serving.and_then(|s| s.quant_step),
+            sla_x: serving.and_then(|s| s.sla_x),
+            descriptor: ScenarioDescriptor::new("registry", &def.name, params),
         })
     }
 }
@@ -398,7 +370,7 @@ impl Registry {
 /// then parses, validates and resolves the file itself. The file does not
 /// need to live inside the registry tree, but its platform/mix references
 /// must resolve there.
-pub fn resolve_scenario_file(path: &Path) -> Result<ResolvedScenario, RegistryError> {
+pub fn resolve_scenario_file(path: &Path) -> Result<CustomScenario, RegistryError> {
     let registry = Registry::load_env()?;
     let (value, kind) = parse_registry_file(path)?;
     if kind != "scenario" {
@@ -414,25 +386,14 @@ pub fn resolve_scenario_file(path: &Path) -> Result<ResolvedScenario, RegistryEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builtin;
-    use crate::gen;
+    use crate::committed;
     use magma_platform::{settings, Setting};
-
-    /// Writes the full builtin + generated tree under a fresh temp dir.
-    fn temp_tree(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("magma-registry-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        gen::write_tree(&dir).expect("write tree");
-        dir
-    }
 
     #[test]
     fn loads_and_resolves_the_generated_tree() {
-        let dir = temp_tree("load");
-        let registry = Registry::load_dir(&dir).expect("loads");
+        let registry = Registry::load_dir(&committed("")).expect("the committed tree loads");
         let stats = registry.stats();
-        assert!(stats.platforms >= 6 + 2, "builtin + generated platforms: {stats:?}");
+        assert!(stats.platforms >= 6 + 2, "Table III + generated platforms: {stats:?}");
         assert!(stats.scenarios >= 20, "scenario explosion: {stats:?}");
         // Every registered scenario resolves (buildable platform + mix).
         for name in registry.scenario_names() {
@@ -440,18 +401,15 @@ mod tests {
             assert!(resolved.descriptor.validate().is_ok(), "{name}: descriptor self-checks");
             assert_eq!(resolved.descriptor.source, "registry");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn registry_platforms_match_hardcoded_settings() {
-        let dir = temp_tree("equiv");
-        let registry = Registry::load_dir(&dir).expect("loads");
+        let registry = Registry::load_dir(&committed("")).expect("loads");
         for setting in Setting::ALL {
             let built = registry.build_platform(&setting.to_string()).expect("registered");
             assert_eq!(built, settings::build(setting), "{setting} drifted");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -463,8 +421,9 @@ mod tests {
         let write = |name: &str, text: &str| {
             std::fs::write(dir.join(name), text).unwrap();
         };
-        let s1 = serde_json::to_string_pretty(&builtin::platform_def_for(Setting::S1)).unwrap();
-        let standard = serde_json::to_string_pretty(&builtin::builtin_mix_defs()[0]).unwrap();
+        let read = |rel: &str| std::fs::read_to_string(committed(rel)).unwrap();
+        let s1 = read("platforms/s1.json");
+        let standard = read("mixes/standard.json");
 
         // Unknown schema version.
         write("bad_schema.json", &s1.replace("magma-registry/v1", "magma-registry/v9"));
@@ -505,7 +464,7 @@ mod tests {
 
         // Dangling platform / mix references from a scenario.
         write("standard.json", &standard);
-        let scenario = serde_json::to_string_pretty(&builtin::builtin_scenario_defs()[0]).unwrap();
+        let scenario = read("traffic/poisson_mix.json");
         write("bad_scenario.json", &scenario.replace("\"S2\"", "\"S99\""));
         assert!(matches!(
             Registry::load_dir(&dir),
@@ -529,6 +488,33 @@ mod tests {
         );
         assert!(matches!(Registry::load_dir(&dir), Err(RegistryError::Invalid { .. })));
         std::fs::remove_file(dir.join("zero_rows.json")).unwrap();
+
+        // A mistyped key, in `traffic` and in a `cores` entry → Parse, naming
+        // the file and the dotted key (the derive alone ignores the key, and
+        // the run would take the default).
+        let unknown_key = |file: &str, text: &str, key: &str| {
+            write(file, text);
+            match Registry::load_dir(&dir) {
+                Err(e @ RegistryError::Parse { .. }) => {
+                    let text = e.to_string();
+                    assert!(text.contains(file) && text.contains(key), "{text}");
+                }
+                other => panic!("expected Parse naming {key}, got {other:?}"),
+            }
+            std::fs::remove_file(dir.join(file)).unwrap();
+        };
+        unknown_key(
+            "typo_traffic.json",
+            &scenario
+                .replace("\"S2\"", "\"S1\"")
+                .replace("\"offered_load\": null", "\"offered_laod\": 3.0"),
+            "traffic.offered_laod",
+        );
+        unknown_key(
+            "typo_core.json",
+            &s1.replace("\"S1\"", "\"S1y\"").replace("\"pe_cols\"", "\"pe_colls\""),
+            "cores[0].pe_colls",
+        );
 
         // Unparseable JSON → Parse.
         write("garbage.json", "{ not json");

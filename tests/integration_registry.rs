@@ -1,12 +1,9 @@
 //! Registry ↔ hardcoded equivalence suite (CI tier-1).
 //!
-//! The scenario registry re-expresses the hardcoded experiment space as
-//! committed JSON files; this suite locks down that the two paths cannot
-//! drift apart:
+//! The scenario registry holds the experiment space as committed JSON files,
+//! the only definition of it; this suite locks down that the data and the
+//! code the paper artefacts run cannot drift apart:
 //!
-//! * the **committed** `scenarios/` tree parses, validates and still equals
-//!   the builtin definition constructors file-for-file (the tree is
-//!   generated, never hand-edited);
 //! * registry-resolved S1–S6 platforms are **bit-identical** to
 //!   `magma_platform::settings::build`;
 //! * registry-resolved mixes produce **bit-identical trace event streams**
@@ -23,10 +20,10 @@ use std::path::PathBuf;
 use magma_model::{zoo, TaskType, TenantMix};
 use magma_platform::settings::{self, FleetKnobs, ServeKnobs, ServerKnobs};
 use magma_platform::Setting;
-use magma_registry::{builtin, gen, Registry, ResolvedScenario};
+use magma_registry::Registry;
 use magma_serve::report::{run_custom_scenario, run_standard_scenarios, ServeReport};
 use magma_serve::trace::{generate_trace, Scenario, TraceParams};
-use magma_serve::BenchReport;
+use magma_serve::{BenchReport, CustomScenario};
 
 /// The committed registry tree, independent of the test CWD.
 fn committed_tree() -> PathBuf {
@@ -51,41 +48,10 @@ fn tiny_knobs() -> ServeKnobs {
 
 /// Runs a resolved registry scenario the way `serve_sim --scenario` does:
 /// the scenario applied onto the knob nest, then the report from the result.
-fn run_resolved(knobs: &ServeKnobs, smoke: bool, resolved: &ResolvedScenario) -> ServeReport {
-    let custom = resolved.custom();
+fn run_resolved(knobs: &ServeKnobs, smoke: bool, resolved: &CustomScenario) -> ServeReport {
     let fleet = FleetKnobs { serve: knobs.clone(), ..FleetKnobs::smoke() };
-    let knobs = custom.apply(ServerKnobs { fleet, ..ServerKnobs::smoke() }).fleet.serve;
-    run_custom_scenario(&knobs, smoke, &custom)
-}
-
-#[test]
-fn committed_tree_matches_builtin_definitions() {
-    let registry = committed_registry();
-    // Platforms: the six Table III rows, byte-equal as parsed definitions.
-    for setting in Setting::ALL {
-        let committed = registry
-            .platform(&setting.to_string())
-            .unwrap_or_else(|| panic!("{setting} missing from the committed tree"));
-        assert_eq!(committed, &builtin::platform_def_for(setting), "{setting} drifted");
-    }
-    // Mixes and traffic scenarios likewise.
-    for def in builtin::builtin_mix_defs() {
-        assert_eq!(registry.mix(&def.name), Some(&def), "mix {} drifted", def.name);
-    }
-    for def in builtin::builtin_scenario_defs() {
-        assert_eq!(registry.scenario(&def.name), Some(&def), "scenario {} drifted", def.name);
-    }
-    // Generated definitions too: the committed tree is exactly what
-    // `scenario_gen` would write today.
-    for def in gen::generated_platform_defs() {
-        assert_eq!(registry.platform(&def.name), Some(&def), "platform {} drifted", def.name);
-    }
-    for def in gen::generated_mix_defs() {
-        assert_eq!(registry.mix(&def.name), Some(&def), "mix {} drifted", def.name);
-    }
-    for def in gen::generated_scenario_defs() {
-        assert_eq!(registry.scenario(&def.name), Some(&def), "scenario {} drifted", def.name);
-    }
+    let knobs = resolved.apply(ServerKnobs { fleet, ..ServerKnobs::smoke() }).fleet.serve;
+    run_custom_scenario(&knobs, smoke, resolved)
 }
 
 #[test]
@@ -180,7 +146,7 @@ fn generated_sweep_spans_the_acceptance_space() {
         .resolve("dc-mesh64-asymbw-flash-crowd")
         .expect("flash-crowd scenario on the 64-core mesh resolves");
     assert_eq!(flash.scenario, Scenario::Bursty);
-    assert_eq!(flash.platform.num_sub_accels(), 64);
+    assert_eq!(flash.platform.build().num_sub_accels(), 64);
 }
 
 /// A generated scenario actually runs end to end (small trace) and embeds
@@ -211,7 +177,7 @@ fn scenario_files_resolve_via_the_env_registry_root() {
     let resolved = magma_registry::resolve_scenario_file(&file)
         .unwrap_or_else(|e| panic!("scenario file resolves: {e}"));
     assert_eq!(resolved.name, "dc-mesh64-asymbw-flash-crowd");
-    assert_eq!(resolved.platform.num_sub_accels(), 64);
+    assert_eq!(resolved.platform.build().num_sub_accels(), 64);
     assert!(resolved.descriptor.validate().is_ok());
     std::env::remove_var("MAGMA_SCENARIO_DIR");
 }
