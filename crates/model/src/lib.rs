@@ -24,7 +24,8 @@
 //!   see platform affinity too.
 //! * [`Tenant`], [`TenantMix`] and [`TenantJobStream`] — the co-resident
 //!   service owners behind the online serving simulator (`magma-serve`),
-//!   each emitting a deterministic job stream from its slice of the zoo.
+//!   each emitting a deterministic job stream from the slice of the zoo it
+//!   references (shared, never copied per tenant).
 //!
 //! # Paper cross-references
 //!

@@ -8,24 +8,34 @@
 //! simulator (`magma-serve`) instead draws arrivals from a [`TenantMix`],
 //! one [`Tenant`] per co-resident service.
 //!
-//! Each tenant owns a slice of the [`zoo`] and emits jobs through
+//! Each tenant references a slice of the [`zoo`] and emits jobs through
 //! a [`TenantJobStream`]: a deterministic round-robin over its models'
 //! accelerator layers, exactly mirroring how [`crate::workload`] interleaves
 //! queued requests. Determinism matters twice — the serving simulator must be
 //! bit-reproducible at a fixed seed, and a periodic per-tenant job stream is
 //! what makes repeated-tenant traffic actually *repeat* (the property the
 //! signature-keyed mapping cache exploits).
+//!
+//! A tenant holds its models behind one shared [`Arc`], and a stream holds
+//! that `Arc` plus a cursor per model: the tenants of a synthetic fleet point
+//! at the zoo's models instead of copying them, and a stream costs a few
+//! words, so memory follows the traffic, not the configured tenant count.
 
-use crate::{zoo, Job, JobId, LayerShape, Model, TaskType};
+use crate::{zoo, Job, JobId, Model, TaskType};
+use std::sync::Arc;
 
 /// One co-resident service: a named owner of a set of models, with a traffic
 /// weight used when sampling which tenant the next arrival belongs to and an
 /// optional per-tenant SLA contract multiplier.
+///
+/// The models are one shared `Arc<[Model]>`: cloning a tenant, or opening a
+/// [`TenantJobStream`] on it, copies a pointer, and the tenants of
+/// [`TenantMix::synthetic`] that drew the same zoo model share it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tenant {
     name: String,
     task: TaskType,
-    models: Vec<Model>,
+    models: Arc<[Model]>,
     weight: f64,
     sla_multiplier: Option<f64>,
 }
@@ -40,6 +50,11 @@ impl Tenant {
     /// Panics if `models` is empty, if none of the models has a layer that
     /// runs on the accelerator, or if `weight` is not finite and positive.
     pub fn new(name: impl Into<String>, task: TaskType, models: Vec<Model>, weight: f64) -> Self {
+        Tenant::sharing(name, task, models.into(), weight)
+    }
+
+    /// [`Tenant::new`] over models another tenant may reference too.
+    fn sharing(name: impl Into<String>, task: TaskType, models: Arc<[Model]>, weight: f64) -> Self {
         assert!(!models.is_empty(), "a tenant must own at least one model");
         assert!(
             models.iter().any(|m| m.accelerator_layers().next().is_some()),
@@ -156,23 +171,25 @@ impl TenantMix {
     /// fraction carry SLA contracts: every 5th tenant is latency-critical
     /// (multiplier 0.5), every 7th-plus-3 is batch-tolerant (2.0).
     ///
+    /// Each of the zoo's 18 models is built once, and every tenant that
+    /// draws it references that copy: a mix of any size holds at most 18
+    /// models, plus a name and a pointer per tenant.
+    ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     pub fn synthetic(n: usize, seed: u64) -> Self {
         assert!(n > 0, "a synthetic mix needs at least one tenant");
-        let zoo_models: Vec<Model> = zoo::vision_models()
+        let zoo_models: Vec<Arc<[Model]>> = zoo::models_for_task(TaskType::Mix)
             .into_iter()
-            .chain(zoo::language_models())
-            .chain(zoo::recommendation_models())
+            .map(|model| Arc::from([model]))
             .collect();
         let tenants = (0..n)
             .map(|k| {
-                let model =
-                    zoo_models[(splitmix64(seed ^ k as u64) as usize) % zoo_models.len()].clone();
-                let task = model.task();
+                let models = &zoo_models[(splitmix64(seed ^ k as u64) as usize) % zoo_models.len()];
+                let task = models[0].task();
                 let weight = 1.0 / (1.0 + k as f64).powf(0.7);
-                let tenant = Tenant::new(format!("t{k:05}"), task, vec![model], weight);
+                let tenant = Tenant::sharing(format!("t{k:05}"), task, Arc::clone(models), weight);
                 if k % 5 == 0 {
                     tenant.with_sla_multiplier(0.5)
                 } else if k % 7 == 3 {
@@ -288,11 +305,18 @@ impl PreparedWeights<'_> {
 /// incremental, so an online simulator can pull one job per request. The
 /// stream is a pure function of the tenant (no RNG): a tenant's k-th job is
 /// always the same, which makes repeated-tenant traffic periodic.
+///
+/// The stream references the tenant's models (the same `Arc`) and keeps one
+/// cursor per model into its [`Model::layers`]: each job walks the cursor
+/// cyclically past host-side layers to the next accelerator layer, which is
+/// the cycle a filtered copy of the accelerator layers would emit. Opening
+/// a stream allocates only the cursors.
 #[derive(Debug, Clone)]
 pub struct TenantJobStream {
-    models: Vec<Model>,
-    layer_lists: Vec<Vec<(usize, LayerShape)>>,
-    cursors: Vec<usize>,
+    models: Arc<[Model]>,
+    /// Per model, the index into its layers the next job is looked for
+    /// from, or `None` for a model with no accelerator layer.
+    cursors: Vec<Option<usize>>,
     next_model: usize,
     mini_batch: usize,
 }
@@ -305,25 +329,9 @@ impl TenantJobStream {
     /// Panics if `mini_batch == 0`.
     pub fn new(tenant: &Tenant, mini_batch: usize) -> Self {
         assert!(mini_batch > 0, "mini-batch must be non-zero");
-        let layer_lists = tenant
-            .models
-            .iter()
-            .map(|m| {
-                m.layers()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| l.runs_on_accelerator())
-                    .map(|(i, l)| (i, *l))
-                    .collect()
-            })
-            .collect();
-        TenantJobStream {
-            models: tenant.models.clone(),
-            layer_lists,
-            cursors: vec![0; tenant.models.len()],
-            next_model: 0,
-            mini_batch,
-        }
+        let cursors =
+            tenant.models.iter().map(|m| m.accelerator_layers().next().map(|_| 0)).collect();
+        TenantJobStream { models: Arc::clone(&tenant.models), cursors, next_model: 0, mini_batch }
     }
 
     /// Produces the next job of the stream with the given id.
@@ -331,19 +339,24 @@ impl TenantJobStream {
         loop {
             let m = self.next_model % self.models.len();
             self.next_model += 1;
-            let layers = &self.layer_lists[m];
-            if layers.is_empty() {
+            let Some(cursor) = &mut self.cursors[m] else {
                 continue;
+            };
+            let model = &self.models[m];
+            let layers = model.layers();
+            // The model has an accelerator layer, so this stops within a lap.
+            while !layers[*cursor].runs_on_accelerator() {
+                *cursor = (*cursor + 1) % layers.len();
             }
-            let (layer_index, layer) = layers[self.cursors[m] % layers.len()];
-            self.cursors[m] += 1;
+            let layer_index = *cursor;
+            *cursor = (layer_index + 1) % layers.len();
             return Job::new(
                 id,
-                self.models[m].name(),
+                model.name(),
                 layer_index,
-                layer,
+                layers[layer_index],
                 self.mini_batch,
-                self.models[m].task(),
+                model.task(),
             );
         }
     }
@@ -353,7 +366,7 @@ impl TenantJobStream {
     /// initial state, so the stream repeats exactly.
     pub fn period(&self) -> usize {
         let nonempty: Vec<usize> =
-            self.layer_lists.iter().map(|l| l.len()).filter(|&n| n > 0).collect();
+            self.models.iter().map(|m| m.accelerator_layers().count()).filter(|&n| n > 0).collect();
         nonempty.iter().fold(1, |acc, &n| lcm(acc, n)) * nonempty.len().max(1)
     }
 }
@@ -383,6 +396,7 @@ fn lcm(a: usize, b: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn standard_mix_covers_all_pure_tasks() {
@@ -508,6 +522,45 @@ mod tests {
         assert_eq!(first, second);
     }
 
+    /// The zoo plus two models built from DLRM's embedding lookups: one
+    /// mostly host-side, one wholly (a stream must skip it).
+    fn stream_model_pool() -> Vec<Model> {
+        let dlrm = zoo::dlrm();
+        let (e, fc, gemm) = (dlrm.layers()[0], dlrm.layers()[1], dlrm.layers()[4]);
+        assert!(!e.runs_on_accelerator());
+        let task = TaskType::Recommendation;
+        let mut pool = zoo::models_for_task(TaskType::Mix);
+        pool.push(Model::new("HostHeavy", task, vec![e, e, fc, e, e, gemm, e, e]));
+        pool.push(Model::new("HostOnly", task, vec![e, e, e]));
+        pool
+    }
+
+    /// Jobs compared per case when 1–3 periods would be more: every model
+    /// of a list still wraps dozens of times.
+    const MAX_STREAM_JOBS: usize = 8_192;
+
+    proptest! {
+        #[test]
+        fn the_shared_model_stream_emits_what_the_filtered_copy_emitted(
+            picks in proptest::collection::vec(0usize..20, 1..5),
+            mini_batch in 1usize..9,
+            periods in 1usize..4,
+        ) {
+            let pool = stream_model_pool();
+            let models: Vec<Model> = picks.iter().map(|&i| pool[i].clone()).collect();
+            if models.iter().all(|m| m.accelerator_layers().next().is_none()) {
+                return Ok(());
+            }
+            let tenant = Tenant::new("t", TaskType::Mix, models, 1.0);
+            let mut expected = oracle::TenantJobStream::new(&tenant, mini_batch);
+            let mut stream = tenant.job_stream(mini_batch);
+            prop_assert_eq!(stream.period(), expected.period());
+            for i in 0..(periods * expected.period()).min(MAX_STREAM_JOBS) {
+                prop_assert_eq!(stream.next_job(JobId(i)), expected.next_job(JobId(i)));
+            }
+        }
+    }
+
     #[test]
     fn job_stream_mini_batch_is_propagated() {
         let tenant = Tenant::new("l", TaskType::Language, zoo::language_models(), 2.0);
@@ -551,5 +604,73 @@ mod tests {
     fn non_positive_sla_multiplier_panics() {
         let t = Tenant::new("v", TaskType::Vision, vec![zoo::shufflenet()], 1.0);
         let _ = t.with_sla_multiplier(0.0);
+    }
+}
+
+/// The job stream as it was before it shared its tenant's models: a clone of
+/// every model and a copy of each accelerator layer, walked by a counter per
+/// model. The shared-model stream must emit exactly what this emits.
+#[cfg(test)]
+mod oracle {
+    use super::{lcm, Tenant};
+    use crate::{Job, JobId, LayerShape, Model};
+
+    pub(super) struct TenantJobStream {
+        models: Vec<Model>,
+        layer_lists: Vec<Vec<(usize, LayerShape)>>,
+        cursors: Vec<usize>,
+        next_model: usize,
+        mini_batch: usize,
+    }
+
+    impl TenantJobStream {
+        pub(super) fn new(tenant: &Tenant, mini_batch: usize) -> Self {
+            let layer_lists = tenant
+                .models()
+                .iter()
+                .map(|m| {
+                    m.layers()
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, l)| l.runs_on_accelerator())
+                        .map(|(i, l)| (i, *l))
+                        .collect()
+                })
+                .collect();
+            TenantJobStream {
+                models: tenant.models().to_vec(),
+                layer_lists,
+                cursors: vec![0; tenant.models().len()],
+                next_model: 0,
+                mini_batch,
+            }
+        }
+
+        pub(super) fn next_job(&mut self, id: JobId) -> Job {
+            loop {
+                let m = self.next_model % self.models.len();
+                self.next_model += 1;
+                let layers = &self.layer_lists[m];
+                if layers.is_empty() {
+                    continue;
+                }
+                let (layer_index, layer) = layers[self.cursors[m] % layers.len()];
+                self.cursors[m] += 1;
+                return Job::new(
+                    id,
+                    self.models[m].name(),
+                    layer_index,
+                    layer,
+                    self.mini_batch,
+                    self.models[m].task(),
+                );
+            }
+        }
+
+        pub(super) fn period(&self) -> usize {
+            let nonempty: Vec<usize> =
+                self.layer_lists.iter().map(|l| l.len()).filter(|&n| n > 0).collect();
+            nonempty.iter().fold(1, |acc, &n| lcm(acc, n)) * nonempty.len().max(1)
+        }
     }
 }

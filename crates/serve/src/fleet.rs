@@ -234,11 +234,12 @@ struct Calibration {
 /// the mix, round-robin across tenants, re-identified 0..target) scheduled
 /// under a seeded random mapping.
 fn calibrate(platform: &AcceleratorPlatform, config: &FleetConfig, mix: &TenantMix) -> Calibration {
-    let mut streams: Vec<_> =
-        mix.tenants().iter().map(|t| t.job_stream(config.mini_batch)).collect();
-    let tenants = streams.len();
     let calib_n = config.group_target;
-    let jobs = (0..calib_n).map(|k| streams[k % tenants].next_job(JobId(k))).collect();
+    // Job k comes from tenant k mod len, so only the first calib_n streams
+    // are ever drawn from.
+    let mut streams: Vec<_> =
+        mix.tenants().iter().take(calib_n).map(|t| t.job_stream(config.mini_batch)).collect();
+    let jobs = (0..calib_n).map(|k| streams[k % mix.len()].next_job(JobId(k))).collect();
     let calib_problem = M3e::new(platform.clone(), Group::new(jobs), Objective::Throughput);
     let mut calib_rng = StdRng::seed_from_u64(config.seed);
     let calib_mapping = Mapping::random(&mut calib_rng, calib_n, platform.num_sub_accels());

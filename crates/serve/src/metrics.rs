@@ -334,15 +334,28 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "must lie in (0, 1]")]
     fn percentile_rejects_a_zero_quantile() {
         let _ = percentile(&[1.0, 2.0], 0.0);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "must lie in (0, 1]")]
     fn percentile_rejects_a_quantile_above_one() {
         let _ = percentile(&[1.0, 2.0], 1.5);
+    }
+
+    /// What the contract promises release builds: an out-of-contract
+    /// quantile clamps to the nearest valid rank instead of panicking.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn percentile_clamps_an_out_of_contract_quantile() {
+        let v = [1.0, 2.0, 3.0];
+        assert_eq!(percentile(&v, 0.0), 1.0);
+        assert_eq!(percentile(&v, -0.5), 1.0);
+        assert_eq!(percentile(&v, 1.5), 3.0);
     }
 
     #[test]

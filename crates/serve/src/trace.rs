@@ -121,8 +121,9 @@ pub fn generate_trace(params: &TraceParams, mix: &TenantMix) -> Vec<Arrival> {
         "mean inter-arrival gap must be finite and positive"
     );
     let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut streams: Vec<TenantJobStream> =
-        mix.tenants().iter().map(|t| t.job_stream(params.mini_batch)).collect();
+    // A tenant's stream opens at its first arrival: a fleet's long tail
+    // never costs a stream it does not draw from.
+    let mut streams: Vec<Option<TenantJobStream>> = vec![None; mix.len()];
     let mut arrivals = Vec::with_capacity(params.requests);
     let mut now = 0.0f64;
     let denom = params.requests.saturating_sub(1).max(1) as f64;
@@ -151,7 +152,9 @@ pub fn generate_trace(params: &TraceParams, mix: &TenantMix) -> Vec<Arrival> {
                 mix.pick(&weights, rng.gen())
             }
         };
-        let job = streams[tenant].next_job(JobId(i));
+        let job = streams[tenant]
+            .get_or_insert_with(|| mix.tenants()[tenant].job_stream(params.mini_batch))
+            .next_job(JobId(i));
         arrivals.push(Arrival { time_sec: now, tenant, job });
     }
     arrivals

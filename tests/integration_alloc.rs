@@ -2,7 +2,8 @@
 //! cache probe, the other loop a request's cost is counted in — the
 //! constant-allocation gate on a GA generation around the kernel, and the
 //! bound on a cached group's plan and open, which pins that the seeds are
-//! never copied.
+//! never copied — and the memory gate on the serving layer's tenants, which
+//! pins that a tenant and its job stream reference the zoo's models.
 //!
 //! Every search sample is one `M3e::evaluate` call, and after a thread's
 //! first evaluation of a problem (which sizes its scratch) the call must not
@@ -11,10 +12,11 @@
 //! when the problem was built.
 //!
 //! This suite is its own test binary so that its counting global allocator
-//! touches nothing else. The counter is a `const`-initialised thread-local
-//! without a destructor — reading it never allocates or initialises lazily,
-//! so it is safe to bump from inside `alloc` — and being per thread it sees
-//! only the calling test's allocations, however many tests run beside it.
+//! touches nothing else. Its counters (allocations, live bytes and their
+//! high-water mark) are `const`-initialised thread-locals without a
+//! destructor — reading them never allocates or initialises lazily, so they
+//! are safe to bump from inside `alloc` — and being per thread they see only
+//! the calling test's allocations, however many tests run beside it.
 
 mod common;
 
@@ -22,7 +24,7 @@ use common::{paper_scale_platforms, problem};
 use magma::m3e::StoredSolution;
 use magma::optim::parallel::{evaluate_batch_with, thread_count, with_threads};
 use magma::prelude::*;
-use magma::serve::{quantize_signatures, DispatchKind};
+use magma::serve::{generate_trace, quantize_signatures, DispatchKind, TraceParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -30,37 +32,52 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes the calling thread has allocated minus those it has freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The high-water mark of `LIVE`.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
 
-fn count() {
+/// Records one allocation that changes the thread's live bytes by `delta`.
+fn count(delta: i64) {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    resize(delta);
+}
+
+fn resize(delta: i64) {
+    let live = LIVE.with(|n| {
+        n.set(n.get() + delta);
+        n.get()
+    });
+    PEAK.with(|peak| peak.set(peak.get().max(live)));
 }
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a thread-local counter bump
-// that neither allocates nor unwinds.
+// `GlobalAlloc` contract; the only addition is thread-local counter updates
+// that neither allocate nor unwind.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         // SAFETY: the caller's obligations are passed on as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         // SAFETY: as above; `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        resize(-(layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -74,6 +91,22 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Heap bytes on the calling thread while `f` runs: what its result still
+/// holds when it returns, and the most that was live at any point, both
+/// counted from where the thread stood when `f` was called.
+struct HeapUse {
+    retained: i64,
+    peak: i64,
+}
+
+fn heap_use_of<T>(f: impl FnOnce() -> T) -> (T, HeapUse) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    let value = f();
+    let retained = LIVE.with(Cell::get) - before;
+    (value, HeapUse { retained, peak: PEAK.with(Cell::get) - before })
 }
 
 /// The paper-scale instances of the repository's benchmark: a 100-job Mix
@@ -220,6 +253,41 @@ fn an_exact_hit_plans_and_opens_without_copying_its_seeds() {
             "an exact hit's plan, open and seeds allocated {allocations} times"
         );
     });
+}
+
+/// The daemon holds its synthetic fleet for its whole life. A tenant points
+/// at one of the zoo's 18 models instead of copying it, so a thousand of them
+/// cost their names and pointers — 3.44 MB when each owned a clone.
+#[test]
+fn a_thousand_synthetic_tenants_share_the_zoo() {
+    let (mix, heap) = heap_use_of(|| TenantMix::synthetic(1000, 0));
+    assert!(heap.retained < 256 << 10, "1000 tenants keep {} bytes live", heap.retained);
+    let first = &mix.tenants()[0];
+    let twin = mix.tenants()[1..]
+        .iter()
+        .find(|t| t.models()[0].name() == first.models()[0].name())
+        .expect("1000 tenants over 18 models repeat one");
+    assert!(std::ptr::eq(first.models(), twin.models()), "two tenants copy one model");
+}
+
+/// A trace opens a tenant's job stream at its first arrival, and a stream
+/// references the tenant's models: synthesis costs the arrivals it returns,
+/// where building a stream (a model clone and a layer copy) for each of the
+/// thousand tenants peaked ≈ 8.5 MB above them.
+#[test]
+fn a_fleet_trace_peaks_near_the_arrivals_it_returns() {
+    let mix = TenantMix::synthetic(1000, 0);
+    let params = TraceParams {
+        scenario: Scenario::Poisson,
+        requests: 4_000,
+        mean_interarrival_sec: 1e-3,
+        mini_batch: 4,
+        seed: 3,
+    };
+    let (trace, heap) = heap_use_of(|| generate_trace(&params, &mix));
+    assert_eq!(trace.len(), 4_000);
+    let transient = heap.peak - heap.retained;
+    assert!(transient < 1 << 20, "synthesis peaked {transient} bytes above its arrivals");
 }
 
 /// Every batch evaluation — one per scheduler slice, one per GA generation —
