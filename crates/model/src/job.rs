@@ -50,7 +50,7 @@ struct JobFields {
 impl Deserialize for Job {
     fn from_value(v: &serde::Value) -> Result<Self, DeError> {
         let JobFields { id, model, layer_index, layer, batch, task } = JobFields::from_value(v)?;
-        Job::checked(id, model, layer_index, layer, batch, task).map_err(DeError::custom)
+        Job::try_new(id, model, layer_index, layer, batch, task).map_err(DeError::custom)
     }
 }
 
@@ -72,12 +72,13 @@ impl Job {
         batch: usize,
         task: TaskType,
     ) -> Self {
-        Job::checked(id, model.into(), layer_index, layer, batch, task)
+        Job::try_new(id, model.into(), layer_index, layer, batch, task)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Job::new`] with the broken invariant as an error.
-    fn checked(
+    /// [`Job::new`] with the broken invariant as an error: the constructor
+    /// for jobs that come from outside, such as off the wire.
+    pub fn try_new(
         id: JobId,
         model: String,
         layer_index: usize,

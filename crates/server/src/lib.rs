@@ -19,7 +19,9 @@
 //! * [`frame`] — 4-byte big-endian length-prefixed framing with hard
 //!   size limits; tolerant of arbitrary read splits.
 //! * [`proto`] — the JSON message shapes and verbs
-//!   (`submit_group`/`cancel`/`drain`/`stats`) with per-request ids.
+//!   (`submit_group`/`cancel`/`drain`/`stats`) with per-request ids; the hot
+//!   frames are written and read by hand, serde's bytes without its `Value`
+//!   tree, and any other frame goes through serde.
 //! * [`daemon`] — [`Server`]: accept thread + per-connection reader and
 //!   writer threads + one event-driven engine thread owning a
 //!   [`ServeEngine`](magma_serve::ServeEngine) (it polls back to back

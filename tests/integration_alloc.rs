@@ -2,8 +2,9 @@
 //! cache probe, the other loop a request's cost is counted in — the
 //! constant-allocation gate on a GA generation around the kernel, and the
 //! bound on a cached group's plan and open, which pins that the seeds are
-//! never copied — and the memory gate on the serving layer's tenants, which
-//! pins that a tenant and its job stream reference the zoo's models.
+//! never copied, and on a submit's trip through the wire codec — and the
+//! memory gate on the serving layer's tenants, which pins that a tenant and
+//! its job stream reference the zoo's models.
 //!
 //! Every search sample is one `M3e::evaluate` call, and after a thread's
 //! first evaluation of a problem (which sizes its scratch) the call must not
@@ -25,6 +26,7 @@ use magma::m3e::StoredSolution;
 use magma::optim::parallel::{evaluate_batch_with, thread_count, with_threads};
 use magma::prelude::*;
 use magma::serve::{generate_trace, quantize_signatures, DispatchKind, TraceParams};
+use magma_server::proto::{decode_jobs, encode, Envelope, RequestMsg};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -288,6 +290,26 @@ fn a_fleet_trace_peaks_near_the_arrivals_it_returns() {
     assert_eq!(trace.len(), 4_000);
     let transient = heap.peak - heap.retained;
     assert!(transient < 1 << 20, "synthesis peaked {transient} bytes above its arrivals");
+}
+
+/// A cached group's submit crosses the wire codec twice: the client encodes
+/// it, the daemon decodes its jobs once admitted. The encoder writes the
+/// frame straight into one buffer sized for it, and the reader builds the
+/// jobs straight off the text — a vector and one model name per job — where
+/// the serde path built a `Value` node per job, member name and number.
+#[test]
+fn a_submit_is_encoded_into_one_buffer_and_its_jobs_built_off_the_text() {
+    let jobs = WorkloadSpec::single_group(TaskType::Mix, 30, 0).jobs().to_vec();
+    let msg = RequestMsg::submit(1, 0, jobs.clone());
+    let mut payload = Vec::new();
+    let encoding = allocations_in(|| payload = encode(&msg));
+    assert!(encoding <= 2, "encoding a 30-job submit allocated {encoding} times");
+
+    let raw = Envelope::decode(&payload).expect("the frame decodes").jobs.expect("it has jobs");
+    let mut decoded = Vec::new();
+    let decoding = allocations_in(|| decoded = decode_jobs(&raw).expect("the jobs decode"));
+    assert_eq!(decoded, jobs);
+    assert!(decoding <= 30 + 2, "decoding 30 jobs allocated {decoding} times");
 }
 
 /// Every batch evaluation — one per scheduler slice, one per GA generation —
