@@ -68,7 +68,7 @@ fn main() {
         None => run_cache_sweep(knobs, smoke),
     };
     print_report(&report);
-    magma_bench::emit_or_exit(&report, setup.scenario.is_none());
+    setup.emit_or_exit(&report);
 }
 
 fn print_point(p: &SweepPoint, marker: &str) {

@@ -70,7 +70,7 @@ fn main() {
         None => run_fleet_ladder(knobs, smoke),
     };
     report.scenarios.iter().for_each(print_scenario);
-    magma_bench::emit_or_exit(&report, setup.scenario.is_none());
+    setup.emit_or_exit(&report);
 }
 
 fn print_rung(r: &FleetRung) {

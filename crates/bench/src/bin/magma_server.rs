@@ -70,8 +70,8 @@ fn main() {
             std::process::exit(1);
         }
     };
-    // Scripts (and the CI smoke job) scrape this line for the resolved
-    // address, so keep its shape stable.
+    // The benchmark (`benchmark/src/rpc.rs`) and scripts scrape this line for
+    // the resolved address, so keep its shape stable.
     println!("listening on {}", server.addr());
 
     let stats = server.join();

@@ -67,7 +67,7 @@ fn main() {
         None => run_standard_scenarios(knobs, smoke),
     };
     report.scenarios.iter().for_each(print_scenario);
-    magma_bench::emit_or_exit(&report, setup.scenario.is_none());
+    setup.emit_or_exit(&report);
 }
 
 fn latency_row(label: &str, s: &LatencyStats) {

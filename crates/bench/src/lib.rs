@@ -1,4 +1,4 @@
-//! Shared plumbing for the six binaries in `src/bin/`.
+//! Shared plumbing for the five binaries in `src/bin/`.
 //!
 //! | Binary | What it runs |
 //! |---|---|
@@ -6,8 +6,7 @@
 //! | `serve_sim` | not a paper artefact — the online multi-tenant serving simulator behind `BENCH_serve.json` (`magma-serve`) |
 //! | `fleet_sim` | not a paper artefact — the multi-shard fleet simulator behind `BENCH_fleet.json` (`magma-serve`) |
 //! | `cache_sweep` | not a paper artefact — the mapping-cache calibration sweep behind `BENCH_cache.json` (`magma-serve`) |
-//! | `magma_server` | not a paper artefact — the wall-clock RPC serving daemon (`magma-server`) |
-//! | `loadgen` | not a paper artefact — the daemon's load generator behind `BENCH_rpc.json` (`magma-server`) |
+//! | `magma_server` | not a paper artefact — the wall-clock RPC serving daemon (`magma-server`), which `benchmark/run.sh --workload rpc_mix` / `rpc_hot` drives and measures |
 //!
 //! `paper` runs at a *reduced* scale by default so every artefact finishes in
 //! seconds on a laptop; `--full` runs at the paper's scale (group size 100,
@@ -96,7 +95,7 @@ where
 }
 
 /// The parsed command line shared by the serving binaries (`serve_sim`,
-/// `fleet_sim`, `cache_sweep`, `magma_server`, `loadgen`).
+/// `fleet_sim`, `cache_sweep`, `magma_server`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServingCli {
     /// CI scale requested (`--smoke`).
@@ -158,6 +157,21 @@ impl ServingSetup {
     pub fn mode(&self) -> &'static str {
         magma_serve::mode_tag(self.smoke)
     }
+
+    /// The tail of every simulator binary: [`magma_serve::emit()`] the report
+    /// (self-check → write → gate; a `--scenario` run skips the gate, whose
+    /// thresholds belong to the builtin ladder), print where it went and the
+    /// acceptance summary — or exit with status 1 and the one-line failure on
+    /// stderr.
+    pub fn emit_or_exit<R: magma_serve::BenchReport>(&self, report: &R) {
+        match magma_serve::emit(report, self.scenario.is_none()) {
+            Ok(printed) => println!("\n{printed}"),
+            Err(failure) => {
+                eprintln!("{failure}");
+                std::process::exit(1);
+            }
+        }
+    }
 }
 
 /// The one way into the serving stack: parses the process arguments,
@@ -191,20 +205,6 @@ pub fn print_scenario(resolved: &magma_serve::CustomScenario) {
         resolved.mix.len(),
         resolved.descriptor.content_hash
     );
-}
-
-/// The tail of every gated serving binary: [`magma_serve::emit()`] the report
-/// (self-check → write → gate when `gated`), print where it went and the
-/// acceptance summary — or exit with status 1 and the one-line failure on
-/// stderr.
-pub fn emit_or_exit<R: magma_serve::BenchReport>(report: &R, gated: bool) {
-    match magma_serve::emit(report, gated) {
-        Ok(printed) => println!("\n{printed}"),
-        Err(failure) => {
-            eprintln!("{failure}");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// Prints a banner naming the artefact and the scale it runs at.

@@ -1,7 +1,7 @@
 //! The six accelerator settings of Table III, their default bandwidths, the
 //! process-wide runtime knob (`MAGMA_THREADS`)
 //! and the one typed serving config: the [`ServeKnobs`] ⊂ [`FleetKnobs`] ⊂
-//! [`ServerKnobs`] nest, whose five environment overrides are read by
+//! [`ServerKnobs`] nest, whose four environment overrides are read by
 //! [`ServerKnobs::from_env`] and nowhere else.
 
 use crate::platform::{AcceleratorPlatform, DEFAULT_LARGE_BW_GBPS, DEFAULT_SMALL_BW_GBPS};
@@ -295,15 +295,14 @@ impl FleetKnobs {
 }
 
 /// The wall-clock RPC serving daemon's knobs (`magma-server` / the
-/// `magma_server` and `loadgen` binaries) — the outermost level of the one
-/// typed serving config: it embeds the [`FleetKnobs`] fleet shape, which
-/// embeds the [`ServeKnobs`] budgets. Two fields can be set from the
+/// `magma_server` binary) — the outermost level of the one typed serving
+/// config: it embeds the [`FleetKnobs`] fleet shape, which embeds the
+/// [`ServeKnobs`] budgets. One field of its own can be set from the
 /// environment ([`ServerKnobs::from_env`]):
 ///
 /// | Variable | Field | Meaning |
 /// |---|---|---|
-/// | `MAGMA_SERVER_ADDR` | `addr` | TCP listen/connect address of the daemon |
-/// | `MAGMA_SERVER_REQUESTS` | `requests` | loadgen trace length (arrivals replayed over the wire) |
+/// | `MAGMA_SERVER_ADDR` | `addr` | TCP listen address of the daemon |
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerKnobs {
     /// The underlying fleet shape: shard count and settings, session
@@ -313,8 +312,8 @@ pub struct ServerKnobs {
     /// trace knobs (`requests` / `offered_load`), which have no wall-clock
     /// meaning server-side.
     pub fleet: FleetKnobs,
-    /// TCP address the daemon binds and the loadgen connects to. Port `0`
-    /// binds an ephemeral port (the daemon prints the resolved address).
+    /// TCP address the daemon binds. Port `0` binds an ephemeral port (the
+    /// daemon prints the resolved address).
     pub addr: String,
     /// `Busy` threshold on the projected per-shard mapper backlog in
     /// seconds — the same load metric the shard router balances on
@@ -331,16 +330,14 @@ pub struct ServerKnobs {
     pub timeout_sec: f64,
     /// Maximum RPC frame payload size in bytes; larger frames are rejected.
     pub max_frame_bytes: usize,
-    /// Loadgen target submission rate in groups per second of wall time.
+    /// The offered rate the daemon is provisioned for, groups per second of
+    /// wall time: it prices the admission batching window
+    /// (`max_wait_x × group_target / rate` seconds).
     pub rate: f64,
-    /// Loadgen trace length: arrivals generated from the scenario and
-    /// replayed over the wire.
-    pub requests: usize,
 }
 
 impl ServerKnobs {
-    /// Full-scale defaults: what `magma_server` / `loadgen` run without
-    /// `--smoke`.
+    /// Full-scale defaults: what `magma_server` runs without `--smoke`.
     pub fn full() -> Self {
         ServerKnobs {
             fleet: FleetKnobs::full(),
@@ -350,19 +347,13 @@ impl ServerKnobs {
             timeout_sec: 30.0,
             max_frame_bytes: 8 * 1024 * 1024,
             rate: 8.0,
-            requests: 1_600,
         }
     }
 
-    /// CI-friendly smoke defaults: tiny trace, tighter timeout, same shape.
+    /// CI-friendly smoke defaults: smaller budgets, tighter timeout, same
+    /// shape.
     pub fn smoke() -> Self {
-        ServerKnobs {
-            fleet: FleetKnobs::smoke(),
-            timeout_sec: 10.0,
-            rate: 16.0,
-            requests: 96,
-            ..Self::full()
-        }
+        ServerKnobs { fleet: FleetKnobs::smoke(), timeout_sec: 10.0, rate: 16.0, ..Self::full() }
     }
 
     /// The smoke or full defaults with the serving environment applied —
@@ -372,7 +363,7 @@ impl ServerKnobs {
         defaults.with_overrides(|name| std::env::var(name).ok())
     }
 
-    /// Pure core of [`ServerKnobs::from_env`]: applies the five variables a
+    /// Pure core of [`ServerKnobs::from_env`]: applies the four variables a
     /// deployment, CI or a test sets, looked up through `var`. Unset or
     /// unparsable counts keep the field, a zero count clamps to 1 (so no
     /// environment can produce a degenerate trace or fleet), and an empty
@@ -385,7 +376,6 @@ impl ServerKnobs {
         fleet.serve.cache_path = text("MAGMA_SERVE_CACHE_PATH").or(fleet.serve.cache_path.take());
         fleet.shards = count("MAGMA_FLEET_SHARDS", fleet.shards);
         self.addr = text("MAGMA_SERVER_ADDR").unwrap_or(self.addr);
-        self.requests = count("MAGMA_SERVER_REQUESTS", self.requests);
         self
     }
 }
@@ -720,9 +710,9 @@ mod tests {
     fn server_knobs_defaults_are_sane() {
         let full = ServerKnobs::full();
         let smoke = ServerKnobs::smoke();
-        // Smoke shrinks the wall-clock cost (trace length, timeout), keeps
-        // the shape, and stays on a loopback address.
-        assert!(smoke.requests < full.requests);
+        // Smoke shrinks the wall-clock cost (budgets, timeout), keeps the
+        // shape, and stays on a loopback address.
+        assert!(smoke.fleet.serve.cold_budget < full.fleet.serve.cold_budget);
         assert!(smoke.timeout_sec <= full.timeout_sec);
         assert!(full.addr.starts_with("127.0.0.1") && smoke.addr == full.addr);
         assert!(full.max_backlog_sec > 0.0 && full.rate > 0.0);
@@ -730,7 +720,7 @@ mod tests {
         // A frame must comfortably hold a serialized dispatch group.
         assert!(full.max_frame_bytes >= 1024 * 1024);
         // from_env falls back to the defaults when the variables are unset
-        // (the ambient test environment never sets the serving five).
+        // (the ambient test environment never sets the serving four).
         assert_eq!(ServerKnobs::from_env(true), smoke);
         assert_eq!(ServerKnobs::from_env(false), full);
     }
@@ -749,14 +739,12 @@ mod tests {
                 ("MAGMA_SERVE_CACHE_PATH", " rpc-cache/cache.json "),
                 ("MAGMA_FLEET_SHARDS", "7"),
                 ("MAGMA_SERVER_ADDR", "127.0.0.1:0"),
-                ("MAGMA_SERVER_REQUESTS", " 48 "),
             ]));
             let mut expect = base.clone();
             expect.fleet.serve.requests = 24;
             expect.fleet.serve.cache_path = Some("rpc-cache/cache.json".into());
             expect.fleet.shards = 7;
             expect.addr = "127.0.0.1:0".into();
-            expect.requests = 48;
             assert_eq!(set, expect, "every other field keeps its default");
             assert_eq!(base.clone().with_overrides(vars(&[])), base);
         }
@@ -768,19 +756,15 @@ mod tests {
         let malformed = base.clone().with_overrides(vars(&[
             ("MAGMA_SERVE_REQUESTS", "many"),
             ("MAGMA_FLEET_SHARDS", "-2"),
-            ("MAGMA_SERVER_REQUESTS", "4.5"),
             ("MAGMA_SERVE_CACHE_PATH", "   "),
             ("MAGMA_SERVER_ADDR", ""),
         ]));
         assert_eq!(malformed, base, "unparsable counts and empty text fall back");
-        let zero = base.clone().with_overrides(vars(&[
-            ("MAGMA_SERVE_REQUESTS", "0"),
-            ("MAGMA_FLEET_SHARDS", "0"),
-            ("MAGMA_SERVER_REQUESTS", "0"),
-        ]));
+        let zero = base
+            .clone()
+            .with_overrides(vars(&[("MAGMA_SERVE_REQUESTS", "0"), ("MAGMA_FLEET_SHARDS", "0")]));
         assert_eq!(zero.fleet.serve.requests, 1);
         assert_eq!(zero.fleet.shards, 1);
-        assert_eq!(zero.requests, 1);
         // An empty path does not clear one already configured.
         let mut pathed = base;
         pathed.fleet.serve.cache_path = Some("kept".into());

@@ -7,9 +7,9 @@
 //! JSON definition files under the committed `scenarios/` tree, loaded and
 //! validated by a [`Registry`], and resolved into runnable
 //! [`CustomScenario`](magma_serve::CustomScenario) values that
-//! `serve_sim` / `fleet_sim` / `cache_sweep` / `magma_server` / `loadgen`
-//! accept via `--scenario <file>` without recompilation. The files are the
-//! only definition: adding a scenario means writing a file.
+//! `serve_sim` / `fleet_sim` / `cache_sweep` / `magma_server` accept via
+//! `--scenario <file>` without recompilation. The files are the only
+//! definition: adding a scenario means writing a file.
 //!
 //! ```text
 //!  scenarios/                       Registry::load_dir

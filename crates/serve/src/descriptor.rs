@@ -148,12 +148,11 @@ impl CustomScenario {
     /// scenario file meets the defaults and the environment
     /// ([`ServerKnobs::from_env`]). Each pinned value replaces its knob at
     /// every level that carries one (the trace length and offered load
-    /// exist per driver), every `None` inherits, and the platform becomes
+    /// exist per simulator), every `None` inherits, and the platform becomes
     /// the fleet's only shard setting. Drivers build their configs from the
     /// result and patch nothing afterwards.
     pub fn apply(&self, mut knobs: ServerKnobs) -> ServerKnobs {
         if let Some(requests) = self.requests {
-            knobs.requests = requests;
             knobs.fleet.requests = requests;
             knobs.fleet.serve.requests = requests;
         }
@@ -238,7 +237,7 @@ mod tests {
         let fleet = FleetKnobs { serve, shards: 2, max_live: 2, ..FleetKnobs::smoke() };
         let knobs = custom.apply(ServerKnobs { fleet, ..ServerKnobs::smoke() });
         let (fleet, serve) = (&knobs.fleet, &knobs.fleet.serve);
-        assert_eq!((knobs.requests, fleet.requests, serve.requests), (24, 24, 24));
+        assert_eq!((fleet.requests, serve.requests), (24, 24));
         assert_eq!((fleet.offered_load, serve.offered_load), (3.0, 3.0));
         assert_eq!((serve.seed, serve.cache_epsilon, serve.sla_x), (5, 2.5, 1.5));
         assert_eq!(serve.refine_budget, ServeKnobs::smoke().refine_budget, "unpinned inherits");

@@ -1,17 +1,17 @@
 //! The one path from a serving report to its `BENCH_*.json` file.
 //!
-//! Four reports leave the serving stack — [`ServeReport`](crate::ServeReport)
+//! Three reports leave the serving stack — [`ServeReport`](crate::ServeReport)
 //! (`BENCH_serve.json`), [`FleetReport`](crate::FleetReport)
-//! (`BENCH_fleet.json`), [`CacheSweepReport`](crate::CacheSweepReport)
-//! (`BENCH_cache.json`) and `magma-server`'s `RpcReport` (`BENCH_rpc.json`)
-//! — and all four are a [`BenchReport`]: a shared `(schema, mode,
-//! scenario_descriptor)` header that [`BenchReport::validate`] checks once
-//! before the report's own invariants, and an acceptance gate
-//! ([`BenchReport::accept`]) whose thresholds live beside the report instead
-//! of in a binary's `main`. [`emit`] is the only writer: validate → create
-//! the directory → write → *then* gate, so a run that fails its gate leaves
-//! the measured file behind for diagnosis. The JSON layouts are the reports'
-//! own; the envelope is this code path, not a file shape.
+//! (`BENCH_fleet.json`) and [`CacheSweepReport`](crate::CacheSweepReport)
+//! (`BENCH_cache.json`) — and all three are a [`BenchReport`]: a shared
+//! `(schema, mode, scenario_descriptor)` header that
+//! [`BenchReport::validate`] checks once before the report's own invariants,
+//! and an acceptance gate ([`BenchReport::accept`]) whose thresholds live
+//! beside the report instead of in a binary's `main`. [`emit`] is the only
+//! writer: validate → create the directory → write → *then* gate, so a run
+//! that fails its gate leaves the measured file behind for diagnosis. The
+//! JSON layouts are the reports' own; the envelope is this code path, not a
+//! file shape.
 
 use crate::descriptor::ScenarioDescriptor;
 use serde::Serialize;

@@ -1,5 +1,5 @@
-//! magma-server — a wall-clock RPC serving daemon and load-generator
-//! client over the serving core.
+//! magma-server — a wall-clock RPC serving daemon and its client over the
+//! serving core.
 //!
 //! The simulator crates (`magma-serve`) answer *what-if* questions on a
 //! virtual clock; this crate runs the same machinery — admission
@@ -8,12 +8,9 @@
 //! `Instant::now()` and whose requests arrive over a socket.
 //!
 //! ```text
-//!   loadgen / any client ── length-prefixed JSON frames ──▶ daemon
-//!        │ submit_group / cancel / drain / stats               │
-//!        │ ◀── accepted/busy ... done (multiplexed ids) ◀──────┘
-//!        ▼
-//!   BENCH_rpc.json (magma-rpc/v1): client-measured p50/p95/p99,
-//!   admission outcomes, final server counters, scenario descriptor
+//!   Client (or any client) ── length-prefixed JSON frames ──▶ daemon
+//!     submit_group / cancel / drain / stats                      │
+//!     ◀── accepted/busy ... done (multiplexed ids) ◀─────────────┘
 //! ```
 //!
 //! * [`frame`] — 4-byte big-endian length-prefixed framing with hard
@@ -30,9 +27,6 @@
 //!   shutdown.
 //! * [`client`] — [`Client`] and the pure [`Mux`] state machine that
 //!   guarantees no response is lost or double-counted.
-//! * [`loadgen`] — wall-clock trace replay emitting [`RpcReport`].
-//! * [`report`] — the schema-stable `BENCH_rpc.json` contract
-//!   (`magma-rpc/v1`), a `magma_serve::BenchReport` like the simulators'.
 //!
 //! Backpressure is part of the protocol: when the projected mapper
 //! backlog exceeds the configured bound (the same load measure the
@@ -44,7 +38,10 @@
 //! client gets is the same on every host and in every run, and what it is
 //! refused costs the daemon a scan of the frame.
 //!
-//! The end-to-end localhost suite lives in `tests/integration_rpc.rs`.
+//! The end-to-end localhost suite lives in `tests/integration_rpc.rs`; the
+//! repository's benchmark (`benchmark/run.sh --workload rpc_mix` or
+//! `rpc_hot`) drives the shipped `magma_server` binary through [`Client`]
+//! and measures it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,12 +49,8 @@
 pub mod client;
 pub mod daemon;
 pub mod frame;
-pub mod loadgen;
 pub mod proto;
-pub mod report;
 
 pub use client::{Client, Event, Mux, PendingKind};
 pub use daemon::Server;
-pub use loadgen::LoadgenParams;
 pub use proto::{RequestMsg, ResponseMsg};
-pub use report::{RpcReport, RPC_SCHEMA};

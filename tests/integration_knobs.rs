@@ -59,5 +59,5 @@ fn the_variables_the_code_reads_are_the_ones_readme_documents() {
     assert_eq!(documented.len(), rows.len(), "one variable per knob-table row, none twice");
 
     assert_eq!(read, documented, "variables read by crates/*/src vs README's knob table");
-    assert_eq!(documented.len(), 8, "the environment surface is 8 variables: {documented:?}");
+    assert_eq!(documented.len(), 7, "the environment surface is 7 variables: {documented:?}");
 }

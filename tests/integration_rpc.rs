@@ -32,9 +32,12 @@
 //!   refuse (`"batch": 0`, a dimension of 2^64 − 1, a layer with no elements)
 //!   is a decode error on its own socket, not a panic or a hang of the engine
 //!   thread.
-//! * **The loadgen → `BENCH_rpc.json` pipeline** — a wall-clock replay
-//!   produces a report that passes its own `magma-rpc/v1` self-check
-//!   with zero dropped in-flight submits.
+//! * **A paced replay is answered in full** — a trace sent at its
+//!   wall-clock due times gets one verdict a submit and one terminal per
+//!   accepted submit before the drain, and the daemon's final counters
+//!   agree with the client's books. The repository's benchmark
+//!   (`benchmark/run.sh --workload rpc_mix`) holds the shipped binary to
+//!   the same books over a 28-second run.
 
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -46,11 +49,10 @@ use magma_model::{Job, JobId, LayerShape, TaskType, TenantMix};
 use magma_platform::settings::{FleetPolicy, ServerKnobs};
 use magma_serve::shard_cache_file;
 use magma_serve::trace::{generate_trace, Scenario, TraceParams};
-use magma_serve::{BenchReport, EngineConfig, ScenarioDescriptor};
+use magma_serve::EngineConfig;
 use magma_server::client::{Client, Event};
 use magma_server::daemon::Server;
 use magma_server::frame::{read_frame, write_frame};
-use magma_server::loadgen::{self, LoadgenParams};
 use magma_server::proto::{decode, encode, RequestMsg, ResponseMsg, KIND_BUSY, KIND_STATS};
 
 const MAX_FRAME: usize = 1 << 20;
@@ -591,41 +593,50 @@ fn a_vanished_clients_open_submits_are_cancelled() {
     assert_eq!(stats.timed_out_jobs, 0);
 }
 
+/// A trace of the synthetic mix's zoo jobs, each sent at its wall-clock due
+/// time by a client that reads its answers in between, then a `stats`
+/// snapshot and a drain: the pattern of any paced client. Every submit gets
+/// one verdict, every accepted one reaches its terminal before `drained`,
+/// and the daemon's final counters agree with the client's books.
 #[test]
-fn the_loadgen_pipeline_emits_a_self_consistent_report() {
+fn a_paced_trace_replay_is_answered_in_full_before_the_drain() {
     let knobs = tiny_knobs();
     let (server, addr) = start_server(&knobs);
+    let mut client = Client::connect(&addr, MAX_FRAME).expect("client connects");
 
     let mix = TenantMix::synthetic(knobs.fleet.tenants.max(2), 0);
-    let rate = 200.0;
     let trace = generate_trace(
         &TraceParams {
             scenario: Scenario::Poisson,
             requests: 24,
-            mean_interarrival_sec: 1.0 / rate,
+            mean_interarrival_sec: 1.0 / 200.0,
             mini_batch: magma_model::workload::DEFAULT_MINI_BATCH,
             seed: 7,
         },
         &mix,
     );
-    let descriptor = ScenarioDescriptor::new(
-        "builtin",
-        "loadgen_poisson",
-        serde::Value::Map(vec![("requests".into(), serde::Value::U64(24))]),
-    );
-    let params = LoadgenParams {
-        addr: addr.clone(),
-        rate,
-        max_frame_bytes: MAX_FRAME,
-        timeout_sec: 60.0,
-        speedup: 1.0,
-    };
-    let report = loadgen::run(&params, &trace, descriptor, "smoke").expect("loadgen runs");
-    assert_eq!(report.validate(), Ok(()), "magma-rpc/v1 self-check passes");
-    assert_eq!(report.requests, 24);
-    report.accept().expect("the drain guarantee holds");
-    assert!(report.accepted > 0);
-    // One job per request: accepted submits and accounted jobs line up.
-    assert_eq!(report.server.completed_jobs + report.server.cancelled_jobs, report.accepted as u64);
-    server.join();
+    let mut events = Vec::new();
+    let start = Instant::now();
+    for arrival in &trace {
+        let due = start + Duration::from_secs_f64(arrival.time_sec);
+        while let Some(wait) = due.checked_duration_since(Instant::now()).filter(|w| !w.is_zero()) {
+            events.extend(client.poll_event(wait.min(STEP)).expect("no protocol violations"));
+        }
+        client.submit(arrival.tenant, vec![arrival.job.clone()]).expect("submit");
+    }
+    let snapshot = client.stats().expect("stats");
+    pump_until_settled(&mut client, &mut events, Instant::now() + Duration::from_secs(60));
+    assert!(events.iter().any(|e| matches!(e, Event::Stats { id, .. } if *id == snapshot)));
+
+    let count = |f: fn(&Event) -> bool| events.iter().filter(|e| f(e)).count() as u64;
+    let accepted = count(|e| matches!(e, Event::Accepted { .. }));
+    let busy = count(|e| matches!(e, Event::Busy { .. }));
+    assert_eq!(accepted + busy, trace.len() as u64, "one verdict a submit, none an error");
+    assert!(accepted > 0, "the daemon admits a sane rate");
+    assert_eq!(count(|e| matches!(e, Event::Done { jobs: 1, .. })), accepted);
+
+    let stats = drain_and_join(client, server);
+    assert_eq!((stats.accepted, stats.rejected), (accepted, busy));
+    assert_eq!((stats.completed_jobs, stats.cancelled_jobs), (accepted, 0));
+    assert_eq!((stats.queued_jobs, stats.live_sessions), (0, 0));
 }

@@ -167,8 +167,7 @@ fn a_bent_report_fails_its_gate_by_the_thresholds_name() {
 
 /// The header check is one function: each report kind rejects a foreign
 /// schema tag, a mode that is neither `smoke` nor `full`, and a descriptor
-/// whose parameters were edited without re-hashing. (`RpcReport`, the fourth
-/// kind, is held to the same three in `magma-server`'s unit tests.)
+/// whose parameters were edited without re-hashing.
 #[test]
 fn every_report_kind_shares_the_header_check() {
     macro_rules! header_is_checked {
