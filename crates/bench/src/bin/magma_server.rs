@@ -53,9 +53,9 @@ fn main() {
         "mode {}, {} shards, policy {}, max_live {}, backlog bound {}s, \
          pending/shard {}, timeout {}s, seed {}",
         setup.mode(),
-        config.shards(),
-        config.policy,
-        config.max_live,
+        config.core.shards(),
+        config.core.scheduler.policy,
+        config.core.scheduler.max_live,
         config.max_backlog_sec,
         config.pending_per_shard,
         config.timeout_sec,

@@ -37,11 +37,6 @@ impl DataflowStyle {
             DataflowStyle::LowBandwidth => "LB",
         }
     }
-
-    /// Whether this style keeps weights stationary (true for HB).
-    pub fn is_weight_stationary(self) -> bool {
-        matches!(self, DataflowStyle::HighBandwidth)
-    }
 }
 
 impl fmt::Display for DataflowStyle {
@@ -58,12 +53,6 @@ mod tests {
     fn labels() {
         assert_eq!(DataflowStyle::HighBandwidth.to_string(), "HB");
         assert_eq!(DataflowStyle::LowBandwidth.to_string(), "LB");
-    }
-
-    #[test]
-    fn stationarity() {
-        assert!(DataflowStyle::HighBandwidth.is_weight_stationary());
-        assert!(!DataflowStyle::LowBandwidth.is_weight_stationary());
     }
 
     #[test]

@@ -30,38 +30,12 @@ impl CostEstimate {
         self.no_stall_cycles as f64 / frequency_hz
     }
 
-    /// Effective compute throughput in GFLOP/s when the job is not stalled.
-    pub fn no_stall_gflops(&self, frequency_hz: f64) -> f64 {
-        let secs = self.no_stall_seconds(frequency_hz);
-        if secs == 0.0 {
-            0.0
-        } else {
-            (self.macs as f64 * 2.0) / secs / 1e9
-        }
-    }
-
     /// Arithmetic intensity actually achieved: MACs per DRAM byte.
     pub fn achieved_intensity(&self) -> f64 {
         if self.dram_traffic_bytes == 0 {
             0.0
         } else {
             self.macs as f64 / self.dram_traffic_bytes as f64
-        }
-    }
-
-    /// Latency of the job if only `granted_bw_gbps` of DRAM bandwidth is
-    /// available, in cycles: the job becomes memory-bound and slows down
-    /// proportionally (this is how the BW allocator stretches jobs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `granted_bw_gbps` is not positive.
-    pub fn stalled_cycles(&self, granted_bw_gbps: f64) -> f64 {
-        assert!(granted_bw_gbps > 0.0, "granted bandwidth must be positive");
-        if granted_bw_gbps >= self.required_bw_gbps {
-            self.no_stall_cycles as f64
-        } else {
-            self.no_stall_cycles as f64 * (self.required_bw_gbps / granted_bw_gbps)
         }
     }
 }
@@ -86,24 +60,6 @@ mod tests {
         let e = sample();
         let secs = e.no_stall_seconds(200e6);
         assert!((secs - 5e-6).abs() < 1e-12);
-        let gflops = e.no_stall_gflops(200e6);
-        assert!((gflops - (2.0 * 4_096_000.0 / 5e-6 / 1e9)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn stalled_latency_scales_with_bw_deficit() {
-        let e = sample();
-        // Full BW: no stretch.
-        assert_eq!(e.stalled_cycles(8.0), 1_000.0);
-        assert_eq!(e.stalled_cycles(16.0), 1_000.0);
-        // Half the BW: twice the time.
-        assert!((e.stalled_cycles(4.0) - 2_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_bw_panics() {
-        let _ = sample().stalled_cycles(0.0);
     }
 
     #[test]

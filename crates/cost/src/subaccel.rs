@@ -138,13 +138,6 @@ impl SubAccelConfig {
     pub fn peak_gflops(&self) -> f64 {
         self.num_pes() as f64 * 2.0 * self.frequency_hz() / 1e9
     }
-
-    /// Renames the core (used when platforms instantiate several copies of a
-    /// template configuration).
-    pub fn renamed(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
 }
 
 impl fmt::Display for SubAccelConfig {
@@ -191,12 +184,10 @@ mod tests {
         let c = SubAccelConfig::new("x", 64, 64, DataflowStyle::LowBandwidth, 2048)
             .with_sl_bytes(512)
             .with_frequency_mhz(400.0)
-            .with_flexible_shape(true)
-            .renamed("y");
+            .with_flexible_shape(true);
         assert_eq!(c.sl_bytes(), 512);
         assert_eq!(c.frequency_hz(), 400.0e6);
         assert!(c.flexible_shape());
-        assert_eq!(c.name(), "y");
     }
 
     #[test]

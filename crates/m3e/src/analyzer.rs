@@ -136,30 +136,6 @@ impl JobAnalysisTable {
             self.entries.iter().flat_map(|row| row.iter().map(|e| e.required_bw_gbps)).sum();
         total / (self.num_jobs() * self.num_accels()) as f64
     }
-
-    /// The sub-accelerator with the lowest no-stall latency for a job
-    /// (used by the Herald-like affinity heuristic).
-    pub fn fastest_accel(&self, job: JobId) -> usize {
-        (0..self.num_accels())
-            .min_by(|&a, &b| {
-                self.no_stall_seconds(job, a)
-                    .partial_cmp(&self.no_stall_seconds(job, b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("table has at least one accelerator")
-    }
-
-    /// The sub-accelerator with the lowest required bandwidth for a job
-    /// (used by heuristics in bandwidth-starved regimes).
-    pub fn most_bw_frugal_accel(&self, job: JobId) -> usize {
-        (0..self.num_accels())
-            .min_by(|&a, &b| {
-                self.required_bw_gbps(job, a)
-                    .partial_cmp(&self.required_bw_gbps(job, b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("table has at least one accelerator")
-    }
 }
 
 #[cfg(test)]
@@ -207,19 +183,6 @@ mod tests {
         let v = table(TaskType::Vision, 40, Setting::S1).avg_no_stall_cycles();
         let r = table(TaskType::Recommendation, 40, Setting::S1).avg_no_stall_cycles();
         assert!(v > r, "vision {v} should exceed recom {r}");
-    }
-
-    #[test]
-    fn fastest_accel_is_consistent_with_latencies() {
-        let t = table(TaskType::Mix, 10, Setting::S5);
-        for j in 0..t.num_jobs() {
-            let best = t.fastest_accel(JobId(j));
-            for a in 0..t.num_accels() {
-                assert!(
-                    t.no_stall_seconds(JobId(j), best) <= t.no_stall_seconds(JobId(j), a) + 1e-15
-                );
-            }
-        }
     }
 
     #[test]

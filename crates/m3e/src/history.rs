@@ -8,12 +8,12 @@
 use crate::encoding::Mapping;
 use serde::{Deserialize, Serialize};
 
-/// A record of one optimization run: every evaluated sample's fitness, the
-/// best-so-far curve and the best mapping found.
+/// A record of one optimization run: every evaluated sample's fitness and
+/// the best mapping found. The best-so-far curve is derived from the
+/// samples, not stored.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SearchHistory {
     samples: Vec<f64>,
-    best_curve: Vec<f64>,
     best_fitness: Option<f64>,
     best_mapping: Option<Mapping>,
 }
@@ -27,15 +27,13 @@ impl SearchHistory {
     /// Records one evaluated sample.
     pub fn record(&mut self, mapping: &Mapping, fitness: f64) {
         self.samples.push(fitness);
-        let improved = self.best_fitness.is_none_or(|b| fitness > b);
-        if improved {
+        if improves(self.best_fitness, fitness) {
             self.best_fitness = Some(fitness);
             match &mut self.best_mapping {
                 Some(best) => best.clone_from(mapping),
                 None => self.best_mapping = Some(mapping.clone()),
             }
         }
-        self.best_curve.push(self.best_fitness.unwrap());
     }
 
     /// Number of samples evaluated so far.
@@ -50,8 +48,19 @@ impl SearchHistory {
 
     /// Best fitness seen after each sample (a monotonically non-decreasing
     /// convergence curve).
-    pub fn best_curve(&self) -> &[f64] {
-        &self.best_curve
+    pub fn best_curve(&self) -> Vec<f64> {
+        self.best_so_far().collect()
+    }
+
+    /// The prefix maximum of the samples, under [`SearchHistory::record`]'s
+    /// comparison.
+    fn best_so_far(&self) -> impl Iterator<Item = f64> + '_ {
+        self.samples.iter().scan(None, |best, &f| {
+            if improves(*best, f) {
+                *best = Some(f);
+            }
+            *best
+        })
     }
 
     /// The best fitness found, if any sample was recorded.
@@ -64,59 +73,42 @@ impl SearchHistory {
         self.best_mapping.as_ref()
     }
 
-    /// Best fitness within the first `budget` samples (used to compare
-    /// methods at a fixed sampling budget even if they ran longer).
-    pub fn best_within(&self, budget: usize) -> Option<f64> {
-        self.best_curve.get(budget.min(self.best_curve.len()).checked_sub(1)?).copied()
-    }
-
     /// Number of samples needed to first reach `fraction` (0–1] of the final
     /// best fitness — a simple sample-efficiency metric.
     pub fn samples_to_reach(&self, fraction: f64) -> Option<usize> {
         let best = self.best_fitness?;
         let target = best * fraction;
-        self.best_curve.iter().position(|&f| f >= target).map(|i| i + 1)
+        self.best_so_far().position(|f| f >= target).map(|i| i + 1)
     }
 
     /// Downsamples the best-so-far curve to `points` evenly spaced entries
     /// (for plotting / printing convergence tables).
     pub fn downsampled_curve(&self, points: usize) -> Vec<(usize, f64)> {
-        if self.best_curve.is_empty() || points == 0 {
+        let curve = self.best_curve();
+        if curve.is_empty() || points == 0 {
             return Vec::new();
         }
-        let n = self.best_curve.len();
+        let n = curve.len();
         let step = (n as f64 / points as f64).max(1.0);
         let mut out = Vec::new();
         let mut i = 0.0;
         while (i as usize) < n {
             let idx = i as usize;
-            out.push((idx + 1, self.best_curve[idx]));
+            out.push((idx + 1, curve[idx]));
             i += step;
         }
         if out.last().map(|&(idx, _)| idx) != Some(n) {
-            out.push((n, self.best_curve[n - 1]));
+            out.push((n, curve[n - 1]));
         }
         out
     }
+}
 
-    /// Merges another history into this one, preserving sample order
-    /// (used when a search is resumed, e.g. warm-start then refine).
-    pub fn extend_from(&mut self, other: &SearchHistory) {
-        for &f in &other.samples {
-            self.samples.push(f);
-            if self.best_fitness.is_none_or(|b| f > b) {
-                self.best_fitness = Some(f);
-            }
-            self.best_curve.push(self.best_fitness.unwrap());
-        }
-        // Adopt the other run's best mapping if it is the overall best.
-        if let (Some(of), Some(om)) = (other.best_fitness, other.best_mapping.as_ref()) {
-            let ours = self.best_mapping.is_none() || self.best_fitness.is_none_or(|b| of >= b);
-            if ours {
-                self.best_mapping = Some(om.clone());
-            }
-        }
-    }
+/// Whether `fitness` replaces `best` as the best so far: the first sample
+/// always does, a later one only when strictly greater — so ties keep the
+/// earlier sample and nothing replaces a NaN best.
+fn improves(best: Option<f64>, fitness: f64) -> bool {
+    best.is_none_or(|b| fitness > b)
 }
 
 #[cfg(test)]
@@ -142,14 +134,20 @@ mod tests {
     }
 
     #[test]
-    fn best_within_budget() {
+    fn the_derived_curve_keeps_the_first_of_ties_and_a_nan_best() {
         let mut h = SearchHistory::new();
-        for f in [1.0, 4.0, 2.0, 9.0] {
+        for f in [f64::NAN, 1.0, 2.0] {
             h.record(&mapping(0), f);
         }
-        assert_eq!(h.best_within(2), Some(4.0));
-        assert_eq!(h.best_within(10), Some(9.0));
-        assert_eq!(h.best_within(0), None);
+        assert!(h.best_curve().iter().all(|f| f.is_nan()), "nothing beats a NaN best");
+        assert!(h.best_fitness().unwrap().is_nan());
+        let mut h = SearchHistory::new();
+        let first = mapping(1);
+        for (m, f) in [(&first, 2.0), (&mapping(2), 2.0), (&mapping(3), -0.0)] {
+            h.record(m, f);
+        }
+        assert_eq!(h.best_curve(), [2.0; 3]);
+        assert_eq!(h.best_mapping(), Some(&first), "a tie keeps the earlier sample");
     }
 
     #[test]
@@ -192,18 +190,5 @@ mod tests {
         h.record(&good, 7.0);
         h.record(&mapping(1), 3.0);
         assert_eq!(h.best_mapping(), Some(&good));
-    }
-
-    #[test]
-    fn extend_from_concatenates_samples() {
-        let mut a = SearchHistory::new();
-        a.record(&mapping(0), 2.0);
-        let mut b = SearchHistory::new();
-        b.record(&mapping(1), 5.0);
-        b.record(&mapping(2), 1.0);
-        a.extend_from(&b);
-        assert_eq!(a.num_samples(), 3);
-        assert_eq!(a.best_fitness(), Some(5.0));
-        assert!(a.best_curve().windows(2).all(|w| w[1] >= w[0]));
     }
 }

@@ -122,28 +122,9 @@ impl Schedule {
         (busy / self.makespan_sec).min(1.0)
     }
 
-    /// Average utilization across all sub-accelerators.
-    pub fn mean_utilization(&self) -> f64 {
-        (0..self.num_accels).map(|a| self.accel_utilization(a)).sum::<f64>()
-            / self.num_accels as f64
-    }
-
     /// Peak aggregate bandwidth drawn from the system at any time (GB/s).
     pub fn peak_bw_gbps(&self) -> f64 {
         self.bw_trace.iter().map(|s| s.alloc_gbps.iter().sum::<f64>()).fold(0.0, f64::max)
-    }
-
-    /// Time-weighted average aggregate bandwidth drawn from the system (GB/s).
-    pub fn mean_bw_gbps(&self) -> f64 {
-        if self.makespan_sec <= 0.0 {
-            return 0.0;
-        }
-        let weighted: f64 = self
-            .bw_trace
-            .iter()
-            .map(|s| s.alloc_gbps.iter().sum::<f64>() * (s.end_sec - s.start_sec))
-            .sum();
-        weighted / self.makespan_sec
     }
 
     /// Renders a text Gantt chart of the schedule (the visualization of
@@ -211,15 +192,12 @@ mod tests {
         let s = sample();
         assert!((s.accel_utilization(0) - 0.5).abs() < 1e-12);
         assert!((s.accel_utilization(1) - 1.0).abs() < 1e-12);
-        assert!((s.mean_utilization() - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn bw_statistics() {
         let s = sample();
         assert!((s.peak_bw_gbps() - 16.0).abs() < 1e-12);
-        // (16 * 0.5 + 6 * 1.5) / 2 = 8.5
-        assert!((s.mean_bw_gbps() - 8.5).abs() < 1e-12);
     }
 
     #[test]

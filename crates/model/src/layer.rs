@@ -224,27 +224,6 @@ impl LayerShape {
     pub fn runs_on_accelerator(&self) -> bool {
         !matches!(self, LayerShape::EmbeddingLookup { .. })
     }
-
-    /// Whether this layer is convolution-like (has spatial reuse).
-    pub fn is_conv_like(&self) -> bool {
-        matches!(self, LayerShape::Conv2d { .. } | LayerShape::DepthwiseConv2d { .. })
-    }
-
-    /// Whether this layer is GEMM/FC-like (no spatial filter reuse).
-    pub fn is_gemm_like(&self) -> bool {
-        matches!(self, LayerShape::FullyConnected { .. } | LayerShape::Gemm { .. })
-    }
-
-    /// A short human-readable kind label, used in schedules and reports.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            LayerShape::Conv2d { .. } => "CONV",
-            LayerShape::DepthwiseConv2d { .. } => "DWCONV",
-            LayerShape::FullyConnected { .. } => "FC",
-            LayerShape::Gemm { .. } => "GEMM",
-            LayerShape::EmbeddingLookup { .. } => "EMB",
-        }
-    }
 }
 
 impl fmt::Display for LayerShape {
@@ -275,8 +254,6 @@ mod tests {
         let l = LayerShape::Conv2d { k: 64, c: 3, y: 112, x: 112, r: 7, s: 7, stride: 2 };
         assert_eq!(l.macs(), 64 * 3 * 112 * 112 * 7 * 7);
         assert_eq!(l.weight_elems(), 64 * 3 * 7 * 7);
-        assert!(l.is_conv_like());
-        assert!(!l.is_gemm_like());
     }
 
     #[test]
@@ -305,7 +282,6 @@ mod tests {
         assert_eq!(l.weight_elems(), 1000 * 2048);
         assert_eq!(l.input_elems(), 2048);
         assert_eq!(l.output_elems(), 1000);
-        assert!(l.is_gemm_like());
     }
 
     #[test]
@@ -333,7 +309,6 @@ mod tests {
     fn display_contains_kind() {
         let l = LayerShape::pointwise(8, 8, 4, 4);
         assert!(l.to_string().contains("CONV"));
-        assert_eq!(l.kind_name(), "CONV");
     }
 
     #[test]

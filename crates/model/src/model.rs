@@ -56,11 +56,6 @@ impl Model {
     pub fn total_weight_elems(&self) -> u64 {
         self.layers.iter().map(|l| l.weight_elems()).sum()
     }
-
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
 }
 
 #[cfg(test)]
@@ -83,7 +78,6 @@ mod tests {
         let m = tiny();
         assert_eq!(m.name(), "Tiny");
         assert_eq!(m.task(), TaskType::Vision);
-        assert_eq!(m.num_layers(), 2);
         assert_eq!(m.layers().len(), 2);
     }
 

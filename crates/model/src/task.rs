@@ -41,11 +41,6 @@ impl TaskType {
             TaskType::Mix => "Mix",
         }
     }
-
-    /// Returns `true` for the Mix task, which combines all pure tasks.
-    pub fn is_mix(self) -> bool {
-        matches!(self, TaskType::Mix)
-    }
 }
 
 impl fmt::Display for TaskType {
@@ -77,12 +72,6 @@ mod tests {
         for t in TaskType::ALL {
             assert_eq!(t.to_string(), t.short_name());
         }
-    }
-
-    #[test]
-    fn mix_predicate() {
-        assert!(TaskType::Mix.is_mix());
-        assert!(!TaskType::Vision.is_mix());
     }
 
     #[test]

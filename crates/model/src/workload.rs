@@ -39,17 +39,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Sets the mini-batch size per job (default [`DEFAULT_MINI_BATCH`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mini_batch == 0`.
-    pub fn with_mini_batch(mut self, mini_batch: usize) -> Self {
-        assert!(mini_batch > 0, "mini-batch must be non-zero");
-        self.mini_batch = mini_batch;
-        self
-    }
-
     /// The task category of this workload.
     pub fn task(&self) -> TaskType {
         self.task
@@ -203,8 +192,8 @@ mod tests {
 
     #[test]
     fn mini_batch_is_propagated() {
-        let jobs = WorkloadSpec::new(TaskType::Vision, 10).with_mini_batch(8).build_jobs();
-        assert!(jobs.iter().all(|j| j.batch() == 8));
+        let spec = WorkloadSpec::new(TaskType::Vision, 10);
+        assert!(spec.build_jobs().iter().all(|j| j.batch() == spec.mini_batch()));
     }
 
     #[test]

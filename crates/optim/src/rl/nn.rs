@@ -149,11 +149,6 @@ impl Mlp {
         Mlp { layers, step_count: 0 }
     }
 
-    /// Number of scalar parameters.
-    pub fn num_params(&self) -> usize {
-        self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
-    }
-
     /// Forward pass without caching (inference only).
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
         let mut h = x.to_vec();
@@ -262,7 +257,6 @@ mod tests {
         let net = Mlp::new(&[4, 16, 3], &mut rng);
         let y = net.forward(&[0.1, -0.2, 0.3, 0.4]);
         assert_eq!(y.len(), 3);
-        assert!(net.num_params() > 0);
     }
 
     #[test]

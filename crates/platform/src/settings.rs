@@ -83,8 +83,6 @@ pub struct ServeKnobs {
     pub offered_load: f64,
     /// Per-job SLA bound in batch windows (see `magma-serve` docs).
     pub sla_x: f64,
-    /// Virtual mapper cost charged per search sample, in microseconds.
-    pub overhead_us_per_sample: f64,
     /// Samples per scheduler slice under [`FleetPolicy::Uniform`] (the
     /// fleet's and the engine's `base_slice`). Slicing never changes a
     /// search's result (the session-stepping invariant), only how live
@@ -124,7 +122,6 @@ impl ServeKnobs {
             quant_step: 1.0,
             offered_load: 0.7,
             sla_x: 3.0,
-            overhead_us_per_sample: 1.0,
             search_slice: 32,
             // Calibrated by the `cache_sweep` frontier (the committed
             // `BENCH_cache.json`): the largest probe threshold whose
@@ -204,7 +201,7 @@ impl std::str::FromStr for FleetPolicy {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetKnobs {
     /// The underlying serving knobs (budgets, cache geometry, group target,
-    /// SLA tolerance, per-sample overhead, slice, seed). The fleet reads
+    /// SLA tolerance, slice, seed). The fleet reads
     /// everything except `requests`/`offered_load`, which it carries itself
     /// at fleet-appropriate defaults.
     pub serve: ServeKnobs,

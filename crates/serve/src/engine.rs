@@ -45,6 +45,10 @@
 //!   cancelled, which is never searched — and completions of cancelled
 //!   tokens are flagged so the transport can suppress them.
 //!
+//! An [`EngineConfig`] is the shard core's [`ShardConfig`] (its `core`
+//! field, built by the same [`ShardConfig::from_knobs`] as the fleet's,
+//! with value preemption off) plus these server-side settings.
+//!
 //! [`ServeEngine::drain`] closes the lifecycle: admissions stop, every
 //! queued group is force-cut and every live session run to completion, and
 //! the per-shard mapping caches are persisted to `<cache_path>.shard<i>`
@@ -56,48 +60,30 @@
 //! every internal iteration runs in session-id order, never hash order.
 
 use crate::batcher::{AdmissionBatcher, BatchPolicy};
-use crate::dispatch::{DispatchConfig, DispatchKind};
-use crate::scheduler::{LiveSession, SchedulerConfig};
-use crate::shards::ShardSet;
+use crate::dispatch::DispatchKind;
+use crate::scheduler::LiveSession;
+use crate::shards::{ShardConfig, ShardSet};
 use crate::trace::Arrival;
 use magma_model::{Job, TenantMix};
-use magma_platform::settings::{FleetPolicy, ServerKnobs};
-use magma_platform::PlatformSpec;
+use magma_platform::settings::ServerKnobs;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::path::PathBuf;
 
 /// The full parameter set of a wall-clock engine, derived from the knob
-/// nest by [`EngineConfig::from_knobs`].
+/// nest by [`EngineConfig::from_knobs`]: the shard core plus the engine's
+/// batching, backpressure and timeout settings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// One platform spec per shard.
-    pub shard_settings: Vec<PlatformSpec>,
+    /// The shard core (platforms, dispatch, shared tier, persistence,
+    /// scheduler). Timeouts only preempt under
+    /// [`FleetPolicy::Deadline`](magma_platform::settings::FleetPolicy::Deadline);
+    /// the scheduler's per-sample overhead also prices the backlog
+    /// projection.
+    pub core: ShardConfig,
     /// Dispatch-group size target.
     pub group_target: usize,
     /// Admission deadline of a partial group, in wall-clock seconds.
     pub max_wait_sec: f64,
-    /// Mapper cost per evaluated sample, in seconds (drives the backlog
-    /// projection and the scheduler's urgency estimate).
-    pub overhead_sec_per_sample: f64,
-    /// Search budgets and cache geometry (per shard).
-    pub dispatch: DispatchConfig,
-    /// Entries in the fleet-wide shared cache tier; `0` disables the tier.
-    pub shared_cache_capacity: usize,
-    /// Per-tenant entry quota over the shared tier; `0` means unlimited.
-    pub shared_tenant_quota: usize,
-    /// Mapping-cache persistence base path: each shard loads/saves
-    /// `<path>.shard<i>` (same layout as the fleet simulator).
-    pub cache_path: Option<PathBuf>,
-    /// Scheduler policy. Timeouts only preempt under
-    /// [`FleetPolicy::Deadline`].
-    pub policy: FleetPolicy,
-    /// Live-session capacity per shard.
-    pub max_live: usize,
-    /// Fixed slice under [`FleetPolicy::Uniform`], in samples.
-    pub base_slice: usize,
-    /// Slice floor under [`FleetPolicy::Deadline`], in samples.
-    pub min_slice: usize,
     /// Backpressure knob: reject submissions once the projected mapper
     /// backlog exceeds this many seconds.
     pub max_backlog_sec: f64,
@@ -119,29 +105,20 @@ impl EngineConfig {
     pub fn from_knobs(knobs: &ServerKnobs) -> Self {
         let fleet = &knobs.fleet;
         let serve = &fleet.serve;
+        let mut core = ShardConfig::from_knobs(fleet, fleet.shards);
+        // Admission control replaces value preemption on the server path:
+        // overload is shed at the socket (`Busy`), not by evicting work that
+        // was already accepted.
+        core.scheduler.preempt_margin = 0.0;
         EngineConfig {
-            shard_settings: fleet.shard_specs(fleet.shards),
+            core,
             group_target: serve.group_target,
             max_wait_sec: serve.max_wait_x * serve.group_target as f64 / knobs.rate,
-            overhead_sec_per_sample: serve.overhead_us_per_sample * 1e-6,
-            dispatch: DispatchConfig::from_knobs(serve),
-            shared_cache_capacity: fleet.shared_cache_capacity,
-            shared_tenant_quota: fleet.shared_tenant_quota,
-            cache_path: serve.cache_path.as_ref().map(PathBuf::from),
-            policy: fleet.policy,
-            max_live: fleet.max_live,
-            base_slice: serve.search_slice,
-            min_slice: fleet.min_slice,
             max_backlog_sec: knobs.max_backlog_sec,
             pending_per_shard: knobs.pending_per_shard,
             timeout_sec: knobs.timeout_sec,
             seed: serve.seed,
         }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shard_settings.len()
     }
 }
 
@@ -300,30 +277,12 @@ impl ServeEngine {
     /// Panics on a degenerate config (no shards, zero group target, a
     /// non-positive timeout or backlog knob).
     pub fn new(config: EngineConfig, mix: TenantMix) -> Self {
-        assert!(config.shards() > 0, "an engine needs at least one shard");
+        assert!(config.core.shards() > 0, "an engine needs at least one shard");
         assert!(config.group_target > 0, "the group target must be non-zero");
         assert!(config.timeout_sec > 0.0, "the session timeout must be positive");
         assert!(config.max_backlog_sec > 0.0, "the backlog knob must be positive");
         assert!(config.pending_per_shard > 0, "the admission queue needs capacity");
-        let shards = ShardSet::new(
-            config.shard_settings.iter().map(|s| s.build()).collect(),
-            config.dispatch,
-            config.shared_cache_capacity,
-            config.shared_tenant_quota,
-            config.cache_path.clone(),
-            SchedulerConfig {
-                policy: config.policy,
-                max_live: config.max_live,
-                base_slice: config.base_slice,
-                min_slice: config.min_slice,
-                // Admission control replaces value preemption on the server
-                // path: overload is shed at the socket (`Busy`), not by
-                // evicting work that was already accepted.
-                preempt_margin: 0.0,
-                overhead_sec_per_sample: config.overhead_sec_per_sample,
-            },
-            config.seed,
-        );
+        let shards = ShardSet::new(&config.core, config.seed);
         let batcher = AdmissionBatcher::new(BatchPolicy::new(
             config.group_target,
             config.max_wait_sec.max(0.0),
@@ -367,8 +326,8 @@ impl ServeEngine {
         let min_load = (0..shards).map(|s| self.shards.load(s, now)).fold(f64::INFINITY, f64::min);
         let queued_groups = self.batcher.pending() as f64 / self.config.group_target as f64;
         let queued_cost = queued_groups
-            * self.config.dispatch.cold_budget as f64
-            * self.config.overhead_sec_per_sample
+            * self.config.core.dispatch.cold_budget as f64
+            * self.config.core.scheduler.overhead_sec_per_sample
             / shards as f64;
         min_load + queued_cost
     }
@@ -672,6 +631,7 @@ mod tests {
     use super::*;
     use crate::shards::shard_cache_file;
     use magma_model::{JobId, LayerShape, TaskType};
+    use magma_platform::settings::FleetPolicy;
 
     fn tiny_knobs() -> ServerKnobs {
         let mut knobs = ServerKnobs::smoke();
@@ -711,6 +671,22 @@ mod tests {
         }
         all.extend(engine.poll(now));
         all
+    }
+
+    #[test]
+    fn the_engine_runs_the_fleets_shard_core_without_value_preemption() {
+        let mut knobs = ServerKnobs::smoke();
+        knobs.fleet.serve.cache_path = Some("cores".into());
+        let fleet = crate::fleet::FleetConfig::from_knobs(
+            &knobs.fleet,
+            knobs.fleet.shards,
+            crate::trace::Scenario::Poisson,
+        );
+        assert!(fleet.core.scheduler.preempt_margin > 0.0, "the knobs value-preempt");
+        let mut core = EngineConfig::from_knobs(&knobs).core;
+        assert_eq!(core.scheduler.preempt_margin, 0.0, "overload is shed at the socket");
+        core.scheduler.preempt_margin = fleet.core.scheduler.preempt_margin;
+        assert_eq!(core, fleet.core);
     }
 
     #[test]

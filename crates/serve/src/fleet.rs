@@ -24,8 +24,8 @@
 //! knob permitting) a live session cheap enough to value-preempt.
 //!
 //! Behind the per-shard caches sits an optional fleet-wide **shared cache
-//! tier** (`shared_cache_capacity` entries, per-tenant quota
-//! `shared_tenant_quota`): a shard miss falls through to the tier
+//! tier** ([`ShardConfig::shared_cache_capacity`] entries, per-tenant quota
+//! [`ShardConfig::shared_tenant_quota`]): a shard miss falls through to the tier
 //! before cold-searching, every completed session publishes its mapping to
 //! both its shard cache and the tier, and the router places tier-held keys
 //! purely by load ([`crate::router::ShardRouter::place_balanced`]) since
@@ -42,7 +42,10 @@
 //! itself — route, plan, step, complete, publish, persist — is the
 //! crate-private shard core the wall-clock [`crate::engine`] runs on too;
 //! this module adds only the event order, the admission gate and the
-//! per-shard mapper clocks.
+//! per-shard mapper clocks. Its config is the same way round: a
+//! [`FleetConfig`] is the shard core's [`ShardConfig`] (its `core` field,
+//! built by the same [`ShardConfig::from_knobs`] the engine uses) plus the
+//! traffic, batching, SLA and mapper-pressure settings of a simulation.
 //!
 //! # Calibration
 //!
@@ -62,29 +65,29 @@
 
 use crate::batcher::{AdmissionBatcher, BatchPolicy};
 use crate::descriptor::{CustomScenario, ScenarioDescriptor};
-use crate::dispatch::{DispatchConfig, DispatchOutcome};
+use crate::dispatch::DispatchOutcome;
 use crate::emit::{mode_tag, BenchReport};
 use crate::metrics::{CacheReport, JobRecord, LatencyStats, ServeMetrics};
 use crate::router::RouterStats;
-use crate::scheduler::{SchedStats, SchedulerConfig};
-use crate::shards::{group_value, Completed, ShardSet};
+use crate::scheduler::SchedStats;
+use crate::shards::{group_value, Completed, ShardConfig, ShardSet};
 use crate::trace::{generate_trace, Arrival, Scenario, TraceParams};
 use magma_m3e::{M3e, Mapping, Objective};
+use magma_model::workload::DEFAULT_MINI_BATCH;
 use magma_model::{Group, JobId, TenantMix};
 use magma_platform::settings::{FleetKnobs, FleetPolicy, ServeKnobs};
-use magma_platform::{AcceleratorPlatform, PlatformSpec};
+use magma_platform::PlatformSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize, Value};
-use std::path::PathBuf;
 
-/// The full parameter set of one fleet run.
+/// The full parameter set of one fleet run: the shard core plus the fleet's
+/// traffic, batching, SLA and mapper-pressure settings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
-    /// One platform spec per shard (shard count = length; the knobs'
-    /// settings list cycled — Table III settings or a registry scenario's
-    /// custom platform). Shard 0 is the load-calibration reference.
-    pub shard_settings: Vec<PlatformSpec>,
+    /// The shard core (platforms, dispatch, shared tier, persistence,
+    /// scheduler).
+    pub core: ShardConfig,
     /// The traffic scenario.
     pub scenario: Scenario,
     /// Arrivals to simulate.
@@ -93,37 +96,12 @@ pub struct FleetConfig {
     pub group_target: usize,
     /// Admission deadline in batch-formation windows.
     pub max_wait_x: f64,
-    /// Mini-batch size per job.
-    pub mini_batch: usize,
     /// Offered load relative to the reference shard's calibrated rate.
     pub offered_load: f64,
     /// SLA tolerance factor (see the module docs' calibration section).
     pub sla_x: f64,
-    /// Virtual mapper cost per evaluated sample, in seconds.
-    pub overhead_sec_per_sample: f64,
-    /// Search budgets and cache geometry (per shard).
-    pub dispatch: DispatchConfig,
-    /// Entries in the fleet-wide shared cache tier; `0` disables the tier
-    /// (shard misses go straight to a cold search, exactly the pre-tier
-    /// behaviour).
-    pub shared_cache_capacity: usize,
-    /// Per-tenant entry quota over the shared tier; `0` means unlimited.
-    pub shared_tenant_quota: usize,
-    /// Mapping-cache persistence base path: each shard loads/saves
-    /// `<path>.shard<i>`. `None` keeps caches in-memory.
-    pub cache_path: Option<PathBuf>,
-    /// Scheduler policy.
-    pub policy: FleetPolicy,
-    /// Live-session capacity per shard.
-    pub max_live: usize,
-    /// Fixed slice under [`FleetPolicy::Uniform`], in samples.
-    pub base_slice: usize,
-    /// Slice floor under [`FleetPolicy::Deadline`], in samples.
-    pub min_slice: usize,
-    /// Value-preemption margin (`0` disables value preemption).
-    pub preempt_margin: f64,
     /// Mapper-saturation factor for stress scenarios; `0` (the default)
-    /// uses the configured per-sample overhead. When positive, the
+    /// uses the core's per-sample overhead. When positive, the
     /// per-sample overhead is re-derived after calibration so that one cold
     /// search costs `mapper_pressure × shards` batch windows — every
     /// shard's mapper is oversubscribed by the factor at any rung, forcing
@@ -141,24 +119,13 @@ impl FleetConfig {
     pub fn from_knobs(knobs: &FleetKnobs, shards: usize, scenario: Scenario) -> Self {
         assert!(shards > 0, "a fleet needs at least one shard");
         FleetConfig {
-            shard_settings: knobs.shard_specs(shards),
+            core: ShardConfig::from_knobs(knobs, shards),
             scenario,
             requests: knobs.requests,
             group_target: knobs.serve.group_target,
             max_wait_x: knobs.serve.max_wait_x,
-            mini_batch: magma_model::workload::DEFAULT_MINI_BATCH,
             offered_load: knobs.offered_load,
             sla_x: knobs.serve.sla_x,
-            overhead_sec_per_sample: knobs.serve.overhead_us_per_sample * 1e-6,
-            dispatch: DispatchConfig::from_knobs(&knobs.serve),
-            shared_cache_capacity: knobs.shared_cache_capacity,
-            shared_tenant_quota: knobs.shared_tenant_quota,
-            cache_path: knobs.serve.cache_path.as_ref().map(PathBuf::from),
-            policy: knobs.policy,
-            max_live: knobs.max_live,
-            base_slice: knobs.serve.search_slice,
-            min_slice: knobs.min_slice,
-            preempt_margin: knobs.preempt_margin,
             mapper_pressure: 0.0,
             seed: knobs.serve.seed,
         }
@@ -190,11 +157,6 @@ impl FleetConfig {
             shared_tenant_quota: 0,
         };
         Self::from_knobs(&degenerate, 1, scenario)
-    }
-
-    /// Number of shards (the settings list's length).
-    pub fn shards(&self) -> usize {
-        self.shard_settings.len()
     }
 }
 
@@ -229,24 +191,29 @@ struct Calibration {
     sla_sec: f64,
 }
 
-/// Calibrates arrival rate and SLA bound against `platform`'s unoptimized
-/// service time: the calibration group (the first `group_target` jobs of
-/// the mix, round-robin across tenants, re-identified 0..target) scheduled
-/// under a seeded random mapping.
-fn calibrate(platform: &AcceleratorPlatform, config: &FleetConfig, mix: &TenantMix) -> Calibration {
+/// Calibrates arrival rate and SLA bound against the reference shard's
+/// (shard 0) unoptimized service time: the calibration group (the first
+/// `group_target` jobs of the mix, round-robin across tenants, re-identified
+/// 0..target) scheduled under a seeded random mapping. The shard 0
+/// reference means the offered load is "multiples of one shard's
+/// unoptimized rate" at every rung of a scaling ladder.
+fn calibrate(config: &FleetConfig, mix: &TenantMix) -> Calibration {
+    let core = &config.core;
+    let platform = core.shard_settings[0].build();
     let calib_n = config.group_target;
     // Job k comes from tenant k mod len, so only the first calib_n streams
     // are ever drawn from.
     let mut streams: Vec<_> =
-        mix.tenants().iter().take(calib_n).map(|t| t.job_stream(config.mini_batch)).collect();
+        mix.tenants().iter().take(calib_n).map(|t| t.job_stream(DEFAULT_MINI_BATCH)).collect();
     let jobs = (0..calib_n).map(|k| streams[k % mix.len()].next_job(JobId(k))).collect();
-    let calib_problem = M3e::new(platform.clone(), Group::new(jobs), Objective::Throughput);
     let mut calib_rng = StdRng::seed_from_u64(config.seed);
     let calib_mapping = Mapping::random(&mut calib_rng, calib_n, platform.num_sub_accels());
+    let calib_problem = M3e::new(platform, Group::new(jobs), Objective::Throughput);
     let calib_makespan = calib_problem.schedule(&calib_mapping).makespan_sec();
     let mean_interarrival_sec = calib_makespan / calib_n as f64 / config.offered_load;
     let batch_window_sec = config.group_target as f64 * mean_interarrival_sec;
-    let cold_overhead_sec = config.dispatch.cold_budget as f64 * config.overhead_sec_per_sample;
+    let cold_overhead_sec =
+        core.dispatch.cold_budget as f64 * core.scheduler.overhead_sec_per_sample;
     let sla_sec = config.sla_x * (batch_window_sec + calib_makespan + cold_overhead_sec);
     Calibration { mean_interarrival_sec, batch_window_sec, sla_sec }
 }
@@ -286,33 +253,29 @@ fn gate_is_open(
 /// Panics if the config is degenerate (no shards/requests, a non-positive
 /// offered load) — [`FleetConfig::from_knobs`] never builds such a config.
 pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
-    let shards = config.shards();
+    let shards = config.core.shards();
     assert!(shards > 0 && config.requests > 0 && config.group_target > 0);
     assert!(config.offered_load > 0.0 && config.offered_load.is_finite());
 
-    let platforms: Vec<_> = config.shard_settings.iter().map(|s| s.build()).collect();
-    // Load and SLA are calibrated against the reference shard (shard 0), so
-    // the offered load means "multiples of one shard's unoptimized rate" at
-    // every rung of a scaling ladder.
-    let calib = calibrate(&platforms[0], config, mix);
+    let calib = calibrate(config, mix);
     let sla_sec = calib.sla_sec;
+    let mut core = config.core.clone();
     // Stress scenarios re-derive the per-sample mapper cost so that one
     // cold search costs `mapper_pressure × shards` batch windows — the
     // mapper is then the contended resource at every rung of a ladder (the
     // SLA keeps the *configured* overhead, so the pressure actually bites).
-    let overhead_sec = if config.mapper_pressure > 0.0 {
-        config.mapper_pressure * shards as f64 * calib.batch_window_sec
-            / config.dispatch.cold_budget as f64
-    } else {
-        config.overhead_sec_per_sample
-    };
+    if config.mapper_pressure > 0.0 {
+        core.scheduler.overhead_sec_per_sample =
+            config.mapper_pressure * shards as f64 * calib.batch_window_sec
+                / core.dispatch.cold_budget as f64;
+    }
 
     let trace = generate_trace(
         &TraceParams {
             scenario: config.scenario,
             requests: config.requests,
             mean_interarrival_sec: calib.mean_interarrival_sec,
-            mini_batch: config.mini_batch,
+            mini_batch: DEFAULT_MINI_BATCH,
             seed: config.seed,
         },
         mix,
@@ -321,22 +284,7 @@ pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
         config.group_target,
         config.max_wait_x * calib.batch_window_sec,
     ));
-    let mut set = ShardSet::new(
-        platforms,
-        config.dispatch,
-        config.shared_cache_capacity,
-        config.shared_tenant_quota,
-        config.cache_path.clone(),
-        SchedulerConfig {
-            policy: config.policy,
-            max_live: config.max_live,
-            base_slice: config.base_slice,
-            min_slice: config.min_slice,
-            preempt_margin: config.preempt_margin,
-            overhead_sec_per_sample: overhead_sec,
-        },
-        config.seed,
-    );
+    let mut set = ShardSet::new(&core, config.seed);
     let mut mapper_now = vec![0.0f64; shards];
     let mut records: Vec<JobRecord> = Vec::with_capacity(trace.len());
     let mut outcomes: Vec<DispatchOutcome> = Vec::new();
@@ -403,10 +351,10 @@ pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
             }
             (_, _, Some((t, shard))) => {
                 let (spent, finished) = set.step(shard, t);
-                mapper_now[shard] += spent as f64 * overhead_sec;
+                mapper_now[shard] += spent as f64 * core.scheduler.overhead_sec_per_sample;
                 if let Some((session, preempted)) = finished {
                     debug_assert!(
-                        !preempted || config.policy == FleetPolicy::Deadline,
+                        !preempted || core.scheduler.policy == FleetPolicy::Deadline,
                         "only the Deadline policy preempts on step"
                     );
                     book(shard, set.complete(session, shard, mapper_now[shard]));
@@ -421,7 +369,7 @@ pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
             _ => unreachable!("the time guards cover every live event"),
         }
 
-        let open = gate_is_open(&set, &batcher, config.preempt_margin, mix);
+        let open = gate_is_open(&set, &batcher, core.scheduler.preempt_margin, mix);
         if open && !gate_open {
             gate_since = gate_time;
         }
@@ -703,7 +651,7 @@ pub fn fleet_scenarios(knobs: &FleetKnobs) -> Vec<(&'static str, FleetConfig)> {
     let mut pressure = base(knobs.shards);
     pressure.offered_load = knobs.offered_load * 1.5;
     pressure.sla_x = knobs.serve.sla_x / 3.0;
-    pressure.policy = FleetPolicy::Deadline;
+    pressure.core.scheduler.policy = FleetPolicy::Deadline;
     pressure.mapper_pressure = 1.5;
     // The stress must actually pay for cold searches: a nearest-key hit
     // sidesteps the mapper entirely, and with the calibrated probe on (and
@@ -712,7 +660,7 @@ pub fn fleet_scenarios(knobs: &FleetKnobs) -> Vec<(&'static str, FleetConfig)> {
     // are part of the workload — but the probe is off here so the
     // preemption machinery is exercised regardless of how the cache
     // defaults are calibrated.
-    pressure.dispatch.cache_epsilon = 0.0;
+    pressure.core.dispatch.cache_epsilon = 0.0;
     vec![("fleet_mix", base(knobs.shards)), ("deadline_pressure", pressure)]
 }
 
@@ -741,11 +689,9 @@ fn run_scenario_ladder(
         // leak shard caches from rung to rung and scenario to scenario,
         // invalidating the scaling comparison. Warm fleet restarts are
         // exercised by `fleet_simulate` callers and the integration suite.
-        let config = FleetConfig {
-            shard_settings: knobs.shard_specs(shards),
-            cache_path: None,
-            ..template.clone()
-        };
+        let mut config = template.clone();
+        config.core.shard_settings = knobs.shard_specs(shards);
+        config.core.cache_path = None;
         let result = fleet_simulate(&config, mix);
         if rungs.is_empty() {
             base_jobs_per_sec = result.metrics.jobs_per_sec;
@@ -755,7 +701,7 @@ fn run_scenario_ladder(
     FleetScenarioResult {
         name: name.to_string(),
         scenario: template.scenario,
-        policy: template.policy.to_string(),
+        policy: template.core.scheduler.policy.to_string(),
         offered_load: template.offered_load,
         sla_x: template.sla_x,
         rungs,
@@ -856,8 +802,8 @@ fn rung_from_result(
     let m = &result.metrics;
     let sla_violations: usize = m.tenants.iter().map(|t| t.sla_violations).sum();
     FleetRung {
-        shards: config.shards(),
-        shard_settings: config.shard_settings.iter().map(|s| s.label()).collect(),
+        shards: config.core.shards(),
+        shard_settings: config.core.shard_settings.iter().map(|s| s.label()).collect(),
         jobs: m.jobs,
         jobs_per_sec: m.jobs_per_sec,
         throughput_gflops: m.throughput_gflops,
@@ -1013,9 +959,9 @@ mod tests {
         let knobs = tiny_knobs();
         let mix = TenantMix::synthetic(knobs.tenants, 0);
         let tiered_config = FleetConfig::from_knobs(&knobs, 3, Scenario::Poisson);
-        assert!(tiered_config.shared_cache_capacity > 0, "smoke knobs enable the tier");
+        assert!(tiered_config.core.shared_cache_capacity > 0, "smoke knobs enable the tier");
         let mut solo_config = tiered_config.clone();
-        solo_config.shared_cache_capacity = 0;
+        solo_config.core.shared_cache_capacity = 0;
         let tiered = fleet_simulate(&tiered_config, &mix);
         let solo = fleet_simulate(&solo_config, &mix);
         assert!(
@@ -1037,7 +983,7 @@ mod tests {
         let base = std::env::temp_dir().join(format!("magma_fleet_cache_{}", std::process::id()));
         let shards = 2;
         let mut config = FleetConfig::from_knobs(&knobs, shards, Scenario::Poisson);
-        config.cache_path = Some(base.clone());
+        config.core.cache_path = Some(base.clone());
         for i in 0..shards {
             let _ = std::fs::remove_file(shard_cache_file(&base, i));
         }
@@ -1062,8 +1008,9 @@ mod tests {
         let knobs = tiny_knobs();
         let mix = TenantMix::synthetic(knobs.tenants, 0);
         crate::shards::tests::corrupt_cache_files_come_up_cold("fleet", |cache_path| {
-            let config = FleetConfig::from_knobs(&knobs, 2, Scenario::Poisson);
-            fleet_simulate(&FleetConfig { cache_path, ..config }, &mix)
+            let mut config = FleetConfig::from_knobs(&knobs, 2, Scenario::Poisson);
+            config.core.cache_path = cache_path;
+            fleet_simulate(&config, &mix)
         });
     }
 

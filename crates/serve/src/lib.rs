@@ -61,8 +61,8 @@
 //! The general machine is the **fleet** — N platform shards behind a
 //! signature-affine router, each time-sharing its mapper across many live
 //! searches. One crate-private shard core (route → plan → step → complete →
-//! publish → persist) runs under both drivers, the virtual-clock [`fleet`]
-//! loop and the wall-clock [`engine`]:
+//! publish → persist), configured by one [`ShardConfig`], runs under both
+//! drivers, the virtual-clock [`fleet`] loop and the wall-clock [`engine`]:
 //!
 //! * [`router`] — sticky signature-affinity placement with
 //!   least-loaded/lowest-index fallback.
@@ -141,6 +141,6 @@ pub use metrics::{LatencyStats, ServeMetrics};
 pub use report::{run_custom_scenario, run_standard_scenarios, ServeReport, SCHEMA};
 pub use router::{RouterStats, ShardRouter};
 pub use scheduler::{SchedStats, SchedulerConfig, SessionScheduler};
-pub use shards::shard_cache_file;
+pub use shards::{shard_cache_file, ShardConfig};
 pub use sweep::{run_cache_sweep, run_cache_sweep_custom, CacheSweepReport, CACHE_SCHEMA};
 pub use trace::{generate_trace, Arrival, Scenario, TraceParams};

@@ -45,8 +45,8 @@ use rand::rngs::StdRng;
 /// a division guard.
 const MIN_HEADROOM_SEC: f64 = 1e-12;
 
-/// Tuning of one shard's scheduler (derived from the fleet knobs by the
-/// fleet loop).
+/// Tuning of one shard's scheduler (derived from the fleet knobs by
+/// [`ShardConfig::from_knobs`](crate::ShardConfig::from_knobs)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
     /// Selection + slicing policy.

@@ -10,6 +10,12 @@
 //! [`crate::fleet::fleet_simulate`] its virtual-time event order, admission
 //! gate and per-shard mapper clocks, [`crate::engine::ServeEngine`] its
 //! wall-clock API (tokens, admission control, timeouts, cancel, drain).
+//!
+//! The core is configured once: a [`ShardConfig`] — platforms, dispatch
+//! budgets, shared tier, persistence path and scheduler — built from the
+//! knob nest by [`ShardConfig::from_knobs`], is one field of both drivers'
+//! configs ([`FleetConfig::core`](crate::fleet::FleetConfig::core),
+//! [`EngineConfig::core`](crate::engine::EngineConfig::core)).
 
 use crate::batcher::DispatchGroup;
 use crate::cache::{quantize_signatures, CacheStats, MappingCache, SharedCache};
@@ -20,7 +26,8 @@ use crate::scheduler::{LiveSession, SchedStats, SchedStep, SchedulerConfig, Sess
 use crate::trace::Arrival;
 use magma_m3e::{M3e, Objective};
 use magma_model::{Group, JobId, JobSignature, TenantMix};
-use magma_platform::AcceleratorPlatform;
+use magma_platform::settings::FleetKnobs;
+use magma_platform::{AcceleratorPlatform, PlatformSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
@@ -28,6 +35,64 @@ use std::path::{Path, PathBuf};
 /// Seed stride decorrelating per-admission search RNG streams (the 64-bit
 /// golden ratio, as used by splitmix-style generators).
 const K_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Virtual mapper cost charged per evaluated search sample: 1 µs. No
+/// scenario, test or figure varies it; the fleet's `mapper_pressure`
+/// re-derives its own.
+const OVERHEAD_SEC_PER_SAMPLE: f64 = 1e-6;
+
+/// The shard core's parameters: what the crate's shard set is built from,
+/// and the one field both drivers' configs carry
+/// ([`FleetConfig::core`](crate::fleet::FleetConfig::core),
+/// [`EngineConfig::core`](crate::engine::EngineConfig::core)).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardConfig {
+    /// One platform spec per shard (shard count = length; the knobs'
+    /// settings list cycled — Table III settings or a registry scenario's
+    /// custom platform). Shard 0 is the fleet's load-calibration reference.
+    pub shard_settings: Vec<PlatformSpec>,
+    /// Search budgets and cache geometry (per shard).
+    pub dispatch: DispatchConfig,
+    /// Entries in the fleet-wide shared cache tier; `0` disables the tier
+    /// (shard misses go straight to a cold search).
+    pub shared_cache_capacity: usize,
+    /// Per-tenant entry quota over the shared tier; `0` means unlimited.
+    pub shared_tenant_quota: usize,
+    /// Mapping-cache persistence base path: each shard loads/saves
+    /// `<path>.shard<i>` ([`shard_cache_file`]). `None` keeps caches
+    /// in-memory.
+    pub cache_path: Option<PathBuf>,
+    /// Every shard's scheduler: policy, live-session capacity, slices,
+    /// value-preemption margin and the mapper's cost per sample.
+    pub scheduler: SchedulerConfig,
+}
+
+impl ShardConfig {
+    /// The shard core the fleet knobs describe, on `shards` shards (cycling
+    /// the settings list).
+    pub fn from_knobs(knobs: &FleetKnobs, shards: usize) -> Self {
+        ShardConfig {
+            shard_settings: knobs.shard_specs(shards),
+            dispatch: DispatchConfig::from_knobs(&knobs.serve),
+            shared_cache_capacity: knobs.shared_cache_capacity,
+            shared_tenant_quota: knobs.shared_tenant_quota,
+            cache_path: knobs.serve.cache_path.as_ref().map(PathBuf::from),
+            scheduler: SchedulerConfig {
+                policy: knobs.policy,
+                max_live: knobs.max_live,
+                base_slice: knobs.serve.search_slice,
+                min_slice: knobs.min_slice,
+                preempt_margin: knobs.preempt_margin,
+                overhead_sec_per_sample: OVERHEAD_SEC_PER_SAMPLE,
+            },
+        }
+    }
+
+    /// Number of shards (the settings list's length).
+    pub fn shards(&self) -> usize {
+        self.shard_settings.len()
+    }
+}
 
 /// The per-shard persistence file a `MAGMA_SERVE_CACHE_PATH` base path
 /// expands to: `<base>.shard<i>`, for every driver.
@@ -90,23 +155,16 @@ pub(crate) struct ShardSet {
 }
 
 impl ShardSet {
-    /// Builds one shard per platform. With a `cache_path`, each shard
+    /// Builds one shard per platform spec. With a `cache_path`, each shard
     /// warm-restarts from `<cache_path>.shard<i>`: a missing file is the
     /// normal first run; an unreadable one (truncated, not JSON) is reported
     /// and that shard comes up cold — a serving fleet must come up cold
     /// rather than not at all.
-    pub(crate) fn new(
-        platforms: Vec<AcceleratorPlatform>,
-        dispatch: DispatchConfig,
-        shared_cache_capacity: usize,
-        shared_tenant_quota: usize,
-        cache_path: Option<PathBuf>,
-        sched: SchedulerConfig,
-        seed: u64,
-    ) -> Self {
-        let shards = platforms.len();
+    pub(crate) fn new(config: &ShardConfig, seed: u64) -> Self {
+        let shards = config.shards();
+        let dispatch = config.dispatch;
         let mut services: Vec<_> = (0..shards).map(|_| MappingService::new(dispatch)).collect();
-        if let Some(base) = &cache_path {
+        if let Some(base) = &config.cache_path {
             for (i, service) in services.iter_mut().enumerate() {
                 let file = shard_cache_file(base, i);
                 if file.exists() {
@@ -120,17 +178,18 @@ impl ShardSet {
             }
         }
         ShardSet {
-            platforms,
+            platforms: config.shard_settings.iter().map(|s| s.build()).collect(),
             services,
-            shared: (shared_cache_capacity > 0)
-                .then(|| SharedCache::new(shared_cache_capacity, shared_tenant_quota)),
-            scheds: (0..shards).map(|_| SessionScheduler::new(sched)).collect(),
+            shared: (config.shared_cache_capacity > 0).then(|| {
+                SharedCache::new(config.shared_cache_capacity, config.shared_tenant_quota)
+            }),
+            scheds: (0..shards).map(|_| SessionScheduler::new(config.scheduler)).collect(),
             router: ShardRouter::new(shards),
             accel_free: vec![0.0; shards],
             admitted: 0,
             quant_step: dispatch.quant_step,
-            overhead_sec_per_sample: sched.overhead_sec_per_sample,
-            cache_path,
+            overhead_sec_per_sample: config.scheduler.overhead_sec_per_sample,
+            cache_path: config.cache_path.clone(),
             seed,
             tenant_ids: Vec::new(),
         }
@@ -370,25 +429,20 @@ pub(crate) mod tests {
     #[test]
     fn affinity_pins_are_bounded_by_cache_capacity_and_live_sessions() {
         const CAPACITY: usize = 3;
-        let knobs = FleetKnobs::smoke();
-        let platforms: Vec<_> = knobs.shard_specs(2).iter().map(|s| s.build()).collect();
-        let sched = SchedulerConfig {
-            policy: FleetPolicy::Uniform,
-            max_live: 2,
-            base_slice: 4,
-            min_slice: 4,
-            preempt_margin: 0.0,
-            overhead_sec_per_sample: 1e-6,
+        let config = ShardConfig {
+            dispatch: DispatchConfig::new(8, 2, 1.0, CAPACITY),
+            shared_cache_capacity: 0,
+            scheduler: SchedulerConfig {
+                policy: FleetPolicy::Uniform,
+                max_live: 2,
+                base_slice: 4,
+                min_slice: 4,
+                preempt_margin: 0.0,
+                overhead_sec_per_sample: 1e-6,
+            },
+            ..ShardConfig::from_knobs(&FleetKnobs::smoke(), 2)
         };
-        let mut set = ShardSet::new(
-            platforms,
-            DispatchConfig::new(8, 2, 1.0, CAPACITY),
-            0,
-            0,
-            None,
-            sched,
-            7,
-        );
+        let mut set = ShardSet::new(&config, 7);
         let mix = TenantMix::synthetic(2, 0);
         // 40 groups that differ in size or, by at least a factor of four,
         // in their jobs' width: 40 distinct keys at a quantization step of

@@ -17,7 +17,7 @@ mod tests {
     use crate::fleet::{fleet_simulate as simulate, FleetConfig, FleetResult};
     use crate::trace::Scenario;
     use magma_model::{TaskType, TenantMix};
-    use magma_platform::settings::ServeKnobs;
+    use magma_platform::settings::{FleetPolicy, ServeKnobs};
     use magma_platform::Setting;
 
     fn tiny_knobs(seed: u64) -> ServeKnobs {
@@ -130,14 +130,21 @@ mod tests {
     fn from_knobs_mirrors_the_knob_family() {
         let knobs = ServeKnobs::smoke();
         let config = FleetConfig::single_queue(&knobs, Setting::S2.into(), Scenario::Bursty);
-        assert_eq!(config.shards(), 1);
+        // The degenerate core: one shard, one search at a time, round-robin,
+        // no shared tier, no value preemption.
+        let core = &config.core;
+        assert_eq!(core.shards(), 1);
+        assert_eq!(core.scheduler.policy, FleetPolicy::Uniform);
+        assert_eq!(core.scheduler.max_live, 1);
+        assert_eq!(core.shared_cache_capacity, 0);
+        assert_eq!(core.scheduler.preempt_margin, 0.0);
         assert_eq!(config.requests, knobs.requests);
         assert_eq!(config.offered_load, knobs.offered_load);
         assert_eq!(config.group_target, knobs.group_target);
-        assert_eq!(config.dispatch.cold_budget, knobs.cold_budget);
-        assert_eq!(config.dispatch.refine_budget, knobs.refine_budget);
+        assert_eq!(core.dispatch.cold_budget, knobs.cold_budget);
+        assert_eq!(core.dispatch.refine_budget, knobs.refine_budget);
         assert_eq!(config.scenario, Scenario::Bursty);
-        assert_eq!(config.dispatch.cache_epsilon, knobs.cache_epsilon);
+        assert_eq!(core.dispatch.cache_epsilon, knobs.cache_epsilon);
     }
 
     #[test]
@@ -165,7 +172,7 @@ mod tests {
         let mut config = tiny_config(Scenario::Poisson, 2);
         config.requests = 64;
         let exact = simulate(&config, &mix);
-        config.dispatch = config.dispatch.with_cache_epsilon(3.0);
+        config.core.dispatch = config.core.dispatch.with_cache_epsilon(3.0);
         let near = simulate(&config, &mix);
         assert_eq!(exact.metrics.cache.near_hits, 0);
         assert!(

@@ -147,13 +147,13 @@ fn deadline_preemption_fires_and_preempted_groups_still_complete() {
     config.requests = 240;
     config.offered_load = knobs.offered_load * 1.5;
     config.sla_x = knobs.serve.sla_x / 3.0;
-    config.policy = FleetPolicy::Deadline;
+    config.core.scheduler.policy = FleetPolicy::Deadline;
     config.mapper_pressure = 1.5;
     // This test pins the preemption path, which needs a cold-search-
     // dominated mapper: the shared tier and the nearest-key probe turn most
     // searches into cheap refinements at this scale, so switch them off.
-    config.shared_cache_capacity = 0;
-    config.dispatch.cache_epsilon = 0.0;
+    config.core.shared_cache_capacity = 0;
+    config.core.dispatch.cache_epsilon = 0.0;
     let mix = TenantMix::synthetic(knobs.tenants, 0);
     let result = with_threads(2, || fleet_simulate(&config, &mix));
     assert!(
@@ -186,7 +186,7 @@ fn past_deadline_admissions_degrade_gracefully() {
     // heavily oversubscribed — late admissions are unavoidable.
     config.offered_load = knobs.offered_load * 2.0;
     config.sla_x = knobs.serve.sla_x / 20.0;
-    config.policy = FleetPolicy::Deadline;
+    config.core.scheduler.policy = FleetPolicy::Deadline;
     config.mapper_pressure = 3.0;
     let mix = TenantMix::synthetic(knobs.tenants, 0);
     let result = fleet_simulate(&config, &mix);
@@ -220,7 +220,7 @@ fn a_persisted_fleet_cache_restart_is_warm_and_thread_invariant() {
         let _ = std::fs::remove_file(shard_file(&seed_base, i));
     }
     let mut config = FleetConfig::from_knobs(&knobs, shards, Scenario::Poisson);
-    config.cache_path = Some(seed_base.clone());
+    config.core.cache_path = Some(seed_base.clone());
     let cold = with_threads(2, || fleet_simulate(&config, &mix));
     let warm_run = |name: &str, threads: usize| {
         let base = dir.join(format!("{tag}_{name}"));
@@ -229,7 +229,7 @@ fn a_persisted_fleet_cache_restart_is_warm_and_thread_invariant() {
                 .expect("the persisted shard caches copy");
         }
         let mut warm_config = config.clone();
-        warm_config.cache_path = Some(base.clone());
+        warm_config.core.cache_path = Some(base.clone());
         let result = with_threads(threads, || fleet_simulate(&warm_config, &mix));
         for i in 0..shards {
             let _ = std::fs::remove_file(shard_file(&base, i));

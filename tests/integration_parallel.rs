@@ -45,8 +45,8 @@ fn assert_identical(name: &str, serial: &SearchOutcome, parallel: &SearchOutcome
         "{name}: per-sample fitness sequence differs"
     );
     assert_eq!(
-        bits(serial.history.best_curve()),
-        bits(parallel.history.best_curve()),
+        bits(&serial.history.best_curve()),
+        bits(&parallel.history.best_curve()),
         "{name}: convergence curve differs"
     );
 }

@@ -387,7 +387,7 @@ fn drain_completes_in_flight_groups_first_and_persists_shard_caches() {
     let mut knobs = tiny_knobs();
     knobs.fleet.serve.cold_budget = 800;
     let mut config = EngineConfig::from_knobs(&knobs);
-    config.cache_path = Some(cache_base.clone());
+    config.core.cache_path = Some(cache_base.clone());
     let mix = TenantMix::synthetic(2, 0);
     let server = Server::start("127.0.0.1:0", MAX_FRAME, config, mix).expect("daemon starts");
     let addr = server.addr().to_string();

@@ -209,10 +209,13 @@ fn a_persisted_cache_restart_is_warm_and_thread_invariant() {
     let seed_file = shard_cache_file(&seed_path, 0);
     let _ = std::fs::remove_file(&seed_file);
     let base = FleetConfig::single_queue(&knobs, Setting::S2.into(), Scenario::Poisson);
+    let persisting_at = |path: &std::path::Path| {
+        let mut config = base.clone();
+        config.core.cache_path = Some(path.to_path_buf());
+        config
+    };
     // First run: starts cold, persists its cache on exit.
-    let cold = with_threads(2, || {
-        fleet_simulate(&FleetConfig { cache_path: Some(seed_path.clone()), ..base.clone() }, &mix)
-    });
+    let cold = with_threads(2, || fleet_simulate(&persisting_at(&seed_path), &mix));
     // Every restart loads its own copy of the persisted file — a run
     // overwrites its cache file on exit, so copies keep the restarts
     // independent and comparable.
@@ -220,9 +223,7 @@ fn a_persisted_cache_restart_is_warm_and_thread_invariant() {
         let path = dir.join(format!("magma_serve_cache_{tag}_{}", std::process::id()));
         let copy = shard_cache_file(&path, 0);
         std::fs::copy(&seed_file, &copy).expect("the persisted cache copies");
-        let result = with_threads(threads, || {
-            fleet_simulate(&FleetConfig { cache_path: Some(path.clone()), ..base.clone() }, &mix)
-        });
+        let result = with_threads(threads, || fleet_simulate(&persisting_at(&path), &mix));
         let _ = std::fs::remove_file(copy);
         result
     };

@@ -63,8 +63,8 @@ fn assert_identical(
         "{tag}: per-sample fitness sequence differs"
     );
     assert_eq!(
-        bits(a.history.best_curve()),
-        bits(b.history.best_curve()),
+        bits(&a.history.best_curve()),
+        bits(&b.history.best_curve()),
         "{tag}: convergence curve differs"
     );
 }
