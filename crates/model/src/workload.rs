@@ -49,11 +49,6 @@ impl WorkloadSpec {
         self.num_jobs
     }
 
-    /// The mini-batch size per job.
-    pub fn mini_batch(&self) -> usize {
-        self.mini_batch
-    }
-
     /// Generates the job pool.
     ///
     /// Jobs are produced by round-robining over the task's models with a
@@ -193,7 +188,7 @@ mod tests {
     #[test]
     fn mini_batch_is_propagated() {
         let spec = WorkloadSpec::new(TaskType::Vision, 10);
-        assert!(spec.build_jobs().iter().all(|j| j.batch() == spec.mini_batch()));
+        assert!(spec.build_jobs().iter().all(|j| j.batch() == DEFAULT_MINI_BATCH));
     }
 
     #[test]

@@ -1,47 +1,48 @@
-//! The serving daemon: a threaded TCP front-end over
-//! [`magma_serve::ServeEngine`].
+//! The serving daemon: a TCP front-end over [`magma_serve::ServeEngine`],
+//! served by one thread.
 //!
-//! Thread layout — every thread blocks on the one thing it waits for, none
-//! wakes on a timer:
+//! Layout — one reactor thread owns the engine, the listener and every
+//! socket, all non-blocking, and waits in `poll(2)` for whichever comes
+//! first: a connection, a request, a socket that takes output again, or the
+//! engine's next deadline. Nothing wakes on a timer:
 //!
 //! ```text
-//!   accept thread ──▶ per-connection reader threads ──▶ command channel
-//!   (blocking accept)   (blocking read, envelope scan)     (bounded)
-//!                                                             ▼
-//!                                        engine thread (owns ServeEngine,
-//!                                        wall clock = Instant::elapsed)
-//!                                                             │ try_send
-//!                                                             ▼
-//!                                       per-connection bounded outboxes
-//!                                                             │
-//!                                                             ▼
-//!                                       per-connection writer threads
-//!                                       (blocking recv, blocking write)
+//!   listener ─┐                ┌─────────── reactor thread ────────────┐
+//!   conn 0 ───┼──▶ poll(2) ──▶ │ 1. accept what is pending             │
+//!   conn 1 ───┤    timeout =   │ 2. read each readable socket once     │
+//!   conn … ───┘    next_wake   │ 3. apply the requests it completed    │
+//!       ▲                      │ 4. poll the engine, charge, deliver   │
+//!       └──── write ◀───────── │ 5. write what each socket takes       │
+//!                              └───────────────────────────────────────┘
 //! ```
 //!
-//! The engine thread is the only place serving state lives: readers turn
-//! frames into commands, the engine thread applies them against the wall
-//! clock (`submit`/`cancel`/`drain`/`stats`) and polls the engine for
-//! completions. A reader parses only a request's [`Envelope`] — id, verb,
-//! tenant, target — and checks that the jobs are well-formed JSON; the engine
-//! thread decides `busy` on that alone and decodes the jobs of the submits it
-//! admits, so refusing a group costs a scan of its frame. The command channel
-//! is bounded: a reader that cannot enqueue stops reading, and a client that
-//! sends faster than the engine thread applies is held back by TCP. It is
-//! **work-conserving**: how long it waits for the next
-//! command is the engine's own answer ([`ServeEngine::next_wake`]):
+//! Every request is applied against the wall clock
+//! (`submit`/`cancel`/`drain`/`stats`) where it is read: a connection's
+//! bytes go through a `FrameReader`. While the admission pace (below)
+//! would bounce a submit, a request is parsed only as far as its
+//! [`Envelope`] — id, verb, tenant, target — with the jobs checked to be
+//! well-formed JSON; `busy` is decided on that alone, so refusing a group
+//! costs a scan of its frame. While the pace would let one in, the jobs are
+//! built in the same pass (`Envelope::decode_building`) rather than walked
+//! twice. The reader buffers at most one frame: a client that sends faster
+//! than its requests are applied is held back by TCP. The loop is
+//! **work-conserving**: how long `poll` may wait is the engine's own answer
+//! ([`ServeEngine::next_wake`]):
 //!
-//! * [`Wake::Now`] — searches are live or a group is ready to cut: take
-//!   whatever commands are already queued (`try_recv`) and poll again, back
-//!   to back. Commands are still applied between every two polls, so a
-//!   `cancel`, `stats` or `drain` waits for at most one scheduler slice.
+//! * [`Wake::Now`] — searches are live or a group is ready to cut: poll
+//!   again, back to back, and look at the sockets without waiting once
+//!   50 µs have passed since the last look. A look is a system call: one
+//!   after each of a never-seen group's ≈ 116 slices cost it ≈ 40 µs of
+//!   CPU. A `cancel`, `stats` or `drain` still waits for at most 50 µs and
+//!   one scheduler slice.
 //! * [`Wake::At`] — only a partial group is waiting out its admission
-//!   deadline: block for a command until exactly that time.
-//! * [`Wake::Idle`] — nothing queued, nothing live: block until a command
-//!   arrives. An idle daemon uses no CPU.
+//!   deadline: wait for a socket until that time, rounded up to the next
+//!   millisecond so the deadline never fires early.
+//! * [`Wake::Idle`] — nothing queued, nothing live: wait until a socket is
+//!   ready. An idle daemon uses no CPU.
 //!
 //! Work-conserving is about what was admitted; *how much* is admitted is
-//! paced. The engine thread charges the mapper work it does (groups cut,
+//! paced. The reactor charges the mapper work the engine does (groups cut,
 //! samples evaluated) against a budget of one provisioned mapper-second per
 //! wall-clock second, and while the charges run ahead of the clock — more
 //! than a quarter-second burst ahead of an idle daemon's — a submit is
@@ -52,54 +53,52 @@
 //! throughput on every host and in every run instead of the host's CPU speed
 //! of the minute (see `Pace`).
 //!
-//! The engine thread never writes to a socket. Responses go through each
-//! connection's bounded outbox to its writer thread; a peer that stops
-//! reading fills its own outbox and loses its connection (as does one that
-//! accepts no byte for five seconds) — every other tenant is served on.
-//! When a connection goes away, for whatever reason, the submits it still
-//! has open are cancelled: nobody is left to read their answers.
+//! The reactor never blocks on a socket. Answers queue in their
+//! connection's output buffer and go out as far as the socket takes them; a
+//! peer that stops reading leaves them there and loses its connection once
+//! more than `OUTBOX_FRAMES` are waiting, or once it has accepted no byte
+//! for five seconds — every other tenant is served on. When a connection
+//! goes away, for whatever reason, the submits it still has open are
+//! cancelled: nobody is left to read their answers.
 //!
-//! A `drain` command finishes every live session, persists shard caches,
-//! answers with the final stats and shuts the whole daemon down: the
-//! outboxes are flushed and the writers joined, a self-connect wakes the
-//! accept thread, and [`Server::join`] returns the final stats.
+//! A `drain` request finishes every live session, persists shard caches,
+//! answers with the final stats and shuts the whole daemon down: no request
+//! is read after it, every connection's output is written out (a stalled
+//! peer is given up after the same five seconds) and closed, and
+//! [`Server::join`] returns the final stats.
 
-use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use magma_model::TenantMix;
+use magma_model::{Job, TenantMix};
 use magma_serve::{
     Admission, EngineConfig, EngineStats, JobCompletion, MapperWork, ServeEngine, Wake,
 };
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{write_frame, FrameReader};
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::proto::{
     decode_jobs, encode, Envelope, ResponseMsg, KIND_ACCEPTED, KIND_BUSY, KIND_CANCELLED,
     KIND_DONE, KIND_DRAINED, KIND_STATS, VERB_CANCEL, VERB_DRAIN, VERB_STATS, VERB_SUBMIT,
 };
 
-/// Responses a connection may have queued for its writer thread. The socket
-/// buffers sit behind the outbox, so it only fills once the peer is already
-/// megabytes behind; the bound is generous because the engine thread can
-/// answer a whole batch of pipelined requests before the writer runs at all.
+/// Answers a connection may have waiting behind its socket's buffers. They
+/// only pile up once the peer is already megabytes behind; the bound is
+/// generous because one read can complete a whole batch of pipelined
+/// requests, all answered before the next write.
 const OUTBOX_FRAMES: usize = 1024;
 
-/// Commands the readers may have queued for the engine thread, which takes
-/// all of them between every two scheduler slices. Each holds at most one
-/// frame, so this bounds what unapplied requests can pin in memory; a reader
-/// that finds the queue full blocks, and its peer meets TCP backpressure.
-const CMD_QUEUE: usize = 256;
-
-/// How long a writer thread waits for a peer to accept a byte before it
-/// gives the connection up. Also bounds how long a stalled peer can hold up
-/// the daemon's exit after a drain.
+/// How long a connection with output waiting may accept no byte before it
+/// is given up. Also bounds how long a stalled peer can hold up the daemon's
+/// exit after a drain.
 const WRITE_STALL: Duration = Duration::from_secs(5);
+
+/// How long the engine may work, while it has work due now, before the
+/// sockets are looked at again (see the module docs).
+const LOOK_EVERY_SEC: f64 = 50e-6;
 
 /// The admission pace's price list, in seconds of mapper budget per search
 /// sample the engine evaluated and per group it cut. Two rules fix the two
@@ -139,7 +138,7 @@ const PACE_MIN_RETRY_SEC: f64 = 1e-3;
 /// Work the engine has done is charged at the price list above; while the
 /// charges run ahead of the wall clock, submits are answered `busy` with
 /// the time the budget needs to catch up. An unsaturated daemon never
-/// notices, and the engine thread stays work-conserving — what is admitted
+/// notices, and the reactor stays work-conserving — what is admitted
 /// is searched back to back. A client that saturates the daemon, though, is
 /// admitted at the same rate on every host and in every run (≈ 260 never-seen
 /// 30-job groups a second, ≈ 350 cached ones) instead of at whatever the
@@ -176,41 +175,6 @@ impl Pace {
     }
 }
 
-/// Commands flowing from the accept and reader threads to the engine thread.
-enum Cmd {
-    /// A connection opened; carries the engine thread's end of it.
-    Connect { conn: u64, link: Link },
-    /// A request from `conn`, its jobs not decoded yet.
-    Request { conn: u64, msg: Envelope },
-    /// A frame that failed to decode: the connection is dropped.
-    Malformed { conn: u64, reason: String },
-    /// The connection closed or errored.
-    Gone { conn: u64 },
-}
-
-/// The engine thread's end of one connection.
-struct Link {
-    /// Encoded responses on their way to the writer thread.
-    outbox: SyncSender<Vec<u8>>,
-    /// The socket, to shut it down under a writer blocked on a stalled peer.
-    stream: Arc<TcpStream>,
-    writer: JoinHandle<()>,
-}
-
-impl Link {
-    /// Hangs up the outbox: the writer flushes what is queued, shuts the
-    /// socket down and exits. Returns its handle to join.
-    fn hang_up(self) -> JoinHandle<()> {
-        self.writer
-    }
-
-    /// Drops the connection now: whatever is still queued is lost.
-    fn close(self) {
-        let _ = self.stream.shutdown(Shutdown::Both);
-        self.hang_up().join().expect("writer thread panicked");
-    }
-}
-
 /// An accepted submit the engine is still executing.
 struct Book {
     conn: u64,
@@ -226,13 +190,13 @@ struct Book {
 /// [`Server::join`].
 pub struct Server {
     addr: SocketAddr,
-    engine_thread: JoinHandle<EngineStats>,
-    accept_thread: JoinHandle<()>,
+    reactor: JoinHandle<EngineStats>,
 }
 
 impl Server {
-    /// Binds `addr` (use port 0 for an ephemeral port), spins up the
-    /// accept and engine threads and returns immediately.
+    /// Binds `addr` (use port 0 for an ephemeral port), spawns the reactor
+    /// thread — the daemon's only one, however many connections it serves —
+    /// and returns immediately.
     pub fn start(
         addr: &str,
         max_frame_bytes: usize,
@@ -240,33 +204,12 @@ impl Server {
         mix: TenantMix,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
         let bound = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::sync_channel::<Cmd>(CMD_QUEUE);
-
-        let accept_thread = {
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || accept_loop(listener, tx, shutdown, max_frame_bytes))
-        };
-        let engine_thread = std::thread::spawn(move || {
-            let stats = Serving::new(ServeEngine::new(config, mix)).run(&rx);
-            // Wake the accept thread out of its blocking `accept`; it sees
-            // the flag, stops accepting and joins its readers.
-            shutdown.store(true, Ordering::SeqCst);
-            match TcpStream::connect(bound) {
-                // Connections that raced the shutdown have a reader waiting
-                // on a socket nobody serves: close them until the accept
-                // thread and every reader have hung up.
-                Ok(_) => rx.iter().for_each(|cmd| {
-                    if let Cmd::Connect { link, .. } = cmd {
-                        link.close();
-                    }
-                }),
-                Err(e) => eprintln!("magma-server: cannot wake the accept thread: {e}"),
-            }
-            stats
+        let reactor = std::thread::spawn(move || {
+            Serving::new(ServeEngine::new(config, mix), listener, max_frame_bytes).run()
         });
-        Ok(Server { addr: bound, engine_thread, accept_thread })
+        Ok(Server { addr: bound, reactor })
     }
 
     /// The address the daemon actually bound (resolves ephemeral ports).
@@ -277,90 +220,62 @@ impl Server {
     /// Blocks until a drain shuts the daemon down; returns the engine's
     /// final counters.
     pub fn join(self) -> EngineStats {
-        let stats = self.engine_thread.join().expect("engine thread panicked");
-        self.accept_thread.join().expect("accept thread panicked");
-        stats
+        self.reactor.join().expect("reactor thread panicked")
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    tx: SyncSender<Cmd>,
-    shutdown: Arc<AtomicBool>,
-    max_frame_bytes: usize,
-) {
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    for conn in 0u64.. {
-        let Ok((stream, _peer)) = listener.accept() else { break };
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(WRITE_STALL));
-        let stream = Arc::new(stream);
-        let (outbox, frames) = mpsc::sync_channel(OUTBOX_FRAMES);
-        let writer = {
-            let stream = Arc::clone(&stream);
-            std::thread::spawn(move || writer_loop(&stream, frames, max_frame_bytes))
-        };
-        let link = Link { outbox, stream: Arc::clone(&stream), writer };
-        if let Err(mpsc::SendError(cmd)) = tx.send(Cmd::Connect { conn, link }) {
-            if let Cmd::Connect { link, .. } = cmd {
-                link.close();
-            }
-            break;
-        }
-        let tx = tx.clone();
-        readers.push(std::thread::spawn(move || reader_loop(conn, &stream, tx, max_frame_bytes)));
-    }
-    for reader in readers {
-        let _ = reader.join();
-    }
+/// One client connection.
+struct Conn {
+    stream: TcpStream,
+    input: FrameReader,
+    /// Encoded frames the socket has not taken yet.
+    output: Vec<u8>,
+    /// Where each frame in `output` ends: the answers waiting.
+    frame_ends: VecDeque<usize>,
+    /// When the peer last accepted a byte, or when output began to wait.
+    progress: Instant,
 }
 
-fn reader_loop(conn: u64, stream: &TcpStream, tx: SyncSender<Cmd>, max_frame_bytes: usize) {
-    let mut r = BufReader::new(stream);
-    loop {
-        match read_frame(&mut r, max_frame_bytes) {
-            Ok(Some(payload)) => match Envelope::decode(&payload) {
-                Ok(msg) => {
-                    if tx.send(Cmd::Request { conn, msg }).is_err() {
-                        return;
-                    }
-                }
-                Err(reason) => {
-                    let _ = tx.send(Cmd::Malformed { conn, reason });
-                    return;
-                }
-            },
-            Ok(None) | Err(_) => {
-                let _ = tx.send(Cmd::Gone { conn });
-                return;
+impl Conn {
+    /// Writes as much of the output as the socket takes without blocking.
+    fn flush(&mut self, now: Instant) -> io::Result<()> {
+        let mut written = 0;
+        while written < self.output.len() {
+            match (&self.stream).write(&self.output[written..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => written += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
-    }
-}
-
-/// Writes a connection's queued responses in order until the engine thread
-/// hangs up the outbox or a write fails, then shuts the socket down — which
-/// is also what tells the connection's reader (and through it the engine
-/// thread) that the connection is gone.
-fn writer_loop(stream: &TcpStream, frames: Receiver<Vec<u8>>, max_frame_bytes: usize) {
-    let mut w = BufWriter::new(stream);
-    for payload in frames {
-        if write_frame(&mut w, &payload, max_frame_bytes).is_err() {
-            break;
+        if written > 0 {
+            self.progress = now;
+            self.output.drain(..written);
+            while self.frame_ends.front().is_some_and(|&end| end <= written) {
+                self.frame_ends.pop_front();
+            }
+            self.frame_ends.iter_mut().for_each(|end| *end -= written);
         }
+        Ok(())
     }
-    let _ = stream.shutdown(Shutdown::Both);
+
+    /// Until when a peer with output waiting may go on accepting no byte.
+    fn stall_deadline(&self) -> Option<Instant> {
+        (!self.output.is_empty()).then(|| self.progress + WRITE_STALL)
+    }
 }
 
-/// Everything the engine thread owns.
+/// Everything the reactor thread owns.
 struct Serving {
     engine: ServeEngine,
     /// Origin of the engine's `now_sec` domain.
     start: Instant,
-    conns: HashMap<u64, Link>,
+    listener: TcpListener,
+    max_frame_bytes: usize,
+    /// By accept order, which is the order they are read in.
+    conns: BTreeMap<u64, Conn>,
+    next_conn: u64,
     /// Engine tokens are daemon-assigned; books map them back to the
     /// originating (connection, request id) pair.
     next_token: u64,
@@ -372,11 +287,14 @@ struct Serving {
 }
 
 impl Serving {
-    fn new(engine: ServeEngine) -> Self {
+    fn new(engine: ServeEngine, listener: TcpListener, max_frame_bytes: usize) -> Self {
         Serving {
             engine,
             start: Instant::now(),
-            conns: HashMap::new(),
+            listener,
+            max_frame_bytes,
+            conns: BTreeMap::new(),
+            next_conn: 0,
             next_token: 0,
             books: HashMap::new(),
             submit_index: HashMap::new(),
@@ -396,168 +314,249 @@ impl Serving {
         self.start.elapsed().as_secs_f64()
     }
 
-    /// The engine thread body: waits for commands as long as the engine
-    /// says it can (see the module docs), applies them against the wall
-    /// clock and delivers completions; on drain finishes everything,
-    /// flushes every connection and returns the final counters.
-    fn run(mut self, rx: &Receiver<Cmd>) -> EngineStats {
+    /// The reactor thread body: waits in `poll` as long as the engine says
+    /// it can (see the module docs), applies the requests it reads against
+    /// the wall clock and delivers completions; on drain finishes
+    /// everything, flushes every connection and returns the final counters.
+    fn run(mut self) -> EngineStats {
+        let mut fds = Vec::new();
+        let mut ids = Vec::new();
+        let mut looked = f64::NEG_INFINITY;
         'serve: loop {
             let now = self.now();
-            let first = match self.engine.next_wake(now) {
-                Wake::Now => match rx.try_recv() {
-                    Ok(cmd) => Some(cmd),
-                    Err(TryRecvError::Empty) => None,
-                    Err(TryRecvError::Disconnected) => break 'serve,
-                },
+            let engine_wait = match self.engine.next_wake(now) {
+                Wake::Now => Some(Duration::ZERO),
+                // Out of `Duration`'s range means "longer than anyone waits".
                 Wake::At(due) => {
-                    // Out of `Duration`'s range means "longer than anyone waits".
-                    let wait =
-                        Duration::try_from_secs_f64((due - now).max(0.0)).unwrap_or(Duration::MAX);
-                    match rx.recv_timeout(wait) {
-                        Ok(cmd) => Some(cmd),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => break 'serve,
-                    }
+                    Some(Duration::try_from_secs_f64((due - now).max(0.0)).unwrap_or(Duration::MAX))
                 }
-                Wake::Idle => match rx.recv() {
-                    Ok(cmd) => Some(cmd),
-                    Err(mpsc::RecvError) => break 'serve,
-                },
+                Wake::Idle => None,
             };
-            for cmd in first.into_iter().chain(rx.try_iter()) {
-                if self.apply(cmd) {
-                    break 'serve;
+            if engine_wait != Some(Duration::ZERO) || now - looked >= LOOK_EVERY_SEC {
+                fds.clear();
+                ids.clear();
+                fds.push(PollFd::new(&self.listener, POLLIN));
+                for (&id, conn) in &self.conns {
+                    let events = if conn.output.is_empty() { POLLIN } else { POLLIN | POLLOUT };
+                    fds.push(PollFd::new(&conn.stream, events));
+                    ids.push(id);
+                }
+                let timeout = [engine_wait, self.stall_wait()].into_iter().flatten().min();
+                poll::wait(&mut fds, timeout).expect("poll(2) on the daemon's own sockets");
+                looked = self.now();
+
+                if fds[0].readable() {
+                    self.accept();
+                }
+                for (fd, &id) in fds[1..].iter().zip(&ids) {
+                    if fd.readable() && self.read(id) {
+                        break 'serve;
+                    }
                 }
             }
             let completions = self.engine.poll(self.now());
             self.pace.charge(self.now(), self.engine.mapper_work());
             self.deliver(completions);
+            self.flush_all();
         }
 
-        // Hang up every outbox before joining any writer, so the `drained`
-        // frame (and every `done` before it) is on the wire when this
-        // returns and stalled peers time out side by side.
-        let writers: Vec<_> = self.conns.drain().map(|(_, link)| link.hang_up()).collect();
-        for writer in writers {
-            writer.join().expect("writer thread panicked");
+        // Drained: every connection's output goes out, side by side, and
+        // each is closed once it has, or once its peer stalls.
+        loop {
+            self.flush_all();
+            self.conns.retain(|_, conn| {
+                let written = conn.output.is_empty();
+                if written {
+                    hang_up(conn);
+                }
+                !written
+            });
+            if self.conns.is_empty() {
+                return self.stats();
+            }
+            fds.clear();
+            fds.extend(self.conns.values().map(|conn| PollFd::new(&conn.stream, POLLOUT)));
+            poll::wait(&mut fds, self.stall_wait()).expect("poll(2) on the daemon's own sockets");
         }
-        self.stats()
     }
 
-    /// Applies one command. Returns `true` once a drain has completed.
-    fn apply(&mut self, cmd: Cmd) -> bool {
-        let now = self.now();
-        match cmd {
-            Cmd::Connect { conn, link } => {
-                self.conns.insert(conn, link);
+    /// How long `poll` may wait before some connection's peer has stalled
+    /// for too long; `None` while no output waits.
+    fn stall_wait(&self) -> Option<Duration> {
+        let deadline = self.conns.values().filter_map(Conn::stall_deadline).min()?;
+        Some(deadline.saturating_duration_since(Instant::now()))
+    }
+
+    /// Accepts every connection waiting on the listener.
+    fn accept(&mut self) {
+        while let Ok((stream, _peer)) = self.listener.accept() {
+            if stream.set_nonblocking(true).is_err() {
+                continue;
             }
-            Cmd::Gone { conn } => self.drop_conn(conn),
-            Cmd::Malformed { conn, reason } => self.drop_malformed(conn, &reason),
-            Cmd::Request { conn, msg } => match msg.verb.as_str() {
-                // Queued behind the request that got its connection dropped:
-                // not admitted, nobody is left to search for.
-                VERB_SUBMIT if !self.conns.contains_key(&conn) => {}
-                VERB_SUBMIT => {
-                    let resp = match (msg.tenant, &msg.jobs) {
-                        (Some(tenant), Some(raw)) => {
-                            let token = self.next_token;
-                            let mut total = 0;
-                            // The pace first: only an admitted submit has
-                            // its jobs decoded.
-                            let verdict = match self.pace.wait(now) {
-                                Some(retry_after_sec) => {
-                                    self.paced += 1;
-                                    Admission::Busy { retry_after_sec }
-                                }
-                                None => match decode_jobs(raw) {
-                                    Ok(jobs) => {
-                                        total = jobs.len();
-                                        self.engine.submit(now, token, tenant, jobs)
-                                    }
-                                    Err(reason) => {
-                                        self.drop_malformed(conn, &reason);
-                                        return false;
-                                    }
-                                },
-                            };
-                            match verdict {
-                                Admission::Accepted => {
-                                    self.next_token += 1;
-                                    self.books.insert(
-                                        token,
-                                        Book {
-                                            conn,
-                                            request_id: msg.id,
-                                            total,
-                                            finished: 0,
-                                            any_timed_out: false,
-                                            cancelled: false,
-                                        },
-                                    );
-                                    self.submit_index.insert((conn, msg.id), token);
-                                    ResponseMsg::new(msg.id, KIND_ACCEPTED)
-                                }
-                                Admission::Busy { retry_after_sec } => ResponseMsg {
-                                    retry_after_sec: Some(retry_after_sec),
-                                    ..ResponseMsg::new(msg.id, KIND_BUSY)
-                                },
-                                Admission::Draining => {
-                                    ResponseMsg::error(msg.id, "draining: admissions closed")
-                                }
-                                Admission::Invalid { reason } => {
-                                    ResponseMsg::error(msg.id, &reason)
-                                }
+            let _ = stream.set_nodelay(true);
+            let conn = Conn {
+                stream,
+                input: FrameReader::new(self.max_frame_bytes),
+                output: Vec::new(),
+                frame_ends: VecDeque::new(),
+                progress: Instant::now(),
+            };
+            self.conns.insert(self.next_conn, conn);
+            self.next_conn += 1;
+        }
+    }
+
+    /// Reads once from a readable connection and applies the requests that
+    /// read completed. Returns `true` once a drain has completed.
+    fn read(&mut self, id: u64) -> bool {
+        let Some(conn) = self.conns.get_mut(&id) else { return false };
+        let ended = match conn.input.fill(&mut &conn.stream) {
+            Ok(n) => n == 0,
+            Err(e)
+                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted) =>
+            {
+                return false
+            }
+            // An oversized frame, a reset: the connection is gone.
+            Err(_) => true,
+        };
+        // A submit's jobs are built with its envelope while the pace would
+        // let it in (it stays open while requests are applied), and left as
+        // text while it would bounce it.
+        let admitting = self.pace.wait(self.now()).is_none();
+        // Requests are applied in order until none is left or the connection
+        // is dropped: a frame that fails to decode, an answer over the limit.
+        while let Some(conn) = self.conns.get_mut(&id) {
+            let request = match conn.input.next_frame() {
+                Ok(Some(payload)) if admitting => Envelope::decode_building(payload),
+                Ok(Some(payload)) => Envelope::decode(payload).map(|msg| (msg, None)),
+                Ok(None) => break,
+                Err(_) => {
+                    self.drop_conn(id);
+                    return false;
+                }
+            };
+            match request {
+                Ok((msg, built)) => {
+                    if self.apply(id, msg, built) {
+                        return true;
+                    }
+                }
+                Err(reason) => self.drop_malformed(id, &reason),
+            }
+        }
+        if ended {
+            self.drop_conn(id);
+        }
+        false
+    }
+
+    /// Applies one request from `conn`, with its jobs when they were built
+    /// with the envelope. Returns `true` once a drain has completed.
+    fn apply(&mut self, conn: u64, msg: Envelope, built: Option<Vec<Job>>) -> bool {
+        let now = self.now();
+        match msg.verb.as_str() {
+            VERB_SUBMIT => {
+                let raw = msg.jobs.as_deref();
+                let resp = match msg.tenant {
+                    Some(tenant) if built.is_some() || raw.is_some() => {
+                        let token = self.next_token;
+                        let mut total = 0;
+                        // The pace first: only an admitted submit has its
+                        // jobs decoded.
+                        let verdict = match self.pace.wait(now) {
+                            Some(retry_after_sec) => {
+                                self.paced += 1;
+                                Admission::Busy { retry_after_sec }
                             }
-                        }
-                        _ => ResponseMsg::error(msg.id, "submit_group needs tenant and jobs"),
-                    };
-                    self.send(conn, &resp);
-                }
-                VERB_CANCEL => {
-                    // The target's `cancelled` terminal follows with the
-                    // next poll's completions.
-                    let resp = match msg.target.and_then(|t| self.submit_index.get(&(conn, t))) {
-                        Some(&token) => {
-                            if self.engine.cancel(now, token) {
-                                if let Some(book) = self.books.get_mut(&token) {
-                                    book.cancelled = true;
+                            None => match built
+                                .map_or_else(|| decode_jobs(raw.unwrap_or_default()), Ok)
+                            {
+                                Ok(jobs) => {
+                                    total = jobs.len();
+                                    self.engine.submit(now, token, tenant, jobs)
                                 }
-                                ResponseMsg::new(msg.id, KIND_CANCELLED)
-                            } else {
-                                ResponseMsg::error(msg.id, "target is not cancellable")
+                                Err(reason) => {
+                                    self.drop_malformed(conn, &reason);
+                                    return false;
+                                }
+                            },
+                        };
+                        match verdict {
+                            Admission::Accepted => {
+                                self.next_token += 1;
+                                self.books.insert(
+                                    token,
+                                    Book {
+                                        conn,
+                                        request_id: msg.id,
+                                        total,
+                                        finished: 0,
+                                        any_timed_out: false,
+                                        cancelled: false,
+                                    },
+                                );
+                                self.submit_index.insert((conn, msg.id), token);
+                                ResponseMsg::new(msg.id, KIND_ACCEPTED)
                             }
+                            Admission::Busy { retry_after_sec } => ResponseMsg {
+                                retry_after_sec: Some(retry_after_sec),
+                                ..ResponseMsg::new(msg.id, KIND_BUSY)
+                            },
+                            Admission::Draining => {
+                                ResponseMsg::error(msg.id, "draining: admissions closed")
+                            }
+                            Admission::Invalid { reason } => ResponseMsg::error(msg.id, &reason),
                         }
-                        None => ResponseMsg::error(msg.id, "cancel target unknown"),
-                    };
-                    self.send(conn, &resp);
-                }
-                VERB_STATS => {
-                    let resp = ResponseMsg {
-                        stats: Some(self.stats()),
-                        ..ResponseMsg::new(msg.id, KIND_STATS)
-                    };
-                    self.send(conn, &resp);
-                }
-                VERB_DRAIN => {
-                    let completions = self.engine.drain(now);
-                    self.deliver(completions);
-                    let stats = self.stats();
-                    let resp = ResponseMsg {
-                        jobs: Some(stats.completed_jobs as usize),
-                        stats: Some(stats),
-                        ..ResponseMsg::new(msg.id, KIND_DRAINED)
-                    };
-                    self.send(conn, &resp);
-                    return true;
-                }
-                other => {
-                    // Echo a prefix only: no response is larger than the
-                    // stats block, so a full outbox is a bounded one.
-                    let shown: String = other.chars().take(32).collect();
-                    let resp = ResponseMsg::error(msg.id, &format!("unknown verb {shown:?}"));
-                    self.send(conn, &resp);
-                }
-            },
+                    }
+                    _ => ResponseMsg::error(msg.id, "submit_group needs tenant and jobs"),
+                };
+                self.send(conn, &resp);
+            }
+            VERB_CANCEL => {
+                // The target's `cancelled` terminal follows with the next
+                // poll's completions.
+                let resp = match msg.target.and_then(|t| self.submit_index.get(&(conn, t))) {
+                    Some(&token) => {
+                        if self.engine.cancel(now, token) {
+                            if let Some(book) = self.books.get_mut(&token) {
+                                book.cancelled = true;
+                            }
+                            ResponseMsg::new(msg.id, KIND_CANCELLED)
+                        } else {
+                            ResponseMsg::error(msg.id, "target is not cancellable")
+                        }
+                    }
+                    None => ResponseMsg::error(msg.id, "cancel target unknown"),
+                };
+                self.send(conn, &resp);
+            }
+            VERB_STATS => {
+                let resp = ResponseMsg {
+                    stats: Some(self.stats()),
+                    ..ResponseMsg::new(msg.id, KIND_STATS)
+                };
+                self.send(conn, &resp);
+            }
+            VERB_DRAIN => {
+                let completions = self.engine.drain(now);
+                self.deliver(completions);
+                let stats = self.stats();
+                let resp = ResponseMsg {
+                    jobs: Some(stats.completed_jobs as usize),
+                    stats: Some(stats),
+                    ..ResponseMsg::new(msg.id, KIND_DRAINED)
+                };
+                self.send(conn, &resp);
+                return true;
+            }
+            other => {
+                // Echo a prefix only: no response is larger than the stats
+                // block, so the output bound is a bound in bytes too.
+                let shown: String = other.chars().take(32).collect();
+                let resp = ResponseMsg::error(msg.id, &format!("unknown verb {shown:?}"));
+                self.send(conn, &resp);
+            }
         }
         false
     }
@@ -588,16 +587,41 @@ impl Serving {
         }
     }
 
-    /// Queues a response for a connection's writer — never blocks. A full
-    /// outbox means the peer stopped reading, a hung-up one that its writer
-    /// already failed: either way the connection is dropped.
-    fn send(&mut self, conn: u64, resp: &ResponseMsg) {
-        let Some(link) = self.conns.get(&conn) else { return };
-        if let Err(e) = link.outbox.try_send(encode(resp)) {
-            if matches!(e, TrySendError::Full(_)) {
-                eprintln!("magma-server: dropping connection {conn}: its outbox is full");
+    /// Queues a response on a connection (a no-op when it is already
+    /// closed); the next [`flush_all`](Self::flush_all) writes it.
+    fn send(&mut self, id: u64, resp: &ResponseMsg) {
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        if conn.output.is_empty() {
+            conn.progress = Instant::now();
+        }
+        if write_frame(&mut conn.output, &encode(resp), self.max_frame_bytes).is_err() {
+            self.drop_conn(id);
+            return;
+        }
+        conn.frame_ends.push_back(conn.output.len());
+    }
+
+    /// Writes what every socket takes. A connection whose peer has stopped
+    /// reading — more than [`OUTBOX_FRAMES`] answers waiting, or no byte
+    /// taken for [`WRITE_STALL`] — is dropped, as is one whose write fails.
+    fn flush_all(&mut self) {
+        let mut failed = Vec::new();
+        for (&id, conn) in &mut self.conns {
+            if conn.output.is_empty() {
+                continue;
             }
-            self.drop_conn(conn);
+            let now = Instant::now();
+            if conn.flush(now).is_err() {
+                failed.push(id);
+            } else if conn.frame_ends.len() > OUTBOX_FRAMES {
+                eprintln!("magma-server: dropping connection {id}: {OUTBOX_FRAMES} answers unread");
+                failed.push(id);
+            } else if conn.stall_deadline().is_some_and(|deadline| deadline <= now) {
+                failed.push(id);
+            }
+        }
+        for id in failed {
+            self.drop_conn(id);
         }
     }
 
@@ -612,8 +636,8 @@ impl Serving {
     /// answers nobody will read; their books close through the `cancelled`
     /// completions the engine produces.
     fn drop_conn(&mut self, conn: u64) {
-        let Some(link) = self.conns.remove(&conn) else { return };
-        link.close();
+        let Some(dropped) = self.conns.remove(&conn) else { return };
+        hang_up(&dropped);
         let mut open: Vec<u64> =
             self.books.iter().filter(|(_, book)| book.conn == conn).map(|(&t, _)| t).collect();
         // In admission order, not hash order: the order sessions finish in
@@ -624,6 +648,11 @@ impl Serving {
             self.engine.cancel(now, token);
         }
     }
+}
+
+/// Hangs a connection up; whatever output is still waiting is lost.
+fn hang_up(conn: &Conn) {
+    let _ = conn.stream.shutdown(Shutdown::Both);
 }
 
 #[cfg(test)]

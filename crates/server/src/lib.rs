@@ -14,17 +14,18 @@
 //! ```
 //!
 //! * [`frame`] — 4-byte big-endian length-prefixed framing with hard
-//!   size limits; tolerant of arbitrary read splits.
+//!   size limits; tolerant of arbitrary read splits, read blocking or, by
+//!   the daemon, a non-blocking read at a time.
 //! * [`proto`] — the JSON message shapes and verbs
 //!   (`submit_group`/`cancel`/`drain`/`stats`) with per-request ids; the hot
 //!   frames are written and read by hand, serde's bytes without its `Value`
 //!   tree, and any other frame goes through serde.
-//! * [`daemon`] — [`Server`]: accept thread + per-connection reader and
-//!   writer threads + one event-driven engine thread owning a
-//!   [`ServeEngine`](magma_serve::ServeEngine) (it polls back to back
-//!   while searches are live and blocks when none are); graceful drain
-//!   finishes every admitted group and persists shard caches before
-//!   shutdown.
+//! * [`daemon`] — [`Server`]: one reactor thread that owns a
+//!   [`ServeEngine`](magma_serve::ServeEngine), the listener and every
+//!   connection, and waits in `poll(2)` (it polls the engine back to back
+//!   while searches are live and blocks when none are); a connection costs
+//!   it buffers, not threads, and graceful drain finishes every admitted
+//!   group and persists shard caches before shutdown. Unix only.
 //! * [`client`] — [`Client`] and the pure [`Mux`] state machine that
 //!   guarantees no response is lost or double-counted.
 //!
@@ -43,14 +44,21 @@
 //! `rpc_hot`) drives the shipped `magma_server` binary through [`Client`]
 //! and measures it.
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: `poll`, the daemon's one foreign call, is the
+// one module allowed to opt out; everything else stays free of it.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
+#[cfg(unix)]
 pub mod daemon;
 pub mod frame;
+#[cfg(unix)]
+#[allow(unsafe_code)]
+mod poll;
 pub mod proto;
 
 pub use client::{Client, Event, Mux, PendingKind};
+#[cfg(unix)]
 pub use daemon::Server;
 pub use proto::{RequestMsg, ResponseMsg};

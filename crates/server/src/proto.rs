@@ -15,7 +15,9 @@
 //! below are the only intended way to build well-formed requests.
 //!
 //! Clients speak [`RequestMsg`]; the daemon reads the same bytes as an
-//! [`Envelope`], whose `jobs` stay text until a submit is admitted.
+//! [`Envelope`], whose `jobs` stay text until a submit is admitted — or, while
+//! it would admit one, are built in the same pass
+//! (`Envelope::decode_building`).
 //!
 //! The hot frames are written and read by hand, past serde's `Value` tree.
 //! [`encode`] writes a message straight into its payload, byte for byte what
@@ -135,6 +137,20 @@ impl Envelope {
     pub fn decode(payload: &[u8]) -> Result<Self, String> {
         let text = utf8(payload)?;
         Self::read(text).map_or_else(|| Self::generic(text), Ok)
+    }
+
+    /// [`Envelope::decode`] for a request whose jobs are to be built if it
+    /// is a submit: one the admission pace would let in. A frame in the
+    /// writer's layout is walked once, its jobs built on the way, where
+    /// [`Envelope::decode`] and [`decode_jobs`] walk them twice; the envelope
+    /// then comes without their text. Any other frame is decoded as
+    /// [`Envelope::decode`] decodes it, its jobs left as text.
+    pub(crate) fn decode_building(payload: &[u8]) -> Result<(Self, Option<Vec<Job>>), String> {
+        let Some(msg) = RequestMsg::read(utf8(payload)?) else {
+            return Self::decode(payload).map(|env| (env, None));
+        };
+        let RequestMsg { id, verb, tenant, jobs, target } = msg;
+        Ok((Envelope { id, verb, tenant, jobs: None, target }, jobs))
     }
 
     /// The hand-written path: the jobs walked, not built.
@@ -1105,9 +1121,23 @@ mod tests {
             prop_assert_eq!(whole.as_ref().ok(), lazy.as_ref().ok());
             prop_assert!(whole.is_ok() || bend == 1 || bend == 2, "{frame}");
 
+            // Built with their envelope, the jobs and every other member are
+            // what the two steps give, and the envelope fails where theirs does.
+            let one_pass = Envelope::decode_building(payload);
+            prop_assert_eq!(one_pass.is_ok(), Envelope::decode(payload).is_ok());
+            let one_pass = one_pass.and_then(|(env, built)| {
+                let jobs = match built {
+                    Some(jobs) => Some(jobs),
+                    None => env.jobs.as_deref().map(decode_jobs).transpose()?,
+                };
+                Ok(RequestMsg { id: env.id, verb: env.verb, tenant: env.tenant, jobs, target: env.target })
+            });
+            prop_assert_eq!(one_pass.as_ref().ok(), lazy.as_ref().ok());
+
             // Cut anywhere, also inside a character, the frame is an error.
             for cut in 0..payload.len() {
                 prop_assert!(Envelope::decode(&payload[..cut]).is_err(), "cut at {cut}: {frame}");
+                prop_assert!(Envelope::decode_building(&payload[..cut]).is_err());
                 prop_assert!(decode::<RequestMsg>(&payload[..cut]).is_err());
             }
         }

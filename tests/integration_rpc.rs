@@ -23,15 +23,17 @@
 //!   target submit terminates as `cancelled`, never `done`.
 //! * **The daemon waits exactly as long as the engine says** — a lone
 //!   partial group is cut at its admission deadline with no other traffic
-//!   to wake the engine thread (a wrong wake time hangs, it does not add a
-//!   tick).
+//!   to wake the daemon (a wrong wake time hangs, it does not add a tick).
 //! * **A bad client costs only its own connection** — one that stops
 //!   reading is dropped while every other client is served on (also one that
 //!   floods submits at a closed pace), one that vanishes has its open submits
 //!   cancelled, and one whose `submit_group` carries a job `Job::new` would
 //!   refuse (`"batch": 0`, a dimension of 2^64 − 1, a layer with no elements)
-//!   is a decode error on its own socket, not a panic or a hang of the engine
-//!   thread.
+//!   is a decode error on its own socket, not a panic or a hang of the
+//!   daemon's thread.
+//! * **A connection costs the daemon no thread** — one thread serves every
+//!   socket, idle ones and one stuck mid-frame included, and a request on
+//!   yet another is answered as ever.
 //! * **A paced replay is answered in full** — a trace sent at its
 //!   wall-clock due times gets one verdict a submit and one terminal per
 //!   accepted submit before the drain, and the daemon's final counters
@@ -40,7 +42,7 @@
 //!   the same books over a 28-second run.
 
 use std::collections::HashMap;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -53,7 +55,9 @@ use magma_serve::EngineConfig;
 use magma_server::client::{Client, Event};
 use magma_server::daemon::Server;
 use magma_server::frame::{read_frame, write_frame};
-use magma_server::proto::{decode, encode, RequestMsg, ResponseMsg, KIND_BUSY, KIND_STATS};
+use magma_server::proto::{
+    decode, encode, RequestMsg, ResponseMsg, KIND_ACCEPTED, KIND_BUSY, KIND_DONE, KIND_STATS,
+};
 
 const MAX_FRAME: usize = 1 << 20;
 const STEP: Duration = Duration::from_millis(20);
@@ -526,7 +530,7 @@ fn a_job_the_constructor_would_refuse_costs_only_its_senders_connection() {
     let (server, addr) = start_server(&tiny_knobs());
 
     // Client A bends an otherwise well-formed submit. Admitted, a zero
-    // mini-batch panics the cost model on the engine thread, a dimension of
+    // mini-batch panics the cost model on the daemon's thread, a dimension of
     // 2^64 − 1 overflows the job's FLOP count there, and a layer without a
     // single element never completes in the bandwidth allocator's replay.
     let frame = String::from_utf8(encode(&RequestMsg::submit(0, 0, vec![job(0)]))).unwrap();
@@ -539,7 +543,7 @@ fn a_job_the_constructor_would_refuse_costs_only_its_senders_connection() {
         bend("\"batch\":4", "\"batch\":0"),
         bend("\"in_features\":64", "\"in_features\":18446744073709551615"),
         bend("\"out_features\":64,\"in_features\":64", "\"out_features\":0,\"in_features\":0"),
-        // Jobs that are not even JSON never leave the reader thread.
+        // Jobs that are not even JSON are refused with their envelope.
         bend("\"batch\":4", "\"batch\":}"),
     ] {
         let mut hostile = TcpStream::connect(&addr).expect("raw client connects");
@@ -591,6 +595,57 @@ fn a_vanished_clients_open_submits_are_cancelled() {
     assert_eq!(stats.cancelled_jobs, 1);
     assert_eq!(stats.accepted, stats.completed_jobs + stats.cancelled_jobs);
     assert_eq!(stats.timed_out_jobs, 0);
+}
+
+/// The threads of this process whose name is `name`: a thread of that name
+/// and every thread it, or one of them, spawned without naming it — a new
+/// thread inherits its creator's name.
+fn threads_named(name: &str) -> usize {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("procfs lists this process's threads");
+    tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == name)
+        .count()
+}
+
+#[test]
+fn connections_cost_the_daemon_no_threads() {
+    // Started from a thread of this name, the daemon's threads carry it too;
+    // other tests' threads and the evaluation pool's (`magma-eval-*`) do not.
+    const STARTER: &str = "rpc-conn-cost";
+    let knobs = tiny_knobs();
+    let starter = std::thread::Builder::new().name(STARTER.to_string());
+    let (server, addr) = starter
+        .spawn(move || start_server(&knobs))
+        .expect("the starter thread spawns")
+        .join()
+        .expect("the daemon starts");
+
+    // 32 idle connections, and one that announces a 4 KB frame and stops.
+    let idle: Vec<TcpStream> =
+        (0..32).map(|_| TcpStream::connect(&addr).expect("raw client connects")).collect();
+    let mut stuck = TcpStream::connect(&addr).expect("raw client connects");
+    stuck.write_all(&4096u32.to_be_bytes()).expect("the header sends");
+
+    // A 34th connection is served as ever.
+    let mut raw = TcpStream::connect(&addr).expect("raw client connects");
+    raw.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout sets");
+    write_frame(&mut raw, &encode(&RequestMsg::submit(1, 0, vec![job(0)])), MAX_FRAME)
+        .expect("the submit sends");
+    let mut answer = || {
+        let payload = read_frame(&mut raw, MAX_FRAME).expect("an answer").expect("no hang-up");
+        decode::<ResponseMsg>(&payload).expect("a response").kind
+    };
+    assert_eq!((answer(), answer()), (KIND_ACCEPTED.to_string(), KIND_DONE.to_string()));
+
+    // The accept order has reached the 34th, so the daemon has seen every
+    // connection: still only the thread `Server::start` spawned.
+    assert_eq!(threads_named(STARTER), 1, "the daemon's threads with 34 connections open");
+
+    let healthy = Client::connect(&addr, MAX_FRAME).expect("client connects");
+    let stats = drain_and_join(healthy, server);
+    assert_eq!((stats.accepted, stats.completed_jobs), (1, 1));
+    drop((idle, stuck));
 }
 
 /// A trace of the synthetic mix's zoo jobs, each sent at its wall-clock due
