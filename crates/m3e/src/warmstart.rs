@@ -187,13 +187,19 @@ impl StoredSolution {
 /// For a permutation of the stored group this recovers the permutation
 /// wherever signatures are distinct (every exact match has distance zero),
 /// and a verbatim repeat of the stored group maps to the identity even with
-/// duplicate signatures (ties go to the smaller stored index).
+/// duplicate signatures (ties go to the smaller stored index). That repeat
+/// is told apart up front and answered without a distance: at step `i` of
+/// the first round every stored job before `i` is used, and `(0, i, i)` is
+/// the smallest pair left.
 ///
 /// # Panics
 ///
 /// Panics if `stored` is empty.
 pub fn match_signatures(new: &[JobSignature], stored: &[JobSignature]) -> Vec<usize> {
     assert!(!stored.is_empty(), "cannot match against an empty stored group");
+    if new == stored {
+        return (0..new.len()).collect();
+    }
     let width = stored.len();
     let mut distances = Vec::with_capacity(new.len() * width);
     for n in new {
@@ -665,13 +671,15 @@ mod matching_tests {
         // whole assignment: groups of 1–100 jobs drawn from a workload (one
         // platform profile attached or none) or from a pool of a few layers
         // (ties at distance 0, duplicate signatures), with fewer, as many or
-        // more new jobs than stored ones.
+        // more new jobs than stored ones — and, one case in four, a verbatim
+        // repeat of a pooled group, which the match answers without a
+        // distance.
         #[test]
         fn the_lazy_match_assigns_what_the_sort_assigns(
             stored_n in 1usize..101,
             new_n in 1usize..101,
             seed in 0u64..u64::MAX,
-            source in 0usize..3,
+            source in 0usize..4,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let (stored, new) = match source {
@@ -688,12 +696,20 @@ mod matching_tests {
                     };
                     (profiled(stored_n, seed), profiled(new_n, seed ^ 1))
                 }
-                _ => {
+                2 => {
                     let pool = distinct_signatures(rng.gen_range(1..5));
                     let mut draw = |n| -> Vec<_> {
                         (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect()
                     };
                     (draw(stored_n), draw(new_n))
+                }
+                _ => {
+                    // A verbatim repeat, duplicates included: the sort is
+                    // what holds the identity the match answers it with.
+                    let pool = distinct_signatures(rng.gen_range(1..5));
+                    let stored: Vec<_> =
+                        (0..stored_n).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+                    (stored.clone(), stored)
                 }
             };
             prop_assert_eq!(match_signatures(&new, &stored), oracle::match_by_sorting_pairs(&new, &stored));

@@ -20,16 +20,26 @@
 //! the nearest-key probe ([`MappingCache::lookup_near`]) walks, back to
 //! front, without hashing a key per entry. At these capacities (tens to a
 //! few hundred entries) an exact lookup is a scan over the keys, which
-//! costs less than hashing one 30-signature key. Next to its key an entry
-//! holds its solution behind an `Arc` — a shard's cache and the fleet tier
-//! hold *one* solution per publish, which is also how the tier knows what
-//! the probing shard has just refused — and one piece of derived data, built
-//! when the entry is inserted (or loaded) and **never persisted**: the stored
-//! signatures as packed rows of what a distance reads
-//! ([`DistanceCoords`], 40 bytes a job), a `(class, task)` kind's rows side
-//! by side and in order of size, so the probe compares a job with the stored
-//! jobs of its own kind, nearest in size first, and knows from the two ends
-//! of a run what a job is at least away from all of it.
+//! costs less than hashing one 30-signature key. An entry is three
+//! pointers and an inline run table: its key, its solution and one piece of
+//! derived data, built when the group is published (or loaded) and **never
+//! persisted** — the stored signatures as packed rows of what a distance
+//! reads ([`DistanceCoords`], 40 bytes a job), a `(class, task)` kind's rows
+//! side by side and in order of size, so the probe compares a job with the
+//! stored jobs of its own kind, nearest in size first, and knows from the
+//! two ends of a run what a job is at least away from all of it. The run
+//! table (`starts`) sits in the entry itself, so the probe reaches the rows
+//! through one pointer.
+//!
+//! A published group has **one** key, **one** rows buffer and **one**
+//! solution, whoever holds it: a [`SignatureKey`] clone shares its
+//! signatures, and a completion builds the entry once and hands clones of it
+//! to the shard's cache and to the fleet tier. The plan, the router's
+//! affinity pin, the shard's entry, the tier's entry and the tier's quota
+//! book hold one key; both entries hold one rows buffer and one solution —
+//! which is also how the tier knows what the probing shard has just
+//! refused. A published 30-job group so costs ≈ 5 KB however many hold it
+//! (`tests/integration_alloc.rs` bounds a full daemon's caches).
 //!
 //! The whole cache round-trips through serde ([`MappingCache::save`] /
 //! [`MappingCache::load`], behind the `MAGMA_SERVE_CACHE_PATH` knob) so a
@@ -63,9 +73,10 @@ pub struct QuantizedSignature {
 
 /// The cache key of a dispatch group: its quantized signatures as a sorted
 /// multiset (order-insensitive by construction). Serializes transparently
-/// as the signature array.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct SignatureKey(Vec<QuantizedSignature>);
+/// as the signature array. A clone shares the signatures (see the module
+/// docs); equality and hashing are those of the array.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct SignatureKey(Arc<[QuantizedSignature]>);
 
 impl SignatureKey {
     /// Number of jobs behind the key.
@@ -76,6 +87,26 @@ impl SignatureKey {
     /// Whether the key covers no jobs (never true for a quantized group).
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
+    }
+}
+
+#[cfg(test)]
+impl SignatureKey {
+    /// Whether `self` and `other` are one allocation, not merely equal.
+    pub(crate) fn is(&self, other: &SignatureKey) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Serialize for SignatureKey {
+    fn to_value(&self) -> Value {
+        self.0.to_value()
+    }
+}
+
+impl Deserialize for SignatureKey {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Vec::<QuantizedSignature>::from_value(v).map(|sigs| SignatureKey(sigs.into()))
     }
 }
 
@@ -91,7 +122,7 @@ impl SignatureKey {
 pub fn quantize_signatures(sigs: &[JobSignature], step: f64) -> SignatureKey {
     assert!(step.is_finite() && step > 0.0, "quantization step must be finite and positive");
     let bucket = |log: f64| (log / step).round() as u32;
-    let mut quantized: Vec<QuantizedSignature> = sigs
+    let mut quantized: Arc<[QuantizedSignature]> = sigs
         .iter()
         .map(|s| {
             let [macs, weights, activations] = s.log_coords();
@@ -104,7 +135,7 @@ pub fn quantize_signatures(sigs: &[JobSignature], step: f64) -> SignatureKey {
             }
         })
         .collect();
-    quantized.sort_unstable();
+    Arc::get_mut(&mut quantized).expect("a fresh key is unshared").sort_unstable();
     SignatureKey(quantized)
 }
 
@@ -164,20 +195,23 @@ fn distance(a: &DistanceCoords, b: &DistanceCoords) -> f64 {
 /// An entry's stored signatures as the probe reads them — the derived, never
 /// persisted part of a cache entry: one [`DistanceCoords`] per stored job,
 /// packed by [`DistanceCoords::kind`] (so a layer class's kinds lie side by
-/// side) and, inside a kind, in ascending order of size.
+/// side) and, inside a kind, in ascending order of size. A clone shares the
+/// rows and copies the run table.
 #[derive(Debug, Clone)]
 struct PackedRows {
-    rows: Vec<DistanceCoords>,
+    rows: Arc<[DistanceCoords]>,
     /// Kind `k`'s rows are `rows[starts[k]..starts[k + 1]]`.
     starts: [u32; DistanceCoords::KINDS + 1],
 }
 
 impl PackedRows {
     fn of(stored: &[JobSignature]) -> Self {
-        let mut rows: Vec<DistanceCoords> = stored.iter().map(JobSignature::coords).collect();
-        rows.sort_unstable_by(|a, b| a.kind().cmp(&b.kind()).then(a.size().total_cmp(&b.size())));
+        let mut rows: Arc<[DistanceCoords]> = stored.iter().map(JobSignature::coords).collect();
+        Arc::get_mut(&mut rows)
+            .expect("fresh rows are unshared")
+            .sort_unstable_by(|a, b| a.kind().cmp(&b.kind()).then(a.size().total_cmp(&b.size())));
         let mut starts = [0; DistanceCoords::KINDS + 1];
-        for row in &rows {
+        for row in rows.iter() {
             starts[row.kind() + 1] += 1;
         }
         for k in 0..DistanceCoords::KINDS {
@@ -301,21 +335,39 @@ impl PackedRows {
     }
 }
 
-/// One cache entry. See the module docs for the layout.
+/// One cache entry. See the module docs for the layout: a clone is the
+/// same entry, held by one more cache.
 #[derive(Debug, Clone)]
-struct Slot {
+pub(crate) struct Slot {
     key: SignatureKey,
-    /// Shared with the fleet tier when the entry was published there too.
     solution: Arc<StoredSolution>,
     /// `None` for an entry stored without signatures.
     rows: Option<PackedRows>,
 }
 
 impl Slot {
-    /// Whether this entry *is* one of `others`: the same shared solution,
-    /// not merely the same key.
-    fn is_one_of(&self, others: &[Slot]) -> bool {
-        others.iter().any(|other| Arc::ptr_eq(&other.solution, &self.solution))
+    /// The entry for `solution` under `key`, its packed rows built.
+    pub(crate) fn new(key: SignatureKey, solution: Arc<StoredSolution>) -> Self {
+        let rows = solution.signatures().map(PackedRows::of);
+        Slot { key, solution, rows }
+    }
+}
+
+/// The entries of a cache that has just refused a probe, as the tier behind
+/// it looks them up: their solutions' addresses, sorted, so each tier entry
+/// is one binary search away from knowing whether it *is* one of them — the
+/// same shared solution, not merely the same key.
+struct Refused(Vec<*const StoredSolution>);
+
+impl Refused {
+    fn of(slots: &[Slot]) -> Self {
+        let mut solutions: Vec<_> = slots.iter().map(|slot| Arc::as_ptr(&slot.solution)).collect();
+        solutions.sort_unstable();
+        Refused(solutions)
+    }
+
+    fn holds(&self, slot: &Slot) -> bool {
+        self.0.binary_search(&Arc::as_ptr(&slot.solution)).is_ok()
     }
 }
 
@@ -486,7 +538,7 @@ impl MappingCache {
     ) -> Option<&StoredSolution> {
         let mut found = self.position(key);
         if found.is_none() && epsilon > 0.0 {
-            found = self.nearest(sigs, epsilon, refused);
+            found = self.nearest(sigs, epsilon, &Refused::of(refused));
             self.stats.near_hits += u64::from(found.is_some());
         }
         self.serve(found)
@@ -494,7 +546,7 @@ impl MappingCache {
 
     /// The position of the entry [`MappingCache::lookup_near`] serves as a
     /// near hit, if any is within `epsilon`.
-    fn nearest(&self, probe: &[JobSignature], epsilon: f64, refused: &[Slot]) -> Option<usize> {
+    fn nearest(&self, probe: &[JobSignature], epsilon: f64, refused: &Refused) -> Option<usize> {
         let jobs = probe.len().max(1) as f64;
         let cutoff = epsilon * jobs * (1.0 + PRUNE_SLACK);
         // The incumbent as (position, total).
@@ -503,7 +555,7 @@ impl MappingCache {
             let Some(rows) = slot.rows.as_ref().filter(|r| r.rows.len() == probe.len()) else {
                 continue;
             };
-            if slot.is_one_of(refused) {
+            if refused.holds(slot) {
                 continue;
             }
             let limit = best.map_or(cutoff, |(_, best_total)| cutoff.min(best_total));
@@ -516,29 +568,35 @@ impl MappingCache {
         best.map(|(pos, _)| pos)
     }
 
-    /// Puts `solution` under `key` as the most recently used entry,
-    /// replacing the key's previous entry if there is one.
-    fn place(&mut self, key: SignatureKey, solution: Arc<StoredSolution>) {
-        if let Some(pos) = self.position(&key) {
-            self.slots.remove(pos);
+    /// Puts `slot` in as the most recently used entry, replacing its key's
+    /// previous entry if there is one — whose key it keeps: the allocation
+    /// the key's other holders (an affinity pin) may still share.
+    fn place(&mut self, mut slot: Slot) {
+        if let Some(pos) = self.position(&slot.key) {
+            slot.key = self.slots.remove(pos).key;
         }
-        let rows = solution.signatures().map(PackedRows::of);
-        self.slots.push(Slot { key, solution, rows });
+        self.slots.push(slot);
     }
 
     /// Inserts (or replaces) the entry for `key`, marks it most recently
     /// used and evicts the least recently used entry when over capacity.
     /// Returns the evicted key, so whoever routes by key (the
     /// [`ShardRouter`](crate::router::ShardRouter)'s affinity pins) can
-    /// forget it too. A caller that hands the same `Arc` to a shard's cache
-    /// and to the fleet tier stores the solution once.
+    /// forget it too.
     pub fn insert(
         &mut self,
         key: SignatureKey,
         solution: impl Into<Arc<StoredSolution>>,
     ) -> Option<SignatureKey> {
+        self.insert_slot(Slot::new(key, solution.into()))
+    }
+
+    /// [`MappingCache::insert`] of a built entry: a completion that hands
+    /// clones of one entry to a shard's cache and to the fleet tier stores
+    /// its key, rows and solution once.
+    pub(crate) fn insert_slot(&mut self, slot: Slot) -> Option<SignatureKey> {
         self.stats.insertions += 1;
-        self.place(key, solution.into());
+        self.place(slot);
         // One insert grows a cache that was within bounds by at most one.
         if self.slots.len() <= self.capacity {
             return None;
@@ -652,7 +710,7 @@ impl Deserialize for MappingCache {
                     key.len()
                 )));
             }
-            cache.place(key, Arc::new(solution));
+            cache.place(Slot::new(key, Arc::new(solution)));
         }
         Ok(cache)
     }
@@ -752,7 +810,29 @@ impl SharedCache {
     /// solution, published to both.
     #[cfg(test)]
     pub(crate) fn shared_with(&self, cache: &MappingCache) -> usize {
-        self.cache.slots.iter().filter(|slot| slot.is_one_of(&cache.slots)).count()
+        let theirs = Refused::of(&cache.slots);
+        self.cache.slots.iter().filter(|slot| theirs.holds(slot)).count()
+    }
+
+    /// Whether the tier and `cache` hold `key`'s entry as one: the tier's
+    /// entry, the tier's quota book and `cache`'s entry hold the very key
+    /// `key` is, and the two entries one rows buffer and one solution.
+    #[cfg(test)]
+    pub(crate) fn holds_as_one(&self, cache: &MappingCache, key: &SignatureKey) -> bool {
+        let entry = |slots: &[Slot]| slots.iter().find(|slot| slot.key == *key).cloned();
+        let (Some(ours), Some(theirs)) = (entry(&self.cache.slots), entry(&cache.slots)) else {
+            return false;
+        };
+        let booked = self.owners.get_key_value(key).is_some_and(|(booked, _)| booked.is(key));
+        let one_rows = match (&ours.rows, &theirs.rows) {
+            (Some(a), Some(b)) => Arc::ptr_eq(&a.rows, &b.rows),
+            _ => false,
+        };
+        booked
+            && ours.key.is(key)
+            && theirs.key.is(key)
+            && one_rows
+            && Arc::ptr_eq(&ours.solution, &theirs.solution)
     }
 
     /// Whether `key` is in the tier, without counting a lookup — the cheap
@@ -786,11 +866,19 @@ impl SharedCache {
         solution: impl Into<Arc<StoredSolution>>,
         tenant: usize,
     ) {
+        self.publish_slot(Slot::new(key, solution.into()), tenant);
+    }
+
+    /// [`SharedCache::publish`] of a built entry — a clone of the one the
+    /// publishing shard's cache takes.
+    pub(crate) fn publish_slot(&mut self, slot: Slot, tenant: usize) {
         // Keep the owner map aligned with the live set: capacity eviction
         // inside `insert` is the only way an entry leaves it unseen.
-        if let Some(evicted) = self.cache.insert(key.clone(), solution) {
+        if let Some(evicted) = self.cache.insert_slot(slot) {
             self.disown(&evicted);
         }
+        // The key as the tier holds it: a replaced entry's, if there was one.
+        let key = self.cache.slots.last().expect("just inserted").key.clone();
         self.own(key.clone(), tenant);
         if self.tenant_quota > 0 {
             while self.tenant_entries(tenant) > self.tenant_quota {
@@ -875,6 +963,33 @@ mod tests {
         assert_eq!(quantize_signatures(&sigs, 1.0), quantize_signatures(&reversed, 1.0));
         // Different workloads (almost surely) produce different keys.
         assert_ne!(key(TaskType::Vision, 16, 0), key(TaskType::Language, 16, 0));
+    }
+
+    #[test]
+    fn a_key_serializes_as_its_signature_array_and_reads_back_equal() {
+        use magma_model::{Job, JobId, LayerShape};
+        let fc = LayerShape::FullyConnected { out_features: 256, in_features: 64 };
+        let jobs = [
+            Job::new(JobId(0), "m", 0, fc, 4, TaskType::Recommendation),
+            Job::new(JobId(1), "m", 1, LayerShape::pointwise(32, 64, 14, 14), 1, TaskType::Vision),
+        ];
+        let sigs: Vec<JobSignature> = jobs.iter().map(Job::signature).collect();
+        let key = quantize_signatures(&sigs, 1.0);
+        // The bytes a key held in a vector serialized to.
+        let before = concat!(
+            r#"[{"task":"Vision","class":"Conv","macs_bucket":13,"weights_bucket":8,"#,
+            r#""activations_bucket":10},{"task":"Recommendation","class":"FullyConnected","#,
+            r#""macs_bucket":11,"weights_bucket":10,"activations_bucket":7}]"#,
+        );
+        assert_eq!(serde_json::to_string(&key).unwrap(), before);
+        let back: SignatureKey = serde_json::from_str(before).unwrap();
+        assert_eq!(back, key);
+        assert!(!back.is(&key), "read back into an allocation of its own");
+        // Hashed as the vector was: a hash map's buckets do not move.
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+        let hasher = BuildHasherDefault::<DefaultHasher>::default();
+        assert_eq!(hasher.hash_one(&key), hasher.hash_one(key.0.to_vec()));
+        assert!(serde_json::from_str::<SignatureKey>(r#"{"task":"Vision"}"#).is_err());
     }
 
     #[test]
@@ -1309,6 +1424,14 @@ mod tests {
         let (_, whole) = evals_of(|| unskipped.lookup_near(&key, &probe, 1.0, &nobody).is_none());
         assert!(skipping < whole, "{skipping} with the skip, {whole} without");
         assert_eq!(tier.stats(), unskipped.stats());
+        // And it misses none of them: the pass costs what a walk of the tier
+        // without the shard's entries costs.
+        let mut unshared = tier.clone();
+        for shared in shard.keys_by_recency() {
+            unshared.cache.remove(shared);
+        }
+        let (_, rest) = evals_of(|| unshared.lookup_near(&key, &probe, 1.0, &nobody).is_none());
+        assert_eq!(skipping, rest, "evaluations with the skip and without the shared entries");
     }
 
     /// A pool signature set. Half of the time a window of a task's workload —

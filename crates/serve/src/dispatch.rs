@@ -25,7 +25,9 @@
 //! three — and, by the session-stepping invariant, any slicing of the same
 //! budget produces the same outcome.
 
-use crate::cache::{quantize_signatures, CacheStats, MappingCache, SharedCache, SignatureKey};
+use crate::cache::{
+    quantize_signatures, CacheStats, MappingCache, SharedCache, SignatureKey, Slot,
+};
 use magma_m3e::{M3e, Mapping, MappingProblem, Schedule, StoredSolution};
 use magma_optim::{Magma, SearchOutcome, SessionState};
 use magma_platform::settings::ServeKnobs;
@@ -283,8 +285,8 @@ impl MappingService {
     }
 
     /// [`MappingService::complete_group`] that also publishes the solution
-    /// to the fleet tier on behalf of a tenant: the stored solution is built
-    /// once and the two caches share it.
+    /// to the fleet tier on behalf of a tenant: the cache entry — key, packed
+    /// rows and stored solution — is built once and the two caches share it.
     pub(crate) fn complete_group_shared(
         &mut self,
         problem: &M3e,
@@ -292,14 +294,13 @@ impl MappingService {
         outcome: SearchOutcome,
         shared: Option<(&mut SharedCache, usize)>,
     ) -> (DispatchOutcome, Option<SignatureKey>) {
-        let stored = Arc::new(StoredSolution::new(
-            outcome.best_mapping.clone(),
-            Some(problem.signatures().to_vec()),
-        ));
+        let stored =
+            StoredSolution::new(outcome.best_mapping.clone(), Some(problem.signatures().to_vec()));
+        let slot = Slot::new(plan.key, Arc::new(stored));
         if let Some((tier, tenant)) = shared {
-            tier.publish(plan.key.clone(), Arc::clone(&stored), tenant);
+            tier.publish_slot(slot.clone(), tenant);
         }
-        let evicted = self.cache.insert(plan.key, stored);
+        let evicted = self.cache.insert_slot(slot);
         let schedule = problem.schedule(&outcome.best_mapping);
         let outcome = DispatchOutcome {
             kind: plan.kind,

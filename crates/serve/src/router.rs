@@ -11,7 +11,10 @@
 //!   the pin lasts as long as the warm state it points at — when the pinned
 //!   shard's cache evicts the key, [`ShardRouter::forget`] drops the pin, so
 //!   the map is bounded by the caches it mirrors rather than by how many
-//!   distinct keys the fleet has ever seen.
+//!   distinct keys the fleet has ever seen. A pin holds a clone of the
+//!   group's [`SignatureKey`], which shares its signatures with the plan and
+//!   with the cache entries the completion publishes: a pin costs a pointer
+//!   and a shard index, not a copy of the key.
 //! * **Load** — unseen keys go to the least-loaded *admissible* shard (the
 //!   caller restricts admissibility to shards with scheduler room), with the
 //!   lowest index winning ties, so placement is a pure function of the
@@ -82,6 +85,12 @@ impl ShardRouter {
     /// Keys currently pinned to a shard.
     pub fn pinned(&self) -> usize {
         self.affinity.len()
+    }
+
+    /// The pinned key equal to `key` — the allocation the pin holds.
+    #[cfg(test)]
+    pub(crate) fn pinned_key(&self, key: &SignatureKey) -> Option<&SignatureKey> {
+        self.affinity.get_key_value(key).map(|(pinned, _)| pinned)
     }
 
     /// Drops `key`'s pin if it points at `shard` — called when that shard

@@ -16,6 +16,12 @@
 //! knob nest by [`ShardConfig::from_knobs`], is one field of both drivers'
 //! configs ([`FleetConfig::core`](crate::fleet::FleetConfig::core),
 //! [`EngineConfig::core`](crate::engine::EngineConfig::core)).
+//!
+//! A group's key is quantized once, at admission: the router pins a clone of
+//! it, the plan carries it, and the completion builds one cache entry — key,
+//! packed signature rows and stored solution — that the shard's cache and
+//! the shared tier take clones of. A published group so costs its key, its
+//! rows and its solution once, however many of these hold it.
 
 use crate::batcher::DispatchGroup;
 use crate::cache::{quantize_signatures, CacheStats, MappingCache, SharedCache};
@@ -480,6 +486,35 @@ pub(crate) mod tests {
         assert_eq!(session.spent(), 0);
         set.discard(&session, shard);
         assert_eq!(set.router.pinned(), pins - 1);
+    }
+
+    /// A completion publishes one entry: the router's pin, the shard's
+    /// entry, the tier's entry and the tier's quota book hold one key
+    /// allocation, and the two entries one rows buffer and one solution.
+    #[test]
+    fn a_completion_shares_one_key_and_one_rows_buffer_among_its_holders() {
+        let config = ShardConfig::from_knobs(&FleetKnobs::smoke(), 2);
+        assert!(config.shared_cache_capacity > 0, "the tier is on");
+        let mut set = ShardSet::new(&config, 3);
+        let mix = TenantMix::synthetic(2, 0);
+        let jobs = magma_model::WorkloadSpec::single_group(TaskType::Mix, 30, 1).jobs().to_vec();
+        let sigs: Vec<JobSignature> = jobs.iter().map(Job::signature).collect();
+        let arrivals = jobs.into_iter().map(|job| Arrival { time_sec: 0.0, tenant: 1, job });
+        let group = DispatchGroup { arrivals: arrivals.collect(), formed_at_sec: 0.0 };
+        let (_, shard) = set.admit(group, 0.0, f64::INFINITY, &mix);
+        let key = quantize_signatures(&sigs, config.dispatch.quant_step);
+        let pin = set.router.pinned_key(&key).expect("a new key is pinned").clone();
+        loop {
+            if let (_, Some((session, _))) = set.step(shard, 0.0) {
+                set.complete(session, shard, 0.0);
+                break;
+            }
+        }
+        let tier = set.shared.as_ref().expect("the tier is on");
+        assert!(tier.holds_as_one(set.services[shard].cache(), &pin));
+        // An equal key quantized apart is equal, not the same allocation.
+        assert!(!key.is(&pin) && key == pin);
+        assert!(!tier.holds_as_one(set.services[shard].cache(), &key));
     }
 
     /// The corrupt-cache-file contract, checked against either driver:

@@ -3,8 +3,9 @@
 //! constant-allocation gate on a GA generation around the kernel, and the
 //! bound on a cached group's plan and open, which pins that the seeds are
 //! never copied, and on a submit's trip through the wire codec — and the
-//! memory gate on the serving layer's tenants, which pins that a tenant and
-//! its job stream reference the zoo's models.
+//! memory gates on the serving layer's tenants, which pins that a tenant and
+//! its job stream reference the zoo's models, and on its full caches, which
+//! pins that a published group's key and packed rows exist once.
 //!
 //! Every search sample is one `M3e::evaluate` call, and after a thread's
 //! first evaluation of a problem (which sizes its scratch) the call must not
@@ -25,7 +26,10 @@ use common::{paper_scale_platforms, problem};
 use magma::m3e::StoredSolution;
 use magma::optim::parallel::{evaluate_batch_with, thread_count, with_threads};
 use magma::prelude::*;
-use magma::serve::{generate_trace, quantize_signatures, DispatchKind, TraceParams};
+use magma::serve::{
+    generate_trace, quantize_signatures, Admission, DispatchKind, EngineConfig, ServeEngine,
+    TraceParams,
+};
 use magma_server::proto::{decode_jobs, encode, Envelope, RequestMsg};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -290,6 +294,80 @@ fn a_fleet_trace_peaks_near_the_arrivals_it_returns() {
     assert_eq!(trace.len(), 4_000);
     let transient = heap.peak - heap.retained;
     assert!(transient < 1 << 20, "synthesis peaked {transient} bytes above its arrivals");
+}
+
+/// Never-seen 30-job groups the way the benchmark's `rpc_mix` draws them:
+/// every job a random accelerator layer of a random zoo model at a
+/// mini-batch from {1, 2, 4, 8}.
+fn fresh_groups(seed: u64) -> impl FnMut() -> Vec<Job> {
+    let layers: Vec<_> = magma::model::zoo::models_for_task(TaskType::Mix)
+        .iter()
+        .flat_map(|m| {
+            let layer = |(i, l): (usize, &LayerShape)| (m.name().to_string(), m.task(), i, *l);
+            m.layers().iter().enumerate().map(layer).collect::<Vec<_>>()
+        })
+        .filter(|(_, _, _, l)| l.runs_on_accelerator())
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    move || {
+        (0..30)
+            .map(|k| {
+                let (model, task, index, layer) = layers[rng.gen_range(0..layers.len())].clone();
+                Job::new(JobId(k), model, index, layer, 1 << rng.gen_range(0..4u32), task)
+            })
+            .collect()
+    }
+}
+
+/// The daemon's caches at saturation: every completed group is published to
+/// its shard's 64-entry cache and to the 256-entry fleet tier. Each of them
+/// derives a key (480 bytes at 30 jobs), packed rows (1 200 bytes) and a
+/// solution (≈ 2.6 KB). The key is held by the plan, the router's affinity
+/// pin, the shard slot, the tier slot and the tier's quota book, the rows by
+/// both slots; they share one key and one rows buffer, as they share the
+/// solution. The state retains ≈ 1.40 MB; copied per holder — three more
+/// keys and one more rows buffer per published group — it retained
+/// ≈ 2.07 MB, and one more key copy per tier entry would cross the bound.
+#[test]
+fn a_full_serving_cache_keeps_one_key_and_one_rows_buffer_per_group() {
+    /// Groups in flight at a time, so that the router spreads them over the
+    /// four shards by load.
+    const WAVE: u64 = 4;
+    let knobs = settings::ServerKnobs::full();
+    let tenants = knobs.fleet.tenants;
+    let mut engine = ServeEngine::new(
+        EngineConfig::from_knobs(&knobs),
+        TenantMix::synthetic(tenants, knobs.fleet.serve.seed),
+    );
+    let mut group = fresh_groups(3);
+    let mut rng = StdRng::seed_from_u64(5);
+    // Waves `waves`, each submitted at its own second and polled to the end.
+    let mut serve = |engine: &mut ServeEngine, waves: std::ops::Range<u64>| {
+        for wave in waves {
+            let now = wave as f64;
+            for token in wave * WAVE..(wave + 1) * WAVE {
+                let verdict = engine.submit(now, token, rng.gen_range(0..tenants), group());
+                assert_eq!(verdict, Admission::Accepted);
+            }
+            let mut done = 0;
+            while done < WAVE as usize * 30 {
+                done += engine.poll(now).len();
+            }
+        }
+    };
+    with_threads(1, || {
+        // 640 groups: ≈ 160 a shard, well past its 64 entries, and 2.5 times
+        // the tier's 256.
+        let (_, full) = heap_use_of(|| serve(&mut engine, 0..160));
+        let stats = engine.stats();
+        assert_eq!(stats.completed_sessions, 640);
+        assert_eq!(stats.cache_hits, stats.cache_near_hits, "no key recurs");
+        // Full caches replace what they take in: 64 more groups keep next
+        // to nothing more.
+        let (_, more) = heap_use_of(|| serve(&mut engine, 160..176));
+        assert!(more.retained < 64 << 10, "64 more groups kept {} bytes", more.retained);
+        assert!(full.retained < 1_460_000, "full caches retain {} bytes", full.retained);
+    });
 }
 
 /// A cached group's submit crosses the wire codec twice: the client encodes
