@@ -265,6 +265,13 @@ fn replay<R: Recorder>(
             grant(i, lane);
         }
         let dt = lesser(lesser(lanes[0], lanes[1]), lesser(lanes[2], lanes[3])).max(0.0);
+        // No live job completes under this allocation (each has bytes left
+        // and no grant): the group never finishes. Advancing by `dt = ∞`
+        // would turn every remaining count into NaN and loop for ever; the
+        // makespan is infinite instead, which is zero throughput.
+        if !dt.is_finite() {
+            return (f64::INFINITY, total_energy_nj);
+        }
 
         recorder.slice(now, now + dt, &live_accel[..count], alloc);
 
@@ -832,6 +839,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_job_that_is_granted_no_bandwidth_ends_the_replay_instead_of_hanging() {
+        // One job with bytes to stream and no bandwidth required: its grant
+        // is zero and it never completes. The replay runs on a thread of its
+        // own so that a hang fails the test instead of stalling the suite.
+        let (sent, received) = std::sync::mpsc::channel();
+        let replaying = std::thread::spawn(move || {
+            let mut queues = FlatQueues::new();
+            queues.decode(&Mapping::new(vec![0], vec![0.5], 1));
+            let cost =
+                |_, _| LaunchCost { remaining_bytes: 1e6, required_bw_gbps: 0.0, energy_nj: 1.0 };
+            let totals = replay(&queues, &mut LiveCores::new(), 16.0, cost, &mut NoRecord);
+            sent.send(totals).expect("the test waits for the totals");
+        });
+        let (makespan_sec, _) = received
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the replay returns within seconds");
+        replaying.join().expect("the replay thread ends cleanly");
+        assert_eq!(makespan_sec, f64::INFINITY);
     }
 
     proptest! {

@@ -18,14 +18,13 @@
 //!
 //! Every request is applied against the wall clock
 //! (`submit`/`cancel`/`drain`/`stats`) where it is read: a connection's
-//! bytes go through a `FrameReader`. While the admission pace (below)
-//! would bounce a submit, a request is parsed only as far as its
-//! [`Envelope`] — id, verb, tenant, target — with the jobs checked to be
-//! well-formed JSON; `busy` is decided on that alone, so refusing a group
-//! costs a scan of its frame. While the pace would let one in, the jobs are
-//! built in the same pass (`Envelope::decode_building`) rather than walked
-//! twice. The reader buffers at most one frame: a client that sends faster
-//! than its requests are applied is held back by TCP. The loop is
+//! bytes go through a `FrameReader`, and each frame is decoded once, as a
+//! whole [`RequestMsg`] with its jobs built, whatever the admission pace
+//! (below) then answers. A frame that is not a valid `RequestMsg` — not
+//! JSON, a job [`Job::try_new`](magma_model::Job::try_new) refuses, jobs
+//! that are no jobs on any verb — closes its connection, paced or not. The
+//! reader buffers at most one frame: a client that sends faster than its
+//! requests are applied is held back by TCP. The loop is
 //! **work-conserving**: how long `poll` may wait is the engine's own answer
 //! ([`ServeEngine::next_wake`]):
 //!
@@ -73,7 +72,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use magma_model::{Job, TenantMix};
+use magma_model::TenantMix;
 use magma_serve::{
     Admission, EngineConfig, EngineStats, JobCompletion, MapperWork, ServeEngine, Wake,
 };
@@ -81,8 +80,8 @@ use magma_serve::{
 use crate::frame::{write_frame, FrameReader};
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::proto::{
-    decode_jobs, encode, Envelope, ResponseMsg, KIND_ACCEPTED, KIND_BUSY, KIND_CANCELLED,
-    KIND_DONE, KIND_DRAINED, KIND_STATS, VERB_CANCEL, VERB_DRAIN, VERB_STATS, VERB_SUBMIT,
+    decode, encode, RequestMsg, ResponseMsg, KIND_ACCEPTED, KIND_BUSY, KIND_CANCELLED, KIND_DONE,
+    KIND_DRAINED, KIND_STATS, VERB_CANCEL, VERB_DRAIN, VERB_STATS, VERB_SUBMIT,
 };
 
 /// Answers a connection may have waiting behind its socket's buffers. They
@@ -420,16 +419,11 @@ impl Serving {
             // An oversized frame, a reset: the connection is gone.
             Err(_) => true,
         };
-        // A submit's jobs are built with its envelope while the pace would
-        // let it in (it stays open while requests are applied), and left as
-        // text while it would bounce it.
-        let admitting = self.pace.wait(self.now()).is_none();
         // Requests are applied in order until none is left or the connection
         // is dropped: a frame that fails to decode, an answer over the limit.
         while let Some(conn) = self.conns.get_mut(&id) {
             let request = match conn.input.next_frame() {
-                Ok(Some(payload)) if admitting => Envelope::decode_building(payload),
-                Ok(Some(payload)) => Envelope::decode(payload).map(|msg| (msg, None)),
+                Ok(Some(payload)) => decode::<RequestMsg>(payload),
                 Ok(None) => break,
                 Err(_) => {
                     self.drop_conn(id);
@@ -437,12 +431,15 @@ impl Serving {
                 }
             };
             match request {
-                Ok((msg, built)) => {
-                    if self.apply(id, msg, built) {
+                Ok(msg) => {
+                    if self.apply(id, msg) {
                         return true;
                     }
                 }
-                Err(reason) => self.drop_malformed(id, &reason),
+                Err(reason) => {
+                    eprintln!("magma-server: dropping connection {id}: {reason}");
+                    self.drop_conn(id);
+                }
             }
         }
         if ended {
@@ -451,36 +448,23 @@ impl Serving {
         false
     }
 
-    /// Applies one request from `conn`, with its jobs when they were built
-    /// with the envelope. Returns `true` once a drain has completed.
-    fn apply(&mut self, conn: u64, msg: Envelope, built: Option<Vec<Job>>) -> bool {
+    /// Applies one request from `conn`. Returns `true` once a drain has
+    /// completed.
+    fn apply(&mut self, conn: u64, msg: RequestMsg) -> bool {
         let now = self.now();
         match msg.verb.as_str() {
             VERB_SUBMIT => {
-                let raw = msg.jobs.as_deref();
-                let resp = match msg.tenant {
-                    Some(tenant) if built.is_some() || raw.is_some() => {
+                let resp = match (msg.tenant, msg.jobs) {
+                    (Some(tenant), Some(jobs)) => {
                         let token = self.next_token;
-                        let mut total = 0;
-                        // The pace first: only an admitted submit has its
-                        // jobs decoded.
+                        let total = jobs.len();
+                        // The pace first, then the engine's own admission.
                         let verdict = match self.pace.wait(now) {
                             Some(retry_after_sec) => {
                                 self.paced += 1;
                                 Admission::Busy { retry_after_sec }
                             }
-                            None => match built
-                                .map_or_else(|| decode_jobs(raw.unwrap_or_default()), Ok)
-                            {
-                                Ok(jobs) => {
-                                    total = jobs.len();
-                                    self.engine.submit(now, token, tenant, jobs)
-                                }
-                                Err(reason) => {
-                                    self.drop_malformed(conn, &reason);
-                                    return false;
-                                }
-                            },
+                            None => self.engine.submit(now, token, tenant, jobs),
                         };
                         match verdict {
                             Admission::Accepted => {
@@ -623,12 +607,6 @@ impl Serving {
         for id in failed {
             self.drop_conn(id);
         }
-    }
-
-    /// Drops a connection over a frame that failed to decode.
-    fn drop_malformed(&mut self, conn: u64, reason: &str) {
-        eprintln!("magma-server: dropping connection {conn}: {reason}");
-        self.drop_conn(conn);
     }
 
     /// Closes a connection (a no-op when it is already closed) and cancels

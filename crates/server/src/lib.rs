@@ -34,10 +34,10 @@
 //! fleet router balances on), submits get `busy` with a
 //! `retry_after_sec` hint instead of queueing without bound. The daemon
 //! adds an admission pace in front of it — a budget of provisioned mapper
-//! time per wall-clock second, answered with the same `busy`, and decided on
-//! a request's envelope before its jobs are decoded — so what a saturating
-//! client gets is the same on every host and in every run, and what it is
-//! refused costs the daemon a scan of the frame.
+//! time per wall-clock second, answered with the same `busy` — so what a
+//! saturating client gets is the same on every host and in every run. A
+//! frame is decoded once, jobs and all, whatever the pace says; one that is
+//! not a valid request closes its connection, paced or not.
 //!
 //! The end-to-end localhost suite lives in `tests/integration_rpc.rs`; the
 //! repository's benchmark (`benchmark/run.sh --workload rpc_mix` or

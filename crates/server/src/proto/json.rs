@@ -112,16 +112,6 @@ impl<'a> Reader<'a> {
         Reader { text, pos: 0 }
     }
 
-    /// Where the cursor stands, in bytes.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
-    /// The text from byte `start` up to the cursor.
-    pub fn since(&self, start: usize) -> Option<&'a str> {
-        self.text.get(start..self.pos)
-    }
-
     fn rest(&self) -> &'a [u8] {
         self.text.as_bytes().get(self.pos..).unwrap_or_default()
     }

@@ -30,7 +30,7 @@ use magma::serve::{
     generate_trace, quantize_signatures, Admission, DispatchKind, EngineConfig, ServeEngine,
     TraceParams,
 };
-use magma_server::proto::{decode_jobs, encode, Envelope, RequestMsg};
+use magma_server::proto::{decode, encode, RequestMsg};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -371,23 +371,22 @@ fn a_full_serving_cache_keeps_one_key_and_one_rows_buffer_per_group() {
 }
 
 /// A cached group's submit crosses the wire codec twice: the client encodes
-/// it, the daemon decodes its jobs once admitted. The encoder writes the
-/// frame straight into one buffer sized for it, and the reader builds the
-/// jobs straight off the text — a vector and one model name per job — where
-/// the serde path built a `Value` node per job, member name and number.
+/// it, the daemon decodes it, jobs and all. The encoder writes the frame
+/// straight into one buffer sized for it, and the reader builds the request
+/// straight off the text — a vector, one model name per job and the verb —
+/// where the serde path built a `Value` node per job, member name and number.
 #[test]
 fn a_submit_is_encoded_into_one_buffer_and_its_jobs_built_off_the_text() {
     let jobs = WorkloadSpec::single_group(TaskType::Mix, 30, 0).jobs().to_vec();
-    let msg = RequestMsg::submit(1, 0, jobs.clone());
+    let msg = RequestMsg::submit(1, 0, jobs);
     let mut payload = Vec::new();
     let encoding = allocations_in(|| payload = encode(&msg));
     assert!(encoding <= 2, "encoding a 30-job submit allocated {encoding} times");
 
-    let raw = Envelope::decode(&payload).expect("the frame decodes").jobs.expect("it has jobs");
-    let mut decoded = Vec::new();
-    let decoding = allocations_in(|| decoded = decode_jobs(&raw).expect("the jobs decode"));
-    assert_eq!(decoded, jobs);
-    assert!(decoding <= 30 + 2, "decoding 30 jobs allocated {decoding} times");
+    let mut decoded = None;
+    let decoding = allocations_in(|| decoded = Some(decode::<RequestMsg>(&payload)));
+    assert_eq!(decoded, Some(Ok(msg)));
+    assert!(decoding <= 30 + 2, "decoding a 30-job submit allocated {decoding} times");
 }
 
 /// Every batch evaluation — one per scheduler slice, one per GA generation —

@@ -13,9 +13,10 @@
 //! * **Admissions are paced** — once the mapper work done overdraws the
 //!   daemon's budget a submit is answered `busy` with the time the budget
 //!   needs, a submit after that time is admitted, and the final stats count
-//!   the bounced submit as rejected. `busy` is decided before the jobs are
-//!   decoded: at a closed pace a submit whose jobs are JSON but not jobs is
-//!   bounced like any other, and costs its connection only once admitted.
+//!   the bounced submit as rejected. A frame is decoded whole whatever the
+//!   pace says: at a closed pace a frame that is not a valid request — a job
+//!   the constructor refuses, jobs that are no jobs on a `stats`, not JSON —
+//!   closes its connection, while a well-formed submit is bounced.
 //! * **Graceful drain** — every in-flight group reaches its terminal
 //!   `done` *before* the `drained` response, shard caches are persisted
 //!   to disk, and the final stats account for every job.
@@ -56,7 +57,7 @@ use magma_server::client::{Client, Event};
 use magma_server::daemon::Server;
 use magma_server::frame::{read_frame, write_frame};
 use magma_server::proto::{
-    decode, encode, RequestMsg, ResponseMsg, KIND_ACCEPTED, KIND_BUSY, KIND_DONE, KIND_STATS,
+    decode, encode, RequestMsg, ResponseMsg, KIND_ACCEPTED, KIND_BUSY, KIND_DONE,
 };
 
 const MAX_FRAME: usize = 1 << 20;
@@ -303,34 +304,39 @@ fn the_admission_pace_bounces_a_submit_until_the_budget_has_caught_up() {
 }
 
 #[test]
-fn a_closed_pace_bounces_a_submit_before_its_jobs_are_decoded() {
+fn a_frame_that_is_not_a_request_closes_its_connection_whatever_the_pace() {
     let (server, addr) = start_server(&paced_knobs(4.0));
     let mut client = Client::connect(&addr, MAX_FRAME).expect("client connects");
     close_the_pace(&mut client);
 
-    let frame = String::from_utf8(encode(&RequestMsg::submit(0, 0, vec![job(0)]))).unwrap();
-    let mut raw = TcpStream::connect(&addr).expect("raw client connects");
-    raw.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout sets");
-    let mut ask = |payload: &[u8]| {
+    // Each frame on a connection of its own: the daemon's answer, or `None`
+    // when it hangs up.
+    let ask = |payload: &[u8]| {
+        let mut raw = TcpStream::connect(&addr).expect("raw client connects");
+        raw.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout sets");
         write_frame(&mut raw, payload, MAX_FRAME).expect("the frame sends");
         let answer = read_frame(&mut raw, MAX_FRAME).expect("the daemon answers or hangs up");
         answer.map(|payload| decode::<ResponseMsg>(&payload).expect("a response"))
     };
 
-    // Well-formed JSON that is not a valid job: admitted it would be a decode
-    // error (see `a_job_the_constructor_would_refuse…`), but nothing is
-    // admitted now, so it is bounced like any submit and the connection lives.
-    let bounced = ask(frame.replace("\"batch\":4", "\"batch\":0").as_bytes()).expect("an answer");
+    // Nothing is admitted now, yet each frame is decoded whole and refused:
+    // a job the constructor refuses, jobs that are no jobs on a verb that
+    // does not use them, and a frame that is not JSON at all.
+    let frame = String::from_utf8(encode(&RequestMsg::submit(0, 0, vec![job(0)]))).unwrap();
+    for bent in [
+        frame.replace("\"batch\":4", "\"batch\":0"),
+        r#"{"id":1,"verb":"stats","jobs":[7]}"#.to_string(),
+        frame.replace("\"batch\":4", "\"batch\":}"),
+    ] {
+        assert_eq!(ask(bent.as_bytes()), None, "{bent}: the connection closes");
+    }
+    // A well-formed submit is still bounced by the pace.
+    let bounced = ask(frame.as_bytes()).expect("an answer");
     assert_eq!(bounced.kind, KIND_BUSY);
     assert!(bounced.retry_after_sec.expect("a hint") > 1.0, "{bounced:?}");
-    // A verb that does not use its jobs never reads them beyond their grammar.
-    let stats = ask(br#"{"id":1,"verb":"stats","jobs":[7]}"#).expect("the connection lives");
-    assert_eq!(stats.kind, KIND_STATS);
-    // Not JSON at all: the reader refuses the frame whatever the pace says.
-    assert!(ask(frame.replace("\"batch\":4", "\"batch\":}").as_bytes()).is_none());
 
     let stats = drain_and_join(client, server);
-    assert_eq!((stats.accepted, stats.rejected), (1, 1), "one bent frame was bounced");
+    assert_eq!((stats.accepted, stats.rejected), (1, 1), "only the well-formed submit was bounced");
 }
 
 #[test]
@@ -543,7 +549,7 @@ fn a_job_the_constructor_would_refuse_costs_only_its_senders_connection() {
         bend("\"batch\":4", "\"batch\":0"),
         bend("\"in_features\":64", "\"in_features\":18446744073709551615"),
         bend("\"out_features\":64,\"in_features\":64", "\"out_features\":0,\"in_features\":0"),
-        // Jobs that are not even JSON are refused with their envelope.
+        // Jobs that are not even JSON: the frame is no request at all.
         bend("\"batch\":4", "\"batch\":}"),
     ] {
         let mut hostile = TcpStream::connect(&addr).expect("raw client connects");
