@@ -6,7 +6,7 @@
 //!
 //! | Algorithm | Module | Rule and constants |
 //! |---|---|---|
-//! | **MAGMA** (this paper) | [`magma_ga`] | breeding rule of the elitist GA engine: Crossover-gen 0.9, Crossover-rg 0.05, Crossover-accel 0.05, Mutation 0.05; population = group size (≥ 16), elites 0.25 — [`MagmaConfig`], the one settable set (Fig. 16, warm start, [`hyper`]) |
+//! | **MAGMA** (this paper) | [`magma_ga`] | breeding rule of the elitist GA engine: Crossover-gen 0.9, Crossover-rg 0.05, Crossover-accel 0.05, Mutation 0.05; population = group size (≥ 16), elites 0.25 — [`MagmaConfig`], the one settable set (Fig. 16, warm start) |
 //! | stdGA | [`stdga`] | breeding rule of the same engine: flat single-pivot crossover 0.1, mutation 0.1; population 50, elites 0.2 |
 //! | DE | [`de`] | generation of 40 rand/1/bin trials, selected index by index: F = 0.8, CR = 0.8 |
 //! | CMA-ES | [`cmaes`] | generation of 40 Gaussian samples, separable: elite half, initial σ 0.3, variance learning rate 0.3 |
@@ -53,7 +53,7 @@
 //! | Figs. 8–12 (the mapper rosters) | `magma::Algorithm` — the facade's tag enum is the one list of the optimizers here |
 //! | Fig. 11 / Fig. 16 (convergence, operator ablation) | [`Optimizer::search`] histories, [`magma_ga::Magma::with_operators`] |
 //! | Table V (warm-started initial populations) | [`magma_ga::Magma::with_warm_start`] |
-//! | Section V-B (hyper-parameter tuning) | [`hyper`] |
+//! | Section V-B (hyper-parameter tuning) | the paper's tuned rates, the [`MagmaConfig`] defaults |
 //!
 //! # Example
 //!
@@ -83,7 +83,6 @@ pub mod cmaes;
 pub mod de;
 mod ga;
 pub mod heuristics;
-pub mod hyper;
 pub mod magma_ga;
 pub mod optimizer;
 pub mod parallel;

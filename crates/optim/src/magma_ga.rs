@@ -101,8 +101,8 @@ impl Default for OperatorSet {
 }
 
 /// MAGMA hyper-parameters. The defaults are the paper's values (Section V-B2,
-/// tuned via Bayesian optimization in the original work; the tuner in
-/// [`crate::hyper`] reproduces that step).
+/// tuned via Bayesian optimization in the original work and shipped here as
+/// constants).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MagmaConfig {
     /// Population size; `None` means "equal to the group size" (the paper's

@@ -32,7 +32,8 @@
 //!   backlog — the same seconds-denominated load measure the router places
 //!   by, plus the cost of everything still queued in the batcher — exceeds
 //!   `max_backlog_sec`, or when the bounded admission queue
-//!   (`pending_per_shard × shards` groups) is full.
+//!   (`pending_per_shard × shards` groups) is full. A submission larger
+//!   than that whole queue could never get in: it is [`Admission::Invalid`].
 //! * **Timeouts** — every admitted group carries a deadline of
 //!   `admission + timeout_sec`; under the Deadline policy an expired
 //!   session is early-finished by the scheduler (a usable mapping built
@@ -137,7 +138,7 @@ pub enum Admission {
     /// The engine is draining; no new work is admitted.
     Draining,
     /// The request itself was malformed (empty job list, unknown tenant,
-    /// reused token).
+    /// reused token, more jobs than the admission queue holds).
     Invalid {
         /// What was wrong with it.
         reason: String,
@@ -356,11 +357,20 @@ impl ServeEngine {
         if self.open_tokens.contains_key(&token) {
             return Admission::Invalid { reason: format!("token {token} is already open") };
         }
+        // A group larger than the whole queue would be bounced for ever.
+        let queue_cap =
+            self.config.pending_per_shard * self.shards.len() * self.config.group_target;
+        if jobs.len() > queue_cap {
+            return Admission::Invalid {
+                reason: format!(
+                    "{} jobs exceed the admission queue's {queue_cap} in one submission",
+                    jobs.len()
+                ),
+            };
+        }
         // Backpressure: the bounded queue is full, or the projected backlog
         // is over the knob. The hint is how long the backlog is projected to
         // need to fall back under it, floored at 1 ms.
-        let queue_cap =
-            self.config.pending_per_shard * self.shards.len() * self.config.group_target;
         let projected = self.projected_backlog_sec(now);
         if self.batcher.pending() + jobs.len() > queue_cap
             || projected > self.config.max_backlog_sec
@@ -1025,6 +1035,24 @@ mod tests {
             Admission::Invalid { reason } => assert!(reason.contains("already open")),
             other => panic!("unexpected admission {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_submission_larger_than_the_queue_is_refused_not_bounced() {
+        // The queue holds 1 group × 2 shards × 4 jobs: one job more can never
+        // be admitted, however idle the engine, so it is no `Busy`.
+        let mut knobs = tiny_knobs();
+        knobs.pending_per_shard = 1;
+        knobs.max_backlog_sec = 1e9;
+        let mut engine = ServeEngine::new(EngineConfig::from_knobs(&knobs), mix(2));
+        match engine.submit(0.0, 0, 0, (0..9).map(job).collect()) {
+            Admission::Invalid { reason } => {
+                assert!(reason.contains('9') && reason.contains('8'), "{reason}")
+            }
+            other => panic!("unexpected admission {other:?}"),
+        }
+        assert_eq!(engine.stats().rejected, 0, "a refused submit is no backpressure");
+        assert_eq!(engine.submit(0.0, 1, 0, (0..8).map(job).collect()), Admission::Accepted);
     }
 
     #[test]

@@ -21,8 +21,11 @@
 //! [`read_frame`] blocks until its frame is whole; the daemon, which serves
 //! every connection from one thread, reads with a `FrameReader` instead:
 //! one `read` at a time, whatever it returns, and a frame handed out once its
-//! last byte is in. It keeps the same contract — a proptest holds it to
-//! [`read_frame`] on every split of the stream.
+//! last byte is in. The daemon's protocol core owns one per connection and
+//! holds no socket: its I/O shell `fill`s the core's reader straight from
+//! the socket, and a test fills it from a byte slice. It keeps the same
+//! contract — a proptest holds it to [`read_frame`] on every split of the
+//! stream.
 
 use std::io::{self, Read, Write};
 

@@ -20,12 +20,18 @@
 //!   (`submit_group`/`cancel`/`drain`/`stats`) with per-request ids; the hot
 //!   frames are written and read by hand, serde's bytes without its `Value`
 //!   tree, and any other frame goes through serde.
-//! * [`daemon`] — [`Server`]: one reactor thread that owns a
-//!   [`ServeEngine`](magma_serve::ServeEngine), the listener and every
-//!   connection, and waits in `poll(2)` (it polls the engine back to back
-//!   while searches are live and blocks when none are); a connection costs
-//!   it buffers, not threads, and graceful drain finishes every admitted
-//!   group and persists shard caches before shutdown. Unix only.
+//! * `daemon_core` — the daemon's protocol, free of I/O: it owns a
+//!   [`ServeEngine`](magma_serve::ServeEngine), the admission pace, the
+//!   books of accepted submits and each connection's buffers, and speaks
+//!   connection ids, bytes and the seconds its caller passes — so its tests
+//!   run on a virtual clock, and it builds on every platform. Crate-private.
+//! * [`daemon`] — [`Server`]: the `poll(2)` shell around the core. One
+//!   reactor thread owns the core, the listener and every connection, reads
+//!   the wall clock and hands each reading to the core (it turns the engine
+//!   back to back while searches are live and blocks when none are); a
+//!   connection costs it buffers, not threads, and graceful drain finishes
+//!   every admitted group and persists shard caches before shutdown. Unix
+//!   only.
 //! * [`client`] — [`Client`] and the pure [`Mux`] state machine that
 //!   guarantees no response is lost or double-counted.
 //!
@@ -52,6 +58,9 @@
 pub mod client;
 #[cfg(unix)]
 pub mod daemon;
+// The protocol builds everywhere; only its `poll(2)` shell is Unix-only.
+#[cfg_attr(not(unix), allow(dead_code))]
+mod daemon_core;
 pub mod frame;
 #[cfg(unix)]
 #[allow(unsafe_code)]

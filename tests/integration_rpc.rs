@@ -22,6 +22,9 @@
 //!   to disk, and the final stats account for every job.
 //! * **Cancellation over the wire** — a cancel is acknowledged and the
 //!   target submit terminates as `cancelled`, never `done`.
+//! * **A request id names one submit in flight** — a submit that reuses the
+//!   id of one still open is an `error` and admits nothing, so a cancel of
+//!   that id still reaches the first.
 //! * **The daemon waits exactly as long as the engine says** — a lone
 //!   partial group is cut at its admission deadline with no other traffic
 //!   to wake the daemon (a wrong wake time hangs, it does not add a tick).
@@ -57,7 +60,8 @@ use magma_server::client::{Client, Event};
 use magma_server::daemon::Server;
 use magma_server::frame::{read_frame, write_frame};
 use magma_server::proto::{
-    decode, encode, RequestMsg, ResponseMsg, KIND_ACCEPTED, KIND_BUSY, KIND_DONE,
+    decode, encode, RequestMsg, ResponseMsg, KIND_ACCEPTED, KIND_BUSY, KIND_CANCELLED, KIND_DONE,
+    KIND_ERROR,
 };
 
 const MAX_FRAME: usize = 1 << 20;
@@ -463,6 +467,47 @@ fn cancelling_over_the_wire_acknowledges_and_terminates_the_target() {
     assert_eq!(stats.cancelled, 1);
     assert_eq!(stats.completed_jobs, 0);
     assert_eq!(stats.cancelled_jobs, 1);
+}
+
+#[test]
+fn a_submit_that_reuses_an_in_flight_id_is_refused() {
+    // Backpressure never answers first, however long the search projects.
+    let mut knobs = endless_search_knobs();
+    knobs.max_backlog_sec = 1e12;
+    let (server, addr) = start_server(&knobs);
+    let raw = TcpStream::connect(&addr).expect("raw client connects");
+    raw.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout sets");
+    let answer = || {
+        let payload = read_frame(&mut &raw, MAX_FRAME).expect("an answer").expect("no hang-up");
+        decode::<ResponseMsg>(&payload).expect("a response")
+    };
+
+    // Two submits under id 1, sent back to back: the first is searched
+    // until cancelled, the second is refused and admits nothing.
+    let mut wire = Vec::new();
+    for job_index in [0, 1] {
+        let submit = encode(&RequestMsg::submit(1, 0, vec![job(job_index)]));
+        write_frame(&mut wire, &submit, MAX_FRAME).expect("the frame encodes");
+    }
+    (&raw).write_all(&wire).expect("both submits send");
+    let (first, second) = (answer(), answer());
+    assert_eq!((first.id, first.kind.as_str()), (1, KIND_ACCEPTED));
+    assert_eq!((second.id, second.kind.as_str()), (1, KIND_ERROR), "{second:?}");
+    let reason = second.error.expect("a reason");
+    assert!(reason.contains("request id 1 is already in flight"), "{reason}");
+
+    // The cancel of id 1 reaches the first submit: acknowledged, then its
+    // terminal.
+    let cancel = encode(&RequestMsg::cancel(2, 1));
+    write_frame(&mut &raw, &cancel, MAX_FRAME).expect("the cancel sends");
+    let mut ends = [answer(), answer()].map(|r| (r.id, r.kind));
+    ends.sort();
+    assert_eq!(ends, [(1, KIND_CANCELLED.to_string()), (2, KIND_CANCELLED.to_string())]);
+
+    let client = Client::connect(&addr, MAX_FRAME).expect("client connects");
+    let stats = drain_and_join(client, server);
+    assert_eq!((stats.accepted, stats.cancelled, stats.cancelled_jobs), (1, 1, 1));
+    assert_eq!(stats.completed_jobs, 0);
 }
 
 #[test]
