@@ -242,13 +242,14 @@ impl TenantMix {
     /// draw `u` in `[0, 1)`. Exposed so trace generators can modulate the
     /// weights over time (tenant-mix drift) while keeping selection
     /// deterministic. Drawing many tenants from one weight vector goes
-    /// through [`TenantMix::prepare_weights`], which this is one draw of.
+    /// through [`TenantMix::prepare_weights`], which takes the total once;
+    /// both draw with the same scan.
     ///
     /// # Panics
     ///
     /// Panics if `weights.len() != self.len()` or if no weight is positive.
     pub fn pick(&self, weights: &[f64], u: f64) -> usize {
-        self.prepare_weights(weights).pick(u)
+        scan(weights, self.total_of(weights), u)
     }
 
     /// Validates and sums `weights` once, for any number of
@@ -258,11 +259,17 @@ impl TenantMix {
     /// # Panics
     ///
     /// As [`TenantMix::pick`].
-    pub fn prepare_weights<'a>(&self, weights: &'a [f64]) -> PreparedWeights<'a> {
+    pub fn prepare_weights(&self, weights: Vec<f64>) -> PreparedWeights {
+        let total = self.total_of(&weights);
+        PreparedWeights { weights, total }
+    }
+
+    /// The sum of the weights that count, in tenant order.
+    fn total_of(&self, weights: &[f64]) -> f64 {
         assert_eq!(weights.len(), self.tenants.len(), "one weight per tenant");
         let total: f64 = weights.iter().copied().filter(|&w| counts(w)).sum();
         assert!(total > 0.0, "at least one tenant weight must be positive");
-        PreparedWeights { weights, total }
+        total
     }
 }
 
@@ -271,29 +278,35 @@ fn counts(w: f64) -> bool {
     w.is_finite() && w > 0.0
 }
 
+/// The tenant a uniform draw `u` in `[0, 1)` lands on, given the weights'
+/// `total` (of those that count, summed in tenant order).
+fn scan(weights: &[f64], total: f64, u: f64) -> usize {
+    let mut target = u.clamp(0.0, 1.0) * total;
+    for (i, &w) in weights.iter().enumerate() {
+        if counts(w) {
+            if target < w {
+                return i;
+            }
+            target -= w;
+        }
+    }
+    // Rounding at u ≈ 1.0 lands past the last positive weight.
+    weights.iter().rposition(|&w| counts(w)).expect("the total is positive")
+}
+
 /// Per-tenant weights with their total already taken
 /// (see [`TenantMix::prepare_weights`]).
-#[derive(Debug, Clone, Copy)]
-pub struct PreparedWeights<'a> {
-    weights: &'a [f64],
+#[derive(Debug, Clone)]
+pub struct PreparedWeights {
+    weights: Vec<f64>,
     /// Sum of the weights that count, in tenant order.
     total: f64,
 }
 
-impl PreparedWeights<'_> {
+impl PreparedWeights {
     /// The tenant a uniform draw `u` in `[0, 1)` lands on.
     pub fn pick(&self, u: f64) -> usize {
-        let mut target = u.clamp(0.0, 1.0) * self.total;
-        for (i, &w) in self.weights.iter().enumerate() {
-            if counts(w) {
-                if target < w {
-                    return i;
-                }
-                target -= w;
-            }
-        }
-        // Rounding at u ≈ 1.0 lands past the last positive weight.
-        self.weights.iter().rposition(|&w| counts(w)).expect("the total is positive")
+        scan(&self.weights, self.total, u)
     }
 }
 
@@ -461,7 +474,7 @@ mod tests {
         }
         // The last tenant cannot be drawn, so `u → 1` exercises the fallback.
         *weights.last_mut().unwrap() = 0.0;
-        let prepared = mix.prepare_weights(&weights);
+        let prepared = mix.prepare_weights(weights.clone());
         let edges = [0.0, f64::MIN_POSITIVE, 0.5, 1.0 - f64::EPSILON / 2.0, 1.0, 1.5, -0.5];
         let draws = (0..10_000).map(|k| k as f64 / 10_000.0).chain(edges);
         for u in draws {

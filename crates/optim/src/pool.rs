@@ -357,6 +357,8 @@ pub(crate) fn submit<P: MappingProblem + ?Sized>(
     threads: usize,
 ) {
     debug_assert!(threads >= 2 && mappings.len() >= 2 && mappings.len() == out.len());
+    #[cfg(test)]
+    let _shared = tests::lifecycle::share();
     let mut mgr = manager().lock().unwrap_or_else(PoisonError::into_inner);
     let wanted = threads - 1;
     if mgr.pool.as_ref().is_none_or(|p| p.size() != wanted) {
@@ -400,9 +402,47 @@ mod tests {
     use rand::SeedableRng;
 
     /// Pool-lifecycle assertions share the process-wide pool with every
-    /// other test in this binary; serialize them so the counters they
-    /// assert on are their own.
-    static LIFECYCLE: Mutex<()> = Mutex::new(());
+    /// other test in this binary, and a search at the default thread count
+    /// resizes it. A lifecycle test holds the pool exclusively: every
+    /// [`submit`] shares it, except the lifecycle test's own.
+    pub(super) mod lifecycle {
+        use std::cell::Cell;
+        use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+        static POOL: RwLock<()> = RwLock::new(());
+
+        thread_local! {
+            /// Set while this thread holds [`POOL`] for writing.
+            static EXCLUSIVE: Cell<bool> = const { Cell::new(false) };
+        }
+
+        /// The pool to this thread alone, until the guard drops.
+        pub(crate) struct Exclusive {
+            _guard: RwLockWriteGuard<'static, ()>,
+        }
+
+        impl Drop for Exclusive {
+            fn drop(&mut self) {
+                EXCLUSIVE.with(|e| e.set(false));
+            }
+        }
+
+        pub(crate) fn exclusive() -> Exclusive {
+            let guard = POOL.write().unwrap_or_else(PoisonError::into_inner);
+            EXCLUSIVE.with(|e| e.set(true));
+            Exclusive { _guard: guard }
+        }
+
+        /// A batch's share of the pool: none on the thread that holds it
+        /// exclusively, whose own batches would otherwise wait on itself.
+        pub(crate) fn share() -> Option<RwLockReadGuard<'static, ()>> {
+            if EXCLUSIVE.with(Cell::get) {
+                None
+            } else {
+                Some(POOL.read().unwrap_or_else(PoisonError::into_inner))
+            }
+        }
+    }
 
     fn population(jobs: usize, accels: usize, count: usize, seed: u64) -> Vec<Mapping> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -411,7 +451,7 @@ mod tests {
 
     #[test]
     fn batches_reuse_one_pool_until_the_count_changes() {
-        let _guard = LIFECYCLE.lock().unwrap_or_else(PoisonError::into_inner);
+        let _pool = lifecycle::exclusive();
         let p = ToyProblem { jobs: 12, accels: 3 };
         let pop = population(12, 3, 40, 0);
         let serial: Vec<f64> = pop.iter().map(|m| p.evaluate(m)).collect();
@@ -436,7 +476,7 @@ mod tests {
 
     #[test]
     fn serial_and_singleton_paths_never_touch_the_pool() {
-        let _guard = LIFECYCLE.lock().unwrap_or_else(PoisonError::into_inner);
+        let _pool = lifecycle::exclusive();
         let p = ToyProblem { jobs: 6, accels: 2 };
         let pop = population(6, 2, 20, 1);
         let before = stats();
@@ -448,7 +488,7 @@ mod tests {
 
     #[test]
     fn chunk_panics_drain_the_batch_and_propagate() {
-        let _guard = LIFECYCLE.lock().unwrap_or_else(PoisonError::into_inner);
+        let _pool = lifecycle::exclusive();
         // A problem that panics on some candidates: the barrier must still
         // release (no abandoned borrow) and the panic must reach the caller.
         struct Spiky;

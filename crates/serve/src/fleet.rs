@@ -47,6 +47,18 @@
 //! built by the same [`ShardConfig::from_knobs`] the engine uses) plus the
 //! traffic, batching, SLA and mapper-pressure settings of a simulation.
 //!
+//! # What a running simulation holds
+//!
+//! What is live, not what it was sent: the loop peeks a
+//! `TraceStream` and moves each arrival into the batcher when its time
+//! comes, so the trace in memory is the arrivals waiting in the batcher
+//! and the groups in flight. A finished group leaves one 40-byte
+//! `JobRecord` per job and its kind, samples and best fitness, folded into
+//! a running `DispatchTally` in completion order; its arrivals, mapping
+//! and schedule are dropped when it is booked. Beside the shard caches,
+//! which stop growing at capacity, the records are what still grows with
+//! the requests: the end-of-run latency profiles sort them.
+//!
 //! # Calibration
 //!
 //! Arrival rates are specified as an *offered load* relative to the
@@ -65,13 +77,12 @@
 
 use crate::batcher::{AdmissionBatcher, BatchPolicy};
 use crate::descriptor::{CustomScenario, ScenarioDescriptor};
-use crate::dispatch::DispatchOutcome;
 use crate::emit::{mode_tag, BenchReport};
-use crate::metrics::{CacheReport, JobRecord, LatencyStats, ServeMetrics};
+use crate::metrics::{CacheReport, DispatchTally, JobRecord, LatencyStats, ServeMetrics};
 use crate::router::RouterStats;
 use crate::scheduler::SchedStats;
 use crate::shards::{group_value, Completed, ShardConfig, ShardSet};
-use crate::trace::{generate_trace, Arrival, Scenario, TraceParams};
+use crate::trace::{Arrival, Scenario, TraceParams, TraceStream};
 use magma_m3e::{M3e, Mapping, Objective};
 use magma_model::workload::DEFAULT_MINI_BATCH;
 use magma_model::{Group, JobId, TenantMix};
@@ -270,7 +281,7 @@ pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
                 / core.dispatch.cold_budget as f64;
     }
 
-    let trace = generate_trace(
+    let mut trace = TraceStream::new(
         &TraceParams {
             scenario: config.scenario,
             requests: config.requests,
@@ -279,18 +290,20 @@ pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
             seed: config.seed,
         },
         mix,
-    );
+    )
+    .peekable();
     let mut batcher = AdmissionBatcher::new(BatchPolicy::new(
         config.group_target,
         config.max_wait_x * calib.batch_window_sec,
     ));
     let mut set = ShardSet::new(&core, config.seed);
     let mut mapper_now = vec![0.0f64; shards];
-    let mut records: Vec<JobRecord> = Vec::with_capacity(trace.len());
-    let mut outcomes: Vec<DispatchOutcome> = Vec::new();
+    let mut records: Vec<JobRecord> = Vec::with_capacity(config.requests);
+    let mut dispatch = DispatchTally::default();
     let mut per_shard_jobs = vec![0usize; shards];
     // Books a group `shard` completed: one record per job, dispatched at the
-    // group's cut time.
+    // group's cut time, and its dispatch tallied. The group's arrivals,
+    // mapping and schedule are dropped here.
     let mut book = |shard: usize, done: Completed| {
         let Completed { group, outcome, end_sec } = done;
         for (a, &completed_sec) in group.arrivals.iter().zip(&end_sec) {
@@ -303,9 +316,8 @@ pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
             });
         }
         per_shard_jobs[shard] += group.arrivals.len();
-        outcomes.push(outcome);
+        dispatch.add(&outcome);
     };
-    let mut next = 0usize;
     // The admission gate: open while some shard can take the next group.
     // `gate_since` is the instant the current open stretch began — a cut
     // can never predate the capacity it needs.
@@ -313,7 +325,7 @@ pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
     let mut gate_since = 0.0f64;
 
     loop {
-        let ta = trace.get(next).map(|a| a.time_sec);
+        let ta = trace.peek().map(|a| a.time_sec);
         let tc = if gate_open { batcher.earliest_ready().map(|r| r.max(gate_since)) } else { None };
         let ts = (0..shards)
             .filter(|&s| set.sched(s).live() > 0)
@@ -328,8 +340,7 @@ pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
             // Arrivals admit first on ties so they can join the group being
             // cut.
             (Some(t), _, _) if t <= t_cut && t <= t_step => {
-                batcher.push(trace[next].clone());
-                next += 1;
+                batcher.push(trace.next().expect("the arrival was peeked"));
                 gate_time = t;
             }
             (_, Some(t), _) if t <= t_step => {
@@ -380,7 +391,13 @@ pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
     set.persist();
 
     FleetResult {
-        metrics: ServeMetrics::from_records(&records, &outcomes, set.cache_report(), mix, sla_sec),
+        metrics: ServeMetrics::from_records(
+            &records,
+            dispatch.summary(),
+            set.cache_report(),
+            mix,
+            sla_sec,
+        ),
         mean_interarrival_sec: calib.mean_interarrival_sec,
         sla_sec,
         sched: set.sched_totals(),

@@ -147,39 +147,64 @@ pub struct DispatchSummary {
 }
 
 impl DispatchSummary {
-    /// Aggregates the per-dispatch outcomes.
+    /// Aggregates the per-dispatch outcomes, folded one at a time in order.
     pub fn from_outcomes(outcomes: &[DispatchOutcome]) -> Self {
+        let mut tally = DispatchTally::default();
+        for outcome in outcomes {
+            tally.add(outcome);
+        }
+        tally.summary()
+    }
+}
+
+/// A [`DispatchSummary`] taken one dispatch at a time: what a running
+/// simulation keeps of a finished group instead of its mapping and
+/// schedule. Sums run in the order the dispatches are added.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct DispatchTally {
+    cold: usize,
+    hits: usize,
+    cold_samples: u64,
+    hit_samples: u64,
+    cold_gflops: f64,
+    hit_gflops: f64,
+}
+
+impl DispatchTally {
+    /// Folds in one dispatch's kind, samples and best fitness.
+    pub(crate) fn add(&mut self, outcome: &DispatchOutcome) {
+        match outcome.kind {
+            DispatchKind::ColdSearch => {
+                self.cold += 1;
+                self.cold_samples += outcome.samples as u64;
+                self.cold_gflops += outcome.best_fitness;
+            }
+            DispatchKind::CacheHit => {
+                self.hits += 1;
+                self.hit_samples += outcome.samples as u64;
+                self.hit_gflops += outcome.best_fitness;
+            }
+        }
+    }
+
+    /// The summary of every dispatch added so far.
+    pub(crate) fn summary(self) -> DispatchSummary {
         let mut s = DispatchSummary {
-            dispatches: outcomes.len(),
-            cold: 0,
-            hits: 0,
-            cold_samples: 0,
-            hit_samples: 0,
+            dispatches: self.cold + self.hits,
+            cold: self.cold,
+            hits: self.hits,
+            cold_samples: self.cold_samples,
+            hit_samples: self.hit_samples,
             cold_gflops_mean: 0.0,
             hit_gflops_mean: 0.0,
             hit_cold_throughput_ratio: 0.0,
             hit_sample_fraction: 0.0,
         };
-        let (mut cold_gflops, mut hit_gflops) = (0.0f64, 0.0f64);
-        for o in outcomes {
-            match o.kind {
-                DispatchKind::ColdSearch => {
-                    s.cold += 1;
-                    s.cold_samples += o.samples as u64;
-                    cold_gflops += o.best_fitness;
-                }
-                DispatchKind::CacheHit => {
-                    s.hits += 1;
-                    s.hit_samples += o.samples as u64;
-                    hit_gflops += o.best_fitness;
-                }
-            }
-        }
         if s.cold > 0 {
-            s.cold_gflops_mean = cold_gflops / s.cold as f64;
+            s.cold_gflops_mean = self.cold_gflops / s.cold as f64;
         }
         if s.hits > 0 {
-            s.hit_gflops_mean = hit_gflops / s.hits as f64;
+            s.hit_gflops_mean = self.hit_gflops / s.hits as f64;
         }
         if s.cold > 0 && s.hits > 0 && s.cold_gflops_mean > 0.0 {
             s.hit_cold_throughput_ratio = s.hit_gflops_mean / s.cold_gflops_mean;
@@ -229,12 +254,12 @@ pub(crate) struct JobRecord {
 }
 
 impl ServeMetrics {
-    /// Folds a run's job records and dispatch outcomes into the metrics
-    /// block. `cache` is the (summed-over-shards) cache block; `sla_sec` the
-    /// uniform per-job bound each tenant's contract scales.
+    /// Folds a run's job records into the metrics block beside its
+    /// dispatch summary. `cache` is the (summed-over-shards) cache block;
+    /// `sla_sec` the uniform per-job bound each tenant's contract scales.
     pub(crate) fn from_records(
         records: &[JobRecord],
-        outcomes: &[DispatchOutcome],
+        dispatch: DispatchSummary,
         cache: CacheReport,
         mix: &TenantMix,
         sla_sec: f64,
@@ -303,7 +328,7 @@ impl ServeMetrics {
             end_to_end,
             tenants,
             cache,
-            dispatch: DispatchSummary::from_outcomes(outcomes),
+            dispatch,
         }
     }
 }
@@ -392,7 +417,13 @@ mod tests {
             })
             .collect();
         let cache = CacheReport::new(CacheStats::default(), 0);
-        let metrics = ServeMetrics::from_records(&records, &[], cache, &mix, 0.02);
+        let metrics = ServeMetrics::from_records(
+            &records,
+            DispatchSummary::from_outcomes(&[]),
+            cache,
+            &mix,
+            0.02,
+        );
         assert_eq!(metrics.tenants.len(), 5);
         for (i, (report, tenant)) in metrics.tenants.iter().zip(mix.tenants()).enumerate() {
             let latencies: Vec<f64> = records

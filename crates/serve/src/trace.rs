@@ -1,17 +1,20 @@
 //! Seeded arrival-trace synthesis: Poisson, bursty/diurnal and
 //! tenant-mix-drift traffic over a [`TenantMix`].
 //!
-//! A trace is the input of the serving simulator: a time-ordered list of
-//! [`Arrival`]s, each one job from one tenant. Inter-arrival gaps are drawn
-//! from an exponential distribution (inverse-CDF over the seeded RNG — no
-//! distribution crate needed), optionally modulated by the scenario; tenant
-//! selection is weighted, optionally drifting over the trace. Job content
-//! comes from each tenant's deterministic [`TenantJobStream`], so the same
+//! A trace is the input of the serving simulator: a time-ordered stream of
+//! [`Arrival`]s, each one job from one tenant. A `TraceStream` draws them
+//! one at a time, so a simulator holds the arrivals still waiting to be
+//! served rather than the whole trace; [`generate_trace`] collects the same
+//! stream into a vector. Inter-arrival gaps are drawn from an exponential
+//! distribution (inverse-CDF over the seeded RNG — no distribution crate
+//! needed), optionally modulated by the scenario; tenant selection is
+//! weighted, optionally drifting over the trace. Job content comes from
+//! each tenant's deterministic [`TenantJobStream`], so the same
 //! `(mix, params)` pair always produces bit-identical traces — and a
 //! single-tenant mix produces *periodic* job windows, the repeated-tenant
 //! pattern the mapping cache exploits.
 
-use magma_model::{JobId, TaskType, TenantJobStream, TenantMix};
+use magma_model::{JobId, PreparedWeights, TaskType, TenantJobStream, TenantMix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -53,22 +56,20 @@ impl Scenario {
         }
     }
 
-    /// Effective tenant weights at trace progress `p` in `[0, 1]`: drift
-    /// scales vision tenants by `1 + 2(1-p)` and language tenants by
-    /// `1 + 2p`, so the trace starts vision-heavy (3:1) and ends
-    /// language-heavy (1:3); other scenarios use the base weights.
-    fn tenant_weights(self, mix: &TenantMix, p: f64) -> Vec<f64> {
-        mix.tenants()
-            .iter()
-            .map(|t| {
-                let factor = match (self, t.task()) {
-                    (Scenario::Drift, TaskType::Vision) => 1.0 + 2.0 * (1.0 - p),
-                    (Scenario::Drift, TaskType::Language) => 1.0 + 2.0 * p,
-                    _ => 1.0,
-                };
-                t.weight() * factor
-            })
-            .collect()
+    /// Refills `weights` with the effective tenant weights at trace progress
+    /// `p` in `[0, 1]`: drift scales vision tenants by `1 + 2(1-p)` and
+    /// language tenants by `1 + 2p`, so the trace starts vision-heavy (3:1)
+    /// and ends language-heavy (1:3); other scenarios use the base weights.
+    fn refill_tenant_weights(self, mix: &TenantMix, p: f64, weights: &mut Vec<f64>) {
+        weights.clear();
+        weights.extend(mix.tenants().iter().map(|t| {
+            let factor = match (self, t.task()) {
+                (Scenario::Drift, TaskType::Vision) => 1.0 + 2.0 * (1.0 - p),
+                (Scenario::Drift, TaskType::Language) => 1.0 + 2.0 * p,
+                _ => 1.0,
+            };
+            t.weight() * factor
+        }));
     }
 }
 
@@ -108,57 +109,115 @@ pub struct Arrival {
     pub job: magma_model::Job,
 }
 
-/// Synthesizes the full arrival trace for `mix` under `params`.
+/// Synthesizes the full arrival trace for `mix` under `params`: the
+/// trace's stream of arrivals, collected.
 ///
 /// # Panics
 ///
 /// Panics if `requests == 0`, `mini_batch == 0` or the mean inter-arrival
 /// gap is not finite and positive.
 pub fn generate_trace(params: &TraceParams, mix: &TenantMix) -> Vec<Arrival> {
-    assert!(params.requests > 0, "a trace needs at least one arrival");
-    assert!(
-        params.mean_interarrival_sec.is_finite() && params.mean_interarrival_sec > 0.0,
-        "mean inter-arrival gap must be finite and positive"
-    );
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    // A tenant's stream opens at its first arrival: a fleet's long tail
-    // never costs a stream it does not draw from.
-    let mut streams: Vec<Option<TenantJobStream>> = vec![None; mix.len()];
-    let mut arrivals = Vec::with_capacity(params.requests);
-    let mut now = 0.0f64;
-    let denom = params.requests.saturating_sub(1).max(1) as f64;
-    // Fleet-scale traces pair millions of requests with thousands of
-    // tenants; rebuilding the weight vector per arrival would make trace
-    // synthesis O(requests × tenants). Only Drift actually varies the
-    // weights over the trace — stationary scenarios hoist them, and their
-    // validation and total, once. A prepared draw is what `TenantMix::pick`
-    // does per call, so the emitted trace is bit-identical to the
-    // per-arrival path.
-    let stationary_weights = match params.scenario {
-        Scenario::Drift => None,
-        _ => Some(params.scenario.tenant_weights(mix, 0.0)),
-    };
-    let stationary = stationary_weights.as_deref().map(|weights| mix.prepare_weights(weights));
-    for i in 0..params.requests {
-        // Exponential gap via inverse CDF; 1 - u is in (0, 1] so ln is finite.
-        let u: f64 = rng.gen();
-        let gap = -(1.0 - u).max(f64::MIN_POSITIVE).ln() * params.mean_interarrival_sec;
-        now += gap * params.scenario.gap_factor(i, params.requests);
-        let tenant = match &stationary {
-            Some(prepared) => prepared.pick(rng.gen()),
-            None => {
-                let progress = i as f64 / denom;
-                let weights = params.scenario.tenant_weights(mix, progress);
-                mix.pick(&weights, rng.gen())
+    TraceStream::new(params, mix).collect()
+}
+
+/// The arrivals of one trace, drawn one at a time in time order. The stream
+/// holds its RNG, the clock, the tenants' job streams it has opened and one
+/// weight vector — nothing that grows with the arrivals already drawn.
+#[derive(Debug)]
+pub(crate) struct TraceStream<'m> {
+    mix: &'m TenantMix,
+    params: TraceParams,
+    rng: StdRng,
+    /// A tenant's stream opens at its first arrival: a fleet's long tail
+    /// never costs a stream it does not draw from.
+    streams: Vec<Option<TenantJobStream>>,
+    /// Index of the next arrival.
+    next: usize,
+    /// Time of the last arrival drawn.
+    now: f64,
+    weights: TenantWeights,
+}
+
+/// How a stream draws its tenants. Fleet-scale traces pair millions of
+/// requests with thousands of tenants, so the weights are never rebuilt
+/// into a fresh vector per arrival: stationary scenarios validate and sum
+/// them once, and Drift — the only scenario whose weights move — refills
+/// one buffer and draws with [`TenantMix::pick`]. A prepared draw is what
+/// `TenantMix::pick` does per call, so either way the trace is
+/// bit-identical to a per-arrival weight vector.
+#[derive(Debug)]
+enum TenantWeights {
+    Stationary(PreparedWeights),
+    Drift(Vec<f64>),
+}
+
+impl<'m> TraceStream<'m> {
+    /// Opens the trace of `mix` under `params`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests == 0`, `mini_batch == 0` or the mean inter-arrival
+    /// gap is not finite and positive.
+    pub(crate) fn new(params: &TraceParams, mix: &'m TenantMix) -> Self {
+        assert!(params.requests > 0, "a trace needs at least one arrival");
+        assert!(
+            params.mean_interarrival_sec.is_finite() && params.mean_interarrival_sec > 0.0,
+            "mean inter-arrival gap must be finite and positive"
+        );
+        let mut weights = Vec::with_capacity(mix.len());
+        let weights = match params.scenario {
+            Scenario::Drift => TenantWeights::Drift(weights),
+            stationary => {
+                stationary.refill_tenant_weights(mix, 0.0, &mut weights);
+                TenantWeights::Stationary(mix.prepare_weights(weights))
             }
         };
-        let job = streams[tenant]
-            .get_or_insert_with(|| mix.tenants()[tenant].job_stream(params.mini_batch))
-            .next_job(JobId(i));
-        arrivals.push(Arrival { time_sec: now, tenant, job });
+        TraceStream {
+            mix,
+            params: params.clone(),
+            rng: StdRng::seed_from_u64(params.seed),
+            streams: vec![None; mix.len()],
+            next: 0,
+            now: 0.0,
+            weights,
+        }
     }
-    arrivals
 }
+
+impl Iterator for TraceStream<'_> {
+    type Item = Arrival;
+
+    fn next(&mut self) -> Option<Arrival> {
+        let (i, p, mix) = (self.next, &self.params, self.mix);
+        if i == p.requests {
+            return None;
+        }
+        self.next += 1;
+        // Exponential gap via inverse CDF; 1 - u is in (0, 1] so ln is finite.
+        let u: f64 = self.rng.gen();
+        let gap = -(1.0 - u).max(f64::MIN_POSITIVE).ln() * p.mean_interarrival_sec;
+        self.now += gap * p.scenario.gap_factor(i, p.requests);
+        let tenant = match &mut self.weights {
+            TenantWeights::Stationary(prepared) => prepared.pick(self.rng.gen()),
+            TenantWeights::Drift(weights) => {
+                let progress = i as f64 / p.requests.saturating_sub(1).max(1) as f64;
+                p.scenario.refill_tenant_weights(mix, progress, weights);
+                mix.pick(weights, self.rng.gen())
+            }
+        };
+        let job = self.streams[tenant]
+            .get_or_insert_with(|| mix.tenants()[tenant].job_stream(p.mini_batch))
+            .next_job(JobId(i));
+        Some(Arrival { time_sec: self.now, tenant, job })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.params.requests - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for TraceStream<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -251,10 +310,92 @@ mod tests {
     }
 
     #[test]
+    fn a_drifting_fleet_trace_draws_what_a_weight_vector_per_arrival_draws() {
+        let mix = TenantMix::synthetic(1000, 0);
+        for (scenario, requests) in
+            [(Scenario::Drift, 2_000), (Scenario::Poisson, 500), (Scenario::Bursty, 500)]
+        {
+            let p = TraceParams {
+                scenario,
+                requests,
+                mean_interarrival_sec: 1e-3,
+                mini_batch: 4,
+                seed: 13,
+            };
+            let oracle = oracle::generate_trace_per_arrival(&p, &mix);
+            let stream = TraceStream::new(&p, &mix);
+            assert_eq!(stream.len(), requests);
+            for (i, (drawn, expected)) in stream.zip(&oracle).enumerate() {
+                assert_eq!(&drawn, expected, "{scenario} arrival {i}");
+            }
+            assert_eq!(generate_trace(&p, &mix), oracle, "{scenario}");
+        }
+    }
+
+    #[test]
+    fn a_stream_reports_the_arrivals_it_has_left() {
+        let mix = TenantMix::standard();
+        let mut stream = TraceStream::new(&params(Scenario::Bursty, 2), &mix);
+        assert_eq!(stream.size_hint(), (120, Some(120)));
+        stream.by_ref().take(119).for_each(drop);
+        assert_eq!(stream.size_hint(), (1, Some(1)));
+        assert!(stream.next().is_some());
+        assert_eq!(stream.size_hint(), (0, Some(0)));
+        assert!(stream.next().is_none());
+    }
+
+    #[test]
     fn scenario_labels_are_distinct() {
         let mut labels: Vec<String> = Scenario::ALL.iter().map(|s| s.to_string()).collect();
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), 3);
+    }
+}
+
+/// The trace as it was drawn before it streamed: one loop over the
+/// arrivals, with a fresh weight vector per arrival handed to
+/// [`TenantMix::pick`] — the per-arrival path the stream's one buffer and
+/// prepared weights must draw exactly as.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// Effective tenant weights at trace progress `p`, collected afresh.
+    fn tenant_weights(scenario: Scenario, mix: &TenantMix, p: f64) -> Vec<f64> {
+        mix.tenants()
+            .iter()
+            .map(|t| {
+                let factor = match (scenario, t.task()) {
+                    (Scenario::Drift, TaskType::Vision) => 1.0 + 2.0 * (1.0 - p),
+                    (Scenario::Drift, TaskType::Language) => 1.0 + 2.0 * p,
+                    _ => 1.0,
+                };
+                t.weight() * factor
+            })
+            .collect()
+    }
+
+    pub(super) fn generate_trace_per_arrival(
+        params: &TraceParams,
+        mix: &TenantMix,
+    ) -> Vec<Arrival> {
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let mut streams: Vec<Option<TenantJobStream>> = vec![None; mix.len()];
+        let mut arrivals = Vec::new();
+        let mut now = 0.0f64;
+        let denom = params.requests.saturating_sub(1).max(1) as f64;
+        for i in 0..params.requests {
+            let u: f64 = rng.gen();
+            let gap = -(1.0 - u).max(f64::MIN_POSITIVE).ln() * params.mean_interarrival_sec;
+            now += gap * params.scenario.gap_factor(i, params.requests);
+            let weights = tenant_weights(params.scenario, mix, i as f64 / denom);
+            let tenant = mix.pick(&weights, rng.gen());
+            let job = streams[tenant]
+                .get_or_insert_with(|| mix.tenants()[tenant].job_stream(params.mini_batch))
+                .next_job(JobId(i));
+            arrivals.push(Arrival { time_sec: now, tenant, job });
+        }
+        arrivals
     }
 }

@@ -4,8 +4,10 @@
 //! bound on a cached group's plan and open, which pins that the seeds are
 //! never copied, and on a submit's trip through the wire codec — and the
 //! memory gates on the serving layer's tenants, which pins that a tenant and
-//! its job stream reference the zoo's models, and on its full caches, which
-//! pins that a published group's key and packed rows exist once.
+//! its job stream reference the zoo's models, on its full caches, which
+//! pins that a published group's key and packed rows exist once, and on the
+//! fleet simulator, which pins that it holds what is live rather than its
+//! whole trace and every finished group.
 //!
 //! Every search sample is one `M3e::evaluate` call, and after a thread's
 //! first evaluation of a problem (which sizes its scratch) the call must not
@@ -27,8 +29,8 @@ use magma::m3e::StoredSolution;
 use magma::optim::parallel::{evaluate_batch_with, thread_count, with_threads};
 use magma::prelude::*;
 use magma::serve::{
-    generate_trace, quantize_signatures, Admission, DispatchKind, EngineConfig, ServeEngine,
-    TraceParams,
+    fleet_simulate, generate_trace, quantize_signatures, Admission, DispatchKind, EngineConfig,
+    FleetConfig, ServeEngine, TraceParams,
 };
 use magma_server::proto::{decode, encode, RequestMsg};
 use rand::rngs::StdRng;
@@ -294,6 +296,35 @@ fn a_fleet_trace_peaks_near_the_arrivals_it_returns() {
     assert_eq!(trace.len(), 4_000);
     let transient = heap.peak - heap.retained;
     assert!(transient < 1 << 20, "synthesis peaked {transient} bytes above its arrivals");
+}
+
+/// A fleet simulation draws its trace one arrival at a time and keeps three
+/// numbers of each finished group, so what it holds grows with the live
+/// sessions and the 40-byte record of each completed job, not with the
+/// trace: ≈ 1.10 MB at 4 000 requests of the full four-shard fleet and
+/// ≈ 0.80 MB more at 8 000. Built up front and kept whole — every arrival,
+/// and every group's mapping and schedule — it peaked at 2.13 MB and grew
+/// 1.91 MB.
+#[test]
+fn a_fleet_simulation_holds_what_is_live() {
+    let knobs = settings::FleetKnobs::full();
+    let mix = TenantMix::synthetic(knobs.tenants, knobs.serve.seed);
+    let peak_at = |requests: usize| {
+        let config = FleetConfig {
+            requests,
+            seed: 0,
+            ..FleetConfig::from_knobs(&knobs, 4, Scenario::Poisson)
+        };
+        let (result, heap) = heap_use_of(|| fleet_simulate(&config, &mix));
+        assert_eq!(result.metrics.jobs, requests);
+        heap.peak
+    };
+    with_threads(1, || {
+        let at_4k = peak_at(4_000);
+        let growth = peak_at(8_000) - at_4k;
+        assert!(at_4k < 1_400_000, "4 000 requests peaked at {at_4k} bytes");
+        assert!(growth < 1_200_000, "4 000 more requests peaked {growth} bytes higher");
+    });
 }
 
 /// Never-seen 30-job groups the way the benchmark's `rpc_mix` draws them:
