@@ -17,6 +17,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use magma::experiments::{Artefact, Scale, ARTEFACTS};
 use magma::platform::settings::{self, ServerKnobs};

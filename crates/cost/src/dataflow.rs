@@ -28,10 +28,12 @@ pub enum DataflowStyle {
 
 impl DataflowStyle {
     /// The two styles used throughout the paper's evaluation.
-    pub const ALL: [DataflowStyle; 2] = [DataflowStyle::HighBandwidth, DataflowStyle::LowBandwidth];
+    #[cfg(test)]
+    pub(crate) const ALL: [DataflowStyle; 2] =
+        [DataflowStyle::HighBandwidth, DataflowStyle::LowBandwidth];
 
     /// Short label used in tables ("HB" / "LB").
-    pub fn short_name(self) -> &'static str {
+    pub(crate) fn short_name(self) -> &'static str {
         match self {
             DataflowStyle::HighBandwidth => "HB",
             DataflowStyle::LowBandwidth => "LB",

@@ -26,12 +26,14 @@ pub struct CostEstimate {
 
 impl CostEstimate {
     /// No-stall latency in seconds at the given clock frequency.
-    pub fn no_stall_seconds(&self, frequency_hz: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn no_stall_seconds(&self, frequency_hz: f64) -> f64 {
         self.no_stall_cycles as f64 / frequency_hz
     }
 
     /// Arithmetic intensity actually achieved: MACs per DRAM byte.
-    pub fn achieved_intensity(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn achieved_intensity(&self) -> f64 {
         if self.dram_traffic_bytes == 0 {
             0.0
         } else {

@@ -49,7 +49,7 @@ fn divisor_pairs(n: usize) -> Vec<(usize, usize)> {
 /// # Panics
 ///
 /// Panics if `batch == 0` or the layer is host-side (propagated from
-/// [`CostModel::estimate_with_shape`]).
+/// `CostModel::estimate_with_shape`).
 pub fn best_flexible_shape(
     model: &CostModel,
     layer: &LayerShape,

@@ -56,12 +56,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod dataflow;
 pub mod estimate;
 pub mod flexible;
 pub mod model;
-pub mod subaccel;
+mod subaccel;
 
 pub use dataflow::DataflowStyle;
 pub use estimate::CostEstimate;

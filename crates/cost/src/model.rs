@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// commonly cited ~1 : 6 : 200 ratio between a MAC, an on-chip SRAM access and
 /// an off-chip DRAM access per byte.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EnergyModel {
+pub(crate) struct EnergyModel {
     /// Energy per MAC operation (pJ).
     pub mac_pj: f64,
     /// Energy per byte read from / written to the on-chip scratchpads (pJ).
@@ -49,7 +49,7 @@ pub struct CostModel {
     /// Fixed per-tile issue overhead added to the compute latency, in cycles.
     pub tile_overhead_cycles: u64,
     /// Energy constants.
-    pub energy: EnergyModel,
+    pub(crate) energy: EnergyModel,
 }
 
 impl Default for CostModel {
@@ -161,7 +161,7 @@ impl CostModel {
     /// # Panics
     ///
     /// Panics if `batch == 0`, `rows * cols == 0`, or the layer is host-side.
-    pub fn estimate_with_shape(
+    pub(crate) fn estimate_with_shape(
         &self,
         layer: &LayerShape,
         batch: usize,

@@ -4,16 +4,12 @@ use crate::DataflowStyle;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Default width of the 2-D PE array. The paper fixes one dimension of every
-/// PE array to 64 because popular model tensor shapes are multiples of 64.
-pub const DEFAULT_PE_COLS: usize = 64;
-
 /// Default clock frequency of every sub-accelerator (MHz), per Section VI-A3.
-pub const DEFAULT_FREQUENCY_MHZ: f64 = 200.0;
+pub(crate) const DEFAULT_FREQUENCY_MHZ: f64 = 200.0;
 
 /// Default per-PE local scratchpad (SL) capacity in bytes (flexible-array
 /// experiments, Section VI-F).
-pub const DEFAULT_SL_BYTES: usize = 1024;
+pub(crate) const DEFAULT_SL_BYTES: usize = 1024;
 
 /// Hardware description of one sub-accelerator core.
 ///
@@ -115,7 +111,8 @@ impl SubAccelConfig {
     }
 
     /// Per-PE local scratchpad capacity in bytes.
-    pub fn sl_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn sl_bytes(&self) -> usize {
         self.sl_bytes
     }
 

@@ -7,7 +7,7 @@
 //! loop, exactly as in the paper.
 
 use magma_cost::{best_flexible_shape, CostEstimate, CostModel};
-use magma_model::{Group, JobId, TaskType};
+use magma_model::{Group, JobId};
 use magma_platform::AcceleratorPlatform;
 use serde::{Deserialize, Serialize};
 
@@ -24,13 +24,8 @@ impl JobAnalyzer {
     }
 
     /// Creates an analyzer with a custom cost model.
-    pub fn with_cost_model(cost_model: CostModel) -> Self {
+    pub(crate) fn with_cost_model(cost_model: CostModel) -> Self {
         JobAnalyzer { cost_model }
-    }
-
-    /// The underlying cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
     }
 
     /// Profiles every job of `group` on every sub-accelerator of `platform`,
@@ -52,21 +47,18 @@ impl JobAnalyzer {
             }
             entries.push(per_accel);
         }
-        let tasks = group.iter().map(|j| j.task()).collect();
         let flops = group.iter().map(|j| j.flops()).collect();
         let freqs = platform.sub_accels().iter().map(|a| a.frequency_hz()).collect();
-        JobAnalysisTable { entries, tasks, flops, frequencies_hz: freqs }
+        JobAnalysisTable { entries, flops, frequencies_hz: freqs }
     }
 }
 
 /// The Job Analysis Table: per (job, sub-accelerator) cost estimates plus the
-/// per-job metadata the evaluator needs (task tag, FLOPs) and the per-core
-/// clock frequencies.
+/// per-job FLOPs the evaluator needs and the per-core clock frequencies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobAnalysisTable {
     /// `entries[job][accel]`.
     entries: Vec<Vec<CostEstimate>>,
-    tasks: Vec<TaskType>,
     flops: Vec<u64>,
     frequencies_hz: Vec<f64>,
 }
@@ -78,46 +70,36 @@ impl JobAnalysisTable {
     }
 
     /// Number of sub-accelerators in the table.
-    pub fn num_accels(&self) -> usize {
+    pub(crate) fn num_accels(&self) -> usize {
         self.frequencies_hz.len()
     }
 
     /// The cost estimate for running `job` on `accel`.
-    pub fn estimate(&self, job: JobId, accel: usize) -> &CostEstimate {
+    pub(crate) fn estimate(&self, job: JobId, accel: usize) -> &CostEstimate {
         &self.entries[job.0][accel]
     }
 
     /// No-stall latency in *seconds* for `job` on `accel` (cycles divided by
     /// that core's clock).
-    pub fn no_stall_seconds(&self, job: JobId, accel: usize) -> f64 {
+    pub(crate) fn no_stall_seconds(&self, job: JobId, accel: usize) -> f64 {
         self.entries[job.0][accel].no_stall_cycles as f64 / self.frequencies_hz[accel]
     }
 
     /// Required (no-stall) bandwidth in GB/s for `job` on `accel`.
-    pub fn required_bw_gbps(&self, job: JobId, accel: usize) -> f64 {
+    pub(crate) fn required_bw_gbps(&self, job: JobId, accel: usize) -> f64 {
         self.entries[job.0][accel].required_bw_gbps
     }
 
     /// FLOPs of `job` (independent of where it runs).
-    pub fn flops(&self, job: JobId) -> u64 {
+    pub(crate) fn flops(&self, job: JobId) -> u64 {
         self.flops[job.0]
-    }
-
-    /// Task category of `job`.
-    pub fn task(&self, job: JobId) -> TaskType {
-        self.tasks[job.0]
-    }
-
-    /// Clock frequency (Hz) of a sub-accelerator.
-    pub fn frequency_hz(&self, accel: usize) -> f64 {
-        self.frequencies_hz[accel]
     }
 
     /// Total FLOPs across all jobs — the numerator of the throughput
     /// objective. Saturating: each job's FLOPs fit `u64`, a group of them
     /// near the bound need not, and a wrapped total (0 for two jobs of 2^63)
     /// would score every mapping alike.
-    pub fn total_flops(&self) -> u64 {
+    pub(crate) fn total_flops(&self) -> u64 {
         self.flops.iter().fold(0, |total, &flops| total.saturating_add(flops))
     }
 

@@ -384,7 +384,7 @@ impl BwAllocator {
     /// As [`BwAllocator::allocate`], reading launch quantities from a
     /// prebuilt launch-cost table (see [`CostMemo`]) when one is supplied
     /// instead of deriving them from `table` at every launch. The table's
-    /// cells are produced by [`LaunchCost::derive`], the expression the
+    /// cells are produced by `LaunchCost::derive`, the expression the
     /// table-free path evaluates, so the returned schedule is bit-identical
     /// either way.
     ///
@@ -528,7 +528,7 @@ mod oracle {
         table: &JobAnalysisTable,
         now: f64,
     ) {
-        let queue = mapping.queue(accel);
+        let queue = &mapping.queues()[accel];
         if core.next < queue.len() {
             let job = queue[core.next];
             core.next += 1;
@@ -814,7 +814,7 @@ mod tests {
                 prop_assert!(sum <= bw * (1.0 + 1e-12), "slice draws {sum} > {bw}");
             }
             for accel in 0..table.num_accels() {
-                let queue = decoded.queue(accel);
+                let queue = &decoded.queues()[accel][..];
                 let streamed: f64 = sched
                     .bw_trace()
                     .iter()

@@ -126,7 +126,7 @@ impl Mapping {
     }
 
     /// Number of sub-accelerators the selection genes index into.
-    pub fn num_accels(&self) -> usize {
+    pub(crate) fn num_accels(&self) -> usize {
         self.num_accels
     }
 
@@ -168,12 +168,10 @@ impl Mapping {
         DecodedMapping { queues }
     }
 
-    /// Flattens the mapping into a continuous vector in `[0, 1]^(2n)` — the
-    /// representation the continuous black-box optimizers (DE, CMA-ES, PSO,
-    /// TBPSA) operate on. The first `n` entries encode the accelerator
-    /// selection as `accel / num_accels` bucket midpoints; the last `n` are
-    /// the priorities.
-    pub fn to_vector(&self) -> Vec<f64> {
+    /// Flattens the mapping into the continuous vector [`Mapping::from_vector`]
+    /// reads, the selections as their buckets' midpoints.
+    #[cfg(test)]
+    pub(crate) fn to_vector(&self) -> Vec<f64> {
         let n = self.num_jobs();
         let mut v = Vec::with_capacity(2 * n);
         for &a in &self.accel_sel {
@@ -185,9 +183,12 @@ impl Mapping {
         v
     }
 
-    /// Reconstructs a mapping from a continuous vector (the inverse of
-    /// [`Mapping::to_vector`], with values clamped into range and NaN — which
-    /// a diverging continuous optimizer can emit — read as 0).
+    /// Reconstructs a mapping from a continuous vector in `[0, 1]^(2n)` — the
+    /// representation the continuous black-box optimizers (DE, CMA-ES, PSO,
+    /// TBPSA) operate on. The first `n` entries select the accelerator, `x`
+    /// reading as bucket `⌊x · num_accels⌋`; the last `n` are the priorities.
+    /// Values are clamped into range, and NaN — which a diverging continuous
+    /// optimizer can emit — reads as 0.
     ///
     /// # Panics
     ///
@@ -220,7 +221,7 @@ impl Mapping {
     ///
     /// Panics if `source_jobs` is empty, any index is out of range, or
     /// `num_accels == 0`.
-    pub fn gather(&self, source_jobs: &[usize], num_accels: usize) -> Mapping {
+    pub(crate) fn gather(&self, source_jobs: &[usize], num_accels: usize) -> Mapping {
         assert!(!source_jobs.is_empty(), "a mapping must cover at least one job");
         assert!(num_accels > 0, "need at least one sub-accelerator");
         assert!(source_jobs.iter().all(|&j| j < self.num_jobs()), "source job index out of range");
@@ -259,17 +260,13 @@ pub struct DecodedMapping {
 
 impl DecodedMapping {
     /// The per-core job queues, indexed by sub-accelerator.
-    pub fn queues(&self) -> &[Vec<JobId>] {
+    #[cfg(test)]
+    pub(crate) fn queues(&self) -> &[Vec<JobId>] {
         &self.queues
     }
 
-    /// The queue of one sub-accelerator.
-    pub fn queue(&self, accel: usize) -> &[JobId] {
-        &self.queues[accel]
-    }
-
     /// Number of sub-accelerators.
-    pub fn num_accels(&self) -> usize {
+    pub(crate) fn num_accels(&self) -> usize {
         self.queues.len()
     }
 
@@ -460,8 +457,8 @@ pub(crate) mod tests {
         // (1-indexed accels in the paper; 0-indexed here).
         let m = Mapping::new(vec![0, 1, 1, 0, 1], vec![0.1, 0.8, 0.4, 0.7, 0.3], 2);
         let d = m.decode();
-        let q0: Vec<usize> = d.queue(0).iter().map(|j| j.0).collect();
-        let q1: Vec<usize> = d.queue(1).iter().map(|j| j.0).collect();
+        let q0: Vec<usize> = d.queues()[0].iter().map(|j| j.0).collect();
+        let q1: Vec<usize> = d.queues()[1].iter().map(|j| j.0).collect();
         assert_eq!(q0, vec![0, 3]); // J1 then J4
         assert_eq!(q1, vec![4, 2, 1]); // J5, J3, J2
     }
@@ -469,7 +466,7 @@ pub(crate) mod tests {
     #[test]
     fn decode_is_deterministic_on_ties() {
         let m = Mapping::new(vec![0, 0, 0], vec![0.5, 0.5, 0.5], 1);
-        let q: Vec<usize> = m.decode().queue(0).iter().map(|j| j.0).collect();
+        let q: Vec<usize> = m.decode().queues()[0].iter().map(|j| j.0).collect();
         assert_eq!(q, vec![0, 1, 2]);
     }
 
@@ -477,7 +474,7 @@ pub(crate) mod tests {
     fn signed_zeros_tie_and_break_by_job_id() {
         let m = Mapping::new(vec![0; 4], vec![0.0, -0.0, 0.0, -0.0], 1);
         assert_eq!(m.decode(), oracle::decode_by_global_sort(&m));
-        let q: Vec<usize> = m.decode().queue(0).iter().map(|j| j.0).collect();
+        let q: Vec<usize> = m.decode().queues()[0].iter().map(|j| j.0).collect();
         assert_eq!(q, vec![0, 1, 2, 3]);
     }
 
@@ -498,7 +495,7 @@ pub(crate) mod tests {
             }
             let d = m.decode();
             for accel in 0..accels {
-                let mut queue: Vec<usize> = d.queue(accel).iter().map(|j| j.0).collect();
+                let mut queue: Vec<usize> = d.queues()[accel].iter().map(|j| j.0).collect();
                 queue.sort_unstable();
                 let assigned: Vec<usize> =
                     (0..jobs).filter(|&j| m.accel_sel()[j] == accel).collect();
@@ -650,7 +647,7 @@ pub(crate) mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let map = Mapping::random(&mut rng, n, 1);
             let d = map.decode();
-            let q = d.queue(0);
+            let q = &d.queues()[0];
             for w in q.windows(2) {
                 prop_assert!(map.priority()[w[0].0] <= map.priority()[w[1].0]);
             }

@@ -4,7 +4,7 @@
 //! once: it decodes the two genomes into per-thread scratch (a counting
 //! placement by core, then a sort inside each core's segment — see
 //! [`crate::encoding`]), replays them through Algorithm 1 (the one event loop
-//! of [`crate::bw_alloc`]: two passes over flat arrays per completion event,
+//! of [`crate::BwAllocator`]: two passes over flat arrays per completion event,
 //! recording nothing) against a launch-cost table filled at construction, and
 //! turns the makespan and energy into the objective. After a thread's first
 //! evaluation of a problem it allocates nothing.
@@ -68,7 +68,7 @@ impl fmt::Display for Objective {
 /// bandwidth requirement, and the energy it charges at completion. Derived
 /// from the [`JobAnalysisTable`] — [`CostMemo`] holds exactly these.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LaunchCost {
+pub(crate) struct LaunchCost {
     /// Total DRAM traffic of the job on the core, in bytes
     /// (`no-stall latency × required BW` — the `CurJobs` quantity of the
     /// paper's Algorithm 1).
@@ -84,7 +84,7 @@ impl LaunchCost {
     /// the single copy of these expressions, evaluated by both the
     /// [`CostMemo`] fill and the table-free [`crate::BwAllocator::allocate`],
     /// so the two are bit-identical by construction.
-    pub fn derive(table: &JobAnalysisTable, job: JobId, accel: usize) -> Self {
+    pub(crate) fn derive(table: &JobAnalysisTable, job: JobId, accel: usize) -> Self {
         let lat = table.no_stall_seconds(job, accel);
         let bw = table.required_bw_gbps(job, accel);
         LaunchCost {
@@ -95,7 +95,7 @@ impl LaunchCost {
     }
 }
 
-/// The launch-cost table: [`LaunchCost::derive`] of every (job, core) pair,
+/// The launch-cost table: `LaunchCost::derive` of every (job, core) pair,
 /// computed once when the evaluator is built.
 ///
 /// The bandwidth-allocator replay launches every job of every candidate, and
@@ -125,7 +125,7 @@ impl CostMemo {
     }
 
     /// The launch cost of `job` on `accel`.
-    pub fn launch(&self, job: JobId, accel: usize) -> LaunchCost {
+    pub(crate) fn launch(&self, job: JobId, accel: usize) -> LaunchCost {
         self.cells[job.0 * self.num_accels + accel]
     }
 
@@ -176,11 +176,6 @@ impl FitnessEvaluator {
     /// The system bandwidth constraint in GB/s.
     pub fn system_bw_gbps(&self) -> f64 {
         self.system_bw_gbps
-    }
-
-    /// The objective being optimized.
-    pub fn objective(&self) -> Objective {
-        self.objective
     }
 
     /// Evaluates a mapping and returns its fitness (higher is better).

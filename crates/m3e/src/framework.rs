@@ -90,7 +90,7 @@ impl M3e {
     }
 
     /// As [`M3e::new`] but with custom cost-model constants.
-    pub fn with_cost_model(
+    pub(crate) fn with_cost_model(
         platform: AcceleratorPlatform,
         group: Group,
         objective: Objective,
@@ -113,11 +113,6 @@ impl M3e {
         &self.platform
     }
 
-    /// The group of jobs being mapped.
-    pub fn group(&self) -> &Group {
-        &self.group
-    }
-
     /// The job-analysis table (no-stall latency and required BW per job per
     /// core).
     pub fn table(&self) -> &JobAnalysisTable {
@@ -137,12 +132,6 @@ impl M3e {
     /// Returns the full schedule for a mapping (Gantt + BW trace).
     pub fn schedule(&self, mapping: &Mapping) -> Schedule {
         self.evaluator.schedule(mapping)
-    }
-
-    /// The task category that dominates the group ([`TaskType::Mix`] when no
-    /// single category holds a strict majority).
-    pub fn dominant_task(&self) -> TaskType {
-        self.dominant_task
     }
 
     /// The signatures of the group's jobs, in job order (computed once at
@@ -201,7 +190,7 @@ impl MappingProblem for M3e {
 /// # Panics
 ///
 /// Panics if `sigs` is longer than the analyzed group.
-pub fn attach_core_classes(sigs: &mut [JobSignature], table: &JobAnalysisTable) {
+pub(crate) fn attach_core_classes(sigs: &mut [JobSignature], table: &JobAnalysisTable) {
     use magma_model::JobId;
     for (i, sig) in sigs.iter_mut().enumerate() {
         let latencies: Vec<f64> =
@@ -275,10 +264,9 @@ mod tests {
 
     #[test]
     fn dominant_task_detection() {
-        assert_eq!(m3e(TaskType::Vision, 20).dominant_task(), TaskType::Vision);
-        assert_eq!(m3e(TaskType::Language, 20).dominant_task(), TaskType::Language);
+        assert_eq!(m3e(TaskType::Vision, 20).task_type(), Some(TaskType::Vision));
+        assert_eq!(m3e(TaskType::Language, 20).task_type(), Some(TaskType::Language));
         // The Mix workload interleaves all 18 models; no category dominates.
-        assert_eq!(m3e(TaskType::Mix, 60).dominant_task(), TaskType::Mix);
         assert_eq!(m3e(TaskType::Mix, 60).task_type(), Some(TaskType::Mix));
     }
 
@@ -299,7 +287,7 @@ mod tests {
         assert_eq!(sigs.len(), 20);
         // The shape part is the job's own signature; the core class on top
         // comes from the analysis table (see below).
-        for (job, sig) in p.group().iter().zip(sigs) {
+        for (job, sig) in p.group.iter().zip(sigs) {
             assert_eq!(job.signature(), sig.with_core_class(0));
         }
         // The trait exposes the same slice.
@@ -318,12 +306,12 @@ mod tests {
     #[test]
     fn attach_core_classes_profiles_every_job() {
         let p = m3e(TaskType::Mix, 15);
-        let mut sigs = p.group().signatures();
+        let mut sigs = p.group.signatures();
         attach_core_classes(&mut sigs, p.table());
         assert!(sigs.iter().all(|s| s.has_core_class()));
         // Attaching is idempotent on the shape part: stripping the class
         // recovers the original signature.
-        for (orig, profiled) in p.group().signatures().iter().zip(&sigs) {
+        for (orig, profiled) in p.group.signatures().iter().zip(&sigs) {
             assert_eq!(*orig, profiled.with_core_class(0));
         }
         // A/B: profiled distances are at least the shape-only distances
@@ -332,7 +320,7 @@ mod tests {
         for (i, a) in sigs.iter().enumerate() {
             assert_eq!(a.distance(a), 0.0);
             for (j, b) in sigs.iter().enumerate() {
-                let shape = p.group().signatures()[i].distance(&p.group().signatures()[j]);
+                let shape = p.group.signatures()[i].distance(&p.group.signatures()[j]);
                 assert!(a.distance(b) >= shape, "profile term must be additive");
             }
         }

@@ -11,7 +11,7 @@
 //! * [`analyzer`] — the Job Analyzer, which profiles every job on every
 //!   sub-accelerator with the cost model once, producing the Job Analysis
 //!   Table consulted inside the optimization loop.
-//! * [`bw_alloc`] — the Bandwidth Allocator (Algorithm 1), which replays a
+//! * [`BwAllocator`] — the Bandwidth Allocator (Algorithm 1), which replays a
 //!   decoded mapping on the platform, re-dividing the shared system bandwidth
 //!   among the live jobs at every job-completion event: one event loop over
 //!   per-thread scratch, run without a recorder by the fitness function and
@@ -21,9 +21,8 @@
 //! * [`evaluator`] — fitness functions (throughput by default; latency,
 //!   energy and EDP are also available) with the system-BW constraint baked
 //!   in, over a per-(job, core) launch-cost table filled at construction.
-//! * [`framework`] — the [`M3e`] façade tying everything
-//!   together and the [`MappingProblem`] trait the
-//!   optimizers in `magma-optim` search against.
+//! * [`M3e`] — the façade tying everything together, and the
+//!   [`MappingProblem`] trait the optimizers in `magma-optim` search against.
 //! * [`history`] — sample-efficiency bookkeeping (best-so-far curves, the
 //!   data behind Figs. 10/11/16).
 //! * [`warmstart`] — the warm start of Section V-C / Table V: a
@@ -36,7 +35,7 @@
 //! |---|---|
 //! | Fig. 4a / 5a (encoding + decoder) | [`encoding`] |
 //! | Section IV-D2/D4 (Job Analyzer / Analysis Table) | [`analyzer`] |
-//! | Algorithm 1 (bandwidth allocation) | [`bw_alloc`] |
+//! | Algorithm 1 (bandwidth allocation) | [`BwAllocator`] |
 //! | Section IV-D (fitness / objectives) | [`evaluator`] |
 //! | Section IV-F (search-space size) | [`encoding::search_space_log10`] |
 //! | Section V-C / Table V (warm start) | [`warmstart`] |
@@ -61,12 +60,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod analyzer;
-pub mod bw_alloc;
+mod bw_alloc;
 pub mod encoding;
 pub mod evaluator;
-pub mod framework;
+mod framework;
 pub mod history;
 pub mod schedule;
 pub mod warmstart;
@@ -74,11 +74,11 @@ pub mod warmstart;
 pub use analyzer::{JobAnalysisTable, JobAnalyzer};
 pub use bw_alloc::BwAllocator;
 pub use encoding::{DecodedMapping, Mapping};
-pub use evaluator::{CostMemo, FitnessEvaluator, LaunchCost, Objective};
-pub use framework::{attach_core_classes, JobProfile, M3e, MappingProblem};
+pub use evaluator::{CostMemo, FitnessEvaluator, Objective};
+pub use framework::{JobProfile, M3e, MappingProblem};
 pub use history::SearchHistory;
 pub use schedule::{Schedule, ScheduleSegment};
-pub use warmstart::{match_signatures, StoredSolution, WarmStartEngine};
+pub use warmstart::{StoredSolution, WarmStartEngine};
 
 /// Convenience re-exports for downstream users.
 pub mod prelude {

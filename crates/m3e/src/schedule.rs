@@ -19,7 +19,7 @@ pub struct ScheduleSegment {
 
 impl ScheduleSegment {
     /// Duration of the segment in seconds.
-    pub fn duration_sec(&self) -> f64 {
+    pub(crate) fn duration_sec(&self) -> f64 {
         self.end_sec - self.start_sec
     }
 }
@@ -38,7 +38,7 @@ pub struct BwSlice {
 
 /// Throughput in GFLOP/s of `total_flops` executed in `makespan_sec` (0 for
 /// an empty timeline).
-pub(crate) fn throughput_gflops(total_flops: u64, makespan_sec: f64) -> f64 {
+pub fn throughput_gflops(total_flops: u64, makespan_sec: f64) -> f64 {
     if makespan_sec <= 0.0 {
         return 0.0;
     }
@@ -75,7 +75,8 @@ impl Schedule {
     }
 
     /// Segments executed by one sub-accelerator, in start order.
-    pub fn segments_for(&self, accel: usize) -> Vec<&ScheduleSegment> {
+    #[cfg(test)]
+    pub(crate) fn segments_for(&self, accel: usize) -> Vec<&ScheduleSegment> {
         let mut v: Vec<&ScheduleSegment> =
             self.segments.iter().filter(|s| s.accel == accel).collect();
         v.sort_by(|a, b| a.start_sec.partial_cmp(&b.start_sec).unwrap());
@@ -93,12 +94,12 @@ impl Schedule {
     }
 
     /// Total FLOPs executed by the group.
-    pub fn total_flops(&self) -> u64 {
+    pub(crate) fn total_flops(&self) -> u64 {
         self.total_flops
     }
 
     /// Total energy proxy for the group in nanojoules.
-    pub fn total_energy_nj(&self) -> f64 {
+    pub(crate) fn total_energy_nj(&self) -> f64 {
         self.total_energy_nj
     }
 

@@ -13,7 +13,7 @@
 //!
 //! * **with signatures** — each new job inherits the genes of the stored job
 //!   with the nearest signature, found by a greedy one-to-one assignment
-//!   ([`match_signatures`]). This is what carries Table V's claim that
+//!   (`match_signatures`). This is what carries Table V's claim that
 //!   stored solutions transfer to *similar* jobs: a conv inherits a conv's
 //!   core affinity regardless of where either sits in its group.
 //! * **without** — job `i` inherits the genes of stored job
@@ -37,7 +37,7 @@
 //! exactly that — built all `g · g′` triples and sorted them (28 µs of a
 //! cached 30-job group's ≈ 136 µs in the engine, 722 µs at the paper's
 //! g = 100) — and it survives as the `#[cfg(test)] mod oracle` below, which
-//! `the_lazy_match_assigns_what_the_sort_assigns` holds [`match_signatures`]
+//! `the_lazy_match_assigns_what_the_sort_assigns` holds `match_signatures`
 //! to, whole assignment for whole assignment. The lazy walk never builds the
 //! order, and what makes that exact is:
 //!
@@ -128,7 +128,7 @@ impl StoredSolution {
 
     /// Adapts this stored solution to a new group of
     /// `new_signatures.len()` jobs on `num_accels` cores: profile-matched
-    /// ([`match_signatures`] + [`Mapping::gather`]) when signatures were
+    /// (`match_signatures` + `Mapping::gather`) when signatures were
     /// recorded (and are consistent), index-wrapped otherwise — new job `i`
     /// takes the genes of stored job `i % stored_len`, and accelerator genes
     /// are re-mapped modulo the new core count either way.
@@ -195,7 +195,7 @@ impl StoredSolution {
 /// # Panics
 ///
 /// Panics if `stored` is empty.
-pub fn match_signatures(new: &[JobSignature], stored: &[JobSignature]) -> Vec<usize> {
+pub(crate) fn match_signatures(new: &[JobSignature], stored: &[JobSignature]) -> Vec<usize> {
     assert!(!stored.is_empty(), "cannot match against an empty stored group");
     if new == stored {
         return (0..new.len()).collect();
@@ -279,7 +279,7 @@ impl WarmStartEngine {
     }
 
     /// The stored solution for a task category, if any.
-    pub fn stored(&self, task: TaskType) -> Option<&StoredSolution> {
+    pub(crate) fn stored(&self, task: TaskType) -> Option<&StoredSolution> {
         self.solutions.get(&task)
     }
 

@@ -1,7 +1,7 @@
 //! The high-level, one-call API for running a mapping search.
 
 use magma_m3e::{M3e, Mapping, Objective, Schedule, SearchHistory};
-use magma_model::{Group, TaskType, WorkloadSpec};
+use magma_model::{TaskType, WorkloadSpec};
 use magma_optim::{
     cmaes::CmaEs, de::DifferentialEvolution, pso::Pso, rl::a2c::A2c, rl::ppo::Ppo2, stdga::StdGa,
     tbpsa::Tbpsa, AiMtLike, HeraldLike, Magma, Optimizer, RandomSearch,
@@ -109,7 +109,6 @@ pub struct MapperBuilder {
     system_bw_gbps: Option<f64>,
     pub(crate) task: TaskType,
     pub(crate) group_size: usize,
-    group: Option<Group>,
     objective: Objective,
     algorithm: Algorithm,
     budget: usize,
@@ -125,7 +124,6 @@ impl Default for MapperBuilder {
             system_bw_gbps: None,
             task: TaskType::Mix,
             group_size: 100,
-            group: None,
             objective: Objective::Throughput,
             algorithm: Algorithm::Magma,
             budget: 10_000,
@@ -171,13 +169,6 @@ impl MapperBuilder {
         self
     }
 
-    /// Uses an explicit, caller-built group of jobs instead of a generated
-    /// workload.
-    pub fn group(mut self, group: Group) -> Self {
-        self.group = Some(group);
-        self
-    }
-
     /// Sets the optimization objective (default throughput).
     pub fn objective(mut self, objective: Objective) -> Self {
         self.objective = objective;
@@ -207,7 +198,7 @@ impl MapperBuilder {
     /// Section V-C ([`Magma::with_warm_start`], typically over a
     /// `StoredSolution::seed_population`). Honored by [`Algorithm::Magma`]
     /// only; other algorithms ignore the seeds.
-    pub fn initial_population(mut self, population: Vec<Mapping>) -> Self {
+    pub(crate) fn initial_population(mut self, population: Vec<Mapping>) -> Self {
         self.initial_population = Some(population);
         self
     }
@@ -220,10 +211,7 @@ impl MapperBuilder {
         if let Some(bw) = self.system_bw_gbps {
             platform = platform.with_system_bw_gbps(bw);
         }
-        let group = self
-            .group
-            .clone()
-            .unwrap_or_else(|| WorkloadSpec::single_group(self.task, self.group_size, self.seed));
+        let group = WorkloadSpec::single_group(self.task, self.group_size, self.seed);
         M3e::new(platform, group, self.objective)
     }
 
@@ -251,7 +239,7 @@ impl MapperBuilder {
     /// Runs `optimizer` — one no [`Algorithm`] tag names, such as a MAGMA
     /// with a reduced operator set — on `problem` under this builder's
     /// budget and seed.
-    pub fn run_with(&self, optimizer: &dyn Optimizer, problem: &M3e) -> MappingReport {
+    pub(crate) fn run_with(&self, optimizer: &dyn Optimizer, problem: &M3e) -> MappingReport {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let outcome = optimizer.search(problem, self.budget, &mut rng);
         let schedule = problem.schedule(&outcome.best_mapping);

@@ -19,8 +19,8 @@
 //! |---|---|
 //! | Fig. 7 | [`fig7_job_analysis`] |
 //! | Fig. 8 / Fig. 9 | [`compare_mappers`] |
-//! | Fig. 10 | [`exploration_study`] |
-//! | Fig. 11 / Fig. 16 | [`convergence_curves`], [`operator_ablation`] |
+//! | Fig. 10 | `exploration_study` |
+//! | Fig. 11 / Fig. 16 | `convergence_curves`, [`operator_ablation`] |
 //! | Fig. 12 | [`bw_sweep`] |
 //! | Fig. 13 | [`combination_row`] |
 //! | Fig. 14 | [`flexible_vs_fixed`] |
@@ -246,7 +246,7 @@ pub struct MethodScore {
 /// Normalizes a list of raw scores by the entry named `"MAGMA"` (or the
 /// maximum if MAGMA is absent), mirroring how every figure in the paper is
 /// normalized.
-pub fn normalize_by_magma(raw: Vec<(String, f64)>) -> Vec<MethodScore> {
+pub(crate) fn normalize_by_magma(raw: Vec<(String, f64)>) -> Vec<MethodScore> {
     let reference = raw
         .iter()
         .find(|(n, _)| n == "MAGMA")
@@ -263,7 +263,7 @@ pub fn normalize_by_magma(raw: Vec<(String, f64)>) -> Vec<MethodScore> {
 
 /// A normalized-throughput table in the layout of the paper's bar charts
 /// (one row per mapper).
-pub fn score_table(label: &str, scores: &[MethodScore]) -> String {
+pub(crate) fn score_table(label: &str, scores: &[MethodScore]) -> String {
     let mut lines = vec![
         format!("[{label}]"),
         format!("{:<22} {:>14} {:>12}", "mapper", "GFLOP/s", "norm (MAGMA=1)"),
@@ -379,7 +379,7 @@ fn fig07(_: &[Case], _: &Scale) -> Vec<Output> {
 
 /// Runs every mapper of `roster` on one problem instance and returns their
 /// throughputs, normalized by MAGMA — Figs. 8 and 9 with
-/// [`Algorithm::TABLE_IV`], one bandwidth of Fig. 12 with [`FIG12_MAPPERS`].
+/// [`Algorithm::TABLE_IV`], one bandwidth of Fig. 12 with `FIG12_MAPPERS`.
 pub fn compare_mappers(case: &MapperBuilder, roster: &[Algorithm]) -> Vec<MethodScore> {
     let problem = case.build_problem();
     normalize_by_magma(raw_scores(case, &problem, roster).collect())
@@ -428,14 +428,14 @@ fn fig09(cases: &[Case], scale: &Scale) -> Vec<Output> {
 // ---------------------------------------------------------------------------
 
 /// The mappers of the Fig. 10(c) table, in Table IV order.
-pub const FIG10_MAPPERS: [Algorithm; 5] =
+pub(crate) const FIG10_MAPPERS: [Algorithm; 5] =
     [Algorithm::Pso, Algorithm::CmaEs, Algorithm::StdGa, Algorithm::Ppo2, Algorithm::Magma];
 
 /// Reproduces the Fig. 10(c) table: the throughput reached by
 /// [`FIG10_MAPPERS`] at the case's budget, plus a random-sampling reference
 /// given `reference_budget` samples (the paper's "exhaustively sampled"
 /// column used ~1 M).
-pub fn exploration_study(case: &MapperBuilder, reference_budget: usize) -> Vec<MethodScore> {
+pub(crate) fn exploration_study(case: &MapperBuilder, reference_budget: usize) -> Vec<MethodScore> {
     let problem = case.build_problem();
     let reference =
         case.clone().algorithm(Algorithm::Random).budget(reference_budget).run_on(&problem);
@@ -469,7 +469,7 @@ pub struct ConvergenceCurve {
 
 /// Reproduces Fig. 11: convergence curves of every Table IV mapper on one
 /// problem instance, downsampled to `points` entries each.
-pub fn convergence_curves(case: &MapperBuilder, points: usize) -> Vec<ConvergenceCurve> {
+pub(crate) fn convergence_curves(case: &MapperBuilder, points: usize) -> Vec<ConvergenceCurve> {
     let problem = case.build_problem();
     let curve = |&algorithm: &Algorithm| {
         let report = case.clone().algorithm(algorithm).run_on(&problem);
@@ -538,10 +538,10 @@ fn fig16(cases: &[Case], scale: &Scale) -> Vec<Output> {
 // ---------------------------------------------------------------------------
 
 /// The mappers Fig. 12 sweeps, in Table IV order.
-pub const FIG12_MAPPERS: [Algorithm; 4] =
+pub(crate) const FIG12_MAPPERS: [Algorithm; 4] =
     [Algorithm::HeraldLike, Algorithm::A2c, Algorithm::Ppo2, Algorithm::Magma];
 
-/// Reproduces Fig. 12: [`FIG12_MAPPERS`] on the case across a sweep of
+/// Reproduces Fig. 12: `FIG12_MAPPERS` on the case across a sweep of
 /// system bandwidths. Returns one entry per bandwidth with the per-method
 /// scores normalized by MAGMA at that bandwidth.
 pub fn bw_sweep(case: &MapperBuilder, bandwidths_gbps: &[f64]) -> Vec<(f64, Vec<MethodScore>)> {

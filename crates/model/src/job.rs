@@ -135,7 +135,7 @@ impl Job {
     }
 
     /// MACs for the whole mini-batch.
-    pub fn macs(&self) -> u64 {
+    pub(crate) fn macs(&self) -> u64 {
         self.layer.macs() * self.batch as u64
     }
 
@@ -145,7 +145,7 @@ impl Job {
     }
 
     /// Activation elements (input + output) moved for the whole mini-batch.
-    pub fn activation_elems(&self) -> u64 {
+    pub(crate) fn activation_elems(&self) -> u64 {
         (self.layer.input_elems() + self.layer.output_elems()) * self.batch as u64
     }
 
@@ -153,21 +153,6 @@ impl Job {
     /// independent of the mini-batch size).
     pub fn weight_elems(&self) -> u64 {
         self.layer.weight_elems()
-    }
-
-    /// Total DRAM traffic in elements for the whole mini-batch.
-    pub fn total_data_elems(&self) -> u64 {
-        self.activation_elems() + self.weight_elems()
-    }
-
-    /// MACs per data element for the whole job.
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let d = self.total_data_elems();
-        if d == 0 {
-            0.0
-        } else {
-            self.macs() as f64 / d as f64
-        }
     }
 
     /// Re-numbers the job (used when slicing workloads into groups).
@@ -226,15 +211,10 @@ impl Group {
     }
 
     /// Total FLOPs across the group — the numerator of the throughput
-    /// objective. Saturating, as [`Group::total_macs`] is: every job's totals
-    /// fit `u64`, a group's sum of them need not.
+    /// objective. Saturating: every job's totals fit `u64`, a group's sum of
+    /// them need not.
     pub fn total_flops(&self) -> u64 {
         self.jobs.iter().fold(0, |total, j| total.saturating_add(j.flops()))
-    }
-
-    /// Total MACs across the group.
-    pub fn total_macs(&self) -> u64 {
-        self.jobs.iter().fold(0, |total, j| total.saturating_add(j.macs()))
     }
 
     /// Count of jobs per task category, in `TaskType::ALL` order (Mix counts
@@ -355,8 +335,7 @@ mod tests {
     #[test]
     fn group_totals() {
         let g = Group::new(vec![sample_job(0), sample_job(1)]);
-        assert_eq!(g.total_macs(), 2 * sample_job(0).macs());
-        assert_eq!(g.total_flops(), 2 * g.total_macs());
+        assert_eq!(g.total_flops(), 2 * sample_job(0).flops());
     }
 
     #[test]

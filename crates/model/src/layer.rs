@@ -105,7 +105,8 @@ impl LayerShape {
     }
 
     /// Floating-point operations (2 × MACs) for one sample.
-    pub fn flops(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn flops(&self) -> u64 {
         self.macs() * 2
     }
 
@@ -202,23 +203,6 @@ impl LayerShape {
         Some((flops, data))
     }
 
-    /// Total tensor traffic (weights + inputs + outputs) for one sample, in
-    /// elements. This is the data that must cross the DRAM↔accelerator
-    /// boundary at least once.
-    pub fn total_data_elems(&self) -> u64 {
-        self.weight_elems() + self.input_elems() + self.output_elems()
-    }
-
-    /// Arithmetic intensity: MACs per element of data moved. Memory-bound
-    /// layers (depth-wise conv, small FCs) have low intensity.
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let data = self.total_data_elems();
-        if data == 0 {
-            return 0.0;
-        }
-        self.macs() as f64 / data as f64
-    }
-
     /// Whether this layer is executed on the accelerator at all. Embedding
     /// lookups are kept on the CPU host, per the paper's assumption.
     pub fn runs_on_accelerator(&self) -> bool {
@@ -266,13 +250,6 @@ mod tests {
             _ => panic!("pointwise should be Conv2d"),
         }
         assert_eq!(l.macs(), 128 * 64 * 28 * 28);
-    }
-
-    #[test]
-    fn depthwise_has_low_intensity_vs_regular_conv() {
-        let dw = LayerShape::DepthwiseConv2d { c: 256, y: 14, x: 14, r: 3, s: 3, stride: 1 };
-        let conv = LayerShape::Conv2d { k: 256, c: 256, y: 14, x: 14, r: 3, s: 3, stride: 1 };
-        assert!(dw.arithmetic_intensity() < conv.arithmetic_intensity());
     }
 
     #[test]
@@ -368,25 +345,6 @@ mod tests {
             let a = LayerShape::Conv2d { k, c, y, x, r, s, stride: 1 };
             let b = LayerShape::Conv2d { k: k + 1, c, y, x, r, s, stride: 1 };
             prop_assert!(b.macs() > a.macs());
-        }
-
-        #[test]
-        fn total_data_is_sum_of_parts(
-            m in 1usize..4096, n in 1usize..4096,
-        ) {
-            let l = LayerShape::FullyConnected { out_features: m, in_features: n };
-            prop_assert_eq!(
-                l.total_data_elems(),
-                l.weight_elems() + l.input_elems() + l.output_elems()
-            );
-        }
-
-        #[test]
-        fn arithmetic_intensity_nonnegative(
-            c in 1usize..512, y in 1usize..64, x in 1usize..64,
-        ) {
-            let l = LayerShape::DepthwiseConv2d { c, y, x, r: 3, s: 3, stride: 1 };
-            prop_assert!(l.arithmetic_intensity() >= 0.0);
         }
     }
 }

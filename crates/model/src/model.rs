@@ -48,12 +48,14 @@ impl Model {
     }
 
     /// Total MACs for one sample across all accelerator layers.
-    pub fn total_macs(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_macs(&self) -> u64 {
         self.accelerator_layers().map(|l| l.macs()).sum()
     }
 
     /// Total parameter elements across all layers (including host-side ones).
-    pub fn total_weight_elems(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_weight_elems(&self) -> u64 {
         self.layers.iter().map(|l| l.weight_elems()).sum()
     }
 }

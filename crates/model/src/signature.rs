@@ -14,7 +14,7 @@
 //!
 //! A signature **carries its log coordinates**: `ln(1 + x)` of its three
 //! magnitudes is computed once, where the signature is built
-//! ([`JobSignature::of`] and deserialization), so a distance is three
+//! (`JobSignature::of` and deserialization), so a distance is three
 //! subtractions on those same `f64`s instead of six logarithms — bit for bit
 //! the value the written-out formula gives. The coordinates are derived
 //! data: they are never serialized (the persisted form keeps its seven
@@ -159,11 +159,11 @@ impl JobSignature {
     /// carry a core class (see [`JobSignature::with_core_class`]); chosen
     /// well below [`Self::CLASS_MISMATCH_PENALTY`] so platform affinity
     /// refines shape matching but never overrides the layer class.
-    pub const AFFINITY_MISMATCH_PENALTY: f64 = 2.0;
+    pub(crate) const AFFINITY_MISMATCH_PENALTY: f64 = 2.0;
 
     /// Weight per octave of best-core no-stall latency difference between two
     /// profiled jobs (again only when both carry a core class).
-    pub const LATENCY_CLASS_WEIGHT: f64 = 0.25;
+    pub(crate) const LATENCY_CLASS_WEIGHT: f64 = 0.25;
 
     /// The least distance between two signatures of different layer class or
     /// task: the smaller of the two categorical penalties. A nearest-signature
@@ -202,7 +202,7 @@ impl JobSignature {
     }
 
     /// Computes the signature of a job.
-    pub fn of(job: &Job) -> Self {
+    pub(crate) fn of(job: &Job) -> Self {
         JobSignature::new(
             job.task(),
             LayerClass::from(job.layer()),
@@ -253,11 +253,6 @@ impl JobSignature {
         self
     }
 
-    /// The packed core class, or 0 when no platform profile is attached.
-    pub fn core_class(&self) -> u32 {
-        self.core_class
-    }
-
     /// Whether a platform profile is attached to this signature.
     pub fn has_core_class(&self) -> bool {
         self.core_class & Self::CORE_CLASS_PRESENT != 0
@@ -290,39 +285,18 @@ impl JobSignature {
         self.batch
     }
 
-    /// MACs of the whole job (compute footprint).
-    pub fn macs(&self) -> u64 {
-        self.macs
-    }
-
     /// Weight elements fetched by the job (bandwidth footprint, reused across
     /// the mini-batch).
     pub fn weight_elems(&self) -> u64 {
         self.weight_elems
     }
 
-    /// Activation elements moved by the job (bandwidth footprint that scales
-    /// with the mini-batch).
-    pub fn activation_elems(&self) -> u64 {
-        self.activation_elems
-    }
-
-    /// The carried log coordinates: `ln(1 + x)` of [`Self::macs`],
-    /// [`Self::weight_elems`] and [`Self::activation_elems`], in that order
+    /// The carried log coordinates: `ln(1 + x)` of the MACs,
+    /// [`Self::weight_elems`] and the activation elements, in that order
     /// — the axes [`Self::distance`] measures magnitudes along, and what a
     /// log-scale quantizer buckets.
     pub fn log_coords(&self) -> [f64; 3] {
         self.log_coords
-    }
-
-    /// MACs per element of data moved — the roofline position of the job.
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let data = self.weight_elems + self.activation_elems;
-        if data == 0 {
-            0.0
-        } else {
-            self.macs as f64 / data as f64
-        }
     }
 
     /// Distance between two job profiles; `0.0` iff the profiles are
@@ -339,12 +313,11 @@ impl JobSignature {
     /// within a task) whenever a same-class candidate exists.
     ///
     /// When **both** signatures carry a platform profile (a packed core
-    /// class, attached by `magma_m3e::attach_core_classes` — every `M3e`
-    /// signature does), the distance additionally sees the
-    /// platform: [`Self::AFFINITY_MISMATCH_PENALTY`] when the jobs prefer
-    /// different cores, plus [`Self::LATENCY_CLASS_WEIGHT`] per octave of
-    /// best-core latency difference. Unprofiled signatures (a job's own
-    /// `signature()`) are compared by shape alone.
+    /// class, which every `M3e` signature carries), the distance additionally
+    /// sees the platform: `AFFINITY_MISMATCH_PENALTY` when the jobs prefer
+    /// different cores, plus `LATENCY_CLASS_WEIGHT` per octave of best-core
+    /// latency difference. Unprofiled signatures (a job's own `signature()`)
+    /// are compared by shape alone.
     ///
     /// The arithmetic lives in [`DistanceCoords::distance`], so a caller that
     /// keeps signatures as packed [`Self::coords`] computes these very bits.
@@ -466,7 +439,7 @@ impl DistanceCoords {
 }
 
 impl Job {
-    /// The job's [`JobSignature`] (shorthand for [`JobSignature::of`]).
+    /// The job's [`JobSignature`] (shorthand for `JobSignature::of`).
     pub fn signature(&self) -> JobSignature {
         JobSignature::of(self)
     }
@@ -694,7 +667,7 @@ mod tests {
         let b4 = conv_job(0, 64, 4).signature();
         let b8 = conv_job(1, 64, 8).signature();
         assert_eq!(b4.weight_elems(), b8.weight_elems());
-        assert_eq!(b8.macs(), 2 * b4.macs());
+        assert_eq!(b8.macs, 2 * b4.macs);
         assert!(b4.distance(&b8) > 0.0);
     }
 
@@ -710,17 +683,11 @@ mod tests {
     }
 
     #[test]
-    fn arithmetic_intensity_matches_job() {
-        let j = conv_job(0, 64, 4);
-        assert!((j.signature().arithmetic_intensity() - j.arithmetic_intensity()).abs() < 1e-12);
-    }
-
-    #[test]
     fn core_class_round_trips_through_packing() {
         let cc = JobSignature::encode_core_class(&[3e-3, 1e-3, 2e-3, 4e-3]);
         let sig = conv_job(0, 64, 4).signature().with_core_class(cc);
         assert!(sig.has_core_class());
-        assert_eq!(sig.core_class(), cc);
+        assert_eq!(sig.core_class, cc);
         assert_eq!(sig.affinity(), 1, "core 1 has the lowest latency");
         // 1 ms above the 1 ns reference is ~20 octaves.
         assert_eq!(sig.latency_class(), 20);

@@ -313,8 +313,8 @@ impl PreparedWeights {
 /// A deterministic, endless job stream for one tenant.
 ///
 /// Jobs are produced by round-robining over the tenant's models and walking
-/// each model's accelerator layers in order, wrapping around — the exact
-/// interleaving of [`crate::workload::build_jobs_from_models`], but
+/// each model's accelerator layers in order, wrapping around — the
+/// interleaving [`crate::WorkloadSpec::build_jobs`] builds a group with, but
 /// incremental, so an online simulator can pull one job per request. The
 /// stream is a pure function of the tenant (no RNG): a tenant's k-th job is
 /// always the same, which makes repeated-tenant traffic periodic.

@@ -44,11 +44,6 @@ impl WorkloadSpec {
         self.task
     }
 
-    /// Number of jobs the workload will contain.
-    pub fn num_jobs(&self) -> usize {
-        self.num_jobs
-    }
-
     /// Generates the job pool.
     ///
     /// Jobs are produced by round-robining over the task's models with a
@@ -93,7 +88,11 @@ impl WorkloadSpec {
 /// Exposed for callers that want to control the exact model list (e.g. the
 /// warm-start experiments, which need several *different* groups of the same
 /// task type).
-pub fn build_jobs_from_models(models: &[Model], num_jobs: usize, mini_batch: usize) -> Vec<Job> {
+pub(crate) fn build_jobs_from_models(
+    models: &[Model],
+    num_jobs: usize,
+    mini_batch: usize,
+) -> Vec<Job> {
     assert!(!models.is_empty(), "need at least one model to build jobs");
     assert!(mini_batch > 0);
     // Per-model cursor over its accelerator layers.

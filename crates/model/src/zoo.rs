@@ -75,7 +75,7 @@ pub fn resnet50() -> Model {
 
 /// MobileNetV2 (Sandler et al.): inverted residual blocks with depth-wise
 /// convolutions — the canonical memory-intensive vision model.
-pub fn mobilenet_v2() -> Model {
+pub(crate) fn mobilenet_v2() -> Model {
     let mut l = vec![conv(32, 3, 112, 112, 3, 3, 2)];
     // (expansion, out_c, repeats, spatial, stride-of-first)
     let cfg: [(usize, usize, usize, usize, usize); 7] = [
@@ -105,7 +105,7 @@ pub fn mobilenet_v2() -> Model {
 }
 
 /// ShuffleNet (Zhang et al.): grouped pointwise + depth-wise units.
-pub fn shufflenet() -> Model {
+pub(crate) fn shufflenet() -> Model {
     let mut l = vec![conv(24, 3, 112, 112, 3, 3, 2)];
     let stages: [(usize, usize, usize); 3] = [(4, 240, 28), (8, 480, 14), (4, 960, 7)];
     let mut in_c = 24;
@@ -122,7 +122,7 @@ pub fn shufflenet() -> Model {
 }
 
 /// VGG-16 (Simonyan & Zisserman): large dense 3×3 convolutions + 3 FCs.
-pub fn vgg16() -> Model {
+pub(crate) fn vgg16() -> Model {
     let mut l = Vec::new();
     let cfg: [(usize, usize, usize); 5] =
         [(64, 2, 224), (128, 2, 112), (256, 3, 56), (512, 3, 28), (512, 3, 14)];
@@ -140,7 +140,7 @@ pub fn vgg16() -> Model {
 }
 
 /// SqueezeNet (Iandola et al.): fire modules (squeeze 1×1 + expand 1×1/3×3).
-pub fn squeezenet() -> Model {
+pub(crate) fn squeezenet() -> Model {
     let mut l = vec![conv(96, 3, 111, 111, 7, 7, 2)];
     let fires: [(usize, usize, usize, usize); 8] = [
         (96, 16, 64, 55),
@@ -162,7 +162,7 @@ pub fn squeezenet() -> Model {
 }
 
 /// GoogLeNet / Inception-v1 (Szegedy et al.), inception branches flattened.
-pub fn googlenet() -> Model {
+pub(crate) fn googlenet() -> Model {
     let mut l = vec![
         conv(64, 3, 112, 112, 7, 7, 2),
         LayerShape::pointwise(64, 64, 56, 56),
@@ -194,7 +194,7 @@ pub fn googlenet() -> Model {
 }
 
 /// MnasNet (Tan et al.): mobile NAS model, depth-wise separable blocks.
-pub fn mnasnet() -> Model {
+pub(crate) fn mnasnet() -> Model {
     let mut l = vec![conv(32, 3, 112, 112, 3, 3, 2), dwconv(32, 112, 112, 3, 3, 1)];
     l.push(LayerShape::pointwise(16, 32, 112, 112));
     let cfg: [(usize, usize, usize, usize, usize); 6] = [
@@ -225,7 +225,7 @@ pub fn mnasnet() -> Model {
 // ---------------------------------------------------------------------------
 
 /// GPT-2 (small): 12 transformer blocks, hidden 768, sequence length 256.
-pub fn gpt2() -> Model {
+pub(crate) fn gpt2() -> Model {
     let mut l = vec![LayerShape::EmbeddingLookup { lookups: 256, dim: 768 }];
     for _ in 0..12 {
         transformer_block(768, 3072, 256, &mut l);
@@ -235,7 +235,7 @@ pub fn gpt2() -> Model {
 }
 
 /// BERT-base: 12 transformer blocks, hidden 768, sequence length 128.
-pub fn bert_base() -> Model {
+pub(crate) fn bert_base() -> Model {
     let mut l = vec![LayerShape::EmbeddingLookup { lookups: 128, dim: 768 }];
     for _ in 0..12 {
         transformer_block(768, 3072, 128, &mut l);
@@ -245,7 +245,7 @@ pub fn bert_base() -> Model {
 }
 
 /// MobileBERT: 24 thin transformer blocks (hidden 128, bottlenecked FFN).
-pub fn mobilebert() -> Model {
+pub(crate) fn mobilebert() -> Model {
     let mut l = vec![LayerShape::EmbeddingLookup { lookups: 128, dim: 128 }];
     for _ in 0..24 {
         transformer_block(128, 512, 128, &mut l);
@@ -255,7 +255,7 @@ pub fn mobilebert() -> Model {
 }
 
 /// Transformer-XL (base): 16 blocks, hidden 410, FFN 2100, long context 512.
-pub fn transformer_xl() -> Model {
+pub(crate) fn transformer_xl() -> Model {
     let mut l = vec![LayerShape::EmbeddingLookup { lookups: 512, dim: 410 }];
     for _ in 0..16 {
         transformer_block(410, 2100, 512, &mut l);
@@ -265,7 +265,7 @@ pub fn transformer_xl() -> Model {
 }
 
 /// XLNet (base): 12 blocks, hidden 768, sequence 384 (two-stream folded).
-pub fn xlnet() -> Model {
+pub(crate) fn xlnet() -> Model {
     let mut l = vec![LayerShape::EmbeddingLookup { lookups: 384, dim: 768 }];
     for _ in 0..12 {
         transformer_block(768, 3072, 384, &mut l);
@@ -275,7 +275,7 @@ pub fn xlnet() -> Model {
 }
 
 /// An ELMo-style bi-LSTM language model; recurrent cells modelled as FCs.
-pub fn elmo() -> Model {
+pub(crate) fn elmo() -> Model {
     let mut l = vec![LayerShape::EmbeddingLookup { lookups: 128, dim: 512 }];
     for _ in 0..2 {
         // Per direction: 4 gate matrices on input + 4 on hidden state.
@@ -294,7 +294,7 @@ pub fn elmo() -> Model {
 // ---------------------------------------------------------------------------
 
 /// DLRM (Naumov et al.): embedding lookups (host) + bottom/top MLP towers.
-pub fn dlrm() -> Model {
+pub(crate) fn dlrm() -> Model {
     let l = vec![
         LayerShape::EmbeddingLookup { lookups: 26, dim: 64 },
         // bottom MLP 13-512-256-64
@@ -312,7 +312,7 @@ pub fn dlrm() -> Model {
 }
 
 /// Wide & Deep (Cheng et al.): wide linear part + deep MLP tower.
-pub fn wide_deep() -> Model {
+pub(crate) fn wide_deep() -> Model {
     let l = vec![
         LayerShape::EmbeddingLookup { lookups: 40, dim: 32 },
         fc(1024, 1280),
@@ -337,7 +337,7 @@ pub fn ncf() -> Model {
 
 /// Deep Interest Network (Zhou et al.): attention over behaviour sequence +
 /// MLP tower.
-pub fn din() -> Model {
+pub(crate) fn din() -> Model {
     let l = vec![
         LayerShape::EmbeddingLookup { lookups: 100, dim: 32 },
         // local-activation attention MLPs over 100 behaviours
@@ -353,7 +353,7 @@ pub fn din() -> Model {
 }
 
 /// Deep Interest Evolution Network: GRU-augmented DIN; GRU gates as FCs.
-pub fn dien() -> Model {
+pub(crate) fn dien() -> Model {
     let l = vec![
         LayerShape::EmbeddingLookup { lookups: 100, dim: 32 },
         // GRU over the behaviour sequence (3 gates × (input + hidden))
@@ -376,17 +376,17 @@ pub fn dien() -> Model {
 // ---------------------------------------------------------------------------
 
 /// All vision models in the zoo.
-pub fn vision_models() -> Vec<Model> {
+pub(crate) fn vision_models() -> Vec<Model> {
     vec![resnet50(), mobilenet_v2(), shufflenet(), vgg16(), squeezenet(), googlenet(), mnasnet()]
 }
 
 /// All language models in the zoo.
-pub fn language_models() -> Vec<Model> {
+pub(crate) fn language_models() -> Vec<Model> {
     vec![gpt2(), bert_base(), mobilebert(), transformer_xl(), xlnet(), elmo()]
 }
 
 /// All recommendation models in the zoo.
-pub fn recommendation_models() -> Vec<Model> {
+pub(crate) fn recommendation_models() -> Vec<Model> {
     vec![dlrm(), wide_deep(), ncf(), din(), dien()]
 }
 

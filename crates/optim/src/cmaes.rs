@@ -25,13 +25,6 @@ const VARIANCE_LEARNING_RATE: f64 = 0.3;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CmaEs;
 
-impl CmaEs {
-    /// Creates CMA-ES with the default hyper-parameters.
-    pub fn new() -> Self {
-        CmaEs
-    }
-}
-
 impl Optimizer for CmaEs {
     fn name(&self) -> &str {
         "CMA"
@@ -106,7 +99,7 @@ mod tests {
     #[test]
     fn converges_toward_better_solutions() {
         let p = ToyProblem { jobs: 16, accels: 4 };
-        let o = CmaEs::new().search(&p, 1_200, &mut StdRng::seed_from_u64(0));
+        let o = CmaEs.search(&p, 1_200, &mut StdRng::seed_from_u64(0));
         let early = o.history.best_curve()[39];
         assert!(o.best_fitness >= early);
         assert!(o.best_fitness > 16.0); // better than the random-guess mean
@@ -115,8 +108,8 @@ mod tests {
     #[test]
     fn respects_budget_and_is_deterministic() {
         let p = ToyProblem { jobs: 8, accels: 2 };
-        let a = CmaEs::new().search(&p, 123, &mut StdRng::seed_from_u64(3));
-        let b = CmaEs::new().search(&p, 123, &mut StdRng::seed_from_u64(3));
+        let a = CmaEs.search(&p, 123, &mut StdRng::seed_from_u64(3));
+        let b = CmaEs.search(&p, 123, &mut StdRng::seed_from_u64(3));
         assert_eq!(a.history.num_samples(), 123);
         assert_eq!(a.best_fitness, b.best_fitness);
     }
@@ -127,7 +120,7 @@ mod tests {
         // best-so-far curve flat near its maximum (converged), which only
         // happens if the sampling distribution contracted.
         let p = ToyProblem { jobs: 10, accels: 2 };
-        let o = CmaEs::new().search(&p, 2_000, &mut StdRng::seed_from_u64(1));
+        let o = CmaEs.search(&p, 2_000, &mut StdRng::seed_from_u64(1));
         let curve = o.history.best_curve();
         let last_quarter = &curve[curve.len() * 3 / 4..];
         let improvement = last_quarter.last().unwrap() - last_quarter.first().unwrap();

@@ -28,13 +28,6 @@ const _: () = assert!(POPULATION >= 4);
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DifferentialEvolution;
 
-impl DifferentialEvolution {
-    /// Creates DE with the paper's hyper-parameters.
-    pub fn new() -> Self {
-        DifferentialEvolution
-    }
-}
-
 impl Optimizer for DifferentialEvolution {
     fn name(&self) -> &str {
         "DE"
@@ -122,7 +115,7 @@ mod tests {
     #[test]
     fn improves_over_random_init() {
         let p = ToyProblem { jobs: 16, accels: 4 };
-        let o = DifferentialEvolution::new().search(&p, 1_200, &mut StdRng::seed_from_u64(0));
+        let o = DifferentialEvolution.search(&p, 1_200, &mut StdRng::seed_from_u64(0));
         let first = o.history.best_curve()[40.min(o.history.num_samples() - 1)];
         assert!(o.best_fitness > first);
     }
@@ -130,8 +123,8 @@ mod tests {
     #[test]
     fn respects_budget_and_is_deterministic() {
         let p = ToyProblem { jobs: 8, accels: 2 };
-        let a = DifferentialEvolution::new().search(&p, 111, &mut StdRng::seed_from_u64(4));
-        let b = DifferentialEvolution::new().search(&p, 111, &mut StdRng::seed_from_u64(4));
+        let a = DifferentialEvolution.search(&p, 111, &mut StdRng::seed_from_u64(4));
+        let b = DifferentialEvolution.search(&p, 111, &mut StdRng::seed_from_u64(4));
         assert_eq!(a.history.num_samples(), 111);
         assert_eq!(a.best_fitness, b.best_fitness);
     }
@@ -139,7 +132,7 @@ mod tests {
     #[test]
     fn not_worse_than_pure_random_on_toy() {
         let p = ToyProblem { jobs: 20, accels: 4 };
-        let de = DifferentialEvolution::new().search(&p, 1_000, &mut StdRng::seed_from_u64(2));
+        let de = DifferentialEvolution.search(&p, 1_000, &mut StdRng::seed_from_u64(2));
         let rnd = RandomSearch::new().search(&p, 1_000, &mut StdRng::seed_from_u64(2));
         assert!(de.best_fitness >= rnd.best_fitness * 0.9);
     }

@@ -26,7 +26,7 @@ impl HeraldLike {
     }
 
     /// Builds the single deterministic mapping this heuristic proposes.
-    pub fn build_mapping(&self, problem: &dyn MappingProblem) -> Mapping {
+    pub(crate) fn build_mapping(&self, problem: &dyn MappingProblem) -> Mapping {
         let n = problem.num_jobs();
         let m = problem.num_accels();
 

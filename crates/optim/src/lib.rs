@@ -15,8 +15,8 @@
 //! | RL A2C | [`rl`] | generation of one episode, then the actor-critic update: 3×128 MLP policy/critic, γ = 0.99, RMSProp lr 7e-4, entropy bonus 0.01 |
 //! | RL PPO2 | [`rl`] | generation of 8 episodes under a frozen policy, then the clipped update: same networks, γ = 0.99, Adam lr 2.5e-4, clip 0.2, 4 epochs |
 //! | Random | [`random`] | generations of 1 024 uniform mappings, nothing folded (the "exhaustively sampled" reference of Fig. 10) |
-//! | Herald-like | [`heuristics`] | one proposal, then exhausted: manual mapper tuned for heterogeneous cores |
-//! | AI-MT-like | [`heuristics`] | one proposal, then exhausted: manual mapper tuned for homogeneous cores |
+//! | Herald-like | `heuristics` | one proposal, then exhausted: manual mapper tuned for heterogeneous cores |
+//! | AI-MT-like | `heuristics` | one proposal, then exhausted: manual mapper tuned for homogeneous cores |
 //!
 //! The paper compares the mappers at these fixed values, so the baselines'
 //! are `const`s beside each rule, not configuration. Every row is a
@@ -78,11 +78,12 @@
 // `'static` worker threads); everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cmaes;
 pub mod de;
 mod ga;
-pub mod heuristics;
+mod heuristics;
 pub mod magma_ga;
 pub mod optimizer;
 pub mod parallel;
@@ -94,7 +95,7 @@ pub mod rl;
 mod session;
 pub mod stdga;
 pub mod tbpsa;
-pub mod vector;
+mod vector;
 
 pub use heuristics::{AiMtLike, HeraldLike};
 pub use magma_ga::{Magma, MagmaConfig, OperatorSet};

@@ -147,16 +147,6 @@ pub struct Magma {
 }
 
 impl Magma {
-    /// Creates MAGMA with the paper's default hyper-parameters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates MAGMA with explicit hyper-parameters.
-    pub fn with_config(config: MagmaConfig) -> Self {
-        Magma { config }
-    }
-
     /// Creates MAGMA with a restricted operator set (Fig. 16 ablations).
     pub fn with_operators(operators: OperatorSet) -> Self {
         Magma { config: MagmaConfig { operators, ..MagmaConfig::default() } }

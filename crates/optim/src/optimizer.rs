@@ -31,7 +31,7 @@ impl SearchOutcome {
     ///
     /// Panics if the history is empty (an optimizer must evaluate at least
     /// one sample).
-    pub fn from_history(history: SearchHistory) -> Self {
+    pub(crate) fn from_history(history: SearchHistory) -> Self {
         let best_mapping = history
             .best_mapping()
             .expect("an optimizer must evaluate at least one mapping")
@@ -216,7 +216,7 @@ pub(crate) mod test_support {
     use magma_m3e::{Mapping, MappingProblem};
     use magma_model::TaskType;
 
-    pub struct ToyProblem {
+    pub(crate) struct ToyProblem {
         pub jobs: usize,
         pub accels: usize,
     }
@@ -252,7 +252,7 @@ pub(crate) mod test_support {
     }
 
     /// The maximum achievable fitness of [`ToyProblem`].
-    pub fn toy_optimum(jobs: usize) -> f64 {
+    pub(crate) fn toy_optimum(jobs: usize) -> f64 {
         jobs as f64 + 0.5 * (jobs - 1) as f64
     }
 }

@@ -30,7 +30,7 @@
 //!   rebuild/batch counters so tests can observe exactly this lifecycle.
 //! * **Re-entrancy instead of deadlock** — a thread that is already
 //!   executing a chunk (worker *or* participating caller) evaluates any
-//!   nested batch serially ([`on_pool_thread`]), so a problem whose
+//!   nested batch serially (`on_pool_thread`), so a problem whose
 //!   `evaluate` itself fans out ("pool inside pool") degrades to serial
 //!   nesting instead of deadlocking on the pool mutex.
 //!
@@ -77,7 +77,7 @@ thread_local! {
 /// oracle ([`crate::parallel::evaluate_batch_with`]) consults this to route
 /// nested evaluations ("pool inside pool") to the serial path instead of
 /// deadlocking on the pool's submission lock.
-pub fn on_pool_thread() -> bool {
+pub(crate) fn on_pool_thread() -> bool {
     ON_POOL_THREAD.with(Cell::get)
 }
 

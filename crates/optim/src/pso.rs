@@ -30,13 +30,6 @@ const MAX_VELOCITY: f64 = 0.25;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Pso;
 
-impl Pso {
-    /// Creates PSO with the default hyper-parameters.
-    pub fn new() -> Self {
-        Pso
-    }
-}
-
 impl Optimizer for Pso {
     fn name(&self) -> &str {
         "PSO"
@@ -122,7 +115,7 @@ mod tests {
     #[test]
     fn swarm_improves_on_initialization() {
         let p = ToyProblem { jobs: 16, accels: 4 };
-        let o = Pso::new().search(&p, 1_200, &mut StdRng::seed_from_u64(0));
+        let o = Pso.search(&p, 1_200, &mut StdRng::seed_from_u64(0));
         let init_best = o.history.best_curve()[39];
         assert!(o.best_fitness >= init_best);
     }
@@ -130,8 +123,8 @@ mod tests {
     #[test]
     fn respects_budget_and_is_deterministic() {
         let p = ToyProblem { jobs: 8, accels: 2 };
-        let a = Pso::new().search(&p, 250, &mut StdRng::seed_from_u64(9));
-        let b = Pso::new().search(&p, 250, &mut StdRng::seed_from_u64(9));
+        let a = Pso.search(&p, 250, &mut StdRng::seed_from_u64(9));
+        let b = Pso.search(&p, 250, &mut StdRng::seed_from_u64(9));
         assert_eq!(a.history.num_samples(), 250);
         assert_eq!(a.best_fitness, b.best_fitness);
     }
@@ -139,7 +132,7 @@ mod tests {
     #[test]
     fn works_with_tiny_budget() {
         let p = ToyProblem { jobs: 6, accels: 2 };
-        let o = Pso::new().search(&p, 3, &mut StdRng::seed_from_u64(2));
+        let o = Pso.search(&p, 3, &mut StdRng::seed_from_u64(2));
         assert_eq!(o.history.num_samples(), 3);
     }
 }

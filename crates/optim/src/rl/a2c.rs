@@ -17,13 +17,6 @@ const ENTROPY_COEF: f64 = 0.01;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct A2c;
 
-impl A2c {
-    /// Creates A2C with the paper's hyper-parameters.
-    pub fn new() -> Self {
-        A2c
-    }
-}
-
 impl Optimizer for A2c {
     fn name(&self) -> &str {
         "RL A2C"
@@ -84,8 +77,8 @@ mod tests {
     #[test]
     fn respects_budget_and_is_deterministic() {
         let p = ToyProblem { jobs: 8, accels: 2 };
-        let a = A2c::new().search(&p, 60, &mut StdRng::seed_from_u64(0));
-        let b = A2c::new().search(&p, 60, &mut StdRng::seed_from_u64(0));
+        let a = A2c.search(&p, 60, &mut StdRng::seed_from_u64(0));
+        let b = A2c.search(&p, 60, &mut StdRng::seed_from_u64(0));
         assert_eq!(a.history.num_samples(), 60);
         assert_eq!(a.best_fitness, b.best_fitness);
     }
@@ -93,7 +86,7 @@ mod tests {
     #[test]
     fn learning_improves_mean_episode_reward() {
         let p = ToyProblem { jobs: 10, accels: 2 };
-        let o = A2c::new().search(&p, 600, &mut StdRng::seed_from_u64(3));
+        let o = A2c.search(&p, 600, &mut StdRng::seed_from_u64(3));
         let samples = o.history.samples();
         let early: f64 = samples[..100].iter().sum::<f64>() / 100.0;
         let late: f64 = samples[samples.len() - 100..].iter().sum::<f64>() / 100.0;

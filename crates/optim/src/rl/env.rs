@@ -10,7 +10,7 @@
 use magma_m3e::{Mapping, MappingProblem};
 
 /// Number of discrete priority buckets the agents choose from.
-pub const PRIORITY_BUCKETS: usize = 10;
+pub(crate) const PRIORITY_BUCKETS: usize = 10;
 
 /// Builds the observation vector for the job at `step`, given the
 /// per-accelerator load accumulated so far (in seconds of no-stall latency).
@@ -18,7 +18,7 @@ pub const PRIORITY_BUCKETS: usize = 10;
 /// Features: progress fraction, log-scaled job FLOPs, then per core the
 /// normalized no-stall latency, the normalized required bandwidth and the
 /// normalized accumulated load. All features lie in `[0, 1]`.
-pub fn observation(problem: &dyn MappingProblem, step: usize, loads: &[f64]) -> Vec<f64> {
+pub(crate) fn observation(problem: &dyn MappingProblem, step: usize, loads: &[f64]) -> Vec<f64> {
     let m = problem.num_accels();
     let n = problem.num_jobs();
     let mut obs = Vec::with_capacity(2 + 3 * m);
@@ -45,13 +45,13 @@ pub fn observation(problem: &dyn MappingProblem, step: usize, loads: &[f64]) -> 
 }
 
 /// Dimensionality of the observation vector for a problem.
-pub fn observation_dim(problem: &dyn MappingProblem) -> usize {
+pub(crate) fn observation_dim(problem: &dyn MappingProblem) -> usize {
     2 + 3 * problem.num_accels()
 }
 
 /// The actions taken during one episode, turned into an encoded mapping.
 #[derive(Debug, Clone)]
-pub struct EpisodeActions {
+pub(crate) struct EpisodeActions {
     /// Chosen core per job, in job order.
     pub accels: Vec<usize>,
     /// Chosen priority bucket per job, in job order.
@@ -62,7 +62,7 @@ impl EpisodeActions {
     /// Converts the collected actions into an encoded mapping. Priorities are
     /// placed at the bucket centre and perturbed by the job index so ties
     /// resolve deterministically.
-    pub fn into_mapping(self, num_accels: usize) -> Mapping {
+    pub(crate) fn into_mapping(self, num_accels: usize) -> Mapping {
         let n = self.accels.len();
         let priority: Vec<f64> = self
             .buckets
@@ -80,7 +80,7 @@ impl EpisodeActions {
 /// policy-gradient scale is stable across problems of very different
 /// throughput magnitudes.
 #[derive(Debug, Clone, Default)]
-pub struct RewardNormalizer {
+pub(crate) struct RewardNormalizer {
     count: f64,
     mean: f64,
     m2: f64,
@@ -88,13 +88,13 @@ pub struct RewardNormalizer {
 
 impl RewardNormalizer {
     /// Creates an empty normalizer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records a raw reward and returns its normalized value (zero mean, unit
     /// variance under the running statistics).
-    pub fn normalize(&mut self, reward: f64) -> f64 {
+    pub(crate) fn normalize(&mut self, reward: f64) -> f64 {
         self.count += 1.0;
         let delta = reward - self.mean;
         self.mean += delta / self.count;

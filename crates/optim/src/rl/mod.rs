@@ -4,7 +4,7 @@
 //! networks of three 128-unit MLP layers. This module reimplements that
 //! stack from scratch:
 //!
-//! * [`nn`] — a tiny dense neural-network library with manual
+//! * `nn` — a tiny dense neural-network library with manual
 //!   backpropagation and Adam / RMSProp optimizers,
 //! * [`mod@env`] — the mapping-construction episode: the agent assigns jobs to
 //!   cores (and priority buckets) one at a time and receives the achieved
@@ -26,7 +26,7 @@
 pub mod a2c;
 mod agent;
 pub mod env;
-pub mod nn;
+pub(crate) mod nn;
 pub mod ppo;
 
 pub use a2c::A2c;

@@ -10,7 +10,7 @@ use rand::Rng;
 
 /// Which first-order optimizer updates the parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum GradOptimizer {
+pub(crate) enum GradOptimizer {
     /// RMSProp with the given learning rate and decay (A2C's default).
     RmsProp {
         /// Learning rate.
@@ -121,7 +121,7 @@ impl Dense {
 
 /// A multi-layer perceptron with ReLU hidden layers and a linear output.
 #[derive(Debug, Clone)]
-pub struct Mlp {
+pub(crate) struct Mlp {
     layers: Vec<Dense>,
     step_count: usize,
 }
@@ -129,7 +129,7 @@ pub struct Mlp {
 /// The per-layer activations cached by [`Mlp::forward_cached`], needed for
 /// backpropagation.
 #[derive(Debug, Clone)]
-pub struct ForwardCache {
+pub(crate) struct ForwardCache {
     /// Input to each layer (post-activation of the previous layer).
     inputs: Vec<Vec<f64>>,
     /// Pre-activation output of each layer.
@@ -143,14 +143,14 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if fewer than two sizes are given.
-    pub fn new(sizes: &[usize], rng: &mut StdRng) -> Self {
+    pub(crate) fn new(sizes: &[usize], rng: &mut StdRng) -> Self {
         assert!(sizes.len() >= 2, "an MLP needs at least an input and an output size");
         let layers = sizes.windows(2).map(|w| Dense::new(w[1], w[0], rng)).collect();
         Mlp { layers, step_count: 0 }
     }
 
     /// Forward pass without caching (inference only).
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn forward(&self, x: &[f64]) -> Vec<f64> {
         let mut h = x.to_vec();
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
@@ -164,7 +164,7 @@ impl Mlp {
 
     /// Forward pass that records the activations needed for
     /// [`Mlp::backward`].
-    pub fn forward_cached(&self, x: &[f64]) -> (Vec<f64>, ForwardCache) {
+    pub(crate) fn forward_cached(&self, x: &[f64]) -> (Vec<f64>, ForwardCache) {
         let mut cache = ForwardCache { inputs: Vec::new(), pre_acts: Vec::new() };
         let mut h = x.to_vec();
         let last = self.layers.len() - 1;
@@ -182,7 +182,7 @@ impl Mlp {
 
     /// Backpropagates `grad_out` (dL/d output) through the network,
     /// accumulating parameter gradients.
-    pub fn backward(&mut self, cache: &ForwardCache, grad_out: &[f64]) {
+    pub(crate) fn backward(&mut self, cache: &ForwardCache, grad_out: &[f64]) {
         let mut grad = grad_out.to_vec();
         let last = self.layers.len() - 1;
         for i in (0..self.layers.len()).rev() {
@@ -199,13 +199,13 @@ impl Mlp {
     }
 
     /// Clears accumulated gradients.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.layers.iter_mut().for_each(|l| l.zero_grad());
     }
 
     /// Applies one optimizer step with the accumulated gradients, scaled by
     /// `1 / batch` (pass `batch = 1` for unscaled updates), then clears them.
-    pub fn step(&mut self, opt: GradOptimizer, batch: usize) {
+    pub(crate) fn step(&mut self, opt: GradOptimizer, batch: usize) {
         self.step_count += 1;
         let scale = 1.0 / batch.max(1) as f64;
         for l in &mut self.layers {
@@ -216,7 +216,7 @@ impl Mlp {
 }
 
 /// Numerically stable softmax.
-pub fn softmax(logits: &[f64]) -> Vec<f64> {
+pub(crate) fn softmax(logits: &[f64]) -> Vec<f64> {
     let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let exps: Vec<f64> = logits.iter().map(|&l| (l - max).exp()).collect();
     let sum: f64 = exps.iter().sum();
@@ -224,7 +224,7 @@ pub fn softmax(logits: &[f64]) -> Vec<f64> {
 }
 
 /// Samples an index from a probability distribution.
-pub fn sample_categorical(probs: &[f64], rng: &mut StdRng) -> usize {
+pub(crate) fn sample_categorical(probs: &[f64], rng: &mut StdRng) -> usize {
     let u: f64 = rng.gen();
     let mut acc = 0.0;
     for (i, &p) in probs.iter().enumerate() {
@@ -238,7 +238,7 @@ pub fn sample_categorical(probs: &[f64], rng: &mut StdRng) -> usize {
 
 /// Gradient of `-log p[action] * advantage` with respect to the logits:
 /// `advantage * (softmax - onehot(action))`.
-pub fn policy_grad_logits(probs: &[f64], action: usize, advantage: f64) -> Vec<f64> {
+pub(crate) fn policy_grad_logits(probs: &[f64], action: usize, advantage: f64) -> Vec<f64> {
     probs
         .iter()
         .enumerate()

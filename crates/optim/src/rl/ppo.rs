@@ -22,13 +22,6 @@ const EPOCHS: usize = 4;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Ppo2;
 
-impl Ppo2 {
-    /// Creates PPO2 with the paper's hyper-parameters.
-    pub fn new() -> Self {
-        Ppo2
-    }
-}
-
 impl Optimizer for Ppo2 {
     fn name(&self) -> &str {
         "RL PPO2"
@@ -103,8 +96,8 @@ mod tests {
     #[test]
     fn respects_budget_and_is_deterministic() {
         let p = ToyProblem { jobs: 8, accels: 2 };
-        let a = Ppo2::new().search(&p, 48, &mut StdRng::seed_from_u64(0));
-        let b = Ppo2::new().search(&p, 48, &mut StdRng::seed_from_u64(0));
+        let a = Ppo2.search(&p, 48, &mut StdRng::seed_from_u64(0));
+        let b = Ppo2.search(&p, 48, &mut StdRng::seed_from_u64(0));
         assert_eq!(a.history.num_samples(), 48);
         assert_eq!(a.best_fitness, b.best_fitness);
     }
@@ -113,14 +106,14 @@ mod tests {
     fn partial_final_batch_is_handled() {
         let p = ToyProblem { jobs: 6, accels: 2 };
         // 13 is not a multiple of the default batch size (8).
-        let o = Ppo2::new().search(&p, 13, &mut StdRng::seed_from_u64(1));
+        let o = Ppo2.search(&p, 13, &mut StdRng::seed_from_u64(1));
         assert_eq!(o.history.num_samples(), 13);
     }
 
     #[test]
     fn learning_does_not_collapse() {
         let p = ToyProblem { jobs: 10, accels: 2 };
-        let o = Ppo2::new().search(&p, 400, &mut StdRng::seed_from_u64(2));
+        let o = Ppo2.search(&p, 400, &mut StdRng::seed_from_u64(2));
         let samples = o.history.samples();
         let early: f64 = samples[..80].iter().sum::<f64>() / 80.0;
         let late: f64 = samples[samples.len() - 80..].iter().sum::<f64>() / 80.0;

@@ -27,11 +27,6 @@ const ELITE_RATIO: f64 = 0.2;
 pub struct StdGa;
 
 impl StdGa {
-    /// Creates a stdGA with the paper's hyper-parameters.
-    pub fn new() -> Self {
-        StdGa
-    }
-
     /// Flat single-pivot crossover over the concatenated genome.
     fn crossover(child: &mut Mapping, mom: &Mapping, rng: &mut StdRng) {
         let n = child.num_jobs();
@@ -92,7 +87,7 @@ mod tests {
     #[test]
     fn improves_over_time() {
         let p = ToyProblem { jobs: 20, accels: 4 };
-        let o = StdGa::new().search(&p, 1_500, &mut StdRng::seed_from_u64(0));
+        let o = StdGa.search(&p, 1_500, &mut StdRng::seed_from_u64(0));
         assert!(o.best_fitness > 0.6 * toy_optimum(20));
         let curve = o.history.best_curve();
         assert!(curve.last().unwrap() > &curve[0]);
@@ -101,15 +96,15 @@ mod tests {
     #[test]
     fn respects_budget() {
         let p = ToyProblem { jobs: 10, accels: 2 };
-        let o = StdGa::new().search(&p, 99, &mut StdRng::seed_from_u64(1));
+        let o = StdGa.search(&p, 99, &mut StdRng::seed_from_u64(1));
         assert_eq!(o.history.num_samples(), 99);
     }
 
     #[test]
     fn deterministic_for_same_seed() {
         let p = ToyProblem { jobs: 10, accels: 2 };
-        let a = StdGa::new().search(&p, 200, &mut StdRng::seed_from_u64(5));
-        let b = StdGa::new().search(&p, 200, &mut StdRng::seed_from_u64(5));
+        let a = StdGa.search(&p, 200, &mut StdRng::seed_from_u64(5));
+        let b = StdGa.search(&p, 200, &mut StdRng::seed_from_u64(5));
         assert_eq!(a.best_fitness, b.best_fitness);
     }
 }

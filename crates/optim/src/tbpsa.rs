@@ -27,13 +27,6 @@ const SIGMA_DECAY: f64 = 0.95;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Tbpsa;
 
-impl Tbpsa {
-    /// Creates TBPSA with the paper's initial population of 50.
-    pub fn new() -> Self {
-        Tbpsa
-    }
-}
-
 impl Optimizer for Tbpsa {
     fn name(&self) -> &str {
         "TBPSA"
@@ -101,7 +94,7 @@ mod tests {
     #[test]
     fn improves_over_initial_generation() {
         let p = ToyProblem { jobs: 16, accels: 4 };
-        let o = Tbpsa::new().search(&p, 1_500, &mut StdRng::seed_from_u64(0));
+        let o = Tbpsa.search(&p, 1_500, &mut StdRng::seed_from_u64(0));
         let init = o.history.best_curve()[49];
         assert!(o.best_fitness >= init);
     }
@@ -109,8 +102,8 @@ mod tests {
     #[test]
     fn respects_budget_and_is_deterministic() {
         let p = ToyProblem { jobs: 8, accels: 2 };
-        let a = Tbpsa::new().search(&p, 333, &mut StdRng::seed_from_u64(5));
-        let b = Tbpsa::new().search(&p, 333, &mut StdRng::seed_from_u64(5));
+        let a = Tbpsa.search(&p, 333, &mut StdRng::seed_from_u64(5));
+        let b = Tbpsa.search(&p, 333, &mut StdRng::seed_from_u64(5));
         assert_eq!(a.history.num_samples(), 333);
         assert_eq!(a.best_fitness, b.best_fitness);
     }
@@ -118,7 +111,7 @@ mod tests {
     #[test]
     fn small_budget_does_not_panic() {
         let p = ToyProblem { jobs: 5, accels: 2 };
-        let o = Tbpsa::new().search(&p, 7, &mut StdRng::seed_from_u64(1));
+        let o = Tbpsa.search(&p, 7, &mut StdRng::seed_from_u64(1));
         assert_eq!(o.history.num_samples(), 7);
     }
 }

@@ -11,34 +11,34 @@ use rand::Rng;
 use rand_distr::{Distribution, StandardNormal};
 
 /// Adapter exposing a [`MappingProblem`] as a bounded continuous function.
-pub struct VectorProblem<'a> {
+pub(crate) struct VectorProblem<'a> {
     problem: &'a dyn MappingProblem,
 }
 
 impl<'a> VectorProblem<'a> {
     /// Wraps a mapping problem.
-    pub fn new(problem: &'a dyn MappingProblem) -> Self {
+    pub(crate) fn new(problem: &'a dyn MappingProblem) -> Self {
         VectorProblem { problem }
     }
 
     /// Dimensionality of the continuous search space (2 × number of jobs).
-    pub fn dims(&self) -> usize {
+    pub(crate) fn dims(&self) -> usize {
         2 * self.problem.num_jobs()
     }
 
     /// Decodes a vector into a mapping (values are clamped into `[0, 1]`).
-    pub fn decode(&self, x: &[f64]) -> Mapping {
+    pub(crate) fn decode(&self, x: &[f64]) -> Mapping {
         Mapping::from_vector(x, self.problem.num_accels())
     }
 
     /// Samples a uniformly random point in the unit hyper-cube.
-    pub fn random_point(&self, rng: &mut StdRng) -> Vec<f64> {
+    pub(crate) fn random_point(&self, rng: &mut StdRng) -> Vec<f64> {
         (0..self.dims()).map(|_| rng.gen_range(0.0..1.0)).collect()
     }
 }
 
 /// Clamps every coordinate into the unit interval.
-pub fn clamp_unit(x: &mut [f64]) {
+pub(crate) fn clamp_unit(x: &mut [f64]) {
     for v in x {
         *v = v.clamp(0.0, 1.0);
     }

@@ -16,21 +16,25 @@
 //! |---|---|
 //! | Table III (accelerator settings S1–S6) | [`Setting`], [`settings::build`] |
 //! | Fig. 12 (system-bandwidth sweep) | [`AcceleratorPlatform::with_system_bw_gbps`] |
-//! | Fig. 13 (sub-accelerator combinations S3/S4/S5) | [`settings::build_with_bw`] |
+//! | Fig. 13 (sub-accelerator combinations S3/S4/S5) | [`settings::build`], [`AcceleratorPlatform::with_system_bw_gbps`] |
 //! | Fig. 14 / Section VI-F (flexible PE arrays) | [`settings::build_flexible`] |
 //!
 //! # Example
 //!
 //! ```
+//! use magma_cost::DataflowStyle;
 //! use magma_platform::{settings, Setting};
 //!
 //! let s4 = settings::build(Setting::S4).with_system_bw_gbps(256.0);
 //! assert_eq!(s4.num_sub_accels(), 8);
-//! assert!(!s4.is_homogeneous());
+//! // Seven high-bandwidth cores and one low-bandwidth core.
+//! let low_bw = s4.sub_accels().iter().filter(|c| c.dataflow() == DataflowStyle::LowBandwidth);
+//! assert_eq!(low_bw.count(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod platform;
 pub mod settings;

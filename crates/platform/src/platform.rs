@@ -6,10 +6,10 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Default system bandwidth for Small accelerators (GB/s), Section VI-A3.
-pub const DEFAULT_SMALL_BW_GBPS: f64 = 16.0;
+pub(crate) const DEFAULT_SMALL_BW_GBPS: f64 = 16.0;
 
 /// Default system bandwidth for Large accelerators (GB/s), Section VI-A3.
-pub const DEFAULT_LARGE_BW_GBPS: f64 = 256.0;
+pub(crate) const DEFAULT_LARGE_BW_GBPS: f64 = 256.0;
 
 /// A multi-core accelerator: an ordered list of sub-accelerator cores plus
 /// the shared system bandwidth (min of DRAM/HBM BW and PCIe/M.2 BW).
@@ -85,7 +85,8 @@ impl AcceleratorPlatform {
     }
 
     /// Whether every core has the same PE count, dataflow and buffers.
-    pub fn is_homogeneous(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_homogeneous(&self) -> bool {
         let first = &self.sub_accels[0];
         self.sub_accels.iter().all(|c| {
             c.num_pes() == first.num_pes()
@@ -95,27 +96,14 @@ impl AcceleratorPlatform {
     }
 
     /// Total number of PEs across all cores.
-    pub fn total_pes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total_pes(&self) -> usize {
         self.sub_accels.iter().map(|c| c.num_pes()).sum()
     }
 
     /// Aggregate peak throughput in GFLOP/s across all cores.
     pub fn peak_gflops(&self) -> f64 {
         self.sub_accels.iter().map(|c| c.peak_gflops()).sum()
-    }
-
-    /// A one-line-per-core description used by reports.
-    pub fn describe(&self) -> String {
-        let mut s = format!(
-            "{}: {} cores, system BW {} GB/s\n",
-            self.name,
-            self.num_sub_accels(),
-            self.system_bw_gbps
-        );
-        for c in &self.sub_accels {
-            s.push_str(&format!("  {c}\n"));
-        }
-        s
     }
 }
 
@@ -210,19 +198,5 @@ mod tests {
             assert_eq!(b.sg_bytes(), 2 * 1024 * 1024);
         }
         assert!(f.name().ends_with("-flex"));
-    }
-
-    #[test]
-    fn describe_lists_every_core() {
-        let p = AcceleratorPlatform::new(
-            "p",
-            vec![
-                core("a", 32, DataflowStyle::HighBandwidth),
-                core("b", 32, DataflowStyle::LowBandwidth),
-            ],
-            16.0,
-        );
-        let d = p.describe();
-        assert!(d.contains("a [") && d.contains("b ["));
     }
 }

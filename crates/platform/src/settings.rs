@@ -34,7 +34,7 @@ pub fn magma_threads() -> usize {
 /// Pure core of [`magma_threads`]: `raw` (the environment value, if the
 /// variable was set) when it parses to a count ≥ 1, the machine's `cores`
 /// otherwise — asked for only then.
-pub fn threads_or(raw: Option<&str>, cores: impl FnOnce() -> usize) -> usize {
+pub(crate) fn threads_or(raw: Option<&str>, cores: impl FnOnce() -> usize) -> usize {
     match parse_or(raw, 0) {
         0 => cores(),
         n => n,
@@ -46,7 +46,7 @@ pub fn threads_or(raw: Option<&str>, cores: impl FnOnce() -> usize) -> usize {
 /// unparsable — the malformed-value fallback of every `MAGMA_*` count
 /// ([`threads_or`], [`ServerKnobs::with_overrides`]), pure so it is testable
 /// without mutating the process environment.
-pub fn parse_or<T: std::str::FromStr>(raw: Option<&str>, default: T) -> T {
+pub(crate) fn parse_or<T: std::str::FromStr>(raw: Option<&str>, default: T) -> T {
     raw.and_then(|v| v.trim().parse().ok()).unwrap_or(default)
 }
 
@@ -365,7 +365,7 @@ impl ServerKnobs {
     /// unparsable counts keep the field, a zero count clamps to 1 (so no
     /// environment can produce a degenerate trace or fleet), and an empty
     /// path or address is ignored.
-    pub fn with_overrides(mut self, var: impl Fn(&str) -> Option<String>) -> Self {
+    pub(crate) fn with_overrides(mut self, var: impl Fn(&str) -> Option<String>) -> Self {
         let count = |name: &str, default: usize| parse_or(var(name).as_deref(), default).max(1);
         let text = |name: &str| var(name).map(|v| v.trim().to_string()).filter(|v| !v.is_empty());
         let fleet = &mut self.fleet;
@@ -402,12 +402,12 @@ impl Setting {
         [Setting::S1, Setting::S2, Setting::S3, Setting::S4, Setting::S5, Setting::S6];
 
     /// Whether the setting is one of the Small-class accelerators.
-    pub fn is_small(self) -> bool {
+    pub(crate) fn is_small(self) -> bool {
         matches!(self, Setting::S1 | Setting::S2)
     }
 
     /// The default system bandwidth the paper pairs with this setting.
-    pub fn default_bw_gbps(self) -> f64 {
+    pub(crate) fn default_bw_gbps(self) -> f64 {
         if self.is_small() {
             DEFAULT_SMALL_BW_GBPS
         } else {
@@ -464,7 +464,7 @@ pub fn build(setting: Setting) -> AcceleratorPlatform {
 }
 
 /// Builds a [`Setting`] with an explicit system bandwidth in GB/s.
-pub fn build_with_bw(setting: Setting, bw_gbps: f64) -> AcceleratorPlatform {
+pub(crate) fn build_with_bw(setting: Setting, bw_gbps: f64) -> AcceleratorPlatform {
     let mut cores = Vec::new();
     match setting {
         Setting::S1 => {

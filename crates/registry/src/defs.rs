@@ -15,17 +15,17 @@ use serde::{Deserialize, Serialize, Value};
 
 /// Bytes per KB — scratchpad sizes are specified in KB in registry files,
 /// matching Table III's units.
-pub const KB: usize = 1024;
+pub(crate) const KB: usize = 1024;
 
 /// Default PE-array column count when a core omits `pe_cols` (Table III
 /// fixes 64 columns for every setting).
-pub const DEFAULT_PE_COLS: usize = 64;
+pub(crate) const DEFAULT_PE_COLS: usize = 64;
 
 /// Parses a registry task string into a [`TaskType`].
 ///
 /// Accepted (case-insensitive): `vision`, `language`, `recommendation`,
 /// `mix`.
-pub fn parse_task(s: &str) -> Option<TaskType> {
+pub(crate) fn parse_task(s: &str) -> Option<TaskType> {
     match s.trim().to_ascii_lowercase().as_str() {
         "vision" => Some(TaskType::Vision),
         "language" => Some(TaskType::Language),
@@ -40,7 +40,7 @@ pub fn parse_task(s: &str) -> Option<TaskType> {
 /// Accepted (case-insensitive): `hb` / `highbandwidth` (NVDLA-style
 /// weight-stationary) and `lb` / `lowbandwidth` (ShiDianNao-style
 /// output-stationary).
-pub fn parse_dataflow(s: &str) -> Option<DataflowStyle> {
+pub(crate) fn parse_dataflow(s: &str) -> Option<DataflowStyle> {
     match s.trim().to_ascii_lowercase().as_str() {
         "hb" | "highbandwidth" => Some(DataflowStyle::HighBandwidth),
         "lb" | "lowbandwidth" => Some(DataflowStyle::LowBandwidth),
@@ -51,7 +51,7 @@ pub fn parse_dataflow(s: &str) -> Option<DataflowStyle> {
 /// Parses a registry arrival-process string into a [`Scenario`].
 ///
 /// Accepted (case-insensitive): `poisson`, `bursty`, `drift`.
-pub fn parse_process(s: &str) -> Option<Scenario> {
+pub(crate) fn parse_process(s: &str) -> Option<Scenario> {
     match s.trim().to_ascii_lowercase().as_str() {
         "poisson" => Some(Scenario::Poisson),
         "bursty" => Some(Scenario::Bursty),
@@ -80,9 +80,9 @@ pub struct CoreDef {
     pub count: Option<usize>,
     /// PE-array rows.
     pub pe_rows: usize,
-    /// PE-array columns; `null` means [`DEFAULT_PE_COLS`].
+    /// PE-array columns; `null` means `DEFAULT_PE_COLS`.
     pub pe_cols: Option<usize>,
-    /// Dataflow style: `hb` or `lb` (see [`parse_dataflow`]).
+    /// Dataflow style: `hb` or `lb` (see `parse_dataflow`).
     pub dataflow: String,
     /// Global scratchpad capacity in KB.
     pub sg_kb: usize,
@@ -98,7 +98,7 @@ pub struct CoreDef {
 
 impl CoreDef {
     /// Range-checks this core class. Returns the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.name.trim().is_empty() {
             return Err("core name is empty".into());
         }
@@ -132,7 +132,7 @@ impl CoreDef {
     }
 
     /// The expanded core names this class contributes.
-    pub fn expanded_names(&self) -> Vec<String> {
+    pub(crate) fn expanded_names(&self) -> Vec<String> {
         let count = self.count.unwrap_or(1);
         if count == 1 {
             vec![self.name.clone()]
@@ -144,7 +144,7 @@ impl CoreDef {
     /// Expands this class into its [`SubAccelConfig`] cores. Must only be
     /// called on a validated def (panics on invalid dims, like the hardcoded
     /// builders).
-    pub fn build_into(&self, cores: &mut Vec<SubAccelConfig>) {
+    pub(crate) fn build_into(&self, cores: &mut Vec<SubAccelConfig>) {
         let dataflow = parse_dataflow(&self.dataflow)
             .unwrap_or_else(|| panic!("core {:?}: unvalidated dataflow", self.name));
         for name in self.expanded_names() {
@@ -173,7 +173,7 @@ impl CoreDef {
 /// the registry form of a Table III row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlatformDef {
-    /// Must equal [`crate::REGISTRY_SCHEMA`].
+    /// Must equal `REGISTRY_SCHEMA`.
     pub schema: String,
     /// Must be `"platform"`.
     pub kind: String,
@@ -189,7 +189,7 @@ pub struct PlatformDef {
 
 impl PlatformDef {
     /// Range- and consistency-checks the platform definition.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.name.trim().is_empty() {
             return Err("platform name is empty".into());
         }
@@ -222,7 +222,7 @@ impl PlatformDef {
     }
 
     /// Builds the runtime [`AcceleratorPlatform`]. Call only after
-    /// [`PlatformDef::validate`].
+    /// `PlatformDef::validate`.
     pub fn build(&self) -> AcceleratorPlatform {
         let mut cores = Vec::with_capacity(self.core_count());
         for core in &self.cores {
@@ -250,7 +250,7 @@ pub struct TenantDef {
 impl TenantDef {
     /// Range-checks the tenant (model-name existence is the registry's
     /// cross-reference pass, not this check).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.name.trim().is_empty() {
             return Err("tenant name is empty".into());
         }
@@ -309,7 +309,7 @@ pub struct SyntheticMixDef {
 /// list or a synthetic fleet-scale mix — exactly one of the two.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MixDef {
-    /// Must equal [`crate::REGISTRY_SCHEMA`].
+    /// Must equal `REGISTRY_SCHEMA`.
     pub schema: String,
     /// Must be `"mix"`.
     pub kind: String,
@@ -330,7 +330,7 @@ pub struct MixDef {
 
 impl MixDef {
     /// Range- and consistency-checks the mix definition.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.name.trim().is_empty() {
             return Err("mix name is empty".into());
         }
@@ -377,12 +377,12 @@ impl MixDef {
 
     /// Every model name this mix references (for the registry's dangling-ref
     /// pass).
-    pub fn model_refs(&self) -> Vec<&str> {
+    pub(crate) fn model_refs(&self) -> Vec<&str> {
         self.tenants.iter().flatten().flat_map(|t| t.models.iter().map(String::as_str)).collect()
     }
 
     /// Builds the runtime [`TenantMix`]. Call only after
-    /// [`MixDef::validate`] and the registry's model cross-reference pass.
+    /// `MixDef::validate` and the registry's model cross-reference pass.
     pub fn build(&self) -> Result<TenantMix, String> {
         if let Some(synth) = &self.synthetic {
             return Ok(TenantMix::synthetic(synth.tenants, synth.seed));
@@ -410,7 +410,7 @@ impl MixDef {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrafficDef {
     /// Arrival process: `poisson` / `bursty` / `drift`
-    /// (see [`parse_process`]).
+    /// (see `parse_process`).
     pub process: String,
     /// Trace length override; `null` inherits the `requests` knob.
     pub requests: Option<usize>,
@@ -423,7 +423,7 @@ pub struct TrafficDef {
 
 impl TrafficDef {
     /// Range-checks the traffic block.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if parse_process(&self.process).is_none() {
             return Err(format!(
                 "unknown arrival process {:?} (expected poisson, bursty or drift)",
@@ -443,7 +443,7 @@ impl TrafficDef {
 
     /// The parsed arrival process. Call only after
     /// [`TrafficDef::validate`].
-    pub fn process(&self) -> Result<Scenario, String> {
+    pub(crate) fn process(&self) -> Result<Scenario, String> {
         parse_process(&self.process)
             .ok_or_else(|| format!("unvalidated arrival process {:?}", self.process))
     }
@@ -471,7 +471,7 @@ pub struct ServingDef {
 
 impl ServingDef {
     /// Range-checks the serving block.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if let Some(eps) = self.cache_epsilon {
             if !eps.is_finite() || eps < 0.0 {
                 return Err(format!("cache_epsilon must be finite and >= 0, got {eps}"));
@@ -499,7 +499,7 @@ impl ServingDef {
 /// block.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioDef {
-    /// Must equal [`crate::REGISTRY_SCHEMA`].
+    /// Must equal `REGISTRY_SCHEMA`.
     pub schema: String,
     /// Must be `"scenario"`.
     pub kind: String,
@@ -520,7 +520,7 @@ pub struct ScenarioDef {
 impl ScenarioDef {
     /// Range-checks the scenario definition (reference existence is the
     /// registry's cross-reference pass).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.name.trim().is_empty() {
             return Err("scenario name is empty".into());
         }

@@ -28,7 +28,7 @@ pub enum RegistryError {
         /// The schema string found (or a placeholder when absent).
         found: String,
     },
-    /// A file carried a `kind` outside [`crate::REGISTRY_KINDS`].
+    /// A file carried a `kind` outside `REGISTRY_KINDS`.
     UnknownKind {
         /// The offending file.
         path: PathBuf,

@@ -46,8 +46,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod defs;
+mod defs;
 pub mod error;
 mod registry;
 
@@ -58,17 +59,17 @@ pub use error::RegistryError;
 pub use registry::{resolve_scenario_file, Registry, RegistryStats};
 
 /// Schema tag every registry definition file must carry.
-pub const REGISTRY_SCHEMA: &str = "magma-registry/v1";
+pub(crate) const REGISTRY_SCHEMA: &str = "magma-registry/v1";
 
 /// The definition kinds the registry understands, in load order.
-pub const REGISTRY_KINDS: [&str; 3] = ["platform", "mix", "scenario"];
+pub(crate) const REGISTRY_KINDS: [&str; 3] = ["platform", "mix", "scenario"];
 
 /// The default committed registry root, relative to the repository root.
-pub const DEFAULT_SCENARIO_DIR: &str = "scenarios";
+pub(crate) const DEFAULT_SCENARIO_DIR: &str = "scenarios";
 
 /// The registry root directory: `MAGMA_SCENARIO_DIR` if set (and non-empty),
 /// else [`DEFAULT_SCENARIO_DIR`].
-pub fn magma_scenario_dir() -> std::path::PathBuf {
+pub(crate) fn magma_scenario_dir() -> std::path::PathBuf {
     match std::env::var("MAGMA_SCENARIO_DIR") {
         Ok(dir) if !dir.trim().is_empty() => std::path::PathBuf::from(dir),
         _ => std::path::PathBuf::from(DEFAULT_SCENARIO_DIR),

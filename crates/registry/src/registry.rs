@@ -154,7 +154,7 @@ impl Registry {
 
     /// Loads the registry from [`magma_scenario_dir`] (`MAGMA_SCENARIO_DIR`
     /// or the committed `scenarios/` tree).
-    pub fn load_env() -> Result<Registry, RegistryError> {
+    pub(crate) fn load_env() -> Result<Registry, RegistryError> {
         Registry::load_dir(&magma_scenario_dir())
     }
 
@@ -262,18 +262,13 @@ impl Registry {
         self.mixes.get(name).map(|(_, def)| def)
     }
 
-    /// Looks up a scenario definition by name.
-    pub fn scenario(&self, name: &str) -> Option<&ScenarioDef> {
-        self.scenarios.get(name).map(|(_, def)| def)
-    }
-
     /// Registered platform names, sorted.
-    pub fn platform_names(&self) -> Vec<String> {
+    pub(crate) fn platform_names(&self) -> Vec<String> {
         self.platforms.keys().cloned().collect()
     }
 
     /// Registered mix names, sorted.
-    pub fn mix_names(&self) -> Vec<String> {
+    pub(crate) fn mix_names(&self) -> Vec<String> {
         self.mixes.keys().cloned().collect()
     }
 
@@ -313,7 +308,7 @@ impl Registry {
 
     /// Resolves a validated scenario definition against this registry's
     /// platforms and mixes. `path` is only used in error messages.
-    pub fn resolve_def(
+    pub(crate) fn resolve_def(
         &self,
         def: &ScenarioDef,
         path: &Path,
@@ -366,7 +361,7 @@ impl Registry {
 }
 
 /// Resolves a single scenario **file** (the `--scenario <file>` path):
-/// loads the registry from [`magma_scenario_dir`] for cross-references,
+/// loads the registry from `magma_scenario_dir` for cross-references,
 /// then parses, validates and resolves the file itself. The file does not
 /// need to live inside the registry tree, but its platform/mix references
 /// must resolve there.

@@ -42,8 +42,7 @@ pub struct DispatchGroup {
     pub formed_at_sec: f64,
 }
 
-/// The admission queue. Push arrivals in time order; ask
-/// [`earliest_ready`](AdmissionBatcher::earliest_ready) when the next group
+/// The admission queue. Push arrivals in time order; ask when the next group
 /// could be cut; take it with [`take_group`](AdmissionBatcher::take_group).
 #[derive(Debug, Clone)]
 pub struct AdmissionBatcher {
@@ -57,11 +56,6 @@ impl AdmissionBatcher {
         AdmissionBatcher { policy, pending: VecDeque::new() }
     }
 
-    /// The admission policy in force.
-    pub fn policy(&self) -> &BatchPolicy {
-        &self.policy
-    }
-
     /// Admits one arrival. Arrivals must be pushed in non-decreasing time
     /// order (the simulator's event loop guarantees this).
     pub fn push(&mut self, arrival: Arrival) {
@@ -73,7 +67,7 @@ impl AdmissionBatcher {
     }
 
     /// Number of pending (admitted, not yet dispatched) arrivals.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.pending.len()
     }
 
@@ -81,7 +75,7 @@ impl AdmissionBatcher {
     /// would admit, oldest first — the fleet scheduler peeks these to price a
     /// prospective group (deadline, preemption value) *before* committing to
     /// a cut.
-    pub fn peek_next_group(&self) -> impl Iterator<Item = &Arrival> {
+    pub(crate) fn peek_next_group(&self) -> impl Iterator<Item = &Arrival> {
         let count = self.pending.len().min(self.policy.target_size);
         self.pending.iter().take(count)
     }
@@ -90,7 +84,7 @@ impl AdmissionBatcher {
     /// is pending: the arrival time of the `target_size`-th pending job when
     /// the queue is full enough, the oldest arrival's admission deadline
     /// otherwise.
-    pub fn earliest_ready(&self) -> Option<f64> {
+    pub(crate) fn earliest_ready(&self) -> Option<f64> {
         if self.pending.len() >= self.policy.target_size {
             Some(self.pending[self.policy.target_size - 1].time_sec)
         } else {

@@ -58,7 +58,7 @@ use std::sync::Arc;
 
 /// One job signature, quantized to log-scale magnitude buckets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct QuantizedSignature {
+pub(crate) struct QuantizedSignature {
     /// Task category (exact).
     pub task: TaskType,
     /// Layer class (exact).
@@ -157,7 +157,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Fraction of lookups that hit, in `[0, 1]` (0 when no lookups).
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
@@ -393,7 +393,8 @@ impl MappingCache {
     }
 
     /// The capacity bound.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -420,17 +421,17 @@ impl MappingCache {
 
     /// Whether `key` is cached, **without** counting a lookup or touching
     /// recency — the peek behind shared-tier-aware routing.
-    pub fn contains_key(&self, key: &SignatureKey) -> bool {
+    pub(crate) fn contains_key(&self, key: &SignatureKey) -> bool {
         self.position(key).is_some()
     }
 
     /// The cached keys in recency order, least recently used first.
-    pub fn keys_by_recency(&self) -> impl DoubleEndedIterator<Item = &SignatureKey> + '_ {
+    pub(crate) fn keys_by_recency(&self) -> impl DoubleEndedIterator<Item = &SignatureKey> + '_ {
         self.slots.iter().map(|slot| &slot.key)
     }
 
     /// Removes the entry for `key` (counted as an eviction when present).
-    pub fn remove(&mut self, key: &SignatureKey) -> Option<Arc<StoredSolution>> {
+    pub(crate) fn remove(&mut self, key: &SignatureKey) -> Option<Arc<StoredSolution>> {
         let pos = self.position(key)?;
         self.stats.evictions += 1;
         Some(self.slots.remove(pos).solution)
@@ -612,7 +613,7 @@ impl MappingCache {
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
-    pub fn rebound(&mut self, capacity: usize) {
+    pub(crate) fn rebound(&mut self, capacity: usize) {
         assert!(capacity > 0, "a mapping cache must hold at least one entry");
         self.capacity = capacity;
         let excess = self.slots.len().saturating_sub(capacity);
@@ -731,7 +732,7 @@ impl Deserialize for MappingCache {
 /// The tier lives on the fleet simulator's single-threaded event loop, so
 /// determinism across `MAGMA_THREADS` is inherited, not re-proved.
 #[derive(Debug, Clone)]
-pub struct SharedCache {
+pub(crate) struct SharedCache {
     cache: MappingCache,
     tenant_quota: usize,
     /// Publishing tenant of each live entry (quota bookkeeping).
@@ -747,7 +748,7 @@ impl SharedCache {
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize, tenant_quota: usize) -> Self {
+    pub(crate) fn new(capacity: usize, tenant_quota: usize) -> Self {
         SharedCache {
             cache: MappingCache::new(capacity),
             tenant_quota,
@@ -756,35 +757,20 @@ impl SharedCache {
         }
     }
 
-    /// The capacity bound of the shared LRU.
-    pub fn capacity(&self) -> usize {
-        self.cache.capacity()
-    }
-
-    /// The per-tenant entry quota (0 = unlimited).
-    pub fn tenant_quota(&self) -> usize {
-        self.tenant_quota
-    }
-
     /// Number of shared entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Whether the tier is empty.
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
     }
 
     /// The tier's own hit/miss/eviction counters (disjoint from the
     /// per-shard counters: a shard miss that the tier serves counts as a
     /// shard miss *and* a shared hit).
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
     /// Number of live entries published by `tenant`.
-    pub fn tenant_entries(&self, tenant: usize) -> usize {
+    pub(crate) fn tenant_entries(&self, tenant: usize) -> usize {
         self.held.get(&tenant).copied().unwrap_or(0)
     }
 
@@ -837,7 +823,7 @@ impl SharedCache {
 
     /// Whether `key` is in the tier, without counting a lookup — the cheap
     /// peek behind shared-tier-aware placement ([`crate::ShardRouter`]).
-    pub fn contains(&self, key: &SignatureKey) -> bool {
+    pub(crate) fn contains(&self, key: &SignatureKey) -> bool {
         self.cache.contains_key(key)
     }
 
@@ -847,7 +833,7 @@ impl SharedCache {
     /// tier shares with that cache — one solution published to both — were
     /// over `epsilon` there and are not walked again; the entry served is
     /// the one a walk of the whole tier would serve.
-    pub fn lookup_near(
+    pub(crate) fn lookup_near(
         &mut self,
         key: &SignatureKey,
         sigs: &[JobSignature],
@@ -857,10 +843,9 @@ impl SharedCache {
         self.cache.lookup_near_after(key, sigs, epsilon, &refused.slots)
     }
 
-    /// Publishes a solved mapping to the shared tier on behalf of `tenant`,
-    /// then enforces the tenant quota (evicting the tenant's own LRU
-    /// entries) and the global capacity.
-    pub fn publish(
+    /// [`SharedCache::publish_slot`] of a fresh entry.
+    #[cfg(test)]
+    pub(crate) fn publish(
         &mut self,
         key: SignatureKey,
         solution: impl Into<Arc<StoredSolution>>,
@@ -869,8 +854,10 @@ impl SharedCache {
         self.publish_slot(Slot::new(key, solution.into()), tenant);
     }
 
-    /// [`SharedCache::publish`] of a built entry — a clone of the one the
-    /// publishing shard's cache takes.
+    /// Publishes a built entry — a clone of the one the publishing shard's
+    /// cache takes — to the shared tier on behalf of `tenant`, then enforces
+    /// the tenant quota (evicting the tenant's own LRU entries) and the
+    /// global capacity.
     pub(crate) fn publish_slot(&mut self, slot: Slot, tenant: usize) {
         // Keep the owner map aligned with the live set: capacity eviction
         // inside `insert` is the only way an entry leaves it unseen.

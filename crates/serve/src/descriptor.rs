@@ -16,7 +16,7 @@ use magma_platform::PlatformSpec;
 use serde::{Deserialize, Serialize, Value};
 
 /// The descriptor sources a report may carry.
-pub const DESCRIPTOR_SOURCES: [&str; 2] = ["builtin", "registry"];
+pub(crate) const DESCRIPTOR_SOURCES: [&str; 2] = ["builtin", "registry"];
 
 /// FNV-1a 64-bit hash — tiny, stable, dependency-free; plenty for
 /// content-addressing scenario parameter trees (this is an integrity check
@@ -79,7 +79,7 @@ impl ScenarioDescriptor {
 
     /// The canonical content hash of a parameter tree: FNV-1a 64 over its
     /// compact JSON serialization.
-    pub fn hash_of(params: &Value) -> String {
+    pub(crate) fn hash_of(params: &Value) -> String {
         let compact = serde_json::to_string(params).unwrap_or_default();
         format!("fnv1a64:{:016x}", fnv1a64(compact.as_bytes()))
     }

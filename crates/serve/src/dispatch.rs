@@ -20,7 +20,7 @@
 //! [`plan`](MappingService::plan_group)ned (cache probe + seed adaptation),
 //! its search opened as a detached [`SessionState`]
 //! ([`MappingService::open_search`]) that the caller advances in budget
-//! slices, and [`complete`](MappingService::complete_group)d into the cache.
+//! slices, and completed into the cache.
 //! [`MappingService::map_group`] remains the one-call composition of the
 //! three — and, by the session-stepping invariant, any slicing of the same
 //! budget produces the same outcome.
@@ -154,24 +154,19 @@ impl MappingService {
         MappingService { cache: MappingCache::new(config.cache_capacity), config }
     }
 
-    /// The configured budgets.
-    pub fn config(&self) -> &DispatchConfig {
-        &self.config
-    }
-
     /// The cache's running counters.
-    pub fn cache_stats(&self) -> CacheStats {
+    pub(crate) fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
     /// Number of live cache entries.
-    pub fn cache_len(&self) -> usize {
+    pub(crate) fn cache_len(&self) -> usize {
         self.cache.len()
     }
 
     /// Read-only view of the cache — the persistence seam: save it with
     /// [`MappingCache::save`] at the end of a run (`MAGMA_SERVE_CACHE_PATH`).
-    pub fn cache(&self) -> &MappingCache {
+    pub(crate) fn cache(&self) -> &MappingCache {
         &self.cache
     }
 
@@ -203,7 +198,7 @@ impl MappingService {
     /// same tie-break) before falling back to a cold search. A dispatch the
     /// tier serves counts as a miss in the shard's counters and a hit in
     /// the tier's — the two stat streams stay disjoint.
-    pub fn plan_group_shared(
+    pub(crate) fn plan_group_shared(
         &mut self,
         problem: &M3e,
         rng: &mut StdRng,
@@ -258,7 +253,7 @@ impl MappingService {
     /// so a scheduler can hold many live searches at once and lend each its
     /// problem and RNG per step. The caller owns the stepping: spend
     /// [`SearchPlan::budget`] samples in whatever slices fit its schedule,
-    /// then pass the finished outcome to [`MappingService::complete_group`].
+    /// then pass the finished outcome to `MappingService::complete_group`.
     ///
     /// A warm-started session takes the plan's seeds and emits each one by
     /// move ([`Magma::into_session`]); the plan keeps its kind, budget and
@@ -275,7 +270,7 @@ impl MappingService {
     /// group's key (so the cache tracks the freshest solution per traffic
     /// pattern) and assembles the [`DispatchOutcome`]. Also returns the key
     /// the insert evicted from the cache, if any ([`MappingCache::insert`]).
-    pub fn complete_group(
+    pub(crate) fn complete_group(
         &mut self,
         problem: &M3e,
         plan: SearchPlan,
@@ -355,7 +350,7 @@ impl SearchPlan {
 
     /// The cache key the group quantized to — what the completed mapping
     /// will be stored under, in the shard's cache and the shared tier.
-    pub fn key(&self) -> &SignatureKey {
+    pub(crate) fn key(&self) -> &SignatureKey {
         &self.key
     }
 }
@@ -481,7 +476,7 @@ mod tests {
         let cold = shard_a.map_group(&p, 1);
         let mut shared = SharedCache::new(8, 0);
         let sigs = p.signatures().to_vec();
-        let key = quantize_signatures(&sigs, shard_a.config().quant_step);
+        let key = quantize_signatures(&sigs, shard_a.config.quant_step);
         shared.publish(key, StoredSolution::new(cold.mapping.clone(), Some(sigs)), 0);
         // Shard B's own cache is cold: alone it would cold-search, but the
         // tier turns the plan into a refine-budget hit. The miss lands in
@@ -490,7 +485,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let plan = shard_b.plan_group_shared(&p, &mut rng, Some(&mut shared));
         assert_eq!(plan.kind(), DispatchKind::CacheHit);
-        assert_eq!(plan.budget(), shard_b.config().refine_budget);
+        assert_eq!(plan.budget(), shard_b.config.refine_budget);
         assert_eq!(shard_b.cache_stats().misses, 1);
         assert_eq!(shard_b.cache_stats().hits, 0);
         assert_eq!(shared.stats().hits, 1);

@@ -305,23 +305,13 @@ impl ServeEngine {
         }
     }
 
-    /// The config in force.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Whether [`ServeEngine::drain`] has been called.
-    pub fn draining(&self) -> bool {
-        self.draining
-    }
-
     /// The projected mapper backlog at `now_sec`, in seconds: the least
     /// loaded shard's router load measure (queued mapper work plus how far
     /// its accelerator timeline runs past now) plus the search cost of
     /// everything still waiting in the admission queue, spread over the
     /// shards. This is what [`ServeEngine::submit`] compares against
     /// `max_backlog_sec`.
-    pub fn projected_backlog_sec(&self, now_sec: f64) -> f64 {
+    pub(crate) fn projected_backlog_sec(&self, now_sec: f64) -> f64 {
         let now = now_sec.max(self.last_now);
         let shards = self.shards.len();
         let min_load = (0..shards).map(|s| self.shards.load(s, now)).fold(f64::INFINITY, f64::min);
@@ -774,7 +764,7 @@ mod tests {
     fn next_wake_names_the_earliest_time_a_poll_does_work() {
         // group_target 4, max_wait 4 / 100/s = 40 ms, cold budget 40.
         let mut engine = ServeEngine::new(EngineConfig::from_knobs(&tiny_knobs()), mix(4));
-        let max_wait = engine.config().max_wait_sec;
+        let max_wait = engine.config.max_wait_sec;
         assert_eq!(engine.next_wake(0.0), Wake::Idle, "an empty engine waits for a submit");
 
         // A partial group waits out its admission deadline, and a poll at
@@ -997,7 +987,7 @@ mod tests {
         assert_eq!(completions.len(), 10);
         assert_eq!(engine.stats().queued_jobs, 0);
         assert_eq!(engine.stats().live_sessions, 0);
-        assert!(engine.draining());
+        assert!(engine.draining);
         assert_eq!(engine.submit(0.03, 99, 0, vec![job(0)]), Admission::Draining);
         for i in 0..2 {
             let file = shard_cache_file(&base, i);

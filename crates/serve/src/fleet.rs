@@ -4,7 +4,7 @@
 //!
 //! A fleet is `FleetKnobs::shards` independent **shards** — each a full
 //! platform with its own mapper clock, accelerator timeline, mapping cache
-//! and [`SessionScheduler`](crate::scheduler::SessionScheduler) — fed from
+//! and `SessionScheduler` — fed from
 //! one global admission batcher:
 //!
 //! ```text
@@ -28,7 +28,7 @@
 //! [`ShardConfig::shared_tenant_quota`]): a shard miss falls through to the tier
 //! before cold-searching, every completed session publishes its mapping to
 //! both its shard cache and the tier, and the router places tier-held keys
-//! purely by load ([`crate::router::ShardRouter::place_balanced`]) since
+//! purely by load (`place_balanced`) since
 //! any shard then serves them warm. The tier lives on the fleet's
 //! single-threaded event loop, so its event order — and therefore every
 //! fleet result — stays bit-identical across `MAGMA_THREADS` settings.
@@ -330,7 +330,7 @@ pub fn fleet_simulate(config: &FleetConfig, mix: &TenantMix) -> FleetResult {
         let ts = (0..shards)
             .filter(|&s| set.sched(s).live() > 0)
             .map(|s| (mapper_now[s], s))
-            .min_by(|a, b| a.0.partial_cmp(&b.0).expect("clocks are finite").then(a.1.cmp(&b.1)));
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
         let t_cut = tc.unwrap_or(f64::INFINITY);
         let t_step = ts.map_or(f64::INFINITY, |(t, _)| t);
@@ -663,7 +663,7 @@ impl BenchReport for FleetReport {
 ///   and with the nearest-key probe off (exact-key hits only), so live
 ///   sessions pile up, deadlines expire mid-search and the preemption
 ///   counters exercise.
-pub fn fleet_scenarios(knobs: &FleetKnobs) -> Vec<(&'static str, FleetConfig)> {
+pub(crate) fn fleet_scenarios(knobs: &FleetKnobs) -> Vec<(&'static str, FleetConfig)> {
     let base = |shards| FleetConfig::from_knobs(knobs, shards, Scenario::Poisson);
     let mut pressure = base(knobs.shards);
     pressure.offered_load = knobs.offered_load * 1.5;
@@ -683,7 +683,7 @@ pub fn fleet_scenarios(knobs: &FleetKnobs) -> Vec<(&'static str, FleetConfig)> {
 
 /// The shard-count ladder: `{1, 4}` for smoke, `{1, 2, N}` for full (always
 /// starting at the 1-shard speedup baseline, deduplicated, ascending).
-pub fn shard_ladder(knobs: &FleetKnobs, smoke: bool) -> Vec<usize> {
+pub(crate) fn shard_ladder(knobs: &FleetKnobs, smoke: bool) -> Vec<usize> {
     let mut ladder = if smoke { vec![1, knobs.shards] } else { vec![1, 2, knobs.shards] };
     ladder.sort_unstable();
     ladder.dedup();

@@ -27,8 +27,8 @@
 //! * [`cache`] — the bounded LRU over quantized [`magma_model::JobSignature`]
 //!   sets, with a nearest-key probe for near-matching groups (threshold
 //!   calibrated by [`sweep`]), serde persistence (`MAGMA_SERVE_CACHE_PATH`
-//!   makes restarts warm) and a fleet-wide [`cache::SharedCache`]
-//!   tier with per-tenant quotas.
+//!   makes restarts warm) and a fleet-wide shared tier with per-tenant
+//!   quotas.
 //! * [`dispatch`] — cold search vs adapt-then-refine as *steppable plans*
 //!   (plan → session → complete), both through the parallel batch evaluator
 //!   (`magma_optim::parallel`).
@@ -107,6 +107,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod batcher;
 pub mod cache;
@@ -126,7 +127,7 @@ pub mod sweep;
 pub mod trace;
 
 pub use batcher::{AdmissionBatcher, BatchPolicy, DispatchGroup};
-pub use cache::{quantize_signatures, CacheStats, MappingCache, SharedCache, SignatureKey};
+pub use cache::{quantize_signatures, CacheStats, MappingCache, SignatureKey};
 pub use descriptor::{CustomScenario, ScenarioDescriptor};
 pub use dispatch::{DispatchConfig, DispatchKind, DispatchOutcome, MappingService};
 pub use emit::{emit, mode_tag, BenchReport};
@@ -140,7 +141,7 @@ pub use fleet::{
 pub use metrics::{LatencyStats, ServeMetrics};
 pub use report::{run_custom_scenario, run_standard_scenarios, ServeReport, SCHEMA};
 pub use router::{RouterStats, ShardRouter};
-pub use scheduler::{SchedStats, SchedulerConfig, SessionScheduler};
+pub use scheduler::{SchedStats, SchedulerConfig};
 pub use shards::{shard_cache_file, ShardConfig};
-pub use sweep::{run_cache_sweep, run_cache_sweep_custom, CacheSweepReport, CACHE_SCHEMA};
+pub use sweep::{run_cache_sweep, run_cache_sweep_custom, CacheSweepReport};
 pub use trace::{generate_trace, Arrival, Scenario, TraceParams};

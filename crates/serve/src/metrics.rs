@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// panic on it; release builds clamp to the nearest valid rank so a stray
 /// quantile degrades instead of crashing a serving fleet. Returns 0.0 for
 /// an empty vector.
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
     debug_assert!(q > 0.0 && q <= 1.0, "percentile quantile must lie in (0, 1], got {q}");
     if sorted.is_empty() {
         return 0.0;
@@ -51,7 +51,7 @@ pub struct LatencyStats {
 
 impl LatencyStats {
     /// Computes the summary of `samples` (not required to be sorted).
-    pub fn from_samples(mut samples: Vec<f64>) -> Self {
+    pub(crate) fn from_samples(mut samples: Vec<f64>) -> Self {
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let count = samples.len();
         let mean_sec = if count == 0 { 0.0 } else { samples.iter().sum::<f64>() / count as f64 };
@@ -144,17 +144,6 @@ pub struct DispatchSummary {
     /// Mean hit samples / mean cold samples (0 when either side is empty) —
     /// the ≤ 0.1 acceptance metric.
     pub hit_sample_fraction: f64,
-}
-
-impl DispatchSummary {
-    /// Aggregates the per-dispatch outcomes, folded one at a time in order.
-    pub fn from_outcomes(outcomes: &[DispatchOutcome]) -> Self {
-        let mut tally = DispatchTally::default();
-        for outcome in outcomes {
-            tally.add(outcome);
-        }
-        tally.summary()
-    }
 }
 
 /// A [`DispatchSummary`] taken one dispatch at a time: what a running
@@ -419,7 +408,7 @@ mod tests {
         let cache = CacheReport::new(CacheStats::default(), 0);
         let metrics = ServeMetrics::from_records(
             &records,
-            DispatchSummary::from_outcomes(&[]),
+            DispatchTally::default().summary(),
             cache,
             &mix,
             0.02,

@@ -35,11 +35,11 @@ pub const SCHEMA: &str = "magma-serve/v4";
 
 /// Minimum mean throughput of the repeated-tenant scenario's cache-hit
 /// dispatches over its cold searches' ([`ServeReport`]'s acceptance gate).
-pub const HIT_THROUGHPUT_FLOOR: f64 = 0.9;
+pub(crate) const HIT_THROUGHPUT_FLOOR: f64 = 0.9;
 
 /// Maximum mean hit samples over mean cold samples on the same scenario:
 /// a tenth of the cold budget, plus the rounding of integer sample means.
-pub const HIT_BUDGET_CEILING: f64 = 0.101;
+pub(crate) const HIT_BUDGET_CEILING: f64 = 0.101;
 
 /// One simulated scenario's block in the report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -99,8 +99,8 @@ impl BenchReport for ServeReport {
     }
 
     /// The cache economics of the repeated-tenant scenario: hits reach
-    /// [`HIT_THROUGHPUT_FLOOR`] of cold-search throughput while spending at
-    /// most [`HIT_BUDGET_CEILING`] of the cold sample budget.
+    /// `HIT_THROUGHPUT_FLOOR` of cold-search throughput while spending at
+    /// most `HIT_BUDGET_CEILING` of the cold sample budget.
     fn accept(&self) -> Result<String, String> {
         let d = match self.scenarios.iter().find(|s| s.name == "repeated_tenant") {
             Some(s) => s.metrics.dispatch,
@@ -141,7 +141,7 @@ impl BenchReport for ServeReport {
 ///   economics).
 /// * (full mode only) `bursty_mix` and `drift_mix` — deadline-path stress
 ///   and cache-invalidation-under-drift.
-pub fn standard_scenarios(smoke: bool) -> Vec<(&'static str, Scenario, TenantMix)> {
+pub(crate) fn standard_scenarios(smoke: bool) -> Vec<(&'static str, Scenario, TenantMix)> {
     let mut scenarios = vec![
         ("poisson_mix", Scenario::Poisson, TenantMix::standard()),
         (

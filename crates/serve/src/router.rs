@@ -9,7 +9,7 @@
 //!   cache holds the adapted solution (a hit elsewhere is a guaranteed cold
 //!   search). Affinity is sticky: the first placement of a key pins it, and
 //!   the pin lasts as long as the warm state it points at — when the pinned
-//!   shard's cache evicts the key, [`ShardRouter::forget`] drops the pin, so
+//!   shard's cache evicts the key, `ShardRouter::forget` drops the pin, so
 //!   the map is bounded by the caches it mirrors rather than by how many
 //!   distinct keys the fleet has ever seen. A pin holds a clone of the
 //!   group's [`SignatureKey`], which shares its signatures with the plan and
@@ -38,7 +38,7 @@ pub struct RouterStats {
     pub affinity_hits: u64,
     /// Placements routed purely by load because the fleet's shared cache
     /// tier already held the group's exact key (see
-    /// [`ShardRouter::place_balanced`]).
+    /// `ShardRouter::place_balanced`).
     pub shared_balanced: u64,
 }
 
@@ -67,11 +67,6 @@ impl ShardRouter {
         }
     }
 
-    /// Number of shards routed over.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// Placement counters so far.
     pub fn stats(&self) -> RouterStats {
         self.stats
@@ -83,7 +78,8 @@ impl ShardRouter {
     }
 
     /// Keys currently pinned to a shard.
-    pub fn pinned(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pinned(&self) -> usize {
         self.affinity.len()
     }
 
@@ -97,7 +93,7 @@ impl ShardRouter {
     /// no longer holds the key's mapping (its cache evicted it, or the
     /// session that would have stored it was dropped), so returning there
     /// buys nothing. A key re-pinned elsewhere in the meantime keeps its pin.
-    pub fn forget(&mut self, key: &SignatureKey, shard: usize) {
+    pub(crate) fn forget(&mut self, key: &SignatureKey, shard: usize) {
         if self.affinity.get(key) == Some(&shard) {
             self.affinity.remove(key);
         }
@@ -146,7 +142,7 @@ impl ShardRouter {
     /// # Panics
     ///
     /// Panics under the same conditions as [`ShardRouter::place`].
-    pub fn place_balanced(&mut self, load: &[f64], admissible: &[bool]) -> usize {
+    pub(crate) fn place_balanced(&mut self, load: &[f64], admissible: &[bool]) -> usize {
         assert_eq!(load.len(), self.shards, "one load entry per shard");
         assert_eq!(admissible.len(), self.shards, "one admissibility flag per shard");
         let chosen = least_loaded(load, admissible).expect("at least one admissible shard");

@@ -92,7 +92,7 @@ impl SchedStats {
 
 /// One live search: the owned state of a dispatched group mid-search, plus
 /// the bookkeeping the policies rank it by.
-pub struct LiveSession {
+pub(crate) struct LiveSession {
     pub(crate) id: u64,
     pub(crate) group: DispatchGroup,
     pub(crate) plan: SearchPlan,
@@ -144,7 +144,7 @@ pub(crate) enum SchedStep {
 }
 
 /// The per-shard scheduler. See the module docs for the policies.
-pub struct SessionScheduler {
+pub(crate) struct SessionScheduler {
     config: SchedulerConfig,
     live: Vec<LiveSession>,
     rr_cursor: usize,
@@ -158,7 +158,7 @@ impl SessionScheduler {
     ///
     /// Panics on a degenerate config (zero capacity or slice sizes, a
     /// non-finite margin or overhead).
-    pub fn new(config: SchedulerConfig) -> Self {
+    pub(crate) fn new(config: SchedulerConfig) -> Self {
         assert!(config.max_live > 0, "a shard needs at least one live-session slot");
         assert!(config.base_slice > 0 && config.min_slice > 0, "slices must be non-zero");
         assert!(config.preempt_margin >= 0.0, "the preemption margin must be non-negative");
@@ -170,23 +170,23 @@ impl SessionScheduler {
     }
 
     /// Live session count.
-    pub fn live(&self) -> usize {
+    pub(crate) fn live(&self) -> usize {
         self.live.len()
     }
 
     /// Whether a session can be admitted without preempting.
-    pub fn has_room(&self) -> bool {
+    pub(crate) fn has_room(&self) -> bool {
         self.live.len() < self.config.max_live
     }
 
     /// Lifecycle counters so far.
-    pub fn stats(&self) -> SchedStats {
+    pub(crate) fn stats(&self) -> SchedStats {
         self.stats
     }
 
     /// The shard's mapper backlog in samples (the router's load measure):
     /// total remaining budget across live sessions.
-    pub fn backlog(&self) -> f64 {
+    pub(crate) fn backlog(&self) -> f64 {
         self.live.iter().map(|s| s.remaining()).sum::<usize>() as f64
     }
 
@@ -279,10 +279,7 @@ impl SessionScheduler {
                 .iter()
                 .enumerate()
                 .min_by(|(_, a), (_, b)| {
-                    a.deadline_sec
-                        .partial_cmp(&b.deadline_sec)
-                        .expect("deadlines are finite")
-                        .then(a.id.cmp(&b.id))
+                    a.deadline_sec.total_cmp(&b.deadline_sec).then(a.id.cmp(&b.id))
                 })
                 .map(|(i, _)| i)
                 .expect("live is non-empty"),
@@ -332,9 +329,7 @@ impl SessionScheduler {
             .iter()
             .enumerate()
             .filter(|(_, s)| s.spent() > 0)
-            .min_by(|(_, a), (_, b)| {
-                a.value.partial_cmp(&b.value).expect("values are finite").then(a.id.cmp(&b.id))
-            })
+            .min_by(|(_, a), (_, b)| a.value.total_cmp(&b.value).then(a.id.cmp(&b.id)))
             .map(|(i, _)| i)
     }
 

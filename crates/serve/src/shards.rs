@@ -235,7 +235,7 @@ impl ShardSet {
     pub(crate) fn cheapest_victim(&self) -> Option<(usize, f64)> {
         (0..self.len())
             .filter_map(|s| self.scheds[s].preemptable_value().map(|v| (s, v)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("values are finite").then(a.0.cmp(&b.0)))
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
     }
 
     /// Admits a freshly cut group at `t`: routes it, plans it, opens its

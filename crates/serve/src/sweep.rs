@@ -5,11 +5,11 @@
 //! [`ServeKnobs`] trade hit rate against hit quality: a looser
 //! epsilon or coarser key catches more traffic but adapts from
 //! less-matching solutions. This module sweeps that grid on the standard
-//! Poisson mix trace and emits a schema-stable report ([`CACHE_SCHEMA`])
+//! Poisson mix trace and emits a schema-stable report (`CACHE_SCHEMA`)
 //! whose frontier justifies the shipped defaults: the **calibrated point**
 //! is the highest-hit-rate grid point whose delivered quality stays at
-//! least [`QUALITY_FLOOR`] of the all-cold-search run while spending at
-//! most [`BUDGET_CEILING`] of the cold budget per hit.
+//! least `QUALITY_FLOOR` of the all-cold-search run while spending at
+//! most `BUDGET_CEILING` of the cold budget per hit.
 //!
 //! Quality is measured *matched*: each point's mean best-mapping
 //! throughput per dispatch group — over **all** dispatches, hit and cold —
@@ -37,15 +37,15 @@ use serde::{Deserialize, Serialize, Value};
 /// [`BenchReport::validate`]). `v3` is one deliberate removal: the
 /// `profile_ab` block went with the `MAGMA_SIGNATURE_PROFILE` knob it
 /// toggled; every remaining key and number is unchanged from `v2`.
-pub const CACHE_SCHEMA: &str = "magma-cache/v3";
+pub(crate) const CACHE_SCHEMA: &str = "magma-cache/v3";
 
 /// Minimum `quality_vs_probe_off` a grid point must keep to be admissible
 /// as the calibrated point.
-pub const QUALITY_FLOOR: f64 = 0.95;
+pub(crate) const QUALITY_FLOOR: f64 = 0.95;
 
 /// Maximum `hit_sample_fraction` (mean hit samples over mean cold samples)
 /// the calibrated point may spend.
-pub const BUDGET_CEILING: f64 = 0.25;
+pub(crate) const BUDGET_CEILING: f64 = 0.25;
 
 /// One `(epsilon, refine_budget, quant_step)` grid point's measurements on
 /// the mix trace.
@@ -92,7 +92,7 @@ pub struct SweepPoint {
 impl SweepPoint {
     /// Whether this point satisfies the calibration floors (and actually
     /// served hits, so the ratios are meaningful).
-    pub fn admissible(&self) -> bool {
+    pub(crate) fn admissible(&self) -> bool {
         self.hits > 0
             && self.quality_vs_probe_off >= QUALITY_FLOOR
             && self.hit_sample_fraction <= BUDGET_CEILING
@@ -102,7 +102,7 @@ impl SweepPoint {
 /// The full report written to `BENCH_cache.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheSweepReport {
-    /// Schema version tag ([`CACHE_SCHEMA`]).
+    /// Schema version tag (`CACHE_SCHEMA`).
     pub schema: String,
     /// `smoke` or `full`.
     pub mode: String,
@@ -112,9 +112,9 @@ pub struct CacheSweepReport {
     pub requests: usize,
     /// Cold-search budget every point refines against.
     pub cold_budget: usize,
-    /// The quality floor applied ([`QUALITY_FLOOR`]).
+    /// The quality floor applied (`QUALITY_FLOOR`).
     pub quality_floor: f64,
-    /// The budget ceiling applied ([`BUDGET_CEILING`]).
+    /// The budget ceiling applied (`BUDGET_CEILING`).
     pub budget_ceiling: f64,
     /// The shipped default knob point `(epsilon, refine_budget,
     /// quant_step)` this sweep ran under.
@@ -284,7 +284,7 @@ fn probe_off_sibling(grid: &[SweepPoint], p: &SweepPoint) -> Option<f64> {
 /// (5%, 10% and 25% of cold) and three quantization steps; smoke mode pins
 /// refine/quant to the shipped knobs and only A/Bs the probe (off vs the
 /// shipped epsilon) so CI stays fast.
-pub fn sweep_grid(knobs: &ServeKnobs, smoke: bool) -> Vec<(f64, usize, f64)> {
+pub(crate) fn sweep_grid(knobs: &ServeKnobs, smoke: bool) -> Vec<(f64, usize, f64)> {
     let (epsilons, refines, quants): (Vec<f64>, Vec<usize>, Vec<f64>) = if smoke {
         (vec![0.0, knobs.cache_epsilon.max(1.0)], vec![knobs.refine_budget], vec![knobs.quant_step])
     } else {

@@ -38,7 +38,8 @@ pub enum Scenario {
 
 impl Scenario {
     /// All scenarios, in presentation order.
-    pub const ALL: [Scenario; 3] = [Scenario::Poisson, Scenario::Bursty, Scenario::Drift];
+    #[cfg(test)]
+    pub(crate) const ALL: [Scenario; 3] = [Scenario::Poisson, Scenario::Bursty, Scenario::Drift];
 
     /// Inter-arrival gap multiplier for arrival `index` of `total`. Bursty
     /// traffic alternates 0.4× / 1.6× in blocks of [`BURST_BLOCK`] arrivals
@@ -80,7 +81,7 @@ impl fmt::Display for Scenario {
 }
 
 /// Arrivals per bursty high/low phase block.
-pub const BURST_BLOCK: usize = 20;
+pub(crate) const BURST_BLOCK: usize = 20;
 
 /// Parameters of one synthesized trace.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,6 +1,6 @@
 //! The client side: a request multiplexer and a blocking TCP client.
 //!
-//! [`Mux`] is the pure state machine: it tracks which request ids are
+//! `Mux` is the pure state machine: it tracks which request ids are
 //! awaiting which responses and turns raw [`ResponseMsg`]s into typed
 //! [`Event`]s, rejecting unknown ids, duplicate terminals and
 //! wrong-state responses. Keeping it free of I/O makes the
@@ -29,7 +29,7 @@ use crate::proto::{
 
 /// What a request id is currently waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PendingKind {
+pub(crate) enum PendingKind {
     /// A `submit_group` awaiting its admission verdict.
     Submit,
     /// A `cancel` awaiting its acknowledgement.
@@ -107,20 +107,20 @@ pub enum Event {
 ///   exactly one terminal — duplicates are protocol errors;
 /// * response kinds must match the request's [`PendingKind`].
 #[derive(Debug, Default)]
-pub struct Mux {
+pub(crate) struct Mux {
     pending: HashMap<u64, PendingKind>,
     in_flight: HashSet<u64>,
 }
 
 impl Mux {
     /// Creates an empty multiplexer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records that request `id` of `kind` was sent. Reusing a live id is
     /// an error.
-    pub fn sent(&mut self, id: u64, kind: PendingKind) -> Result<(), String> {
+    pub(crate) fn sent(&mut self, id: u64, kind: PendingKind) -> Result<(), String> {
         if self.pending.contains_key(&id) || self.in_flight.contains(&id) {
             return Err(format!("request id {id} is already live"));
         }
@@ -129,17 +129,12 @@ impl Mux {
     }
 
     /// Number of requests still awaiting a verdict or terminal response.
-    pub fn outstanding(&self) -> usize {
+    pub(crate) fn outstanding(&self) -> usize {
         self.pending.len() + self.in_flight.len()
     }
 
-    /// Ids of accepted submits still awaiting their terminal response.
-    pub fn in_flight(&self) -> impl Iterator<Item = u64> + '_ {
-        self.in_flight.iter().copied()
-    }
-
     /// Consumes one server response, advancing the state machine.
-    pub fn on_response(&mut self, resp: &ResponseMsg) -> Result<Event, String> {
+    pub(crate) fn on_response(&mut self, resp: &ResponseMsg) -> Result<Event, String> {
         let id = resp.id;
         // Terminal for an accepted submit?
         if self.in_flight.contains(&id) {

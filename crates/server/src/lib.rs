@@ -32,7 +32,7 @@
 //!   connection costs it buffers, not threads, and graceful drain finishes
 //!   every admitted group and persists shard caches before shutdown. Unix
 //!   only.
-//! * [`client`] — [`Client`] and the pure [`Mux`] state machine that
+//! * [`client`] — [`Client`] and the pure `Mux` state machine that
 //!   guarantees no response is lost or double-counted.
 //!
 //! Backpressure is part of the protocol: when the projected mapper
@@ -54,6 +54,7 @@
 // one module allowed to opt out; everything else stays free of it.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod client;
 #[cfg(unix)]
@@ -67,7 +68,7 @@ pub mod frame;
 mod poll;
 pub mod proto;
 
-pub use client::{Client, Event, Mux, PendingKind};
+pub use client::{Client, Event};
 #[cfg(unix)]
 pub use daemon::Server;
 pub use proto::{RequestMsg, ResponseMsg};

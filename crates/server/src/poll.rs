@@ -12,16 +12,16 @@ use std::os::unix::io::AsRawFd;
 use std::time::Duration;
 
 /// Data can be read (or a connection is waiting to be accepted).
-pub const POLLIN: c_short = 0x1;
+pub(crate) const POLLIN: c_short = 0x1;
 /// Data can be written without blocking.
-pub const POLLOUT: c_short = 0x4;
+pub(crate) const POLLOUT: c_short = 0x4;
 
 /// The C library's `struct pollfd`: a descriptor, the events to wait for and
 /// the events `poll` reports. Errors and hang-ups are reported whether or not
 /// they were asked for.
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
-pub struct PollFd {
+pub(crate) struct PollFd {
     fd: c_int,
     events: c_short,
     revents: c_short,
@@ -29,13 +29,13 @@ pub struct PollFd {
 
 impl PollFd {
     /// Waits for `events` on `socket`.
-    pub fn new(socket: &impl AsRawFd, events: c_short) -> Self {
+    pub(crate) fn new(socket: &impl AsRawFd, events: c_short) -> Self {
         PollFd { fd: socket.as_raw_fd(), events, revents: 0 }
     }
 
     /// Whether the last [`wait`] reported something a read would return at
     /// once: data, a connection to accept, an error or a hang-up.
-    pub fn readable(&self) -> bool {
+    pub(crate) fn readable(&self) -> bool {
         self.revents & !POLLOUT != 0
     }
 }
@@ -53,7 +53,7 @@ extern "C" {
 /// (`None` waits for ever), and records what each reported. The timeout is
 /// rounded up to whole milliseconds, so the wait never ends early; a wait
 /// cut short by a signal returns as a timeout would.
-pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
+pub(crate) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
     let timeout_ms = match timeout {
         None => -1,
         Some(t) => c_int::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX),

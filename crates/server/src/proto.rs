@@ -37,13 +37,13 @@ use serde::{Deserialize, Serialize};
 use json::{Layout, Reader, Writer};
 
 /// Verb: submit a group of jobs for mapping + execution.
-pub const VERB_SUBMIT: &str = "submit_group";
+pub(crate) const VERB_SUBMIT: &str = "submit_group";
 /// Verb: cancel a previously accepted `submit_group` by its request id.
-pub const VERB_CANCEL: &str = "cancel";
+pub(crate) const VERB_CANCEL: &str = "cancel";
 /// Verb: stop admissions, finish all live work, persist caches, shut down.
-pub const VERB_DRAIN: &str = "drain";
+pub(crate) const VERB_DRAIN: &str = "drain";
 /// Verb: snapshot the engine's counters.
-pub const VERB_STATS: &str = "stats";
+pub(crate) const VERB_STATS: &str = "stats";
 
 /// Response kind: the group was admitted; a terminal `done` will follow.
 pub const KIND_ACCEPTED: &str = "accepted";
@@ -54,9 +54,9 @@ pub const KIND_DONE: &str = "done";
 /// Response kind: a cancel was acknowledged (terminal for the target).
 pub const KIND_CANCELLED: &str = "cancelled";
 /// Response kind: the drain completed; carries the final [`EngineStats`].
-pub const KIND_DRAINED: &str = "drained";
+pub(crate) const KIND_DRAINED: &str = "drained";
 /// Response kind: a stats snapshot.
-pub const KIND_STATS: &str = "stats";
+pub(crate) const KIND_STATS: &str = "stats";
 /// Response kind: the request was rejected outright (see `error`).
 pub const KIND_ERROR: &str = "error";
 
@@ -124,7 +124,7 @@ pub struct ResponseMsg {
 
 impl ResponseMsg {
     /// Builds a bare response of `kind` answering request `id`.
-    pub fn new(id: u64, kind: &str) -> Self {
+    pub(crate) fn new(id: u64, kind: &str) -> Self {
         Self {
             id,
             kind: kind.to_string(),
@@ -137,7 +137,7 @@ impl ResponseMsg {
     }
 
     /// Builds an `error` response with a reason.
-    pub fn error(id: u64, reason: &str) -> Self {
+    pub(crate) fn error(id: u64, reason: &str) -> Self {
         Self { error: Some(reason.to_string()), ..Self::new(id, KIND_ERROR) }
     }
 }

@@ -25,12 +25,12 @@ pub struct Writer(pub Vec<u8>);
 
 impl Writer {
     /// Appends `text` as it is: punctuation, member names, literals.
-    pub fn lit(&mut self, text: &str) {
+    pub(crate) fn lit(&mut self, text: &str) {
         self.0.extend_from_slice(text.as_bytes());
     }
 
     /// An integer, in decimal digits as `Display` writes it.
-    pub fn uint(&mut self, mut n: u64) {
+    pub(crate) fn uint(&mut self, mut n: u64) {
         let mut digits = [0u8; 20];
         let mut start = digits.len();
         for digit in digits.iter_mut().rev() {
@@ -46,7 +46,7 @@ impl Writer {
 
     /// A float as `Display` writes it; JSON has no NaN or infinity, so a
     /// non-finite one is `null`.
-    pub fn f64(&mut self, x: f64) {
+    pub(crate) fn f64(&mut self, x: f64) {
         if x.is_finite() {
             write!(self.0, "{x}").expect("a Vec accepts every write");
         } else {
@@ -57,7 +57,7 @@ impl Writer {
     /// A quoted string, escaped as the vendored `write_string` escapes it:
     /// `"`, `\`, newline, carriage return and tab by name, every other
     /// control character as `\u00xx`, everything else as it is.
-    pub fn str(&mut self, s: &str) {
+    pub(crate) fn str(&mut self, s: &str) {
         const HEX: &[u8; 16] = b"0123456789abcdef";
         self.0.push(b'"');
         let bytes = s.as_bytes();
@@ -92,7 +92,7 @@ impl Writer {
     }
 
     /// `null`, or `value` as `put` writes it.
-    pub fn opt<T>(&mut self, value: Option<T>, put: impl FnOnce(&mut Self, T)) {
+    pub(crate) fn opt<T>(&mut self, value: Option<T>, put: impl FnOnce(&mut Self, T)) {
         match value {
             Some(value) => put(self, value),
             None => self.lit("null"),
@@ -101,14 +101,14 @@ impl Writer {
 }
 
 /// A cursor over a frame that moves only over the [`Writer`]'s layout.
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     text: &'a str,
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
     /// A cursor at the start of `text`.
-    pub fn new(text: &'a str) -> Self {
+    pub(crate) fn new(text: &'a str) -> Self {
         Reader { text, pos: 0 }
     }
 
@@ -117,17 +117,17 @@ impl<'a> Reader<'a> {
     }
 
     /// Steps over `text`.
-    pub fn lit(&mut self, text: &str) -> Option<()> {
+    pub(crate) fn lit(&mut self, text: &str) -> Option<()> {
         self.rest().starts_with(text.as_bytes()).then(|| self.pos += text.len())
     }
 
     /// At the end of the text.
-    pub fn end(&self) -> Option<()> {
+    pub(crate) fn end(&self) -> Option<()> {
         (self.pos == self.text.len()).then_some(())
     }
 
     /// An integer as the writer spells one no larger than `i64::MAX`.
-    pub fn uint(&mut self) -> Option<u64> {
+    pub(crate) fn uint(&mut self) -> Option<u64> {
         let rest = self.rest();
         let len = rest.iter().position(|b| !b.is_ascii_digit()).unwrap_or(rest.len());
         let digits = rest.get(..len)?;
@@ -143,12 +143,12 @@ impl<'a> Reader<'a> {
     }
 
     /// [`Reader::uint`] as a `usize`.
-    pub fn usize(&mut self) -> Option<usize> {
+    pub(crate) fn usize(&mut self) -> Option<usize> {
         self.uint().and_then(|n| usize::try_from(n).ok())
     }
 
     /// `true` or `false`.
-    pub fn bool(&mut self) -> Option<bool> {
+    pub(crate) fn bool(&mut self) -> Option<bool> {
         match self.lit("true") {
             Some(()) => Some(true),
             None => self.lit("false").map(|()| false),
@@ -157,7 +157,7 @@ impl<'a> Reader<'a> {
 
     /// A quoted string with nothing to unescape: no `\`, no control
     /// character.
-    pub fn str(&mut self) -> Option<&'a str> {
+    pub(crate) fn str(&mut self) -> Option<&'a str> {
         self.lit("\"")?;
         let start = self.pos;
         let len = self.rest().iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
@@ -167,7 +167,10 @@ impl<'a> Reader<'a> {
     }
 
     /// `null`, or what `read` reads.
-    pub fn opt<T>(&mut self, read: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
+    pub(crate) fn opt<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Option<T>,
+    ) -> Option<Option<T>> {
         match self.lit("null") {
             Some(()) => Some(None),
             None => read(self).map(Some),
