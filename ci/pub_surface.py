@@ -24,8 +24,14 @@ example it appears in the signature of a public function that an outside
 caller reaches. Every other such item is narrowed to `pub(crate)`, after
 which rustc reports whatever only tests used as dead code.
 
-Exit status: 0 when every unused public item is allowed and every allow-list
-line names an unused public item with a reason; 1 otherwise.
+Each item also has one path: a library crate declares no `pub mod prelude`
+(a glob namespace that repeats names defined elsewhere) and no
+`pub use magma_<crate> as <alias>` (a second path to a whole crate). A caller
+imports every item from the crate that defines it.
+
+Exit status: 0 when every unused public item is allowed, every allow-list
+line names an unused public item with a reason, and no library crate has a
+prelude or a crate alias; 1 otherwise.
 
     python3 ci/pub_surface.py            # check
     python3 ci/pub_surface.py --list     # print every unused public item
@@ -49,6 +55,9 @@ IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 ITEM = re.compile(
     r"(?<![\w(])pub\s+(?:const\s+(?=(?:unsafe\s+)?fn\b)|unsafe\s+|async\s+)*"
     r"(fn|struct|enum|trait|type|const|static|mod|union)\s+([A-Za-z_][A-Za-z0-9_]*)"
+)
+SECOND_PATH = re.compile(
+    r"(?<![\w(])pub\s+(?:mod\s+prelude\b|use\s+(?:::)?magma_\w+\s+as\s+\w+)"
 )
 CFG_TEST = re.compile(r"#\[cfg\(test\)\]")
 # A fenced block in a doc comment is a doctest unless its info string names
@@ -184,6 +193,7 @@ def crate_of(path):
 def scan():
     items = {c: {} for c in LIBRARY_CRATES}  # crate -> name -> first "file:line"
     used = {c: set() for c in LIBRARY_CRATES}  # crate -> names used outside it
+    second_paths = []  # "file:line: declaration" of each prelude or crate alias
     for tree in CALLER_TREES:
         for path in rust_files(os.path.join(ROOT, tree)):
             with open(path, encoding="utf-8") as f:
@@ -200,7 +210,10 @@ def scan():
             for m in ITEM.finditer(code):
                 line = code.count("\n", 0, m.start()) + 1
                 items[owner].setdefault(m.group(2), f"{rel}:{line}")
-    return items, used
+            for m in SECOND_PATH.finditer(code):
+                line = code.count("\n", 0, m.start()) + 1
+                second_paths.append(f"{rel}:{line}: `{' '.join(m.group(0).split())}`")
+    return items, used, second_paths
 
 
 def read_allow():
@@ -223,7 +236,7 @@ def package(c):
 
 
 def main():
-    items, used = scan()
+    items, used, second_paths = scan()
     unused = sorted((c, name) for c in LIBRARY_CRATES for name in items[c] if name not in used[c])
     total = sum(len(v) for v in items.values())
     if "--list" in sys.argv:
@@ -232,6 +245,11 @@ def main():
         print(f"{total} public item names, {len(unused)} with no use outside their crate")
         return 0
     allow, problems = read_allow()
+    for where in second_paths:
+        problems.append(
+            f"{where} is a second path to items defined elsewhere;"
+            f" delete it and import each item from the crate that defines it"
+        )
     for c, name in unused:
         if (c, name) not in allow:
             problems.append(

@@ -20,7 +20,7 @@
 #![warn(unreachable_pub)]
 
 use magma::experiments::{Artefact, Scale, ARTEFACTS};
-use magma::platform::settings::{self, ServerKnobs};
+use magma_platform::settings::{self, ServerKnobs};
 use serde::Serialize;
 use std::path::PathBuf;
 

@@ -1,11 +1,9 @@
 //! The output of the analytical cost model for one (job, sub-accelerator)
 //! pair.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost-model output for running one job (layer × mini-batch) on one
 //  sub-accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostEstimate {
     /// Cycles to execute the job assuming DRAM bandwidth never stalls the
     /// compute (the paper's *no-stall latency*).

@@ -9,10 +9,9 @@
 
 use crate::{CostEstimate, CostModel, SubAccelConfig};
 use magma_model::LayerShape;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of the flexible-shape search for one layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlexibleChoice {
     /// Chosen PE-array height.
     pub rows: usize,

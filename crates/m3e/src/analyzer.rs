@@ -9,7 +9,6 @@
 use magma_cost::{best_flexible_shape, CostEstimate, CostModel};
 use magma_model::{Group, JobId};
 use magma_platform::AcceleratorPlatform;
-use serde::{Deserialize, Serialize};
 
 /// The Job Analyzer: profiles a group of jobs against a platform.
 #[derive(Debug, Clone, Default)]
@@ -55,7 +54,7 @@ impl JobAnalyzer {
 
 /// The Job Analysis Table: per (job, sub-accelerator) cost estimates plus the
 /// per-job FLOPs the evaluator needs and the per-core clock frequencies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobAnalysisTable {
     /// `entries[job][accel]`.
     entries: Vec<Vec<CostEstimate>>,

@@ -43,7 +43,7 @@
 //! # Example
 //!
 //! ```
-//! use magma_m3e::prelude::*;
+//! use magma_m3e::{M3e, Mapping, MappingProblem, Objective};
 //! use magma_model::{TaskType, WorkloadSpec};
 //! use magma_platform::{settings, Setting};
 //!
@@ -79,15 +79,3 @@ pub use framework::{JobProfile, M3e, MappingProblem};
 pub use history::SearchHistory;
 pub use schedule::{Schedule, ScheduleSegment};
 pub use warmstart::{StoredSolution, WarmStartEngine};
-
-/// Convenience re-exports for downstream users.
-pub mod prelude {
-    pub use crate::analyzer::{JobAnalysisTable, JobAnalyzer};
-    pub use crate::bw_alloc::BwAllocator;
-    pub use crate::encoding::{DecodedMapping, Mapping};
-    pub use crate::evaluator::{CostMemo, FitnessEvaluator, Objective};
-    pub use crate::framework::{JobProfile, M3e, MappingProblem};
-    pub use crate::history::SearchHistory;
-    pub use crate::schedule::{Schedule, ScheduleSegment};
-    pub use crate::warmstart::{StoredSolution, WarmStartEngine};
-}

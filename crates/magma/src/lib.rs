@@ -3,9 +3,10 @@
 //!
 //! This crate is the user-facing façade of the reproduction of the HPCA 2022
 //! paper *"MAGMA: An Optimization Framework for Mapping Multiple DNNs on
-//! Multiple Accelerator Cores"*. It re-exports the component crates and adds
-//! a high-level [`MapperBuilder`] API plus the [`experiments`] module that
-//! regenerates every figure and table of the paper's evaluation.
+//! Multiple Accelerator Cores"*. It holds the high-level [`MapperBuilder`]
+//! API (with [`Algorithm`] and [`MappingReport`]) and the [`experiments`]
+//! module that regenerates every figure and table of the paper's evaluation.
+//! Every other item is imported from the component crate that defines it.
 //!
 //! # Components
 //!
@@ -33,7 +34,9 @@
 //! # Quickstart
 //!
 //! ```
-//! use magma::prelude::*;
+//! use magma::MapperBuilder;
+//! use magma_model::TaskType;
+//! use magma_platform::Setting;
 //!
 //! // A Mix-task group of 30 jobs on the small heterogeneous accelerator S2.
 //! let report = MapperBuilder::new()
@@ -52,37 +55,7 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-pub mod builder;
+mod builder;
 pub mod experiments;
 
 pub use builder::{Algorithm, MapperBuilder, MappingReport};
-
-pub use magma_cost as cost;
-pub use magma_m3e as m3e;
-pub use magma_model as model;
-pub use magma_optim as optim;
-pub use magma_platform as platform;
-pub use magma_serve as serve;
-
-/// Convenience re-exports covering the common workflow: build a workload,
-/// pick a platform, run a mapper, inspect the schedule.
-pub mod prelude {
-    pub use crate::builder::{Algorithm, MapperBuilder, MappingReport};
-    pub use magma_cost::{CostModel, DataflowStyle, SubAccelConfig};
-    pub use magma_m3e::{
-        JobAnalyzer, M3e, Mapping, MappingProblem, Objective, Schedule, SearchHistory,
-        StoredSolution, WarmStartEngine,
-    };
-    pub use magma_model::{
-        Group, Job, JobId, JobSignature, LayerShape, Model, TaskType, Tenant, TenantMix,
-        WorkloadSpec,
-    };
-    pub use magma_optim::{
-        AiMtLike, BatchEvaluator, HeraldLike, Magma, MagmaConfig, OperatorSet, Optimizer,
-        RandomSearch, SearchOutcome, SearchSession, SessionState, StepReport,
-    };
-    pub use magma_platform::{settings, AcceleratorPlatform, Setting};
-    pub use magma_serve::{
-        DispatchConfig, FleetConfig, MappingCache, MappingService, Scenario, ServeReport,
-    };
-}

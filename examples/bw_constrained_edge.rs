@@ -5,7 +5,9 @@
 //!
 //! Run with: `cargo run --release --example bw_constrained_edge`
 
-use magma::prelude::*;
+use magma::{Algorithm, MapperBuilder};
+use magma_model::TaskType;
+use magma_platform::Setting;
 
 fn main() {
     let group_size = 40;

@@ -7,7 +7,9 @@
 //!
 //! Run with: `cargo run --release --example datacenter_mix`
 
-use magma::prelude::*;
+use magma::{Algorithm, MapperBuilder};
+use magma_model::TaskType;
+use magma_platform::Setting;
 
 fn main() {
     let group_size = 60;

@@ -5,7 +5,8 @@
 //! Run with: `cargo run --release --example flexible_accelerator`
 
 use magma::experiments::{self, Scale};
-use magma::prelude::*;
+use magma_model::TaskType;
+use magma_platform::Setting;
 
 fn main() {
     let scale = Scale { group_size: 30, budget: 1_200, seed: 5, full: false };

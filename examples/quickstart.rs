@@ -3,7 +3,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use magma::prelude::*;
+use magma::{Algorithm, MapperBuilder};
+use magma_model::TaskType;
+use magma_platform::Setting;
 
 fn main() {
     // 1. Describe the job: a Mix-task group of 40 jobs (vision + language +

@@ -10,7 +10,11 @@
 //!
 //! Run with: `cargo run --release --example warm_start_service`
 
-use magma::prelude::*;
+use magma::MapperBuilder;
+use magma_m3e::{StoredSolution, WarmStartEngine};
+use magma_model::TaskType;
+use magma_optim::{Magma, Optimizer};
+use magma_platform::Setting;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -9,7 +9,9 @@
 // uses every helper, so dead-code analysis is per-target noise here.
 #![allow(dead_code)]
 
-use magma::prelude::*;
+use magma_m3e::{M3e, Objective};
+use magma_model::{TaskType, WorkloadSpec};
+use magma_platform::{settings, AcceleratorPlatform, Setting};
 
 /// Builds a reduced-scale M3E problem: `n` jobs of `task` on `setting`, at
 /// `bw` GB/s (or the setting's Table III default when `None`), optimizing

@@ -25,12 +25,14 @@
 mod common;
 
 use common::{paper_scale_platforms, problem};
-use magma::m3e::StoredSolution;
-use magma::optim::parallel::{evaluate_batch_with, thread_count, with_threads};
-use magma::prelude::*;
-use magma::serve::{
-    fleet_simulate, generate_trace, quantize_signatures, Admission, DispatchKind, EngineConfig,
-    FleetConfig, ServeEngine, TraceParams,
+use magma_m3e::{M3e, Mapping, MappingProblem, Objective, StoredSolution};
+use magma_model::{Job, JobId, JobSignature, LayerShape, TaskType, TenantMix, WorkloadSpec};
+use magma_optim::parallel::{evaluate_batch_with, thread_count, with_threads};
+use magma_optim::{Magma, Optimizer};
+use magma_platform::{settings, Setting};
+use magma_serve::{
+    fleet_simulate, generate_trace, quantize_signatures, Admission, DispatchConfig, DispatchKind,
+    EngineConfig, FleetConfig, MappingCache, MappingService, Scenario, ServeEngine, TraceParams,
 };
 use magma_server::proto::{decode, encode, RequestMsg};
 use rand::rngs::StdRng;
@@ -331,7 +333,7 @@ fn a_fleet_simulation_holds_what_is_live() {
 /// every job a random accelerator layer of a random zoo model at a
 /// mini-batch from {1, 2, 4, 8}.
 fn fresh_groups(seed: u64) -> impl FnMut() -> Vec<Job> {
-    let layers: Vec<_> = magma::model::zoo::models_for_task(TaskType::Mix)
+    let layers: Vec<_> = magma_model::zoo::models_for_task(TaskType::Mix)
         .iter()
         .flat_map(|m| {
             let layer = |(i, l): (usize, &LayerShape)| (m.name().to_string(), m.task(), i, *l);

@@ -4,7 +4,9 @@
 //! what the one-binary-per-figure code wrote.
 
 use magma::experiments::{self, Case, Scale, ARTEFACTS};
-use magma::prelude::*;
+use magma::{Algorithm, MapperBuilder};
+use magma_model::TaskType;
+use magma_platform::Setting;
 use std::collections::BTreeMap;
 
 /// `case` with `group_size` jobs, `budget` samples and `seed`.
@@ -33,7 +35,7 @@ fn the_artefact_table_regenerates_the_files_the_parent_binaries_wrote() {
         for output in artefact.run(&scale) {
             assert!(!output.table.is_empty(), "{} prints nothing", output.stem);
             let json = serde_json::to_string_pretty(&output.rows).expect("rows serialize");
-            let hash = magma::serve::descriptor::fnv1a64(json.as_bytes());
+            let hash = magma_serve::descriptor::fnv1a64(json.as_bytes());
             written.insert(output.stem, format!("{hash:016x}"));
         }
     }

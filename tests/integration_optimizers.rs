@@ -5,7 +5,11 @@
 mod common;
 
 use common::{paper_scale_platforms, problem};
-use magma::prelude::*;
+use magma::Algorithm;
+use magma_m3e::{M3e, Mapping, Objective, StoredSolution};
+use magma_model::{TaskType, WorkloadSpec};
+use magma_optim::{AiMtLike, HeraldLike, Magma, OperatorSet, Optimizer, SearchOutcome};
+use magma_platform::Setting;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -32,7 +36,7 @@ fn magma_beats_stdga_on_heterogeneous_instance() {
     let p = problem(Setting::S2, TaskType::Mix, Some(1.0), 40, 3);
     let budget = 1_200;
     let magma = Magma::default().search(&p, budget, &mut StdRng::seed_from_u64(0));
-    let stdga = magma::optim::stdga::StdGa.search(&p, budget, &mut StdRng::seed_from_u64(0));
+    let stdga = magma_optim::stdga::StdGa.search(&p, budget, &mut StdRng::seed_from_u64(0));
     assert!(
         magma.best_fitness >= stdga.best_fitness,
         "MAGMA {} < stdGA {}",
@@ -130,7 +134,7 @@ impl SearchGolden {
             platform: platform.to_string(),
             seed,
             best_fitness_bits: outcome.best_fitness.to_bits(),
-            samples_hash: magma::serve::descriptor::fnv1a64(&sample_bytes),
+            samples_hash: magma_serve::descriptor::fnv1a64(&sample_bytes),
             accel_sel: outcome.best_mapping.accel_sel().to_vec(),
             priority_bits: outcome.best_mapping.priority().iter().map(|p| p.to_bits()).collect(),
         }

@@ -5,15 +5,19 @@
 //! fitness, best mapping genes, the per-sample fitness sequence and the
 //! convergence curve — must be **bit-identical** between `MAGMA_THREADS=1`
 //! and `MAGMA_THREADS=4` at a fixed seed. The suite pins the worker count
-//! with [`magma::optim::parallel::with_threads`] (the same override the env
+//! with [`magma_optim::parallel::with_threads`] (the same override the env
 //! knob feeds into) so concurrently running tests cannot race on the
 //! process environment.
 
 mod common;
 
 use common::problem;
-use magma::optim::parallel::{evaluate_batch_with, with_threads, BatchEvaluator};
-use magma::prelude::*;
+use magma::Algorithm;
+use magma_m3e::{M3e, Mapping, MappingProblem};
+use magma_model::TaskType;
+use magma_optim::parallel::{evaluate_batch_with, with_threads};
+use magma_optim::{BatchEvaluator, Magma, Optimizer, RandomSearch, SearchOutcome};
+use magma_platform::Setting;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -4,7 +4,11 @@
 mod common;
 
 use common::problem;
-use magma::prelude::*;
+use magma::MapperBuilder;
+use magma_m3e::{M3e, Mapping, MappingProblem, Objective};
+use magma_model::{TaskType, WorkloadSpec};
+use magma_optim::{Magma, Optimizer};
+use magma_platform::{settings, Setting};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -19,10 +19,11 @@
 mod common;
 
 use common::problem;
-use magma::m3e::{BwAllocator, FitnessEvaluator, Mapping, MappingProblem};
-use magma::optim::parallel::{evaluate_batch_with, with_threads, BatchEvaluator};
-use magma::optim::pool;
-use magma::prelude::*;
+use magma_m3e::{BwAllocator, FitnessEvaluator, Mapping, MappingProblem, Objective};
+use magma_model::TaskType;
+use magma_optim::parallel::{evaluate_batch_with, with_threads};
+use magma_optim::{pool, BatchEvaluator, Magma, Optimizer, SearchOutcome};
+use magma_platform::Setting;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

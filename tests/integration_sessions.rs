@@ -13,8 +13,12 @@
 mod common;
 
 use common::problem;
-use magma::optim::parallel::with_threads;
-use magma::prelude::*;
+use magma::Algorithm;
+use magma_m3e::{M3e, Mapping};
+use magma_model::TaskType;
+use magma_optim::parallel::with_threads;
+use magma_optim::{Magma, Optimizer, SearchOutcome};
+use magma_platform::Setting;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
