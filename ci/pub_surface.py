@@ -151,8 +151,12 @@ def lex(text):
     return "".join(out), "\n".join(doctests), links
 
 
-def drop_cfg_test(code):
-    """Blank every item (or statement) that follows a `#[cfg(test)]`."""
+def drop_cfg_test(code, ends=";"):
+    """Blank every item (or statement) that follows a `#[cfg(test)]`.
+
+    It ends with the block its first top-level `{` opens, or at any of
+    `ends` outside a bracket (pass `";,"` to take in a match arm).
+    """
     out = list(code)
     for m in reversed(list(CFG_TEST.finditer(code))):
         i, n, nest = m.end(), len(code), 0
@@ -164,7 +168,7 @@ def drop_cfg_test(code):
                 nest += 1
             elif c in ")]":
                 nest -= 1
-            elif c == ";" and nest == 0:
+            elif c in ends and nest == 0:
                 i += 1
                 break
             elif c == "{" and nest == 0:

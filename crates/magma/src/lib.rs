@@ -59,3 +59,8 @@ mod builder;
 pub mod experiments;
 
 pub use builder::{Algorithm, MapperBuilder, MappingReport};
+
+// The README's `rust` blocks, compiled and run as doctests of this crate.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;

@@ -22,8 +22,8 @@
 //!
 //! The engine never sleeps or reads a clock; instead
 //! [`ServeEngine::next_wake`] tells its driver when the next `poll` is due
-//! ([`Wake`]: now, at a partial group's admission deadline, or not until
-//! the next submit), so the driver can block exactly that long.
+//! (now, at a partial group's admission deadline, or not until the next
+//! submit), so the driver can block exactly that long.
 //!
 //! Three server-specific behaviours sit on top of the shard core:
 //!
@@ -167,21 +167,6 @@ pub struct JobCompletion {
     /// Wall-clock completion time (execution end on the shard's virtual
     /// accelerator timeline), in the caller's `now_sec` domain.
     pub completed_sec: f64,
-}
-
-/// When the engine next has something to do — what
-/// [`ServeEngine::next_wake`] tells an event-driven driver to wait for.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Wake {
-    /// A [`ServeEngine::poll`] right now does work: a search is live, a
-    /// ready group has a shard with room, or completions are waiting to be
-    /// collected.
-    Now,
-    /// Nothing to do until this time (in the caller's `now_sec` domain): a
-    /// partial group is waiting out its admission deadline.
-    At(f64),
-    /// Nothing to do until the next `submit`.
-    Idle,
 }
 
 /// The mapper work an engine has done since it was created — cumulative, so
@@ -420,8 +405,8 @@ impl ServeEngine {
     /// engine's preemption granularity: a driver that applies `cancel` /
     /// `stats` / `drain` between two polls is never more than one slice
     /// late. How soon to call again is [`ServeEngine::next_wake`]'s answer —
-    /// polling an engine that reports [`Wake::Idle`] or a future
-    /// [`Wake::At`] is harmless but does nothing.
+    /// polling an engine before the time it reports, or one that reports
+    /// none, is harmless but does nothing.
     pub fn poll(&mut self, now_sec: f64) -> Vec<JobCompletion> {
         let now = self.clamp_now(now_sec);
         while self.batcher.earliest_ready().is_some_and(|r| r <= now) && self.shards.has_room() {
@@ -434,28 +419,24 @@ impl ServeEngine {
     /// When the next [`ServeEngine::poll`] is due, as seen at `now_sec` —
     /// read-only, so a driver can ask between any two calls:
     ///
-    /// * [`Wake::Now`] while any search is live (every poll advances one
+    /// * `Some(now_sec)` while any search is live (every poll advances one
     ///   slice per shard), while a group is ready to cut and a shard has
     ///   room for it, or while completions a `cancel` synthesized are
     ///   waiting to be collected;
-    /// * [`Wake::At`] the batcher's `earliest_ready` when all that is left
-    ///   is a partial group waiting out `max_wait_sec`;
-    /// * [`Wake::Idle`] when the queue is empty and nothing is live — only
-    ///   a `submit` can change that.
+    /// * `Some(ready)`, the batcher's `earliest_ready`, when all that is
+    ///   left is a partial group waiting out `max_wait_sec`;
+    /// * `None` when the queue is empty and nothing is live — only a
+    ///   `submit` can change that.
     ///
     /// Session timeouts need no wake-up of their own: they preempt live
-    /// sessions, and a live session already means [`Wake::Now`].
-    pub fn next_wake(&self, now_sec: f64) -> Wake {
-        let now = now_sec.max(self.last_now);
+    /// sessions, and a live session already means a poll now.
+    pub fn next_wake(&self, now_sec: f64) -> Option<f64> {
         if self.shards.live_total() > 0 || !self.out.is_empty() {
-            return Wake::Now;
+            return Some(now_sec);
         }
         // Nothing is live, so every shard has room for a ready group.
-        match self.batcher.earliest_ready() {
-            Some(ready) if ready > now => Wake::At(ready),
-            Some(_) => Wake::Now,
-            None => Wake::Idle,
-        }
+        let now = now_sec.max(self.last_now);
+        self.batcher.earliest_ready().map(|ready| if ready > now { ready } else { now_sec })
     }
 
     /// Stops admissions and runs everything to completion: every queued
@@ -765,39 +746,43 @@ mod tests {
         // group_target 4, max_wait 4 / 100/s = 40 ms, cold budget 40.
         let mut engine = ServeEngine::new(EngineConfig::from_knobs(&tiny_knobs()), mix(4));
         let max_wait = engine.config.max_wait_sec;
-        assert_eq!(engine.next_wake(0.0), Wake::Idle, "an empty engine waits for a submit");
+        assert_eq!(engine.next_wake(0.0), None, "an empty engine waits for a submit");
 
         // A partial group waits out its admission deadline, and a poll at
         // that very time cuts it.
         assert_eq!(engine.submit(1.0, 0, 0, vec![job(0)]), Admission::Accepted);
-        assert_eq!(engine.next_wake(1.0), Wake::At(1.0 + max_wait));
+        assert_eq!(engine.next_wake(1.0), Some(1.0 + max_wait));
         assert!(engine.poll(1.0 + max_wait / 2.0).is_empty());
         assert_eq!(engine.stats().live_sessions, 0, "a poll before the deadline cuts nothing");
-        assert_eq!(engine.next_wake(1.0 + max_wait / 2.0), Wake::At(1.0 + max_wait));
-        assert_eq!(engine.next_wake(1.0 + max_wait), Wake::Now, "ready, and every shard has room");
+        assert_eq!(engine.next_wake(1.0 + max_wait / 2.0), Some(1.0 + max_wait));
+        assert_eq!(
+            engine.next_wake(1.0 + max_wait),
+            Some(1.0 + max_wait),
+            "ready, and every shard has room"
+        );
         let mut completions = engine.poll(1.0 + max_wait);
         assert_eq!(engine.stats().admitted_sessions, 1, "the deadline path cut the partial group");
 
         // Live sessions mean `Now` until the last one completes.
         let mut now = 1.0 + max_wait;
         while engine.stats().live_sessions > 0 {
-            assert_eq!(engine.next_wake(now), Wake::Now);
+            assert_eq!(engine.next_wake(now), Some(now));
             now += 1e-3;
             completions.extend(engine.poll(now));
         }
         assert_eq!(completions.len(), 1);
-        assert_eq!(engine.next_wake(now), Wake::Idle);
+        assert_eq!(engine.next_wake(now), None);
 
         // A full group is ready on arrival.
         for t in 1..=4 {
             assert_eq!(engine.submit(now, t, 0, vec![job(t as usize)]), Admission::Accepted);
         }
-        assert_eq!(engine.next_wake(now), Wake::Now);
+        assert_eq!(engine.next_wake(now), Some(now));
 
         // After a drain nothing is ever due again.
         assert_eq!(engine.drain(now).len(), 4);
-        assert_eq!(engine.next_wake(now), Wake::Idle);
-        assert_eq!(engine.next_wake(now + 1e6), Wake::Idle);
+        assert_eq!(engine.next_wake(now), None);
+        assert_eq!(engine.next_wake(now + 1e6), None);
     }
 
     #[test]
@@ -820,11 +805,11 @@ mod tests {
         // queued any more, but its completion still has to be collected.
         assert!(engine.cancel(0.0, 1));
         assert_eq!(engine.stats().live_sessions, 0);
-        assert_eq!(engine.next_wake(0.0), Wake::Now);
+        assert_eq!(engine.next_wake(0.0), Some(0.0));
         let cancelled = engine.poll(0.0);
         assert_eq!(cancelled.len(), 1);
         assert!(cancelled[0].cancelled);
-        assert_eq!(engine.next_wake(0.0), Wake::Idle);
+        assert_eq!(engine.next_wake(0.0), None);
     }
 
     #[test]
@@ -841,7 +826,7 @@ mod tests {
         assert_eq!(engine.stats().queued_jobs, 1, "only flagged so far");
         let cancelled = engine.poll(0.0);
         assert!(matches!(cancelled[..], [JobCompletion { token: 1, cancelled: true, .. }]));
-        assert_eq!(engine.next_wake(0.0), Wake::Idle);
+        assert_eq!(engine.next_wake(0.0), None);
 
         // A group somebody still waits for is searched for them, and drain
         // cuts and drops the other kind like poll does.

@@ -131,9 +131,7 @@ pub use cache::{quantize_signatures, CacheStats, MappingCache, SignatureKey};
 pub use descriptor::{CustomScenario, ScenarioDescriptor};
 pub use dispatch::{DispatchConfig, DispatchKind, DispatchOutcome, MappingService};
 pub use emit::{emit, mode_tag, BenchReport};
-pub use engine::{
-    Admission, EngineConfig, EngineStats, JobCompletion, MapperWork, ServeEngine, Wake,
-};
+pub use engine::{Admission, EngineConfig, EngineStats, JobCompletion, MapperWork, ServeEngine};
 pub use fleet::{
     fleet_simulate, run_fleet_custom, run_fleet_ladder, FleetConfig, FleetReport, FleetResult,
     FLEET_SCHEMA,

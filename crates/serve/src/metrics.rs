@@ -52,7 +52,7 @@ pub struct LatencyStats {
 impl LatencyStats {
     /// Computes the summary of `samples` (not required to be sorted).
     pub(crate) fn from_samples(mut samples: Vec<f64>) -> Self {
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        samples.sort_by(f64::total_cmp);
         let count = samples.len();
         let mean_sec = if count == 0 { 0.0 } else { samples.iter().sum::<f64>() / count as f64 };
         LatencyStats {

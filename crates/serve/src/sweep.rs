@@ -387,15 +387,15 @@ fn calibrate_grid(grid: &[SweepPoint], shipped: (f64, usize, f64)) -> Option<Swe
     grid.iter()
         .filter(|p| p.admissible())
         .max_by(|a, b| {
-            let fin = |x: &f64, y: &f64| x.partial_cmp(y).expect("sweep metrics are finite");
-            fin(&a.hit_rate, &b.hit_rate)
-                .then_with(|| fin(&b.mean_e2e_us, &a.mean_e2e_us))
+            a.hit_rate
+                .total_cmp(&b.hit_rate)
+                .then_with(|| b.mean_e2e_us.total_cmp(&a.mean_e2e_us))
                 .then_with(|| (a.epsilon == shipped.0).cmp(&(b.epsilon == shipped.0)))
-                .then_with(|| fin(&b.epsilon, &a.epsilon))
+                .then_with(|| b.epsilon.total_cmp(&a.epsilon))
                 .then_with(|| (a.refine_budget == shipped.1).cmp(&(b.refine_budget == shipped.1)))
                 .then_with(|| b.refine_budget.cmp(&a.refine_budget))
                 .then_with(|| (a.quant_step == shipped.2).cmp(&(b.quant_step == shipped.2)))
-                .then_with(|| fin(&b.quant_step, &a.quant_step))
+                .then_with(|| b.quant_step.total_cmp(&a.quant_step))
         })
         .cloned()
 }

@@ -12,6 +12,7 @@
 //!   conn … ───┘    core.wake   │    the core, which applies the requests │
 //!       ▲                      │ 3. turn the core: engine, pace, deliver │
 //!       └──── write ◀───────── │ 4. write what each socket takes         │
+//!                              │ 5. hang up what the core has ended      │
 //!                              └─────────────────────────────────────────┘
 //! ```
 //!
@@ -26,17 +27,26 @@
 //! or `drain` still waits at most 50 µs and one scheduler slice.
 //!
 //! No socket blocks the thread: answers wait in the core and go out as far
-//! as each socket takes them. A connection the core gives up is hung up and
-//! its reason printed; one whose peer hangs up or whose write fails is
-//! closed in the core, which cancels its open submits. After a `drain` no
-//! request is read: every connection's output is written out (a stalled
-//! peer is given up at its stall deadline), then closed, and
-//! [`Server::join`] returns the final stats.
+//! as each socket takes them. The core says when a connection ends — its
+//! peer hung up, a write failed, it was given up, or the core is drained and
+//! its output written — and the shell hangs up, at one site, whatever the
+//! core no longer has open, printing the reason for each one given up.
+//!
+//! The loop has one exit — the core is drained and no connection is left —
+//! and [`Server::join`] then returns the final stats. A `drain` request
+//! drains the core, and so does a fault, named in one line on stderr: a core
+//! call that panics (every call that changes the core runs under
+//! `catch_unwind`) or a failed `poll(2)`. The core is then no longer trusted:
+//! no request is read, no engine step taken. Either way queued answers go
+//! out, a stalled peer is given up at its stall deadline and every
+//! connection closes. A panic costs what is not yet queued: the terminals of
+//! every open submit.
 
 use std::collections::BTreeMap;
 use std::io::ErrorKind::{Interrupted, WouldBlock, WriteZero};
 use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -84,8 +94,9 @@ impl Server {
         self.addr
     }
 
-    /// Blocks until a drain shuts the daemon down; returns the engine's
-    /// final counters.
+    /// Blocks until the daemon has drained — on a `drain` request, or after
+    /// a fault (see the module docs) — and returns the engine's final
+    /// counters.
     pub fn join(self) -> EngineStats {
         self.reactor.join().expect("reactor thread panicked")
     }
@@ -108,53 +119,45 @@ impl Shell {
     }
 
     /// The reactor thread body (see the module docs); returns the final
-    /// counters once a drain has been answered and every socket closed.
+    /// counters once the core is drained and every socket closed.
     fn run(mut self) -> EngineStats {
         let mut fds = Vec::new();
         let mut ids = Vec::new();
         let mut looked = f64::NEG_INFINITY;
-        loop {
+        while !(self.core.drained() && self.streams.is_empty()) {
             let now = self.now();
             let due = self.core.wake(now);
             if due.is_none_or(|due| due > now) || now - looked >= LOOK_EVERY_SEC {
                 fds.clear();
                 ids.clear();
-                fds.push(PollFd::new(&self.listener, POLLIN));
+                // A drained core reads nothing, and takes no connection:
+                // only waiting output is news.
+                let reading = if self.core.drained() { 0 } else { POLLIN };
+                fds.push(PollFd::new(&self.listener, reading));
                 for (&id, stream) in &self.streams {
-                    let waiting = !self.core.output(id).is_empty();
-                    fds.push(PollFd::new(stream, if waiting { POLLIN | POLLOUT } else { POLLIN }));
+                    let writing = if self.core.output(id).is_empty() { 0 } else { POLLOUT };
+                    fds.push(PollFd::new(stream, reading | writing));
                     ids.push(id);
                 }
-                poll::wait(&mut fds, due.map(|due| until(due, now)))
-                    .expect("poll(2) on the daemon's own sockets");
+                if let Err(e) = poll::wait(&mut fds, due.map(|due| until(due, now))) {
+                    fault(&mut self.core, &format!("poll(2) failed: {e}"));
+                }
                 looked = self.now();
                 if fds[0].readable() {
                     self.accept();
                 }
-                if fds[1..].iter().zip(&ids).any(|(fd, &id)| fd.readable() && self.read(id)) {
-                    break;
+                for (fd, &id) in fds[1..].iter().zip(&ids) {
+                    if fd.readable() {
+                        self.read(id);
+                    }
                 }
             }
-            self.core.turn(self.now());
-            self.flush_all();
-        }
-
-        // Drained: every connection's output goes out, side by side, and
-        // each is closed once it has, or once its peer stalls.
-        loop {
-            self.flush_all();
-            let core = &self.core;
-            let written = self.streams.extract_if(.., |&id, _| core.output(id).is_empty());
-            written.for_each(|(_, stream)| hang_up(&stream));
-            if self.streams.is_empty() {
-                return self.core.stats();
-            }
-            fds.clear();
-            fds.extend(self.streams.values().map(|stream| PollFd::new(stream, POLLOUT)));
             let now = self.now();
-            poll::wait(&mut fds, self.core.wake(now).map(|due| until(due, now)))
-                .expect("poll(2) on the daemon's own sockets");
+            guard(&mut self.core, |core| core.turn(now));
+            self.flush_all();
+            self.hang_up_ended();
         }
+        self.core.stats()
     }
 
     /// Accepts every connection waiting on the listener.
@@ -171,72 +174,72 @@ impl Shell {
     }
 
     /// Reads once from a readable connection, straight into the core's
-    /// reader, and has the core apply what the read completed. Returns
-    /// `true` once a drain has completed.
-    fn read(&mut self, id: u64) -> bool {
+    /// reader, and has the core apply what the read completed.
+    fn read(&mut self, id: u64) {
         let (Some(stream), Some(reader)) = (self.streams.get(&id), self.core.reader(id)) else {
-            return false;
+            return;
         };
         let ended = match reader.fill(&mut &*stream) {
             Ok(n) => n == 0,
-            Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => return false,
+            Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => return,
             // An oversized frame, a reset: the connection is gone.
             Err(_) => true,
         };
-        // A drain keeps the connection open for its answer.
-        let drained = self.core.received(id, ended, self.now());
-        if ended && !drained {
-            self.streams.remove(&id).inspect(hang_up);
-        }
-        self.hang_up_given_up();
-        drained
+        let now = self.now();
+        guard(&mut self.core, |core| core.received(id, ended, now));
     }
 
     /// Writes what every socket takes and tells the core how much that was;
-    /// a connection whose write fails is closed. Hangs up what the core has
-    /// given up since the last call.
+    /// a connection whose write fails is closed.
     fn flush_all(&mut self) {
-        let mut failed = Vec::new();
         for (&id, stream) in &self.streams {
             let output = self.core.output(id);
             if output.is_empty() {
                 continue;
             }
+            let written = write_some(stream, output);
             let now = self.now();
-            match write_some(stream, output) {
-                Ok(n) => self.core.wrote(id, n, now),
-                Err(_) => failed.push(id),
-            }
+            guard(&mut self.core, |core| match written {
+                Ok(n) => core.wrote(id, n, now),
+                Err(_) => core.closed(id, now),
+            });
         }
-        for id in failed {
-            self.core.closed(id, self.now());
-            self.streams.remove(&id).inspect(hang_up);
-        }
-        self.hang_up_given_up();
     }
 
-    /// Hangs up every connection the core has given up, saying why.
-    fn hang_up_given_up(&mut self) {
+    /// Hangs up every connection the core no longer has open — the one place
+    /// a connection goes — and says why for each one the core gave up.
+    fn hang_up_ended(&mut self) {
         for (id, reason) in self.core.given_up() {
             eprintln!("magma-server: dropping connection {id}: {reason}");
-            self.streams.remove(&id).inspect(hang_up);
         }
+        let core = &self.core;
+        self.streams.retain(|&id, _| core.is_open(id));
     }
 }
 
-/// Writes as much of `output` as the socket takes without blocking.
-fn write_some(mut stream: &TcpStream, output: &[u8]) -> io::Result<usize> {
-    let mut written = 0;
-    while written < output.len() {
-        match stream.write(&output[written..]) {
-            Ok(0) => return Err(WriteZero.into()),
-            Ok(n) => written += n,
-            Err(e) if e.kind() == WouldBlock => break,
-            Err(e) if e.kind() == Interrupted => {}
-            Err(e) => return Err(e),
-        }
+/// Runs a call that changes the core; a panic in it drains the core.
+fn guard(core: &mut DaemonCore, call: impl FnOnce(&mut DaemonCore)) {
+    if catch_unwind(AssertUnwindSafe(|| call(&mut *core))).is_err() {
+        fault(core, "a core call panicked");
     }
-    Ok(written)
+}
+
+/// Drains the core after a fault (see the module docs), naming it once.
+fn fault(core: &mut DaemonCore, cause: &str) {
+    if !core.drained() {
+        eprintln!("magma-server: {cause}; draining");
+    }
+    core.stop();
+}
+
+/// Writes as much of `output` as the socket takes without blocking: one
+/// write, since a non-blocking socket that takes less than all is full.
+fn write_some(mut stream: &TcpStream, output: &[u8]) -> io::Result<usize> {
+    match stream.write(output) {
+        Ok(0) => Err(WriteZero.into()),
+        Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => Ok(0),
+        written => written,
+    }
 }
 
 /// How long `poll` may wait at `now` for `due` (out of range: for ever).
@@ -244,7 +247,52 @@ fn until(due: f64, now: f64) -> Duration {
     Duration::try_from_secs_f64((due - now).max(0.0)).unwrap_or(Duration::MAX)
 }
 
-/// Hangs a connection up; whatever output is still waiting is lost.
-fn hang_up(stream: &TcpStream) {
-    let _ = stream.shutdown(Shutdown::Both);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    use magma_platform::settings::ServerKnobs;
+
+    use crate::frame::{read_frame, write_frame};
+
+    const MAX_FRAME: usize = 1 << 20;
+
+    /// Sends one request, as its JSON, on `stream`.
+    fn ask(mut stream: &TcpStream, json: &str) {
+        write_frame(&mut stream, json.as_bytes(), MAX_FRAME).expect("the frame sends");
+    }
+
+    /// The next frame `stream` is sent, or `None` at its EOF.
+    fn next(mut stream: &TcpStream) -> Option<Vec<u8>> {
+        read_frame(&mut stream, MAX_FRAME).expect("a frame or a clean EOF")
+    }
+
+    #[test]
+    fn a_panic_in_the_core_leaves_through_the_drain_exit() {
+        let knobs = ServerKnobs::smoke();
+        let config = EngineConfig::from_knobs(&knobs);
+        let server = Server::start("127.0.0.1:0", MAX_FRAME, config, TenantMix::synthetic(2, 0))
+            .expect("the daemon binds an ephemeral localhost port");
+        let addr = server.addr();
+        let connect = || {
+            let stream = TcpStream::connect(addr).expect("a client connects");
+            stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout sets");
+            stream
+        };
+
+        // A second connection is open, and served, when the first one's
+        // request panics the core.
+        let (poisoner, bystander) = (connect(), connect());
+        ask(&bystander, r#"{"id":1,"verb":"stats"}"#);
+        assert!(next(&bystander).is_some(), "the bystander is served");
+        ask(&poisoner, r#"{"id":1,"verb":"poison"}"#);
+
+        // Both connections close, the daemon exits with its counters, and
+        // nobody is listening any more.
+        assert_eq!(next(&poisoner), None, "the poisoner reaches EOF");
+        assert_eq!(next(&bystander), None, "the bystander reaches EOF");
+        let stats = server.join();
+        assert_eq!((stats.accepted, stats.rejected), (0, 0));
+        assert!(TcpStream::connect(addr).is_err(), "a connect after join is refused");
+    }
 }

@@ -38,13 +38,17 @@
 //! given up, or closed by its peer — the submits it still has open are
 //! cancelled in the order they were admitted: nobody is left to read their
 //! answers.
+//!
+//! **Drained.** A `drain` leaves the core drained, and so does the shell
+//! after a fault, once the core's state is no longer trusted
+//! ([`stop`](DaemonCore::stop)): no request is read and no engine step taken
+//! any more, and a connection ends once its output is written — at once
+//! when none waits.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use magma_model::TenantMix;
-use magma_serve::{
-    Admission, EngineConfig, EngineStats, JobCompletion, MapperWork, ServeEngine, Wake,
-};
+use magma_serve::{Admission, EngineConfig, EngineStats, JobCompletion, MapperWork, ServeEngine};
 
 use crate::frame::{write_frame, FrameReader};
 use crate::proto::{
@@ -182,6 +186,8 @@ pub(crate) struct DaemonCore {
     paced: u64,
     /// Connections given up since the caller last asked, with the reason.
     given_up: Vec<(u64, String)>,
+    /// Set by [`stop`](Self::stop); see the module docs.
+    drained: bool,
 }
 
 impl DaemonCore {
@@ -197,6 +203,7 @@ impl DaemonCore {
             pace: Pace::new(),
             paced: 0,
             given_up: Vec::new(),
+            drained: false,
         }
     }
 
@@ -215,42 +222,50 @@ impl DaemonCore {
     }
 
     /// Where `conn`'s bytes go; [`received`](Self::received) applies them.
+    /// None once the connection is gone or the core is drained.
     pub(crate) fn reader(&mut self, conn: u64) -> Option<&mut FrameReader> {
-        self.links.get_mut(&conn).map(|link| &mut link.input)
+        self.links.get_mut(&conn).filter(|_| !self.drained).map(|link| &mut link.input)
     }
 
-    /// Applies, at `now`, every request `conn`'s reader holds whole, then
-    /// closes the connection when its stream has `ended`. Returns `true`
-    /// once a drain has completed: nothing is read after it.
-    pub(crate) fn received(&mut self, conn: u64, ended: bool, now: f64) -> bool {
-        while let Some(link) = self.links.get_mut(&conn) {
+    /// Whether `conn` is open; the caller hangs up every connection that is
+    /// not.
+    pub(crate) fn is_open(&self, conn: u64) -> bool {
+        self.links.contains_key(&conn)
+    }
+
+    /// Whether the core is drained; see the module docs.
+    pub(crate) fn drained(&self) -> bool {
+        self.drained
+    }
+
+    /// Applies, at `now`, every request `conn`'s reader holds whole, up to a
+    /// drain, then closes the connection when its stream has `ended` — a
+    /// drained one stays open until its answer is written.
+    pub(crate) fn received(&mut self, conn: u64, ended: bool, now: f64) {
+        while let Some(link) = self.links.get_mut(&conn).filter(|_| !self.drained) {
             let request = match link.input.next_frame() {
                 Ok(Some(payload)) => decode::<RequestMsg>(payload),
                 Ok(None) => break,
                 Err(e) => Err(e.to_string()),
             };
             match request {
-                Ok(msg) => {
-                    if self.apply(conn, msg, now) {
-                        return true;
-                    }
-                }
+                Ok(msg) => self.apply(conn, msg, now),
                 Err(reason) => self.give_up(conn, reason, now),
             }
         }
-        if ended {
+        if ended && !self.drained {
             self.closed(conn, now);
         }
-        false
     }
 
     /// Forgets a connection (a no-op when it is already gone) and cancels
     /// the submits it still has open, in admission order — the order
     /// sessions finish in feeds the shard timelines and caches — so the
     /// engine stops searching for answers nobody will read. Their books
-    /// close through the `cancelled` completions the engine produces.
+    /// close through the `cancelled` completions the engine produces. A
+    /// drained core has nothing left to cancel, or no engine it trusts.
     pub(crate) fn closed(&mut self, conn: u64, now: f64) {
-        if self.links.remove(&conn).is_none() {
+        if self.links.remove(&conn).is_none() || self.drained {
             return;
         }
         let mut open: Vec<u64> =
@@ -262,8 +277,12 @@ impl DaemonCore {
     }
 
     /// One engine step at `now`: polls it, charges the pace for the work
-    /// and queues the terminals of the submits that finished.
+    /// and queues the terminals of the submits that finished. Nothing once
+    /// drained.
     pub(crate) fn turn(&mut self, now: f64) {
+        if self.drained {
+            return;
+        }
         let completions = self.engine.poll(now);
         self.pace.charge(now, self.engine.mapper_work());
         self.deliver(completions, now);
@@ -276,7 +295,8 @@ impl DaemonCore {
 
     /// Records that `conn`'s peer took `n` bytes of its output at `now` —
     /// none is a write that would have blocked — and gives the connection
-    /// up when too many answers wait or it has stalled too long.
+    /// up when too many answers wait or it has stalled too long. A drained
+    /// core ends the connection once its output is written.
     pub(crate) fn wrote(&mut self, conn: u64, n: usize, now: f64) {
         let Some(link) = self.links.get_mut(&conn) else { return };
         if n > 0 {
@@ -287,7 +307,9 @@ impl DaemonCore {
             }
             link.frame_ends.iter_mut().for_each(|end| *end -= n);
         }
-        if link.frame_ends.len() > OUTBOX_FRAMES {
+        if self.drained && link.output.is_empty() {
+            self.links.remove(&conn);
+        } else if link.frame_ends.len() > OUTBOX_FRAMES {
             self.give_up(conn, format!("{OUTBOX_FRAMES} answers unread"), now);
         } else if link.stall_deadline().is_some_and(|deadline| deadline <= now) {
             self.give_up(conn, format!("no byte taken for {WRITE_STALL} s"), now);
@@ -295,14 +317,11 @@ impl DaemonCore {
     }
 
     /// When the caller must call again at the latest, seen at `now`: the
-    /// engine's next wake (`now` itself while it has work due) or the
-    /// earliest stall deadline. `None` waits for the peers alone.
+    /// engine's next wake (`now` itself while it has work due; none once
+    /// drained) or the earliest stall deadline. `None` waits for the peers
+    /// alone.
     pub(crate) fn wake(&self, now: f64) -> Option<f64> {
-        let engine = match self.engine.next_wake(now) {
-            Wake::Now => Some(now),
-            Wake::At(due) => Some(due),
-            Wake::Idle => None,
-        };
+        let engine = if self.drained { None } else { self.engine.next_wake(now) };
         let stalls = self.links.values().filter_map(Link::stall_deadline);
         engine.into_iter().chain(stalls).min_by(f64::total_cmp)
     }
@@ -313,6 +332,14 @@ impl DaemonCore {
         std::mem::take(&mut self.given_up)
     }
 
+    /// Makes the core drained (see the module docs): what a `drain` ends
+    /// with, and what the caller does once a core call has panicked. Every
+    /// connection with no output waiting ends now.
+    pub(crate) fn stop(&mut self) {
+        self.drained = true;
+        self.links.retain(|_, link| !link.output.is_empty());
+    }
+
     /// Gives a connection up (a no-op when it is already gone).
     fn give_up(&mut self, conn: u64, reason: String, now: f64) {
         if self.links.contains_key(&conn) {
@@ -321,9 +348,8 @@ impl DaemonCore {
         }
     }
 
-    /// Applies one request from `conn` at `now`. Returns `true` once a drain
-    /// has completed.
-    fn apply(&mut self, conn: u64, msg: RequestMsg, now: f64) -> bool {
+    /// Applies one request from `conn` at `now`.
+    fn apply(&mut self, conn: u64, msg: RequestMsg, now: f64) {
         let resp = match msg.verb.as_str() {
             VERB_SUBMIT if self.submit_index.contains_key(&(conn, msg.id)) => {
                 ResponseMsg::error(msg.id, &format!("request id {} is already in flight", msg.id))
@@ -384,8 +410,12 @@ impl DaemonCore {
                     ..ResponseMsg::new(msg.id, KIND_DRAINED)
                 };
                 self.send(conn, &resp, now);
-                return true;
+                self.stop();
+                return;
             }
+            // What a panic costs is tested with this verb.
+            #[cfg(test)]
+            "poison" => panic!("a poisoned request"),
             other => {
                 // Echo a prefix only: no response is larger than the stats
                 // block, so the output bound is a bound in bytes too.
@@ -394,7 +424,6 @@ impl DaemonCore {
             }
         };
         self.send(conn, &resp, now);
-        false
     }
 
     /// Folds engine completions into their books; queues the terminal
@@ -609,7 +638,8 @@ mod tests {
     fn send(core: &mut DaemonCore, conn: u64, bytes: &[u8], now: f64) -> bool {
         let reader = core.reader(conn).expect("the connection is open");
         assert_eq!(reader.fill(&mut &bytes[..]).expect("a read"), bytes.len());
-        core.received(conn, false, now)
+        core.received(conn, false, now);
+        core.drained()
     }
 
     /// The answers waiting for `conn`, taken by its peer at `now`.
@@ -626,7 +656,7 @@ mod tests {
 
     /// Turns the core at `now` until the engine has nothing due.
     fn settle(core: &mut DaemonCore, now: f64) {
-        while core.engine.next_wake(now) == Wake::Now {
+        while core.engine.next_wake(now) == Some(now) {
             core.turn(now);
         }
     }

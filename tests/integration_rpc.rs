@@ -19,7 +19,8 @@
 //!   closes its connection, while a well-formed submit is bounced.
 //! * **Graceful drain** — every in-flight group reaches its terminal
 //!   `done` *before* the `drained` response, shard caches are persisted
-//!   to disk, and the final stats account for every job.
+//!   to disk, and the final stats account for every job; a client that
+//!   shuts its write half right behind the drain still reads the answer.
 //! * **Cancellation over the wire** — a cancel is acknowledged and the
 //!   target submit terminates as `cancelled`, never `done`.
 //! * **A request id names one submit in flight** — a submit that reuses the
@@ -440,6 +441,31 @@ fn drain_completes_in_flight_groups_first_and_persists_shard_caches() {
         assert!(file.exists(), "drain persists {}", file.display());
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_drain_sent_with_a_hang_up_is_still_answered() {
+    let (server, addr) = start_server(&tiny_knobs());
+
+    // A submit and a drain in one write, and the write half shut at once:
+    // the daemon reads both requests and the end of the stream together.
+    let mut raw = TcpStream::connect(&addr).expect("raw client connects");
+    raw.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout sets");
+    let mut bytes = Vec::new();
+    for msg in [RequestMsg::submit(1, 0, vec![job(0)]), RequestMsg::drain(2)] {
+        write_frame(&mut bytes, &encode(&msg), MAX_FRAME).expect("a small frame");
+    }
+    raw.write_all(&bytes).expect("the requests send");
+    raw.shutdown(std::net::Shutdown::Write).expect("the write half shuts");
+
+    // The drain finishes the group first, answers, then closes.
+    let mut kinds = Vec::new();
+    while let Some(payload) = read_frame(&mut raw, MAX_FRAME).expect("answers, then EOF") {
+        kinds.push(decode::<ResponseMsg>(&payload).expect("a response").kind);
+    }
+    assert_eq!(kinds, [KIND_ACCEPTED, KIND_DONE, "drained"]);
+    let stats = server.join();
+    assert_eq!((stats.accepted, stats.completed_jobs), (1, 1));
 }
 
 #[test]
